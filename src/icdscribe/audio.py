@@ -13,11 +13,12 @@ of their inputs and seeds.
 
 import math
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError
+from .schema import INF_AS_NULL
 from .seeds import stable_seed
 
 DEFAULT_SAMPLE_RATE = 16000
@@ -75,8 +76,7 @@ class RoomModel:
 
     distance: float = 3.6
     rt60: float = 0.3
-    snr_db: float = 20.0
-    seed: int = 0
+    snr_db: float = field(default=20.0, metadata=INF_AS_NULL)
 
     def __post_init__(self):
         if self.distance <= 0:
@@ -174,16 +174,16 @@ def concat_with_silence(waves, gaps_s, edge_pad_s=0.06):
     return Waveform(np.concatenate(pieces), sr)
 
 
-def apply_far_field(w, room):
+def apply_far_field(w, room, seed=0):
     """Push a close-talk waveform through the room model.
 
     Convolves with a synthetic impulse response (unit direct path plus an
     exponentially decaying noise tail when rt60 > 0), scales by 1/distance,
-    then adds white noise at exactly the configured SNR.  Neutral
-    parameters (distance 1, rt60 0, infinite SNR) return the input
-    unchanged.
+    then adds white noise at exactly the configured SNR.  `seed` draws the
+    impulse-response tail and the noise.  Neutral parameters (distance 1,
+    rt60 0, infinite SNR) return the input unchanged.
     """
-    rng = np.random.default_rng(stable_seed("room", room.seed))
+    rng = np.random.default_rng(stable_seed("room", seed))
     samples = w.samples
     if room.rt60 > 0:
         tail_len = int(room.rt60 * w.sample_rate)

@@ -202,16 +202,6 @@ def mul(a, b):
     return Tensor(out_values, _parents=(a, b), _backprop=backprop)
 
 
-def scale(a, k):
-    """Multiply by a python constant (no extra graph node for the constant)."""
-    k = float(k)
-    backprop = None
-    if a.requires_grad:
-        def backprop(g, adjoints):
-            _push(adjoints, a, g * k)
-    return Tensor(a.values * k, _parents=(a,), _backprop=backprop)
-
-
 def tanh(a):
     out_values = np.tanh(a.values)
     backprop = None

@@ -7,18 +7,34 @@ left.  Floats survive the JSON round trip bit for bit because the encoder
 emits shortest round-trippable representations.
 """
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import AdamState
 from .config import RunConfig
 from .data import Vocabulary
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ValidationError
 from .model import DecoderConfig, Seq2SeqModel
+from .schema import from_payload, read_document, to_payload, write_document
 
 CKPT_FORMAT = "ckpt-v1"
+
+
+@dataclass
+class AdamMoments:
+    m: object  # flat float lists, left unconverted until restore_optimizer
+    v: object
+
+
+@dataclass
+class AdamPayload:
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    step: int
+    moments: list[AdamMoments]
 
 
 @dataclass
@@ -27,24 +43,13 @@ class Checkpoint:
     vocabulary: Vocabulary
     parameters: dict  # name -> float64 array
     step: int  # completed training epochs
-    optimizer: dict  # raw optimizer payload, or None
-
-
-def decoder_config(config, vocab_size):
-    s = config.decoder
-    return DecoderConfig(
-        vocab_size=vocab_size,
-        embedding_dim=s.embedding_dim,
-        hidden=s.hidden,
-        attention_dim=s.attention_dim,
-        max_decode_len=s.max_decode_len,
-    )
+    optimizer: object  # AdamPayload, or None
 
 
 def fresh_model(config, vocab):
     return Seq2SeqModel(
         config.encoder,
-        decoder_config(config, len(vocab)),
+        DecoderConfig(len(vocab), **asdict(config.decoder)),
         input_dim=config.dataset.frontend.n_mels,
         seed=config.seed,
     )
@@ -52,7 +57,6 @@ def fresh_model(config, vocab):
 
 def save_checkpoint(path, model, vocab, config, step, optimizer=None):
     payload = {
-        "format": CKPT_FORMAT,
         "config": config.to_dict(),
         "vocabulary": vocab.content_words,
         "step": int(step),
@@ -66,46 +70,43 @@ def save_checkpoint(path, model, vocab, config, step, optimizer=None):
         ],
         "optimizer": None if optimizer is None else _optimizer_payload(optimizer),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(path, CKPT_FORMAT, payload)
 
 
 def _optimizer_payload(state):
-    return {
-        "lr": state.lr,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
-        "step": state.step,
-        "moments": [
-            {"m": m.ravel().tolist(), "v": v.ravel().tolist()}
-            for m, v in zip(state.m, state.v)
-        ],
-    }
+    moments = [AdamMoments(m.ravel().tolist(), v.ravel().tolist()) for m, v in zip(state.m, state.v)]
+    return to_payload(AdamPayload(state.lr, state.beta1, state.beta2, state.eps, state.step, moments))
 
 
 def load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    declared = payload.get("format")
-    if declared != CKPT_FORMAT:
-        raise ParseError(f"unsupported checkpoint format {declared!r}")
+    return read_document(path, CKPT_FORMAT, _checkpoint_from_payload)
+
+
+def _float_array(values, shape, what):
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} is not a list of numbers") from exc
+    if array.size != int(np.prod(shape, dtype=np.int64)):
+        raise ValidationError(f"{what} has {array.size} values for shape {shape}")
+    if not np.isfinite(array).all():
+        raise ConfigError(f"{what} holds a non-finite or non-numeric value")
+    return array.reshape(shape)
+
+
+def _checkpoint_from_payload(payload):
     parameters = {}
     for entry in payload["parameters"]:
-        shape = tuple(entry["shape"])
-        values = np.asarray(entry["values"], dtype=np.float64)
-        if values.size != int(np.prod(shape, dtype=np.int64)):
-            raise ValidationError(
-                f"parameter {entry['name']!r} has {values.size} values for shape {shape}"
-            )
-        parameters[entry["name"]] = values.reshape(shape)
+        name = from_payload(str, entry["name"], "parameters.name")
+        shape = from_payload(tuple[int, ...], entry["shape"], "parameters.shape")
+        parameters[name] = _float_array(entry["values"], shape, f"parameter {name!r}")
+    optimizer = payload["optimizer"]
     return Checkpoint(
         config=RunConfig.from_dict(payload["config"]),
-        vocabulary=Vocabulary(payload["vocabulary"]),
+        vocabulary=Vocabulary(from_payload(list[str], payload["vocabulary"], "vocabulary")),
         parameters=parameters,
-        step=payload["step"],
-        optimizer=payload["optimizer"],
+        step=from_payload(int, payload["step"], "step"),
+        optimizer=None if optimizer is None else from_payload(AdamPayload, optimizer, "optimizer"),
     )
 
 
@@ -128,18 +129,18 @@ def build_model(checkpoint):
 
 def restore_optimizer(checkpoint, params):
     """Rebuild the Adam accumulators saved alongside the parameters."""
-    payload = checkpoint.optimizer
-    if payload is None:
+    stored = checkpoint.optimizer
+    if stored is None:
         raise ValidationError("checkpoint carries no optimizer state")
-    if len(payload["moments"]) != len(params):
+    if len(stored.moments) != len(params):
         raise ValidationError(
-            f"optimizer state covers {len(payload['moments'])} parameters, model has {len(params)}"
+            f"optimizer state covers {len(stored.moments)} parameters, model has {len(params)}"
         )
     state = AdamState(
-        params, lr=payload["lr"], beta1=payload["beta1"], beta2=payload["beta2"], eps=payload["eps"]
+        params, lr=stored.lr, beta1=stored.beta1, beta2=stored.beta2, eps=stored.eps
     )
-    state.step = payload["step"]
-    for i, (p, entry) in enumerate(zip(params, payload["moments"])):
-        state.m[i][...] = np.asarray(entry["m"], dtype=np.float64).reshape(p.values.shape)
-        state.v[i][...] = np.asarray(entry["v"], dtype=np.float64).reshape(p.values.shape)
+    state.step = stored.step
+    for i, (p, entry) in enumerate(zip(params, stored.moments)):
+        state.m[i][...] = _float_array(entry.m, p.values.shape, f"optimizer moment m[{i}]")
+        state.v[i][...] = _float_array(entry.v, p.values.shape, f"optimizer moment v[{i}]")
     return state

@@ -39,6 +39,7 @@ from .errors import ConfigError, ContractError, ParseError, ValidationError
 from .fusion import beam_search_decode, greedy_decode, train_with_scheduled_lm_sampling
 from .lm import Corpus, load_lm, perplexity, save_lm, train_lm
 from .metrics import evaluate_dataset, format_report, wer
+from .schema import write_document
 
 log = logging.getLogger("icdscribe")
 
@@ -49,12 +50,6 @@ def _load_config(args):
         config.seed = args.seed
         config.dataset = dataclasses.replace(config.dataset, seed=args.seed)
     return config
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_generate_data(args):
@@ -202,7 +197,7 @@ def cmd_evaluate(args):
     )
     print(format_report(report))
     if args.output:
-        _write_json(args.output, report.to_dict())
+        write_document(args.output, None, report.to_dict())
         print(f"wrote {args.output}")
     return 0
 
@@ -313,11 +308,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, ContractError, ParseError) as exc:
+    except (ValidationError, ContractError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input ({exc})", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

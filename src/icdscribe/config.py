@@ -1,20 +1,20 @@
 """One declarative document configuring every stage of the pipeline.
 
 A run config written to disk always materializes every default, so the
-stored copy alone reproduces the run.  Parsing is strict: any key the
-schema does not know is rejected with its dotted path.
+stored copy alone reproduces the run.  Parsing is strict (see schema): any
+key the dataclasses do not declare, or any value of the wrong type, is
+rejected with its dotted path.
 """
 
-import json
 from dataclasses import dataclass, field
 
-from .audio import FrontendConfig, RoomModel, SpeakerProfile
-from .data import DatasetConfig, default_speakers
+from .data import DatasetConfig
 from .errors import ConfigError
 from .fusion import FusionConfig
-from .model import ConvSpec, EncoderConfig
+from .model import EncoderConfig
+from .schema import from_payload, read_document, to_payload, write_document
 
-CONFIG_FORMAT = "config-v1"
+CONFIG_FORMAT = "config-v2"
 
 
 @dataclass
@@ -56,10 +56,9 @@ class DecoderSettings:
     embedding_dim: int = 64
     hidden: int = 128
     attention_dim: int = 64
-    max_decode_len: int = 16
 
     def __post_init__(self):
-        if min(self.embedding_dim, self.hidden, self.attention_dim, self.max_decode_len) < 1:
+        if min(self.embedding_dim, self.hidden, self.attention_dim) < 1:
             raise ConfigError("decoder dimensions must be positive")
 
 
@@ -74,143 +73,22 @@ class RunConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     def to_dict(self):
-        return {
-            "format": CONFIG_FORMAT,
-            "seed": self.seed,
-            "dataset": self.dataset.to_dict(),
-            "encoder": {
-                "conv": [
-                    {
-                        "channels": c.channels,
-                        "stride": c.stride,
-                        "dilation": c.dilation,
-                        "kernel": c.kernel,
-                    }
-                    for c in self.encoder.conv
-                ],
-                "layers": self.encoder.layers,
-                "beta": self.encoder.beta,
-                "hidden": self.encoder.hidden,
-            },
-            "decoder": {
-                "embedding_dim": self.decoder.embedding_dim,
-                "hidden": self.decoder.hidden,
-                "attention_dim": self.decoder.attention_dim,
-                "max_decode_len": self.decoder.max_decode_len,
-            },
-            "fusion": {
-                "lambda_acoustic": self.fusion.lambda_acoustic,
-                "lambda_lm": self.fusion.lambda_lm,
-                "beam_width": self.fusion.beam_width,
-                "max_decode_len": self.fusion.max_decode_len,
-                "lm_sample_max": self.fusion.lm_sample_max,
-                "ramp_frac": self.fusion.ramp_frac,
-            },
-            "optimizer": {
-                "lr": self.optimizer.lr,
-                "beta1": self.optimizer.beta1,
-                "beta2": self.optimizer.beta2,
-                "eps": self.optimizer.eps,
-            },
-            "training": {
-                "epochs": self.training.epochs,
-                "clip_norm": self.training.clip_norm,
-                "holdout_fraction": self.training.holdout_fraction,
-                "wer_every": self.training.wer_every,
-            },
-        }
+        return {"format": CONFIG_FORMAT, **to_payload(self)}
 
     @classmethod
     def from_dict(cls, payload):
-        _check_keys(
-            payload,
-            ("format", "seed", "dataset", "encoder", "decoder", "fusion", "optimizer", "training"),
-            "",
-        )
-        declared = payload.get("format", CONFIG_FORMAT)
-        if declared != CONFIG_FORMAT:
-            raise ConfigError(f"unsupported config format {declared!r}")
-        return cls(
-            seed=payload.get("seed", 0),
-            dataset=_parse_dataset(payload.get("dataset", {})),
-            encoder=_parse_encoder(payload.get("encoder", {})),
-            decoder=_parse_section(payload.get("decoder", {}), DecoderSettings, "decoder."),
-            fusion=_parse_section(payload.get("fusion", {}), FusionConfig, "fusion."),
-            optimizer=_parse_section(payload.get("optimizer", {}), OptimizerConfig, "optimizer."),
-            training=_parse_section(payload.get("training", {}), TrainingConfig, "training."),
-        )
-
-
-def _check_keys(payload, allowed, where):
-    if not isinstance(payload, dict):
-        raise ConfigError(f"section {where or 'top level'!r} must be a mapping")
-    unknown = sorted(set(payload) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown config key {where + unknown[0]!r}")
-
-
-def _parse_section(payload, section_cls, where):
-    fields = tuple(section_cls.__dataclass_fields__)
-    _check_keys(payload, fields, where)
-    return section_cls(**payload)
-
-
-def _parse_dataset(payload):
-    _check_keys(
-        payload,
-        ("seed", "repeats", "cap", "gap_range", "room", "speakers", "frontend"),
-        "dataset.",
-    )
-    kwargs = {k: payload[k] for k in ("seed", "repeats", "cap") if k in payload}
-    if "gap_range" in payload:
-        kwargs["gap_range"] = tuple(payload["gap_range"])
-    if "room" in payload:
-        room = dict(payload["room"])
-        _check_keys(room, ("distance", "rt60", "snr_db", "seed"), "dataset.room.")
-        if room.get("snr_db", 0) is None:
-            room["snr_db"] = float("inf")
-        kwargs["room"] = RoomModel(**room)
-    if "speakers" in payload:
-        speakers = []
-        for entry in payload["speakers"]:
-            _check_keys(
-                entry,
-                ("speaker_id", "base_pitch", "pitch_jitter", "rate", "seed"),
-                "dataset.speakers.",
-            )
-            if "speaker_id" not in entry:
-                raise ConfigError("every speaker entry needs a speaker_id")
-            speakers.append(SpeakerProfile(**entry))
-        kwargs["speakers"] = speakers
-    else:
-        kwargs["speakers"] = default_speakers()
-    if "frontend" in payload:
-        kwargs["frontend"] = _parse_section(payload["frontend"], FrontendConfig, "dataset.frontend.")
-    return DatasetConfig(**kwargs)
-
-
-def _parse_encoder(payload):
-    _check_keys(payload, ("conv", "layers", "beta", "hidden"), "encoder.")
-    kwargs = {k: payload[k] for k in ("layers", "beta", "hidden") if k in payload}
-    if "conv" in payload:
-        layers = []
-        for entry in payload["conv"]:
-            _check_keys(entry, ("channels", "stride", "dilation", "kernel"), "encoder.conv.")
-            layers.append(ConvSpec(**entry))
-        kwargs["conv"] = tuple(layers)
-    return EncoderConfig(**kwargs)
+        """Parse a config document; the format tag is optional, but must match when present."""
+        if isinstance(payload, dict) and "format" in payload:
+            payload = dict(payload)
+            declared = payload.pop("format")
+            if declared != CONFIG_FORMAT:
+                raise ConfigError(f"unsupported config format {declared!r:.40}")
+        return from_payload(cls, payload)
 
 
 def save_run_config(config, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(path, CONFIG_FORMAT, to_payload(config))
 
 
 def load_run_config(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return RunConfig.from_dict(payload)
+    return read_document(path, None, RunConfig.from_dict)

@@ -9,8 +9,8 @@ is a pure function of (config, record), so audio is regenerated on
 demand and reruns are bit-identical.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import resources as importlib_resources
 
 import numpy as np
@@ -26,16 +26,18 @@ from .audio import (
 )
 from .errors import ContractError, ParseError, ValidationError
 from .lm import Corpus, normalize_line
+from .schema import from_payload, read_document, to_payload, write_document
 from .seeds import stable_seed
 
 PAD, SOS, EOS, UNK = 0, 1, 2, 3
 SPECIALS = ("<pad>", "<sos>", "<eos>", "<unk>")
+MANIFEST_FORMAT = "manifest-v1"
 
 
 @dataclass
 class IcdCode:
     code: str
-    words: list
+    words: list[str]
 
     def __post_init__(self):
         if not self.words:
@@ -127,58 +129,17 @@ class DatasetConfig:
     seed: int = 0
     repeats: int = 5
     cap: int = 50
-    gap_range: tuple = (0.1, 0.3)
-    room: RoomModel = field(default_factory=lambda: RoomModel(distance=3.6, rt60=0.3, snr_db=20.0))
-    speakers: list = field(default_factory=default_speakers)
+    gap_range: tuple[float, float] = (0.1, 0.3)
+    room: RoomModel = field(default_factory=RoomModel)
+    speakers: list[SpeakerProfile] = field(default_factory=default_speakers)
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
 
-    def to_dict(self):
-        snr = self.room.snr_db
-        return {
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "cap": self.cap,
-            "gap_range": list(self.gap_range),
-            "room": {
-                "distance": self.room.distance,
-                "rt60": self.room.rt60,
-                "snr_db": None if snr == float("inf") else snr,
-            },
-            "speakers": [
-                {
-                    "speaker_id": s.speaker_id,
-                    "base_pitch": s.base_pitch,
-                    "pitch_jitter": s.pitch_jitter,
-                    "rate": s.rate,
-                    "seed": s.seed,
-                }
-                for s in self.speakers
-            ],
-            "frontend": {
-                "sample_rate": self.frontend.sample_rate,
-                "window": self.frontend.window,
-                "hop": self.frontend.hop,
-                "n_mels": self.frontend.n_mels,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        room = payload["room"]
-        snr = room["snr_db"]
-        return cls(
-            seed=payload["seed"],
-            repeats=payload["repeats"],
-            cap=payload["cap"],
-            gap_range=tuple(payload["gap_range"]),
-            room=RoomModel(
-                distance=room["distance"],
-                rt60=room["rt60"],
-                snr_db=float("inf") if snr is None else snr,
-            ),
-            speakers=[SpeakerProfile(**s) for s in payload["speakers"]],
-            frontend=FrontendConfig(**payload["frontend"]),
-        )
+    def __post_init__(self):
+        ids = [s.speaker_id for s in self.speakers]
+        if not ids:
+            raise ContractError("speakers must list at least one speaker")
+        if len(set(ids)) != len(ids):
+            raise ValidationError(f"speakers repeat a speaker id: {ids}")
 
 
 @dataclass
@@ -188,7 +149,7 @@ class UtteranceRecord:
     code: str
     speaker_id: str
     variation_index: int
-    repeat_indices: tuple
+    repeat_indices: tuple[int, ...]
 
 
 @dataclass
@@ -203,10 +164,10 @@ class Utterance:
 @dataclass
 class DatasetManifest:
     config: DatasetConfig
-    codes: list
-    records: list
-    train_speakers: list
-    test_speakers: list
+    codes: list[IcdCode]
+    records: list[UtteranceRecord]
+    train_speakers: list[str]
+    test_speakers: list[str]
 
     @property
     def vocabulary(self):
@@ -260,6 +221,8 @@ def realize_record(record, code, speaker, config, vocab):
     if UNK in target:
         missing = [w for w in code.words if vocab.id_of(w) == UNK]
         raise ValidationError(f"words missing from vocabulary: {missing}")
+    if len(record.repeat_indices) != len(code.words):
+        raise ValidationError(f"{record} needs one repeat index per word of {code.words}")
     waves = [
         synthesize_word(word, speaker, rep, sample_rate=config.frontend.sample_rate)
         for word, rep in zip(code.words, record.repeat_indices)
@@ -269,13 +232,10 @@ def realize_record(record, code, speaker, config, vocab):
     )
     gaps = gap_rng.uniform(*config.gap_range, size=len(waves) - 1)
     clean = concat_with_silence(waves, list(gaps))
-    room = RoomModel(
-        distance=config.room.distance,
-        rt60=config.room.rt60,
-        snr_db=config.room.snr_db,
-        seed=stable_seed("noise", config.seed, record.code, record.speaker_id, record.variation_index),
+    noise_seed = stable_seed(
+        "noise", config.seed, record.code, record.speaker_id, record.variation_index
     )
-    far = apply_far_field(clean, room)
+    far = apply_far_field(clean, config.room, seed=noise_seed)
     spec = stft_logmel(
         far, window=config.frontend.window, hop=config.frontend.hop, n_mels=config.frontend.n_mels
     )
@@ -286,16 +246,6 @@ def realize_record(record, code, speaker, config, vocab):
         speaker_id=record.speaker_id,
         variation_index=record.variation_index,
     )
-
-
-def generate_variations(code, speaker, repeats, cap, seed, vocab=None, config=None):
-    """All utterances for one (code, speaker) pair, fully realized."""
-    if config is None:
-        config = DatasetConfig(seed=seed, repeats=repeats, cap=cap, speakers=[speaker])
-    if vocab is None:
-        vocab = build_vocabulary([code])
-    plans = plan_variations(code, speaker, repeats, cap, seed)
-    return [realize_record(r, code, speaker, config, vocab) for r in plans]
 
 
 def generate_dataset(codes, config):
@@ -336,19 +286,15 @@ def split_by_speaker(manifest, held_out):
     known = [s.speaker_id for s in manifest.config.speakers]
     if held_out not in known:
         raise ContractError(f"unknown speaker {held_out!r}; manifest has {known}")
-    train_records = [r for r in manifest.records if r.speaker_id != held_out]
-    test_records = [r for r in manifest.records if r.speaker_id == held_out]
-    train = DatasetManifest(
-        config=manifest.config,
-        codes=manifest.codes,
-        records=train_records,
+    train = replace(
+        manifest,
+        records=[r for r in manifest.records if r.speaker_id != held_out],
         train_speakers=[s for s in known if s != held_out],
         test_speakers=[],
     )
-    test = DatasetManifest(
-        config=manifest.config,
-        codes=manifest.codes,
-        records=test_records,
+    test = replace(
+        manifest,
+        records=[r for r in manifest.records if r.speaker_id == held_out],
         train_speakers=[],
         test_speakers=[held_out],
     )
@@ -356,44 +302,8 @@ def split_by_speaker(manifest, held_out):
 
 
 def save_manifest(manifest, path):
-    payload = {
-        "format": "manifest-v1",
-        "config": manifest.config.to_dict(),
-        "codes": [{"code": c.code, "words": list(c.words)} for c in manifest.codes],
-        "records": [
-            {
-                "code": r.code,
-                "speaker_id": r.speaker_id,
-                "variation_index": r.variation_index,
-                "repeat_indices": list(r.repeat_indices),
-            }
-            for r in manifest.records
-        ],
-        "train_speakers": list(manifest.train_speakers),
-        "test_speakers": list(manifest.test_speakers),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_document(path, MANIFEST_FORMAT, to_payload(manifest))
 
 
 def load_manifest(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "manifest-v1":
-        raise ParseError(f"unsupported manifest format {payload.get('format')!r}")
-    return DatasetManifest(
-        config=DatasetConfig.from_dict(payload["config"]),
-        codes=[IcdCode(c["code"], list(c["words"])) for c in payload["codes"]],
-        records=[
-            UtteranceRecord(
-                code=r["code"],
-                speaker_id=r["speaker_id"],
-                variation_index=r["variation_index"],
-                repeat_indices=tuple(r["repeat_indices"]),
-            )
-            for r in payload["records"]
-        ],
-        train_speakers=list(payload["train_speakers"]),
-        test_speakers=list(payload["test_speakers"]),
-    )
+    return read_document(path, MANIFEST_FORMAT, partial(from_payload, DatasetManifest))

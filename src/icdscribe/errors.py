@@ -13,10 +13,6 @@ class ValidationError(ValueError):
     """Input data failed a consistency check (duplicates, mismatched vocabularies, bad versions)."""
 
 
-class ConfigError(ValueError):
-    """A configuration document is malformed or contains unknown keys."""
-
-
 class ParseError(ValueError):
     """A text input could not be parsed; carries the offending line number."""
 
@@ -25,3 +21,7 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class ConfigError(ParseError):
+    """A JSON config or artifact is malformed: bad syntax or version, unknown keys, wrong types."""

@@ -15,7 +15,7 @@ the active ones, which makes width 1 coincide with greedy decoding.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -207,7 +207,7 @@ def beam_search_decode(model, lm, x, cfg, vocab):
         raise ContractError("a language model is required when its mixing weight is positive")
     features = standardize_spectrogram(getattr(x, "values", x))
     encoded = model.encode(features)
-    beam = [_initial_hypothesis(model)]
+    beam = [Hypothesis((SOS,), (), 0.0, 0.0, 0.0, model.start_state(), completed=False)]
     while True:
         active = [h for h in beam if not h.completed]
         if not active:
@@ -219,26 +219,9 @@ def beam_search_decode(model, lm, x, cfg, vocab):
     return _take_best(beam, 1)[0]
 
 
-def _initial_hypothesis(model):
-    return Hypothesis(
-        tokens=(SOS,),
-        words=(),
-        log_acoustic=0.0,
-        log_lm=0.0,
-        fused=0.0,
-        state=model.start_state(),
-        completed=False,
-    )
-
-
 def greedy_decode(model, lm, x, cfg, vocab):
-    """Follow the best-scoring child at every step; no backtracking."""
-    features = standardize_spectrogram(getattr(x, "values", x))
-    encoded = model.encode(features)
-    hyp = _initial_hypothesis(model)
-    while not hyp.completed:
-        hyp = _take_best(_expand(model, lm, hyp, encoded, cfg, vocab), 1)[0]
-    return hyp
+    """Follow the best-scoring child at every step: beam search at width 1."""
+    return beam_search_decode(model, lm, x, replace(cfg, beam_width=1), vocab)
 
 
 def transcribe(model, lm, x, cfg, vocab):

@@ -13,12 +13,13 @@ end-of-sentence token at this level: the model scores word sequences,
 and sequence termination is the decoder's concern.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ContractError, ParseError
+from .errors import ConfigError, ContractError
+from .schema import from_payload, read_document, to_payload, write_document
 
+LM_FORMAT = "lm-v1"
 SOS_MARKER = "<sos>"
 UNK_WORD = "<unk>"
 
@@ -184,40 +185,49 @@ def sample_next(lm, history, rng):
     return words[-1]
 
 
+@dataclass
+class _OrderCounts:
+    order: int
+    counts: list[tuple[list[str], int]]  # [gram words, count], grams sorted
+
+
+@dataclass
+class _LmDocument:
+    """The lm-v1 payload: counts per order, from which context totals are rebuilt."""
+
+    max_order: int
+    lambdas: list[float]
+    vocabulary: list[str]
+    orders: list[_OrderCounts]
+
+
 def save_lm(lm, path):
     """Serialize to the versioned lm-v1 structured-text format."""
-    orders = []
-    for k in range(1, lm.max_order + 1):
-        entries = sorted(lm.counts.grams[k - 1].items())
-        orders.append({"order": k, "counts": [[list(gram), c] for gram, c in entries]})
-    payload = {
-        "format": "lm-v1",
-        "max_order": lm.max_order,
-        "lambdas": lm.lambdas,
-        "vocabulary": sorted(lm.vocabulary),
-        "orders": orders,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    orders = [
+        _OrderCounts(k, [(list(gram), c) for gram, c in sorted(lm.counts.grams[k - 1].items())])
+        for k in range(1, lm.max_order + 1)
+    ]
+    document = _LmDocument(lm.max_order, lm.lambdas, sorted(lm.vocabulary), orders)
+    write_document(path, LM_FORMAT, to_payload(document))
 
 
 def load_lm(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "lm-v1":
-        raise ParseError(f"unsupported language model format {payload.get('format')!r}")
-    max_order = payload["max_order"]
-    grams = [{} for _ in range(max_order)]
-    totals = [{} for _ in range(max_order)]
-    for block in payload["orders"]:
-        k = block["order"]
-        for gram, count in block["counts"]:
-            key = tuple(gram)
-            grams[k - 1][key] = count
-            context = key[:-1]
-            totals[k - 1][context] = totals[k - 1].get(context, 0) + count
-    counts = NGramCounts(max_order, grams, totals)
-    return InterpolatedLM(
-        max_order, counts, list(payload["lambdas"]), frozenset(payload["vocabulary"])
-    )
+    return read_document(path, LM_FORMAT, _lm_from_payload)
+
+
+def _lm_from_payload(payload):
+    doc = from_payload(_LmDocument, payload)
+    grams = [{} for _ in range(doc.max_order)]
+    totals = [{} for _ in range(doc.max_order)]
+    for block in doc.orders:
+        if not 1 <= block.order <= doc.max_order or any(c < 1 for _, c in block.counts):
+            raise ConfigError(f"order {block.order} outside 1..{doc.max_order}, or a count below 1")
+        k = block.order - 1
+        for gram, count in block.counts:
+            grams[k][tuple(gram)] = count
+            totals[k][tuple(gram[:-1])] = totals[k].get(tuple(gram[:-1]), 0) + count
+    counts = NGramCounts(doc.max_order, grams, totals)
+    lm = InterpolatedLM(doc.max_order, counts, doc.lambdas, frozenset(doc.vocabulary))
+    if () not in totals[0]:
+        raise ConfigError("the model holds no unigram counts")
+    return lm

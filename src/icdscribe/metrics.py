@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+from .schema import to_payload
 
 
 @dataclass
@@ -79,48 +80,48 @@ def _closest_ref_length(references, hyp_len):
 
 
 def _pair_stats(references, hypothesis, max_n):
-    """Per-order (clipped, total) counts plus (ref_len, hyp_len) for one pair."""
-    stats = []
+    """Clipped and total n-gram counts per order 1..max_n, then (ref_len, hyp_len)."""
+    row = []
     for n in range(1, max_n + 1):
         hyp_grams = _ngrams(hypothesis, n)
         clipped = 0
         for gram, count in hyp_grams.items():
             limit = max((_ngrams(r, n)[gram] for r in references), default=0)
             clipped += min(count, limit)
-        stats.append((clipped, sum(hyp_grams.values())))
-    return stats, _closest_ref_length(references, len(hypothesis)), len(hypothesis)
+        row += [clipped, sum(hyp_grams.values())]
+    return row + [_closest_ref_length(references, len(hypothesis)), len(hypothesis)]
 
 
-def _bleu_from_stats(order_stats, ref_len, hyp_len, max_n):
-    if hyp_len == 0 or order_stats[0][0] == 0:
+def _bleu_from_stats(row, max_n):
+    *orders, ref_len, hyp_len = row
+    if hyp_len == 0 or orders[0] == 0:
         return 0.0
     log_precision = 0.0
-    for clipped, total in order_stats:
+    for clipped, total in zip(orders[0::2], orders[1::2]):
         log_precision += math.log((clipped + 1.0) / (total + 1.0))
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return brevity * math.exp(log_precision / max_n)
+
+
+def _pooled_bleu(weights, stats, max_n):
+    """BLEU per row of `weights`, pooling each pair's counts as many times as the row says."""
+    return [_bleu_from_stats(row, max_n) for row in (weights @ stats).tolist()]
 
 
 def bleu(references, hypothesis, max_n=4):
     """Smoothed BLEU for one hypothesis against one or more references."""
     if not references:
         raise ContractError("need at least one reference")
-    stats, ref_len, hyp_len = _pair_stats([list(r) for r in references], list(hypothesis), max_n)
-    return _bleu_from_stats(stats, ref_len, hyp_len, max_n)
+    stats = _pair_stats([list(r) for r in references], list(hypothesis), max_n)
+    return _bleu_from_stats(stats, max_n)
 
 
 def corpus_bleu(pairs, max_n=4):
     """BLEU over (reference, hypothesis) pairs, counts pooled before the mean."""
     if not pairs:
         raise ContractError("need at least one sentence pair")
-    totals = [(0, 0)] * max_n
-    ref_len = hyp_len = 0
-    for reference, hypothesis in pairs:
-        stats, r, c = _pair_stats([list(reference)], list(hypothesis), max_n)
-        totals = [(a + x, b + y) for (a, b), (x, y) in zip(totals, stats)]
-        ref_len += r
-        hyp_len += c
-    return _bleu_from_stats(totals, ref_len, hyp_len, max_n)
+    stats = np.array([_pair_stats([list(r)], list(h), max_n) for r, h in pairs])
+    return _pooled_bleu(np.ones((1, len(pairs)), dtype=np.int64), stats, max_n)[0]
 
 
 @dataclass
@@ -146,28 +147,16 @@ class EvalReport:
             "bleu_ci_95": list(self.bleu_ci),
             "resamples": self.resamples,
             "seed": self.seed,
-            "per_utterance": [
-                {
-                    "substitutions": b.substitutions,
-                    "deletions": b.deletions,
-                    "insertions": b.insertions,
-                    "reference_length": b.reference_length,
-                    "wer": b.wer,
-                }
-                for b in self.breakdowns
-            ],
+            "per_utterance": [{**to_payload(b), "wer": b.wer} for b in self.breakdowns],
         }
-
-
-def _pooled_wer(errors, lengths, index):
-    return sum(errors[i] for i in index) / sum(lengths[i] for i in index)
 
 
 def build_report(pairs, seed=0, resamples=1000, max_n=4):
     """Score (reference, hypothesis) pairs and bootstrap 95% intervals.
 
     Corpus WER is total errors over total reference words, not the mean
-    of per-utterance rates.
+    of per-utterance rates.  Each resample is a row of pair multiplicities,
+    so pooled counts are one integer matrix product.
     """
     if not pairs:
         raise ContractError("cannot evaluate an empty test set")
@@ -175,31 +164,19 @@ def build_report(pairs, seed=0, resamples=1000, max_n=4):
     breakdowns = [wer(r, h) for r, h in pairs]
     errors = [b.errors for b in breakdowns]
     lengths = [b.reference_length for b in breakdowns]
-    bleu_stats = [_pair_stats([r], h, max_n) for r, h in pairs]
+    stats = np.array([_pair_stats([r], h, max_n) for r, h in pairs])
 
-    def bleu_of(index):
-        totals = [(0, 0)] * max_n
-        ref_len = hyp_len = 0
-        for i in index:
-            stats, r, c = bleu_stats[i]
-            totals = [(a + x, b + y) for (a, b), (x, y) in zip(totals, stats)]
-            ref_len += r
-            hyp_len += c
-        return _bleu_from_stats(totals, ref_len, hyp_len, max_n)
-
-    everything = range(len(pairs))
-    rng = np.random.default_rng(seed)
-    wer_draws = np.empty(resamples)
-    bleu_draws = np.empty(resamples)
-    for b in range(resamples):
-        index = rng.integers(0, len(pairs), size=len(pairs))
-        wer_draws[b] = _pooled_wer(errors, lengths, index)
-        bleu_draws[b] = bleu_of(index)
+    n = len(pairs)
+    draws = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+    offsets = n * np.arange(resamples)[:, None]
+    weights = np.bincount((draws + offsets).ravel(), minlength=resamples * n).reshape(resamples, n)
+    wer_draws = (weights @ errors) / (weights @ lengths)
+    bleu_draws = _pooled_bleu(weights, stats, max_n)
 
     return EvalReport(
         breakdowns=breakdowns,
-        corpus_wer=_pooled_wer(errors, lengths, everything),
-        corpus_bleu=bleu_of(everything),
+        corpus_wer=sum(errors) / sum(lengths),
+        corpus_bleu=_pooled_bleu(np.ones((1, n), dtype=np.int64), stats, max_n)[0],
         wer_ci=(float(np.percentile(wer_draws, 2.5)), float(np.percentile(wer_draws, 97.5))),
         bleu_ci=(float(np.percentile(bleu_draws, 2.5)), float(np.percentile(bleu_draws, 97.5))),
         resamples=resamples,

@@ -53,7 +53,9 @@ class ConvSpec:
 
 @dataclass
 class EncoderConfig:
-    conv: tuple = field(default_factory=lambda: (ConvSpec(32, 2, 1), ConvSpec(32, 2, 2)))
+    conv: tuple[ConvSpec, ...] = field(
+        default_factory=lambda: (ConvSpec(32, 2, 1), ConvSpec(32, 2, 2))
+    )
     layers: int = 2
     beta: int = 2
     hidden: int = 128
@@ -71,7 +73,6 @@ class DecoderConfig:
     embedding_dim: int = 64
     hidden: int = 128
     attention_dim: int = 64
-    max_decode_len: int = 16
 
     def __post_init__(self):
         if self.vocab_size < 5:

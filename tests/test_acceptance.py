@@ -70,7 +70,6 @@ class TestGradientFidelity:
             ("matmul", lambda t: ad.matmul(t, y)),
             ("add", lambda t: ad.add(t, z)),
             ("mul", lambda t: ad.mul(t, z)),
-            ("scale", lambda t: ad.scale(t, -1.7)),
             ("tanh", ad.tanh),
             ("sigmoid", ad.sigmoid),
             ("relu", ad.relu),
@@ -421,7 +420,7 @@ def desk_encoder():
 
 
 def desk_decoder():
-    return DecoderSettings(embedding_dim=32, hidden=64, attention_dim=32, max_decode_len=12)
+    return DecoderSettings(embedding_dim=32, hidden=64, attention_dim=32)
 
 
 class TestOverfitRecovery:
@@ -524,7 +523,7 @@ class TestReproducibility:
             "conv": [{"channels": 4, "stride": 3, "dilation": 1, "kernel": 3}],
             "layers": 1, "beta": 3, "hidden": 8,
         },
-        "decoder": {"embedding_dim": 4, "hidden": 8, "attention_dim": 4, "max_decode_len": 6},
+        "decoder": {"embedding_dim": 4, "hidden": 8, "attention_dim": 4},
         "fusion": {"lm_sample_max": 0.5, "ramp_frac": 0.0, "beam_width": 2, "max_decode_len": 6},
         "training": {"epochs": 2, "holdout_fraction": 0.0, "wer_every": 0},
     }

@@ -107,22 +107,22 @@ class TestApplyFarField:
     def test_snr_is_honored(self):
         t = np.arange(16000) / 16000
         tone = Waveform(0.5 * np.sin(2 * np.pi * 330.0 * t))
-        room = RoomModel(distance=1.0, rt60=0.0, snr_db=20.0, seed=3)
-        out = apply_far_field(tone, room)
+        room = RoomModel(distance=1.0, rt60=0.0, snr_db=20.0)
+        out = apply_far_field(tone, room, seed=3)
         noise = out.samples - tone.samples
         measured = 20.0 * np.log10(tone.rms() / np.sqrt(np.mean(noise**2)))
         assert abs(measured - 20.0) <= 1.0
 
     def test_deterministic_given_seed(self):
         w = synthesize_word("pain", PROFILE, repeat_index=0)
-        room = RoomModel(distance=3.6, rt60=0.3, snr_db=20.0, seed=11)
-        a = apply_far_field(w, room)
-        b = apply_far_field(w, room)
+        room = RoomModel(distance=3.6, rt60=0.3, snr_db=20.0)
+        a = apply_far_field(w, room, seed=11)
+        b = apply_far_field(w, room, seed=11)
         assert np.array_equal(a.samples, b.samples)
 
     def test_reverb_alters_signal(self):
         w = synthesize_word("pain", PROFILE, repeat_index=0)
-        out = apply_far_field(w, RoomModel(distance=1.0, rt60=0.4, snr_db=math.inf, seed=2))
+        out = apply_far_field(w, RoomModel(distance=1.0, rt60=0.4, snr_db=math.inf), seed=2)
         assert len(out.samples) == len(w.samples)
         assert not np.array_equal(out.samples, w.samples)
 

@@ -145,7 +145,7 @@ class TestBackward:
 
 
 OPS_UNDER_TEST = ["matmul", "add", "mul", "tanh", "sigmoid", "relu", "concat",
-                  "softmax", "narrow", "reshape", "cross_entropy", "scale", "conv1d"]
+                  "softmax", "narrow", "reshape", "cross_entropy", "conv1d"]
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -196,10 +196,6 @@ class TestGradientsAgainstFiniteDifferences:
             a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
             targets = rng.integers(0, n, size=m)
             build = lambda: ad.softmax_cross_entropy(a, targets)
-            leaves = [a]
-        elif op == "scale":
-            a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
-            build = lambda: ad.scale(a, -2.5)
             leaves = [a]
         elif op == "conv1d":
             kernel = int(rng.integers(1, 4))

@@ -32,7 +32,7 @@ def run_config(seed=3):
             conv=(ConvSpec(channels=3, stride=2, dilation=1, kernel=2),),
             layers=1, beta=2, hidden=6,
         ),
-        decoder=DecoderSettings(embedding_dim=4, hidden=6, attention_dim=3, max_decode_len=8),
+        decoder=DecoderSettings(embedding_dim=4, hidden=6, attention_dim=3),
         training=TrainingConfig(epochs=5),
     )
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icdscribe.audio import SpeakerProfile, synthesize_word, write_wav
 from icdscribe.cli import main
@@ -24,7 +28,7 @@ TINY_CONFIG = {
         "beta": 3,
         "hidden": 8,
     },
-    "decoder": {"embedding_dim": 4, "hidden": 8, "attention_dim": 4, "max_decode_len": 6},
+    "decoder": {"embedding_dim": 4, "hidden": 8, "attention_dim": 4},
     "fusion": {"lm_sample_max": 0.0, "beam_width": 2, "max_decode_len": 6},
     "optimizer": {"lr": 0.005},
     "training": {"epochs": 2, "holdout_fraction": 0.0, "wer_every": 0},
@@ -236,3 +240,139 @@ class TestTranscribe:
                      "--ckpt", str(workspace.ckpt), "--lm", str(workspace.lm),
                      "--output", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 5
+
+
+def run(argv):
+    """main() with its output captured: (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def assert_one_line_error(err, *fragments):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+class TestMalformedInputs:
+    """Each bad input exits 2 with a one-line error naming the key, or the file."""
+
+    @pytest.mark.parametrize(
+        "payload, fragment",
+        [
+            ({"optimizer": {"lr": None}}, "optimizer.lr"),
+            ({"training": {"epochs": "3"}}, "training.epochs"),
+            ({"training": {"epochs": True}}, "training.epochs"),
+            ({"optimizer": {"lr": float("nan")}}, "optimizer.lr"),
+            ({"dataset": {"gap_range": [0.1]}}, "dataset.gap_range"),
+            ({"dataset": {"speakers": []}}, "speakers"),
+            ({"dataset": {"speakers": [{"speaker_id": "a"}, {"speaker_id": "a"}]}}, "speakers"),
+            ({"decoder": {"max_decode_len": 6}}, "decoder.max_decode_len"),
+            ({"dataset": {"room": {"seed": 1}}}, "dataset.room.seed"),
+            ({"format": "config-v1"}, "config-v1"),
+        ],
+    )
+    def test_config(self, tmp_path, payload, fragment):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, err = run(["generate-data", "--config", path, "--output", tmp_path / "out"])
+        assert code == 2
+        assert_one_line_error(err, fragment)
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda m: m["config"].update(bogus=1), "config.bogus"),
+            (lambda m: m.pop("records"), "records"),
+            (lambda m: m["records"][0].update(repeat_indices=[]), "repeat index"),
+        ],
+    )
+    def test_manifest(self, workspace, tmp_path, mutate, fragment):
+        payload = json.loads((workspace.data / "test.json").read_text(encoding="utf-8"))
+        mutate(payload)
+        path = tmp_path / "test.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, err = run(["transcribe", path, "--ckpt", workspace.ckpt, "--lambda-lm", "0"])
+        assert code == 2
+        assert_one_line_error(err, fragment)
+
+    def test_lm_without_lambdas(self, workspace, tmp_path):
+        payload = json.loads(workspace.lm.read_text(encoding="utf-8"))
+        del payload["lambdas"]
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, err = run(["transcribe", workspace.data / "test.json",
+                         "--ckpt", workspace.ckpt, "--lm", path])
+        assert code == 2
+        assert_one_line_error(err, str(path), "lambdas")
+
+    def test_noiseless_room_still_loads(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset": {"room": {"snr_db": None}}}), encoding="utf-8")
+        code, _ = run(["generate-data", "--config", path, "--output", tmp_path / "out"])
+        assert code == 0
+        written = json.loads((tmp_path / "out" / "config.json").read_text(encoding="utf-8"))
+        assert written["dataset"]["room"]["snr_db"] is None
+
+
+def json_paths(node, prefix=()):
+    """Key and index paths of a JSON tree, visiting at most two items of each list."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))[:2]
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+class TestHostileArtifacts:
+    """A mutated or truncated artifact exits 0, 2 or 3 with no traceback.
+
+    Each example deletes one key or list item, replaces one value with
+    null, a string or a list, or cuts the file short, then runs a command
+    that loads the artifact.
+    """
+
+    COMMANDS = {
+        "config": lambda w, m: ["generate-data", "--config", m, "--codes", w.codes,
+                                "--output", w.root / "mutant-out"],
+        "manifest": lambda w, m: ["transcribe", m, "--ckpt", w.ckpt, "--lambda-lm", "0"],
+        "lm": lambda w, m: ["transcribe", w.data / "test.json", "--ckpt", w.ckpt, "--lm", m],
+        "checkpoint": lambda w, m: ["transcribe", w.data / "test.json", "--ckpt", m,
+                                    "--lambda-lm", "0"],
+    }
+
+    def source(self, workspace, artifact):
+        return {"config": workspace.data / "config.json", "manifest": workspace.data / "test.json",
+                "lm": workspace.lm, "checkpoint": workspace.ckpt}[artifact]
+
+    @pytest.mark.parametrize("artifact", ["config", "manifest", "lm", "checkpoint"])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_mutation_never_crashes(self, workspace, artifact, data):
+        text = self.source(workspace, artifact).read_text(encoding="utf-8")
+        payload = json.loads(text)
+        action = data.draw(st.sampled_from(["delete", "replace", "truncate"]))
+        if action == "truncate":
+            mutant = text[: data.draw(st.integers(0, len(text) - 1))]
+        else:
+            path = data.draw(st.sampled_from(list(json_paths(payload))))
+            parent = payload
+            for key in path[:-1]:
+                parent = parent[key]
+            if action == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(st.sampled_from([None, "oops", [], [None]]))
+            mutant = json.dumps(payload)
+        target = workspace.root / f"mutant-{artifact}.json"
+        target.write_text(mutant, encoding="utf-8")
+        code, err = run(self.COMMANDS[artifact](workspace, target))
+        assert code in (0, 2, 3)
+        if code:
+            assert_one_line_error(err)

@@ -19,10 +19,10 @@ from icdscribe.data import (
     corpus_from_codes,
     default_speakers,
     generate_dataset,
-    generate_variations,
     load_icd_list,
     load_manifest,
     plan_variations,
+    realize_record,
     realize_utterance,
     save_manifest,
     split_by_speaker,
@@ -43,6 +43,14 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return DatasetConfig(**base)
+
+
+def realize_all(code, repeats, cap, vocab=None):
+    """Every planned utterance of one (code, SPEAKER) pair, realized."""
+    config = DatasetConfig(repeats=repeats, cap=cap, speakers=[SPEAKER])
+    vocab = vocab or build_vocabulary([code])
+    plans = plan_variations(code, SPEAKER, repeats, cap, seed=0)
+    return [realize_record(r, code, SPEAKER, config, vocab) for r in plans]
 
 
 class TestLoadIcdList:
@@ -151,7 +159,7 @@ class TestPlanVariations:
         assert len({p.repeat_indices for p in plans}) == 1000
 
     def test_single_repeat_single_word(self):
-        utterances = generate_variations(IcdCode("C", ["pain"]), SPEAKER, repeats=1, cap=10, seed=0)
+        utterances = realize_all(IcdCode("C", ["pain"]), repeats=1, cap=10)
         assert len(utterances) == 1
         assert utterances[0].variation_index == 0
 
@@ -208,7 +216,7 @@ class TestRealization:
         assert UNK not in utt.target
 
     def test_variations_differ_acoustically(self):
-        utts = generate_variations(IcdCode("C", ["pain"]), SPEAKER, repeats=2, cap=10, seed=0)
+        utts = realize_all(IcdCode("C", ["pain"]), repeats=2, cap=10)
         assert len(utts) == 2
         a, b = utts
         if a.spectrogram.values.shape == b.spectrogram.values.shape:
@@ -217,7 +225,7 @@ class TestRealization:
     def test_out_of_vocabulary_word_rejected(self):
         vocab = build_vocabulary([IcdCode("X", ["fever"])])
         with pytest.raises(ValidationError, match="pain"):
-            generate_variations(IcdCode("C", ["pain"]), SPEAKER, repeats=1, cap=5, seed=0, vocab=vocab)
+            realize_all(IcdCode("C", ["pain"]), repeats=1, cap=5, vocab=vocab)
 
 
 class TestGenerateDataset:
@@ -285,7 +293,7 @@ class TestManifestSerialization:
         assert path1.read_bytes() == path2.read_bytes()
         assert loaded.records == manifest.records
         assert loaded.vocabulary == manifest.vocabulary
-        assert loaded.config.to_dict() == manifest.config.to_dict()
+        assert loaded.config == manifest.config
 
     def test_infinite_snr_survives_round_trip(self, tmp_path):
         config = small_config(room=RoomModel(distance=1.0, rt60=0.0, snr_db=math.inf))

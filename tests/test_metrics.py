@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +188,28 @@ class TestReport:
         report = build_report(pairs, seed=2, resamples=400)
         assert report.wer_ci[0] <= report.corpus_wer <= report.wer_ci[1]
         assert report.bleu_ci[0] <= report.corpus_bleu <= report.bleu_ci[1]
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (3, 1), (7, 7), (60, 123), (61, 0)])
+    def test_matches_per_resample_loop(self, n, seed):
+        """The vectorized bootstrap draws and pools exactly as one resample at a time."""
+        rng = random.Random(n)
+        pairs = [
+            ([rng.choice("abcd") for _ in range(rng.randint(1, 7))],
+             [rng.choice("abcd") for _ in range(rng.randint(0, 7))])
+            for _ in range(n)
+        ]
+        report = build_report(pairs, seed=seed, resamples=100)
+        scored = [wer(r, h) for r, h in pairs]
+        stream = np.random.default_rng(seed)
+        wers, bleus = [], []
+        for _ in range(100):
+            index = stream.integers(0, n, size=n)
+            errors = sum(scored[i].errors for i in index)
+            wers.append(errors / sum(scored[i].reference_length for i in index))
+            bleus.append(corpus_bleu([pairs[i] for i in index]))
+        assert report.corpus_bleu == corpus_bleu(pairs)
+        for got, sample in ((report.wer_ci, wers), (report.bleu_ci, bleus)):
+            assert got == (float(np.percentile(sample, 2.5)), float(np.percentile(sample, 97.5)))
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ContractError):
