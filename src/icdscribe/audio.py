@@ -244,6 +244,9 @@ def stft_logmel(w, window=400, hop=160, n_mels=40):
 
 
 def frontend_spectrogram(w, cfg):
+    """Features under a front-end config; audio at any other sample rate is rejected."""
+    if w.sample_rate != cfg.sample_rate:
+        raise ContractError(f"audio is sampled at {w.sample_rate} Hz, not {cfg.sample_rate} Hz")
     return stft_logmel(w, window=cfg.window, hop=cfg.hop, n_mels=cfg.n_mels)
 
 

@@ -2,13 +2,14 @@
 
 Every trainable part of the pipeline (conv filter banks, LSTM gates,
 attention projections, embeddings) lives in `Tensor` leaves.  Operations
-record their parents and a backward closure; `backward` collects the
-subgraph reachable from the loss into a `Tape` and replays it in reverse
-topological order, summing adjoints where paths share subexpressions.
+record their parents and a backward closure; `backward` orders the
+subgraph reachable from the loss topologically and replays it in reverse,
+summing adjoints where paths share subexpressions.
 
-The graph is rebuilt on every forward pass (define-by-run), which keeps
-variable-length RNN unrolling trivial.  Everything is float64 so the
-finite-difference tests can use tight tolerances.
+The graph is rebuilt on every forward pass (define-by-run).  Recurrences
+are whole-sequence ops (`lstm`), so a graph holds a few nodes per layer,
+not a few per timestep.  Everything is float64 so the finite-difference
+tests can use tight tolerances.
 """
 
 from __future__ import annotations
@@ -81,41 +82,6 @@ def zeros(shape):
     return Tensor(np.zeros(shape))
 
 
-class Tape:
-    """Topologically ordered record of the nodes reachable from a root.
-
-    Built by iterative post-order DFS so deep RNN unrollings do not hit the
-    interpreter recursion limit.  Invariant: every record's parents precede
-    it in `records`.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self, records):
-        self.records = records
-
-    @classmethod
-    def trace(cls, root):
-        order = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            # constants cannot contribute adjoints; skip their ancestry
-            if node.requires_grad:
-                for parent in node._parents:
-                    if id(parent) not in seen:
-                        stack.append((parent, False))
-        return cls(order)
-
-
 def backward(loss):
     """Propagate adjoints from a scalar loss to every reachable tensor.
 
@@ -124,9 +90,24 @@ def backward(loss):
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    tape = Tape.trace(loss)
+    # iterative post-order DFS: every node's parents precede it in `order`
+    order = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        # constants cannot contribute adjoints; skip their ancestry
+        if node.requires_grad:
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
     adjoints = {id(loss): np.ones_like(loss.values)}
-    for node in reversed(tape.records):
+    for node in reversed(order):
         g = adjoints.pop(id(node), None)
         if g is None:
             continue
@@ -208,24 +189,6 @@ def tanh(a):
     if a.requires_grad:
         def backprop(g, adjoints):
             _push(adjoints, a, g * (1.0 - out_values * out_values))
-    return Tensor(out_values, _parents=(a,), _backprop=backprop)
-
-
-def _sigmoid_values(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a):
-    out_values = _sigmoid_values(a.values)
-    backprop = None
-    if a.requires_grad:
-        def backprop(g, adjoints):
-            _push(adjoints, a, g * out_values * (1.0 - out_values))
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
@@ -385,6 +348,70 @@ def conv1d(x, w, b, stride=1, dilation=1):
                     np.add.at(dpad, taps[k], g @ w.values[k].T)
                 _push(adjoints, x, dpad[pad:])
     return Tensor(out_values, _parents=(x, w, b), _backprop=backprop)
+
+
+def lstm(x, h0, c0, wx, wh, b):
+    """LSTM over a whole sequence; gate order i, f, g, o.
+
+    x: [T, D] input rows, h0 and c0: [1, H] initial state, wx: [D, 4H],
+    wh: [H, 4H], b: [4H].  Returns [T, 2H] whose row t is h_t | c_t.  The
+    input projection of all steps is one matmul; the backward pass is one
+    sweep of backpropagation through time, and the weight gradients are
+    single matmuls over all steps.
+    """
+    steps, n = x.shape[0], wh.shape[-1] // 4
+    if not (x.values.ndim == 2 and wx.shape == (x.shape[1], 4 * n) and wh.shape == (n, 4 * n)
+            and b.shape == (4 * n,) and h0.shape == c0.shape == (1, n)):
+        raise ShapeError(f"lstm shapes disagree: x {x.shape}, h0 {h0.shape}, c0 {c0.shape}, "
+                         f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh serves all four gates:
+    # gate = scale * tanh(scale * z) + 1 - scale, with scale 1/2 for i, f, o
+    # and 1 for g; it saturates without overflow at any magnitude
+    scale = np.array([[0.5], [0.5], [1.0], [0.5]])
+    zx = (x.values @ wx.values + b.values).reshape(steps, 4, n)
+    hs = np.empty((steps + 1, n))
+    cs = np.empty((steps + 1, n))
+    hs[0], cs[0] = h0.values[0], c0.values[0]
+    gates = np.empty((steps, 4, n))
+    tanh_c = np.empty((steps, n))
+    for t in range(steps):
+        z = zx[t] + (hs[t] @ wh.values).reshape(4, n)
+        gates[t] = scale * np.tanh(scale * z) + (1.0 - scale)
+        i, f, g, o = gates[t]
+        cs[t + 1] = f * cs[t] + i * g
+        tanh_c[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = o * tanh_c[t]
+    out_values = np.concatenate([hs[1:], cs[1:]], axis=1)
+    parents = (x, h0, c0, wx, wh, b)
+    backprop = None
+    if any(p.requires_grad for p in parents):
+        def backprop(g_out, adjoints):
+            # d gate / d z = scale^2 (1 - tanh^2): sigmoid' for i, f, o, tanh' for g
+            slope = scale * scale - (gates - 1.0 + scale) ** 2
+            dz = np.empty_like(gates)
+            dh = np.zeros(n)
+            dc = np.zeros(n)
+            for t in range(steps - 1, -1, -1):
+                i, f, g, o = gates[t]
+                dh = dh + g_out[t, :n]
+                dc = dc + g_out[t, n:] + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+                dz[t] = slope[t] * (dc * g, dc * cs[t], dc * i, dh * tanh_c[t])
+                dc = dc * f
+                dh = dz[t].reshape(-1) @ wh.values.T
+            dz = dz.reshape(steps, 4 * n)
+            if x.requires_grad:
+                _push(adjoints, x, dz @ wx.values.T)
+            if h0.requires_grad:
+                _push(adjoints, h0, dh[None, :])
+            if c0.requires_grad:
+                _push(adjoints, c0, dc[None, :])
+            if wx.requires_grad:
+                _push(adjoints, wx, x.values.T @ dz)
+            if wh.requires_grad:
+                _push(adjoints, wh, hs[:-1].T @ dz)
+            if b.requires_grad:
+                _push(adjoints, b, dz.sum(axis=0))
+    return Tensor(out_values, _parents=parents, _backprop=backprop)
 
 
 # ---------------------------------------------------------------------------

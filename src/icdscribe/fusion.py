@@ -145,7 +145,10 @@ def train_with_scheduled_lm_sampling(
             logits = model.forward_teacher_forced(features[index], utt.target, input_tokens=inputs)
             loss = softmax_cross_entropy(logits, utt.target[1:])
             backward(loss)
-            clip_global_norm(params, clip_norm)
+            norm = clip_global_norm(params, clip_norm)
+            if not math.isfinite(norm):
+                raise ValidationError(f"epoch {epoch}, utterance {index}: loss {loss.item()}, "
+                                      f"gradient norm {norm}; no parameter was updated")
             adam_step(params, optimizer)
             total += loss.item()
         stats = EpochStats(epoch=epoch, mean_loss=total / len(utterances), lm_sample_p=p)

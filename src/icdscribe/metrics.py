@@ -186,6 +186,8 @@ def build_report(pairs, seed=0, resamples=1000, max_n=4):
 
 def evaluate_dataset(model, lm, manifest, cfg, seed=0, resamples=1000):
     """Transcribe every utterance in a manifest and score the results."""
+    if resamples < 1:
+        raise ContractError(f"the bootstrap needs at least 1 resample, got {resamples}")
     from .data import iter_utterances
     from .fusion import transcribe
 

@@ -3,9 +3,10 @@
 The encoder runs a causal convolution stack over the spectrogram, then a
 pyramid of unidirectional LSTM layers.  Every pyramid layer concatenates
 beta consecutive outputs of the layer below into one input, so J layers
-shrink T_conv frames to ceil(T_conv / beta**J) encoder states; groups
-short of beta rows are padded with zeros.  Nothing reads future frames,
-so the encoder can run incrementally.
+shrink T_conv frames to ceil(T_conv / beta**J) encoder states; a final
+group short of beta rows is padded with zeros.  Nothing reads future
+frames, so the encoder can run incrementally.  Each layer is one
+whole-sequence `lstm` op; the decoder runs the same op one step at a time.
 
 The decoder is a single LSTM.  At step i it attends over the encoder
 states with its previous hidden state, consumes the previous token's
@@ -13,7 +14,6 @@ embedding concatenated with that context, and projects [state, context]
 to vocabulary logits.  Scoring is additive: e_j = w . tanh(W s + V h_j + b).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,12 +23,11 @@ from .autodiff import (
     add,
     concat,
     conv1d,
+    lstm,
     matmul,
-    mul,
     narrow,
     relu,
     reshape,
-    sigmoid,
     softmax,
     tanh,
     uniform_init,
@@ -82,6 +81,7 @@ class DecoderConfig:
 @dataclass
 class EncoderOutput:
     hidden: Tensor  # [U, encoder hidden]
+    keys: Tensor  # [U, attention dim]: hidden @ attn.keys, shared by every decode step
 
     @property
     def reduced_steps(self):
@@ -93,27 +93,6 @@ def standardize_spectrogram(values):
     values = np.asarray(values, dtype=np.float64)
     std = values.std()
     return (values - values.mean()) / (std if std > 1e-8 else 1.0)
-
-
-class LstmCell:
-    """Single LSTM step over [1, input] rows; gate order i, f, g, o."""
-
-    def __init__(self, wx, wh, b, hidden):
-        self.wx = wx
-        self.wh = wh
-        self.b = b
-        self.hidden = hidden
-
-    def step(self, x, h, c):
-        gates = add(add(matmul(x, self.wx), matmul(h, self.wh)), self.b)
-        n = self.hidden
-        i = sigmoid(narrow(gates, 1, 0, n))
-        f = sigmoid(narrow(gates, 1, n, n))
-        g = tanh(narrow(gates, 1, 2 * n, n))
-        o = sigmoid(narrow(gates, 1, 3 * n, n))
-        c_next = add(mul(f, c), mul(i, g))
-        h_next = mul(o, tanh(c_next))
-        return h_next, c_next
 
 
 class Seq2SeqModel:
@@ -141,29 +120,20 @@ class Seq2SeqModel:
             bias(f"conv{l}.b", spec.channels)
             channels = spec.channels
 
-        self._enc_cells = []
+        def lstm_params(prefix, in_dim, n):
+            param(f"{prefix}.wx", (in_dim, 4 * n))
+            param(f"{prefix}.wh", (n, 4 * n))
+            # open forget gates at init so early state survives long sequences
+            bias(f"{prefix}.b", 4 * n).values[n : 2 * n] = 1.0
+
         in_dim = channels * encoder_cfg.beta
         for j in range(encoder_cfg.layers):
-            cell = LstmCell(
-                param(f"enc{j}.wx", (in_dim, 4 * encoder_cfg.hidden)),
-                param(f"enc{j}.wh", (encoder_cfg.hidden, 4 * encoder_cfg.hidden)),
-                bias(f"enc{j}.b", 4 * encoder_cfg.hidden),
-                encoder_cfg.hidden,
-            )
-            # open forget gates at init so early state survives long sequences
-            cell.b.values[encoder_cfg.hidden : 2 * encoder_cfg.hidden] = 1.0
-            self._enc_cells.append(cell)
+            lstm_params(f"enc{j}", in_dim, encoder_cfg.hidden)
             in_dim = encoder_cfg.hidden * encoder_cfg.beta
 
         param("dec.embed", (decoder_cfg.vocab_size, decoder_cfg.embedding_dim),
               fan_in=decoder_cfg.embedding_dim)
-        self._dec_cell = LstmCell(
-            param("dec.wx", (decoder_cfg.embedding_dim + encoder_cfg.hidden, 4 * decoder_cfg.hidden)),
-            param("dec.wh", (decoder_cfg.hidden, 4 * decoder_cfg.hidden)),
-            bias("dec.b", 4 * decoder_cfg.hidden),
-            decoder_cfg.hidden,
-        )
-        self._dec_cell.b.values[decoder_cfg.hidden : 2 * decoder_cfg.hidden] = 1.0
+        lstm_params("dec", decoder_cfg.embedding_dim + encoder_cfg.hidden, decoder_cfg.hidden)
 
         param("attn.query", (decoder_cfg.hidden, decoder_cfg.attention_dim))
         param("attn.keys", (encoder_cfg.hidden, decoder_cfg.attention_dim))
@@ -196,31 +166,24 @@ class Seq2SeqModel:
                 conv1d(out, self._params[f"conv{l}.w"], self._params[f"conv{l}.b"],
                        stride=spec.stride, dilation=spec.dilation)
             )
-        rows = [narrow(out, 0, t, 1) for t in range(out.shape[0])]
-        for cell in self._enc_cells:
-            rows = self._pyramid_pass(rows, cell)
-        return EncoderOutput(hidden=concat(rows, axis=0))
-
-    def _pyramid_pass(self, rows, cell):
-        beta = self.encoder_cfg.beta
-        width = rows[0].shape[1]
-        h = zeros((1, cell.hidden))
-        c = zeros((1, cell.hidden))
-        out = []
-        for start in range(0, len(rows), beta):
-            group = rows[start : start + beta]
-            group.extend(zeros((1, width)) for _ in range(beta - len(group)))
-            h, c = cell.step(concat(group, axis=1), h, c)
-            out.append(h)
-        return out
+        beta, n = self.encoder_cfg.beta, self.encoder_cfg.hidden
+        for j in range(self.encoder_cfg.layers):
+            frames, width = out.shape
+            steps = -(-frames // beta)
+            if steps * beta > frames:
+                out = concat([out, zeros((steps * beta - frames, width))], axis=0)
+            weights = [self._params[f"enc{j}.{k}"] for k in ("wx", "wh", "b")]
+            states = lstm(reshape(out, (steps, beta * width)), zeros((1, n)), zeros((1, n)), *weights)
+            out = narrow(states, 1, 0, n)
+        return EncoderOutput(hidden=out, keys=matmul(out, self._params["attn.keys"]))
 
     # --------------------------------------------------------------- attention
 
     def attention_scores(self, s_prev, encoder_output):
         """Unnormalized additive scores, one per encoder step, as [1, U]."""
         query = matmul(s_prev, self._params["attn.query"])
-        keys = matmul(encoder_output.hidden, self._params["attn.keys"])
-        e = matmul(tanh(add(add(keys, query), self._params["attn.b"])), self._params["attn.score"])
+        e = matmul(tanh(add(add(encoder_output.keys, query), self._params["attn.b"])),
+                   self._params["attn.score"])
         return reshape(e, (1, encoder_output.reduced_steps))
 
     def attend(self, s_prev, encoder_output):
@@ -240,7 +203,10 @@ class Seq2SeqModel:
                 f"token id {prev_token} outside vocabulary of {self.decoder_cfg.vocab_size}"
             )
         embedding = narrow(self._params["dec.embed"], 0, int(prev_token), 1)
-        h, c = self._dec_cell.step(concat([embedding, context], axis=1), *state)
+        n = self.decoder_cfg.hidden
+        states = lstm(concat([embedding, context], axis=1), *state,
+                      self._params["dec.wx"], self._params["dec.wh"], self._params["dec.b"])
+        h, c = narrow(states, 1, 0, n), narrow(states, 1, n, n)
         logits = add(matmul(concat([h, context], axis=1), self._params["out.w"]), self._params["out.b"])
         return (h, c), logits
 
@@ -269,7 +235,3 @@ class Seq2SeqModel:
             rows.append(logits)
         return concat(rows, axis=0)
 
-
-def reduced_length(t_conv, beta, layers):
-    """Encoder steps produced for a post-convolution frame count."""
-    return max(1, math.ceil(t_conv / beta**layers))

@@ -66,18 +66,22 @@ class TestGradientFidelity:
         z = ad.Tensor(rng.normal(size=(4, 3)))
         w = ad.Tensor(rng.normal(size=(2, 3, 2)))
         b = ad.Tensor(rng.normal(size=(2,)))
+        state = ad.Tensor(rng.normal(size=(1, 2)))
+        wx = ad.Tensor(rng.normal(size=(3, 8)))
+        wh = ad.Tensor(rng.normal(size=(2, 8)))
+        gate_b = ad.Tensor(rng.normal(size=(8,)))
         cases = [
             ("matmul", lambda t: ad.matmul(t, y)),
             ("add", lambda t: ad.add(t, z)),
             ("mul", lambda t: ad.mul(t, z)),
             ("tanh", ad.tanh),
-            ("sigmoid", ad.sigmoid),
             ("relu", ad.relu),
             ("concat", lambda t: ad.concat([t, z], axis=1)),
             ("narrow", lambda t: ad.narrow(t, 1, 1, 2)),
             ("reshape", lambda t: ad.reshape(t, (2, 6))),
             ("softmax", lambda t: ad.mul(ad.softmax(t), z)),
             ("conv1d", lambda t: ad.conv1d(t, w, b, stride=2)),
+            ("lstm", lambda t: ad.lstm(t, state, state, wx, wh, gate_b)),
         ]
         for name, op in cases:
             base = rng.normal(size=(4, 3))

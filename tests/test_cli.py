@@ -184,6 +184,17 @@ class TestEvaluate:
                          "--resamples", "50", "--output", str(p)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_resamples_below_one_exits_2_before_decoding(self, workspace, monkeypatch, count):
+        def no_decode(*args):
+            raise AssertionError("an utterance was decoded")
+
+        monkeypatch.setattr("icdscribe.fusion.transcribe", no_decode)
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm,
+                         "--manifest", workspace.data / "test.json", "--resamples", count])
+        assert code == 2
+        assert_one_line_error(err, "at least 1 resample", count)
+
     def test_missing_checkpoint_exits_3(self, workspace, tmp_path):
         assert main(["evaluate", "--ckpt", str(tmp_path / "nope.json"),
                      "--lm", str(workspace.lm),
@@ -229,6 +240,14 @@ class TestTranscribe:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("sample\t")
+
+    def test_wav_at_another_sample_rate_exits_2(self, workspace, tmp_path):
+        speaker = SpeakerProfile("near", base_pitch=120.0, rate=0.9, seed=1)
+        wav = tmp_path / "cd.wav"
+        write_wav(wav, synthesize_word("aa", speaker, repeat_index=0, sample_rate=44100))
+        code, err = run(["transcribe", wav, "--ckpt", workspace.ckpt, "--lm", workspace.lm])
+        assert code == 2
+        assert_one_line_error(err, "44100 Hz", "16000 Hz")
 
     def test_unreadable_input_exits_3(self, workspace, tmp_path):
         assert main(["transcribe", str(tmp_path / "ghost.wav"),

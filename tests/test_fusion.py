@@ -270,6 +270,22 @@ class TestTraining:
                 optimizer=AdamState(model.parameters()),
             )
 
+    def test_nan_loss_stops_before_the_update(self):
+        utts = fake_utterances()
+        utts[1].spectrogram.values[3, 2] = np.nan  # every feature, loss and gradient turn NaN
+        cfg = FusionConfig(lm_sample_max=0.0)
+        model, twin = tiny_model(seed=4), tiny_model(seed=4)
+        opt = AdamState(model.parameters())
+        with pytest.raises(ValidationError, match="epoch 0, utterance 1"):
+            train_with_scheduled_lm_sampling(model, LM, VOCAB, utts, cfg, epochs=2, optimizer=opt)
+        # the twin takes only the good first step; the bad one must change nothing
+        train_with_scheduled_lm_sampling(
+            twin, LM, VOCAB, utts[:1], cfg, epochs=1, optimizer=AdamState(twin.parameters())
+        )
+        assert opt.step == 1
+        for name, p in model.named_parameters().items():
+            assert np.array_equal(p.values, twin.named_parameters()[name].values), name
+
     def test_schedule_recorded_in_log(self):
         model = tiny_model()
         cfg = FusionConfig(lm_sample_max=0.25, ramp_frac=0.5)

@@ -14,7 +14,6 @@ from icdscribe.model import (
     DecoderConfig,
     EncoderConfig,
     Seq2SeqModel,
-    reduced_length,
     standardize_spectrogram,
 )
 
@@ -69,7 +68,6 @@ class TestPyramidArithmetic:
         model = no_conv_model(layers=layers, beta=beta)
         expected = math.ceil(frames / beta**layers)
         assert model.encode(spectrogram(frames)).reduced_steps == expected
-        assert reduced_length(frames, beta, layers) == expected
 
 
 class TestEncoder:
@@ -111,6 +109,17 @@ class TestEncoder:
         truncated = model.encode(x[:16]).hidden.values
         assert full.shape[0] == 2 and truncated.shape[0] == 1
         assert np.allclose(truncated[0], full[0], atol=1e-12)
+
+
+    def test_padding_fills_only_the_final_group(self):
+        # 7 frames at beta 3 group as (0-2)(3-5)(6+pad): the first two states
+        # must equal those of the unpadded 6-frame prefix
+        model = no_conv_model(layers=1, beta=3)
+        x = spectrogram(7, seed=4)
+        full = model.encode(x).hidden.values
+        prefix = model.encode(x[:6]).hidden.values
+        assert full.shape[0] == 3 and prefix.shape[0] == 2
+        np.testing.assert_array_equal(full[:2], prefix)
 
 
 class TestAttention:
@@ -221,20 +230,30 @@ class TestForwardTeacherForced:
 
 
 class TestGradients:
-    def tiny_setup(self):
+    def tiny_setup(self, layers=1, beta=2, frames=8):
         enc = EncoderConfig(
-            conv=(ConvSpec(channels=2, stride=2, dilation=1, kernel=2),), layers=1, beta=2, hidden=4
+            conv=(ConvSpec(channels=2, stride=2, dilation=1, kernel=2),),
+            layers=layers, beta=beta, hidden=4,
         )
         dec = DecoderConfig(vocab_size=5, embedding_dim=3, hidden=4, attention_dim=2)
         model = Seq2SeqModel(enc, dec, input_dim=3, seed=7)
-        x = np.random.default_rng(13).normal(size=(8, 3))
+        x = np.random.default_rng(13).normal(size=(frames, 3))
         target = [SOS, 4, 3, EOS]
         return model, x, target
 
     def test_full_model_matches_finite_differences(self):
         model, x, target = self.tiny_setup()
         assert model.encode(x).reduced_steps == 2
+        self.check_against_finite_differences(model, x, target)
 
+    def test_stacked_padded_pyramid_matches_finite_differences(self):
+        # 20 frames -> 10 conv rows -> 4 steps (3+3+3+1) -> 2 steps (3+1): both
+        # layers pad a short final group, and the second feeds on the first
+        model, x, target = self.tiny_setup(layers=2, beta=3, frames=20)
+        assert model.encode(x).reduced_steps == 2
+        self.check_against_finite_differences(model, x, target)
+
+    def check_against_finite_differences(self, model, x, target):
         def loss_value():
             logits = model.forward_teacher_forced(x, target)
             return softmax_cross_entropy(logits, target[1:]).item()
