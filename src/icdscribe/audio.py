@@ -178,7 +178,8 @@ def apply_far_field(w, room, seed=0):
     """Push a close-talk waveform through the room model.
 
     Convolves with a synthetic impulse response (unit direct path plus an
-    exponentially decaying noise tail when rt60 > 0), scales by 1/distance,
+    exponentially decaying noise tail when rt60 > 0) by one zero-padded FFT
+    product, keeping the first len(samples) outputs; scales by 1/distance,
     then adds white noise at exactly the configured SNR.  `seed` draws the
     impulse-response tail and the noise.  Neutral parameters (distance 1,
     rt60 0, infinite SNR) return the input unchanged.
@@ -191,7 +192,9 @@ def apply_far_field(w, room, seed=0):
         decay = np.exp(-6.907755278982137 * tt / room.rt60)  # -60 dB at rt60
         tail = 0.35 * rng.standard_normal(tail_len) * decay
         ir = np.concatenate([[1.0], tail])
-        samples = np.convolve(samples, ir)[: len(samples)]
+        size = 1 << (len(samples) + len(ir) - 2).bit_length()  # power of two >= full length
+        spectrum = np.fft.rfft(samples, size) * np.fft.rfft(ir, size)
+        samples = np.fft.irfft(spectrum, size)[: len(samples)]
     samples = samples / room.distance
     if math.isfinite(room.snr_db):
         signal_rms = float(np.sqrt(np.mean(samples**2)))

@@ -215,18 +215,27 @@ def plan_variations(code, speaker, repeats, cap, seed):
     ]
 
 
-def realize_record(record, code, speaker, config, vocab):
-    """Synthesize, degrade and featurize one planned utterance."""
+def realize_record(record, code, speaker, config, vocab, recordings=None):
+    """Synthesize, degrade and featurize one planned utterance.
+
+    `recordings` maps (word, speaker id, repeat index) to word waveforms
+    already synthesized under this config; new ones are added to it.
+    """
     target = vocab.encode(code.words)
     if UNK in target:
         missing = [w for w in code.words if vocab.id_of(w) == UNK]
         raise ValidationError(f"words missing from vocabulary: {missing}")
     if len(record.repeat_indices) != len(code.words):
         raise ValidationError(f"{record} needs one repeat index per word of {code.words}")
-    waves = [
-        synthesize_word(word, speaker, rep, sample_rate=config.frontend.sample_rate)
-        for word, rep in zip(code.words, record.repeat_indices)
-    ]
+    recordings = {} if recordings is None else recordings
+    waves = []
+    for word, rep in zip(code.words, record.repeat_indices):
+        key = (word, speaker.speaker_id, rep)
+        if key not in recordings:
+            recordings[key] = synthesize_word(
+                word, speaker, rep, sample_rate=config.frontend.sample_rate
+            )
+        waves.append(recordings[key])
     gap_rng = np.random.default_rng(
         stable_seed("gaps", config.seed, record.code, record.speaker_id, record.variation_index)
     )
@@ -266,19 +275,26 @@ def generate_dataset(codes, config):
     )
 
 
-def realize_utterance(manifest, record):
+def realize_utterance(manifest, record, vocab=None, recordings=None):
     return realize_record(
         record,
         manifest.code_by_id(record.code),
         manifest.speaker_by_id(record.speaker_id),
         manifest.config,
-        manifest.vocabulary,
+        manifest.vocabulary if vocab is None else vocab,
+        recordings,
     )
 
 
 def iter_utterances(manifest):
+    """Realize every record in order, synthesizing each distinct word recording once.
+
+    The recordings are shared only within one pass and freed when it ends.
+    """
+    vocab = manifest.vocabulary
+    recordings = {}
     for record in manifest.records:
-        yield realize_utterance(manifest, record)
+        yield realize_utterance(manifest, record, vocab, recordings)
 
 
 def split_by_speaker(manifest, held_out):

@@ -7,9 +7,11 @@ dotted path, and a missing key takes the field default.  A float field
 whose metadata is INF_AS_NULL stores +inf as null.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 import typing
 from functools import cache
@@ -92,12 +94,23 @@ def _from_mapping(cls, value, where):
 
 
 def write_document(path, fmt, payload):
-    """Stream `payload` as sorted, indented JSON, tagged with format `fmt` unless it is None."""
+    """Stream `payload` as sorted, indented JSON, tagged with format `fmt` unless it is None.
+
+    The JSON goes to a temporary file beside `path` that then replaces it,
+    so a write that fails or is interrupted leaves the old document intact.
+    """
     if fmt is not None:
         payload = {"format": fmt, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_document(path, fmt, decode):

@@ -21,6 +21,7 @@ from icdscribe.audio import (
     write_wav,
 )
 from icdscribe.errors import ContractError
+from icdscribe.seeds import stable_seed
 
 PROFILE = SpeakerProfile(speaker_id="spk0", seed=7)
 
@@ -125,6 +126,28 @@ class TestApplyFarField:
         out = apply_far_field(w, RoomModel(distance=1.0, rt60=0.4, snr_db=math.inf), seed=2)
         assert len(out.samples) == len(w.samples)
         assert not np.array_equal(out.samples, w.samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6000),
+        rt60=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fft_convolution_matches_direct(self, n, rt60, seed):
+        # the impulse response is redrawn here exactly as documented; at
+        # 16 kHz a 0.5 s tail has 8,001 taps, so it is often longer than x
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+        room = RoomModel(distance=1.0, rt60=rt60, snr_db=math.inf)
+        out = apply_far_field(Waveform(x), room, seed=seed).samples
+        expected = x
+        if rt60 > 0:
+            rng = np.random.default_rng(stable_seed("room", seed))
+            tail_len = int(rt60 * 16000)
+            tt = np.arange(1, tail_len + 1) / 16000
+            tail = 0.35 * rng.standard_normal(tail_len) * np.exp(-math.log(1000.0) * tt / rt60)
+            expected = np.convolve(x, np.concatenate([[1.0], tail]))[:n]
+        assert out.shape == (n,)
+        assert np.max(np.abs(out - expected)) <= 1e-9 * np.max(np.abs(x))
 
     def test_energy_never_increases_with_distance(self):
         w = synthesize_word("consciousness", PROFILE, repeat_index=0)

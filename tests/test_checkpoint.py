@@ -109,6 +109,25 @@ class TestRoundTrip:
             restore_optimizer(loaded, build_model(loaded).parameters())
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
+    def test_interrupted_overwrite_keeps_the_old_checkpoint(self, tmp_path, monkeypatch, failure):
+        config = run_config()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, fresh_model(config, VOCAB), VOCAB, config, step=1)
+        before = path.read_bytes()
+
+        def interrupted(payload, fh, **kwargs):
+            fh.write(json.dumps(payload, **kwargs)[:1000])
+            raise failure
+
+        monkeypatch.setattr(json, "dump", interrupted)
+        with pytest.raises(type(failure)):
+            save_checkpoint(path, fresh_model(run_config(seed=4), VOCAB), VOCAB, config, step=2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
 class TestRejection:
     def write_tampered(self, tmp_path, mutate):
         config = run_config()

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 from types import SimpleNamespace
@@ -153,6 +154,25 @@ class TestTrain:
                      "--output", str(out)]) == 0
         assert "trained epochs 2..2" in capsys.readouterr().out
         assert json.loads(out.read_text(encoding="utf-8"))["step"] == 3
+
+    def test_failed_checkpoint_write_keeps_old_bytes_and_exits_3(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "model.json"
+        out.write_bytes(workspace.ckpt.read_bytes())
+
+        def disk_full(payload, fh, **kwargs):
+            text = json.dumps(payload, **kwargs)
+            fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", disk_full)
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
+                         "--resume", out, "--epochs", "3", "--output", out])
+        assert code == 3
+        assert_one_line_error(err, "No space left")
+        assert out.read_bytes() == workspace.ckpt.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "model.log.jsonl"]
 
     def test_resume_past_the_horizon_exits_2(self, workspace, tmp_path, capsys):
         code = main(["train", "--data", str(workspace.data), "--lm", str(workspace.lm),

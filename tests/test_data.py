@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdscribe.audio import FrontendConfig, RoomModel, SpeakerProfile
+from icdscribe.audio import FrontendConfig, RoomModel, SpeakerProfile, synthesize_word
 from icdscribe.data import (
     EOS,
     PAD,
@@ -19,6 +20,7 @@ from icdscribe.data import (
     corpus_from_codes,
     default_speakers,
     generate_dataset,
+    iter_utterances,
     load_icd_list,
     load_manifest,
     plan_variations,
@@ -226,6 +228,53 @@ class TestRealization:
         vocab = build_vocabulary([IcdCode("X", ["fever"])])
         with pytest.raises(ValidationError, match="pain"):
             realize_all(IcdCode("C", ["pain"]), repeats=1, cap=5, vocab=vocab)
+
+
+class TestIterUtterances:
+    CODES = [
+        IcdCode("M54.5", ["low", "back", "pain"]),
+        IcdCode("R52", ["pain"]),
+        IcdCode("M54.9", ["back", "pain", "pain"]),
+    ]
+
+    def manifest(self):
+        room = RoomModel(distance=2.0, rt60=0.05, snr_db=30.0)
+        return generate_dataset(self.CODES, small_config(room=room))
+
+    def test_matches_realizing_each_record(self):
+        manifest = self.manifest()
+        for record, utt in zip(manifest.records, iter_utterances(manifest), strict=True):
+            alone = realize_utterance(manifest, record)
+            assert utt.spectrogram.values.tobytes() == alone.spectrogram.values.tobytes()
+            assert (utt.target, utt.code, utt.speaker_id, utt.variation_index) == (
+                alone.target, alone.code, alone.speaker_id, alone.variation_index
+            )
+
+    def test_each_word_recording_synthesized_once_per_pass(self, monkeypatch):
+        manifest = self.manifest()
+        calls = []
+
+        def counted(word, profile, repeat_index, **kwargs):
+            calls.append((word, profile.speaker_id, repeat_index))
+            return synthesize_word(word, profile, repeat_index, **kwargs)
+
+        monkeypatch.setattr("icdscribe.data.synthesize_word", counted)
+        distinct = {
+            (word, r.speaker_id, rep)
+            for r in manifest.records
+            for word, rep in zip(manifest.code_by_id(r.code).words, r.repeat_indices)
+        }
+        for _ in range(2):  # a second pass starts from an empty cache
+            calls.clear()
+            list(iter_utterances(manifest))
+            assert sorted(calls) == sorted(distinct)
+
+    @pytest.mark.parametrize("field, value", [("code", "Z99"), ("speaker_id", "spk9")])
+    def test_unknown_code_or_speaker_rejected(self, field, value):
+        manifest = self.manifest()
+        manifest.records[1] = replace(manifest.records[1], **{field: value})
+        with pytest.raises(ContractError, match=value):
+            list(iter_utterances(manifest))
 
 
 class TestGenerateDataset:
