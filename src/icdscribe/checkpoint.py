@@ -1,12 +1,18 @@
 """Versioned training checkpoints.
 
 A checkpoint stores the run config, the vocabulary, every named parameter
-tensor in row-major order, the completed-epoch counter, and (optionally)
-the optimizer moments, so a run can resume on the exact trajectory it
-left.  Floats survive the JSON round trip bit for bit because the encoder
-emits shortest round-trippable representations.
+tensor, the completed-epoch counter, and (optionally) the Adam state, so a
+run can resume on the exact trajectory it left.  The file is one line of
+compact, sorted-key JSON (the header: format tag, config, vocabulary, step,
+the parameter names and shapes in registration order, and the Adam
+hyperparameters or null), a newline, and then the raw bytes of one
+little-endian float64 array: every parameter in header order, then every
+Adam `m` and every Adam `v` when an optimizer is saved.  Raw bytes round
+trip bit for bit, and a rewrite of the same state is byte-identical.
 """
 
+import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -16,15 +22,19 @@ from .config import RunConfig
 from .data import Vocabulary
 from .errors import ConfigError, ValidationError
 from .model import DecoderConfig, Seq2SeqModel
-from .schema import from_payload, read_document, to_payload, write_document
+from .schema import atomic_write, decode_document, from_payload, to_payload
 
-CKPT_FORMAT = "ckpt-v1"
+CKPT_FORMAT = "ckpt-v2"
 
 
 @dataclass
-class AdamMoments:
-    m: object  # flat float lists, left unconverted until restore_optimizer
-    v: object
+class ParameterEntry:
+    name: str
+    shape: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(dim < 0 for dim in self.shape):
+            raise ConfigError(f"shape {list(self.shape)} has a negative dimension")
 
 
 @dataclass
@@ -34,16 +44,25 @@ class AdamPayload:
     beta2: float
     eps: float
     step: int
-    moments: list[AdamMoments]
+
+
+@dataclass
+class CheckpointHeader:
+    config: RunConfig
+    vocabulary: list[str]
+    step: int  # completed training epochs
+    parameters: list[ParameterEntry]
+    optimizer: object  # AdamPayload as plain JSON, or None
 
 
 @dataclass
 class Checkpoint:
     config: RunConfig
     vocabulary: Vocabulary
-    parameters: dict  # name -> float64 array
+    parameters: dict  # name -> read-only float64 array
     step: int  # completed training epochs
     optimizer: object  # AdamPayload, or None
+    moments: list  # (m, v) array pairs in parameter order; empty without an optimizer
 
 
 def fresh_model(config, vocab):
@@ -56,57 +75,82 @@ def fresh_model(config, vocab):
 
 
 def save_checkpoint(path, model, vocab, config, step, optimizer=None):
-    payload = {
-        "config": config.to_dict(),
-        "vocabulary": vocab.content_words,
-        "step": int(step),
-        "parameters": [
-            {
-                "name": name,
-                "shape": list(tensor.values.shape),
-                "values": tensor.values.ravel().tolist(),
-            }
-            for name, tensor in model.named_parameters().items()
-        ],
-        "optimizer": None if optimizer is None else _optimizer_payload(optimizer),
-    }
-    write_document(path, CKPT_FORMAT, payload)
-
-
-def _optimizer_payload(state):
-    moments = [AdamMoments(m.ravel().tolist(), v.ravel().tolist()) for m, v in zip(state.m, state.v)]
-    return to_payload(AdamPayload(state.lr, state.beta1, state.beta2, state.eps, state.step, moments))
+    named = model.named_parameters()
+    arrays = [tensor.values for tensor in named.values()]
+    adam = None
+    if optimizer is not None:
+        adam = to_payload(AdamPayload(
+            optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.eps, optimizer.step
+        ))
+        arrays += optimizer.m + optimizer.v
+    header = CheckpointHeader(
+        config=config,
+        vocabulary=vocab.content_words,
+        step=int(step),
+        parameters=[ParameterEntry(name, t.values.shape) for name, t in named.items()],
+        optimizer=adam,
+    )
+    line = json.dumps(
+        {"format": CKPT_FORMAT, **to_payload(header)}, sort_keys=True, separators=(",", ":")
+    )
+    with atomic_write(path) as fh:
+        fh.write(line.encode("utf-8") + b"\n")
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
 def load_checkpoint(path):
-    return read_document(path, CKPT_FORMAT, _checkpoint_from_payload)
+    """The checkpoint at `path`; its arrays are views into the bytes read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = data.partition(b"\n")[0]
+    # A whole-file JSON document, such as a ckpt-v1 checkpoint, still names its format.
+    found = _declared_format(header) or _declared_format(data)
+    if found != CKPT_FORMAT:
+        raise ConfigError(
+            f"{path}: not a {CKPT_FORMAT} checkpoint (format {found!r:.40}); retrain to write one"
+        )
+    blob = memoryview(data)[len(header) + 1:]
+    return decode_document(path, header, CKPT_FORMAT, lambda p: _checkpoint_from_header(p, blob))
 
 
-def _float_array(values, shape, what):
+def _declared_format(data):
+    """The format tag of the JSON mapping that the bytes `data` start with, or None."""
     try:
-        array = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} is not a list of numbers") from exc
-    if array.size != int(np.prod(shape, dtype=np.int64)):
-        raise ValidationError(f"{what} has {array.size} values for shape {shape}")
-    if not np.isfinite(array).all():
-        raise ConfigError(f"{what} holds a non-finite or non-numeric value")
-    return array.reshape(shape)
+        payload = json.JSONDecoder().raw_decode(data.decode("utf-8", "replace"))[0]
+    except (ValueError, RecursionError):
+        return None
+    return payload.get("format") if isinstance(payload, dict) else None
 
 
-def _checkpoint_from_payload(payload):
-    parameters = {}
-    for entry in payload["parameters"]:
-        name = from_payload(str, entry["name"], "parameters.name")
-        shape = from_payload(tuple[int, ...], entry["shape"], "parameters.shape")
-        parameters[name] = _float_array(entry["values"], shape, f"parameter {name!r}")
-    optimizer = payload["optimizer"]
+def _checkpoint_from_header(payload, blob):
+    header = from_payload(CheckpointHeader, payload)
+    optimizer = None
+    if header.optimizer is not None:
+        optimizer = from_payload(AdamPayload, header.optimizer, "optimizer")
+    shapes = [entry.shape for entry in header.parameters] * (1 if optimizer is None else 3)
+    count = sum(math.prod(shape) for shape in shapes)
+    if len(blob) != 8 * count:
+        raise ConfigError(f"blob holds {len(blob)} bytes, header declares {count} float64 values")
+    values = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise ConfigError("blob holds a non-finite value")
+    arrays, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        arrays.append(values[start:start + size].reshape(shape))
+        start += size
+    n = len(header.parameters)
+    parameters = {entry.name: array for entry, array in zip(header.parameters, arrays)}
+    if len(parameters) != n:
+        raise ConfigError("a parameter name appears twice")
     return Checkpoint(
-        config=RunConfig.from_dict(payload["config"]),
-        vocabulary=Vocabulary(from_payload(list[str], payload["vocabulary"], "vocabulary")),
+        config=header.config,
+        vocabulary=Vocabulary(header.vocabulary),
         parameters=parameters,
-        step=from_payload(int, payload["step"], "step"),
-        optimizer=None if optimizer is None else from_payload(AdamPayload, optimizer, "optimizer"),
+        step=header.step,
+        optimizer=optimizer,
+        moments=list(zip(arrays[n:2 * n], arrays[2 * n:])),
     )
 
 
@@ -132,15 +176,19 @@ def restore_optimizer(checkpoint, params):
     stored = checkpoint.optimizer
     if stored is None:
         raise ValidationError("checkpoint carries no optimizer state")
-    if len(stored.moments) != len(params):
+    if len(checkpoint.moments) != len(params):
         raise ValidationError(
-            f"optimizer state covers {len(stored.moments)} parameters, model has {len(params)}"
+            f"optimizer state covers {len(checkpoint.moments)} parameters, model has {len(params)}"
         )
     state = AdamState(
         params, lr=stored.lr, beta1=stored.beta1, beta2=stored.beta2, eps=stored.eps
     )
     state.step = stored.step
-    for i, (p, entry) in enumerate(zip(params, stored.moments)):
-        state.m[i][...] = _float_array(entry.m, p.values.shape, f"optimizer moment m[{i}]")
-        state.v[i][...] = _float_array(entry.v, p.values.shape, f"optimizer moment v[{i}]")
+    for i, (p, (m, v)) in enumerate(zip(params, checkpoint.moments)):
+        if m.shape != p.values.shape:
+            raise ValidationError(
+                f"optimizer moment {i}: stored shape {m.shape}, model {p.values.shape}"
+            )
+        state.m[i][...] = m
+        state.v[i][...] = v
     return state

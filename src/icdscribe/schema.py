@@ -93,19 +93,18 @@ def _from_mapping(cls, value, where):
         raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
-def write_document(path, fmt, payload):
-    """Stream `payload` as sorted, indented JSON, tagged with format `fmt` unless it is None.
+@contextlib.contextmanager
+def atomic_write(path):
+    """A binary file whose bytes replace `path` only when the block completes.
 
-    The JSON goes to a temporary file beside `path` that then replaces it,
-    so a write that fails or is interrupted leaves the old document intact.
+    The bytes go to a temporary file beside `path` that then replaces it, so
+    a write that fails or is interrupted leaves the old file intact and no
+    temporary file behind.
     """
-    if fmt is not None:
-        payload = {"format": fmt, **payload}
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -113,18 +112,32 @@ def write_document(path, fmt, payload):
         raise
 
 
-def read_document(path, fmt, decode):
-    """`decode(payload)` for the JSON document at `path`, its format tag `fmt` removed.
+def write_document(path, fmt, payload):
+    """Write `payload` atomically as sorted, indented JSON, tagged `fmt` unless that is None."""
+    if fmt is not None:
+        payload = {"format": fmt, **payload}
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True).encode("utf-8") + b"\n")
 
-    With `fmt` None the whole payload goes to `decode`.  Bad JSON, a wrong
-    tag, and the ConfigErrors, lookup and type errors raised by `decode`
-    become a ConfigError naming the file; other package errors pass through.
+
+def read_document(path, fmt, decode):
+    """`decode(payload)` for the JSON document at `path`; see `decode_document`."""
+    with open(path, "rb") as fh:
+        return decode_document(path, fh.read(), fmt, decode)
+
+
+def decode_document(path, data, fmt, decode):
+    """`decode(payload)` for the UTF-8 JSON `data` read from `path`, its format tag `fmt` removed.
+
+    With `fmt` None the whole payload goes to `decode`.  Bad UTF-8 or JSON
+    (nesting too deep included), a wrong tag, and the ConfigErrors, lookup
+    and type errors raised by `decode` become a ConfigError naming the file;
+    other package errors pass through.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     try:
         if fmt is not None:
             declared = payload.get("format") if isinstance(payload, dict) else None

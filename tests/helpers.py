@@ -49,3 +49,40 @@ def edit_distance_oracle(a, b):
         return min(sub, dist(i, j - 1) + 1, dist(i - 1, j) + 1)
 
     return dist(len(a), len(b))
+
+
+class _FillingFile:
+    def __init__(self, fh, room, failure):
+        self.fh, self.room, self.failure = fh, room, failure
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if len(data) > self.room:
+            self.fh.write(data[: self.room])
+            self.room = 0
+            raise self.failure
+        self.room -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fail_writes_after(monkeypatch, limit, failure):
+    """Make each file that `schema` opens for writing raise `failure` past `limit` bytes.
+
+    The bytes up to the limit reach the file first, as on a disk that fills
+    up partway through a write.
+    """
+    import builtins
+
+    from icdscribe import schema
+
+    def filling_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return _FillingFile(fh, limit, failure) if "w" in mode else fh
+
+    monkeypatch.setattr(schema, "open", filling_open, raising=False)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import fail_writes_after
 
 from icdscribe.audio import FrontendConfig
 from icdscribe.autodiff import AdamState
@@ -15,7 +16,7 @@ from icdscribe.checkpoint import (
 )
 from icdscribe.config import DecoderSettings, RunConfig, TrainingConfig
 from icdscribe.data import EOS, SOS, DatasetConfig, IcdCode, build_vocabulary
-from icdscribe.errors import ParseError, ValidationError
+from icdscribe.errors import ConfigError, ParseError, ValidationError
 from icdscribe.fusion import FusionConfig, train_with_scheduled_lm_sampling
 from icdscribe.lm import Corpus, train_lm
 from icdscribe.model import ConvSpec, EncoderConfig
@@ -77,10 +78,35 @@ class TestRoundTrip:
     def test_resave_is_byte_identical(self, tmp_path):
         config = run_config()
         model = fresh_model(config, VOCAB)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(a, model, VOCAB, config, step=2)
-        save_checkpoint(b, build_model(load_checkpoint(a)), VOCAB, config, step=2)
-        assert a.read_bytes() == b.read_bytes()
+        for optimizer in (None, touched_optimizer(model)):
+            a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+            save_checkpoint(a, model, VOCAB, config, step=2, optimizer=optimizer)
+            loaded = load_checkpoint(a)
+            rebuilt = build_model(loaded)
+            restored = None
+            if optimizer is not None:
+                restored = restore_optimizer(loaded, rebuilt.parameters())
+            save_checkpoint(b, rebuilt, VOCAB, config, step=2, optimizer=restored)
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_file_is_a_header_line_and_raw_float64s(self, tmp_path):
+        config = run_config()
+        model = fresh_model(config, VOCAB)
+        state = touched_optimizer(model)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, VOCAB, config, step=1, optimizer=state)
+
+        raw = path.read_bytes()
+        header = raw[: raw.index(b"\n") + 1]
+        payload = json.loads(header)
+        compact = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert header == compact.encode("ascii") + b"\n"
+        assert payload["format"] == "ckpt-v2"
+        params = sum(p.values.size for p in model.parameters())
+        assert len(raw) == len(header) + 8 * (params + 2 * params)
+        arrays = [p.values for p in model.parameters()] + state.m + state.v
+        want = np.concatenate([a.ravel() for a in arrays]).astype("<f8").tobytes()
+        assert raw[len(header):] == want
 
     def test_optimizer_state_round_trips(self, tmp_path):
         config = run_config()
@@ -116,12 +142,10 @@ class TestAtomicWrite:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, fresh_model(config, VOCAB), VOCAB, config, step=1)
         before = path.read_bytes()
+        inside_blob = before.index(b"\n") + 1 + 800
+        assert inside_blob < len(before)
 
-        def interrupted(payload, fh, **kwargs):
-            fh.write(json.dumps(payload, **kwargs)[:1000])
-            raise failure
-
-        monkeypatch.setattr(json, "dump", interrupted)
+        fail_writes_after(monkeypatch, inside_blob, failure)
         with pytest.raises(type(failure)):
             save_checkpoint(path, fresh_model(run_config(seed=4), VOCAB), VOCAB, config, step=2)
         assert path.read_bytes() == before
@@ -129,14 +153,16 @@ class TestAtomicWrite:
 
 
 class TestRejection:
-    def write_tampered(self, tmp_path, mutate):
+    def write_tampered(self, tmp_path, mutate=lambda payload: None, cut=lambda blob: blob):
+        """A saved checkpoint, its header passed through `mutate` and its blob through `cut`."""
         config = run_config()
         model = fresh_model(config, VOCAB)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, VOCAB, config, step=0)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        header, _, blob = path.read_bytes().partition(b"\n")
+        payload = json.loads(header)
         mutate(payload)
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_bytes(json.dumps(payload).encode("utf-8") + b"\n" + cut(blob))
         return path
 
     def test_version_mismatch_rejected(self, tmp_path):
@@ -145,11 +171,9 @@ class TestRejection:
             load_checkpoint(path)
 
     def test_truncated_parameter_rejected(self, tmp_path):
-        def chop(payload):
-            payload["parameters"][0]["values"] = payload["parameters"][0]["values"][:-1]
-
-        with pytest.raises(ValidationError):
-            load_checkpoint(self.write_tampered(tmp_path, chop))
+        path = self.write_tampered(tmp_path, cut=lambda blob: blob[8:])
+        with pytest.raises(ConfigError, match=f"{path}: blob holds"):
+            load_checkpoint(path)
 
     def test_renamed_parameter_rejected(self, tmp_path):
         def rename(payload):
@@ -157,6 +181,23 @@ class TestRejection:
 
         with pytest.raises(ValidationError, match="mystery"):
             build_model(load_checkpoint(self.write_tampered(tmp_path, rename)))
+
+    def test_negative_dimension_rejected(self, tmp_path):
+        def negate(payload):
+            payload["parameters"][0]["shape"][0] *= -1
+
+        with pytest.raises(ConfigError, match="negative dimension"):
+            load_checkpoint(self.write_tampered(tmp_path, negate))
+
+    def test_repeated_parameter_rejected(self, tmp_path):
+        first = fresh_model(run_config(), VOCAB).parameters()[0].values
+
+        def repeat(payload):
+            payload["parameters"].append(payload["parameters"][0])
+
+        path = self.write_tampered(tmp_path, repeat, cut=lambda blob: blob + blob[: first.nbytes])
+        with pytest.raises(ConfigError, match="appears twice"):
+            load_checkpoint(path)
 
 
 class TestResume:

@@ -4,11 +4,14 @@ import io
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from helpers import fail_writes_after
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icdscribe.audio import SpeakerProfile, synthesize_word, write_wav
+from icdscribe.checkpoint import load_checkpoint
 from icdscribe.cli import main
 from icdscribe.lm import load_lm, prob
 
@@ -153,25 +156,21 @@ class TestTrain:
                      "--resume", str(workspace.ckpt), "--epochs", "3",
                      "--output", str(out)]) == 0
         assert "trained epochs 2..2" in capsys.readouterr().out
-        assert json.loads(out.read_text(encoding="utf-8"))["step"] == 3
+        assert load_checkpoint(out).step == 3
 
     def test_failed_checkpoint_write_keeps_old_bytes_and_exits_3(
         self, workspace, tmp_path, monkeypatch
     ):
         out = tmp_path / "model.json"
-        out.write_bytes(workspace.ckpt.read_bytes())
-
-        def disk_full(payload, fh, **kwargs):
-            text = json.dumps(payload, **kwargs)
-            fh.write(text[: len(text) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(json, "dump", disk_full)
+        before = workspace.ckpt.read_bytes()
+        out.write_bytes(before)
+        disk_full = OSError(errno.ENOSPC, "No space left on device")
+        fail_writes_after(monkeypatch, len(before) // 2, disk_full)
         code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
                          "--resume", out, "--epochs", "3", "--output", out])
         assert code == 3
         assert_one_line_error(err, "No space left")
-        assert out.read_bytes() == workspace.ckpt.read_bytes()
+        assert out.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "model.log.jsonl"]
 
     def test_resume_past_the_horizon_exits_2(self, workspace, tmp_path, capsys):
@@ -347,6 +346,13 @@ class TestMalformedInputs:
         assert code == 2
         assert_one_line_error(err, str(path), "lambdas")
 
+    def test_deeply_nested_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, err = run(["generate-data", "--config", path, "--output", tmp_path / "out"])
+        assert code == 2
+        assert_one_line_error(err, str(path), "not valid JSON")
+
     def test_noiseless_room_still_loads(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"dataset": {"room": {"snr_db": None}}}), encoding="utf-8")
@@ -374,7 +380,9 @@ class TestHostileArtifacts:
 
     Each example deletes one key or list item, replaces one value with
     null, a string or a list, or cuts the file short, then runs a command
-    that loads the artifact.
+    that loads the artifact.  In a checkpoint the mutation edits the JSON
+    header line and keeps the float64 blob; a cut falls inside the header
+    or inside the blob.
     """
 
     COMMANDS = {
@@ -394,11 +402,17 @@ class TestHostileArtifacts:
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_mutation_never_crashes(self, workspace, artifact, data):
-        text = self.source(workspace, artifact).read_text(encoding="utf-8")
-        payload = json.loads(text)
+        raw = self.source(workspace, artifact).read_bytes()
+        if artifact == "checkpoint":
+            head, newline, blob = raw.partition(b"\n")
+            cuts = st.one_of(st.integers(0, len(head)), st.integers(len(head) + 1, len(raw) - 1))
+        else:
+            head, newline, blob = raw, b"", b""
+            cuts = st.integers(0, len(raw) - 1)
+        payload = json.loads(head)
         action = data.draw(st.sampled_from(["delete", "replace", "truncate"]))
         if action == "truncate":
-            mutant = text[: data.draw(st.integers(0, len(text) - 1))]
+            mutant = raw[: data.draw(cuts)]
         else:
             path = data.draw(st.sampled_from(list(json_paths(payload))))
             parent = payload
@@ -408,10 +422,55 @@ class TestHostileArtifacts:
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = data.draw(st.sampled_from([None, "oops", [], [None]]))
-            mutant = json.dumps(payload)
+            mutant = json.dumps(payload).encode("utf-8") + newline + blob
         target = workspace.root / f"mutant-{artifact}.json"
-        target.write_text(mutant, encoding="utf-8")
+        target.write_bytes(mutant)
         code, err = run(self.COMMANDS[artifact](workspace, target))
         assert code in (0, 2, 3)
         if code:
             assert_one_line_error(err)
+
+    @pytest.mark.parametrize(
+        "damage, fragment",
+        [
+            (lambda head, blob: head + b"\n" + np.float64(np.nan).tobytes() + blob[8:],
+             "non-finite"),
+            (lambda head, blob: head + b"\n" + blob[:8] + np.float64(-np.inf).tobytes()
+             + blob[16:], "non-finite"),
+            (lambda head, blob: head + b"\n" + blob + np.float64(1.0).tobytes(), "blob holds"),
+            (lambda head, blob: head + blob, "not valid JSON"),
+            (lambda head, blob: head.replace(b'"vocabulary":["', b'"vocabulary":["\xff')
+             + b"\n" + blob, "can't decode byte 0xff"),
+            (lambda head, blob: b"[" * 100_000 + b"\n" + blob, "retrain"),
+        ],
+        ids=["nan", "inf", "extra-float", "no-newline", "non-utf8-header", "deep-header"],
+    )
+    def test_damaged_checkpoint_exits_2(self, workspace, tmp_path, damage, fragment):
+        head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(damage(head, blob))
+        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", path,
+                         "--lambda-lm", "0"])
+        assert code == 2
+        assert_one_line_error(err, str(path), fragment)
+
+    def test_json_checkpoint_asks_for_a_retrain(self, workspace, tmp_path):
+        ckpt = load_checkpoint(workspace.ckpt)
+        config = json.loads(workspace.config.read_text(encoding="utf-8"))
+        v1 = {
+            "format": "ckpt-v1",
+            "config": {"format": "config-v2", **config},
+            "vocabulary": ckpt.vocabulary.content_words,
+            "step": ckpt.step,
+            "parameters": [
+                {"name": name, "shape": list(a.shape), "values": a.ravel().tolist()}
+                for name, a in ckpt.parameters.items()
+            ],
+            "optimizer": None,
+        }
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(v1, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", path,
+                         "--lambda-lm", "0"])
+        assert code == 2
+        assert_one_line_error(err, str(path), "'ckpt-v1'", "ckpt-v2", "retrain")
