@@ -85,9 +85,6 @@ class RoomModel:
             raise ContractError(f"reverberation time must be nonnegative, got {self.rt60}")
 
 
-IDENTITY_ROOM = RoomModel(distance=1.0, rt60=0.0, snr_db=math.inf)
-
-
 @dataclass
 class FrontendConfig:
     sample_rate: int = DEFAULT_SAMPLE_RATE
@@ -105,10 +102,6 @@ class Spectrogram:
     hop: int
     n_mels: int
     sample_rate: int
-
-    @property
-    def frames(self):
-        return self.values.shape[0]
 
 
 def _char_formants(c):

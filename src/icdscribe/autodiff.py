@@ -4,7 +4,13 @@ Every trainable part of the pipeline (conv filter banks, LSTM gates,
 attention projections, embeddings) lives in `Tensor` leaves.  Operations
 record their parents and a backward closure; `backward` orders the
 subgraph reachable from the loss topologically and replays it in reverse,
-summing adjoints where paths share subexpressions.
+summing adjoints where paths share subexpressions, and adds the result
+into the `grad` of each leaf it reaches.
+
+A model's parameter leaves are views into one flat float64 vector, in
+registration order (`parameter_vectors`), and their gradients views into a second
+vector of the same length.  Gradient clipping and Adam work on these
+vectors, and a checkpoint stores them as they lie in memory.
 
 The graph is rebuilt on every forward pass (define-by-run).  Recurrences
 are whole-sequence ops (`lstm`), so a graph holds a few nodes per layer,
@@ -14,6 +20,8 @@ tests can use tight tolerances.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, ShapeError
@@ -22,9 +30,11 @@ from .errors import ContractError, ShapeError
 class Tensor:
     """Dense n-d array with an optional adjoint.
 
-    `values` is always a row-major float64 ndarray.  `grad` stays None
-    ("absent") until a backward pass reaches this tensor; it then holds the
-    accumulated adjoint with the same shape as `values`.
+    `values` is always a row-major float64 ndarray.  Only leaves hold a
+    `grad`: the adjoint that backward passes accumulated, shaped like
+    `values`.  It is None until a backward pass reaches the leaf, unless
+    the leaf comes from `parameter_vectors`: its grad is then a view into
+    the gradient vector.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backprop")
@@ -54,28 +64,9 @@ class Tensor:
             self.grad = np.zeros_like(self.values)
         self.grad += g
 
-    def zero_grad(self):
-        self.grad = None
-
-    def sum(self):
-        return sum_all(self)
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def zeros(shape):
@@ -83,10 +74,11 @@ def zeros(shape):
 
 
 def backward(loss):
-    """Propagate adjoints from a scalar loss to every reachable tensor.
+    """Propagate adjoints from a scalar loss to every reachable leaf.
 
-    Each call seeds d(loss)/d(loss) = 1 and adds this pass's adjoints into
-    `.grad`, so repeated calls without `zero_grad` accumulate.
+    Each call seeds d(loss)/d(loss) = 1 and adds this pass's adjoint into
+    the `grad` of each leaf that requires one, so repeated calls
+    accumulate.  Intermediate tensors keep no `grad`.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -111,10 +103,10 @@ def backward(loss):
         g = adjoints.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.accumulate_grad(g)
         if node._backprop is not None:
             node._backprop(g, adjoints)
+        elif node.requires_grad:
+            node.accumulate_grad(g)
 
 
 def _push(adjoints, tensor, contribution):
@@ -418,68 +410,80 @@ def lstm(x, h0, c0, wx, wh, b):
 # optimization
 # ---------------------------------------------------------------------------
 
-class AdamState:
-    """First/second moment accumulators plus hyperparameters for Adam.
+def parameter_vectors(layout, rng):
+    """Parameter leaves that are views into one flat vector, plus a gradient twin.
 
-    One (m, v) pair per parameter, index-aligned with the parameter list
-    the state was built for.  `step` increases by exactly one per update.
+    `layout` maps each name, in order, to (shape, init): a fan-in, for
+    entries drawn uniform in +-1/sqrt(fan_in) straight into the vector, or
+    an array of initial values.  Returns (values, grads, {name: Tensor});
+    no parameter is ever held twice, and the zero gradient vector stays
+    untouched until a backward pass writes to it.
+    """
+    sizes = [math.prod(shape) for shape, _ in layout.values()]
+    values, grads = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+    tensors, start = {}, 0
+    for (name, (shape, init)), size in zip(layout.items(), sizes):
+        part = slice(start, start + size)
+        t = tensors[name] = Tensor(values[part].reshape(shape), requires_grad=True)
+        t.grad = grads[part].reshape(shape)
+        if isinstance(init, np.ndarray):
+            t.values[...] = init
+        else:
+            # bit for bit what rng.uniform(-bound, bound, shape) draws: -bound + 2 bound u
+            bound = 1.0 / float(init) ** 0.5
+            rng.random(out=t.values)
+            t.values *= 2.0 * bound
+            t.values -= bound
+        start += size
+    return values, grads, tensors
+
+
+class AdamState:
+    """First/second moment vectors plus hyperparameters for Adam.
+
+    `m` and `v` are flat, element-aligned with the parameter vector the
+    state was built for.  `step` increases by exactly one per update.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step = 0
-        self.m = [np.zeros_like(p.values) for p in params]
-        self.v = [np.zeros_like(p.values) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
 
-def adam_step(params, state):
-    """One bias-corrected Adam update; zeroes the gradients afterwards."""
-    if len(params) != len(state.m):
-        raise ContractError(
-            f"optimizer state built for {len(state.m)} parameters, got {len(params)}"
-        )
-    for i, p in enumerate(params):
-        if p.grad is None:
-            raise ContractError(f"parameter {i} has no gradient; run backward first")
-        if p.grad.shape != state.m[i].shape:
-            raise ContractError(f"parameter {i} changed shape under the optimizer")
+ADAM_BLOCK = 1 << 16  # elements per block: keeps Adam's temporaries small
+
+
+def adam_step(values, grads, state):
+    """One bias-corrected Adam update of flat `values`; zeroes `grads` afterwards."""
+    if not len(values) == len(grads) == len(state.m):
+        raise ContractError(f"optimizer state covers {len(state.m)} values, got {len(values)} "
+                            f"values and {len(grads)} gradients")
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
+    for start in range(0, len(values), ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        g, m, v = grads[block], state.m[block], state.v[block]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        p.values -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        p.grad = None
+        values[block] -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        g[...] = 0.0
 
 
-def clip_global_norm(params, max_norm):
-    """Scale all gradients so their joint L2 norm is at most `max_norm`.
+def clip_global_norm(grads, max_norm):
+    """Scale the flat `grads` in place so their L2 norm is at most `max_norm`.
 
-    Returns the pre-clip norm.  Parameters without a gradient are skipped.
+    Returns the pre-clip norm.  The sum of squares does not go through
+    BLAS, so it does not depend on the BLAS thread count.
     """
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = total ** 0.5
+    norm = float(np.einsum("i,i->", grads, grads)) ** 0.5
     if norm > max_norm > 0:
-        factor = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * factor
+        grads *= max_norm / norm
     return norm
-
-
-def uniform_init(rng, shape, fan_in=None):
-    """Parameter leaf drawn from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
-    if fan_in is None:
-        fan_in = shape[0]
-    bound = 1.0 / float(fan_in) ** 0.5
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)

@@ -6,9 +6,11 @@ run can resume on the exact trajectory it left.  The file is one line of
 compact, sorted-key JSON (the header: format tag, config, vocabulary, step,
 the parameter names and shapes in registration order, and the Adam
 hyperparameters or null), a newline, and then the raw bytes of one
-little-endian float64 array: every parameter in header order, then every
-Adam `m` and every Adam `v` when an optimizer is saved.  Raw bytes round
-trip bit for bit, and a rewrite of the same state is byte-identical.
+little-endian float64 array: the model's flat parameter vector, then the
+Adam `m` and `v` vectors when an optimizer is saved.  These are the
+vectors as they lie in memory, so saving writes three arrays and loading
+copies one or two slices.  Raw bytes round trip bit for bit, and a
+rewrite of the same state is byte-identical.
 """
 
 import json
@@ -59,10 +61,10 @@ class CheckpointHeader:
 class Checkpoint:
     config: RunConfig
     vocabulary: Vocabulary
-    parameters: dict  # name -> read-only float64 array
+    parameters: list  # ParameterEntry per parameter, in blob order
     step: int  # completed training epochs
     optimizer: object  # AdamPayload, or None
-    moments: list  # (m, v) array pairs in parameter order; empty without an optimizer
+    blob: np.ndarray  # read-only float64: the parameter vector, then Adam m and v if saved
 
 
 def fresh_model(config, vocab):
@@ -74,20 +76,22 @@ def fresh_model(config, vocab):
     )
 
 
+def _layout(model):
+    return [ParameterEntry(name, t.shape) for name, t in model.named_parameters().items()]
+
+
 def save_checkpoint(path, model, vocab, config, step, optimizer=None):
-    named = model.named_parameters()
-    arrays = [tensor.values for tensor in named.values()]
-    adam = None
+    vectors, adam = [model.values], None
     if optimizer is not None:
+        vectors += [optimizer.m, optimizer.v]
         adam = to_payload(AdamPayload(
             optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.eps, optimizer.step
         ))
-        arrays += optimizer.m + optimizer.v
     header = CheckpointHeader(
         config=config,
         vocabulary=vocab.content_words,
         step=int(step),
-        parameters=[ParameterEntry(name, t.values.shape) for name, t in named.items()],
+        parameters=_layout(model),
         optimizer=adam,
     )
     line = json.dumps(
@@ -95,12 +99,12 @@ def save_checkpoint(path, model, vocab, config, step, optimizer=None):
     )
     with atomic_write(path) as fh:
         fh.write(line.encode("utf-8") + b"\n")
-        for array in arrays:
-            fh.write(np.ascontiguousarray(array, dtype="<f8"))
+        for vector in vectors:
+            fh.write(np.ascontiguousarray(vector, dtype="<f8"))
 
 
 def load_checkpoint(path):
-    """The checkpoint at `path`; its arrays are views into the bytes read."""
+    """The checkpoint at `path`; its blob is a view into the bytes read."""
     with open(path, "rb") as fh:
         data = fh.read()
     header = data.partition(b"\n")[0]
@@ -128,67 +132,42 @@ def _checkpoint_from_header(payload, blob):
     optimizer = None
     if header.optimizer is not None:
         optimizer = from_payload(AdamPayload, header.optimizer, "optimizer")
-    shapes = [entry.shape for entry in header.parameters] * (1 if optimizer is None else 3)
-    count = sum(math.prod(shape) for shape in shapes)
+    count = sum(math.prod(entry.shape) for entry in header.parameters)
+    count *= 1 if optimizer is None else 3
     if len(blob) != 8 * count:
         raise ConfigError(f"blob holds {len(blob)} bytes, header declares {count} float64 values")
     values = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(values).all():
         raise ConfigError("blob holds a non-finite value")
-    arrays, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        arrays.append(values[start:start + size].reshape(shape))
-        start += size
-    n = len(header.parameters)
-    parameters = {entry.name: array for entry, array in zip(header.parameters, arrays)}
-    if len(parameters) != n:
+    if len({entry.name for entry in header.parameters}) != len(header.parameters):
         raise ConfigError("a parameter name appears twice")
-    return Checkpoint(
-        config=header.config,
-        vocabulary=Vocabulary(header.vocabulary),
-        parameters=parameters,
-        step=header.step,
-        optimizer=optimizer,
-        moments=list(zip(arrays[n:2 * n], arrays[2 * n:])),
-    )
+    return Checkpoint(header.config, Vocabulary(header.vocabulary), header.parameters,
+                      header.step, optimizer, blob=values)
 
 
 def build_model(checkpoint):
     """Reconstruct the model and load the stored parameters into it."""
     model = fresh_model(checkpoint.config, checkpoint.vocabulary)
-    named = model.named_parameters()
-    if set(named) != set(checkpoint.parameters):
-        missing = sorted(set(named) ^ set(checkpoint.parameters))
-        raise ValidationError(f"checkpoint parameters do not match the model: {missing[:4]}")
-    for name, tensor in named.items():
-        stored = checkpoint.parameters[name]
-        if stored.shape != tensor.values.shape:
-            raise ValidationError(
-                f"parameter {name!r}: stored shape {stored.shape}, model {tensor.values.shape}"
-            )
-        tensor.values[...] = stored
+    stored, wanted = checkpoint.parameters, _layout(model)
+    if stored != wanted:
+        differ = sorted({(e.name, e.shape) for e in stored} ^ {(e.name, e.shape) for e in wanted})
+        raise ValidationError(f"checkpoint parameters do not match the model: "
+                              f"{differ[:4] or 'the same parameters in another order'}")
+    model.values[...] = checkpoint.blob[: model.values.size]
     return model
 
 
-def restore_optimizer(checkpoint, params):
-    """Rebuild the Adam accumulators saved alongside the parameters."""
+def restore_optimizer(checkpoint, model):
+    """Rebuild the Adam vectors saved alongside the parameters of `model`."""
     stored = checkpoint.optimizer
     if stored is None:
         raise ValidationError("checkpoint carries no optimizer state")
-    if len(checkpoint.moments) != len(params):
-        raise ValidationError(
-            f"optimizer state covers {len(checkpoint.moments)} parameters, model has {len(params)}"
-        )
-    state = AdamState(
-        params, lr=stored.lr, beta1=stored.beta1, beta2=stored.beta2, eps=stored.eps
-    )
+    n = model.values.size
+    if checkpoint.blob.size != 3 * n:
+        raise ValidationError(f"optimizer state covers {checkpoint.blob.size // 3} values, "
+                              f"model has {n}")
+    state = AdamState(n, stored.lr, stored.beta1, stored.beta2, stored.eps)
     state.step = stored.step
-    for i, (p, (m, v)) in enumerate(zip(params, checkpoint.moments)):
-        if m.shape != p.values.shape:
-            raise ValidationError(
-                f"optimizer moment {i}: stored shape {m.shape}, model {p.values.shape}"
-            )
-        state.m[i][...] = m
-        state.v[i][...] = v
+    state.m[...] = checkpoint.blob[n:2 * n]
+    state.v[...] = checkpoint.blob[2 * n:]
     return state

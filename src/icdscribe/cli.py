@@ -113,16 +113,12 @@ def cmd_train(args):
             raise ValidationError("checkpoint vocabulary does not match the training manifest")
         config = ckpt.config
         model = build_model(ckpt)
-        optimizer = restore_optimizer(ckpt, model.parameters())
+        optimizer = restore_optimizer(ckpt, model)
         start_epoch = ckpt.step
     else:
         config = _load_config(args)
         model = fresh_model(config, vocab)
-        opt_cfg = config.optimizer
-        optimizer = AdamState(
-            model.parameters(),
-            lr=opt_cfg.lr, beta1=opt_cfg.beta1, beta2=opt_cfg.beta2, eps=opt_cfg.eps,
-        )
+        optimizer = AdamState(model.values.size, **dataclasses.asdict(config.optimizer))
         start_epoch = 0
     epochs = args.epochs if args.epochs is not None else config.training.epochs
     if start_epoch >= epochs:
@@ -225,9 +221,7 @@ def cmd_transcribe(args):
         overrides["lambda_acoustic"] = args.lambda_acoustic
     if args.lambda_lm is not None:
         overrides["lambda_lm"] = args.lambda_lm
-    if args.greedy:
-        overrides["beam_width"] = 1
-    elif args.beam is not None:
+    if args.beam is not None:
         overrides["beam_width"] = args.beam
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
@@ -295,7 +289,6 @@ def _build_parser():
     p.add_argument("--lambda-acoustic", type=float, dest="lambda_acoustic")
     p.add_argument("--lambda-lm", type=float, dest="lambda_lm")
     p.add_argument("--beam", type=int, help="beam width override")
-    p.add_argument("--greedy", action="store_true", help="width-1 decoding")
     p.add_argument("--output", help="also write transcriptions to this file")
     p.set_defaults(func=cmd_transcribe)
 

@@ -72,9 +72,6 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
-    def to_dict(self):
-        return {"format": CONFIG_FORMAT, **to_payload(self)}
-
     @classmethod
     def from_dict(cls, payload):
         """Parse a config document; the format tag is optional, but must match when present."""

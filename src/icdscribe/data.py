@@ -25,7 +25,7 @@ from .audio import (
     synthesize_word,
 )
 from .errors import ContractError, ParseError, ValidationError
-from .lm import Corpus, normalize_line
+from .lm import normalize_line
 from .schema import from_payload, read_document, to_payload, write_document
 from .seeds import stable_seed
 
@@ -110,10 +110,6 @@ def build_vocabulary(codes):
     if not codes:
         raise ContractError("cannot build a vocabulary from an empty code list")
     return Vocabulary(w for c in codes for w in c.words)
-
-
-def corpus_from_codes(codes):
-    return Corpus([list(c.words) for c in codes])
 
 
 def default_speakers():

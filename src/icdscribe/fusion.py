@@ -134,7 +134,6 @@ def train_with_scheduled_lm_sampling(
         raise ContractError(f"start epoch {start_epoch} outside [0, {epochs}]")
     check_vocabulary_alignment(lm, vocab)
     features = [standardize_spectrogram(u.spectrogram.values) for u in utterances]
-    params = model.parameters()
     log = []
     for epoch in range(start_epoch, epochs):
         p = lm_sample_probability(cfg, epoch, epochs)
@@ -145,11 +144,11 @@ def train_with_scheduled_lm_sampling(
             logits = model.forward_teacher_forced(features[index], utt.target, input_tokens=inputs)
             loss = softmax_cross_entropy(logits, utt.target[1:])
             backward(loss)
-            norm = clip_global_norm(params, clip_norm)
+            norm = clip_global_norm(model.grads, clip_norm)
             if not math.isfinite(norm):
                 raise ValidationError(f"epoch {epoch}, utterance {index}: loss {loss.item()}, "
                                       f"gradient norm {norm}; no parameter was updated")
-            adam_step(params, optimizer)
+            adam_step(model.values, model.grads, optimizer)
             total += loss.item()
         stats = EpochStats(epoch=epoch, mean_loss=total / len(utterances), lm_sample_p=p)
         log.append(stats)

@@ -26,11 +26,11 @@ from .autodiff import (
     lstm,
     matmul,
     narrow,
+    parameter_vectors,
     relu,
     reshape,
     softmax,
     tanh,
-    uniform_init,
     zeros,
 )
 from .data import EOS, PAD, SOS
@@ -103,28 +103,25 @@ class Seq2SeqModel:
         self.decoder_cfg = decoder_cfg
         self.input_dim = input_dim
         self.seed = seed
-        self._params = {}
-        rng = np.random.default_rng(stable_seed("model-init", seed))
+        layout = {}  # name -> (shape, fan-in or initial values), in registration order
 
         def param(name, shape, fan_in=None):
-            self._params[name] = uniform_init(rng, shape, fan_in=fan_in)
-            return self._params[name]
+            layout[name] = (shape, fan_in or shape[0])
 
-        def bias(name, size):
-            self._params[name] = Tensor(np.zeros(size), requires_grad=True)
-            return self._params[name]
+        def bias(name, values):
+            layout[name] = (values.shape, values)
 
         channels = input_dim
         for l, spec in enumerate(encoder_cfg.conv):
             param(f"conv{l}.w", (spec.kernel, channels, spec.channels), fan_in=spec.kernel * channels)
-            bias(f"conv{l}.b", spec.channels)
+            bias(f"conv{l}.b", np.zeros(spec.channels))
             channels = spec.channels
 
         def lstm_params(prefix, in_dim, n):
             param(f"{prefix}.wx", (in_dim, 4 * n))
             param(f"{prefix}.wh", (n, 4 * n))
-            # open forget gates at init so early state survives long sequences
-            bias(f"{prefix}.b", 4 * n).values[n : 2 * n] = 1.0
+            # open forget gates (i, f, g, o) at init so early state survives long sequences
+            bias(f"{prefix}.b", np.repeat([0.0, 1.0, 0.0, 0.0], n))
 
         in_dim = channels * encoder_cfg.beta
         for j in range(encoder_cfg.layers):
@@ -137,14 +134,14 @@ class Seq2SeqModel:
 
         param("attn.query", (decoder_cfg.hidden, decoder_cfg.attention_dim))
         param("attn.keys", (encoder_cfg.hidden, decoder_cfg.attention_dim))
-        bias("attn.b", decoder_cfg.attention_dim)
+        bias("attn.b", np.zeros(decoder_cfg.attention_dim))
         param("attn.score", (decoder_cfg.attention_dim, 1))
 
         param("out.w", (decoder_cfg.hidden + encoder_cfg.hidden, decoder_cfg.vocab_size))
-        bias("out.b", decoder_cfg.vocab_size)
-
-    def parameters(self):
-        return list(self._params.values())
+        bias("out.b", np.zeros(decoder_cfg.vocab_size))
+        # every parameter's values and grad are views into these two vectors
+        rng = np.random.default_rng(stable_seed("model-init", seed))
+        self.values, self.grads, self._params = parameter_vectors(layout, rng)
 
     def named_parameters(self):
         return dict(self._params)

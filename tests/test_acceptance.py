@@ -126,7 +126,6 @@ class TestGradientFidelity:
         for name, p in model.named_parameters().items():
             numeric = finite_difference_grad(loss_value, p.values)
             assert_grad_close(p.grad, numeric, rtol=1e-3)
-            p.zero_grad()
         assert time.monotonic() - started < 30.0
 
 
@@ -446,7 +445,7 @@ class TestOverfitRecovery:
         lm = train_lm(Corpus([list(c.words) for c in codes]), max_order=3)
         config = RunConfig(seed=0, dataset=dataset, encoder=desk_encoder(), decoder=desk_decoder())
         model = fresh_model(config, vocab)
-        optimizer = AdamState(model.parameters(), lr=2e-3)
+        optimizer = AdamState(model.values.size, lr=2e-3)
         train_cfg = FusionConfig(lm_sample_max=0.0)
         decode_cfg = FusionConfig(lambda_lm=0.0, beam_width=1, max_decode_len=12)
 
@@ -498,7 +497,7 @@ class TestHeldOutSpeaker:
         lm = train_lm(Corpus([list(c.words) for c in codes]), max_order=3)
         config = RunConfig(seed=0, dataset=dataset, encoder=desk_encoder(), decoder=desk_decoder())
         model = fresh_model(config, vocab)
-        optimizer = AdamState(model.parameters(), lr=2e-3)
+        optimizer = AdamState(model.values.size, lr=2e-3)
         train_with_scheduled_lm_sampling(
             model, lm, vocab, train_utts, FusionConfig(lm_sample_max=0.0),
             epochs=30, optimizer=optimizer, seed=0,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icdscribe import autodiff as ad
 from icdscribe.errors import ContractError, ShapeError
@@ -145,6 +147,13 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, 4.0 * x.values, atol=1e-12)
 
+    def test_only_leaves_keep_a_gradient(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        square = ad.mul(x, x)
+        ad.backward(ad.sum_all(square))
+        assert square.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
     def test_backward_rejects_non_scalar(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
@@ -268,34 +277,82 @@ class TestGradientsAgainstFiniteDifferences:
             assert_grad_close(leaf.grad, finite_difference_grad(forward, leaf.values), rtol=1e-4)
 
 
+class TestParameterVectors:
+    @given(
+        fan_ins=st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=4),
+        rows=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_draws_equal_rng_uniform_in_layout_order(self, fan_ins, rows, seed):
+        layout = {f"w{i}": ((rows, i + 1), fan_in) for i, fan_in in enumerate(fan_ins)}
+        layout["b"] = ((3,), np.array([0.0, 1.0, 2.0]))
+        values, grads, params = ad.parameter_vectors(layout, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for i, fan_in in enumerate(fan_ins):
+            bound = 1.0 / float(fan_in) ** 0.5
+            want = rng.uniform(-bound, bound, size=(rows, i + 1))
+            assert np.array_equal(params[f"w{i}"].values, want)
+        np.testing.assert_array_equal(params["b"].values, [0.0, 1.0, 2.0])
+        assert np.array_equal(values, np.concatenate([p.values.ravel() for p in params.values()]))
+        assert grads.shape == values.shape and not grads.any()
+
+
+def textbook_adam(values, grads, m, v, step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Kingma & Ba's bias-corrected update, element by element over whole vectors."""
+    m = b1 * m + (1.0 - b1) * grads
+    v = b2 * v + (1.0 - b2) * grads * grads
+    c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+    return values - lr * (m / c1) / (np.sqrt(v / c2) + eps), m, v
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        p = ad.Tensor([1.0, -2.0], requires_grad=True)
-        p.grad = np.zeros(2)
-        state = ad.AdamState([p], lr=0.1)
-        ad.adam_step([p], state)
-        np.testing.assert_array_equal(p.values, [1.0, -2.0])
+        values = np.array([1.0, -2.0])
+        state = ad.AdamState(2, lr=0.1)
+        ad.adam_step(values, np.zeros(2), state)
+        np.testing.assert_array_equal(values, [1.0, -2.0])
 
     def test_step_count_increments_by_one(self):
-        p = ad.Tensor([0.0], requires_grad=True)
-        state = ad.AdamState([p])
+        values = np.zeros(1)
+        state = ad.AdamState(1)
         for expected in (1, 2, 3):
-            p.grad = np.ones(1)
-            ad.adam_step([p], state)
+            ad.adam_step(values, np.ones(1), state)
             assert state.step == expected
 
-    def test_missing_grad_is_a_contract_error(self):
-        p = ad.Tensor([0.0], requires_grad=True)
-        state = ad.AdamState([p])
-        with pytest.raises(ContractError):
-            ad.adam_step([p], state)
+    def test_length_mismatch_is_a_contract_error(self):
+        state = ad.AdamState(3)
+        with pytest.raises(ContractError, match="covers 3 values"):
+            ad.adam_step(np.zeros(3), np.zeros(2), state)
+        with pytest.raises(ContractError, match="covers 3 values"):
+            ad.adam_step(np.zeros(4), np.zeros(4), state)
+        assert state.step == 0
 
     def test_grads_zeroed_after_step(self):
-        p = ad.Tensor([0.0], requires_grad=True)
-        state = ad.AdamState([p])
-        p.grad = np.ones(1)
-        ad.adam_step([p], state)
-        assert p.grad is None
+        grads = np.ones(1)
+        ad.adam_step(np.zeros(1), grads, ad.AdamState(1))
+        np.testing.assert_array_equal(grads, [0.0])
+
+    @given(
+        size=st.sampled_from([
+            n + d for n in (ad.ADAM_BLOCK, 2 * ad.ADAM_BLOCK) for d in (-1, 0, 1)
+        ] + [1, 7]),
+        steps=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_blocks_match_the_textbook_update(self, size, steps, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=size)
+        state = ad.AdamState(size, lr=0.01)
+        want, m, v = values.copy(), np.zeros(size), np.zeros(size)
+        for step in range(1, steps + 1):
+            grads = rng.normal(size=size) * rng.choice([1e-6, 1.0, 1e3], size=size)
+            want, m, v = textbook_adam(want, grads, m, v, step, lr=0.01)
+            ad.adam_step(values, grads, state)
+            assert not grads.any()
+        assert np.array_equal(values, want)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
     def test_converges_on_scalar_quadratic(self):
         # oracle: the same recurrence on plain floats, gradient 2(x-3)
@@ -308,27 +365,37 @@ class TestAdam:
                 x -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
             return x
 
-        p = ad.Tensor([0.0], requires_grad=True)
-        state = ad.AdamState([p], lr=0.1)
+        values, grads, params = ad.parameter_vectors({"x": ((1,), np.zeros(1))}, rng=None)
+        p = params["x"]
+        state = ad.AdamState(values.size, lr=0.1)
         for _ in range(200):
             diff = ad.add(p, ad.Tensor([-3.0]))
             ad.backward(ad.sum_all(ad.mul(diff, diff)))
-            ad.adam_step([p], state)
+            ad.adam_step(values, grads, state)
         assert abs(p.values[0] - 3.0) < 0.1
         assert p.values[0] == pytest.approx(reference(200, 0.1), abs=1e-9)
 
     def test_clip_global_norm(self):
-        p1 = ad.Tensor([3.0], requires_grad=True)
-        p2 = ad.Tensor([4.0], requires_grad=True)
-        p1.grad = np.array([3.0])
-        p2.grad = np.array([4.0])
-        norm = ad.clip_global_norm([p1, p2], 1.0)
+        grads = np.array([3.0, 4.0])
+        norm = ad.clip_global_norm(grads, 1.0)
         assert norm == pytest.approx(5.0)
-        clipped = math.hypot(p1.grad[0], p2.grad[0])
-        assert clipped == pytest.approx(1.0)
+        assert math.hypot(*grads) == pytest.approx(1.0)
+
+    @given(
+        size=st.integers(min_value=1, max_value=200_000),
+        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_clip_norm_matches_an_exact_sum(self, size, scale, seed):
+        # the reference is a correctly rounded sum; n * eps bounds the vector sum's error
+        grads = np.random.default_rng(seed).normal(size=size) * scale
+        original = grads.copy()
+        norm = ad.clip_global_norm(grads, 1.0)
+        assert norm == pytest.approx(math.sqrt(math.fsum(original * original)), rel=size * 2.3e-16)
+        np.testing.assert_array_equal(grads, original * (1.0 / norm) if norm > 1.0 else original)
 
     def test_clip_below_threshold_is_identity(self):
-        p = ad.Tensor([1.0], requires_grad=True)
-        p.grad = np.array([0.5])
-        ad.clip_global_norm([p], 5.0)
-        assert p.grad[0] == 0.5
+        grads = np.array([0.5])
+        ad.clip_global_norm(grads, 5.0)
+        assert grads[0] == 0.5

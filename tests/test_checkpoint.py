@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from helpers import fail_writes_after
 
 from icdscribe.audio import FrontendConfig
-from icdscribe.autodiff import AdamState
+from icdscribe.autodiff import AdamState, adam_step
 from icdscribe.checkpoint import (
     build_model,
     fresh_model,
@@ -20,6 +21,7 @@ from icdscribe.errors import ConfigError, ParseError, ValidationError
 from icdscribe.fusion import FusionConfig, train_with_scheduled_lm_sampling
 from icdscribe.lm import Corpus, train_lm
 from icdscribe.model import ConvSpec, EncoderConfig
+from icdscribe.schema import to_payload
 
 VOCAB = build_vocabulary([IcdCode("X", ["aa", "bb"])])
 LM = train_lm(Corpus([["aa", "bb"], ["bb", "aa"]]), max_order=2)
@@ -50,13 +52,10 @@ def fake_utterances():
 
 def touched_optimizer(model):
     """Optimizer whose moments are nonzero, so serialization is exercised."""
-    params = model.parameters()
-    state = AdamState(params, lr=2e-3)
-    for i, p in enumerate(params):
-        p.grad = np.full_like(p.values, 0.01 * (i + 1))
-    from icdscribe.autodiff import adam_step
-
-    adam_step(params, state)
+    state = AdamState(model.values.size, lr=2e-3)
+    for i, p in enumerate(model.named_parameters().values()):
+        p.grad[...] = 0.01 * (i + 1)
+    adam_step(model.values, model.grads, state)
     return state
 
 
@@ -73,7 +72,7 @@ class TestRoundTrip:
             assert np.array_equal(rebuilt.named_parameters()[name].values, tensor.values)
         assert loaded.step == 0
         assert loaded.vocabulary == VOCAB
-        assert loaded.config.to_dict() == config.to_dict()
+        assert to_payload(loaded.config) == to_payload(config)
 
     def test_resave_is_byte_identical(self, tmp_path):
         config = run_config()
@@ -85,7 +84,7 @@ class TestRoundTrip:
             rebuilt = build_model(loaded)
             restored = None
             if optimizer is not None:
-                restored = restore_optimizer(loaded, rebuilt.parameters())
+                restored = restore_optimizer(loaded, rebuilt)
             save_checkpoint(b, rebuilt, VOCAB, config, step=2, optimizer=restored)
             assert a.read_bytes() == b.read_bytes()
 
@@ -102,9 +101,9 @@ class TestRoundTrip:
         compact = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert header == compact.encode("ascii") + b"\n"
         assert payload["format"] == "ckpt-v2"
-        params = sum(p.values.size for p in model.parameters())
+        params = model.values.size
         assert len(raw) == len(header) + 8 * (params + 2 * params)
-        arrays = [p.values for p in model.parameters()] + state.m + state.v
+        arrays = [p.values for p in model.named_parameters().values()] + [state.m, state.v]
         want = np.concatenate([a.ravel() for a in arrays]).astype("<f8").tobytes()
         assert raw[len(header):] == want
 
@@ -117,13 +116,48 @@ class TestRoundTrip:
 
         loaded = load_checkpoint(path)
         rebuilt = build_model(loaded)
-        restored = restore_optimizer(loaded, rebuilt.parameters())
+        restored = restore_optimizer(loaded, rebuilt)
         assert restored.step == state.step
         assert restored.lr == state.lr
-        for got, want in zip(restored.m, state.m):
-            assert np.array_equal(got, want)
-        for got, want in zip(restored.v, state.v):
-            assert np.array_equal(got, want)
+        assert np.array_equal(restored.m, state.m)
+        assert np.array_equal(restored.v, state.v)
+
+    def test_per_parameter_layout_loads_bit_for_bit(self, tmp_path):
+        """A file packed one parameter array at a time, then each m, then each v, still loads."""
+        config = run_config()
+        named = fresh_model(config, VOCAB).named_parameters()
+        rng = np.random.default_rng(12)
+        arrays = {
+            kind: [rng.normal(size=t.shape) ** power for t in named.values()]
+            for kind, power in (("values", 1), ("m", 1), ("v", 2))
+        }
+        header = {
+            "format": "ckpt-v2",
+            "config": to_payload(config),
+            "vocabulary": VOCAB.content_words,
+            "step": 3,
+            "parameters": [{"name": name, "shape": list(t.shape)} for name, t in named.items()],
+            "optimizer": {"lr": 0.002, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 7},
+        }
+        blob = b"".join(
+            a.astype("<f8").tobytes() for kind in ("values", "m", "v") for a in arrays[kind]
+        )
+        path = tmp_path / "packed.ckpt"
+        path.write_bytes(
+            json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n" + blob
+        )
+
+        loaded = load_checkpoint(path)
+        rebuilt = build_model(loaded)
+        for (name, tensor), want in zip(rebuilt.named_parameters().items(), arrays["values"]):
+            assert np.array_equal(tensor.values, want), name
+        state = restore_optimizer(loaded, rebuilt)
+        assert (state.step, state.lr, state.beta1, state.beta2, state.eps) == (7, 0.002, 0.9, 0.999, 1e-8)
+        assert np.array_equal(state.m, np.concatenate([a.ravel() for a in arrays["m"]]))
+        assert np.array_equal(state.v, np.concatenate([a.ravel() for a in arrays["v"]]))
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(resaved, rebuilt, VOCAB, loaded.config, step=3, optimizer=state)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_missing_optimizer_state_is_explicit(self, tmp_path):
         config = run_config()
@@ -132,7 +166,7 @@ class TestRoundTrip:
         save_checkpoint(path, model, VOCAB, config, step=0)
         loaded = load_checkpoint(path)
         with pytest.raises(ValidationError, match="optimizer"):
-            restore_optimizer(loaded, build_model(loaded).parameters())
+            restore_optimizer(loaded, build_model(loaded))
 
 
 class TestAtomicWrite:
@@ -182,6 +216,23 @@ class TestRejection:
         with pytest.raises(ValidationError, match="mystery"):
             build_model(load_checkpoint(self.write_tampered(tmp_path, rename)))
 
+    def test_reordered_parameters_rejected(self, tmp_path):
+        def swap(payload):
+            entries = payload["parameters"]
+            entries[0], entries[1] = entries[1], entries[0]
+
+        with pytest.raises(ValidationError, match="another order"):
+            build_model(load_checkpoint(self.write_tampered(tmp_path, swap)))
+
+    def test_optimizer_of_another_model_rejected(self, tmp_path):
+        config = run_config()
+        model = fresh_model(config, VOCAB)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, VOCAB, config, step=1, optimizer=touched_optimizer(model))
+        wider = replace(config, decoder=DecoderSettings(embedding_dim=5, hidden=6, attention_dim=3))
+        with pytest.raises(ValidationError, match="optimizer state covers"):
+            restore_optimizer(load_checkpoint(path), fresh_model(wider, VOCAB))
+
     def test_negative_dimension_rejected(self, tmp_path):
         def negate(payload):
             payload["parameters"][0]["shape"][0] *= -1
@@ -190,7 +241,7 @@ class TestRejection:
             load_checkpoint(self.write_tampered(tmp_path, negate))
 
     def test_repeated_parameter_rejected(self, tmp_path):
-        first = fresh_model(run_config(), VOCAB).parameters()[0].values
+        first = fresh_model(run_config(), VOCAB).named_parameters()["conv0.w"].values
 
         def repeat(payload):
             payload["parameters"].append(payload["parameters"][0])
@@ -211,13 +262,13 @@ class TestResume:
         leg1_cfg = FusionConfig(lm_sample_max=0.5, ramp_frac=2 / 3)
 
         straight = fresh_model(config, VOCAB)
-        opt = AdamState(straight.parameters(), lr=2e-3)
+        opt = AdamState(straight.values.size, lr=2e-3)
         wanted = train_with_scheduled_lm_sampling(
             straight, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt, seed=7
         )
 
         first = fresh_model(config, VOCAB)
-        opt1 = AdamState(first.parameters(), lr=2e-3)
+        opt1 = AdamState(first.values.size, lr=2e-3)
         leg1 = train_with_scheduled_lm_sampling(
             first, LM, VOCAB, utts, leg1_cfg, epochs=3, optimizer=opt1, seed=7
         )
@@ -226,7 +277,7 @@ class TestResume:
 
         loaded = load_checkpoint(path)
         second = build_model(loaded)
-        opt2 = restore_optimizer(loaded, second.parameters())
+        opt2 = restore_optimizer(loaded, second)
         leg2 = train_with_scheduled_lm_sampling(
             second, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt2, seed=7,
             start_epoch=loaded.step,

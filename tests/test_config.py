@@ -4,6 +4,7 @@ import math
 import pytest
 
 from icdscribe.config import (
+    CONFIG_FORMAT,
     DecoderSettings,
     OptimizerConfig,
     RunConfig,
@@ -12,24 +13,25 @@ from icdscribe.config import (
     save_run_config,
 )
 from icdscribe.errors import ConfigError
+from icdscribe.schema import to_payload
 
 
 class TestRoundTrip:
     def test_defaults_survive_dict_round_trip(self):
-        first = RunConfig().to_dict()
-        assert RunConfig.from_dict(first).to_dict() == first
+        first = to_payload(RunConfig())
+        assert to_payload(RunConfig.from_dict({"format": CONFIG_FORMAT, **first})) == first
 
     def test_partial_document_materializes_all_defaults(self):
         config = RunConfig.from_dict({"training": {"epochs": 3}})
         assert config.training.epochs == 3
-        payload = config.to_dict()
+        payload = to_payload(config)
         for section in ("dataset", "encoder", "decoder", "fusion", "optimizer", "training"):
             assert section in payload
         assert payload["fusion"]["lambda_lm"] == 0.3
         assert payload["training"]["clip_norm"] == 5.0
 
     def test_empty_document_equals_defaults(self):
-        assert RunConfig.from_dict({}).to_dict() == RunConfig().to_dict()
+        assert to_payload(RunConfig.from_dict({})) == to_payload(RunConfig())
 
     def test_file_round_trip_is_byte_identical(self, tmp_path):
         path = tmp_path / "run.json"
@@ -41,7 +43,7 @@ class TestRoundTrip:
     def test_snr_none_means_noiseless(self):
         config = RunConfig.from_dict({"dataset": {"room": {"snr_db": None}}})
         assert math.isinf(config.dataset.room.snr_db)
-        assert config.to_dict()["dataset"]["room"]["snr_db"] is None
+        assert to_payload(config)["dataset"]["room"]["snr_db"] is None
 
     def test_custom_speakers_parsed(self):
         config = RunConfig.from_dict(
@@ -107,4 +109,4 @@ class TestValidation:
             RunConfig.from_dict({"fusion": {"lambda_acoustic": -1.0}})
 
     def test_serialized_document_is_plain_json(self):
-        json.dumps(RunConfig().to_dict())
+        json.dumps(to_payload(RunConfig()))

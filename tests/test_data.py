@@ -17,7 +17,6 @@ from icdscribe.data import (
     Vocabulary,
     build_vocabulary,
     bundled_icd_path,
-    corpus_from_codes,
     default_speakers,
     generate_dataset,
     iter_utterances,
@@ -288,11 +287,6 @@ class TestGenerateDataset:
     def test_empty_codes_rejected(self):
         with pytest.raises(ContractError):
             generate_dataset([], small_config())
-
-    def test_corpus_lines_match_descriptions(self):
-        codes = [IcdCode("A", ["low", "back", "pain"]), IcdCode("B", ["fever"])]
-        corpus = corpus_from_codes(codes)
-        assert corpus.sentences == [["low", "back", "pain"], ["fever"]]
 
 
 class TestSplitBySpeaker:

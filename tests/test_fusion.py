@@ -211,11 +211,11 @@ class TestTraining:
 
         trained = tiny_model(seed=5)
         log = train_with_scheduled_lm_sampling(
-            trained, LM, VOCAB, utts, cfg, epochs=3, optimizer=AdamState(trained.parameters()), seed=1
+            trained, LM, VOCAB, utts, cfg, epochs=3, optimizer=AdamState(trained.values.size), seed=1
         )
 
         manual = tiny_model(seed=5)
-        opt = AdamState(manual.parameters())
+        opt = AdamState(manual.values.size)
         manual_losses = []
         for _ in range(3):
             total = 0.0
@@ -225,8 +225,8 @@ class TestTraining:
                     manual.forward_teacher_forced(feats, utt.target), utt.target[1:]
                 )
                 backward(loss)
-                clip_global_norm(manual.parameters(), 5.0)
-                adam_step(manual.parameters(), opt)
+                clip_global_norm(manual.grads, 5.0)
+                adam_step(manual.values, manual.grads, opt)
                 total += loss.item()
             manual_losses.append(total / len(utts))
 
@@ -239,14 +239,14 @@ class TestTraining:
             model = tiny_model(seed=2)
             log = train_with_scheduled_lm_sampling(
                 model, LM, VOCAB, fake_utterances(), cfg, epochs=4,
-                optimizer=AdamState(model.parameters()), seed=9,
+                optimizer=AdamState(model.values.size), seed=9,
             )
             runs.append([e.mean_loss for e in log])
         assert runs[0] == runs[1]
 
     def test_loss_decreases_on_tiny_problem(self):
         model = tiny_model(seed=3)
-        opt = AdamState(model.parameters(), lr=5e-3)
+        opt = AdamState(model.values.size, lr=5e-3)
         log = train_with_scheduled_lm_sampling(
             model, LM, VOCAB, fake_utterances(), FusionConfig(lm_sample_max=0.0),
             epochs=25, optimizer=opt, seed=0,
@@ -259,7 +259,7 @@ class TestTraining:
         with pytest.raises(ValidationError, match="zebra"):
             train_with_scheduled_lm_sampling(
                 model, LM, vocab, fake_utterances(), FusionConfig(),
-                epochs=1, optimizer=AdamState(model.parameters()),
+                epochs=1, optimizer=AdamState(model.values.size),
             )
 
     def test_empty_dataset_rejected(self):
@@ -267,7 +267,7 @@ class TestTraining:
         with pytest.raises(ContractError):
             train_with_scheduled_lm_sampling(
                 model, LM, VOCAB, [], FusionConfig(), epochs=1,
-                optimizer=AdamState(model.parameters()),
+                optimizer=AdamState(model.values.size),
             )
 
     def test_nan_loss_stops_before_the_update(self):
@@ -275,12 +275,12 @@ class TestTraining:
         utts[1].spectrogram.values[3, 2] = np.nan  # every feature, loss and gradient turn NaN
         cfg = FusionConfig(lm_sample_max=0.0)
         model, twin = tiny_model(seed=4), tiny_model(seed=4)
-        opt = AdamState(model.parameters())
+        opt = AdamState(model.values.size)
         with pytest.raises(ValidationError, match="epoch 0, utterance 1"):
             train_with_scheduled_lm_sampling(model, LM, VOCAB, utts, cfg, epochs=2, optimizer=opt)
         # the twin takes only the good first step; the bad one must change nothing
         train_with_scheduled_lm_sampling(
-            twin, LM, VOCAB, utts[:1], cfg, epochs=1, optimizer=AdamState(twin.parameters())
+            twin, LM, VOCAB, utts[:1], cfg, epochs=1, optimizer=AdamState(twin.values.size)
         )
         assert opt.step == 1
         for name, p in model.named_parameters().items():
@@ -291,7 +291,7 @@ class TestTraining:
         cfg = FusionConfig(lm_sample_max=0.25, ramp_frac=0.5)
         log = train_with_scheduled_lm_sampling(
             model, LM, VOCAB, fake_utterances()[:1], cfg, epochs=4,
-            optimizer=AdamState(model.parameters()),
+            optimizer=AdamState(model.values.size),
         )
         assert [e.lm_sample_p for e in log] == [
             lm_sample_probability(cfg, e, 4) for e in range(4)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_grad_close, finite_difference_grad
-from icdscribe.autodiff import backward, softmax, softmax_cross_entropy
+from icdscribe.autodiff import Tensor, add, backward, softmax, softmax_cross_entropy
 from icdscribe.data import EOS, SOS
 from icdscribe.errors import ContractError
 from icdscribe.model import (
@@ -83,8 +83,7 @@ class TestEncoder:
 
     def test_zero_weights_give_constant_states(self):
         model = no_conv_model(layers=2)
-        for p in model.parameters():
-            p.values[:] = 0.0
+        model.values[:] = 0.0
         hidden = model.encode(spectrogram(12)).hidden.values
         assert np.allclose(hidden, hidden[0])
 
@@ -148,7 +147,7 @@ class TestAttention:
         encoded = model.encode(spectrogram(24, seed=2))
         scores = model.attention_scores(model.start_state()[0], encoded)
         base = softmax(scores).values
-        shifted = softmax(scores + np.full(scores.shape, 17.3)).values
+        shifted = softmax(add(scores, Tensor(np.full(scores.shape, 17.3)))).values
         assert np.allclose(base, shifted, atol=1e-12)
 
     def test_weights_nonnegative_and_normalized(self):
@@ -263,7 +262,6 @@ class TestGradients:
         for name, p in model.named_parameters().items():
             numeric = finite_difference_grad(loss_value, p.values, h=1e-5)
             assert_grad_close(p.grad, numeric, rtol=1e-3)
-            p.zero_grad()
 
     def test_no_dead_parameters_at_init(self):
         model = small_model(seed=21)
@@ -274,6 +272,23 @@ class TestGradients:
         for name, p in model.named_parameters().items():
             assert p.grad is not None, name
             assert np.any(p.grad != 0.0), name
+
+    def test_parameters_are_views_of_the_flat_vectors(self):
+        model = small_model(seed=21)
+        target = [SOS, 4, 5, 6, EOS]
+        backward(softmax_cross_entropy(
+            model.forward_teacher_forced(spectrogram(16, seed=3), target), target[1:]
+        ))
+        start = 0
+        for name, p in model.named_parameters().items():
+            stop = start + p.size
+            assert np.shares_memory(p.values, model.values[start:stop]), name
+            assert np.shares_memory(p.grad, model.grads[start:stop]), name
+            assert np.array_equal(p.values.ravel(), model.values[start:stop]), name
+            assert np.array_equal(p.grad.ravel(), model.grads[start:stop]), name
+            start = stop
+        assert start == model.values.size == model.grads.size
+        assert np.any(model.grads != 0.0)
 
 
 class TestStandardization:
