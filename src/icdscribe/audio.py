@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .schema import INF_AS_NULL
 from .seeds import stable_seed
 
@@ -91,17 +91,6 @@ class FrontendConfig:
     window: int = 400
     hop: int = 160
     n_mels: int = 40
-
-
-@dataclass
-class Spectrogram:
-    """Log-mel features, one row per frame."""
-
-    values: np.ndarray  # [frames, n_mels]
-    window: int
-    hop: int
-    n_mels: int
-    sample_rate: int
 
 
 def _char_formants(c):
@@ -221,11 +210,15 @@ def mel_filterbank(n_mels, n_fft, sample_rate):
     return bank
 
 
-def stft_logmel(w, window=400, hop=160, n_mels=40):
+def stft_logmel(w, cfg):
     """Hann-window magnitude STFT, mel filterbank, then log(x + 1e-6).
 
-    Frame count is floor((num_samples - window) / hop) + 1.
+    Returns a float64 [frames, n_mels] array, frames = floor((num_samples -
+    window) / hop) + 1.  Audio not at the config's sample rate is rejected.
     """
+    if w.sample_rate != cfg.sample_rate:
+        raise ContractError(f"audio is sampled at {w.sample_rate} Hz, not {cfg.sample_rate} Hz")
+    window, hop = cfg.window, cfg.hop
     if hop <= 0 or window < hop:
         raise ContractError(f"need window >= hop > 0, got window={window} hop={hop}")
     n = len(w.samples)
@@ -234,16 +227,11 @@ def stft_logmel(w, window=400, hop=160, n_mels=40):
     n_fft = 1 << (window - 1).bit_length()
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, window)[::hop]
     magnitude = np.abs(np.fft.rfft(frames * np.hanning(window), n=n_fft, axis=-1))
-    bank = mel_filterbank(n_mels, n_fft, w.sample_rate)
-    values = np.log(magnitude @ bank.T + 1e-6)
-    return Spectrogram(values, window, hop, n_mels, w.sample_rate)
+    bank = mel_filterbank(cfg.n_mels, n_fft, w.sample_rate)
+    return np.log(magnitude @ bank.T + 1e-6)
 
 
-def frontend_spectrogram(w, cfg):
-    """Features under a front-end config; audio at any other sample rate is rejected."""
-    if w.sample_rate != cfg.sample_rate:
-        raise ContractError(f"audio is sampled at {w.sample_rate} Hz, not {cfg.sample_rate} Hz")
-    return stft_logmel(w, window=cfg.window, hop=cfg.hop, n_mels=cfg.n_mels)
+frontend_spectrogram = stft_logmel  # the benchmark's transcribe pass calls this name
 
 
 def write_wav(path, w):
@@ -258,9 +246,17 @@ def write_wav(path, w):
 
 
 def read_wav(path):
-    with wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-            raise ContractError("only mono 16-bit PCM input is supported")
-        rate = fh.getframerate()
-        pcm = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
+    """Mono 16-bit PCM audio; a file that is not a complete wav raises ConfigError."""
+    try:
+        with wave.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
+                raise ContractError("only mono 16-bit PCM input is supported")
+            rate = fh.getframerate()
+            raw = fh.readframes(fh.getnframes())
+            if len(raw) % 2:
+                raise wave.Error("data ends mid-sample")
+    except (wave.Error, EOFError) as exc:
+        detail = str(exc) or "it ends early"
+        raise ConfigError(f"{path} is not a readable wav file: {detail}") from None
+    pcm = np.frombuffer(raw, dtype="<i2")
     return Waveform(pcm.astype(np.float64) / 32767.0, rate)

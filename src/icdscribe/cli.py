@@ -34,12 +34,12 @@ from .data import (
     save_manifest,
     split_by_speaker,
 )
-from .audio import frontend_spectrogram, read_wav
+from .audio import read_wav, stft_logmel
 from .errors import ConfigError, ContractError, ParseError, ValidationError
 from .fusion import beam_search_decode, greedy_decode, train_with_scheduled_lm_sampling
 from .lm import Corpus, load_lm, perplexity, save_lm, train_lm
 from .metrics import evaluate_dataset, format_report, wer
-from .schema import write_document
+from .schema import read_lines, write_document
 
 log = logging.getLogger("icdscribe")
 
@@ -78,8 +78,7 @@ def cmd_generate_data(args):
 
 
 def cmd_train_lm(args):
-    with open(args.corpus, encoding="utf-8") as fh:
-        corpus = Corpus.from_lines(fh)
+    corpus = Corpus.from_lines(read_lines(args.corpus))
     if not corpus.sentences:
         raise ContractError(f"corpus {args.corpus} contains no sentences")
     lm = train_lm(corpus, max_order=args.order)
@@ -203,7 +202,7 @@ def _decode_inputs(args, ckpt):
     path = Path(args.input)
     if path.suffix.lower() == ".wav":
         waveform = read_wav(path)
-        yield path.stem, frontend_spectrogram(waveform, ckpt.config.dataset.frontend)
+        yield path.stem, stft_logmel(waveform, ckpt.config.dataset.frontend)
         return
     manifest = load_manifest(path)
     if manifest.vocabulary != ckpt.vocabulary:

@@ -26,7 +26,7 @@ from .audio import (
 )
 from .errors import ContractError, ParseError, ValidationError
 from .lm import normalize_line
-from .schema import from_payload, read_document, to_payload, write_document
+from .schema import from_payload, read_document, read_lines, to_payload, write_document
 from .seeds import stable_seed
 
 PAD, SOS, EOS, UNK = 0, 1, 2, 3
@@ -48,22 +48,21 @@ def load_icd_list(path):
     """Parse a tab-separated "CODE<tab>Description" listing."""
     codes = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            code_id, tab, description = line.partition("\t")
-            if not tab:
-                raise ParseError("expected a tab between code and description", line=lineno)
-            code_id = code_id.strip()
-            words = normalize_line(description)
-            if not code_id or not words:
-                raise ParseError("code and description must both be nonempty", line=lineno)
-            if code_id in seen:
-                raise ValidationError(f"duplicate code id {code_id!r}")
-            seen.add(code_id)
-            codes.append(IcdCode(code_id, words))
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        code_id, tab, description = line.partition("\t")
+        if not tab:
+            raise ParseError("expected a tab between code and description", line=lineno)
+        code_id = code_id.strip()
+        words = normalize_line(description)
+        if not code_id or not words:
+            raise ParseError("code and description must both be nonempty", line=lineno)
+        if code_id in seen:
+            raise ValidationError(f"duplicate code id {code_id!r}")
+        seen.add(code_id)
+        codes.append(IcdCode(code_id, words))
     return codes
 
 
@@ -150,7 +149,7 @@ class UtteranceRecord:
 
 @dataclass
 class Utterance:
-    spectrogram: object
+    spectrogram: np.ndarray  # log-mel features, [frames, n_mels]
     target: list
     code: str
     speaker_id: str
@@ -211,12 +210,16 @@ def plan_variations(code, speaker, repeats, cap, seed):
     ]
 
 
-def realize_record(record, code, speaker, config, vocab, recordings=None):
+def realize_utterance(manifest, record, vocab=None, recordings=None):
     """Synthesize, degrade and featurize one planned utterance.
 
     `recordings` maps (word, speaker id, repeat index) to word waveforms
     already synthesized under this config; new ones are added to it.
     """
+    code = manifest.code_by_id(record.code)
+    speaker = manifest.speaker_by_id(record.speaker_id)
+    config = manifest.config
+    vocab = manifest.vocabulary if vocab is None else vocab
     target = vocab.encode(code.words)
     if UNK in target:
         missing = [w for w in code.words if vocab.id_of(w) == UNK]
@@ -241,11 +244,8 @@ def realize_record(record, code, speaker, config, vocab, recordings=None):
         "noise", config.seed, record.code, record.speaker_id, record.variation_index
     )
     far = apply_far_field(clean, config.room, seed=noise_seed)
-    spec = stft_logmel(
-        far, window=config.frontend.window, hop=config.frontend.hop, n_mels=config.frontend.n_mels
-    )
     return Utterance(
-        spectrogram=spec,
+        spectrogram=stft_logmel(far, cfg=config.frontend),
         target=target,
         code=record.code,
         speaker_id=record.speaker_id,
@@ -268,17 +268,6 @@ def generate_dataset(codes, config):
         records=records,
         train_speakers=[s.speaker_id for s in config.speakers],
         test_speakers=[],
-    )
-
-
-def realize_utterance(manifest, record, vocab=None, recordings=None):
-    return realize_record(
-        record,
-        manifest.code_by_id(record.code),
-        manifest.speaker_by_id(record.speaker_id),
-        manifest.config,
-        manifest.vocabulary if vocab is None else vocab,
-        recordings,
     )
 
 

@@ -133,7 +133,7 @@ def train_with_scheduled_lm_sampling(
     if not 0 <= start_epoch <= epochs:
         raise ContractError(f"start epoch {start_epoch} outside [0, {epochs}]")
     check_vocabulary_alignment(lm, vocab)
-    features = [standardize_spectrogram(u.spectrogram.values) for u in utterances]
+    features = [standardize_spectrogram(u.spectrogram) for u in utterances]
     log = []
     for epoch in range(start_epoch, epochs):
         p = lm_sample_probability(cfg, epoch, epochs)
@@ -207,7 +207,7 @@ def beam_search_decode(model, lm, x, cfg, vocab):
     """Best complete hypothesis under the fused, length-normalized score."""
     if cfg.lambda_lm > 0 and lm is None:
         raise ContractError("a language model is required when its mixing weight is positive")
-    features = standardize_spectrogram(getattr(x, "values", x))
+    features = standardize_spectrogram(x)
     encoded = model.encode(features)
     beam = [Hypothesis((SOS,), (), 0.0, 0.0, 0.0, model.start_state(), completed=False)]
     while True:

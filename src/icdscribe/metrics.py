@@ -74,22 +74,15 @@ def _ngrams(words, n):
     return Counter(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
 
 
-def _closest_ref_length(references, hyp_len):
-    # nearest reference length; ties go to the shorter reference
-    return min((abs(len(r) - hyp_len), len(r)) for r in references)[1]
-
-
-def _pair_stats(references, hypothesis, max_n):
+def _pair_stats(reference, hypothesis, max_n):
     """Clipped and total n-gram counts per order 1..max_n, then (ref_len, hyp_len)."""
     row = []
     for n in range(1, max_n + 1):
         hyp_grams = _ngrams(hypothesis, n)
-        clipped = 0
-        for gram, count in hyp_grams.items():
-            limit = max((_ngrams(r, n)[gram] for r in references), default=0)
-            clipped += min(count, limit)
+        ref_grams = _ngrams(reference, n)
+        clipped = sum(min(count, ref_grams[gram]) for gram, count in hyp_grams.items())
         row += [clipped, sum(hyp_grams.values())]
-    return row + [_closest_ref_length(references, len(hypothesis)), len(hypothesis)]
+    return row + [len(reference), len(hypothesis)]
 
 
 def _bleu_from_stats(row, max_n):
@@ -108,19 +101,11 @@ def _pooled_bleu(weights, stats, max_n):
     return [_bleu_from_stats(row, max_n) for row in (weights @ stats).tolist()]
 
 
-def bleu(references, hypothesis, max_n=4):
-    """Smoothed BLEU for one hypothesis against one or more references."""
-    if not references:
-        raise ContractError("need at least one reference")
-    stats = _pair_stats([list(r) for r in references], list(hypothesis), max_n)
-    return _bleu_from_stats(stats, max_n)
-
-
 def corpus_bleu(pairs, max_n=4):
     """BLEU over (reference, hypothesis) pairs, counts pooled before the mean."""
     if not pairs:
         raise ContractError("need at least one sentence pair")
-    stats = np.array([_pair_stats([list(r)], list(h), max_n) for r, h in pairs])
+    stats = np.array([_pair_stats(list(r), list(h), max_n) for r, h in pairs])
     return _pooled_bleu(np.ones((1, len(pairs)), dtype=np.int64), stats, max_n)[0]
 
 
@@ -164,7 +149,7 @@ def build_report(pairs, seed=0, resamples=1000, max_n=4):
     breakdowns = [wer(r, h) for r, h in pairs]
     errors = [b.errors for b in breakdowns]
     lengths = [b.reference_length for b in breakdowns]
-    stats = np.array([_pair_stats([r], h, max_n) for r, h in pairs])
+    stats = np.array([_pair_stats(r, h, max_n) for r, h in pairs])
 
     n = len(pairs)
     draws = np.random.default_rng(seed).integers(0, n, size=(resamples, n))

@@ -149,8 +149,7 @@ class Seq2SeqModel:
     # ----------------------------------------------------------------- encoder
 
     def encode(self, x):
-        values = getattr(x, "values", x)
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(x, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1:
             raise ContractError(f"encoder needs a nonempty [T, F] spectrogram, got {values.shape}")
         if values.shape[1] != self.input_dim:

@@ -120,6 +120,15 @@ def write_document(path, fmt, payload):
         fh.write(json.dumps(payload, indent=2, sort_keys=True).encode("utf-8") + b"\n")
 
 
+def read_lines(path):
+    """The lines of the UTF-8 text file at `path`; bad UTF-8 raises a ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
+
+
 def read_document(path, fmt, decode):
     """`decode(payload)` for the JSON document at `path`; see `decode_document`."""
     with open(path, "rb") as fh:

@@ -41,7 +41,7 @@ from icdscribe.fusion import (
     train_with_scheduled_lm_sampling,
 )
 from icdscribe.lm import Corpus, prob, train_lm
-from icdscribe.metrics import bleu, wer
+from icdscribe.metrics import corpus_bleu, wer
 from icdscribe.model import ConvSpec, DecoderConfig, EncoderConfig, Seq2SeqModel
 
 from helpers import assert_grad_close, edit_distance_oracle, finite_difference_grad
@@ -405,15 +405,15 @@ class TestBleu:
 
     def test_identity_is_one(self):
         hyp = "the quick brown fox jumps".split()
-        assert bleu([hyp], hyp) == pytest.approx(1.0)
+        assert corpus_bleu([(hyp, hyp)]) == pytest.approx(1.0)
 
     def test_disjoint_is_zero(self):
-        assert bleu([["aa", "bb", "cc"]], ["dd", "ee", "ff"]) == 0.0
+        assert corpus_bleu([(["aa", "bb", "cc"], ["dd", "ee", "ff"])]) == 0.0
 
     def test_frozen_six_word_example(self):
         reference = "the cat is on the mat".split()
         hypothesis = "the cat on the mat".split()
-        assert bleu([reference], hypothesis) == pytest.approx(0.4947386, abs=1e-6)
+        assert corpus_bleu([(reference, hypothesis)]) == pytest.approx(0.4947386, abs=1e-6)
 
 
 def desk_encoder():

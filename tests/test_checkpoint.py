@@ -45,7 +45,7 @@ def fake_utterances():
     specs = [rng.normal(size=(18, 5)), rng.normal(size=(14, 5))]
     targets = [[SOS, 4, 5, EOS], [SOS, 5, EOS]]
     return [
-        SimpleNamespace(spectrogram=SimpleNamespace(values=s), target=t)
+        SimpleNamespace(spectrogram=s, target=t)
         for s, t in zip(specs, targets)
     ]
 

@@ -338,6 +338,30 @@ class TestMalformedInputs:
         assert code == 2
         assert_one_line_error(err, str(path), "lambdas")
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda wav: b"these bytes are not a wav file\n" * 4, lambda wav: wav[:30]],
+        ids=["not-a-wav", "truncated-header"],
+    )
+    def test_wav(self, workspace, tmp_path, damage):
+        good = tmp_path / "good.wav"
+        write_wav(good, synthesize_word("aa", SpeakerProfile("near", seed=1), repeat_index=0))
+        path = tmp_path / "bad.wav"
+        path.write_bytes(damage(good.read_bytes()))
+        code, err = run(["transcribe", path, "--ckpt", workspace.ckpt, "--lambda-lm", "0"])
+        assert code == 2
+        assert_one_line_error(err, str(path), "not a readable wav")
+
+    @pytest.mark.parametrize(
+        "command, flag", [("generate-data", "--codes"), ("train-lm", "--corpus")]
+    )
+    def test_text_that_is_not_utf8(self, tmp_path, command, flag):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"C1\tcaf\xe9 au lait\n")
+        code, err = run([command, flag, path, "--output", tmp_path / "out"])
+        assert code == 2
+        assert_one_line_error(err, str(path), "not valid UTF-8")
+
     def test_deeply_nested_config(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

@@ -13,6 +13,7 @@ from icdscribe.data import (
     SOS,
     UNK,
     DatasetConfig,
+    DatasetManifest,
     IcdCode,
     Vocabulary,
     build_vocabulary,
@@ -23,7 +24,6 @@ from icdscribe.data import (
     load_icd_list,
     load_manifest,
     plan_variations,
-    realize_record,
     realize_utterance,
     save_manifest,
     split_by_speaker,
@@ -49,9 +49,9 @@ def small_config(**overrides):
 def realize_all(code, repeats, cap, vocab=None):
     """Every planned utterance of one (code, SPEAKER) pair, realized."""
     config = DatasetConfig(repeats=repeats, cap=cap, speakers=[SPEAKER])
-    vocab = vocab or build_vocabulary([code])
     plans = plan_variations(code, SPEAKER, repeats, cap, seed=0)
-    return [realize_record(r, code, SPEAKER, config, vocab) for r in plans]
+    manifest = DatasetManifest(config, [code], plans, [SPEAKER.speaker_id], [])
+    return [realize_utterance(manifest, r, vocab) for r in plans]
 
 
 class TestLoadIcdList:
@@ -204,7 +204,7 @@ class TestRealization:
         record = manifest.records[-1]
         a = realize_utterance(manifest, record)
         b = realize_utterance(manifest, record)
-        assert np.array_equal(a.spectrogram.values, b.spectrogram.values)
+        assert np.array_equal(a.spectrogram, b.spectrogram)
         assert a.target == b.target
 
     def test_target_matches_description(self):
@@ -220,8 +220,8 @@ class TestRealization:
         utts = realize_all(IcdCode("C", ["pain"]), repeats=2, cap=10)
         assert len(utts) == 2
         a, b = utts
-        if a.spectrogram.values.shape == b.spectrogram.values.shape:
-            assert not np.array_equal(a.spectrogram.values, b.spectrogram.values)
+        if a.spectrogram.shape == b.spectrogram.shape:
+            assert not np.array_equal(a.spectrogram, b.spectrogram)
 
     def test_out_of_vocabulary_word_rejected(self):
         vocab = build_vocabulary([IcdCode("X", ["fever"])])
@@ -244,7 +244,7 @@ class TestIterUtterances:
         manifest = self.manifest()
         for record, utt in zip(manifest.records, iter_utterances(manifest), strict=True):
             alone = realize_utterance(manifest, record)
-            assert utt.spectrogram.values.tobytes() == alone.spectrogram.values.tobytes()
+            assert utt.spectrogram.tobytes() == alone.spectrogram.tobytes()
             assert (utt.target, utt.code, utt.speaker_id, utt.variation_index) == (
                 alone.target, alone.code, alone.speaker_id, alone.variation_index
             )
@@ -352,7 +352,7 @@ class TestManifestSerialization:
         path = tmp_path / "m.json"
         save_manifest(manifest, path)
         regenerated = realize_utterance(load_manifest(path), load_manifest(path).records[1])
-        assert np.array_equal(original.spectrogram.values, regenerated.spectrogram.values)
+        assert np.array_equal(original.spectrogram, regenerated.spectrogram)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

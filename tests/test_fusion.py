@@ -199,7 +199,7 @@ def fake_utterances():
     specs = [rng.normal(size=(18, 5)), rng.normal(size=(14, 5))]
     targets = [[SOS, 4, 5, EOS], [SOS, 5, EOS]]
     return [
-        SimpleNamespace(spectrogram=SimpleNamespace(values=s), target=t)
+        SimpleNamespace(spectrogram=s, target=t)
         for s, t in zip(specs, targets)
     ]
 
@@ -220,7 +220,7 @@ class TestTraining:
         for _ in range(3):
             total = 0.0
             for utt in utts:
-                feats = standardize_spectrogram(utt.spectrogram.values)
+                feats = standardize_spectrogram(utt.spectrogram)
                 loss = softmax_cross_entropy(
                     manual.forward_teacher_forced(feats, utt.target), utt.target[1:]
                 )
@@ -272,7 +272,7 @@ class TestTraining:
 
     def test_nan_loss_stops_before_the_update(self):
         utts = fake_utterances()
-        utts[1].spectrogram.values[3, 2] = np.nan  # every feature, loss and gradient turn NaN
+        utts[1].spectrogram[3, 2] = np.nan  # every feature, loss and gradient turn NaN
         cfg = FusionConfig(lm_sample_max=0.0)
         model, twin = tiny_model(seed=4), tiny_model(seed=4)
         opt = AdamState(model.values.size)

@@ -10,7 +10,6 @@ from helpers import edit_distance_oracle
 from icdscribe.errors import ContractError
 from icdscribe.metrics import (
     WerBreakdown,
-    bleu,
     build_report,
     corpus_bleu,
     format_report,
@@ -96,13 +95,13 @@ class TestWer:
 class TestBleu:
     def test_identity_scores_one(self):
         words = "generalized abdominal pain".split()
-        assert bleu([words], words) == pytest.approx(1.0)
+        assert corpus_bleu([(words, words)]) == pytest.approx(1.0)
 
     def test_no_overlap_scores_zero(self):
-        assert bleu([["a", "b", "c"]], ["x", "y", "z"]) == 0.0
+        assert corpus_bleu([(["a", "b", "c"], ["x", "y", "z"])]) == 0.0
 
     def test_empty_hypothesis_scores_zero(self):
-        assert bleu([["a", "b"]], []) == 0.0
+        assert corpus_bleu([(["a", "b"], [])]) == 0.0
 
     def test_smoothed_reference_example(self):
         ref = "the cat is on the mat".split()
@@ -111,31 +110,21 @@ class TestBleu:
         # add-one smoothing on each order, brevity penalty e^(1 - 6/5)
         smoothed = [(5 + 1) / (5 + 1), (3 + 1) / (4 + 1), (1 + 1) / (3 + 1), (0 + 1) / (2 + 1)]
         expected = math.exp(1 - 6 / 5) * math.prod(smoothed) ** 0.25
-        got = bleu([ref], hyp)
+        got = corpus_bleu([(ref, hyp)])
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.4947386, abs=1e-6)
 
     def test_clipping_limits_repeated_words(self):
-        score = bleu([["the", "cat", "is"]], ["the", "the", "the"], max_n=1)
+        score = corpus_bleu([(["the", "cat", "is"], ["the", "the", "the"])], max_n=1)
         # one clipped unigram out of three, smoothed (1+1)/(3+1)
         assert score == pytest.approx(math.exp(1 - 3 / 3) * 0.5)
-
-    def test_multiple_references_take_best_clip(self):
-        refs = [["a", "b"], ["a", "a"]]
-        one_ref = bleu([["a", "b"]], ["a", "a"], max_n=1)
-        two_ref = bleu(refs, ["a", "a"], max_n=1)
-        assert two_ref > one_ref
 
     def test_never_exceeds_one(self):
         rng = random.Random(11)
         for _ in range(100):
             ref = [rng.choice("abc") for _ in range(rng.randint(1, 6))]
             hyp = [rng.choice("abc") for _ in range(rng.randint(1, 6))]
-            assert 0.0 <= bleu([ref], hyp) <= 1.0
-
-    def test_no_reference_rejected(self):
-        with pytest.raises(ContractError):
-            bleu([], ["a"])
+            assert 0.0 <= corpus_bleu([(ref, hyp)]) <= 1.0
 
     def test_corpus_pools_counts_before_mean(self):
         pairs = [
@@ -146,7 +135,7 @@ class TestBleu:
         # pooled clipped unigrams 3 of 6, smoothed (3+1)/(6+1); not the
         # average of the per-sentence scores 1.0 and 0.0
         assert pooled == pytest.approx(4 / 7)
-        per_sentence = [bleu([r], h, max_n=1) for r, h in pairs]
+        per_sentence = [corpus_bleu([pair], max_n=1) for pair in pairs]
         assert pooled != pytest.approx(sum(per_sentence) / 2)
 
 
