@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Every trainable part of the pipeline (conv filter banks, LSTM gates,
-attention projections, embeddings) lives in `Tensor` leaves.  Operations
-record their parents and a backward closure; `backward` orders the
-subgraph reachable from the loss topologically and replays it in reverse,
-summing adjoints where paths share subexpressions, and adds the result
-into the `grad` of each leaf it reaches.
+attention projections, embeddings) lives in `Tensor` leaves.  An
+operation whose output depends on a leaf that requires a gradient records
+its parents and a backward closure, except inside `no_grad()` (decoding),
+where nothing is recorded.  `backward` orders the subgraph reachable from
+the loss topologically and replays it in reverse, summing adjoints where
+paths share subexpressions, and adds the result into the `grad` of each
+leaf it reaches.
 
 A model's parameter leaves are views into one flat float64 vector, in
 registration order (`parameter_vectors`), and their gradients views into a second
@@ -21,6 +23,7 @@ tests can use tight tolerances.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -42,9 +45,11 @@ class Tensor:
     def __init__(self, values, requires_grad=False, _parents=(), _backprop=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backprop = _backprop
+        # an op output records its graph only outside no_grad() and when a parent needs a gradient
+        tracked = _recording and any(p.requires_grad for p in _parents)
+        self.requires_grad = bool(requires_grad) or tracked
+        self._parents = _parents if tracked else ()
+        self._backprop = _backprop if tracked else None
 
     @property
     def shape(self):
@@ -67,6 +72,20 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+_recording = True  # False inside no_grad(); one flag for the whole process, not per thread
+
+
+@contextmanager
+def no_grad():
+    """A block whose op outputs keep no parents and no backprop closure (inference)."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 def zeros(shape):
@@ -95,9 +114,7 @@ def backward(loss):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        # constants cannot contribute adjoints; skip their ancestry
-        if node.requires_grad:
-            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+        stack.extend((p, False) for p in node._parents if id(p) not in seen)
     adjoints = {id(loss): np.ones_like(loss.values)}
     for node in reversed(order):
         g = adjoints.pop(id(node), None)
@@ -135,13 +152,11 @@ def matmul(a, b):
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not agree")
     out_values = a.values @ b.values
-    backprop = None
-    if a.requires_grad or b.requires_grad:
-        def backprop(g, adjoints):
-            if a.requires_grad:
-                _push(adjoints, a, g @ b.values.T)
-            if b.requires_grad:
-                _push(adjoints, b, a.values.T @ g)
+    def backprop(g, adjoints):
+        if a.requires_grad:
+            _push(adjoints, a, g @ b.values.T)
+        if b.requires_grad:
+            _push(adjoints, b, a.values.T @ g)
     return Tensor(out_values, _parents=(a, b), _backprop=backprop)
 
 
@@ -150,13 +165,11 @@ def add(a, b):
         out_values = a.values + b.values
     except ValueError:
         raise ShapeError(f"add shapes {a.shape} and {b.shape} do not broadcast") from None
-    backprop = None
-    if a.requires_grad or b.requires_grad:
-        def backprop(g, adjoints):
-            if a.requires_grad:
-                _push(adjoints, a, _unbroadcast(g, a.shape))
-            if b.requires_grad:
-                _push(adjoints, b, _unbroadcast(g, b.shape))
+    def backprop(g, adjoints):
+        if a.requires_grad:
+            _push(adjoints, a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _push(adjoints, b, _unbroadcast(g, b.shape))
     return Tensor(out_values, _parents=(a, b), _backprop=backprop)
 
 
@@ -165,31 +178,25 @@ def mul(a, b):
         out_values = a.values * b.values
     except ValueError:
         raise ShapeError(f"mul shapes {a.shape} and {b.shape} do not broadcast") from None
-    backprop = None
-    if a.requires_grad or b.requires_grad:
-        def backprop(g, adjoints):
-            if a.requires_grad:
-                _push(adjoints, a, _unbroadcast(g * b.values, a.shape))
-            if b.requires_grad:
-                _push(adjoints, b, _unbroadcast(g * a.values, b.shape))
+    def backprop(g, adjoints):
+        if a.requires_grad:
+            _push(adjoints, a, _unbroadcast(g * b.values, a.shape))
+        if b.requires_grad:
+            _push(adjoints, b, _unbroadcast(g * a.values, b.shape))
     return Tensor(out_values, _parents=(a, b), _backprop=backprop)
 
 
 def tanh(a):
     out_values = np.tanh(a.values)
-    backprop = None
-    if a.requires_grad:
-        def backprop(g, adjoints):
-            _push(adjoints, a, g * (1.0 - out_values * out_values))
+    def backprop(g, adjoints):
+        _push(adjoints, a, g * (1.0 - out_values * out_values))
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
 def relu(a):
     out_values = np.maximum(a.values, 0.0)
-    backprop = None
-    if a.requires_grad:
-        def backprop(g, adjoints):
-            _push(adjoints, a, g * (a.values > 0.0))
+    def backprop(g, adjoints):
+        _push(adjoints, a, g * (a.values > 0.0))
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
@@ -208,16 +215,13 @@ def concat(parts, axis=-1):
                 f"concat operands disagree off axis {ax}: {parts[0].shape} vs {p.shape}"
             )
     out_values = np.concatenate([p.values for p in parts], axis=ax)
-    backprop = None
-    if any(p.requires_grad for p in parts):
-        sizes = [p.shape[ax] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-        def backprop(g, adjoints):
-            for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-                if p.requires_grad:
-                    index = [slice(None)] * ndim
-                    index[ax] = slice(start, stop)
-                    _push(adjoints, p, g[tuple(index)])
+    def backprop(g, adjoints):
+        offsets = np.cumsum([0] + [p.shape[ax] for p in parts])
+        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                index = [slice(None)] * ndim
+                index[ax] = slice(start, stop)
+                _push(adjoints, p, g[tuple(index)])
     return Tensor(out_values, _parents=tuple(parts), _backprop=backprop)
 
 
@@ -229,29 +233,23 @@ def narrow(a, axis, start, length):
     index = [slice(None)] * a.values.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    backprop = None
-    if a.requires_grad:
-        def backprop(g, adjoints):
-            full = np.zeros_like(a.values)
-            full[index] = g
-            _push(adjoints, a, full)
+    def backprop(g, adjoints):
+        full = np.zeros_like(a.values)
+        full[index] = g
+        _push(adjoints, a, full)
     return Tensor(a.values[index], _parents=(a,), _backprop=backprop)
 
 
 def reshape(a, shape):
     out_values = a.values.reshape(shape)
-    backprop = None
-    if a.requires_grad:
-        def backprop(g, adjoints):
-            _push(adjoints, a, g.reshape(a.shape))
+    def backprop(g, adjoints):
+        _push(adjoints, a, g.reshape(a.shape))
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
 def sum_all(a):
-    backprop = None
-    if a.requires_grad:
-        def backprop(g, adjoints):
-            _push(adjoints, a, np.full_like(a.values, float(g)))
+    def backprop(g, adjoints):
+        _push(adjoints, a, np.full_like(a.values, float(g)))
     return Tensor(a.values.sum(), _parents=(a,), _backprop=backprop)
 
 
@@ -260,11 +258,9 @@ def softmax(a):
     shifted = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_values = e / e.sum(axis=-1, keepdims=True)
-    backprop = None
-    if a.requires_grad:
-        def backprop(g, adjoints):
-            inner = (g * out_values).sum(axis=-1, keepdims=True)
-            _push(adjoints, a, out_values * (g - inner))
+    def backprop(g, adjoints):
+        inner = (g * out_values).sum(axis=-1, keepdims=True)
+        _push(adjoints, a, out_values * (g - inner))
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
@@ -295,12 +291,10 @@ def softmax_cross_entropy(logits, targets):
     logp = log_softmax_values(logits.values)
     rows = np.arange(n)
     loss = -logp[rows, targets].mean()
-    backprop = None
-    if logits.requires_grad:
-        def backprop(g, adjoints):
-            grad = np.exp(logp)
-            grad[rows, targets] -= 1.0
-            _push(adjoints, logits, grad * (float(g) / n))
+    def backprop(g, adjoints):
+        grad = np.exp(logp)
+        grad[rows, targets] -= 1.0
+        _push(adjoints, logits, grad * (float(g) / n))
     return Tensor(loss, _parents=(logits,), _backprop=backprop)
 
 
@@ -324,21 +318,19 @@ def conv1d(x, w, b, stride=1, dilation=1):
     out_values = np.tile(b.values, (t_out, 1))
     for k in range(K):
         out_values += padded[taps[k]] @ w.values[k]
-    backprop = None
-    if x.requires_grad or w.requires_grad or b.requires_grad:
-        def backprop(g, adjoints):
-            if b.requires_grad:
-                _push(adjoints, b, g.sum(axis=0))
-            if w.requires_grad:
-                dw = np.empty_like(w.values)
-                for k in range(K):
-                    dw[k] = padded[taps[k]].T @ g
-                _push(adjoints, w, dw)
-            if x.requires_grad:
-                dpad = np.zeros_like(padded)
-                for k in range(K):
-                    np.add.at(dpad, taps[k], g @ w.values[k].T)
-                _push(adjoints, x, dpad[pad:])
+    def backprop(g, adjoints):
+        if b.requires_grad:
+            _push(adjoints, b, g.sum(axis=0))
+        if w.requires_grad:
+            dw = np.empty_like(w.values)
+            for k in range(K):
+                dw[k] = padded[taps[k]].T @ g
+            _push(adjoints, w, dw)
+        if x.requires_grad:
+            dpad = np.zeros_like(padded)
+            for k in range(K):
+                np.add.at(dpad, taps[k], g @ w.values[k].T)
+            _push(adjoints, x, dpad[pad:])
     return Tensor(out_values, _parents=(x, w, b), _backprop=backprop)
 
 
@@ -375,34 +367,32 @@ def lstm(x, h0, c0, wx, wh, b):
         hs[t + 1] = o * tanh_c[t]
     out_values = np.concatenate([hs[1:], cs[1:]], axis=1)
     parents = (x, h0, c0, wx, wh, b)
-    backprop = None
-    if any(p.requires_grad for p in parents):
-        def backprop(g_out, adjoints):
-            # d gate / d z = scale^2 (1 - tanh^2): sigmoid' for i, f, o, tanh' for g
-            slope = scale * scale - (gates - 1.0 + scale) ** 2
-            dz = np.empty_like(gates)
-            dh = np.zeros(n)
-            dc = np.zeros(n)
-            for t in range(steps - 1, -1, -1):
-                i, f, g, o = gates[t]
-                dh = dh + g_out[t, :n]
-                dc = dc + g_out[t, n:] + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-                dz[t] = slope[t] * (dc * g, dc * cs[t], dc * i, dh * tanh_c[t])
-                dc = dc * f
-                dh = dz[t].reshape(-1) @ wh.values.T
-            dz = dz.reshape(steps, 4 * n)
-            if x.requires_grad:
-                _push(adjoints, x, dz @ wx.values.T)
-            if h0.requires_grad:
-                _push(adjoints, h0, dh[None, :])
-            if c0.requires_grad:
-                _push(adjoints, c0, dc[None, :])
-            if wx.requires_grad:
-                _push(adjoints, wx, x.values.T @ dz)
-            if wh.requires_grad:
-                _push(adjoints, wh, hs[:-1].T @ dz)
-            if b.requires_grad:
-                _push(adjoints, b, dz.sum(axis=0))
+    def backprop(g_out, adjoints):
+        # d gate / d z = scale^2 (1 - tanh^2): sigmoid' for i, f, o, tanh' for g
+        slope = scale * scale - (gates - 1.0 + scale) ** 2
+        dz = np.empty_like(gates)
+        dh = np.zeros(n)
+        dc = np.zeros(n)
+        for t in range(steps - 1, -1, -1):
+            i, f, g, o = gates[t]
+            dh = dh + g_out[t, :n]
+            dc = dc + g_out[t, n:] + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+            dz[t] = slope[t] * (dc * g, dc * cs[t], dc * i, dh * tanh_c[t])
+            dc = dc * f
+            dh = dz[t].reshape(-1) @ wh.values.T
+        dz = dz.reshape(steps, 4 * n)
+        if x.requires_grad:
+            _push(adjoints, x, dz @ wx.values.T)
+        if h0.requires_grad:
+            _push(adjoints, h0, dh[None, :])
+        if c0.requires_grad:
+            _push(adjoints, c0, dc[None, :])
+        if wx.requires_grad:
+            _push(adjoints, wx, x.values.T @ dz)
+        if wh.requires_grad:
+            _push(adjoints, wh, hs[:-1].T @ dz)
+        if b.requires_grad:
+            _push(adjoints, b, dz.sum(axis=0))
     return Tensor(out_values, _parents=parents, _backprop=backprop)
 
 
@@ -410,25 +400,31 @@ def lstm(x, h0, c0, wx, wh, b):
 # optimization
 # ---------------------------------------------------------------------------
 
-def parameter_vectors(layout, rng):
+def parameter_vectors(layout, rng, values=None):
     """Parameter leaves that are views into one flat vector, plus a gradient twin.
 
     `layout` maps each name, in order, to (shape, init): a fan-in, for
     entries drawn uniform in +-1/sqrt(fan_in) straight into the vector, or
-    an array of initial values.  Returns (values, grads, {name: Tensor});
-    no parameter is ever held twice, and the zero gradient vector stays
-    untouched until a backward pass writes to it.
+    an array of initial values.  Given stored `values` (such as a
+    checkpoint's), the vector is a copy of them and nothing is drawn.
+    Returns (values, grads, {name: Tensor}); no parameter is ever held
+    twice, and the zero gradient vector stays untouched until a backward
+    pass writes to it.
     """
     sizes = [math.prod(shape) for shape, _ in layout.values()]
-    values, grads = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+    drawn = values is None
+    if not drawn and len(values) != sum(sizes):
+        raise ContractError(f"{len(values)} stored values for a layout of {sum(sizes)}")
+    values = np.zeros(sum(sizes)) if drawn else np.array(values, dtype=np.float64)
+    grads = np.zeros(sum(sizes))
     tensors, start = {}, 0
     for (name, (shape, init)), size in zip(layout.items(), sizes):
         part = slice(start, start + size)
         t = tensors[name] = Tensor(values[part].reshape(shape), requires_grad=True)
         t.grad = grads[part].reshape(shape)
-        if isinstance(init, np.ndarray):
+        if drawn and isinstance(init, np.ndarray):
             t.values[...] = init
-        else:
+        elif drawn:
             # bit for bit what rng.uniform(-bound, bound, shape) draws: -bound + 2 bound u
             bound = 1.0 / float(init) ** 0.5
             rng.random(out=t.values)

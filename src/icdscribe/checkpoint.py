@@ -67,12 +67,13 @@ class Checkpoint:
     blob: np.ndarray  # read-only float64: the parameter vector, then Adam m and v if saved
 
 
-def fresh_model(config, vocab):
+def fresh_model(config, vocab, values=None):
     return Seq2SeqModel(
         config.encoder,
         DecoderConfig(len(vocab), **asdict(config.decoder)),
         input_dim=config.dataset.frontend.n_mels,
         seed=config.seed,
+        values=values,
     )
 
 
@@ -146,14 +147,14 @@ def _checkpoint_from_header(payload, blob):
 
 
 def build_model(checkpoint):
-    """Reconstruct the model and load the stored parameters into it."""
-    model = fresh_model(checkpoint.config, checkpoint.vocabulary)
+    """Reconstruct the model around a copy of the stored parameters; nothing is drawn."""
+    count = sum(math.prod(entry.shape) for entry in checkpoint.parameters)
+    model = fresh_model(checkpoint.config, checkpoint.vocabulary, values=checkpoint.blob[:count])
     stored, wanted = checkpoint.parameters, _layout(model)
     if stored != wanted:
         differ = sorted({(e.name, e.shape) for e in stored} ^ {(e.name, e.shape) for e in wanted})
         raise ValidationError(f"checkpoint parameters do not match the model: "
                               f"{differ[:4] or 'the same parameters in another order'}")
-    model.values[...] = checkpoint.blob[: model.values.size]
     return model
 
 

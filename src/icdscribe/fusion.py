@@ -11,7 +11,10 @@ Decoding ranks hypotheses by a normalized convex combination of the
 acoustic and language-model log probabilities, divided by emitted token
 count so short hypotheses hold no advantage.  Beam search keeps the top
 candidates among completed hypotheses and every one-token extension of
-the active ones, which makes width 1 coincide with greedy decoding.
+the active ones, which makes width 1 coincide with greedy decoding.  Only
+each active hypothesis's best `beam_width` extensions are built, since no
+other can enter the beam; all tokens are scored in one vector expression,
+with the LM's memoized next-word vector, and no autodiff graph is recorded.
 """
 
 import math
@@ -24,12 +27,12 @@ from .autodiff import (
     backward,
     clip_global_norm,
     log_softmax_values,
+    no_grad,
     softmax_cross_entropy,
 )
 from .data import EOS, PAD, SOS
 from .errors import ConfigError, ContractError, ValidationError
-from .lm import prob as lm_prob
-from .lm import sample_next
+from .lm import next_logprobs, sample_next
 from .model import standardize_spectrogram
 from .seeds import stable_seed
 
@@ -157,67 +160,58 @@ def train_with_scheduled_lm_sampling(
     return log
 
 
-def _step_logprobs(model, hyp, encoded):
+def _expand(model, lm, hyp, encoded, cfg, vocab, tokens, words):
+    """The best `beam_width` children of an active hypothesis, over ascending `tokens`.
+
+    `words` are the words of the tokens other than EOS.  Children share a
+    length, so one that trails `beam_width` siblings can never enter the beam.
+    """
     _, context = model.attend(hyp.state[0], encoded)
     state, logits = model.decode_step(hyp.tokens[-1], hyp.state, context)
-    logp = log_softmax_values(logits.values)[0]
-    return state, logp
-
-
-def _expand(model, lm, hyp, encoded, cfg, vocab):
-    """All admissible one-token children of an active hypothesis."""
-    state, logp = _step_logprobs(model, hyp, encoded)
+    log_a = hyp.log_acoustic + log_softmax_values(logits.values)[0][tokens]
+    log_l = np.full(len(tokens), hyp.log_lm)
+    if cfg.lambda_lm > 0:
+        log_l[tokens != EOS] += next_logprobs(lm, words, hyp.words)
+    fused = fused_score(log_a, log_l, cfg)
     children = []
-    for token in range(model.decoder_cfg.vocab_size):
-        if token in (PAD, SOS):
-            continue
-        log_a = hyp.log_acoustic + float(logp[token])
-        if token == EOS:
-            log_l, words, done = hyp.log_lm, hyp.words, True
-        else:
-            word = vocab.word_of(token)
-            log_l = hyp.log_lm
-            if cfg.lambda_lm > 0:
-                log_l += math.log(lm_prob(lm, word, list(hyp.words)))
-            words = hyp.words + (word,)
-            done = len(hyp.tokens) >= cfg.max_decode_len
+    # each child's steps are len(hyp.tokens); a stable sort breaks ties by token id
+    for i in np.argsort(-(fused / len(hyp.tokens)), kind="stable")[: cfg.beam_width]:
+        token = int(tokens[i])
         children.append(
             Hypothesis(
                 tokens=hyp.tokens + (token,),
-                words=words,
-                log_acoustic=log_a,
-                log_lm=log_l,
-                fused=fused_score(log_a, log_l, cfg),
+                words=hyp.words if token == EOS else hyp.words + (vocab.word_of(token),),
+                log_acoustic=float(log_a[i]),
+                log_lm=float(log_l[i]),
+                fused=float(fused[i]),
                 state=state,
-                completed=done,
+                completed=token == EOS or len(hyp.tokens) >= cfg.max_decode_len,
             )
         )
     return children
 
 
-def _ranked(hyp):
-    return hyp.fused / hyp.steps
-
-
 def _take_best(candidates, width):
-    return sorted(candidates, key=lambda h: (-_ranked(h), h.tokens))[:width]
+    return sorted(candidates, key=lambda h: (-(h.fused / h.steps), h.tokens))[:width]
 
 
 def beam_search_decode(model, lm, x, cfg, vocab):
     """Best complete hypothesis under the fused, length-normalized score."""
     if cfg.lambda_lm > 0 and lm is None:
         raise ContractError("a language model is required when its mixing weight is positive")
-    features = standardize_spectrogram(x)
-    encoded = model.encode(features)
-    beam = [Hypothesis((SOS,), (), 0.0, 0.0, 0.0, model.start_state(), completed=False)]
-    while True:
-        active = [h for h in beam if not h.completed]
-        if not active:
-            break
-        candidates = [h for h in beam if h.completed]
-        for hyp in active:
-            candidates.extend(_expand(model, lm, hyp, encoded, cfg, vocab))
-        beam = _take_best(candidates, cfg.beam_width)
+    tokens = np.array([t for t in range(model.decoder_cfg.vocab_size) if t not in (PAD, SOS)])
+    words = tuple(vocab.word_of(t) for t in tokens if t != EOS)
+    with no_grad():
+        encoded = model.encode(standardize_spectrogram(x))
+        beam = [Hypothesis((SOS,), (), 0.0, 0.0, 0.0, model.start_state(), completed=False)]
+        while True:
+            active = [h for h in beam if not h.completed]
+            if not active:
+                break
+            candidates = [h for h in beam if h.completed]
+            for hyp in active:
+                candidates.extend(_expand(model, lm, hyp, encoded, cfg, vocab, tokens, words))
+            beam = _take_best(candidates, cfg.beam_width)
     return _take_best(beam, 1)[0]
 
 

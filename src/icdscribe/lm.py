@@ -16,6 +16,8 @@ and sequence termination is the decoder's concern.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, ContractError
 from .schema import from_payload, read_document, to_payload, write_document
 
@@ -88,6 +90,8 @@ class InterpolatedLM:
     counts: NGramCounts
     lambdas: list
     vocabulary: frozenset
+    # next_logprobs memo per (words, context): valid since an LM never changes; not saved
+    _next: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.lambdas) != self.max_order:
@@ -145,6 +149,22 @@ def prob(lm, word, history):
         # every weighted order missed its context; fall back to the unigram
         return _floored_unigram(lm, word)
     return sum(lam * p for lam, p in estimates) / weight
+
+
+def next_logprobs(lm, words, history):
+    """Read-only float64 vector of math.log(prob(lm, w, history)) for each w in `words`.
+
+    Only the last max_order-1 history words matter, so the vector is
+    memoized on the LM per (words, those history words).
+    """
+    context = tuple(history)[-(lm.max_order - 1):] if lm.max_order > 1 else ()
+    key = (tuple(words), context)
+    vector = lm._next.get(key)
+    if vector is None:
+        vector = np.array([math.log(prob(lm, w, context)) for w in key[0]])
+        vector.flags.writeable = False
+        lm._next[key] = vector
+    return vector
 
 
 def sentence_logprob(lm, sentence):

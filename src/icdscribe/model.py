@@ -98,7 +98,7 @@ def standardize_spectrogram(values):
 class Seq2SeqModel:
     """Encoder, attention and decoder parameters plus their wiring."""
 
-    def __init__(self, encoder_cfg, decoder_cfg, input_dim, seed=0):
+    def __init__(self, encoder_cfg, decoder_cfg, input_dim, seed=0, values=None):
         self.encoder_cfg = encoder_cfg
         self.decoder_cfg = decoder_cfg
         self.input_dim = input_dim
@@ -139,9 +139,10 @@ class Seq2SeqModel:
 
         param("out.w", (decoder_cfg.hidden + encoder_cfg.hidden, decoder_cfg.vocab_size))
         bias("out.b", np.zeros(decoder_cfg.vocab_size))
-        # every parameter's values and grad are views into these two vectors
-        rng = np.random.default_rng(stable_seed("model-init", seed))
-        self.values, self.grads, self._params = parameter_vectors(layout, rng)
+        # every parameter's values and grad are views into these two vectors; stored
+        # `values` (a checkpoint's) are copied in place of the seeded draw
+        rng = np.random.default_rng(stable_seed("model-init", seed)) if values is None else None
+        self.values, self.grads, self._params = parameter_vectors(layout, rng, values)
 
     def named_parameters(self):
         return dict(self._params)

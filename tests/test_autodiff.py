@@ -277,6 +277,39 @@ class TestGradientsAgainstFiniteDifferences:
             assert_grad_close(leaf.grad, finite_difference_grad(forward, leaf.values), rtol=1e-4)
 
 
+class TestNoGrad:
+    def test_outputs_keep_no_graph(self):
+        w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        x = ad.Tensor(np.eye(2))
+        with ad.no_grad():
+            out = ad.tanh(ad.add(ad.matmul(x, w), w))
+            h0 = ad.zeros((1, 2))
+            seq = ad.lstm(x, h0, h0, ad.Tensor(np.ones((2, 8)), requires_grad=True),
+                          ad.Tensor(np.ones((2, 8)), requires_grad=True), ad.zeros((8,)))
+        for t in (out, seq):
+            assert not t.requires_grad and t._parents == () and t._backprop is None
+        np.testing.assert_allclose(out.values, np.tanh(np.eye(2) @ np.ones((2, 2)) + 1.0))
+
+    def test_ops_on_constants_record_no_graph(self):
+        x = ad.Tensor(np.eye(2))
+        out = ad.matmul(ad.tanh(x), x)
+        assert not out.requires_grad and out._parents == () and out._backprop is None
+
+    def test_leaving_restores_recording(self):
+        w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.matmul(w, w)._parents == ()
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("body failed")
+        out = ad.matmul(w, w)
+        assert out.requires_grad and out._parents == (w, w)
+        ad.backward(ad.sum_all(out))
+        np.testing.assert_array_equal(w.grad, np.full((2, 2), 4.0))
+
+
 class TestParameterVectors:
     @given(
         fan_ins=st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=4),
@@ -296,6 +329,19 @@ class TestParameterVectors:
         np.testing.assert_array_equal(params["b"].values, [0.0, 1.0, 2.0])
         assert np.array_equal(values, np.concatenate([p.values.ravel() for p in params.values()]))
         assert grads.shape == values.shape and not grads.any()
+
+    def test_stored_values_are_copied_without_drawing(self):
+        layout = {"w": ((2, 3), 4), "b": ((3,), np.zeros(3))}
+        stored = np.arange(9.0)
+        stored.flags.writeable = False
+        values, grads, params = ad.parameter_vectors(layout, None, values=stored)
+        assert np.array_equal(values, stored) and not np.shares_memory(values, stored)
+        np.testing.assert_array_equal(params["w"].values, [[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(params["b"].values, [6, 7, 8])
+        params["b"].values[0] = -1.0  # a view into the writable copy
+        assert values[6] == -1.0 and not grads.any()
+        with pytest.raises(ContractError, match="8 stored values for a layout of 9"):
+            ad.parameter_vectors(layout, None, values=np.zeros(8))
 
 
 def textbook_adam(values, grads, m, v, step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):

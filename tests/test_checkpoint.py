@@ -74,6 +74,21 @@ class TestRoundTrip:
         assert loaded.vocabulary == VOCAB
         assert to_payload(loaded.config) == to_payload(config)
 
+    def test_build_model_copies_and_draws_nothing(self, tmp_path, monkeypatch):
+        config = run_config()
+        model = fresh_model(config, VOCAB)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, VOCAB, config, step=0, optimizer=touched_optimizer(model))
+        loaded = load_checkpoint(path)
+
+        def no_rng(*args):
+            raise AssertionError("build_model made an RNG to draw initial weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        rebuilt = build_model(loaded)
+        assert np.array_equal(rebuilt.values, model.values)
+        assert rebuilt.values.flags.writeable and not np.shares_memory(rebuilt.values, loaded.blob)
+
     def test_resave_is_byte_identical(self, tmp_path):
         config = run_config()
         model = fresh_model(config, VOCAB)

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icdscribe.autodiff import (
     AdamState,
@@ -12,10 +14,12 @@ from icdscribe.autodiff import (
     clip_global_norm,
     softmax_cross_entropy,
 )
-from icdscribe.data import EOS, SOS, IcdCode, build_vocabulary
+from icdscribe.autodiff import log_softmax_values
+from icdscribe.data import EOS, PAD, SOS, IcdCode, build_vocabulary
 from icdscribe.errors import ConfigError, ContractError, ValidationError
 from icdscribe.fusion import (
     FusionConfig,
+    Hypothesis,
     beam_search_decode,
     fused_score,
     greedy_decode,
@@ -380,3 +384,117 @@ class TestTranscribe:
         quitter = TableModel({(1,): [1e-12, 1e-12, 0.999, 1e-12, 5e-4, 5e-4]})
         cfg = FusionConfig(lambda_lm=0.0, beam_width=2, max_decode_len=3)
         assert transcribe(quitter, None, DUMMY_SPEC, cfg, VOCAB) == []
+
+
+def reference_beam_search(model, lm, cfg, vocab):
+    """Beam search as first written: every admissible child built, scored and sorted."""
+
+    def expand(hyp):
+        _, context = model.attend(hyp.state[0], encoded)
+        state, logits = model.decode_step(hyp.tokens[-1], hyp.state, context)
+        logp = log_softmax_values(logits.values)[0]
+        children = []
+        for token in range(model.decoder_cfg.vocab_size):
+            if token in (PAD, SOS):
+                continue
+            log_a = hyp.log_acoustic + float(logp[token])
+            if token == EOS:
+                log_l, words, done = hyp.log_lm, hyp.words, True
+            else:
+                word = vocab.word_of(token)
+                log_l = hyp.log_lm
+                if cfg.lambda_lm > 0:
+                    log_l += math.log(lm_prob(lm, word, list(hyp.words)))
+                words = hyp.words + (word,)
+                done = len(hyp.tokens) >= cfg.max_decode_len
+            children.append(Hypothesis(hyp.tokens + (token,), words, log_a, log_l,
+                                       fused_score(log_a, log_l, cfg), state, done))
+        return children
+
+    def take_best(candidates, width):
+        return sorted(candidates, key=lambda h: (-(h.fused / h.steps), h.tokens))[:width]
+
+    encoded = model.encode(None)
+    beam = [Hypothesis((SOS,), (), 0.0, 0.0, 0.0, model.start_state(), completed=False)]
+    while any(not h.completed for h in beam):
+        candidates = [h for h in beam if h.completed]
+        for hyp in beam:
+            if not hyp.completed:
+                candidates.extend(expand(hyp))
+        beam = take_best(candidates, cfg.beam_width)
+    return take_best(beam, 1)[0]
+
+
+WIDE_VOCAB = build_vocabulary([IcdCode("X", ["aa", "bb", "cc", "dd", "ee"])])  # ids 4..8
+WIDE_LM = train_lm(Corpus([["aa", "bb", "cc"], ["bb", "aa"], ["cc", "aa", "bb"], ["zz"]]),
+                   max_order=3)
+
+
+class RowModel(TableModel):
+    """Each consumed prefix picks one of a few logit rows, so scores tie often."""
+
+    def __init__(self, rows):
+        super().__init__({}, vocab_size=len(WIDE_VOCAB))
+        self.rows = rows
+
+    def decode_step(self, token, state, context):
+        prefix = state[0] + (token,)
+        pick = sum((i + 1) * t for i, t in enumerate(prefix)) % len(self.rows)
+        return (prefix, None), Tensor(np.array(self.rows[pick], dtype=np.float64).reshape(1, -1))
+
+
+class TestPrunedBeamSearch:
+    @given(
+        rows=st.lists(st.lists(st.sampled_from([-3.0, -1.0, 0.0, 0.0, 2.0]),
+                               min_size=len(WIDE_VOCAB), max_size=len(WIDE_VOCAB)),
+                      min_size=1, max_size=4),
+        width=st.integers(min_value=1, max_value=8),
+        lambda_lm=st.sampled_from([0.0, 0.3, 1.0]),
+        max_len=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_unpruned_reference_exactly(self, rows, width, lambda_lm, max_len):
+        model = RowModel(rows)
+        cfg = FusionConfig(lambda_lm=lambda_lm, beam_width=width, max_decode_len=max_len)
+        want = reference_beam_search(model, WIDE_LM, cfg, WIDE_VOCAB)
+        got = beam_search_decode(model, WIDE_LM, DUMMY_SPEC, cfg, WIDE_VOCAB)
+        for field in ("tokens", "words", "log_acoustic", "log_lm", "fused", "completed"):
+            assert getattr(got, field) == getattr(want, field), field
+
+    def test_matches_the_reference_on_a_trained_model(self):
+        model = tiny_model(seed=6)
+        spec = np.random.default_rng(4).normal(size=(16, 5))
+        for width in (1, 3, 8):
+            cfg = FusionConfig(lambda_lm=0.4, beam_width=width, max_decode_len=4)
+            encoded = model.encode(standardize_spectrogram(spec))
+            fixed = SimpleNamespace(encode=lambda _: encoded, start_state=model.start_state,
+                                    attend=model.attend, decode_step=model.decode_step,
+                                    decoder_cfg=model.decoder_cfg)
+            want = reference_beam_search(fixed, LM, cfg, VOCAB)
+            got = beam_search_decode(model, LM, spec, cfg, VOCAB)
+            assert (got.tokens, got.log_acoustic, got.log_lm, got.fused) == (
+                want.tokens, want.log_acoustic, want.log_lm, want.fused)
+
+
+class TestGradOffDecoding:
+    def test_decode_records_no_graph(self):
+        model = tiny_model(seed=1)
+        spec = np.random.default_rng(2).normal(size=(12, 5))
+        best = beam_search_decode(model, LM, spec, FusionConfig(beam_width=3), VOCAB)
+        for tensor in best.state:
+            assert not tensor.requires_grad and tensor._parents == ()
+
+    def test_training_after_a_decode_gets_the_same_gradients(self):
+        utt = fake_utterances()[0]
+        features = standardize_spectrogram(utt.spectrogram)
+        grads = []
+        for decode_first in (True, False):
+            model = tiny_model(seed=7)
+            if decode_first:
+                beam_search_decode(model, LM, utt.spectrogram, FusionConfig(beam_width=2), VOCAB)
+            loss = softmax_cross_entropy(model.forward_teacher_forced(features, utt.target),
+                                         utt.target[1:])
+            assert loss.requires_grad
+            backward(loss)
+            grads.append(model.grads.copy())
+        assert grads[0].any() and np.array_equal(grads[0], grads[1])

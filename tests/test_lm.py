@@ -10,6 +10,7 @@ from icdscribe.lm import (
     Corpus,
     InterpolatedLM,
     load_lm,
+    next_logprobs,
     normalize_line,
     perplexity,
     prob,
@@ -191,6 +192,46 @@ class TestOracleEquivalence:
         lm = train_lm(Corpus(sentences), max_order=max_order)
         expected = oracle_prob(sentences, word, history, max_order, lambdas)
         assert prob(lm, word, history) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+class TestNextLogprobs:
+    @given(
+        sentences=SENTENCES_ST,
+        words=st.lists(st.sampled_from(["a", "b", "c", "z", "<unk>"]), min_size=1, max_size=6),
+        history=st.lists(st.sampled_from(["a", "b", "c", "y"]), max_size=4),
+        max_order=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_log_prob_bit_for_bit(self, sentences, words, history, max_order):
+        lm = train_lm(Corpus(sentences), max_order=max_order)
+        for _ in range(2):  # computed, then served from the memo
+            vector = next_logprobs(lm, words, history)
+            assert vector.dtype == np.float64 and not vector.flags.writeable
+            assert vector.tolist() == [math.log(prob(lm, w, history)) for w in words]
+
+    def test_memo_is_keyed_by_the_markov_window(self):
+        lm = train_lm(TOY, max_order=2)
+        first = next_logprobs(lm, ["a", "b"], ["c", "a"])
+        assert next_logprobs(lm, ["a", "b"], ["b", "b", "a"]) is first
+        assert next_logprobs(lm, ["a", "b"], ["b"]) is not first
+
+    def test_two_word_lists_never_share_a_vector(self):
+        lm = train_lm(TOY, max_order=3)
+        for history in ([], ["a"], ["q", "a"]):
+            one = next_logprobs(lm, ["a", "b", "c"], history)
+            other = next_logprobs(lm, ["c", "zebra"], history)
+            assert other.tolist() == [math.log(prob(lm, w, history)) for w in ["c", "zebra"]]
+            assert next_logprobs(lm, ["a", "b", "c"], history) is one
+            assert one.tolist() == [math.log(prob(lm, w, history)) for w in ["a", "b", "c"]]
+
+    def test_memo_is_not_saved(self, tmp_path):
+        lm = train_lm(TOY, max_order=2)
+        path = tmp_path / "lm.json"
+        save_lm(lm, path)
+        next_logprobs(lm, ["a", "b"], ["a"])
+        save_lm(lm, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        assert load_lm(path) == lm
 
 
 class TestSentenceLogprob:
