@@ -47,11 +47,6 @@ class Waveform:
     def duration(self):
         return len(self.samples) / self.sample_rate
 
-    def rms(self):
-        if len(self.samples) == 0:
-            return 0.0
-        return float(np.sqrt(np.mean(self.samples**2)))
-
 
 @dataclass
 class SpeakerProfile:

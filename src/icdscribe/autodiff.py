@@ -6,8 +6,9 @@ operation whose output depends on a leaf that requires a gradient records
 its parents and a backward closure, except inside `no_grad()` (decoding),
 where nothing is recorded.  `backward` orders the subgraph reachable from
 the loss topologically and replays it in reverse, summing adjoints where
-paths share subexpressions, and adds the result into the `grad` of each
-leaf it reaches.
+paths share subexpressions.  A leaf's dense adjoints go straight into its
+`grad`; a weight's `x.T @ g` terms (one per decoder step) are held and
+summed by one stacked matmul once backward reaches the leaf.
 
 A model's parameter leaves are views into one flat float64 vector, in
 registration order (`parameter_vectors`), and their gradients views into a second
@@ -34,10 +35,10 @@ class Tensor:
     """Dense n-d array with an optional adjoint.
 
     `values` is always a row-major float64 ndarray.  Only leaves hold a
-    `grad`: the adjoint that backward passes accumulated, shaped like
-    `values`.  It is None until a backward pass reaches the leaf, unless
-    the leaf comes from `parameter_vectors`: its grad is then a view into
-    the gradient vector.
+    `grad`: the adjoint that backward passes added in, shaped like `values`,
+    with all of a pass's product terms as one stacked matmul.  It is None
+    until a backward pass reaches the leaf, unless the leaf comes from
+    `parameter_vectors`: its grad is then a view into the gradient vector.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backprop")
@@ -97,7 +98,8 @@ def backward(loss):
 
     Each call seeds d(loss)/d(loss) = 1 and adds this pass's adjoint into
     the `grad` of each leaf that requires one, so repeated calls
-    accumulate.  Intermediate tensors keep no `grad`.
+    accumulate.  A leaf's `left.T @ right` terms are summed as one stacked
+    matmul after all its consumers.  Intermediate tensors keep no `grad`.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -115,22 +117,31 @@ def backward(loss):
         seen.add(id(node))
         stack.append((node, True))
         stack.extend((p, False) for p in node._parents if id(p) not in seen)
-    adjoints = {id(loss): np.ones_like(loss.values)}
+    adjoints = {}
+    if loss.requires_grad:
+        _push(adjoints, loss, np.ones_like(loss.values))
     for node in reversed(order):
         g = adjoints.pop(id(node), None)
         if g is None:
             continue
         if node._backprop is not None:
             node._backprop(g, adjoints)
-        elif node.requires_grad:
-            node.accumulate_grad(g)
+        else:  # a leaf, after all its consumers: its held product factors, stacked
+            lefts, rights = zip(*g)
+            node.accumulate_grad(np.concatenate(lefts).T @ np.concatenate(rights))
 
 
-def _push(adjoints, tensor, contribution):
-    # never mutate a stored array in place; contributions may be shared views
+def _push(adjoints, tensor, contribution, right=None):
+    """Add `contribution`, or `contribution.T @ right`; a leaf keeps the factors for backward."""
     key = id(tensor)
-    held = adjoints.get(key)
-    adjoints[key] = contribution if held is None else held + contribution
+    if tensor._backprop is None and right is not None:
+        adjoints.setdefault(key, []).append((contribution, right))
+    elif tensor._backprop is None:
+        tensor.accumulate_grad(contribution)
+    else:
+        contribution = contribution if right is None else contribution.T @ right
+        held = adjoints.get(key)  # never mutated in place: contributions may be shared views
+        adjoints[key] = contribution if held is None else held + contribution
 
 
 def _unbroadcast(g, shape):
@@ -156,7 +167,7 @@ def matmul(a, b):
         if a.requires_grad:
             _push(adjoints, a, g @ b.values.T)
         if b.requires_grad:
-            _push(adjoints, b, a.values.T @ g)
+            _push(adjoints, b, a.values, g)
     return Tensor(out_values, _parents=(a, b), _backprop=backprop)
 
 
@@ -388,9 +399,9 @@ def lstm(x, h0, c0, wx, wh, b):
         if c0.requires_grad:
             _push(adjoints, c0, dc[None, :])
         if wx.requires_grad:
-            _push(adjoints, wx, x.values.T @ dz)
+            _push(adjoints, wx, x.values, dz)
         if wh.requires_grad:
-            _push(adjoints, wh, hs[:-1].T @ dz)
+            _push(adjoints, wh, hs[:-1], dz)
         if b.requires_grad:
             _push(adjoints, b, dz.sum(axis=0))
     return Tensor(out_values, _parents=parents, _backprop=backprop)

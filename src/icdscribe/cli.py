@@ -39,7 +39,7 @@ from .errors import ConfigError, ContractError, ParseError, ValidationError
 from .fusion import beam_search_decode, greedy_decode, train_with_scheduled_lm_sampling
 from .lm import Corpus, load_lm, perplexity, save_lm, train_lm
 from .metrics import evaluate_dataset, format_report, wer
-from .schema import read_lines, write_document
+from .schema import atomic_write, read_lines, write_document
 
 log = logging.getLogger("icdscribe")
 
@@ -236,8 +236,8 @@ def cmd_transcribe(args):
     output = "\n".join(lines)
     print(output)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(output + "\n")
+        with atomic_write(args.output) as fh:
+            fh.write((output + "\n").encode("utf-8"))
     return 0
 
 

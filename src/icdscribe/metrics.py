@@ -136,6 +136,15 @@ class EvalReport:
         }
 
 
+def _percentile(ordered, p):
+    """np.percentile(draws, p), `linear` method, of the sorted draws; numpy's imports numpy.ma."""
+    index = (len(ordered) - 1) * (p / 100)
+    # as in numpy, an index at the last draw becomes -1 for both neighbours
+    low, high = (math.floor(index), math.floor(index) + 1) if index < len(ordered) - 1 else (-1, -1)
+    a, b, t = ordered[low], ordered[high], index - low
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def build_report(pairs, seed=0, resamples=1000, max_n=4):
     """Score (reference, hypothesis) pairs and bootstrap 95% intervals.
 
@@ -155,15 +164,15 @@ def build_report(pairs, seed=0, resamples=1000, max_n=4):
     draws = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
     offsets = n * np.arange(resamples)[:, None]
     weights = np.bincount((draws + offsets).ravel(), minlength=resamples * n).reshape(resamples, n)
-    wer_draws = (weights @ errors) / (weights @ lengths)
-    bleu_draws = _pooled_bleu(weights, stats, max_n)
+    wer_draws = np.sort((weights @ errors) / (weights @ lengths))
+    bleu_draws = np.sort(_pooled_bleu(weights, stats, max_n))
 
     return EvalReport(
         breakdowns=breakdowns,
         corpus_wer=sum(errors) / sum(lengths),
         corpus_bleu=_pooled_bleu(np.ones((1, n), dtype=np.int64), stats, max_n)[0],
-        wer_ci=(float(np.percentile(wer_draws, 2.5)), float(np.percentile(wer_draws, 97.5))),
-        bleu_ci=(float(np.percentile(bleu_draws, 2.5)), float(np.percentile(bleu_draws, 97.5))),
+        wer_ci=(_percentile(wer_draws, 2.5), _percentile(wer_draws, 97.5)),
+        bleu_ci=(_percentile(bleu_draws, 2.5), _percentile(bleu_draws, 97.5)),
         resamples=resamples,
         seed=seed,
     )

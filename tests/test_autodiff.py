@@ -310,6 +310,95 @@ class TestNoGrad:
         np.testing.assert_array_equal(w.grad, np.full((2, 2), 4.0))
 
 
+def assert_within_1e12(actual, expected):
+    """Equal to 1e-12 relative, measured against the largest entry near zero."""
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+class TestStackedWeightGradients:
+    """A leaf weight's product terms are summed by one stacked matmul when backward reaches it."""
+
+    H = 3
+
+    def loss(self, weights):
+        """A scalar reaching a [H, 4H] weight through seven uses; weights[i] serves use i.
+
+        Uses 0-2 are matmuls with the weight as the right operand, 3 one with
+        it as the left, 4 and 5 a T = 1 lstm step's wx and wh, 6 an add.
+        """
+        rng = np.random.default_rng(5)
+        h = self.H
+        outs = [ad.matmul(ad.Tensor(rng.normal(size=(rows, h))), weights[i])
+                for i, rows in enumerate((1, 1, 2))]
+        outs.append(ad.matmul(weights[3], ad.Tensor(rng.normal(size=(4 * h, 2)))))
+        state = [ad.Tensor(rng.normal(size=(1, h))) for _ in range(3)]
+        outs.append(ad.lstm(*state, weights[4], weights[5], ad.Tensor(rng.normal(size=4 * h))))
+        outs.append(ad.add(weights[6], ad.Tensor(rng.normal(size=(h, 4 * h)))))
+        total = ad.sum_all(ad.tanh(outs[0]))
+        for out in outs[1:]:
+            total = ad.add(total, ad.sum_all(ad.tanh(out)))
+        return total
+
+    def weight(self):
+        return np.random.default_rng(6).normal(size=(self.H, 4 * self.H)) * 0.5
+
+    def test_shared_weight_equals_the_per_term_sum(self):
+        w = ad.Tensor(self.weight(), requires_grad=True)
+        assert w.grad is None  # a plain leaf, not a parameter-vector view
+        ad.backward(self.loss([w] * 7))
+        # reference: one copy per use, so each copy's grad is exactly one term
+        copies = [ad.Tensor(self.weight(), requires_grad=True) for _ in range(7)]
+        ad.backward(self.loss(copies))
+        reference = sum(c.grad for c in copies)
+        assert_within_1e12(w.grad, reference)
+        fd = finite_difference_grad(lambda: self.loss([w] * 7).item(), w.values)
+        assert_grad_close(w.grad, fd, rtol=1e-4)
+
+    def test_repeated_backward_accumulates(self):
+        w = ad.Tensor(self.weight(), requires_grad=True)
+        loss = self.loss([w] * 7)
+        ad.backward(loss)
+        once = w.grad.copy()
+        ad.backward(loss)
+        assert_within_1e12(w.grad, 2.0 * once)
+
+    def test_parameter_leaf_adds_into_its_gradient_view(self):
+        layout = {"w": ((self.H, 4 * self.H), self.H)}
+        _, grads, params = ad.parameter_vectors(layout, None, values=self.weight().ravel())
+        w = params["w"]
+        ad.backward(self.loss([w] * 7))
+        plain = ad.Tensor(self.weight(), requires_grad=True)
+        ad.backward(self.loss([plain] * 7))
+        assert np.shares_memory(w.grad, grads)
+        np.testing.assert_array_equal(grads, plain.grad.ravel())
+
+    def test_non_leaf_right_operand_passes_its_product_upstream(self):
+        # attention's matmul(alpha, hidden): hidden is an op output, and w
+        # reaches the loss only through it
+        rng = np.random.default_rng(8)
+        x, query = ad.Tensor(rng.normal(size=(4, 3))), ad.Tensor(rng.normal(size=(1, 5)))
+        w = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        keys = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+
+        def forward():
+            hidden = ad.tanh(ad.matmul(x, w))
+            alpha = ad.softmax(ad.matmul(query, keys))
+            return ad.sum_all(ad.tanh(ad.matmul(alpha, hidden)))
+
+        ad.backward(forward())
+        for leaf in (w, keys):
+            fd = finite_difference_grad(lambda: forward().item(), leaf.values)
+            assert_grad_close(leaf.grad, fd, rtol=1e-4)
+
+    def test_scalar_loss_that_is_a_leaf(self):
+        x = ad.Tensor(2.0, requires_grad=True)
+        ad.backward(x)
+        np.testing.assert_array_equal(x.grad, 1.0)
+        constant = ad.Tensor(2.0)
+        ad.backward(constant)
+        assert constant.grad is None
+
+
 class TestParameterVectors:
     @given(
         fan_ins=st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=4),

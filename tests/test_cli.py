@@ -271,6 +271,17 @@ class TestTranscribe:
                      "--output", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 5
 
+    def test_failed_output_write_keeps_the_old_file(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "lines.tsv"
+        out.write_bytes(b"an earlier transcript\n")
+        fail_writes_after(monkeypatch, 10, OSError(errno.ENOSPC, "No space left on device"))
+        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", workspace.ckpt,
+                         "--lm", workspace.lm, "--output", out])
+        assert code == 3
+        assert_one_line_error(err, "No space left")
+        assert out.read_bytes() == b"an earlier transcript\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["lines.tsv"]
+
 
 def run(argv):
     """main() with its output captured: (exit code, stderr text)."""

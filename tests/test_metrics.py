@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import edit_distance_oracle
+from icdscribe import metrics
 from icdscribe.errors import ContractError
 from icdscribe.metrics import (
     WerBreakdown,
+    _percentile,
     build_report,
     corpus_bleu,
     format_report,
@@ -199,6 +204,27 @@ class TestReport:
         assert report.corpus_bleu == corpus_bleu(pairs)
         for got, sample in ((report.wer_ci, wers), (report.bleu_ci, bleus)):
             assert got == (float(np.percentile(sample, 2.5)), float(np.percentile(sample, 97.5)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        draws=st.lists(st.one_of(st.integers(0, 6).map(lambda k: k / 3), st.floats(0.0, 1e6)),
+                       min_size=1, max_size=40),
+        p=st.one_of(st.sampled_from([0.0, 2.5, 50.0, 97.5, 100.0]), st.floats(0.0, 100.0)),
+    )
+    def test_percentile_equals_numpy_bit_for_bit(self, draws, p):
+        got = _percentile(np.sort(draws), p)
+        assert np.float64(got).tobytes() == np.float64(np.percentile(draws, p)).tobytes()
+
+    def test_report_does_not_import_numpy_ma(self):
+        # np.percentile imports numpy.ma on first use, a cost every evaluate would pay
+        script = ("import sys\n"
+                  "from icdscribe.metrics import build_report\n"
+                  "build_report([(['a', 'b'], ['a']), (['c'], ['c', 'd'])], resamples=50)\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(metrics.__file__))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ContractError):
