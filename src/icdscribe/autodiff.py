@@ -5,10 +5,11 @@ attention projections, embeddings) lives in `Tensor` leaves.  An
 operation whose output depends on a leaf that requires a gradient records
 its parents and a backward closure, except inside `no_grad()` (decoding),
 where nothing is recorded.  `backward` orders the subgraph reachable from
-the loss topologically and replays it in reverse, summing adjoints where
-paths share subexpressions.  A leaf's dense adjoints go straight into its
-`grad`; a weight's `x.T @ g` terms (one per decoder step) are held and
-summed by one stacked matmul once backward reaches the leaf.
+the loss topologically and replays it in reverse.  An op hands each parent
+adjoint terms: a dense array, or the two factors of an `x.T @ g` product
+(one per decoder step for a shared weight).  When backward reaches a
+tensor, after all its consumers, it sums the dense terms and adds all the
+products as one stacked matmul; leaves and op outputs are treated alike.
 
 A model's parameter leaves are views into one flat float64 vector, in
 registration order (`parameter_vectors`), and their gradients views into a second
@@ -35,10 +36,10 @@ class Tensor:
     """Dense n-d array with an optional adjoint.
 
     `values` is always a row-major float64 ndarray.  Only leaves hold a
-    `grad`: the adjoint that backward passes added in, shaped like `values`,
-    with all of a pass's product terms as one stacked matmul.  It is None
-    until a backward pass reaches the leaf, unless the leaf comes from
-    `parameter_vectors`: its grad is then a view into the gradient vector.
+    `grad`: the sum of the adjoints that backward passes added in, shaped
+    like `values`.  It is None until a backward pass reaches the leaf, unless
+    the leaf comes from `parameter_vectors`: its grad is then a view into
+    the gradient vector.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backprop")
@@ -64,11 +65,6 @@ class Tensor:
         if self.size != 1:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.values.reshape(-1)[0])
-
-    def accumulate_grad(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -98,8 +94,9 @@ def backward(loss):
 
     Each call seeds d(loss)/d(loss) = 1 and adds this pass's adjoint into
     the `grad` of each leaf that requires one, so repeated calls
-    accumulate.  A leaf's `left.T @ right` terms are summed as one stacked
-    matmul after all its consumers.  Intermediate tensors keep no `grad`.
+    accumulate.  A tensor's adjoint is formed once, when backward reaches
+    it: its dense terms summed in push order, plus all its product terms as
+    one stacked matmul.  Intermediate tensors keep no `grad`.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -117,31 +114,32 @@ def backward(loss):
         seen.add(id(node))
         stack.append((node, True))
         stack.extend((p, False) for p in node._parents if id(p) not in seen)
-    adjoints = {}
+    terms = {}
     if loss.requires_grad:
-        _push(adjoints, loss, np.ones_like(loss.values))
+        _push(terms, loss, np.ones_like(loss.values))
     for node in reversed(order):
-        g = adjoints.pop(id(node), None)
-        if g is None:
+        held = terms.pop(id(node), None)
+        if held is None:
             continue
+        g = None
+        for contribution, right in held:  # dense terms; never added into in place, they may be views
+            if right is None:
+                g = contribution if g is None else g + contribution
+        if products := [term for term in held if term[1] is not None]:
+            lefts, rights = zip(*products)
+            stacked = np.concatenate(lefts).T @ np.concatenate(rights)
+            g = stacked if g is None else g + stacked
         if node._backprop is not None:
-            node._backprop(g, adjoints)
-        else:  # a leaf, after all its consumers: its held product factors, stacked
-            lefts, rights = zip(*g)
-            node.accumulate_grad(np.concatenate(lefts).T @ np.concatenate(rights))
+            node._backprop(g, terms)
+        elif node.grad is None:
+            node.grad = np.array(g)  # a copy: g may be a view that another tensor holds
+        else:
+            node.grad += g
 
 
-def _push(adjoints, tensor, contribution, right=None):
-    """Add `contribution`, or `contribution.T @ right`; a leaf keeps the factors for backward."""
-    key = id(tensor)
-    if tensor._backprop is None and right is not None:
-        adjoints.setdefault(key, []).append((contribution, right))
-    elif tensor._backprop is None:
-        tensor.accumulate_grad(contribution)
-    else:
-        contribution = contribution if right is None else contribution.T @ right
-        held = adjoints.get(key)  # never mutated in place: contributions may be shared views
-        adjoints[key] = contribution if held is None else held + contribution
+def _push(terms, tensor, contribution, right=None):
+    """Hand `tensor` an adjoint term: `contribution`, or the factors of `contribution.T @ right`."""
+    terms.setdefault(id(tensor), []).append((contribution, right))
 
 
 def _unbroadcast(g, shape):
@@ -163,11 +161,11 @@ def matmul(a, b):
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not agree")
     out_values = a.values @ b.values
-    def backprop(g, adjoints):
+    def backprop(g, terms):
         if a.requires_grad:
-            _push(adjoints, a, g @ b.values.T)
+            _push(terms, a, g @ b.values.T)
         if b.requires_grad:
-            _push(adjoints, b, a.values, g)
+            _push(terms, b, a.values, g)
     return Tensor(out_values, _parents=(a, b), _backprop=backprop)
 
 
@@ -176,63 +174,43 @@ def add(a, b):
         out_values = a.values + b.values
     except ValueError:
         raise ShapeError(f"add shapes {a.shape} and {b.shape} do not broadcast") from None
-    def backprop(g, adjoints):
+    def backprop(g, terms):
         if a.requires_grad:
-            _push(adjoints, a, _unbroadcast(g, a.shape))
+            _push(terms, a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _push(adjoints, b, _unbroadcast(g, b.shape))
-    return Tensor(out_values, _parents=(a, b), _backprop=backprop)
-
-
-def mul(a, b):
-    try:
-        out_values = a.values * b.values
-    except ValueError:
-        raise ShapeError(f"mul shapes {a.shape} and {b.shape} do not broadcast") from None
-    def backprop(g, adjoints):
-        if a.requires_grad:
-            _push(adjoints, a, _unbroadcast(g * b.values, a.shape))
-        if b.requires_grad:
-            _push(adjoints, b, _unbroadcast(g * a.values, b.shape))
+            _push(terms, b, _unbroadcast(g, b.shape))
     return Tensor(out_values, _parents=(a, b), _backprop=backprop)
 
 
 def tanh(a):
     out_values = np.tanh(a.values)
-    def backprop(g, adjoints):
-        _push(adjoints, a, g * (1.0 - out_values * out_values))
+    def backprop(g, terms):
+        _push(terms, a, g * (1.0 - out_values * out_values))
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
 def relu(a):
     out_values = np.maximum(a.values, 0.0)
-    def backprop(g, adjoints):
-        _push(adjoints, a, g * (a.values > 0.0))
+    def backprop(g, terms):
+        _push(terms, a, g * (a.values > 0.0))
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
 def concat(parts, axis=-1):
     if not parts:
         raise ContractError("concat needs at least one operand")
-    ndim = parts[0].values.ndim
-    ax = axis % ndim if ndim else 0
-    ref = list(parts[0].shape)
-    for p in parts[1:]:
-        other = list(p.shape)
-        if len(other) != ndim or any(
-            i != ax and other[i] != ref[i] for i in range(ndim)
-        ):
-            raise ShapeError(
-                f"concat operands disagree off axis {ax}: {parts[0].shape} vs {p.shape}"
-            )
-    out_values = np.concatenate([p.values for p in parts], axis=ax)
-    def backprop(g, adjoints):
-        offsets = np.cumsum([0] + [p.shape[ax] for p in parts])
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+    try:
+        out_values = np.concatenate([p.values for p in parts], axis=axis)
+    except ValueError:
+        shapes = ", ".join(str(p.shape) for p in parts)
+        raise ShapeError(f"concat shapes {shapes} do not agree off axis {axis}") from None
+    ax = axis % out_values.ndim
+    def backprop(g, terms):
+        start = 0
+        for p in parts:
             if p.requires_grad:
-                index = [slice(None)] * ndim
-                index[ax] = slice(start, stop)
-                _push(adjoints, p, g[tuple(index)])
+                _push(terms, p, g[(slice(None),) * ax + (slice(start, start + p.shape[ax]),)])
+            start += p.shape[ax]
     return Tensor(out_values, _parents=tuple(parts), _backprop=backprop)
 
 
@@ -241,27 +219,19 @@ def narrow(a, axis, start, length):
     dim = a.shape[axis]
     if not (0 <= start and start + length <= dim and length >= 1):
         raise ShapeError(f"narrow [{start}:{start + length}] outside axis of extent {dim}")
-    index = [slice(None)] * a.values.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    def backprop(g, adjoints):
+    index = (slice(None),) * (axis % a.values.ndim) + (slice(start, start + length),)
+    def backprop(g, terms):
         full = np.zeros_like(a.values)
         full[index] = g
-        _push(adjoints, a, full)
+        _push(terms, a, full)
     return Tensor(a.values[index], _parents=(a,), _backprop=backprop)
 
 
 def reshape(a, shape):
     out_values = a.values.reshape(shape)
-    def backprop(g, adjoints):
-        _push(adjoints, a, g.reshape(a.shape))
+    def backprop(g, terms):
+        _push(terms, a, g.reshape(a.shape))
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
-
-
-def sum_all(a):
-    def backprop(g, adjoints):
-        _push(adjoints, a, np.full_like(a.values, float(g)))
-    return Tensor(a.values.sum(), _parents=(a,), _backprop=backprop)
 
 
 def softmax(a):
@@ -269,9 +239,9 @@ def softmax(a):
     shifted = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_values = e / e.sum(axis=-1, keepdims=True)
-    def backprop(g, adjoints):
+    def backprop(g, terms):
         inner = (g * out_values).sum(axis=-1, keepdims=True)
-        _push(adjoints, a, out_values * (g - inner))
+        _push(terms, a, out_values * (g - inner))
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
@@ -302,10 +272,10 @@ def softmax_cross_entropy(logits, targets):
     logp = log_softmax_values(logits.values)
     rows = np.arange(n)
     loss = -logp[rows, targets].mean()
-    def backprop(g, adjoints):
+    def backprop(g, terms):
         grad = np.exp(logp)
         grad[rows, targets] -= 1.0
-        _push(adjoints, logits, grad * (float(g) / n))
+        _push(terms, logits, grad * (float(g) / n))
     return Tensor(loss, _parents=(logits,), _backprop=backprop)
 
 
@@ -314,34 +284,32 @@ def conv1d(x, w, b, stride=1, dilation=1):
 
     x: [T, C_in] feature rows, w: [K, C_in, C_out], b: [C_out].  The input
     is zero-padded on the left by (K-1)*dilation so out[t] depends only on
-    x[<= t*stride]; output length is ceil(T / stride).
+    x[<= t*stride]; output length is ceil(T / stride).  The taps unfold into
+    one [t_out, K*C_in] matrix (row t holds padded rows `rows[t]`), so the
+    layer is one matmul.
     """
     if x.values.ndim != 2 or w.values.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d shapes {x.shape} and {w.shape} do not agree")
-    T, _ = x.shape
+    T, c_in = x.shape
     K, _, c_out = w.shape
     if T < 1:
         raise ContractError("conv1d needs at least one input row")
     pad = (K - 1) * dilation
-    padded = np.vstack([np.zeros((pad, x.shape[1])), x.values]) if pad else x.values
+    padded = np.vstack([np.zeros((pad, c_in)), x.values]) if pad else x.values
     t_out = -(-T // stride)
-    taps = [np.arange(t_out) * stride + k * dilation for k in range(K)]
-    out_values = np.tile(b.values, (t_out, 1))
-    for k in range(K):
-        out_values += padded[taps[k]] @ w.values[k]
-    def backprop(g, adjoints):
+    rows = np.arange(t_out)[:, None] * stride + np.arange(K) * dilation
+    cols = padded[rows].reshape(t_out, K * c_in)
+    kernel = w.values.reshape(K * c_in, c_out)
+    out_values = cols @ kernel + b.values
+    def backprop(g, terms):
         if b.requires_grad:
-            _push(adjoints, b, g.sum(axis=0))
+            _push(terms, b, g.sum(axis=0))
         if w.requires_grad:
-            dw = np.empty_like(w.values)
-            for k in range(K):
-                dw[k] = padded[taps[k]].T @ g
-            _push(adjoints, w, dw)
+            _push(terms, w, (cols.T @ g).reshape(w.shape))
         if x.requires_grad:
             dpad = np.zeros_like(padded)
-            for k in range(K):
-                np.add.at(dpad, taps[k], g @ w.values[k].T)
-            _push(adjoints, x, dpad[pad:])
+            np.add.at(dpad, rows, (g @ kernel.T).reshape(t_out, K, c_in))
+            _push(terms, x, dpad[pad:])
     return Tensor(out_values, _parents=(x, w, b), _backprop=backprop)
 
 
@@ -378,7 +346,7 @@ def lstm(x, h0, c0, wx, wh, b):
         hs[t + 1] = o * tanh_c[t]
     out_values = np.concatenate([hs[1:], cs[1:]], axis=1)
     parents = (x, h0, c0, wx, wh, b)
-    def backprop(g_out, adjoints):
+    def backprop(g_out, terms):
         # d gate / d z = scale^2 (1 - tanh^2): sigmoid' for i, f, o, tanh' for g
         slope = scale * scale - (gates - 1.0 + scale) ** 2
         dz = np.empty_like(gates)
@@ -393,17 +361,17 @@ def lstm(x, h0, c0, wx, wh, b):
             dh = dz[t].reshape(-1) @ wh.values.T
         dz = dz.reshape(steps, 4 * n)
         if x.requires_grad:
-            _push(adjoints, x, dz @ wx.values.T)
+            _push(terms, x, dz @ wx.values.T)
         if h0.requires_grad:
-            _push(adjoints, h0, dh[None, :])
+            _push(terms, h0, dh[None, :])
         if c0.requires_grad:
-            _push(adjoints, c0, dc[None, :])
+            _push(terms, c0, dc[None, :])
         if wx.requires_grad:
-            _push(adjoints, wx, x.values, dz)
+            _push(terms, wx, x.values, dz)
         if wh.requires_grad:
-            _push(adjoints, wh, hs[:-1], dz)
+            _push(terms, wh, hs[:-1], dz)
         if b.requires_grad:
-            _push(adjoints, b, dz.sum(axis=0))
+            _push(terms, b, dz.sum(axis=0))
     return Tensor(out_values, _parents=parents, _backprop=backprop)
 
 

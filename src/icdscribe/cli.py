@@ -11,9 +11,11 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from .autodiff import AdamState
@@ -36,10 +38,11 @@ from .data import (
 )
 from .audio import read_wav, stft_logmel
 from .errors import ConfigError, ContractError, ParseError, ValidationError
-from .fusion import beam_search_decode, greedy_decode, train_with_scheduled_lm_sampling
+from .fusion import beam_search_decode, train_with_scheduled_lm_sampling
 from .lm import Corpus, load_lm, perplexity, save_lm, train_lm
 from .metrics import evaluate_dataset, format_report, wer
-from .schema import atomic_write, read_lines, write_document
+from .schema import INF_AS_NULL, atomic_write, decode_document, from_payload, read_lines, to_payload
+from .schema import write_document
 
 log = logging.getLogger("icdscribe")
 
@@ -64,9 +67,8 @@ def cmd_generate_data(args):
     save_run_config(config, out / "config.json")
     save_manifest(train, out / "train.json")
     save_manifest(test, out / "test.json")
-    with open(out / "corpus.txt", "w", encoding="utf-8") as fh:
-        for code in codes:
-            fh.write(" ".join(code.words) + "\n")
+    with atomic_write(out / "corpus.txt") as fh:
+        fh.write("".join(" ".join(code.words) + "\n" for code in codes).encode("utf-8"))
 
     vocab = manifest.vocabulary
     print(f"codes: {len(codes)}")
@@ -91,14 +93,39 @@ def cmd_train_lm(args):
 
 
 def _greedy_wer(model, lm, utterances, cfg, vocab):
-    errors = 0
-    words = 0
+    greedy = dataclasses.replace(cfg, beam_width=1)
+    errors = words = 0
     for utt in utterances:
-        hyp = greedy_decode(model, lm, utt.spectrogram, cfg, vocab)
+        hyp = beam_search_decode(model, lm, utt.spectrogram, greedy, vocab)
         breakdown = wer(vocab.decode(utt.target), vocab.decode(hyp.tokens))
         errors += breakdown.errors
         words += breakdown.reference_length
     return errors / max(1, words)
+
+
+@dataclasses.dataclass
+class EpochRecord:
+    """One line of the training log; `wer` is inf (null) on epochs that do not measure it."""
+
+    epoch: int
+    loss: float
+    lm_sample_p: float
+    wer: float = dataclasses.field(default=math.inf, metadata=INF_AS_NULL)
+
+    def line(self):
+        return json.dumps(to_payload(self), sort_keys=True) + "\n"
+
+
+def _log_before(path, step):
+    """Log records at `path` before epoch `step`, kept on resume; a torn last line is skipped."""
+    try:
+        lines = read_lines(path)
+    except FileNotFoundError:
+        return []
+    decode = partial(from_payload, EpochRecord)
+    records = [decode_document(path, line.encode("utf-8"), None, decode)
+               for line in lines if line.endswith("\n")]
+    return [r for r in records if r.epoch < step]
 
 
 def cmd_train(args):
@@ -114,11 +141,12 @@ def cmd_train(args):
         model = build_model(ckpt)
         optimizer = restore_optimizer(ckpt, model)
         start_epoch = ckpt.step
+        kept = _log_before(Path(args.resume).with_suffix(".log.jsonl"), start_epoch)
     else:
         config = _load_config(args)
         model = fresh_model(config, vocab)
         optimizer = AdamState(model.values.size, **dataclasses.asdict(config.optimizer))
-        start_epoch = 0
+        start_epoch, kept = 0, []
     epochs = args.epochs if args.epochs is not None else config.training.epochs
     if start_epoch >= epochs:
         raise ContractError(
@@ -134,35 +162,34 @@ def cmd_train(args):
     cadence = config.training.wer_every
     fusion_cfg = config.fusion
     log_path = Path(args.output).with_suffix(".log.jsonl")
-    best = (float("inf"), float("inf"))
+    best = min(((r.wer, r.loss) for r in kept), default=(math.inf, math.inf))
+    if args.resume and Path(args.resume).resolve() != Path(args.output).resolve():
+        with atomic_write(args.output) as fh:  # the resumed checkpoint is the best so far
+            fh.write(Path(args.resume).read_bytes())
+    with atomic_write(log_path) as fh:
+        fh.write("".join(r.line() for r in kept).encode("utf-8"))
     started = time.monotonic()
 
-    with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log_fh:
+    with open(log_path, "a", encoding="utf-8") as log_fh:
 
         def on_epoch(stats):
             nonlocal best
             final = stats.epoch == epochs - 1
             measure = final or (cadence > 0 and (stats.epoch + 1) % cadence == 0)
-            holdout_wer = None
+            record = EpochRecord(stats.epoch, stats.mean_loss, stats.lm_sample_p)
             if measure:
-                holdout_wer = _greedy_wer(model, lm, eval_slice, fusion_cfg, vocab)
-                if (holdout_wer, stats.mean_loss) < best:
-                    best = (holdout_wer, stats.mean_loss)
+                record.wer = _greedy_wer(model, lm, eval_slice, fusion_cfg, vocab)
+                if (record.wer, record.loss) < best:
+                    best = (record.wer, record.loss)
                     save_checkpoint(
                         args.output, model, vocab, config, stats.epoch + 1, optimizer
                     )
-            record = {
-                "epoch": stats.epoch,
-                "loss": stats.mean_loss,
-                "lm_sample_p": stats.lm_sample_p,
-                "wer": holdout_wer,
-            }
-            log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+            log_fh.write(record.line())
             log_fh.flush()
             log.info(
                 "epoch %d  loss %.4f  sample_p %.3f%s",
                 stats.epoch, stats.mean_loss, stats.lm_sample_p,
-                "" if holdout_wer is None else f"  wer {holdout_wer:.4f}",
+                f"  wer {record.wer:.4f}" if measure else "",
             )
 
         history = train_with_scheduled_lm_sampling(
@@ -215,15 +242,9 @@ def cmd_transcribe(args):
     ckpt = load_checkpoint(args.ckpt)
     model = build_model(ckpt)
     cfg = ckpt.config.fusion
-    overrides = {}
-    if args.lambda_acoustic is not None:
-        overrides["lambda_acoustic"] = args.lambda_acoustic
-    if args.lambda_lm is not None:
-        overrides["lambda_lm"] = args.lambda_lm
-    if args.beam is not None:
-        overrides["beam_width"] = args.beam
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    overrides = {"lambda_acoustic": args.lambda_acoustic, "lambda_lm": args.lambda_lm,
+                 "beam_width": args.beam}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     lm = load_lm(args.lm) if args.lm else None
     if cfg.lambda_lm > 0 and lm is None:
         raise ConfigError("--lm is required unless --lambda-lm 0 disables fusion")

@@ -75,10 +75,8 @@ class Hypothesis:
 
 
 def fused_score(log_acoustic, log_lm, cfg):
-    """Normalized mix of the two log posteriors; higher is better."""
+    """Normalized mix of the two log posteriors; higher is better (the weights' sum is positive)."""
     total = cfg.lambda_acoustic + cfg.lambda_lm
-    if total <= 0:
-        raise ConfigError("at least one mixing weight must be positive")
     return (cfg.lambda_acoustic * log_acoustic + cfg.lambda_lm * log_lm) / total
 
 

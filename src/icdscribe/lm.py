@@ -49,10 +49,6 @@ class Corpus:
     def unique_words(self):
         return len({w for s in self.sentences for w in s})
 
-    @property
-    def total_words(self):
-        return sum(len(s) for s in self.sentences)
-
 
 @dataclass
 class NGramCounts:

@@ -35,10 +35,6 @@ class WerBreakdown:
     def wer(self):
         return self.errors / self.reference_length
 
-    @property
-    def accuracy(self):
-        return 1.0 - self.wer
-
 
 def wer(reference, hypothesis):
     """Minimal-edit word alignment between a reference and a hypothesis."""
@@ -99,14 +95,6 @@ def _bleu_from_stats(row, max_n):
 def _pooled_bleu(weights, stats, max_n):
     """BLEU per row of `weights`, pooling each pair's counts as many times as the row says."""
     return [_bleu_from_stats(row, max_n) for row in (weights @ stats).tolist()]
-
-
-def corpus_bleu(pairs, max_n=4):
-    """BLEU over (reference, hypothesis) pairs, counts pooled before the mean."""
-    if not pairs:
-        raise ContractError("need at least one sentence pair")
-    stats = np.array([_pair_stats(list(r), list(h), max_n) for r, h in pairs])
-    return _pooled_bleu(np.ones((1, len(pairs)), dtype=np.int64), stats, max_n)[0]
 
 
 @dataclass

@@ -7,6 +7,8 @@ plain memoized recursion with no alignment bookkeeping.
 
 import numpy as np
 
+from icdscribe import autodiff as ad
+
 
 def finite_difference_grad(forward, x, h=1e-5):
     """Central-difference gradient of a scalar-valued forward() w.r.t. x.
@@ -26,6 +28,17 @@ def finite_difference_grad(forward, x, h=1e-5):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def weighted_sum(t, seed=None):
+    """The [1, 1] tensor sum_i w_i t_i, built from `reshape` and `matmul`.
+
+    The weights are ones, or with a seed fixed normal draws, which break
+    the symmetry of outputs whose entries sum to a constant (softmax rows).
+    """
+    size = t.size
+    w = np.ones((size, 1)) if seed is None else np.random.default_rng(seed).normal(size=(size, 1))
+    return ad.matmul(ad.reshape(t, (1, size)), ad.Tensor(w))
 
 
 def assert_grad_close(analytic, numeric, rtol, atol=1e-7):
@@ -56,7 +69,8 @@ class _FillingFile:
         self.fh, self.room, self.failure = fh, room, failure
 
     def write(self, data):
-        data = memoryview(data).cast("B")
+        if not isinstance(data, str):  # a text file counts characters, a binary one bytes
+            data = memoryview(data).cast("B")
         if len(data) > self.room:
             self.fh.write(data[: self.room])
             self.room = 0
@@ -71,18 +85,23 @@ class _FillingFile:
         self.fh.close()
 
 
-def fail_writes_after(monkeypatch, limit, failure):
+def fail_writes_after(monkeypatch, limit, failure, name=None):
     """Make each file that `schema` opens for writing raise `failure` past `limit` bytes.
 
     The bytes up to the limit reach the file first, as on a disk that fills
-    up partway through a write.
+    up partway through a write.  Given a `name`, only files whose name
+    starts with it fail, and so do such files that `cli` opens itself.
     """
     import builtins
+    import os
 
-    from icdscribe import schema
+    from icdscribe import cli, schema
 
     def filling_open(path, mode="r", *args, **kwargs):
         fh = builtins.open(path, mode, *args, **kwargs)
-        return _FillingFile(fh, limit, failure) if "w" in mode else fh
+        hit = "w" in mode and (name is None or os.path.basename(path).startswith(name))
+        return _FillingFile(fh, limit, failure) if hit else fh
 
     monkeypatch.setattr(schema, "open", filling_open, raising=False)
+    if name is not None:
+        monkeypatch.setattr(cli, "open", filling_open, raising=False)

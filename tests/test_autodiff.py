@@ -9,11 +9,12 @@ from icdscribe import autodiff as ad
 from icdscribe.errors import ContractError, ShapeError
 from icdscribe.seeds import stable_seed
 
-from helpers import assert_grad_close, finite_difference_grad
+from helpers import assert_grad_close, finite_difference_grad, weighted_sum
 
 
-def scalar_loss(t):
-    return ad.sum_all(t)
+def square_norm(x):
+    """sum_i x_i^2 as the [1, 1] product of x as a row and x as a column."""
+    return ad.matmul(ad.reshape(x, (1, -1)), ad.reshape(x, (-1, 1)))
 
 
 class TestForwardValues:
@@ -83,8 +84,10 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.values, [1.0, 2.0, 3.0])
 
     def test_concat_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"\(2, 2\), \(3, 3\) do not agree off axis 1"):
             ad.concat([ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((3, 3)))], axis=1)
+        with pytest.raises(ShapeError, match=r"\(2,\), \(2, 1\)"):
+            ad.concat([ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros((2, 1)))], axis=0)
 
     def test_add_broadcast_mismatch(self):
         with pytest.raises(ShapeError):
@@ -125,39 +128,40 @@ class TestForwardValues:
 class TestBackward:
     def test_sum_gradient(self):
         x = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        ad.backward(ad.sum_all(x))
+        ad.backward(weighted_sum(x))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_square_gradient(self):
         x = ad.Tensor([2.0], requires_grad=True)
-        ad.backward(ad.sum_all(ad.mul(x, x)))
+        ad.backward(square_norm(x))
         np.testing.assert_array_equal(x.grad, [4.0])
 
     def test_shared_subexpression_sums_adjoints(self):
-        # loss = x*x + x has two paths into x; d/dx = 2x + 1 by hand
+        # loss = x.x + sum(x) has three paths into x; d/dx = 2x + 1 by hand
         x = ad.Tensor([3.0, -1.0], requires_grad=True)
-        loss = ad.sum_all(ad.add(ad.mul(x, x), x))
+        loss = ad.add(square_norm(x), weighted_sum(x))
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, 2.0 * x.values + 1.0, atol=1e-12)
 
     def test_repeated_backward_accumulates(self):
         x = ad.Tensor([1.0, 4.0], requires_grad=True)
-        loss = ad.sum_all(ad.mul(x, x))
+        loss = square_norm(x)
         ad.backward(loss)
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, 4.0 * x.values, atol=1e-12)
 
     def test_only_leaves_keep_a_gradient(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        square = ad.mul(x, x)
-        ad.backward(ad.sum_all(square))
-        assert square.grad is None
+        row = ad.reshape(x, (1, -1))
+        square = ad.matmul(row, ad.reshape(x, (-1, 1)))
+        ad.backward(square)
+        assert row.grad is None and square.grad is None
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_backward_rejects_non_scalar(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            ad.backward(ad.mul(x, x))
+            ad.backward(ad.tanh(x))
 
     def test_deep_chain_does_not_recurse(self):
         # the graph walk is iterative: a chain far deeper than the
@@ -166,7 +170,7 @@ class TestBackward:
         node = x
         for _ in range(5000):
             node = ad.add(node, x)
-        ad.backward(ad.sum_all(node))
+        ad.backward(node)
         np.testing.assert_array_equal(x.grad, [5001.0])
 
     def test_two_layer_network_matches_finite_differences(self):
@@ -186,7 +190,7 @@ class TestBackward:
             assert_grad_close(p.grad, finite_difference_grad(forward, p.values), rtol=1e-4)
 
 
-OPS_UNDER_TEST = ["matmul", "add", "mul", "tanh", "relu", "concat",
+OPS_UNDER_TEST = ["matmul", "add", "tanh", "relu", "concat",
                   "softmax", "narrow", "reshape", "cross_entropy", "conv1d", "lstm"]
 
 
@@ -203,11 +207,10 @@ class TestGradientsAgainstFiniteDifferences:
             b = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
             build = lambda: ad.matmul(a, b)
             leaves = [a, b]
-        elif op in ("add", "mul"):
-            fn = getattr(ad, op)
+        elif op == "add":
             a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
             b = ad.Tensor(rng.normal(size=(1, n)), requires_grad=True)  # broadcast path
-            build = lambda: fn(a, b)
+            build = lambda: ad.add(a, b)
             leaves = [a, b]
         elif op in ("tanh", "relu"):
             fn = getattr(ad, op)
@@ -221,8 +224,7 @@ class TestGradientsAgainstFiniteDifferences:
             leaves = [a, b]
         elif op == "softmax":
             a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
-            weights = ad.Tensor(rng.normal(size=(int(m), int(n))))
-            build = lambda: ad.mul(ad.softmax(a), weights)  # break symmetry
+            build = lambda: ad.softmax(a)  # the seeded weighted sum breaks symmetry
             leaves = [a]
         elif op == "narrow":
             a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
@@ -262,19 +264,15 @@ class TestGradientsAgainstFiniteDifferences:
         else:
             raise AssertionError(op)
 
-        loss = build()
-        if loss.size != 1:
-            loss = ad.sum_all(ad.tanh(loss))
-        ad.backward(loss)
-
         def forward():
             out = build()
-            if out.size != 1:
-                out = ad.sum_all(ad.tanh(out))
-            return out.item()
+            return out if out.size == 1 else weighted_sum(ad.tanh(out), seed=trial)
+
+        ad.backward(forward())
 
         for leaf in leaves:
-            assert_grad_close(leaf.grad, finite_difference_grad(forward, leaf.values), rtol=1e-4)
+            fd = finite_difference_grad(lambda: forward().item(), leaf.values)
+            assert_grad_close(leaf.grad, fd, rtol=1e-4)
 
 
 class TestNoGrad:
@@ -306,7 +304,7 @@ class TestNoGrad:
                 raise RuntimeError("body failed")
         out = ad.matmul(w, w)
         assert out.requires_grad and out._parents == (w, w)
-        ad.backward(ad.sum_all(out))
+        ad.backward(weighted_sum(out))
         np.testing.assert_array_equal(w.grad, np.full((2, 2), 4.0))
 
 
@@ -334,9 +332,9 @@ class TestStackedWeightGradients:
         state = [ad.Tensor(rng.normal(size=(1, h))) for _ in range(3)]
         outs.append(ad.lstm(*state, weights[4], weights[5], ad.Tensor(rng.normal(size=4 * h))))
         outs.append(ad.add(weights[6], ad.Tensor(rng.normal(size=(h, 4 * h)))))
-        total = ad.sum_all(ad.tanh(outs[0]))
+        total = weighted_sum(ad.tanh(outs[0]))
         for out in outs[1:]:
-            total = ad.add(total, ad.sum_all(ad.tanh(out)))
+            total = ad.add(total, weighted_sum(ad.tanh(out)))
         return total
 
     def weight(self):
@@ -383,7 +381,7 @@ class TestStackedWeightGradients:
         def forward():
             hidden = ad.tanh(ad.matmul(x, w))
             alpha = ad.softmax(ad.matmul(query, keys))
-            return ad.sum_all(ad.tanh(ad.matmul(alpha, hidden)))
+            return weighted_sum(ad.tanh(ad.matmul(alpha, hidden)))
 
         ad.backward(forward())
         for leaf in (w, keys):
@@ -397,6 +395,86 @@ class TestStackedWeightGradients:
         constant = ad.Tensor(2.0)
         ad.backward(constant)
         assert constant.grad is None
+
+
+class TestOneAdjointPerTensor:
+    def test_non_leaf_gets_its_dense_and_product_terms_summed(self):
+        # hidden is an op output with one dense term (through add) and three
+        # product terms (as the right operand of matmul(alpha_i, hidden))
+        rng = np.random.default_rng(12)
+        x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(3, 5)))
+        shift = ad.Tensor(rng.normal(size=(4, 5)))
+        alphas = [rng.normal(size=(1, 4)) for _ in range(3)]
+        captured = []
+
+        def forward(capture=False):
+            hidden = ad.tanh(ad.matmul(x, w))
+            if capture:
+                backprop = hidden._backprop
+                hidden._backprop = lambda g, terms: (captured.append(g.copy()), backprop(g, terms))
+            total = weighted_sum(ad.add(hidden, shift))
+            for i, alpha in enumerate(alphas):
+                total = ad.add(total, weighted_sum(ad.matmul(ad.Tensor(alpha), hidden), seed=i))
+            return total
+
+        ad.backward(forward(capture=True))
+        columns = [np.random.default_rng(i).normal(size=(5, 1)) for i in range(3)]
+        want = np.ones((4, 5)) + sum(a.T @ c.T for a, c in zip(alphas, columns))
+        (got,) = captured
+        assert_within_1e12(got, want)
+        fd = finite_difference_grad(lambda: forward().item(), x.values)
+        assert_grad_close(x.grad, fd, rtol=1e-4)
+
+
+def conv1d_per_tap(x, w, b, g, stride, dilation):
+    """Conv1d one tap at a time: the output, and the gradients of sum(g * out) for x, w, b."""
+    steps, c_in = x.shape
+    kernel = w.shape[0]
+    pad = (kernel - 1) * dilation
+    padded = np.vstack([np.zeros((pad, c_in)), x])
+    t_out = -(-steps // stride)
+    taps = [np.arange(t_out) * stride + k * dilation for k in range(kernel)]
+    out = np.tile(b, (t_out, 1))
+    dw = np.empty_like(w)
+    dpad = np.zeros_like(padded)
+    for k in range(kernel):
+        out += padded[taps[k]] @ w[k]
+        dw[k] = padded[taps[k]].T @ g
+        np.add.at(dpad, taps[k], g @ w[k].T)
+    return out, dpad[pad:], dw, g.sum(axis=0)
+
+
+class TestConv1dAsOneMatmul:
+    @given(
+        steps=st.integers(min_value=1, max_value=12),
+        kernel=st.integers(min_value=1, max_value=4),
+        c_in=st.integers(min_value=1, max_value=4),
+        c_out=st.integers(min_value=1, max_value=4),
+        stride=st.integers(min_value=1, max_value=14),
+        dilation=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_tap_loop(self, steps, kernel, c_in, c_out, stride, dilation, seed):
+        rng = np.random.default_rng(seed)
+        x = ad.Tensor(rng.normal(size=(steps, c_in)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(kernel, c_in, c_out)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=c_out), requires_grad=True)
+        out = ad.conv1d(x, w, b, stride=stride, dilation=dilation)
+        g = rng.normal(size=out.shape)
+        ad.backward(ad.matmul(ad.reshape(out, (1, -1)), ad.Tensor(g.reshape(-1, 1))))
+        want = conv1d_per_tap(x.values, w.values, b.values, g, stride, dilation)
+        for got, expected in zip((out.values, x.grad, w.grad, b.grad), want, strict=True):
+            assert got.shape == expected.shape
+            assert_within_1e12(got, expected)
+
+    def test_short_input_and_long_stride(self):
+        # T < (K - 1) * dilation reads padding only below row 0; stride > T gives one row
+        x = ad.Tensor([[1.0], [2.0]])
+        w = ad.Tensor(np.array([3.0, 5.0, 7.0]).reshape(3, 1, 1))
+        out = ad.conv1d(x, w, ad.Tensor([0.5]), stride=4, dilation=2)
+        np.testing.assert_array_equal(out.values, [[0.5 + 7.0 * 1.0]])
 
 
 class TestParameterVectors:
@@ -505,7 +583,7 @@ class TestAdam:
         state = ad.AdamState(values.size, lr=0.1)
         for _ in range(200):
             diff = ad.add(p, ad.Tensor([-3.0]))
-            ad.backward(ad.sum_all(ad.mul(diff, diff)))
+            ad.backward(square_norm(diff))
             ad.adam_step(values, grads, state)
         assert abs(p.values[0] - 3.0) < 0.1
         assert p.values[0] == pytest.approx(reference(200, 0.1), abs=1e-9)

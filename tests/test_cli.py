@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icdscribe.audio import SpeakerProfile, synthesize_word, write_wav
+from icdscribe import cli
 from icdscribe.checkpoint import build_model, load_checkpoint
 from icdscribe.cli import main
 from icdscribe.lm import load_lm, prob
@@ -108,6 +109,21 @@ class TestGenerateData:
         assert code == 2
         assert "typo" in capsys.readouterr().err
 
+    def test_failed_corpus_write_keeps_the_old_file(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "data"
+        out.mkdir()
+        (out / "corpus.txt").write_bytes(b"an earlier corpus\n")
+        # the corpus is 9 bytes ("aa bb\ncc\n"); the disk fills after 4
+        fail_writes_after(monkeypatch, 4, OSError(errno.ENOSPC, "No space left on device"),
+                          name="corpus.txt")
+        code, err = run(["generate-data", "--config", workspace.config, "--codes", workspace.codes,
+                         "--output", out])
+        assert code == 3
+        assert_one_line_error(err, "No space left")
+        assert (out / "corpus.txt").read_bytes() == b"an earlier corpus\n"
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["config.json", "corpus.txt", "test.json", "train.json"]
+
     def test_missing_codes_file_exits_3(self, tmp_path):
         assert main([
             "generate-data", "--codes", str(tmp_path / "nope.tsv"),
@@ -179,6 +195,114 @@ class TestTrain:
                      "--output", str(tmp_path / "x.json")])
         assert code == 2
         assert "already covers" in capsys.readouterr().err
+
+
+class TestResumeThroughTheLog:
+    """A run stopped after epoch k and resumed to N equals an uninterrupted N-epoch run."""
+
+    EPOCHS = 6
+
+    def write_config(self, tmp_path, lr):
+        config = tmp_path / "config.json"
+        training = {"epochs": self.EPOCHS, "holdout_fraction": 0.3, "wer_every": 1}
+        config.write_text(json.dumps({**TINY_CONFIG, "optimizer": {"lr": lr}, "training": training}),
+                          encoding="utf-8")
+        return config
+
+    @pytest.mark.parametrize("lr", [0.05, 0.2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_interrupted_run_resumes_byte_identically(self, workspace, tmp_path, monkeypatch, k, lr):
+        train = ["train", "--config", self.write_config(tmp_path, lr), "--data", workspace.data,
+                 "--lm", workspace.lm]
+        straight = tmp_path / "straight.json"
+        assert run(train + ["--output", straight])[0] == 0
+
+        real = cli.train_with_scheduled_lm_sampling
+
+        def interrupted(*args, on_epoch, **kwargs):
+            def on_epoch_then_stop(stats):
+                on_epoch(stats)
+                if stats.epoch == k - 1:
+                    raise KeyboardInterrupt
+
+            return real(*args, on_epoch=on_epoch_then_stop, **kwargs)
+
+        monkeypatch.setattr(cli, "train_with_scheduled_lm_sampling", interrupted)
+        resumed = tmp_path / "resumed.json"
+        with pytest.raises(KeyboardInterrupt):
+            run(train + ["--output", resumed])
+        monkeypatch.undo()
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm, "--resume", resumed,
+                         "--epochs", self.EPOCHS, "--output", resumed])
+        assert code == 0, err
+        assert resumed.read_bytes() == straight.read_bytes()
+        log = resumed.with_suffix(".log.jsonl").read_bytes()
+        assert log == straight.with_suffix(".log.jsonl").read_bytes()
+        assert [json.loads(line)["epoch"] for line in log.splitlines()] == list(range(self.EPOCHS))
+
+    def copy_of_the_run(self, workspace, tmp_path):
+        out = tmp_path / "model.json"
+        out.write_bytes(workspace.ckpt.read_bytes())
+        log = workspace.ckpt.with_suffix(".log.jsonl").read_bytes()
+        out.with_suffix(".log.jsonl").write_bytes(log)
+        return out, log
+
+    def test_resume_into_a_new_output_without_a_better_epoch_keeps_the_best(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_greedy_wer", lambda *args: 99.0)
+        out = tmp_path / "resumed.json"
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
+                         "--resume", workspace.ckpt, "--epochs", "3", "--output", out])
+        assert code == 0, err
+        assert out.read_bytes() == workspace.ckpt.read_bytes()
+        assert load_checkpoint(out).step == 2
+        lines = out.with_suffix(".log.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["epoch"] for line in lines] == [0, 1, 2]
+
+    def test_kept_records_are_on_disk_before_the_first_resumed_epoch_ends(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        out, before = self.copy_of_the_run(workspace, tmp_path)
+        seen = []
+
+        def greedy_wer_reading_the_log(*args):
+            seen.append(out.with_suffix(".log.jsonl").read_bytes())
+            return 99.0
+
+        monkeypatch.setattr(cli, "_greedy_wer", greedy_wer_reading_the_log)
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
+                         "--resume", out, "--epochs", "3", "--output", out])
+        assert code == 0, err
+        assert seen == [before]
+
+    def test_torn_last_line_is_skipped(self, workspace, tmp_path):
+        out, before = self.copy_of_the_run(workspace, tmp_path)
+        out.with_suffix(".log.jsonl").write_bytes(before + b'{"epoch": 2, "lo')
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
+                         "--resume", out, "--epochs", "3", "--output", out])
+        assert code == 0, err
+        log = out.with_suffix(".log.jsonl").read_bytes()
+        assert log.startswith(before)
+        assert [json.loads(line)["epoch"] for line in log.splitlines()] == [0, 1, 2]
+
+    @pytest.mark.parametrize("line, fragment", [
+        ("not json", "not valid JSON"),
+        ('{"epoch": "zero", "loss": 1.0, "lm_sample_p": 0.0, "wer": null}', "'epoch' must be int"),
+        ('{"epoch": 0, "lm_sample_p": 0.0, "wer": 0.5}', "missing key 'loss'"),
+        ("[0, 1.0]", "must be a mapping"),
+    ], ids=["not-json", "epoch-not-int", "missing-loss", "not-a-mapping"])
+    def test_malformed_log_exits_2_and_is_kept(self, workspace, tmp_path, line, fragment):
+        out = tmp_path / "model.json"
+        out.write_bytes(workspace.ckpt.read_bytes())
+        log = out.with_suffix(".log.jsonl")
+        log.write_text(line + "\n", encoding="utf-8")
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm, "--resume", out,
+                         "--epochs", "3", "--output", out])
+        assert code == 2
+        assert_one_line_error(err, "model.log.jsonl", fragment)
+        assert log.read_text(encoding="utf-8") == line + "\n"
+        assert out.read_bytes() == workspace.ckpt.read_bytes()
 
 
 class TestEvaluate:

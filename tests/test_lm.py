@@ -76,7 +76,6 @@ class TestNormalizer:
         corpus = Corpus.from_lines(["A b", "", "b c c"])
         assert len(corpus.sentences) == 2
         assert corpus.unique_words == 3
-        assert corpus.total_words == 5
 
 
 class TestTraining:
