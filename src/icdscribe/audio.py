@@ -11,6 +11,7 @@ and additive noise at a target SNR.  All three stages are pure functions
 of their inputs and seeds.
 """
 
+import functools
 import math
 import wave
 from dataclasses import dataclass, field
@@ -88,9 +89,12 @@ class FrontendConfig:
     n_mels: int = 40
 
 
-def _char_formants(c):
-    idx = ord(c) - ord("a")
-    return _F1_BASE + _F1_STEP * idx, _F2_BASE + _F2_STEP * idx
+@functools.lru_cache(maxsize=16)
+def _hann(n):
+    """The read-only n-point Hann window, shared by the STFT and the character envelope."""
+    window = np.hanning(n)
+    window.setflags(write=False)
+    return window
 
 
 def synthesize_word(word, profile, repeat_index, sample_rate=DEFAULT_SAMPLE_RATE):
@@ -112,24 +116,21 @@ def synthesize_word(word, profile, repeat_index, sample_rate=DEFAULT_SAMPLE_RATE
     char_samples = int(round(CHAR_SECONDS * profile.rate * sample_rate))
     pitch = profile.base_pitch * (1.0 + profile.pitch_jitter * rng.uniform(-1.0, 1.0))
     t = np.arange(char_samples) / sample_rate
-    envelope = np.hanning(char_samples)
-    harmonics = np.arange(1, int(_MAX_HARMONIC_HZ / pitch) + 1)
-
-    bursts = []
-    for c in word:
-        f1, f2 = _char_formants(c)
-        freqs = harmonics * pitch
-        amps = (
-            np.exp(-(((freqs - f1) / 150.0) ** 2))
-            + 0.7 * np.exp(-(((freqs - f2) / 220.0) ** 2))
-            + 0.02
-        )
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=len(harmonics))
-        burst = (amps[:, None] * np.sin(2.0 * math.pi * freqs[:, None] * t + phases[:, None])).sum(axis=0)
-        burst *= envelope * (1.0 + 0.1 * rng.uniform(-1.0, 1.0))
-        bursts.append(burst)
-
-    raw = np.concatenate(bursts)
+    freqs = np.arange(1, int(_MAX_HARMONIC_HZ / pitch) + 1) * pitch
+    # sin(a + phase) = sin a cos phase + cos a sin phase: one [2H, T] basis for every character
+    angle = 2.0 * math.pi * freqs[:, None] * t
+    basis = np.concatenate([np.sin(angle), np.cos(angle)])
+    idx = np.frombuffer(word.encode("ascii"), dtype=np.uint8)[:, None] - ord("a")
+    f1, f2 = _F1_BASE + _F1_STEP * idx, _F2_BASE + _F2_STEP * idx
+    amps = (
+        np.exp(-(((freqs - f1) / 150.0) ** 2)) + 0.7 * np.exp(-(((freqs - f2) / 220.0) ** 2)) + 0.02
+    )
+    # per character, in order: H phases uniform on [0, 2 pi), then one amplitude jitter on [-1, 1)
+    draws = rng.uniform(size=(len(word), len(freqs) + 1))
+    phases = 2.0 * math.pi * draws[:, :-1]
+    jitter = 1.0 + 0.1 * (-1.0 + 2.0 * draws[:, -1:])
+    coef = np.concatenate([amps * np.cos(phases), amps * np.sin(phases)], axis=1)
+    raw = ((coef @ basis) * (_hann(char_samples) * jitter)).reshape(-1)
     peak = np.max(np.abs(raw))
     if peak > 0:
         raw = raw * (0.9 / peak)
@@ -151,13 +152,26 @@ def concat_with_silence(waves, gaps_s, edge_pad_s=0.06):
     return Waveform(np.concatenate(pieces), sr)
 
 
+def next_fast_len(n):
+    """The smallest 2^a * 3^b * 5^c >= n, a length the FFT handles nearly as fast as 2^k."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 = 3^b * 5^c; the smallest p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def apply_far_field(w, room, seed=0):
     """Push a close-talk waveform through the room model.
 
     Convolves with a synthetic impulse response (unit direct path plus an
-    exponentially decaying noise tail when rt60 > 0) by one zero-padded FFT
-    product, keeping the first len(samples) outputs; scales by 1/distance,
-    then adds white noise at exactly the configured SNR.  `seed` draws the
+    exponentially decaying noise tail when rt60 > 0) by one FFT product,
+    zero-padded to a 5-smooth length, keeping the first len(samples) outputs;
+    scales by 1/distance, then adds white noise at exactly the configured SNR.  `seed` draws the
     impulse-response tail and the noise.  Neutral parameters (distance 1,
     rt60 0, infinite SNR) return the input unchanged.
     """
@@ -169,7 +183,7 @@ def apply_far_field(w, room, seed=0):
         decay = np.exp(-6.907755278982137 * tt / room.rt60)  # -60 dB at rt60
         tail = 0.35 * rng.standard_normal(tail_len) * decay
         ir = np.concatenate([[1.0], tail])
-        size = 1 << (len(samples) + len(ir) - 2).bit_length()  # power of two >= full length
+        size = next_fast_len(len(samples) + len(ir) - 1)
         spectrum = np.fft.rfft(samples, size) * np.fft.rfft(ir, size)
         samples = np.fft.irfft(spectrum, size)[: len(samples)]
     samples = samples / room.distance
@@ -190,8 +204,9 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(n_mels, n_fft, sample_rate):
-    """Triangular filters from 0 Hz to Nyquist, returned as [n_mels, bins]."""
+    """Triangular filters from 0 Hz to Nyquist, returned read-only as [n_mels, bins]."""
     nyquist = sample_rate / 2.0
     bin_freqs = np.linspace(0.0, nyquist, n_fft // 2 + 1)
     mel_points = np.linspace(0.0, hz_to_mel(nyquist), n_mels + 2)
@@ -202,6 +217,7 @@ def mel_filterbank(n_mels, n_fft, sample_rate):
         up = (bin_freqs - left) / (center - left)
         down = (right - bin_freqs) / (right - center)
         bank[m] = np.clip(np.minimum(up, down), 0.0, None)
+    bank.setflags(write=False)
     return bank
 
 
@@ -221,7 +237,7 @@ def stft_logmel(w, cfg):
         raise ContractError(f"waveform of {n} samples is shorter than one {window}-sample window")
     n_fft = 1 << (window - 1).bit_length()
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, window)[::hop]
-    magnitude = np.abs(np.fft.rfft(frames * np.hanning(window), n=n_fft, axis=-1))
+    magnitude = np.abs(np.fft.rfft(frames * _hann(window), n=n_fft, axis=-1))
     bank = mel_filterbank(cfg.n_mels, n_fft, w.sample_rate)
     return np.log(magnitude @ bank.T + 1e-6)
 

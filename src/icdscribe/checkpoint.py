@@ -8,13 +8,16 @@ the parameter names and shapes in registration order, and the Adam
 hyperparameters or null), a newline, and then the raw bytes of one
 little-endian float64 array: the model's flat parameter vector, then the
 Adam `m` and `v` vectors when an optimizer is saved.  These are the
-vectors as they lie in memory, so saving writes three arrays and loading
-copies one or two slices.  Raw bytes round trip bit for bit, and a
-rewrite of the same state is byte-identical.
+vectors as they lie in memory, so saving writes three arrays.  Loading
+reads the header line and then only the parameter vector; Adam's vectors
+are read by `restore_optimizer`, which only a resumed run needs.  Raw
+bytes round trip bit for bit, and a rewrite of the same state is
+byte-identical.
 """
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,7 +67,9 @@ class Checkpoint:
     parameters: list  # ParameterEntry per parameter, in blob order
     step: int  # completed training epochs
     optimizer: object  # AdamPayload, or None
-    blob: np.ndarray  # read-only float64: the parameter vector, then Adam m and v if saved
+    blob: np.ndarray  # read-only float64 parameter vector
+    path: str  # the file, which holds Adam's m and v after the parameters when saved
+    moments_at: int  # byte offset of Adam's m in that file
 
 
 def fresh_model(config, vocab, values=None):
@@ -105,18 +110,21 @@ def save_checkpoint(path, model, vocab, config, step, optimizer=None):
 
 
 def load_checkpoint(path):
-    """The checkpoint at `path`; its blob is a view into the bytes read."""
+    """The checkpoint at `path`: its parameter vector is read and checked, Adam's is not read."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    header = data.partition(b"\n")[0]
-    # A whole-file JSON document, such as a ckpt-v1 checkpoint, still names its format.
-    found = _declared_format(header) or _declared_format(data)
-    if found != CKPT_FORMAT:
-        raise ConfigError(
-            f"{path}: not a {CKPT_FORMAT} checkpoint (format {found!r:.40}); retrain to write one"
-        )
-    blob = memoryview(data)[len(header) + 1:]
-    return decode_document(path, header, CKPT_FORMAT, lambda p: _checkpoint_from_header(p, blob))
+        line = fh.readline()
+        header = line.removesuffix(b"\n")
+        found = _declared_format(header)
+        if found != CKPT_FORMAT:
+            # A whole-file JSON document, such as a ckpt-v1 checkpoint, still names its format.
+            found = found or _declared_format(line + fh.read())
+            raise ConfigError(
+                f"{path}: not a {CKPT_FORMAT} checkpoint (format {found!r:.40}); "
+                "retrain to write one"
+            )
+        blob_bytes = os.fstat(fh.fileno()).st_size - len(line)
+        return decode_document(path, header, CKPT_FORMAT,
+                               lambda p: _checkpoint_from_header(p, path, fh, blob_bytes))
 
 
 def _declared_format(data):
@@ -128,28 +136,37 @@ def _declared_format(data):
     return payload.get("format") if isinstance(payload, dict) else None
 
 
-def _checkpoint_from_header(payload, blob):
+def _read_finite(fh, count, what):
+    """`count` float64s read from `fh`, read-only; a short read or a non-finite value raises."""
+    values = np.empty(count, dtype="<f8")
+    if fh.readinto(values) != values.nbytes:
+        raise ConfigError(f"{what} ends early")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{what} holds a non-finite value")
+    values.setflags(write=False)
+    return values
+
+
+def _checkpoint_from_header(payload, path, fh, blob_bytes):
     header = from_payload(CheckpointHeader, payload)
     optimizer = None
     if header.optimizer is not None:
         optimizer = from_payload(AdamPayload, header.optimizer, "optimizer")
     count = sum(math.prod(entry.shape) for entry in header.parameters)
-    count *= 1 if optimizer is None else 3
-    if len(blob) != 8 * count:
-        raise ConfigError(f"blob holds {len(blob)} bytes, header declares {count} float64 values")
-    values = np.frombuffer(blob, dtype="<f8")
-    if not np.isfinite(values).all():
-        raise ConfigError("blob holds a non-finite value")
+    stored = count * (1 if optimizer is None else 3)
+    if blob_bytes != 8 * stored:
+        raise ConfigError(f"blob holds {blob_bytes} bytes, header declares {stored} float64 values")
     if len({entry.name for entry in header.parameters}) != len(header.parameters):
         raise ConfigError("a parameter name appears twice")
+    values = _read_finite(fh, count, "the parameter vector")
     return Checkpoint(header.config, Vocabulary(header.vocabulary), header.parameters,
-                      header.step, optimizer, blob=values)
+                      header.step, optimizer, blob=values, path=os.fspath(path),
+                      moments_at=fh.tell())
 
 
 def build_model(checkpoint):
     """Reconstruct the model around a copy of the stored parameters; nothing is drawn."""
-    count = sum(math.prod(entry.shape) for entry in checkpoint.parameters)
-    model = fresh_model(checkpoint.config, checkpoint.vocabulary, values=checkpoint.blob[:count])
+    model = fresh_model(checkpoint.config, checkpoint.vocabulary, values=checkpoint.blob)
     stored, wanted = checkpoint.parameters, _layout(model)
     if stored != wanted:
         differ = sorted({(e.name, e.shape) for e in stored} ^ {(e.name, e.shape) for e in wanted})
@@ -159,16 +176,19 @@ def build_model(checkpoint):
 
 
 def restore_optimizer(checkpoint, model):
-    """Rebuild the Adam vectors saved alongside the parameters of `model`."""
+    """Read back the Adam vectors saved alongside the parameters of `model`."""
     stored = checkpoint.optimizer
     if stored is None:
         raise ValidationError("checkpoint carries no optimizer state")
     n = model.values.size
-    if checkpoint.blob.size != 3 * n:
-        raise ValidationError(f"optimizer state covers {checkpoint.blob.size // 3} values, "
+    if checkpoint.blob.size != n:
+        raise ValidationError(f"optimizer state covers {checkpoint.blob.size} values, "
                               f"model has {n}")
+    with open(checkpoint.path, "rb") as fh:
+        fh.seek(checkpoint.moments_at)
+        moments = _read_finite(fh, 2 * n, f"{checkpoint.path}: the optimizer state")
     state = AdamState(n, stored.lr, stored.beta1, stored.beta2, stored.eps)
     state.step = stored.step
-    state.m[...] = checkpoint.blob[n:2 * n]
-    state.v[...] = checkpoint.blob[2 * n:]
+    state.m[...] = moments[:n]
+    state.v[...] = moments[n:]
     return state

@@ -179,13 +179,13 @@ def cmd_train(args):
             record = EpochRecord(stats.epoch, stats.mean_loss, stats.lm_sample_p)
             if measure:
                 record.wer = _greedy_wer(model, lm, eval_slice, fusion_cfg, vocab)
-                if (record.wer, record.loss) < best:
-                    best = (record.wer, record.loss)
-                    save_checkpoint(
-                        args.output, model, vocab, config, stats.epoch + 1, optimizer
-                    )
+            # The record goes to disk before the checkpoint of step epoch + 1: a resume keeps
+            # only records older than its checkpoint's step, so a kill between the two is safe.
             log_fh.write(record.line())
             log_fh.flush()
+            if measure and (record.wer, record.loss) < best:
+                best = (record.wer, record.loss)
+                save_checkpoint(args.output, model, vocab, config, stats.epoch + 1, optimizer)
             log.info(
                 "epoch %d  loss %.4f  sample_p %.3f%s",
                 stats.epoch, stats.mean_loss, stats.lm_sample_p,

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from icdscribe.audio import (
     Waveform,
     apply_far_field,
     concat_with_silence,
+    _hann,
     mel_filterbank,
+    next_fast_len,
     read_wav,
     stft_logmel,
     synthesize_word,
@@ -22,6 +25,31 @@ from icdscribe.errors import ContractError
 from icdscribe.seeds import stable_seed
 
 PROFILE = SpeakerProfile(speaker_id="spk0", seed=7)
+
+
+def reference_word(word, profile, repeat_index, sample_rate=16000):
+    """The per-character harmonic sum that synthesize_word's shared sin/cos basis replaces."""
+    rng = np.random.default_rng(
+        stable_seed("word", word, profile.speaker_id, profile.seed, repeat_index)
+    )
+    char_samples = int(round(0.05 * profile.rate * sample_rate))
+    pitch = profile.base_pitch * (1.0 + profile.pitch_jitter * rng.uniform(-1.0, 1.0))
+    t = np.arange(char_samples) / sample_rate
+    harmonics = np.arange(1, int(3800.0 / pitch) + 1)
+    bursts = []
+    for c in word:
+        idx = ord(c) - ord("a")
+        f1, f2 = 240.0 + 52.0 * idx, 850.0 + 105.0 * idx
+        freqs = harmonics * pitch
+        amps = (np.exp(-(((freqs - f1) / 150.0) ** 2))
+                + 0.7 * np.exp(-(((freqs - f2) / 220.0) ** 2)) + 0.02)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=len(harmonics))
+        angle = 2.0 * math.pi * freqs[:, None] * t + phases[:, None]
+        burst = (amps[:, None] * np.sin(angle)).sum(axis=0)
+        burst *= np.hanning(char_samples) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0))
+        bursts.append(burst)
+    raw = np.concatenate(bursts)
+    return np.tanh(raw * (0.9 / np.max(np.abs(raw))))
 
 
 class TestSynthesizeWord:
@@ -75,6 +103,23 @@ class TestSynthesizeWord:
             SpeakerProfile(speaker_id="x", base_pitch=50.0)
         with pytest.raises(ContractError):
             SpeakerProfile(speaker_id="x", rate=1.5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        word=st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12),
+        pitch=st.floats(80.0, 400.0),
+        rate=st.floats(0.7, 1.3),
+        repeat_index=st.integers(0, 50),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_shared_basis_matches_the_per_character_sum(
+        self, word, pitch, rate, repeat_index, seed
+    ):
+        profile = SpeakerProfile("spk", base_pitch=pitch, rate=rate, seed=seed)
+        samples = synthesize_word(word, profile, repeat_index).samples
+        want = reference_word(word, profile, repeat_index)
+        assert samples.shape == want.shape
+        assert np.max(np.abs(samples - want)) <= 1e-12
 
 
 class TestConcatWithSilence:
@@ -150,6 +195,19 @@ class TestApplyFarField:
             expected = np.convolve(x, np.concatenate([[1.0], tail]))[:n]
         assert out.shape == (n,)
         assert np.max(np.abs(out - expected)) <= 1e-9 * np.max(np.abs(x))
+
+    def test_padded_length_is_the_smallest_5_smooth_number(self):
+        smooth = sorted(2**a * 3**b * 5**c for a in range(40) for b in range(26) for c in range(18)
+                        if 2**a * 3**b * 5**c < 2**40)
+
+        def brute(n):
+            return smooth[bisect.bisect_left(smooth, n)]
+
+        assert [next_fast_len(n) for n in range(1, 20001)] == [brute(n) for n in range(1, 20001)]
+        rng = np.random.default_rng(5)
+        for n in rng.integers(20001, 2**36, size=2000).tolist():
+            assert next_fast_len(n) == brute(n), n
+        assert next_fast_len(32960 + 4801 - 1) == 38400
 
     def test_energy_never_increases_with_distance(self):
         w = synthesize_word("consciousness", PROFILE, repeat_index=0)
@@ -242,6 +300,25 @@ class TestMelFilterbank:
         bank = mel_filterbank(24, 256, 16000)
         assert np.all(bank >= 0)
         assert np.all(bank <= 1.0)
+
+
+class TestCachedTables:
+    def test_bank_and_window_are_shared_and_read_only(self):
+        assert mel_filterbank(40, 512, 16000) is mel_filterbank(40, 512, 16000)
+        assert _hann(400) is _hann(400)
+        for table in (mel_filterbank(40, 512, 16000), _hann(400)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_stft_matches_a_fresh_bank_and_window(self):
+        w = apply_far_field(synthesize_word("pain", PROFILE, repeat_index=0), RoomModel(), seed=1)
+        frames = np.lib.stride_tricks.sliding_window_view(w.samples, 400)[::160]
+        magnitude = np.abs(np.fft.rfft(frames * np.hanning(400), n=512, axis=-1))
+        bank = mel_filterbank.__wrapped__(40, 512, 16000)
+        want = np.log(magnitude @ bank.T + 1e-6)
+        for _ in range(2):  # cold, then warm cache
+            assert np.array_equal(stft_logmel(w, FRONTEND), want)
 
 
 class TestWavRoundTrip:

@@ -240,6 +240,33 @@ class TestResumeThroughTheLog:
         assert log == straight.with_suffix(".log.jsonl").read_bytes()
         assert [json.loads(line)["epoch"] for line in log.splitlines()] == list(range(self.EPOCHS))
 
+    def test_kill_after_the_checkpoint_write_keeps_the_log_record(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        train = ["train", "--config", self.write_config(tmp_path, 0.05), "--data", workspace.data,
+                 "--lm", workspace.lm]
+        straight = tmp_path / "straight.json"
+        assert run(train + ["--output", straight])[0] == 0
+
+        real = cli.save_checkpoint
+
+        def save_then_die(*args, **kwargs):
+            real(*args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "save_checkpoint", save_then_die)
+        resumed = tmp_path / "resumed.json"
+        with pytest.raises(KeyboardInterrupt):
+            run(train + ["--output", resumed])
+        monkeypatch.undo()
+        assert load_checkpoint(resumed).step == 1
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm, "--resume", resumed,
+                         "--epochs", self.EPOCHS, "--output", resumed])
+        assert code == 0, err
+        assert resumed.read_bytes() == straight.read_bytes()
+        log = resumed.with_suffix(".log.jsonl").read_bytes()
+        assert log == straight.with_suffix(".log.jsonl").read_bytes()
+
     def copy_of_the_run(self, workspace, tmp_path):
         out = tmp_path / "model.json"
         out.write_bytes(workspace.ckpt.read_bytes())
@@ -604,6 +631,18 @@ class TestHostileArtifacts:
                          "--lambda-lm", "0"])
         assert code == 2
         assert_one_line_error(err, str(path), fragment)
+
+    def test_non_finite_adam_state_fails_only_a_resume(self, workspace, tmp_path):
+        raw = workspace.ckpt.read_bytes()
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(raw[:-8] + np.float64(np.nan).tobytes())  # the last value of Adam's v
+        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", path,
+                         "--lambda-lm", "0"])
+        assert code == 0, err
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm, "--resume", path,
+                         "--epochs", "3", "--output", tmp_path / "resumed.json"])
+        assert code == 2
+        assert_one_line_error(err, str(path), "non-finite")
 
     def test_json_checkpoint_asks_for_a_retrain(self, workspace, tmp_path):
         ckpt = load_checkpoint(workspace.ckpt)
