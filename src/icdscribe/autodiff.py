@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 
 class Tensor:
@@ -385,7 +386,8 @@ def parameter_vectors(layout, rng, values=None):
     `layout` maps each name, in order, to (shape, init): a fan-in, for
     entries drawn uniform in +-1/sqrt(fan_in) straight into the vector, or
     an array of initial values.  Given stored `values` (such as a
-    checkpoint's), the vector is a copy of them and nothing is drawn.
+    checkpoint's), the vector is those values, adopted without a copy when
+    they are already a contiguous float64 array, and nothing is drawn.
     Returns (values, grads, {name: Tensor}); no parameter is ever held
     twice, and the zero gradient vector stays untouched until a backward
     pass writes to it.
@@ -394,7 +396,7 @@ def parameter_vectors(layout, rng, values=None):
     drawn = values is None
     if not drawn and len(values) != sum(sizes):
         raise ContractError(f"{len(values)} stored values for a layout of {sum(sizes)}")
-    values = np.zeros(sum(sizes)) if drawn else np.array(values, dtype=np.float64)
+    values = np.zeros(sum(sizes)) if drawn else np.ascontiguousarray(values, dtype=np.float64)
     grads = np.zeros(sum(sizes))
     tensors, start = {}, 0
     for (name, (shape, init)), size in zip(layout.items(), sizes):
@@ -413,18 +415,34 @@ def parameter_vectors(layout, rng, values=None):
     return values, grads, tensors
 
 
+@dataclass
+class OptimizerConfig:
+    """Adam's hyperparameters (Kingma & Ba 2015): step size, moment decay rates and eps."""
+
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.lr <= 0:
+            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
+            raise ConfigError("moment decay rates must lie in [0, 1)")
+        if self.eps <= 0:
+            # a zero eps divides 0 by 0 wherever a gradient has been zero so far
+            raise ConfigError(f"eps must be positive, got {self.eps}")
+
+
 class AdamState:
-    """First/second moment vectors plus hyperparameters for Adam.
+    """Adam's hyperparameters (`config`) and its first/second moment vectors.
 
     `m` and `v` are flat, element-aligned with the parameter vector the
     state was built for.  `step` increases by exactly one per update.
     """
 
-    def __init__(self, size, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    def __init__(self, size, config):
+        self.config = config
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -438,17 +456,18 @@ def adam_step(values, grads, state):
     if not len(values) == len(grads) == len(state.m):
         raise ContractError(f"optimizer state covers {len(state.m)} values, got {len(values)} "
                             f"values and {len(grads)} gradients")
+    cfg = state.config
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - cfg.beta1 ** state.step
+    c2 = 1.0 - cfg.beta2 ** state.step
     for start in range(0, len(values), ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         g, m, v = grads[block], state.m[block], state.v[block]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        values[block] -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        values[block] -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
         g[...] = 0.0
 
 

@@ -18,15 +18,15 @@ byte-identical.
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .autodiff import AdamState
+from .autodiff import AdamState, OptimizerConfig
 from .config import RunConfig
 from .data import Vocabulary
 from .errors import ConfigError, ValidationError
-from .model import DecoderConfig, Seq2SeqModel
+from .model import Seq2SeqModel
 from .schema import atomic_write, decode_document, from_payload, to_payload
 
 CKPT_FORMAT = "ckpt-v2"
@@ -44,11 +44,21 @@ class ParameterEntry:
 
 @dataclass
 class AdamPayload:
+    """The header's Adam state: an `OptimizerConfig`'s values, all required, and the step."""
+
     lr: float
     beta1: float
     beta2: float
     eps: float
     step: int
+
+    def __post_init__(self):
+        self.config()  # raises on an out-of-range hyperparameter
+        if self.step < 0:
+            raise ConfigError(f"step must be nonnegative, got {self.step}")
+
+    def config(self):
+        return OptimizerConfig(self.lr, self.beta1, self.beta2, self.eps)
 
 
 @dataclass
@@ -67,7 +77,7 @@ class Checkpoint:
     parameters: list  # ParameterEntry per parameter, in blob order
     step: int  # completed training epochs
     optimizer: object  # AdamPayload, or None
-    blob: np.ndarray  # read-only float64 parameter vector
+    blob: np.ndarray  # float64 parameter vector, adopted by `build_model`
     path: str  # the file, which holds Adam's m and v after the parameters when saved
     moments_at: int  # byte offset of Adam's m in that file
 
@@ -75,7 +85,8 @@ class Checkpoint:
 def fresh_model(config, vocab, values=None):
     return Seq2SeqModel(
         config.encoder,
-        DecoderConfig(len(vocab), **asdict(config.decoder)),
+        config.decoder,
+        len(vocab),
         input_dim=config.dataset.frontend.n_mels,
         seed=config.seed,
         values=values,
@@ -90,9 +101,8 @@ def save_checkpoint(path, model, vocab, config, step, optimizer=None):
     vectors, adam = [model.values], None
     if optimizer is not None:
         vectors += [optimizer.m, optimizer.v]
-        adam = to_payload(AdamPayload(
-            optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.eps, optimizer.step
-        ))
+        # floats, so a config's `"lr": 1` is stored as 1.0
+        adam = to_payload(AdamPayload(*map(float, astuple(optimizer.config)), optimizer.step))
     header = CheckpointHeader(
         config=config,
         vocabulary=vocab.content_words,
@@ -137,13 +147,12 @@ def _declared_format(data):
 
 
 def _read_finite(fh, count, what):
-    """`count` float64s read from `fh`, read-only; a short read or a non-finite value raises."""
+    """`count` float64s read from `fh`; a short read or a non-finite value raises."""
     values = np.empty(count, dtype="<f8")
     if fh.readinto(values) != values.nbytes:
         raise ConfigError(f"{what} ends early")
     if not np.isfinite(values).all():
         raise ConfigError(f"{what} holds a non-finite value")
-    values.setflags(write=False)
     return values
 
 
@@ -165,7 +174,7 @@ def _checkpoint_from_header(payload, path, fh, blob_bytes):
 
 
 def build_model(checkpoint):
-    """Reconstruct the model around a copy of the stored parameters; nothing is drawn."""
+    """Reconstruct the model around `checkpoint.blob`, adopted without a copy; nothing is drawn."""
     model = fresh_model(checkpoint.config, checkpoint.vocabulary, values=checkpoint.blob)
     stored, wanted = checkpoint.parameters, _layout(model)
     if stored != wanted:
@@ -187,7 +196,7 @@ def restore_optimizer(checkpoint, model):
     with open(checkpoint.path, "rb") as fh:
         fh.seek(checkpoint.moments_at)
         moments = _read_finite(fh, 2 * n, f"{checkpoint.path}: the optimizer state")
-    state = AdamState(n, stored.lr, stored.beta1, stored.beta2, stored.eps)
+    state = AdamState(n, stored.config())
     state.step = stored.step
     state.m[...] = moments[:n]
     state.v[...] = moments[n:]

@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 configuration or validation problem, 3 i/o.
 
 import argparse
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -38,11 +37,11 @@ from .data import (
 )
 from .audio import read_wav, stft_logmel
 from .errors import ConfigError, ContractError, ParseError, ValidationError
-from .fusion import beam_search_decode, train_with_scheduled_lm_sampling
+from .fusion import EpochRecord, beam_search_decode, evaluate_dataset
+from .fusion import train_with_scheduled_lm_sampling
 from .lm import Corpus, load_lm, perplexity, save_lm, train_lm
-from .metrics import evaluate_dataset, format_report, wer
-from .schema import INF_AS_NULL, atomic_write, decode_document, from_payload, read_lines, to_payload
-from .schema import write_document
+from .metrics import format_report, wer
+from .schema import atomic_write, decode_document, from_payload, read_lines, write_document
 
 log = logging.getLogger("icdscribe")
 
@@ -103,19 +102,6 @@ def _greedy_wer(model, lm, utterances, cfg, vocab):
     return errors / max(1, words)
 
 
-@dataclasses.dataclass
-class EpochRecord:
-    """One line of the training log; `wer` is inf (null) on epochs that do not measure it."""
-
-    epoch: int
-    loss: float
-    lm_sample_p: float
-    wer: float = dataclasses.field(default=math.inf, metadata=INF_AS_NULL)
-
-    def line(self):
-        return json.dumps(to_payload(self), sort_keys=True) + "\n"
-
-
 def _log_before(path, step):
     """Log records at `path` before epoch `step`, kept on resume; a torn last line is skipped."""
     try:
@@ -145,7 +131,7 @@ def cmd_train(args):
     else:
         config = _load_config(args)
         model = fresh_model(config, vocab)
-        optimizer = AdamState(model.values.size, **dataclasses.asdict(config.optimizer))
+        optimizer = AdamState(model.values.size, config.optimizer)
         start_epoch, kept = 0, []
     epochs = args.epochs if args.epochs is not None else config.training.epochs
     if start_epoch >= epochs:
@@ -172,11 +158,10 @@ def cmd_train(args):
 
     with open(log_path, "a", encoding="utf-8") as log_fh:
 
-        def on_epoch(stats):
+        def on_epoch(record):
             nonlocal best
-            final = stats.epoch == epochs - 1
-            measure = final or (cadence > 0 and (stats.epoch + 1) % cadence == 0)
-            record = EpochRecord(stats.epoch, stats.mean_loss, stats.lm_sample_p)
+            final = record.epoch == epochs - 1
+            measure = final or (cadence > 0 and (record.epoch + 1) % cadence == 0)
             if measure:
                 record.wer = _greedy_wer(model, lm, eval_slice, fusion_cfg, vocab)
             # The record goes to disk before the checkpoint of step epoch + 1: a resume keeps
@@ -185,10 +170,10 @@ def cmd_train(args):
             log_fh.flush()
             if measure and (record.wer, record.loss) < best:
                 best = (record.wer, record.loss)
-                save_checkpoint(args.output, model, vocab, config, stats.epoch + 1, optimizer)
+                save_checkpoint(args.output, model, vocab, config, record.epoch + 1, optimizer)
             log.info(
                 "epoch %d  loss %.4f  sample_p %.3f%s",
-                stats.epoch, stats.mean_loss, stats.lm_sample_p,
+                record.epoch, record.loss, record.lm_sample_p,
                 f"  wer {record.wer:.4f}" if measure else "",
             )
 
@@ -201,7 +186,7 @@ def cmd_train(args):
 
     elapsed = time.monotonic() - started
     print(f"trained epochs {start_epoch}..{epochs - 1} in {elapsed:.1f}s")
-    print(f"final loss: {history[-1].mean_loss:.4f}")
+    print(f"final loss: {history[-1].loss:.4f}")
     print(f"best decode wer: {best[0]:.4f} on {len(eval_slice)} utterances")
     print(f"wrote {args.output} and {log_path}")
     return 0

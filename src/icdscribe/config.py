@@ -8,27 +8,14 @@ rejected with its dotted path.
 
 from dataclasses import dataclass, field
 
+from .autodiff import OptimizerConfig
 from .data import DatasetConfig
 from .errors import ConfigError
 from .fusion import FusionConfig
-from .model import EncoderConfig
+from .model import DecoderConfig, EncoderConfig
 from .schema import from_payload, read_document, to_payload, write_document
 
 CONFIG_FORMAT = "config-v2"
-
-
-@dataclass
-class OptimizerConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ConfigError("moment decay rates must lie in [0, 1)")
 
 
 @dataclass
@@ -50,24 +37,11 @@ class TrainingConfig:
 
 
 @dataclass
-class DecoderSettings:
-    """Decoder hyperparameters; the vocabulary size comes from the dataset."""
-
-    embedding_dim: int = 64
-    hidden: int = 128
-    attention_dim: int = 64
-
-    def __post_init__(self):
-        if min(self.embedding_dim, self.hidden, self.attention_dim) < 1:
-            raise ConfigError("decoder dimensions must be positive")
-
-
-@dataclass
 class RunConfig:
     seed: int = 0
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    decoder: DecoderSettings = field(default_factory=DecoderSettings)
+    decoder: DecoderConfig = field(default_factory=DecoderConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)

@@ -1,4 +1,4 @@
-"""Language-model fusion: sampling-augmented training and fused decoding.
+"""Language-model fusion: sampling-augmented training, fused decoding and its scoring.
 
 Training is teacher forcing with a twist: at each decoder step past the
 start marker, with a per-epoch probability the input token is swapped
@@ -15,10 +15,12 @@ the active ones, which makes width 1 coincide with greedy decoding.  Only
 each active hypothesis's best `beam_width` extensions are built, since no
 other can enter the beam; all tokens are scored in one vector expression,
 with the LM's memoized next-word vector, and no autodiff graph is recorded.
+`evaluate_dataset` transcribes a whole manifest and scores it.
 """
 
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,10 +32,12 @@ from .autodiff import (
     no_grad,
     softmax_cross_entropy,
 )
-from .data import EOS, PAD, SOS
+from .data import EOS, PAD, SOS, iter_utterances
 from .errors import ConfigError, ContractError, ValidationError
 from .lm import next_logprobs, sample_next
+from .metrics import build_report
 from .model import standardize_spectrogram
+from .schema import INF_AS_NULL, to_payload
 from .seeds import stable_seed
 
 
@@ -106,10 +110,16 @@ def sampled_inputs(lm, vocab, target, p, rng):
 
 
 @dataclass
-class EpochStats:
+class EpochRecord:
+    """One line of the training log; `wer` is inf (null) on epochs that do not measure it."""
+
     epoch: int
-    mean_loss: float
+    loss: float  # mean over the epoch's utterances
     lm_sample_p: float
+    wer: float = field(default=math.inf, metadata=INF_AS_NULL)
+
+    def line(self):
+        return json.dumps(to_payload(self), sort_keys=True) + "\n"
 
 
 def check_vocabulary_alignment(lm, vocab):
@@ -122,7 +132,7 @@ def train_with_scheduled_lm_sampling(
     model, lm, vocab, utterances, cfg, epochs, optimizer, seed=0, clip_norm=5.0,
     start_epoch=0, on_epoch=None,
 ):
-    """Train the acoustic model; returns per-epoch statistics.
+    """Train the acoustic model; returns one `EpochRecord` per epoch, each passed to `on_epoch`.
 
     `utterances` are visited in the given order each epoch.  The language
     model only generates input-token swaps; its tables are never touched.
@@ -151,10 +161,10 @@ def train_with_scheduled_lm_sampling(
                                       f"gradient norm {norm}; no parameter was updated")
             adam_step(model.values, model.grads, optimizer)
             total += loss.item()
-        stats = EpochStats(epoch=epoch, mean_loss=total / len(utterances), lm_sample_p=p)
-        log.append(stats)
+        record = EpochRecord(epoch, total / len(utterances), p)
+        log.append(record)
         if on_epoch is not None:
-            on_epoch(stats)
+            on_epoch(record)
     return log
 
 
@@ -197,7 +207,7 @@ def beam_search_decode(model, lm, x, cfg, vocab):
     """Best complete hypothesis under the fused, length-normalized score."""
     if cfg.lambda_lm > 0 and lm is None:
         raise ContractError("a language model is required when its mixing weight is positive")
-    tokens = np.array([t for t in range(model.decoder_cfg.vocab_size) if t not in (PAD, SOS)])
+    tokens = np.array([t for t in range(model.vocab_size) if t not in (PAD, SOS)])
     words = tuple(vocab.word_of(t) for t in tokens if t != EOS)
     with no_grad():
         encoded = model.encode(standardize_spectrogram(x))
@@ -222,3 +232,16 @@ def transcribe(model, lm, x, cfg, vocab):
     """Decode to words; specials are stripped, so output may be empty."""
     best = beam_search_decode(model, lm, x, cfg, vocab)
     return vocab.decode(best.tokens)
+
+
+def evaluate_dataset(model, lm, manifest, cfg, seed, resamples):
+    """Transcribe every utterance in a manifest and score the results."""
+    if resamples < 1:
+        raise ContractError(f"the bootstrap needs at least 1 resample, got {resamples}")
+    vocab = manifest.vocabulary
+    pairs = []
+    for utt in iter_utterances(manifest):
+        reference = vocab.decode(utt.target)
+        hypothesis = transcribe(model, lm, utt.spectrogram, cfg, vocab)
+        pairs.append((reference, hypothesis))
+    return build_report(pairs, seed=seed, resamples=resamples)

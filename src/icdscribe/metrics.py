@@ -133,7 +133,7 @@ def _percentile(ordered, p):
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
-def build_report(pairs, seed=0, resamples=1000, max_n=4):
+def build_report(pairs, seed, resamples, max_n=4):
     """Score (reference, hypothesis) pairs and bootstrap 95% intervals.
 
     Corpus WER is total errors over total reference words, not the mean
@@ -164,22 +164,6 @@ def build_report(pairs, seed=0, resamples=1000, max_n=4):
         resamples=resamples,
         seed=seed,
     )
-
-
-def evaluate_dataset(model, lm, manifest, cfg, seed=0, resamples=1000):
-    """Transcribe every utterance in a manifest and score the results."""
-    if resamples < 1:
-        raise ContractError(f"the bootstrap needs at least 1 resample, got {resamples}")
-    from .data import iter_utterances
-    from .fusion import transcribe
-
-    vocab = manifest.vocabulary
-    pairs = []
-    for utt in iter_utterances(manifest):
-        reference = vocab.decode(utt.target)
-        hypothesis = transcribe(model, lm, utt.spectrogram, cfg, vocab)
-        pairs.append((reference, hypothesis))
-    return build_report(pairs, seed=seed, resamples=resamples)
 
 
 def format_report(report):

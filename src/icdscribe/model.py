@@ -68,14 +68,15 @@ class EncoderConfig:
 
 @dataclass
 class DecoderConfig:
-    vocab_size: int
+    """Decoder sizes; the vocabulary size comes from the dataset."""
+
     embedding_dim: int = 64
     hidden: int = 128
     attention_dim: int = 64
 
     def __post_init__(self):
-        if self.vocab_size < 5:
-            raise ContractError("vocabulary needs the four specials plus content words")
+        if min(self.embedding_dim, self.hidden, self.attention_dim) < 1:
+            raise ContractError("decoder dimensions must be positive")
 
 
 @dataclass
@@ -98,9 +99,12 @@ def standardize_spectrogram(values):
 class Seq2SeqModel:
     """Encoder, attention and decoder parameters plus their wiring."""
 
-    def __init__(self, encoder_cfg, decoder_cfg, input_dim, seed=0, values=None):
+    def __init__(self, encoder_cfg, decoder_cfg, vocab_size, input_dim, seed=0, values=None):
+        if vocab_size < 5:
+            raise ContractError("vocabulary needs the four specials plus content words")
         self.encoder_cfg = encoder_cfg
         self.decoder_cfg = decoder_cfg
+        self.vocab_size = vocab_size
         self.input_dim = input_dim
         self.seed = seed
         layout = {}  # name -> (shape, fan-in or initial values), in registration order
@@ -128,7 +132,7 @@ class Seq2SeqModel:
             lstm_params(f"enc{j}", in_dim, encoder_cfg.hidden)
             in_dim = encoder_cfg.hidden * encoder_cfg.beta
 
-        param("dec.embed", (decoder_cfg.vocab_size, decoder_cfg.embedding_dim),
+        param("dec.embed", (vocab_size, decoder_cfg.embedding_dim),
               fan_in=decoder_cfg.embedding_dim)
         lstm_params("dec", decoder_cfg.embedding_dim + encoder_cfg.hidden, decoder_cfg.hidden)
 
@@ -137,10 +141,10 @@ class Seq2SeqModel:
         bias("attn.b", np.zeros(decoder_cfg.attention_dim))
         param("attn.score", (decoder_cfg.attention_dim, 1))
 
-        param("out.w", (decoder_cfg.hidden + encoder_cfg.hidden, decoder_cfg.vocab_size))
-        bias("out.b", np.zeros(decoder_cfg.vocab_size))
+        param("out.w", (decoder_cfg.hidden + encoder_cfg.hidden, vocab_size))
+        bias("out.b", np.zeros(vocab_size))
         # every parameter's values and grad are views into these two vectors; stored
-        # `values` (a checkpoint's) are copied in place of the seeded draw
+        # `values` (a checkpoint's) are adopted in place of the seeded draw
         rng = np.random.default_rng(stable_seed("model-init", seed)) if values is None else None
         self.values, self.grads, self._params = parameter_vectors(layout, rng, values)
 
@@ -195,10 +199,8 @@ class Seq2SeqModel:
         return zeros((1, n)), zeros((1, n))
 
     def decode_step(self, prev_token, state, context):
-        if not 0 <= prev_token < self.decoder_cfg.vocab_size:
-            raise IndexError(
-                f"token id {prev_token} outside vocabulary of {self.decoder_cfg.vocab_size}"
-            )
+        if not 0 <= prev_token < self.vocab_size:
+            raise IndexError(f"token id {prev_token} outside vocabulary of {self.vocab_size}")
         embedding = narrow(self._params["dec.embed"], 0, int(prev_token), 1)
         n = self.decoder_cfg.hidden
         states = lstm(concat([embedding, context], axis=1), *state,

@@ -17,10 +17,10 @@ import pytest
 
 from icdscribe import autodiff as ad
 from icdscribe.audio import SpeakerProfile
-from icdscribe.autodiff import AdamState, backward, softmax_cross_entropy
+from icdscribe.autodiff import AdamState, OptimizerConfig, backward, softmax_cross_entropy
 from icdscribe.checkpoint import fresh_model
 from icdscribe.cli import main
-from icdscribe.config import DecoderSettings, RunConfig
+from icdscribe.config import RunConfig
 from icdscribe.data import (
     EOS,
     SOS,
@@ -110,8 +110,8 @@ class TestGradientFidelity:
         enc = EncoderConfig(
             conv=(ConvSpec(channels=2, stride=2, dilation=1, kernel=2),), layers=1, beta=2, hidden=4
         )
-        dec = DecoderConfig(vocab_size=5, embedding_dim=3, hidden=4, attention_dim=2)
-        model = Seq2SeqModel(enc, dec, input_dim=3, seed=7)
+        dec = DecoderConfig(embedding_dim=3, hidden=4, attention_dim=2)
+        model = Seq2SeqModel(enc, dec, 5, input_dim=3, seed=7)
         x = np.random.default_rng(13).normal(size=(8, 3))
         target = [SOS, 4, 3, EOS]
 
@@ -143,8 +143,8 @@ class TestPyramidReduction:
                 conv=(ConvSpec(channels=2, stride=stride, dilation=1, kernel=2),),
                 layers=layers, beta=beta, hidden=3,
             )
-            dec = DecoderConfig(vocab_size=5, embedding_dim=2, hidden=3, attention_dim=2)
-            model = Seq2SeqModel(enc, dec, input_dim=2, seed=0)
+            dec = DecoderConfig(embedding_dim=2, hidden=3, attention_dim=2)
+            model = Seq2SeqModel(enc, dec, 5, input_dim=2, seed=0)
             expected = math.ceil(t / stride)
             for _level in range(layers):
                 expected = math.ceil(expected / beta)
@@ -160,8 +160,8 @@ class TestAttentionWeights:
         enc = EncoderConfig(
             conv=(ConvSpec(channels=3, stride=2, dilation=1, kernel=2),), layers=1, beta=2, hidden=5
         )
-        dec = DecoderConfig(vocab_size=6, embedding_dim=3, hidden=5, attention_dim=4)
-        return Seq2SeqModel(enc, dec, input_dim=4, seed=seed)
+        dec = DecoderConfig(embedding_dim=3, hidden=5, attention_dim=4)
+        return Seq2SeqModel(enc, dec, 6, input_dim=4, seed=seed)
 
     def test_weights_are_a_distribution(self):
         rng = np.random.default_rng(31)
@@ -275,7 +275,7 @@ class FixedTableModel:
 
     def __init__(self, table):
         self.table = table
-        self.decoder_cfg = DecoderConfig(vocab_size=6, embedding_dim=2, hidden=2, attention_dim=2)
+        self.vocab_size = 6
 
     def dist(self, prefix):
         return self.table[prefix]
@@ -401,7 +401,7 @@ class TestWordErrorRate:
 
 def corpus_bleu(pairs):
     """The report's corpus BLEU, the package's one BLEU entry."""
-    return build_report(pairs, resamples=1).corpus_bleu
+    return build_report(pairs, seed=0, resamples=1).corpus_bleu
 
 
 class TestBleu:
@@ -427,7 +427,7 @@ def desk_encoder():
 
 
 def desk_decoder():
-    return DecoderSettings(embedding_dim=32, hidden=64, attention_dim=32)
+    return DecoderConfig(embedding_dim=32, hidden=64, attention_dim=32)
 
 
 class TestOverfitRecovery:
@@ -449,7 +449,7 @@ class TestOverfitRecovery:
         lm = train_lm(Corpus([list(c.words) for c in codes]), max_order=3)
         config = RunConfig(seed=0, dataset=dataset, encoder=desk_encoder(), decoder=desk_decoder())
         model = fresh_model(config, vocab)
-        optimizer = AdamState(model.values.size, lr=2e-3)
+        optimizer = AdamState(model.values.size, OptimizerConfig(lr=2e-3))
         train_cfg = FusionConfig(lm_sample_max=0.0)
         decode_cfg = FusionConfig(lambda_lm=0.0, beam_width=1, max_decode_len=12)
 
@@ -501,7 +501,7 @@ class TestHeldOutSpeaker:
         lm = train_lm(Corpus([list(c.words) for c in codes]), max_order=3)
         config = RunConfig(seed=0, dataset=dataset, encoder=desk_encoder(), decoder=desk_decoder())
         model = fresh_model(config, vocab)
-        optimizer = AdamState(model.values.size, lr=2e-3)
+        optimizer = AdamState(model.values.size, OptimizerConfig(lr=2e-3))
         train_with_scheduled_lm_sampling(
             model, lm, vocab, train_utts, FusionConfig(lm_sample_max=0.0),
             epochs=30, optimizer=optimizer, seed=0,

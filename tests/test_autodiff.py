@@ -497,16 +497,17 @@ class TestParameterVectors:
         assert np.array_equal(values, np.concatenate([p.values.ravel() for p in params.values()]))
         assert grads.shape == values.shape and not grads.any()
 
-    def test_stored_values_are_copied_without_drawing(self):
+    def test_stored_values_are_adopted_without_drawing(self):
         layout = {"w": ((2, 3), 4), "b": ((3,), np.zeros(3))}
         stored = np.arange(9.0)
-        stored.flags.writeable = False
         values, grads, params = ad.parameter_vectors(layout, None, values=stored)
-        assert np.array_equal(values, stored) and not np.shares_memory(values, stored)
+        assert values is stored
         np.testing.assert_array_equal(params["w"].values, [[0, 1, 2], [3, 4, 5]])
         np.testing.assert_array_equal(params["b"].values, [6, 7, 8])
-        params["b"].values[0] = -1.0  # a view into the writable copy
-        assert values[6] == -1.0 and not grads.any()
+        params["b"].values[0] = -1.0  # a view into the stored vector
+        assert stored[6] == -1.0 and not grads.any()
+        converted, _, _ = ad.parameter_vectors(layout, None, values=list(range(9)))
+        assert converted.dtype == np.float64 and np.array_equal(converted, np.arange(9.0))
         with pytest.raises(ContractError, match="8 stored values for a layout of 9"):
             ad.parameter_vectors(layout, None, values=np.zeros(8))
 
@@ -522,19 +523,19 @@ def textbook_adam(values, grads, m, v, step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         values = np.array([1.0, -2.0])
-        state = ad.AdamState(2, lr=0.1)
+        state = ad.AdamState(2, ad.OptimizerConfig(lr=0.1))
         ad.adam_step(values, np.zeros(2), state)
         np.testing.assert_array_equal(values, [1.0, -2.0])
 
     def test_step_count_increments_by_one(self):
         values = np.zeros(1)
-        state = ad.AdamState(1)
+        state = ad.AdamState(1, ad.OptimizerConfig())
         for expected in (1, 2, 3):
             ad.adam_step(values, np.ones(1), state)
             assert state.step == expected
 
     def test_length_mismatch_is_a_contract_error(self):
-        state = ad.AdamState(3)
+        state = ad.AdamState(3, ad.OptimizerConfig())
         with pytest.raises(ContractError, match="covers 3 values"):
             ad.adam_step(np.zeros(3), np.zeros(2), state)
         with pytest.raises(ContractError, match="covers 3 values"):
@@ -543,7 +544,7 @@ class TestAdam:
 
     def test_grads_zeroed_after_step(self):
         grads = np.ones(1)
-        ad.adam_step(np.zeros(1), grads, ad.AdamState(1))
+        ad.adam_step(np.zeros(1), grads, ad.AdamState(1, ad.OptimizerConfig()))
         np.testing.assert_array_equal(grads, [0.0])
 
     @given(
@@ -557,7 +558,7 @@ class TestAdam:
     def test_blocks_match_the_textbook_update(self, size, steps, seed):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=size)
-        state = ad.AdamState(size, lr=0.01)
+        state = ad.AdamState(size, ad.OptimizerConfig(lr=0.01))
         want, m, v = values.copy(), np.zeros(size), np.zeros(size)
         for step in range(1, steps + 1):
             grads = rng.normal(size=size) * rng.choice([1e-6, 1.0, 1e3], size=size)
@@ -580,7 +581,7 @@ class TestAdam:
 
         values, grads, params = ad.parameter_vectors({"x": ((1,), np.zeros(1))}, rng=None)
         p = params["x"]
-        state = ad.AdamState(values.size, lr=0.1)
+        state = ad.AdamState(values.size, ad.OptimizerConfig(lr=0.1))
         for _ in range(200):
             diff = ad.add(p, ad.Tensor([-3.0]))
             ad.backward(square_norm(diff))

@@ -4,17 +4,24 @@ benchmarks/run.py lists the functions its traced passes wrap, the
 transcribe pass featurizes wavs through `audio.frontend_spectrogram`, and
 `passes.write_wavs` captures each held-out far-field waveform by replacing
 `data.stft_logmel` with a stand-in that takes the waveform as its only
-positional argument.  A change that breaks one of these otherwise shows
-up only in a benchmark run.
+positional argument.  The train and evaluate passes time a CLI command by
+wrapping module attributes: `cli.train_with_scheduled_lm_sampling` and
+`fusion.adam_step`, and `cli.evaluate_dataset` and `fusion.transcribe`.
+A change that breaks one of these otherwise shows up only in a benchmark run.
 """
 
 import ast
 import importlib
+import json
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
-from icdscribe import audio, data
+import pytest
+
+from icdscribe import audio, cli, data, fusion
 from icdscribe.audio import RoomModel
-from icdscribe.data import DatasetConfig, IcdCode, generate_dataset
+from icdscribe.data import DatasetConfig, IcdCode, generate_dataset, load_manifest
 from icdscribe.model import Seq2SeqModel
 
 RUN_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
@@ -70,3 +77,78 @@ class TestBenchmarkSeams:
             captured.clear()
             again = audio.stft_logmel(waveform, config.frontend)
             assert again.tobytes() == want.tobytes()
+
+
+TINY_CONFIG = {
+    "dataset": {
+        "repeats": 1,
+        "cap": 2,
+        "speakers": [
+            {"speaker_id": "near", "base_pitch": 120.0, "rate": 0.9, "seed": 1},
+            {"speaker_id": "far", "base_pitch": 200.0, "rate": 1.1, "seed": 2},
+        ],
+        "room": {"distance": 1.0, "rt60": 0.0, "snr_db": None},
+        "frontend": {"sample_rate": 16000, "window": 400, "hop": 160, "n_mels": 8},
+    },
+    "encoder": {"conv": [{"channels": 4, "stride": 3}], "layers": 1, "beta": 3, "hidden": 8},
+    "decoder": {"embedding_dim": 4, "hidden": 8, "attention_dim": 4},
+    "fusion": {"beam_width": 2, "max_decode_len": 6},
+    "training": {"epochs": 2, "holdout_fraction": 0.0, "wer_every": 0},
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A tiny dataset, language model and checkpoint, made by the CLI."""
+    root = tmp_path_factory.mktemp("seams")
+    ws = SimpleNamespace(config=root / "config.json", data=root / "data", lm=root / "lm.json",
+                         ckpt=root / "model.ckpt")
+    ws.config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    codes = root / "codes.tsv"
+    codes.write_text("C1\taa bb\nC2\tcc\n", encoding="utf-8")
+    for argv in (
+        ["generate-data", "--config", ws.config, "--codes", codes, "--output", ws.data],
+        ["train-lm", "--corpus", ws.data / "corpus.txt", "--order", 2, "--output", ws.lm],
+        ["train", "--config", ws.config, "--data", ws.data, "--lm", ws.lm, "--output", ws.ckpt],
+    ):
+        assert cli.main([str(a) for a in argv]) == 0
+    return ws
+
+
+def count_calls(monkeypatch, owner, attr, calls, results=None):
+    """Wrap `owner.attr` as the benchmark's probes do, counting calls in `calls[attr]`."""
+    fn = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls[attr] += 1
+        result = fn(*args, **kwargs)
+        if results is not None:
+            results.append(result)
+        return result
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+class TestProbedCommands:
+    def test_train_runs_one_loop_and_one_adam_step_per_update(self, pipeline, tmp_path,
+                                                               monkeypatch):
+        calls = Counter()
+        count_calls(monkeypatch, cli, "train_with_scheduled_lm_sampling", calls)
+        count_calls(monkeypatch, fusion, "adam_step", calls)
+        assert cli.main(["train", "--config", str(pipeline.config), "--data", str(pipeline.data),
+                         "--lm", str(pipeline.lm), "--output", str(tmp_path / "m.ckpt")]) == 0
+        records = load_manifest(pipeline.data / "train.json").records
+        updates = TINY_CONFIG["training"]["epochs"] * len(records)
+        assert calls == {"train_with_scheduled_lm_sampling": 1, "adam_step": updates}
+
+    def test_evaluate_transcribes_each_record_once_into_words(self, pipeline, tmp_path,
+                                                              monkeypatch, capsys):
+        calls, hypotheses = Counter(), []
+        count_calls(monkeypatch, cli, "evaluate_dataset", calls)
+        count_calls(monkeypatch, fusion, "transcribe", calls, hypotheses)
+        manifest = load_manifest(pipeline.data / "test.json")
+        assert cli.main(["evaluate", "--ckpt", str(pipeline.ckpt), "--lm", str(pipeline.lm),
+                         "--manifest", str(pipeline.data / "test.json"), "--resamples", "10"]) == 0
+        assert calls == {"evaluate_dataset": 1, "transcribe": len(manifest.records)}
+        words = set(manifest.vocabulary.content_words)
+        assert all(isinstance(h, list) and set(h) <= words for h in hypotheses)

@@ -7,7 +7,7 @@ import pytest
 from helpers import fail_writes_after
 
 from icdscribe.audio import FrontendConfig
-from icdscribe.autodiff import AdamState, adam_step
+from icdscribe.autodiff import AdamState, OptimizerConfig, adam_step
 from icdscribe.checkpoint import (
     build_model,
     fresh_model,
@@ -15,12 +15,12 @@ from icdscribe.checkpoint import (
     restore_optimizer,
     save_checkpoint,
 )
-from icdscribe.config import DecoderSettings, RunConfig, TrainingConfig
+from icdscribe.config import RunConfig, TrainingConfig
 from icdscribe.data import EOS, SOS, DatasetConfig, IcdCode, build_vocabulary
 from icdscribe.errors import ConfigError, ParseError, ValidationError
 from icdscribe.fusion import FusionConfig, train_with_scheduled_lm_sampling
 from icdscribe.lm import Corpus, train_lm
-from icdscribe.model import ConvSpec, EncoderConfig
+from icdscribe.model import ConvSpec, DecoderConfig, EncoderConfig
 from icdscribe.schema import to_payload
 
 VOCAB = build_vocabulary([IcdCode("X", ["aa", "bb"])])
@@ -35,7 +35,7 @@ def run_config(seed=3):
             conv=(ConvSpec(channels=3, stride=2, dilation=1, kernel=2),),
             layers=1, beta=2, hidden=6,
         ),
-        decoder=DecoderSettings(embedding_dim=4, hidden=6, attention_dim=3),
+        decoder=DecoderConfig(embedding_dim=4, hidden=6, attention_dim=3),
         training=TrainingConfig(epochs=5),
     )
 
@@ -52,7 +52,7 @@ def fake_utterances():
 
 def touched_optimizer(model):
     """Optimizer whose moments are nonzero, so serialization is exercised."""
-    state = AdamState(model.values.size, lr=2e-3)
+    state = AdamState(model.values.size, OptimizerConfig(lr=2e-3))
     for i, p in enumerate(model.named_parameters().values()):
         p.grad[...] = 0.01 * (i + 1)
     adam_step(model.values, model.grads, state)
@@ -74,7 +74,7 @@ class TestRoundTrip:
         assert loaded.vocabulary == VOCAB
         assert to_payload(loaded.config) == to_payload(config)
 
-    def test_build_model_copies_and_draws_nothing(self, tmp_path, monkeypatch):
+    def test_build_model_adopts_the_blob_and_draws_nothing(self, tmp_path, monkeypatch):
         config = run_config()
         model = fresh_model(config, VOCAB)
         path = tmp_path / "model.ckpt"
@@ -87,7 +87,7 @@ class TestRoundTrip:
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         rebuilt = build_model(loaded)
         assert np.array_equal(rebuilt.values, model.values)
-        assert rebuilt.values.flags.writeable and not np.shares_memory(rebuilt.values, loaded.blob)
+        assert rebuilt.values.flags.writeable and rebuilt.values is loaded.blob
 
     def test_resave_is_byte_identical(self, tmp_path):
         config = run_config()
@@ -133,7 +133,7 @@ class TestRoundTrip:
         rebuilt = build_model(loaded)
         restored = restore_optimizer(loaded, rebuilt)
         assert restored.step == state.step
-        assert restored.lr == state.lr
+        assert restored.config == state.config
         assert np.array_equal(restored.m, state.m)
         assert np.array_equal(restored.v, state.v)
 
@@ -167,7 +167,7 @@ class TestRoundTrip:
         for (name, tensor), want in zip(rebuilt.named_parameters().items(), arrays["values"]):
             assert np.array_equal(tensor.values, want), name
         state = restore_optimizer(loaded, rebuilt)
-        assert (state.step, state.lr, state.beta1, state.beta2, state.eps) == (7, 0.002, 0.9, 0.999, 1e-8)
+        assert (state.step, state.config) == (7, OptimizerConfig(0.002, 0.9, 0.999, 1e-8))
         assert np.array_equal(state.m, np.concatenate([a.ravel() for a in arrays["m"]]))
         assert np.array_equal(state.v, np.concatenate([a.ravel() for a in arrays["v"]]))
         resaved = tmp_path / "resaved.ckpt"
@@ -244,7 +244,7 @@ class TestRejection:
         model = fresh_model(config, VOCAB)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, VOCAB, config, step=1, optimizer=touched_optimizer(model))
-        wider = replace(config, decoder=DecoderSettings(embedding_dim=5, hidden=6, attention_dim=3))
+        wider = replace(config, decoder=DecoderConfig(embedding_dim=5, hidden=6, attention_dim=3))
         with pytest.raises(ValidationError, match="optimizer state covers"):
             restore_optimizer(load_checkpoint(path), fresh_model(wider, VOCAB))
 
@@ -277,13 +277,13 @@ class TestResume:
         leg1_cfg = FusionConfig(lm_sample_max=0.5, ramp_frac=2 / 3)
 
         straight = fresh_model(config, VOCAB)
-        opt = AdamState(straight.values.size, lr=2e-3)
+        opt = AdamState(straight.values.size, OptimizerConfig(lr=2e-3))
         wanted = train_with_scheduled_lm_sampling(
             straight, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt, seed=7
         )
 
         first = fresh_model(config, VOCAB)
-        opt1 = AdamState(first.values.size, lr=2e-3)
+        opt1 = AdamState(first.values.size, OptimizerConfig(lr=2e-3))
         leg1 = train_with_scheduled_lm_sampling(
             first, LM, VOCAB, utts, leg1_cfg, epochs=3, optimizer=opt1, seed=7
         )
@@ -298,7 +298,7 @@ class TestResume:
             start_epoch=loaded.step,
         )
 
-        assert [e.mean_loss for e in leg1] == [e.mean_loss for e in wanted[:3]]
-        assert [e.mean_loss for e in leg2] == [e.mean_loss for e in wanted[3:]]
+        assert [e.loss for e in leg1] == [e.loss for e in wanted[:3]]
+        assert [e.loss for e in leg2] == [e.loss for e in wanted[3:]]
         for name, tensor in straight.named_parameters().items():
             assert np.array_equal(second.named_parameters()[name].values, tensor.values)

@@ -189,6 +189,15 @@ class TestTrain:
         assert out.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "model.log.jsonl"]
 
+    def test_zero_adam_eps_exits_2_before_writing(self, workspace, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "optimizer": {"eps": 0.0}}), encoding="utf-8")
+        code, err = run(["train", "--config", config, "--data", workspace.data,
+                         "--lm", workspace.lm, "--output", tmp_path / "model.json"])
+        assert code == 2
+        assert_one_line_error(err, str(config), "optimizer")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_resume_past_the_horizon_exits_2(self, workspace, tmp_path, capsys):
         code = main(["train", "--data", str(workspace.data), "--lm", str(workspace.lm),
                      "--resume", str(workspace.ckpt), "--epochs", "2",
@@ -631,6 +640,22 @@ class TestHostileArtifacts:
                          "--lambda-lm", "0"])
         assert code == 2
         assert_one_line_error(err, str(path), fragment)
+
+    @pytest.mark.parametrize("key, value", [("beta1", 1.0), ("lr", -1), ("eps", 0), ("step", -1)])
+    def test_out_of_range_adam_header_exits_2(self, workspace, tmp_path, key, value):
+        head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["optimizer"][key] = value
+        path = tmp_path / "adam.ckpt"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        for argv in (
+            ["transcribe", workspace.data / "test.json", "--ckpt", path, "--lambda-lm", "0"],
+            ["train", "--data", workspace.data, "--lm", workspace.lm, "--resume", path,
+             "--epochs", "3", "--output", tmp_path / "resumed.json"],
+        ):
+            code, err = run(argv)
+            assert code == 2
+            assert_one_line_error(err, str(path), "optimizer")
 
     def test_non_finite_adam_state_fails_only_a_resume(self, workspace, tmp_path):
         raw = workspace.ckpt.read_bytes()

@@ -5,7 +5,6 @@ import pytest
 
 from icdscribe.config import (
     CONFIG_FORMAT,
-    DecoderSettings,
     OptimizerConfig,
     RunConfig,
     TrainingConfig,
@@ -89,8 +88,9 @@ class TestStrictness:
 
 class TestValidation:
     def test_bad_learning_rate(self):
-        with pytest.raises(ConfigError):
-            OptimizerConfig(lr=0.0)
+        for bad in ({"lr": 0.0}, {"eps": 0.0}, {"eps": -1e-8}):
+            with pytest.raises(ConfigError, match="must be positive"):
+                OptimizerConfig(**bad)
 
     def test_bad_epoch_count(self):
         with pytest.raises(ConfigError):
@@ -101,8 +101,8 @@ class TestValidation:
             TrainingConfig(holdout_fraction=1.0)
 
     def test_bad_decoder_dimension(self):
-        with pytest.raises(ConfigError):
-            DecoderSettings(hidden=0)
+        with pytest.raises(ConfigError, match="decoder: decoder dimensions must be positive"):
+            RunConfig.from_dict({"decoder": {"hidden": 0}})
 
     def test_section_validators_fire_through_from_dict(self):
         with pytest.raises(ConfigError):

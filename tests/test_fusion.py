@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from icdscribe.autodiff import (
     AdamState,
+    OptimizerConfig,
     Tensor,
     adam_step,
     backward,
@@ -48,7 +49,7 @@ class TableModel:
     def __init__(self, table, vocab_size=6):
         self.table = table
         self.default = [1e-12, 1e-12, 0.6, 1e-12, 0.2, 0.2]
-        self.decoder_cfg = SimpleNamespace(vocab_size=vocab_size)
+        self.vocab_size = vocab_size
 
     def dist(self, prefix):
         return self.table.get(prefix, self.default)
@@ -194,8 +195,8 @@ def tiny_model(seed=0):
     enc = EncoderConfig(
         conv=(ConvSpec(channels=3, stride=2, dilation=1, kernel=2),), layers=1, beta=2, hidden=6
     )
-    dec = DecoderConfig(vocab_size=len(VOCAB), embedding_dim=4, hidden=6, attention_dim=3)
-    return Seq2SeqModel(enc, dec, input_dim=5, seed=seed)
+    dec = DecoderConfig(embedding_dim=4, hidden=6, attention_dim=3)
+    return Seq2SeqModel(enc, dec, len(VOCAB), input_dim=5, seed=seed)
 
 
 def fake_utterances():
@@ -215,11 +216,12 @@ class TestTraining:
 
         trained = tiny_model(seed=5)
         log = train_with_scheduled_lm_sampling(
-            trained, LM, VOCAB, utts, cfg, epochs=3, optimizer=AdamState(trained.values.size), seed=1
+            trained, LM, VOCAB, utts, cfg, epochs=3,
+            optimizer=AdamState(trained.values.size, OptimizerConfig()), seed=1,
         )
 
         manual = tiny_model(seed=5)
-        opt = AdamState(manual.values.size)
+        opt = AdamState(manual.values.size, OptimizerConfig())
         manual_losses = []
         for _ in range(3):
             total = 0.0
@@ -234,7 +236,7 @@ class TestTraining:
                 total += loss.item()
             manual_losses.append(total / len(utts))
 
-        assert [e.mean_loss for e in log] == manual_losses
+        assert [e.loss for e in log] == manual_losses
 
     def test_fixed_seed_reproduces_loss_trajectory(self):
         cfg = FusionConfig(lm_sample_max=0.5, ramp_frac=0.0)
@@ -243,19 +245,19 @@ class TestTraining:
             model = tiny_model(seed=2)
             log = train_with_scheduled_lm_sampling(
                 model, LM, VOCAB, fake_utterances(), cfg, epochs=4,
-                optimizer=AdamState(model.values.size), seed=9,
+                optimizer=AdamState(model.values.size, OptimizerConfig()), seed=9,
             )
-            runs.append([e.mean_loss for e in log])
+            runs.append([e.loss for e in log])
         assert runs[0] == runs[1]
 
     def test_loss_decreases_on_tiny_problem(self):
         model = tiny_model(seed=3)
-        opt = AdamState(model.values.size, lr=5e-3)
+        opt = AdamState(model.values.size, OptimizerConfig(lr=5e-3))
         log = train_with_scheduled_lm_sampling(
             model, LM, VOCAB, fake_utterances(), FusionConfig(lm_sample_max=0.0),
             epochs=25, optimizer=opt, seed=0,
         )
-        assert log[-1].mean_loss < log[0].mean_loss * 0.7
+        assert log[-1].loss < log[0].loss * 0.7
 
     def test_vocabulary_mismatch_rejected(self):
         vocab = build_vocabulary([IcdCode("X", ["aa", "zebra"])])
@@ -263,7 +265,7 @@ class TestTraining:
         with pytest.raises(ValidationError, match="zebra"):
             train_with_scheduled_lm_sampling(
                 model, LM, vocab, fake_utterances(), FusionConfig(),
-                epochs=1, optimizer=AdamState(model.values.size),
+                epochs=1, optimizer=AdamState(model.values.size, OptimizerConfig()),
             )
 
     def test_empty_dataset_rejected(self):
@@ -271,7 +273,7 @@ class TestTraining:
         with pytest.raises(ContractError):
             train_with_scheduled_lm_sampling(
                 model, LM, VOCAB, [], FusionConfig(), epochs=1,
-                optimizer=AdamState(model.values.size),
+                optimizer=AdamState(model.values.size, OptimizerConfig()),
             )
 
     def test_nan_loss_stops_before_the_update(self):
@@ -279,12 +281,13 @@ class TestTraining:
         utts[1].spectrogram[3, 2] = np.nan  # every feature, loss and gradient turn NaN
         cfg = FusionConfig(lm_sample_max=0.0)
         model, twin = tiny_model(seed=4), tiny_model(seed=4)
-        opt = AdamState(model.values.size)
+        opt = AdamState(model.values.size, OptimizerConfig())
         with pytest.raises(ValidationError, match="epoch 0, utterance 1"):
             train_with_scheduled_lm_sampling(model, LM, VOCAB, utts, cfg, epochs=2, optimizer=opt)
         # the twin takes only the good first step; the bad one must change nothing
         train_with_scheduled_lm_sampling(
-            twin, LM, VOCAB, utts[:1], cfg, epochs=1, optimizer=AdamState(twin.values.size)
+            twin, LM, VOCAB, utts[:1], cfg, epochs=1,
+            optimizer=AdamState(twin.values.size, OptimizerConfig()),
         )
         assert opt.step == 1
         for name, p in model.named_parameters().items():
@@ -295,7 +298,7 @@ class TestTraining:
         cfg = FusionConfig(lm_sample_max=0.25, ramp_frac=0.5)
         log = train_with_scheduled_lm_sampling(
             model, LM, VOCAB, fake_utterances()[:1], cfg, epochs=4,
-            optimizer=AdamState(model.values.size),
+            optimizer=AdamState(model.values.size, OptimizerConfig()),
         )
         assert [e.lm_sample_p for e in log] == [
             lm_sample_probability(cfg, e, 4) for e in range(4)
@@ -394,7 +397,7 @@ def reference_beam_search(model, lm, cfg, vocab):
         state, logits = model.decode_step(hyp.tokens[-1], hyp.state, context)
         logp = log_softmax_values(logits.values)[0]
         children = []
-        for token in range(model.decoder_cfg.vocab_size):
+        for token in range(model.vocab_size):
             if token in (PAD, SOS):
                 continue
             log_a = hyp.log_acoustic + float(logp[token])
@@ -469,7 +472,7 @@ class TestPrunedBeamSearch:
             encoded = model.encode(standardize_spectrogram(spec))
             fixed = SimpleNamespace(encode=lambda _: encoded, start_state=model.start_state,
                                     attend=model.attend, decode_step=model.decode_step,
-                                    decoder_cfg=model.decoder_cfg)
+                                    vocab_size=model.vocab_size)
             want = reference_beam_search(fixed, LM, cfg, VOCAB)
             got = beam_search_decode(model, LM, spec, cfg, VOCAB)
             assert (got.tokens, got.log_acoustic, got.log_lm, got.fused) == (

@@ -97,7 +97,7 @@ class TestWer:
 
 def corpus_bleu(pairs, max_n=4):
     """The report's corpus BLEU, the package's one BLEU entry."""
-    return build_report(pairs, resamples=1, max_n=max_n).corpus_bleu
+    return build_report(pairs, seed=0, resamples=1, max_n=max_n).corpus_bleu
 
 
 class TestBleu:
@@ -222,7 +222,7 @@ class TestReport:
         # np.percentile imports numpy.ma on first use, a cost every evaluate would pay
         script = ("import sys\n"
                   "from icdscribe.metrics import build_report\n"
-                  "build_report([(['a', 'b'], ['a']), (['c'], ['c', 'd'])], resamples=50)\n"
+                  "build_report([(['a', 'b'], ['a']), (['c'], ['c', 'd'])], seed=0, resamples=50)\n"
                   "print('numpy.ma' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(metrics.__file__))
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -231,7 +231,7 @@ class TestReport:
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ContractError):
-            build_report([], seed=0)
+            build_report([], seed=0, resamples=1)
 
     def test_report_renders_and_serializes(self):
         pairs = [(["a", "b"], ["a", "b"]), (["c", "d"], ["c", "x"])]

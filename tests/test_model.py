@@ -22,16 +22,16 @@ N_MELS = 6
 
 def no_conv_model(layers, beta=2, hidden=3, seed=0):
     enc = EncoderConfig(conv=(), layers=layers, beta=beta, hidden=hidden)
-    dec = DecoderConfig(vocab_size=5, embedding_dim=3, hidden=4, attention_dim=2)
-    return Seq2SeqModel(enc, dec, input_dim=N_MELS, seed=seed)
+    dec = DecoderConfig(embedding_dim=3, hidden=4, attention_dim=2)
+    return Seq2SeqModel(enc, dec, 5, input_dim=N_MELS, seed=seed)
 
 
 def small_model(vocab_size=7, seed=0):
     enc = EncoderConfig(
         conv=(ConvSpec(channels=4, stride=2, dilation=1, kernel=3),), layers=1, beta=2, hidden=5
     )
-    dec = DecoderConfig(vocab_size=vocab_size, embedding_dim=3, hidden=4, attention_dim=3)
-    return Seq2SeqModel(enc, dec, input_dim=N_MELS, seed=seed)
+    dec = DecoderConfig(embedding_dim=3, hidden=4, attention_dim=3)
+    return Seq2SeqModel(enc, dec, vocab_size, input_dim=N_MELS, seed=seed)
 
 
 def spectrogram(frames, seed=0, channels=N_MELS):
@@ -54,8 +54,8 @@ class TestPyramidArithmetic:
             beta=2,
             hidden=3,
         )
-        dec = DecoderConfig(vocab_size=5, embedding_dim=2, hidden=3, attention_dim=2)
-        model = Seq2SeqModel(enc, dec, input_dim=N_MELS)
+        dec = DecoderConfig(embedding_dim=2, hidden=3, attention_dim=2)
+        model = Seq2SeqModel(enc, dec, 5, input_dim=N_MELS)
         assert model.encode(spectrogram(16)).reduced_steps == 1
 
     @given(
@@ -101,8 +101,8 @@ class TestEncoder:
             beta=2,
             hidden=5,
         )
-        dec = DecoderConfig(vocab_size=5, embedding_dim=3, hidden=4, attention_dim=2)
-        model = Seq2SeqModel(enc, dec, input_dim=N_MELS, seed=3)
+        dec = DecoderConfig(embedding_dim=3, hidden=4, attention_dim=2)
+        model = Seq2SeqModel(enc, dec, 5, input_dim=N_MELS, seed=3)
         x = spectrogram(32, seed=9)
         full = model.encode(x).hidden.values
         truncated = model.encode(x[:16]).hidden.values
@@ -234,8 +234,8 @@ class TestGradients:
             conv=(ConvSpec(channels=2, stride=2, dilation=1, kernel=2),),
             layers=layers, beta=beta, hidden=4,
         )
-        dec = DecoderConfig(vocab_size=5, embedding_dim=3, hidden=4, attention_dim=2)
-        model = Seq2SeqModel(enc, dec, input_dim=3, seed=7)
+        dec = DecoderConfig(embedding_dim=3, hidden=4, attention_dim=2)
+        model = Seq2SeqModel(enc, dec, 5, input_dim=3, seed=7)
         x = np.random.default_rng(13).normal(size=(frames, 3))
         target = [SOS, 4, 3, EOS]
         return model, x, target
@@ -314,4 +314,4 @@ class TestConfigValidation:
 
     def test_tiny_vocab_rejected(self):
         with pytest.raises(ContractError):
-            DecoderConfig(vocab_size=4)
+            Seq2SeqModel(EncoderConfig(), DecoderConfig(), 4, input_dim=N_MELS)
