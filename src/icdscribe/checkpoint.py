@@ -185,7 +185,10 @@ def build_model(checkpoint):
 
 
 def restore_optimizer(checkpoint, model):
-    """Read back the Adam vectors saved alongside the parameters of `model`."""
+    """Read back the Adam vectors saved alongside the parameters of `model`.
+
+    `m` and `v` are the two halves of the array read, adopted without a copy.
+    """
     stored = checkpoint.optimizer
     if stored is None:
         raise ValidationError("checkpoint carries no optimizer state")
@@ -198,6 +201,5 @@ def restore_optimizer(checkpoint, model):
         moments = _read_finite(fh, 2 * n, f"{checkpoint.path}: the optimizer state")
     state = AdamState(n, stored.config())
     state.step = stored.step
-    state.m[...] = moments[:n]
-    state.v[...] = moments[n:]
+    state.m, state.v = moments[:n], moments[n:]
     return state

@@ -129,7 +129,7 @@ def check_vocabulary_alignment(lm, vocab):
 
 
 def train_with_scheduled_lm_sampling(
-    model, lm, vocab, utterances, cfg, epochs, optimizer, seed=0, clip_norm=5.0,
+    model, lm, vocab, utterances, cfg, epochs, optimizer, *, seed, clip_norm,
     start_epoch=0, on_epoch=None,
 ):
     """Train the acoustic model; returns one `EpochRecord` per epoch, each passed to `on_epoch`.

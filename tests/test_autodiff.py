@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -477,6 +478,71 @@ class TestConv1dAsOneMatmul:
         np.testing.assert_array_equal(out.values, [[0.5 + 7.0 * 1.0]])
 
 
+def lstm_allocating_steps(x, h0, c0, wx, wh, b, g_out):
+    """The LSTM with a step loop that allocates every temporary, and its backward sweep.
+
+    Returns the output rows and, in push order, the adjoint terms handed to
+    x, h0, c0, wx, wh and b: arrays, or the two factors of a product.
+    """
+    steps, n = x.shape[0], wh.shape[-1] // 4
+    scale = np.array([[0.5], [0.5], [1.0], [0.5]])
+    zx = (x @ wx + b).reshape(steps, 4, n)
+    hs = np.empty((steps + 1, n))
+    cs = np.empty((steps + 1, n))
+    hs[0], cs[0] = h0[0], c0[0]
+    gates = np.empty((steps, 4, n))
+    tanh_c = np.empty((steps, n))
+    for t in range(steps):
+        z = zx[t] + (hs[t] @ wh).reshape(4, n)
+        gates[t] = scale * np.tanh(scale * z) + (1.0 - scale)
+        i, f, g, o = gates[t]
+        cs[t + 1] = f * cs[t] + i * g
+        tanh_c[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = o * tanh_c[t]
+    out = np.concatenate([hs[1:], cs[1:]], axis=1)
+    slope = scale * scale - (gates - 1.0 + scale) ** 2
+    dz = np.empty_like(gates)
+    dh = np.zeros(n)
+    dc = np.zeros(n)
+    for t in range(steps - 1, -1, -1):
+        i, f, g, o = gates[t]
+        dh = dh + g_out[t, :n]
+        dc = dc + g_out[t, n:] + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+        dz[t] = slope[t] * (dc * g, dc * cs[t], dc * i, dh * tanh_c[t])
+        dc = dc * f
+        dh = dz[t].reshape(-1) @ wh.T
+    dz = dz.reshape(steps, 4 * n)
+    return out, [(dz @ wx.T,), (dh[None, :],), (dc[None, :],), (x, dz), (hs[:-1], dz),
+                 (dz.sum(axis=0),)]
+
+
+class TestLstmStepsWithoutTemporaries:
+    @given(
+        steps=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=9),
+        n=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_the_allocating_loop(self, steps, d, n, seed):
+        rng = np.random.default_rng(seed)
+        arrays = (rng.normal(size=(steps, d)), rng.normal(size=(1, n)), rng.normal(size=(1, n)),
+                  rng.normal(size=(d, 4 * n)), rng.normal(size=(n, 4 * n)),
+                  rng.normal(size=4 * n))
+        leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        g_out = rng.normal(size=(steps, 2 * n))
+        want_out, want_terms = lstm_allocating_steps(*arrays, g_out)
+        out = ad.lstm(*leaves)
+        assert np.array_equal(out.values, want_out)
+        terms = {}
+        out._backprop(g_out, terms)
+        for leaf, want in zip(leaves, want_terms, strict=True):
+            (got,) = terms[id(leaf)]
+            got = tuple(term for term in got if term is not None)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, e) for a, e in zip(got, want))
+
+
 class TestParameterVectors:
     @given(
         fan_ins=st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=4),
@@ -520,6 +586,15 @@ def textbook_adam(values, grads, m, v, step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8
     return values - lr * (m / c1) / (np.sqrt(v / c2) + eps), m, v
 
 
+def folded_adam(values, grads, m, v, step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """The same update with the bias corrections folded into the step size and eps."""
+    m = b1 * m + (1.0 - b1) * grads
+    v = b2 * v + (1.0 - b2) * grads * grads
+    root_c2 = math.sqrt(1.0 - b2 ** step)
+    step_size = lr * root_c2 / (1.0 - b1 ** step)
+    return values - m / (np.sqrt(v) + eps * root_c2) * step_size, m, v
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         values = np.array([1.0, -2.0])
@@ -556,17 +631,36 @@ class TestAdam:
     )
     @settings(max_examples=20, deadline=None)
     def test_blocks_match_the_textbook_update(self, size, steps, seed):
+        # the moments equal the textbook's bit for bit, the parameters the folded
+        # form's; the folding moves the parameters by rounding only
         rng = np.random.default_rng(seed)
         values = rng.normal(size=size)
+        start = values.copy()
         state = ad.AdamState(size, ad.OptimizerConfig(lr=0.01))
         want, m, v = values.copy(), np.zeros(size), np.zeros(size)
+        textbook = values.copy()
         for step in range(1, steps + 1):
             grads = rng.normal(size=size) * rng.choice([1e-6, 1.0, 1e3], size=size)
-            want, m, v = textbook_adam(want, grads, m, v, step, lr=0.01)
+            want, _, _ = folded_adam(want, grads, m, v, step, lr=0.01)
+            textbook, m, v = textbook_adam(textbook, grads, m, v, step, lr=0.01)
             ad.adam_step(values, grads, state)
             assert not grads.any()
         assert np.array_equal(values, want)
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        update = np.abs(textbook - start).max()
+        assert np.abs(values - textbook).max() <= 1e-12 * update
+
+    def test_peak_memory_is_one_scratch_block(self):
+        size = 500_789
+        values, grads = np.zeros(size), np.ones(size)
+        state = ad.AdamState(size, ad.OptimizerConfig())
+        tracemalloc.start()
+        try:
+            ad.adam_step(values, grads, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * ad.ADAM_BLOCK + 64 * 1024
 
     def test_converges_on_scalar_quadratic(self):
         # oracle: the same recurrence on plain floats, gradient 2(x-3)

@@ -137,6 +137,22 @@ class TestRoundTrip:
         assert np.array_equal(restored.m, state.m)
         assert np.array_equal(restored.v, state.v)
 
+    def test_restored_moments_are_views_of_one_buffer(self, tmp_path):
+        config = run_config()
+        model = fresh_model(config, VOCAB)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, VOCAB, config, step=1, optimizer=touched_optimizer(model))
+        loaded = load_checkpoint(path)
+        restored = restore_optimizer(loaded, build_model(loaded))
+        buffer = restored.m.base
+        assert buffer is not None and restored.v.base is buffer
+        assert buffer.size == 2 * model.values.size
+        for moments in (restored.m, restored.v):
+            assert moments.flags.writeable and moments.flags.c_contiguous
+            assert moments.size == model.values.size
+        restored.m[0] = 1.5  # adopted, not copied: writes reach the buffer
+        assert buffer[0] == 1.5
+
     def test_per_parameter_layout_loads_bit_for_bit(self, tmp_path):
         """A file packed one parameter array at a time, then each m, then each v, still loads."""
         config = run_config()
@@ -279,13 +295,15 @@ class TestResume:
         straight = fresh_model(config, VOCAB)
         opt = AdamState(straight.values.size, OptimizerConfig(lr=2e-3))
         wanted = train_with_scheduled_lm_sampling(
-            straight, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt, seed=7
+            straight, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt, seed=7,
+            clip_norm=config.training.clip_norm,
         )
 
         first = fresh_model(config, VOCAB)
         opt1 = AdamState(first.values.size, OptimizerConfig(lr=2e-3))
         leg1 = train_with_scheduled_lm_sampling(
-            first, LM, VOCAB, utts, leg1_cfg, epochs=3, optimizer=opt1, seed=7
+            first, LM, VOCAB, utts, leg1_cfg, epochs=3, optimizer=opt1, seed=7,
+            clip_norm=config.training.clip_norm,
         )
         path = tmp_path / "partial.json"
         save_checkpoint(path, first, VOCAB, config, step=3, optimizer=opt1)
@@ -295,7 +313,7 @@ class TestResume:
         opt2 = restore_optimizer(loaded, second)
         leg2 = train_with_scheduled_lm_sampling(
             second, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt2, seed=7,
-            start_epoch=loaded.step,
+            clip_norm=config.training.clip_norm, start_epoch=loaded.step,
         )
 
         assert [e.loss for e in leg1] == [e.loss for e in wanted[:3]]

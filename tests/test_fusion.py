@@ -16,6 +16,7 @@ from icdscribe.autodiff import (
     softmax_cross_entropy,
 )
 from icdscribe.autodiff import log_softmax_values
+from icdscribe.config import TrainingConfig
 from icdscribe.data import EOS, PAD, SOS, IcdCode, build_vocabulary
 from icdscribe.errors import ConfigError, ContractError, ValidationError
 from icdscribe.fusion import (
@@ -41,6 +42,7 @@ from icdscribe.model import (
 
 VOCAB = build_vocabulary([IcdCode("X", ["aa", "bb"])])  # aa=4, bb=5
 LM = train_lm(Corpus([["aa", "bb"], ["bb", "aa"], ["aa", "bb"]]), max_order=2)
+CLIP_NORM = TrainingConfig().clip_norm
 
 
 class TableModel:
@@ -218,6 +220,7 @@ class TestTraining:
         log = train_with_scheduled_lm_sampling(
             trained, LM, VOCAB, utts, cfg, epochs=3,
             optimizer=AdamState(trained.values.size, OptimizerConfig()), seed=1,
+            clip_norm=CLIP_NORM,
         )
 
         manual = tiny_model(seed=5)
@@ -246,6 +249,7 @@ class TestTraining:
             log = train_with_scheduled_lm_sampling(
                 model, LM, VOCAB, fake_utterances(), cfg, epochs=4,
                 optimizer=AdamState(model.values.size, OptimizerConfig()), seed=9,
+                clip_norm=CLIP_NORM,
             )
             runs.append([e.loss for e in log])
         assert runs[0] == runs[1]
@@ -255,7 +259,7 @@ class TestTraining:
         opt = AdamState(model.values.size, OptimizerConfig(lr=5e-3))
         log = train_with_scheduled_lm_sampling(
             model, LM, VOCAB, fake_utterances(), FusionConfig(lm_sample_max=0.0),
-            epochs=25, optimizer=opt, seed=0,
+            epochs=25, optimizer=opt, seed=0, clip_norm=CLIP_NORM,
         )
         assert log[-1].loss < log[0].loss * 0.7
 
@@ -266,6 +270,7 @@ class TestTraining:
             train_with_scheduled_lm_sampling(
                 model, LM, vocab, fake_utterances(), FusionConfig(),
                 epochs=1, optimizer=AdamState(model.values.size, OptimizerConfig()),
+                seed=0, clip_norm=CLIP_NORM,
             )
 
     def test_empty_dataset_rejected(self):
@@ -274,6 +279,7 @@ class TestTraining:
             train_with_scheduled_lm_sampling(
                 model, LM, VOCAB, [], FusionConfig(), epochs=1,
                 optimizer=AdamState(model.values.size, OptimizerConfig()),
+                seed=0, clip_norm=CLIP_NORM,
             )
 
     def test_nan_loss_stops_before_the_update(self):
@@ -283,11 +289,13 @@ class TestTraining:
         model, twin = tiny_model(seed=4), tiny_model(seed=4)
         opt = AdamState(model.values.size, OptimizerConfig())
         with pytest.raises(ValidationError, match="epoch 0, utterance 1"):
-            train_with_scheduled_lm_sampling(model, LM, VOCAB, utts, cfg, epochs=2, optimizer=opt)
+            train_with_scheduled_lm_sampling(
+                model, LM, VOCAB, utts, cfg, epochs=2, optimizer=opt, seed=0, clip_norm=CLIP_NORM,
+            )
         # the twin takes only the good first step; the bad one must change nothing
         train_with_scheduled_lm_sampling(
             twin, LM, VOCAB, utts[:1], cfg, epochs=1,
-            optimizer=AdamState(twin.values.size, OptimizerConfig()),
+            optimizer=AdamState(twin.values.size, OptimizerConfig()), seed=0, clip_norm=CLIP_NORM,
         )
         assert opt.step == 1
         for name, p in model.named_parameters().items():
@@ -298,7 +306,7 @@ class TestTraining:
         cfg = FusionConfig(lm_sample_max=0.25, ramp_frac=0.5)
         log = train_with_scheduled_lm_sampling(
             model, LM, VOCAB, fake_utterances()[:1], cfg, epochs=4,
-            optimizer=AdamState(model.values.size, OptimizerConfig()),
+            optimizer=AdamState(model.values.size, OptimizerConfig()), seed=0, clip_norm=CLIP_NORM,
         )
         assert [e.lm_sample_p for e in log] == [
             lm_sample_probability(cfg, e, 4) for e in range(4)
