@@ -7,9 +7,9 @@ its parents and a backward closure, except inside `no_grad()` (decoding),
 where nothing is recorded.  `backward` orders the subgraph reachable from
 the loss topologically and replays it in reverse.  An op hands each parent
 adjoint terms: a dense array, or the two factors of an `x.T @ g` product
-(one per decoder step for a shared weight).  When backward reaches a
-tensor, after all its consumers, it sums the dense terms and adds all the
-products as one stacked matmul; leaves and op outputs are treated alike.
+(one per consumer of a shared weight).  When backward reaches a tensor,
+after all its consumers, it sums the dense terms and adds all the products
+as one stacked matmul; leaves and op outputs are treated alike.
 
 A model's parameter leaves are views into one flat float64 vector, in
 registration order (`parameter_vectors`), and their gradients views into a second
@@ -17,13 +17,15 @@ vector of the same length.  Gradient clipping and Adam work on these
 vectors, and a checkpoint stores them as they lie in memory.
 
 The graph is rebuilt on every forward pass (define-by-run).  Recurrences
-are whole-sequence ops (`lstm`), so a graph holds a few nodes per layer,
-not a few per timestep.  Everything is float64 so the finite-difference
-tests can use tight tolerances.
+are whole-sequence ops (`lstm`, and the model's teacher-forced attention
+decoder, which shares the LSTM step helpers below), so a graph holds a few
+nodes per layer, not a few per timestep.  Everything is float64 so the
+finite-difference tests can use tight tolerances.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -235,11 +237,15 @@ def reshape(a, shape):
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
+def softmax_values(x):
+    """Shift-stabilized softmax of a plain ndarray along its last axis (no graph)."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(a):
     """Softmax along the last axis, shift-stabilized."""
-    shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_values = e / e.sum(axis=-1, keepdims=True)
+    out_values = softmax_values(a.values)
     def backprop(g, terms):
         inner = (g * out_values).sum(axis=-1, keepdims=True)
         _push(terms, a, out_values * (g - inner))
@@ -308,8 +314,12 @@ def conv1d(x, w, b, stride=1, dilation=1):
         if w.requires_grad:
             _push(terms, w, (cols.T @ g).reshape(w.shape))
         if x.requires_grad:
+            taps = (g @ kernel.T).reshape(t_out, K, c_in)
             dpad = np.zeros_like(padded)
-            np.add.at(dpad, rows, (g @ kernel.T).reshape(t_out, K, c_in))
+            # a padded row gets its taps in ascending t, as np.add.at(dpad, rows, taps)
+            # would add them: descending k is ascending t for a fixed row
+            for k in range(K - 1, -1, -1):
+                dpad[k * dilation : k * dilation + (t_out - 1) * stride + 1 : stride] += taps[:, k]
             _push(terms, x, dpad[pad:])
     return Tensor(out_values, _parents=(x, w, b), _backprop=backprop)
 
@@ -321,61 +331,100 @@ _GATE_SCALE = np.array([[0.5], [0.5], [1.0], [0.5]])
 _GATE_SHIFT = 1.0 - _GATE_SCALE
 
 
+@functools.cache
+def _gate_rows(n):
+    """`_GATE_SCALE` and `_GATE_SHIFT` repeated over flat [4n] rows, read-only."""
+    rows = np.repeat(_GATE_SCALE, n), np.repeat(_GATE_SHIFT, n)
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+def _lstm_cell(wh, zx, h, c, gates, h_next, c_next, tanh_c):
+    """One LSTM step written into preallocated rows; gate order i, f, g, o.
+
+    zx: the step's input projection x @ wx + b [4n]; h, c: the previous
+    state [n].  Writes the gates [4, n], then c_next, tanh(c_next) and
+    h_next [n], and allocates nothing.  The gate affine runs on the flat
+    [4n] row: one contiguous loop per op, not a (4, 1) broadcast.
+    """
+    scale_row, shift_row = _gate_rows(len(h))
+    row = gates.reshape(-1)
+    np.matmul(h, wh, out=row)
+    row += zx
+    row *= scale_row
+    np.tanh(row, out=row)
+    row *= scale_row
+    row += shift_row
+    i, f, g, o = gates
+    np.multiply(f, c, out=c_next)
+    np.multiply(i, g, out=tanh_c)  # i * g, until tanh_c takes tanh(c_next)
+    c_next += tanh_c
+    np.tanh(c_next, out=tanh_c)
+    np.multiply(o, tanh_c, out=h_next)
+
+
+def _lstm_cell_backward(wh, gates, c_prev, tanh_c):
+    """The backward step of `_lstm_cell` over a recorded sequence, as `step(t, dh, dc, dz)`.
+
+    gates [T, 4, n], c_prev [T, n] (the cell each step read) and tanh_c
+    [T, n] are the forward rows.  `step` turns dh and dc, the adjoints of
+    h_t and c_t, in place into those of h_{t-1} and c_{t-1} through the
+    cell, and writes d(gate pre-activations) of step t into dz [4, n].
+    """
+    # d gate / d z = scale^2 (1 - tanh^2): sigmoid' for i, f, o, tanh' for g
+    slope = _GATE_SCALE * _GATE_SCALE - (gates - 1.0 + _GATE_SCALE) ** 2
+    cell_factors = np.stack([gates[:, 2], c_prev, gates[:, 0]], axis=1)  # d c_t / d (i, f, g)
+    tanh_slope = 1.0 - tanh_c * tanh_c
+    wh_t = wh.T
+    tmp = np.empty(wh.shape[0])
+    def step(t, dh, dc, dz):
+        np.multiply(dh, gates[t, 3], out=tmp)
+        np.multiply(tmp, tanh_slope[t], out=tmp)
+        dc += tmp
+        np.multiply(dc, cell_factors[t], out=dz[:3])
+        np.multiply(dh, tanh_c[t], out=dz[3])
+        dz *= slope[t]
+        dc *= gates[t, 1]
+        np.matmul(dz.reshape(-1), wh_t, out=dh)
+    return step
+
+
 def lstm(x, h0, c0, wx, wh, b):
     """LSTM over a whole sequence; gate order i, f, g, o.
 
     x: [T, D] input rows, h0 and c0: [1, H] initial state, wx: [D, 4H],
     wh: [H, 4H], b: [4H].  Returns [T, 2H] whose row t is h_t | c_t.  The
-    input projection of all steps is one matmul; each step then writes its
-    recurrent matvec, gates, cell and tanh(cell) straight into rows
-    preallocated for the whole sequence (`out=`), so a step allocates no
-    arrays.  The backward pass is one sweep of backpropagation through
-    time, and the weight gradients are single matmuls over all steps.
+    input projection of all steps is one matmul; each step (`_lstm_cell`)
+    then writes its recurrent matvec, gates, cell and tanh(cell) straight
+    into rows preallocated for the whole sequence, so a step allocates no
+    arrays.  The backward pass is one in-place sweep of backpropagation
+    through time, and the weight gradients are single matmuls over all steps.
     """
     steps, n = x.shape[0], wh.shape[-1] // 4
     if not (x.values.ndim == 2 and wx.shape == (x.shape[1], 4 * n) and wh.shape == (n, 4 * n)
             and b.shape == (4 * n,) and h0.shape == c0.shape == (1, n)):
         raise ShapeError(f"lstm shapes disagree: x {x.shape}, h0 {h0.shape}, c0 {c0.shape}, "
                          f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
-    scale = _GATE_SCALE
     zx = x.values @ wx.values + b.values
     hs = np.empty((steps + 1, n))
     cs = np.empty((steps + 1, n))
     hs[0], cs[0] = h0.values[0], c0.values[0]
     gates = np.empty((steps, 4, n))
     tanh_c = np.empty((steps, n))
-    ig = np.empty(n)
-    # the gate affine runs on flat [4H] rows: one contiguous loop per op, no (4, 1) broadcast
-    scale_row, shift_row = np.repeat(scale, n), np.repeat(_GATE_SHIFT, n)
-    rows = zip(gates, gates.reshape(steps, 4 * n), zx, hs[:-1], hs[1:], cs[:-1], cs[1:], tanh_c)
-    for gate, row, zx_t, h, h_next, c, c_next, tc in rows:
-        np.matmul(h, wh.values, out=row)
-        row += zx_t
-        row *= scale_row
-        np.tanh(row, out=row)
-        row *= scale_row
-        row += shift_row
-        i, f, g, o = gate
-        np.multiply(f, c, out=c_next)
-        np.multiply(i, g, out=ig)
-        c_next += ig
-        np.tanh(c_next, out=tc)
-        np.multiply(o, tc, out=h_next)
+    for row in zip(zx, hs[:-1], cs[:-1], gates, hs[1:], cs[1:], tanh_c):
+        _lstm_cell(wh.values, *row)
     out_values = np.concatenate([hs[1:], cs[1:]], axis=1)
     parents = (x, h0, c0, wx, wh, b)
     def backprop(g_out, terms):
-        # d gate / d z = scale^2 (1 - tanh^2): sigmoid' for i, f, o, tanh' for g
-        slope = scale * scale - (gates - 1.0 + scale) ** 2
+        cell_step = _lstm_cell_backward(wh.values, gates, cs[:-1], tanh_c)
         dz = np.empty_like(gates)
         dh = np.zeros(n)
         dc = np.zeros(n)
         for t in range(steps - 1, -1, -1):
-            i, f, g, o = gates[t]
-            dh = dh + g_out[t, :n]
-            dc = dc + g_out[t, n:] + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-            dz[t] = slope[t] * (dc * g, dc * cs[t], dc * i, dh * tanh_c[t])
-            dc = dc * f
-            dh = dz[t].reshape(-1) @ wh.values.T
+            dh += g_out[t, :n]
+            dc += g_out[t, n:]
+            cell_step(t, dh, dc, dz[t])
         dz = dz.reshape(steps, 4 * n)
         if x.requires_grad:
             _push(terms, x, dz @ wx.values.T)

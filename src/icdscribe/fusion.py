@@ -176,7 +176,7 @@ def _expand(model, lm, hyp, encoded, cfg, vocab, tokens, words):
     """
     _, context = model.attend(hyp.state[0], encoded)
     state, logits = model.decode_step(hyp.tokens[-1], hyp.state, context)
-    log_a = hyp.log_acoustic + log_softmax_values(logits.values)[0][tokens]
+    log_a = hyp.log_acoustic + log_softmax_values(logits)[0][tokens]
     log_l = np.full(len(tokens), hyp.log_lm)
     if cfg.lambda_lm > 0:
         log_l[tokens != EOS] += next_logprobs(lm, words, hyp.words)

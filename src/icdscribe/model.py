@@ -6,12 +6,17 @@ beta consecutive outputs of the layer below into one input, so J layers
 shrink T_conv frames to ceil(T_conv / beta**J) encoder states; a final
 group short of beta rows is padded with zeros.  Nothing reads future
 frames, so the encoder can run incrementally.  Each layer is one
-whole-sequence `lstm` op; the decoder runs the same op one step at a time.
+whole-sequence `lstm` op.
 
 The decoder is a single LSTM.  At step i it attends over the encoder
 states with its previous hidden state, consumes the previous token's
 embedding concatenated with that context, and projects [state, context]
 to vocabulary logits.  Scoring is additive: e_j = w . tanh(W s + V h_j + b).
+`attend` and `decode_step` run one step on plain arrays; beam search calls
+them one hypothesis at a time.  Teacher forcing runs the same step code
+over a whole target inside one autodiff op, whose backward pass is one
+sweep of backpropagation through time with each weight gradient formed
+as one product over all steps.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +25,9 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    add,
+    _lstm_cell,
+    _lstm_cell_backward,
+    _push,
     concat,
     conv1d,
     lstm,
@@ -29,8 +36,7 @@ from .autodiff import (
     parameter_vectors,
     relu,
     reshape,
-    softmax,
-    tanh,
+    softmax_values,
     zeros,
 )
 from .data import EOS, PAD, SOS
@@ -168,49 +174,72 @@ class Seq2SeqModel:
                        stride=spec.stride, dilation=spec.dilation)
             )
         beta, n = self.encoder_cfg.beta, self.encoder_cfg.hidden
+        start = zeros((1, n))  # every layer's h0 and c0; `lstm` only reads them
         for j in range(self.encoder_cfg.layers):
             frames, width = out.shape
             steps = -(-frames // beta)
             if steps * beta > frames:
                 out = concat([out, zeros((steps * beta - frames, width))], axis=0)
             weights = [self._params[f"enc{j}.{k}"] for k in ("wx", "wh", "b")]
-            states = lstm(reshape(out, (steps, beta * width)), zeros((1, n)), zeros((1, n)), *weights)
+            states = lstm(reshape(out, (steps, beta * width)), start, start, *weights)
             out = narrow(states, 1, 0, n)
         return EncoderOutput(hidden=out, keys=matmul(out, self._params["attn.keys"]))
 
     # --------------------------------------------------------------- attention
 
-    def attention_scores(self, s_prev, encoder_output):
-        """Unnormalized additive scores, one per encoder step, as [1, U]."""
-        query = matmul(s_prev, self._params["attn.query"])
-        e = matmul(tanh(add(add(encoder_output.keys, query), self._params["attn.b"])),
-                   self._params["attn.score"])
-        return reshape(e, (1, encoder_output.reduced_steps))
+    def attention_scores(self, s_prev, encoder_output, tanh_rows=None):
+        """Unnormalized additive scores [1, U] for the decoder state s_prev [1, H].
 
-    def attend(self, s_prev, encoder_output):
-        alpha = softmax(self.attention_scores(s_prev, encoder_output))
-        context = matmul(alpha, encoder_output.hidden)
-        return alpha, context
+        tanh(W s + V h_j + b) is formed in `tanh_rows` [U, A] when given; the
+        teacher-forced op keeps those rows for its backward sweep.
+        """
+        p = self._params
+        query = s_prev @ p["attn.query"].values
+        rows = np.add(encoder_output.keys.values, query, out=tanh_rows)
+        rows += p["attn.b"].values
+        np.tanh(rows, out=rows)
+        return (rows @ p["attn.score"].values).reshape(1, -1)
+
+    def attend(self, s_prev, encoder_output, tanh_rows=None):
+        """Attention weights alpha [1, U] and the context alpha @ hidden [1, He], as arrays."""
+        alpha = softmax_values(self.attention_scores(s_prev, encoder_output, tanh_rows))
+        return alpha, alpha @ encoder_output.hidden.values
 
     # ----------------------------------------------------------------- decoder
 
     def start_state(self):
         n = self.decoder_cfg.hidden
-        return zeros((1, n)), zeros((1, n))
+        return np.zeros((1, n)), np.zeros((1, n))
+
+    def _cell(self, token, h, c, context, x, gates, h_next, c_next, tanh_c):
+        """The decoder LSTM step on [embedding(token) | context], written into the given rows.
+
+        h, c, context: [n], [n], [He] rows; x takes the input row, the rest
+        are `_lstm_cell`'s outputs.
+        """
+        if not 0 <= token < self.vocab_size:
+            raise IndexError(f"token id {token} outside vocabulary of {self.vocab_size}")
+        p, e = self._params, self.decoder_cfg.embedding_dim
+        x[:e] = p["dec.embed"].values[int(token)]
+        x[e:] = context
+        zx = x @ p["dec.wx"].values + p["dec.b"].values
+        _lstm_cell(p["dec.wh"].values, zx, h, c, gates, h_next, c_next, tanh_c)
+
+    def _logits(self, rows):
+        """Vocabulary logits of [h | context] rows."""
+        return rows @ self._params["out.w"].values + self._params["out.b"].values
 
     def decode_step(self, prev_token, state, context):
-        if not 0 <= prev_token < self.vocab_size:
-            raise IndexError(f"token id {prev_token} outside vocabulary of {self.vocab_size}")
-        embedding = narrow(self._params["dec.embed"], 0, int(prev_token), 1)
+        """One decoder step on arrays: the next state (h, c), each [1, H], and [1, V] logits."""
         n = self.decoder_cfg.hidden
-        states = lstm(concat([embedding, context], axis=1), *state,
-                      self._params["dec.wx"], self._params["dec.wh"], self._params["dec.b"])
-        h, c = narrow(states, 1, 0, n), narrow(states, 1, n, n)
-        logits = add(matmul(concat([h, context], axis=1), self._params["out.w"]), self._params["out.b"])
-        return (h, c), logits
+        h, c = np.empty((1, n)), np.empty((1, n))
+        x = np.empty(self.decoder_cfg.embedding_dim + context.shape[1])
+        self._cell(prev_token, state[0][0], state[1][0], context[0], x, np.empty((4, n)),
+                   h[0], c[0], np.empty(n))
+        return (h, c), self._logits(np.concatenate([h, context], axis=1))
 
     def forward_teacher_forced(self, x, target, input_tokens=None):
-        """Logit rows for positions 1..len(target)-1.
+        """Logit rows for positions 1..len(target)-1, as one autodiff node.
 
         `input_tokens` overrides what the decoder consumes (scheduled
         sampling); prediction targets are unaffected.
@@ -225,12 +254,71 @@ class Seq2SeqModel:
             raise ContractError(
                 f"{len(target) - 1} decode steps need {len(target) - 1} inputs, got {len(inputs)}"
             )
-        encoded = self.encode(x)
-        state = self.start_state()
-        rows = []
-        for token in inputs:
-            _, context = self.attend(state[0], encoded)
-            state, logits = self.decode_step(token, state, context)
-            rows.append(logits)
-        return concat(rows, axis=0)
+        return self._decode_teacher_forced(self.encode(x), inputs)
 
+    def _decode_teacher_forced(self, encoded, inputs):
+        """The decoder over a whole target: `attend` and `_cell` per step, then one logits product.
+
+        The node's parents are the encoder's hidden states and keys and the
+        decoder, attention and output leaves.  Its backward pass sweeps back
+        through the steps once; every weight gradient is one product over
+        all steps, handed to `backward` as its two factors.
+        """
+        p = self._params
+        steps, units = len(inputs), encoded.reduced_steps
+        n, e = self.decoder_cfg.hidden, self.decoder_cfg.embedding_dim
+        xs = np.empty((steps, e + self.encoder_cfg.hidden))  # [embedding | context] per step
+        hs, cs = np.zeros((steps + 1, n)), np.zeros((steps + 1, n))  # row 0 is the start state
+        gates, tanh_c = np.empty((steps, 4, n)), np.empty((steps, n))
+        tanh_rows = np.empty((steps, units, self.decoder_cfg.attention_dim))
+        alphas = np.empty((steps, units))
+        for t, token in enumerate(inputs):
+            alpha, context = self.attend(hs[t : t + 1], encoded, tanh_rows[t])
+            alphas[t] = alpha[0]
+            self._cell(token, hs[t], cs[t], context[0], xs[t], gates[t], hs[t + 1], cs[t + 1],
+                       tanh_c[t])
+        outs = np.concatenate([hs[1:], xs[:, e:]], axis=1)
+        names = ("dec.embed", "dec.wx", "dec.wh", "dec.b", "attn.query", "attn.b", "attn.score",
+                 "out.w", "out.b")
+
+        def backprop(g, terms):
+            wx, score = p["dec.wx"].values, p["attn.score"].values[:, 0]
+            w_context_t, w_query_t = wx[e:].T, p["attn.query"].values.T
+            hidden = encoded.hidden.values
+            tanh_slope = 1.0 - tanh_rows * tanh_rows
+            cell_step = _lstm_cell_backward(p["dec.wh"].values, gates, cs[:-1], tanh_c)
+            d_out = g @ p["out.w"].values.T
+            d_context = d_out[:, n:]  # gains the LSTM input's share step by step
+            dz = np.empty_like(gates)
+            d_scores = np.empty((steps, units))
+            d_pre = np.empty_like(tanh_rows)  # adjoint of keys + query + b
+            d_query = np.empty((steps, tanh_rows.shape[2]))
+            dh, dc = np.zeros(n), np.zeros(n)
+            for t in range(steps - 1, -1, -1):
+                dh += d_out[t, :n]
+                cell_step(t, dh, dc, dz[t])
+                d_context[t] += dz[t].reshape(-1) @ w_context_t
+                d_alpha = d_context[t] @ hidden.T
+                np.multiply(alphas[t], d_alpha - (d_alpha * alphas[t]).sum(), out=d_scores[t])
+                np.multiply.outer(d_scores[t], score, out=d_pre[t])
+                d_pre[t] *= tanh_slope[t]
+                d_pre[t].sum(axis=0, out=d_query[t])
+                dh += d_query[t] @ w_query_t  # step t's query read h_{t-1}
+            dz = dz.reshape(steps, 4 * n)
+            d_embed = np.zeros_like(p["dec.embed"].values)
+            np.add.at(d_embed, inputs, dz @ wx[:e].T)  # rows added in step order
+            _push(terms, encoded.hidden, alphas, d_context)
+            _push(terms, encoded.keys, d_pre.sum(axis=0))
+            _push(terms, p["dec.embed"], d_embed)
+            _push(terms, p["dec.wx"], xs, dz)
+            _push(terms, p["dec.wh"], hs[:-1], dz)
+            _push(terms, p["dec.b"], dz.sum(axis=0))
+            _push(terms, p["attn.query"], hs[:-1], d_query)
+            _push(terms, p["attn.b"], d_query.sum(axis=0))
+            _push(terms, p["attn.score"], tanh_rows.reshape(steps * units, -1),
+                  d_scores.reshape(-1, 1))
+            _push(terms, p["out.w"], outs, g)
+            _push(terms, p["out.b"], g.sum(axis=0))
+
+        parents = (encoded.hidden, encoded.keys) + tuple(p[name] for name in names)
+        return Tensor(self._logits(outs), _parents=parents, _backprop=backprop)

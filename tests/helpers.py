@@ -45,6 +45,44 @@ def assert_grad_close(analytic, numeric, rtol, atol=1e-7):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
+# The attention decoder as a per-step graph of primitive ops: the reference
+# that the model's plain-array steps and whole-target op are checked against.
+
+def graph_attend(model, s_prev, encoded):
+    """Attention weights [1, U] and context [1, He] as Tensors, from a [1, H] state Tensor."""
+    p = model.named_parameters()
+    query = ad.matmul(s_prev, p["attn.query"])
+    e = ad.matmul(ad.tanh(ad.add(ad.add(encoded.keys, query), p["attn.b"])), p["attn.score"])
+    alpha = ad.softmax(ad.reshape(e, (1, encoded.reduced_steps)))
+    return alpha, ad.matmul(alpha, encoded.hidden)
+
+
+def graph_decode_step(model, prev_token, state, context):
+    """The next (h, c) Tensors and [1, V] logits: one-step `lstm` on [embedding | context]."""
+    if not 0 <= prev_token < model.vocab_size:
+        raise IndexError(f"token id {prev_token} outside vocabulary of {model.vocab_size}")
+    p = model.named_parameters()
+    embedding = ad.narrow(p["dec.embed"], 0, int(prev_token), 1)
+    n = model.decoder_cfg.hidden
+    states = ad.lstm(ad.concat([embedding, context], axis=1), *state,
+                     p["dec.wx"], p["dec.wh"], p["dec.b"])
+    h, c = ad.narrow(states, 1, 0, n), ad.narrow(states, 1, n, n)
+    logits = ad.add(ad.matmul(ad.concat([h, context], axis=1), p["out.w"]), p["out.b"])
+    return (h, c), logits
+
+
+def graph_teacher_forced(model, encoded, inputs):
+    """Logit rows [len(inputs), V] of the per-step graph decoder."""
+    n = model.decoder_cfg.hidden
+    state = (ad.zeros((1, n)), ad.zeros((1, n)))
+    rows = []
+    for token in inputs:
+        _, context = graph_attend(model, state[0], encoded)
+        state, logits = graph_decode_step(model, token, state, context)
+        rows.append(logits)
+    return ad.concat(rows, axis=0)
+
+
 def edit_distance_oracle(a, b):
     """Unit-cost Levenshtein distance by memoized recursion."""
     from functools import lru_cache

@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icdscribe import autodiff as ad
 from icdscribe.errors import ContractError, ShapeError
+from icdscribe.model import DecoderConfig, EncoderConfig, EncoderOutput, Seq2SeqModel
 from icdscribe.seeds import stable_seed
 
 from helpers import assert_grad_close, finite_difference_grad, weighted_sum
@@ -191,8 +192,8 @@ class TestBackward:
             assert_grad_close(p.grad, finite_difference_grad(forward, p.values), rtol=1e-4)
 
 
-OPS_UNDER_TEST = ["matmul", "add", "tanh", "relu", "concat",
-                  "softmax", "narrow", "reshape", "cross_entropy", "conv1d", "lstm"]
+OPS_UNDER_TEST = ["matmul", "add", "tanh", "relu", "concat", "softmax", "narrow", "reshape",
+                  "cross_entropy", "conv1d", "lstm", "attention_decoder"]
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -262,6 +263,17 @@ class TestGradientsAgainstFiniteDifferences:
             bias = ad.Tensor(rng.normal(size=4 * n), requires_grad=True)
             build = lambda: ad.lstm(x, h0, c0, wx, wh, bias)
             leaves = [x, h0, c0, wx, wh, bias]
+        elif op == "attention_decoder":
+            # the model's teacher-forced decoder: m steps over k encoder states of width n,
+            # read from leaf hidden states and keys
+            model = Seq2SeqModel(EncoderConfig(conv=(), layers=1, hidden=int(n)),
+                                 DecoderConfig(embedding_dim=2, hidden=3, attention_dim=2),
+                                 6, input_dim=1, seed=trial)
+            encoded = EncoderOutput(hidden=ad.Tensor(rng.normal(size=(k, n)), requires_grad=True),
+                                    keys=ad.Tensor(rng.normal(size=(k, 2)), requires_grad=True))
+            inputs = rng.integers(0, 6, size=m).tolist()
+            build = lambda: model._decode_teacher_forced(encoded, inputs)
+            leaves = list(build()._parents)
         else:
             raise AssertionError(op)
 
@@ -469,6 +481,32 @@ class TestConv1dAsOneMatmul:
         for got, expected in zip((out.values, x.grad, w.grad, b.grad), want, strict=True):
             assert got.shape == expected.shape
             assert_within_1e12(got, expected)
+
+    @given(
+        steps=st.integers(min_value=1, max_value=12),
+        kernel=st.integers(min_value=1, max_value=4),
+        c_in=st.integers(min_value=1, max_value=3),
+        stride=st.integers(min_value=1, max_value=6),
+        dilation=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(steps=9, kernel=3, c_in=2, stride=1, dilation=2, seed=0)  # K * d > stride: overlaps
+    @settings(max_examples=80, deadline=None)
+    def test_input_gradient_equals_add_at_bit_for_bit(self, steps, kernel, c_in, stride,
+                                                       dilation, seed):
+        rng = np.random.default_rng(seed)
+        x = ad.Tensor(rng.normal(size=(steps, c_in)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(kernel, c_in, 2)))
+        out = ad.conv1d(x, w, ad.Tensor(np.zeros(2)), stride=stride, dilation=dilation)
+        g = rng.normal(size=out.shape)
+        terms = {}
+        out._backprop(g, terms)
+        (got, _), = terms[id(x)]
+        t_out, pad = out.shape[0], (kernel - 1) * dilation
+        rows = np.arange(t_out)[:, None] * stride + np.arange(kernel) * dilation
+        want = np.zeros((pad + steps, c_in))
+        np.add.at(want, rows, (g @ w.values.reshape(-1, 2).T).reshape(t_out, kernel, c_in))
+        assert np.array_equal(got, want[pad:])
 
     def test_short_input_and_long_stride(self):
         # T < (K - 1) * dilation reads padding only below row 0; stride > T gives one row

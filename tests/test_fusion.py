@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import graph_attend, graph_decode_step
 from icdscribe.autodiff import (
     AdamState,
     OptimizerConfig,
-    Tensor,
     adam_step,
     backward,
     clip_global_norm,
+    no_grad,
     softmax_cross_entropy,
+    zeros,
 )
 from icdscribe.autodiff import log_softmax_values
 from icdscribe.config import TrainingConfig
@@ -68,7 +70,7 @@ class TableModel:
     def decode_step(self, token, state, context):
         prefix = state[0] + (token,)
         probs = np.asarray(self.dist(prefix), dtype=np.float64)
-        return (prefix, None), Tensor(np.log(probs).reshape(1, -1))
+        return (prefix, None), np.log(probs).reshape(1, -1)
 
 
 PEAKED = TableModel(
@@ -403,7 +405,7 @@ def reference_beam_search(model, lm, cfg, vocab):
     def expand(hyp):
         _, context = model.attend(hyp.state[0], encoded)
         state, logits = model.decode_step(hyp.tokens[-1], hyp.state, context)
-        logp = log_softmax_values(logits.values)[0]
+        logp = log_softmax_values(logits)[0]
         children = []
         for token in range(model.vocab_size):
             if token in (PAD, SOS):
@@ -451,7 +453,7 @@ class RowModel(TableModel):
     def decode_step(self, token, state, context):
         prefix = state[0] + (token,)
         pick = sum((i + 1) * t for i, t in enumerate(prefix)) % len(self.rows)
-        return (prefix, None), Tensor(np.array(self.rows[pick], dtype=np.float64).reshape(1, -1))
+        return (prefix, None), np.array(self.rows[pick], dtype=np.float64).reshape(1, -1)
 
 
 class TestPrunedBeamSearch:
@@ -487,13 +489,42 @@ class TestPrunedBeamSearch:
                 want.tokens, want.log_acoustic, want.log_lm, want.fused)
 
 
+    def test_bit_identical_to_the_graph_decoder(self):
+        # one set of weights, at the default decoder sizes, decodes to the same tokens and
+        # scores, bit for bit, as the per-step graph decoder that the array steps replaced
+        enc = EncoderConfig(conv=(ConvSpec(channels=8, stride=2),), layers=1, beta=2, hidden=128)
+        model = Seq2SeqModel(enc, DecoderConfig(), len(VOCAB), input_dim=5, seed=6)
+        n = model.decoder_cfg.hidden
+
+        def graph_step(token, state, context):
+            next_state, logits = graph_decode_step(model, token, state, context)
+            return next_state, logits.values
+
+        for seed, width in ((4, 1), (5, 3), (6, 8)):
+            spec = np.random.default_rng(seed).normal(size=(16, 5))
+            cfg = FusionConfig(lambda_lm=0.4, beam_width=width, max_decode_len=4)
+            with no_grad():
+                encoded = model.encode(standardize_spectrogram(spec))
+                graph = SimpleNamespace(
+                    encode=lambda _: encoded,
+                    start_state=lambda: (zeros((1, n)), zeros((1, n))),
+                    attend=lambda s_prev, enc: graph_attend(model, s_prev, enc),
+                    decode_step=graph_step,
+                    vocab_size=model.vocab_size,
+                )
+                want = reference_beam_search(graph, LM, cfg, VOCAB)
+            got = beam_search_decode(model, LM, spec, cfg, VOCAB)
+            assert (got.tokens, got.log_acoustic, got.log_lm, got.fused) == (
+                want.tokens, want.log_acoustic, want.log_lm, want.fused)
+
+
 class TestGradOffDecoding:
     def test_decode_records_no_graph(self):
         model = tiny_model(seed=1)
         spec = np.random.default_rng(2).normal(size=(12, 5))
         best = beam_search_decode(model, LM, spec, FusionConfig(beam_width=3), VOCAB)
-        for tensor in best.state:
-            assert not tensor.requires_grad and tensor._parents == ()
+        for array in best.state:
+            assert type(array) is np.ndarray  # a plain array holds no parents or backprop closure
 
     def test_training_after_a_decode_gets_the_same_gradients(self):
         utt = fake_utterances()[0]

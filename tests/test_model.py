@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_grad_close, finite_difference_grad
-from icdscribe.autodiff import Tensor, add, backward, softmax, softmax_cross_entropy
+from helpers import (
+    assert_grad_close,
+    finite_difference_grad,
+    graph_attend,
+    graph_decode_step,
+    graph_teacher_forced,
+)
+from icdscribe.autodiff import Tensor, add, backward, no_grad, softmax, softmax_cross_entropy, zeros
 from icdscribe.data import EOS, SOS
 from icdscribe.errors import ContractError
 from icdscribe.model import (
@@ -128,9 +134,9 @@ class TestAttention:
         assert encoded.reduced_steps == 1
         s0 = model.start_state()[0]
         alpha, context = model.attend(s0, encoded)
-        assert alpha.values.shape == (1, 1)
-        assert alpha.values[0, 0] == pytest.approx(1.0)
-        assert np.allclose(context.values, encoded.hidden.values[0])
+        assert alpha.shape == (1, 1)
+        assert alpha[0, 0] == pytest.approx(1.0)
+        assert np.allclose(context, encoded.hidden.values[0])
 
     def test_equal_scores_give_uniform_weights(self):
         model = small_model()
@@ -140,12 +146,12 @@ class TestAttention:
         alpha, _ = model.attend(model.start_state()[0], encoded)
         u = encoded.reduced_steps
         assert u > 1
-        assert np.allclose(alpha.values, 1.0 / u, atol=1e-12)
+        assert np.allclose(alpha, 1.0 / u, atol=1e-12)
 
     def test_score_shift_leaves_weights_unchanged(self):
         model = small_model(seed=4)
         encoded = model.encode(spectrogram(24, seed=2))
-        scores = model.attention_scores(model.start_state()[0], encoded)
+        scores = Tensor(model.attention_scores(model.start_state()[0], encoded))
         base = softmax(scores).values
         shifted = softmax(add(scores, Tensor(np.full(scores.shape, 17.3)))).values
         assert np.allclose(base, shifted, atol=1e-12)
@@ -156,8 +162,8 @@ class TestAttention:
         state = model.start_state()
         for token in (SOS, 4, 5):
             alpha, context = model.attend(state[0], encoded)
-            assert np.all(alpha.values >= 0)
-            assert alpha.values.sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.all(alpha >= 0)
+            assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
             state, _ = model.decode_step(token, state, context)
 
 
@@ -169,7 +175,7 @@ class TestDecodeStep:
         _, context = model.attend(state[0], encoded)
         _, logits_a = model.decode_step(SOS, state, context)
         _, logits_b = model.decode_step(SOS, state, context)
-        assert np.array_equal(logits_a.values, logits_b.values)
+        assert np.array_equal(logits_a, logits_b)
 
     @pytest.mark.parametrize("vocab_size", [5, 145])
     def test_logits_cover_vocabulary(self, vocab_size):
@@ -179,7 +185,7 @@ class TestDecodeStep:
         _, context = model.attend(state[0], encoded)
         _, logits = model.decode_step(SOS, state, context)
         assert logits.shape == (1, vocab_size)
-        assert softmax(logits).values.sum() == pytest.approx(1.0, abs=1e-9)
+        assert softmax(Tensor(logits)).values.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_token_rejected(self):
         model = small_model(vocab_size=5)
@@ -190,6 +196,67 @@ class TestDecodeStep:
             model.decode_step(5, state, context)
         with pytest.raises(IndexError):
             model.decode_step(-1, state, context)
+
+    def test_bit_identical_to_the_graph_step(self):
+        # beam search steps on these arrays; they must be the per-step graph's values bit for bit
+        default = Seq2SeqModel(EncoderConfig(), DecoderConfig(), 40, input_dim=N_MELS, seed=5)
+        for model in (small_model(seed=3), default):
+            n = model.decoder_cfg.hidden
+            with no_grad():
+                encoded = model.encode(spectrogram(60, seed=1))
+                state, graph_state = model.start_state(), (zeros((1, n)), zeros((1, n)))
+                for token in (SOS, 4, 6, 4):
+                    alpha, context = model.attend(state[0], encoded)
+                    graph_alpha, graph_context = graph_attend(model, graph_state[0], encoded)
+                    assert np.array_equal(alpha, graph_alpha.values)
+                    assert np.array_equal(context, graph_context.values)
+                    state, logits = model.decode_step(token, state, context)
+                    graph_state, graph_logits = graph_decode_step(model, token, graph_state,
+                                                                  graph_context)
+                    assert np.array_equal(logits, graph_logits.values)
+                    for got, want in zip(state, graph_state, strict=True):
+                        assert np.array_equal(got, want.values)
+
+
+class TestTeacherForcedOp:
+    """The whole-target decoder op against the per-step graph it replaced."""
+
+    @given(
+        steps=st.integers(min_value=1, max_value=8),
+        units=st.integers(min_value=1, max_value=20),
+        sizes=st.tuples(*[st.integers(min_value=1, max_value=4)] * 4),
+        vocab_size=st.integers(min_value=5, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_step_graph(self, steps, units, sizes, vocab_size, seed):
+        embedding, hidden, attention, encoder_hidden = sizes
+        enc = EncoderConfig(conv=(), layers=1, beta=2, hidden=encoder_hidden)
+        dec = DecoderConfig(embedding_dim=embedding, hidden=hidden, attention_dim=attention)
+        model = Seq2SeqModel(enc, dec, vocab_size, input_dim=N_MELS, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = spectrogram(2 * units, seed=seed % 1000)
+        inputs = [SOS] + rng.integers(0, vocab_size, size=steps - 1).tolist()
+        targets = rng.integers(0, vocab_size, size=steps)
+        results = []
+        for decoder in (model._decode_teacher_forced,
+                        lambda encoded, tokens: graph_teacher_forced(model, encoded, tokens)):
+            model.grads[:] = 0.0
+            encoded = model.encode(x)
+            assert encoded.reduced_steps == units
+            loss = softmax_cross_entropy(decoder(encoded, inputs), targets)
+            backward(loss)
+            results.append((loss.item(), model.grads.copy()))
+        (loss, grads), (want_loss, want_grads) = results
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        # relative to the largest entry: a leaf whose own gradient nearly cancels
+        # (softmax adjoints sum to zero) keeps only the rounding of its terms
+        scale = np.abs(want_grads).max()
+        start = 0
+        for name, p in model.named_parameters().items():
+            got, want = grads[start : start + p.size], want_grads[start : start + p.size]
+            assert np.abs(got - want).max() <= 1e-12 * scale, name
+            start += p.size
 
 
 class TestForwardTeacherForced:
