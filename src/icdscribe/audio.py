@@ -88,6 +88,15 @@ class FrontendConfig:
     hop: int = 160
     n_mels: int = 40
 
+    def __post_init__(self):
+        if self.sample_rate <= 2 * _MAX_HARMONIC_HZ:
+            raise ContractError(f"sample_rate {self.sample_rate} Hz must exceed twice the "
+                                f"highest synthesized harmonic, {2 * _MAX_HARMONIC_HZ:g} Hz")
+        if not self.window >= self.hop >= 1:
+            raise ContractError(f"need window >= hop >= 1, got window={self.window} hop={self.hop}")
+        if self.n_mels < 1:
+            raise ContractError(f"n_mels must be at least 1, got {self.n_mels}")
+
 
 @functools.lru_cache(maxsize=16)
 def _hann(n):
@@ -230,8 +239,6 @@ def stft_logmel(w, cfg):
     if w.sample_rate != cfg.sample_rate:
         raise ContractError(f"audio is sampled at {w.sample_rate} Hz, not {cfg.sample_rate} Hz")
     window, hop = cfg.window, cfg.hop
-    if hop <= 0 or window < hop:
-        raise ContractError(f"need window >= hop > 0, got window={window} hop={hop}")
     n = len(w.samples)
     if n < window:
         raise ContractError(f"waveform of {n} samples is shorter than one {window}-sample window")

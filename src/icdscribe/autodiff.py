@@ -1,26 +1,28 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Every trainable part of the pipeline (conv filter banks, LSTM gates,
-attention projections, embeddings) lives in `Tensor` leaves.  An
-operation whose output depends on a leaf that requires a gradient records
-its parents and a backward closure, except inside `no_grad()` (decoding),
-where nothing is recorded.  `backward` orders the subgraph reachable from
-the loss topologically and replays it in reverse.  An op hands each parent
-adjoint terms: a dense array, or the two factors of an `x.T @ g` product
-(one per consumer of a shared weight).  When backward reaches a tensor,
-after all its consumers, it sums the dense terms and adds all the products
-as one stacked matmul; leaves and op outputs are treated alike.
+attention projections, embeddings) lives in `Tensor` leaves.  A node is a
+`Tensor` whose value depends on leaves that require a gradient: it records
+its parents and a backward closure, except inside `no_grad()`, where
+nothing is recorded.  `backward` orders the subgraph reachable from the
+loss topologically and replays it in reverse.  A node hands each parent
+adjoint terms: a dense array, or the two factors of an `x.T @ g` product.
+When backward reaches a tensor, after all its consumers, it sums the dense
+terms and adds the products as one stacked matmul (or the lone product, as
+is); leaves and nodes are treated alike.
 
 A model's parameter leaves are views into one flat float64 vector, in
 registration order (`parameter_vectors`), and their gradients views into a second
 vector of the same length.  Gradient clipping and Adam work on these
 vectors, and a checkpoint stores them as they lie in memory.
 
-The graph is rebuilt on every forward pass (define-by-run).  Recurrences
-are whole-sequence ops (`lstm`, and the model's teacher-forced attention
-decoder, which shares the LSTM step helpers below), so a graph holds a few
-nodes per layer, not a few per timestep.  Everything is float64 so the
-finite-difference tests can use tight tolerances.
+The graph is rebuilt on every forward pass (define-by-run).  Its nodes are
+whole sequences: the model's encoder and its teacher-forced attention
+decoder, each one node with a hand-written backward sweep, then the
+`softmax_cross_entropy` loss.  This module holds the array kernels they
+share (the causal convolution and the LSTM step and its backward step);
+decoding runs the same kernels and makes no `Tensor`.  Everything is
+float64 so the finite-difference tests can use tight tolerances.
 """
 
 from __future__ import annotations
@@ -88,18 +90,15 @@ def no_grad():
         _recording = saved
 
 
-def zeros(shape):
-    return Tensor(np.zeros(shape))
-
-
 def backward(loss):
     """Propagate adjoints from a scalar loss to every reachable leaf.
 
     Each call seeds d(loss)/d(loss) = 1 and adds this pass's adjoint into
     the `grad` of each leaf that requires one, so repeated calls
     accumulate.  A tensor's adjoint is formed once, when backward reaches
-    it: its dense terms summed in push order, plus all its product terms as
-    one stacked matmul.  Intermediate tensors keep no `grad`.
+    it: its dense terms summed in push order, plus its product terms as one
+    matmul, stacked when there are several.  Intermediate tensors keep no
+    `grad`.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -129,8 +128,9 @@ def backward(loss):
             if right is None:
                 g = contribution if g is None else g + contribution
         if products := [term for term in held if term[1] is not None]:
-            lefts, rights = zip(*products)
-            stacked = np.concatenate(lefts).T @ np.concatenate(rights)
+            # a lone product's factors are used as they are, not copied into a stack
+            left, right = products[0] if len(products) == 1 else map(np.concatenate, zip(*products))
+            stacked = left.T @ right
             g = stacked if g is None else g + stacked
         if node._backprop is not None:
             node._backprop(g, terms)
@@ -145,111 +145,14 @@ def _push(terms, tensor, contribution, right=None):
     terms.setdefault(id(tensor), []).append((contribution, right))
 
 
-def _unbroadcast(g, shape):
-    """Sum `g` down to `shape`, reversing numpy broadcasting."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
-# primitive operations
+# the loss, and whole-sequence kernels on plain arrays
 # ---------------------------------------------------------------------------
-
-def matmul(a, b):
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not agree")
-    out_values = a.values @ b.values
-    def backprop(g, terms):
-        if a.requires_grad:
-            _push(terms, a, g @ b.values.T)
-        if b.requires_grad:
-            _push(terms, b, a.values, g)
-    return Tensor(out_values, _parents=(a, b), _backprop=backprop)
-
-
-def add(a, b):
-    try:
-        out_values = a.values + b.values
-    except ValueError:
-        raise ShapeError(f"add shapes {a.shape} and {b.shape} do not broadcast") from None
-    def backprop(g, terms):
-        if a.requires_grad:
-            _push(terms, a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _push(terms, b, _unbroadcast(g, b.shape))
-    return Tensor(out_values, _parents=(a, b), _backprop=backprop)
-
-
-def tanh(a):
-    out_values = np.tanh(a.values)
-    def backprop(g, terms):
-        _push(terms, a, g * (1.0 - out_values * out_values))
-    return Tensor(out_values, _parents=(a,), _backprop=backprop)
-
-
-def relu(a):
-    out_values = np.maximum(a.values, 0.0)
-    def backprop(g, terms):
-        _push(terms, a, g * (a.values > 0.0))
-    return Tensor(out_values, _parents=(a,), _backprop=backprop)
-
-
-def concat(parts, axis=-1):
-    if not parts:
-        raise ContractError("concat needs at least one operand")
-    try:
-        out_values = np.concatenate([p.values for p in parts], axis=axis)
-    except ValueError:
-        shapes = ", ".join(str(p.shape) for p in parts)
-        raise ShapeError(f"concat shapes {shapes} do not agree off axis {axis}") from None
-    ax = axis % out_values.ndim
-    def backprop(g, terms):
-        start = 0
-        for p in parts:
-            if p.requires_grad:
-                _push(terms, p, g[(slice(None),) * ax + (slice(start, start + p.shape[ax]),)])
-            start += p.shape[ax]
-    return Tensor(out_values, _parents=tuple(parts), _backprop=backprop)
-
-
-def narrow(a, axis, start, length):
-    """Contiguous slice [start, start+length) along one axis."""
-    dim = a.shape[axis]
-    if not (0 <= start and start + length <= dim and length >= 1):
-        raise ShapeError(f"narrow [{start}:{start + length}] outside axis of extent {dim}")
-    index = (slice(None),) * (axis % a.values.ndim) + (slice(start, start + length),)
-    def backprop(g, terms):
-        full = np.zeros_like(a.values)
-        full[index] = g
-        _push(terms, a, full)
-    return Tensor(a.values[index], _parents=(a,), _backprop=backprop)
-
-
-def reshape(a, shape):
-    out_values = a.values.reshape(shape)
-    def backprop(g, terms):
-        _push(terms, a, g.reshape(a.shape))
-    return Tensor(out_values, _parents=(a,), _backprop=backprop)
-
 
 def softmax_values(x):
     """Shift-stabilized softmax of a plain ndarray along its last axis (no graph)."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(a):
-    """Softmax along the last axis, shift-stabilized."""
-    out_values = softmax_values(a.values)
-    def backprop(g, terms):
-        inner = (g * out_values).sum(axis=-1, keepdims=True)
-        _push(terms, a, out_values * (g - inner))
-    return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
 def log_softmax_values(x):
@@ -286,42 +189,37 @@ def softmax_cross_entropy(logits, targets):
     return Tensor(loss, _parents=(logits,), _backprop=backprop)
 
 
-def conv1d(x, w, b, stride=1, dilation=1):
-    """Causal 1-d convolution over time with dilation and stride.
+def _conv1d(x, w, b, stride, dilation):
+    """Causal 1-d convolution over time: the output and the unfolded input taps.
 
     x: [T, C_in] feature rows, w: [K, C_in, C_out], b: [C_out].  The input
     is zero-padded on the left by (K-1)*dilation so out[t] depends only on
     x[<= t*stride]; output length is ceil(T / stride).  The taps unfold into
-    one [t_out, K*C_in] matrix (row t holds padded rows `rows[t]`), so the
-    layer is one matmul.
+    one [t_out, K*C_in] matrix `cols`, so the layer is one matmul, and
+    w's gradient is cols.T @ d(out).
     """
-    if x.values.ndim != 2 or w.values.ndim != 3 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv1d shapes {x.shape} and {w.shape} do not agree")
     T, c_in = x.shape
     K, _, c_out = w.shape
-    if T < 1:
-        raise ContractError("conv1d needs at least one input row")
     pad = (K - 1) * dilation
-    padded = np.vstack([np.zeros((pad, c_in)), x.values]) if pad else x.values
+    padded = np.vstack([np.zeros((pad, c_in)), x]) if pad else x
     t_out = -(-T // stride)
     rows = np.arange(t_out)[:, None] * stride + np.arange(K) * dilation
     cols = padded[rows].reshape(t_out, K * c_in)
-    kernel = w.values.reshape(K * c_in, c_out)
-    out_values = cols @ kernel + b.values
-    def backprop(g, terms):
-        if b.requires_grad:
-            _push(terms, b, g.sum(axis=0))
-        if w.requires_grad:
-            _push(terms, w, (cols.T @ g).reshape(w.shape))
-        if x.requires_grad:
-            taps = (g @ kernel.T).reshape(t_out, K, c_in)
-            dpad = np.zeros_like(padded)
-            # a padded row gets its taps in ascending t, as np.add.at(dpad, rows, taps)
-            # would add them: descending k is ascending t for a fixed row
-            for k in range(K - 1, -1, -1):
-                dpad[k * dilation : k * dilation + (t_out - 1) * stride + 1 : stride] += taps[:, k]
-            _push(terms, x, dpad[pad:])
-    return Tensor(out_values, _parents=(x, w, b), _backprop=backprop)
+    return cols @ w.reshape(K * c_in, c_out) + b, cols
+
+
+def _conv1d_input_grad(g, w, steps, stride, dilation):
+    """The adjoint of `_conv1d`'s [steps, C_in] input, given that of its output g."""
+    K, c_in, c_out = w.shape
+    t_out = len(g)
+    taps = (g @ w.reshape(K * c_in, c_out).T).reshape(t_out, K, c_in)
+    pad = (K - 1) * dilation
+    dpad = np.zeros((pad + steps, c_in))
+    # a padded row gets its taps in ascending t, as np.add.at(dpad, rows, taps)
+    # would add them: descending k is ascending t for a fixed row
+    for k in range(K - 1, -1, -1):
+        dpad[k * dilation : k * dilation + (t_out - 1) * stride + 1 : stride] += taps[:, k]
+    return dpad[pad:]
 
 
 # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh serves all four LSTM gates:
@@ -364,6 +262,26 @@ def _lstm_cell(wh, zx, h, c, gates, h_next, c_next, tanh_c):
     np.multiply(o, tanh_c, out=h_next)
 
 
+def _lstm_forward(x, h0, c0, wx, wh, b):
+    """An LSTM over the rows of x [T, D] from the state h0, c0 [n]: (hs, cs, gates, tanh_c).
+
+    hs and cs [T+1, n] hold the start state in row 0 and h_t, c_t in row t;
+    gates [T, 4, n] and tanh_c [T, n] are the rows `_lstm_cell_backward`
+    reads.  The input projection of all steps is one matmul; each step then
+    writes straight into rows preallocated for the whole sequence.
+    """
+    steps, n = len(x), len(wh)
+    zx = x @ wx + b
+    hs = np.empty((steps + 1, n))
+    cs = np.empty((steps + 1, n))
+    hs[0], cs[0] = h0, c0
+    gates = np.empty((steps, 4, n))
+    tanh_c = np.empty((steps, n))
+    for row in zip(zx, hs[:-1], cs[:-1], gates, hs[1:], cs[1:], tanh_c):
+        _lstm_cell(wh, *row)
+    return hs, cs, gates, tanh_c
+
+
 def _lstm_cell_backward(wh, gates, c_prev, tanh_c):
     """The backward step of `_lstm_cell` over a recorded sequence, as `step(t, dh, dc, dz)`.
 
@@ -388,57 +306,6 @@ def _lstm_cell_backward(wh, gates, c_prev, tanh_c):
         dc *= gates[t, 1]
         np.matmul(dz.reshape(-1), wh_t, out=dh)
     return step
-
-
-def lstm(x, h0, c0, wx, wh, b):
-    """LSTM over a whole sequence; gate order i, f, g, o.
-
-    x: [T, D] input rows, h0 and c0: [1, H] initial state, wx: [D, 4H],
-    wh: [H, 4H], b: [4H].  Returns [T, 2H] whose row t is h_t | c_t.  The
-    input projection of all steps is one matmul; each step (`_lstm_cell`)
-    then writes its recurrent matvec, gates, cell and tanh(cell) straight
-    into rows preallocated for the whole sequence, so a step allocates no
-    arrays.  The backward pass is one in-place sweep of backpropagation
-    through time, and the weight gradients are single matmuls over all steps.
-    """
-    steps, n = x.shape[0], wh.shape[-1] // 4
-    if not (x.values.ndim == 2 and wx.shape == (x.shape[1], 4 * n) and wh.shape == (n, 4 * n)
-            and b.shape == (4 * n,) and h0.shape == c0.shape == (1, n)):
-        raise ShapeError(f"lstm shapes disagree: x {x.shape}, h0 {h0.shape}, c0 {c0.shape}, "
-                         f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
-    zx = x.values @ wx.values + b.values
-    hs = np.empty((steps + 1, n))
-    cs = np.empty((steps + 1, n))
-    hs[0], cs[0] = h0.values[0], c0.values[0]
-    gates = np.empty((steps, 4, n))
-    tanh_c = np.empty((steps, n))
-    for row in zip(zx, hs[:-1], cs[:-1], gates, hs[1:], cs[1:], tanh_c):
-        _lstm_cell(wh.values, *row)
-    out_values = np.concatenate([hs[1:], cs[1:]], axis=1)
-    parents = (x, h0, c0, wx, wh, b)
-    def backprop(g_out, terms):
-        cell_step = _lstm_cell_backward(wh.values, gates, cs[:-1], tanh_c)
-        dz = np.empty_like(gates)
-        dh = np.zeros(n)
-        dc = np.zeros(n)
-        for t in range(steps - 1, -1, -1):
-            dh += g_out[t, :n]
-            dc += g_out[t, n:]
-            cell_step(t, dh, dc, dz[t])
-        dz = dz.reshape(steps, 4 * n)
-        if x.requires_grad:
-            _push(terms, x, dz @ wx.values.T)
-        if h0.requires_grad:
-            _push(terms, h0, dh[None, :])
-        if c0.requires_grad:
-            _push(terms, c0, dc[None, :])
-        if wx.requires_grad:
-            _push(terms, wx, x.values, dz)
-        if wh.requires_grad:
-            _push(terms, wh, hs[:-1], dz)
-        if b.requires_grad:
-            _push(terms, b, dz.sum(axis=0))
-    return Tensor(out_values, _parents=parents, _backprop=backprop)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,9 @@ class DatasetConfig:
             raise ContractError("speakers must list at least one speaker")
         if len(set(ids)) != len(ids):
             raise ValidationError(f"speakers repeat a speaker id: {ids}")
+        low, high = self.gap_range
+        if not 0 <= low <= high:
+            raise ContractError(f"gap_range {list(self.gap_range)} must satisfy 0 <= low <= high")
 
 
 @dataclass

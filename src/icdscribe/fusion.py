@@ -14,7 +14,8 @@ candidates among completed hypotheses and every one-token extension of
 the active ones, which makes width 1 coincide with greedy decoding.  Only
 each active hypothesis's best `beam_width` extensions are built, since no
 other can enter the beam; all tokens are scored in one vector expression,
-with the LM's memoized next-word vector, and no autodiff graph is recorded.
+with the LM's memoized next-word vector.  The encoder and decoder run on
+plain arrays, so decoding makes no autodiff `Tensor`.
 `evaluate_dataset` transcribes a whole manifest and scores it.
 """
 
@@ -29,7 +30,6 @@ from .autodiff import (
     backward,
     clip_global_norm,
     log_softmax_values,
-    no_grad,
     softmax_cross_entropy,
 )
 from .data import EOS, PAD, SOS, iter_utterances
@@ -209,17 +209,16 @@ def beam_search_decode(model, lm, x, cfg, vocab):
         raise ContractError("a language model is required when its mixing weight is positive")
     tokens = np.array([t for t in range(model.vocab_size) if t not in (PAD, SOS)])
     words = tuple(vocab.word_of(t) for t in tokens if t != EOS)
-    with no_grad():
-        encoded = model.encode(standardize_spectrogram(x))
-        beam = [Hypothesis((SOS,), (), 0.0, 0.0, 0.0, model.start_state(), completed=False)]
-        while True:
-            active = [h for h in beam if not h.completed]
-            if not active:
-                break
-            candidates = [h for h in beam if h.completed]
-            for hyp in active:
-                candidates.extend(_expand(model, lm, hyp, encoded, cfg, vocab, tokens, words))
-            beam = _take_best(candidates, cfg.beam_width)
+    encoded = model.encode(standardize_spectrogram(x))
+    beam = [Hypothesis((SOS,), (), 0.0, 0.0, 0.0, model.start_state(), completed=False)]
+    while True:
+        active = [h for h in beam if not h.completed]
+        if not active:
+            break
+        candidates = [h for h in beam if h.completed]
+        for hyp in active:
+            candidates.extend(_expand(model, lm, hyp, encoded, cfg, vocab, tokens, words))
+        beam = _take_best(candidates, cfg.beam_width)
     return _take_best(beam, 1)[0]
 
 

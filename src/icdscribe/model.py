@@ -5,18 +5,21 @@ pyramid of unidirectional LSTM layers.  Every pyramid layer concatenates
 beta consecutive outputs of the layer below into one input, so J layers
 shrink T_conv frames to ceil(T_conv / beta**J) encoder states; a final
 group short of beta rows is padded with zeros.  Nothing reads future
-frames, so the encoder can run incrementally.  Each layer is one
-whole-sequence `lstm` op.
+frames, so the encoder can run incrementally.  `encode` runs on plain
+arrays and keeps the rows its backward pass reads; training wraps its
+states as one autodiff node, whose backward pass is one sweep down the
+layers.
 
 The decoder is a single LSTM.  At step i it attends over the encoder
 states with its previous hidden state, consumes the previous token's
 embedding concatenated with that context, and projects [state, context]
 to vocabulary logits.  Scoring is additive: e_j = w . tanh(W s + V h_j + b).
 `attend` and `decode_step` run one step on plain arrays; beam search calls
-them one hypothesis at a time.  Teacher forcing runs the same step code
-over a whole target inside one autodiff op, whose backward pass is one
-sweep of backpropagation through time with each weight gradient formed
-as one product over all steps.
+them one hypothesis at a time, so decoding makes no `Tensor`.  Teacher
+forcing runs the same step code over a whole target inside one autodiff
+node, which also forms the attention keys' gradient.  Each node's
+backward pass is one sweep of backpropagation through time with each
+weight gradient formed as one product over all steps.
 """
 
 from dataclasses import dataclass, field
@@ -25,19 +28,14 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    _conv1d,
+    _conv1d_input_grad,
     _lstm_cell,
     _lstm_cell_backward,
+    _lstm_forward,
     _push,
-    concat,
-    conv1d,
-    lstm,
-    matmul,
-    narrow,
     parameter_vectors,
-    relu,
-    reshape,
     softmax_values,
-    zeros,
 )
 from .data import EOS, PAD, SOS
 from .errors import ContractError
@@ -87,8 +85,12 @@ class DecoderConfig:
 
 @dataclass
 class EncoderOutput:
-    hidden: Tensor  # [U, encoder hidden]
-    keys: Tensor  # [U, attention dim]: hidden @ attn.keys, shared by every decode step
+    """The encoder's states and attention keys, plus the forward rows its backward sweep reads."""
+
+    hidden: np.ndarray  # [U, encoder hidden]
+    keys: np.ndarray  # [U, attention dim]: hidden @ attn.keys, shared by every decode step
+    convs: list  # per conv layer: (unfolded taps, output before the ReLU)
+    layers: list  # per pyramid layer: (frames before padding, input rows, `_lstm_forward` rows)
 
     @property
     def reduced_steps(self):
@@ -160,6 +162,7 @@ class Seq2SeqModel:
     # ----------------------------------------------------------------- encoder
 
     def encode(self, x):
+        """The conv stack, its ReLUs and the pyramid LSTM layers over a [T, F] spectrogram."""
         values = np.asarray(x, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1:
             raise ContractError(f"encoder needs a nonempty [T, F] spectrogram, got {values.shape}")
@@ -167,23 +170,63 @@ class Seq2SeqModel:
             raise ContractError(
                 f"spectrogram has {values.shape[1]} channels, model expects {self.input_dim}"
             )
-        out = Tensor(values)
+        p, out, convs, layers = self._params, values, [], []
         for l, spec in enumerate(self.encoder_cfg.conv):
-            out = relu(
-                conv1d(out, self._params[f"conv{l}.w"], self._params[f"conv{l}.b"],
-                       stride=spec.stride, dilation=spec.dilation)
-            )
+            pre, cols = _conv1d(out, p[f"conv{l}.w"].values, p[f"conv{l}.b"].values,
+                                spec.stride, spec.dilation)
+            convs.append((cols, pre))
+            out = np.maximum(pre, 0.0)
         beta, n = self.encoder_cfg.beta, self.encoder_cfg.hidden
-        start = zeros((1, n))  # every layer's h0 and c0; `lstm` only reads them
+        start = np.zeros(n)  # every layer's h0 and c0
         for j in range(self.encoder_cfg.layers):
             frames, width = out.shape
             steps = -(-frames // beta)
             if steps * beta > frames:
-                out = concat([out, zeros((steps * beta - frames, width))], axis=0)
-            weights = [self._params[f"enc{j}.{k}"] for k in ("wx", "wh", "b")]
-            states = lstm(reshape(out, (steps, beta * width)), start, start, *weights)
-            out = narrow(states, 1, 0, n)
-        return EncoderOutput(hidden=out, keys=matmul(out, self._params["attn.keys"]))
+                out = np.concatenate([out, np.zeros((steps * beta - frames, width))], axis=0)
+            rows = out.reshape(steps, beta * width)
+            states = _lstm_forward(rows, start, start,
+                                   *(p[f"enc{j}.{k}"].values for k in ("wx", "wh", "b")))
+            layers.append((frames, rows, states))
+            out = states[0][1:]  # h_1 .. h_steps
+        return EncoderOutput(out, out @ p["attn.keys"].values, convs, layers)
+
+    def _encoder_node(self, encoded):
+        """`encoded.hidden` as one autodiff node over the conv and pyramid LSTM leaves.
+
+        Its backward pass sweeps down the layers once: backpropagation
+        through time per pyramid layer, the un-reshape without the padding
+        rows, then per conv layer the ReLU mask and the taps.
+        """
+        p, cfg = self._params, self.encoder_cfg
+
+        def backprop(g, terms):
+            for j in range(cfg.layers - 1, -1, -1):
+                wx, wh, b = (p[f"enc{j}.{k}"] for k in ("wx", "wh", "b"))
+                frames, rows, (hs, cs, gates, tanh_c) = encoded.layers[j]
+                cell_step = _lstm_cell_backward(wh.values, gates, cs[:-1], tanh_c)
+                dz = np.empty_like(gates)
+                dh, dc = np.zeros(cfg.hidden), np.zeros(cfg.hidden)
+                for t in range(len(rows) - 1, -1, -1):
+                    dh += g[t]
+                    cell_step(t, dh, dc, dz[t])
+                dz = dz.reshape(len(rows), -1)
+                _push(terms, wx, rows, dz)
+                _push(terms, wh, hs[:-1], dz)
+                _push(terms, b, dz.sum(axis=0))
+                if j or cfg.conv:  # the layer's input rows, less the final group's padding
+                    g = (dz @ wx.values.T).reshape(len(rows) * cfg.beta, -1)[:frames]
+            for l in range(len(cfg.conv) - 1, -1, -1):
+                w, b, spec = p[f"conv{l}.w"], p[f"conv{l}.b"], cfg.conv[l]
+                cols, pre = encoded.convs[l]
+                g = g * (pre > 0.0)
+                _push(terms, b, g.sum(axis=0))
+                _push(terms, w, (cols.T @ g).reshape(w.shape))
+                if l:
+                    steps = len(encoded.convs[l - 1][1])
+                    g = _conv1d_input_grad(g, w.values, steps, spec.stride, spec.dilation)
+
+        parents = tuple(leaf for name, leaf in p.items() if name.startswith(("conv", "enc")))
+        return Tensor(encoded.hidden, _parents=parents, _backprop=backprop)
 
     # --------------------------------------------------------------- attention
 
@@ -195,7 +238,7 @@ class Seq2SeqModel:
         """
         p = self._params
         query = s_prev @ p["attn.query"].values
-        rows = np.add(encoder_output.keys.values, query, out=tanh_rows)
+        rows = np.add(encoder_output.keys, query, out=tanh_rows)
         rows += p["attn.b"].values
         np.tanh(rows, out=rows)
         return (rows @ p["attn.score"].values).reshape(1, -1)
@@ -203,7 +246,7 @@ class Seq2SeqModel:
     def attend(self, s_prev, encoder_output, tanh_rows=None):
         """Attention weights alpha [1, U] and the context alpha @ hidden [1, He], as arrays."""
         alpha = softmax_values(self.attention_scores(s_prev, encoder_output, tanh_rows))
-        return alpha, alpha @ encoder_output.hidden.values
+        return alpha, alpha @ encoder_output.hidden
 
     # ----------------------------------------------------------------- decoder
 
@@ -254,15 +297,17 @@ class Seq2SeqModel:
             raise ContractError(
                 f"{len(target) - 1} decode steps need {len(target) - 1} inputs, got {len(inputs)}"
             )
-        return self._decode_teacher_forced(self.encode(x), inputs)
+        encoded = self.encode(x)
+        return self._decode_teacher_forced(encoded, self._encoder_node(encoded), inputs)
 
-    def _decode_teacher_forced(self, encoded, inputs):
+    def _decode_teacher_forced(self, encoded, hidden, inputs):
         """The decoder over a whole target: `attend` and `_cell` per step, then one logits product.
 
-        The node's parents are the encoder's hidden states and keys and the
-        decoder, attention and output leaves.  Its backward pass sweeps back
-        through the steps once; every weight gradient is one product over
-        all steps, handed to `backward` as its two factors.
+        The node's parents are `hidden`, the node of `encoded.hidden`, and
+        the decoder, attention and output leaves; the keys product
+        `hidden @ attn.keys` is part of the node.  Its backward pass sweeps
+        back through the steps once; every weight gradient is one product
+        over all steps, handed to `backward` as its two factors.
         """
         p = self._params
         steps, units = len(inputs), encoded.reduced_steps
@@ -278,13 +323,12 @@ class Seq2SeqModel:
             self._cell(token, hs[t], cs[t], context[0], xs[t], gates[t], hs[t + 1], cs[t + 1],
                        tanh_c[t])
         outs = np.concatenate([hs[1:], xs[:, e:]], axis=1)
-        names = ("dec.embed", "dec.wx", "dec.wh", "dec.b", "attn.query", "attn.b", "attn.score",
-                 "out.w", "out.b")
+        names = ("dec.embed", "dec.wx", "dec.wh", "dec.b", "attn.query", "attn.keys", "attn.b",
+                 "attn.score", "out.w", "out.b")
 
         def backprop(g, terms):
             wx, score = p["dec.wx"].values, p["attn.score"].values[:, 0]
             w_context_t, w_query_t = wx[e:].T, p["attn.query"].values.T
-            hidden = encoded.hidden.values
             tanh_slope = 1.0 - tanh_rows * tanh_rows
             cell_step = _lstm_cell_backward(p["dec.wh"].values, gates, cs[:-1], tanh_c)
             d_out = g @ p["out.w"].values.T
@@ -298,7 +342,7 @@ class Seq2SeqModel:
                 dh += d_out[t, :n]
                 cell_step(t, dh, dc, dz[t])
                 d_context[t] += dz[t].reshape(-1) @ w_context_t
-                d_alpha = d_context[t] @ hidden.T
+                d_alpha = d_context[t] @ encoded.hidden.T
                 np.multiply(alphas[t], d_alpha - (d_alpha * alphas[t]).sum(), out=d_scores[t])
                 np.multiply.outer(d_scores[t], score, out=d_pre[t])
                 d_pre[t] *= tanh_slope[t]
@@ -307,8 +351,10 @@ class Seq2SeqModel:
             dz = dz.reshape(steps, 4 * n)
             d_embed = np.zeros_like(p["dec.embed"].values)
             np.add.at(d_embed, inputs, dz @ wx[:e].T)  # rows added in step order
-            _push(terms, encoded.hidden, alphas, d_context)
-            _push(terms, encoded.keys, d_pre.sum(axis=0))
+            d_keys = d_pre.sum(axis=0)
+            _push(terms, hidden, d_keys @ p["attn.keys"].values.T)
+            _push(terms, hidden, alphas, d_context)
+            _push(terms, p["attn.keys"], encoded.hidden, d_keys)
             _push(terms, p["dec.embed"], d_embed)
             _push(terms, p["dec.wx"], xs, dz)
             _push(terms, p["dec.wh"], hs[:-1], dz)
@@ -320,5 +366,5 @@ class Seq2SeqModel:
             _push(terms, p["out.w"], outs, g)
             _push(terms, p["out.b"], g.sum(axis=0))
 
-        parents = (encoded.hidden, encoded.keys) + tuple(p[name] for name in names)
+        parents = (hidden,) + tuple(p[name] for name in names)
         return Tensor(self._logits(outs), _parents=parents, _backprop=backprop)

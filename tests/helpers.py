@@ -3,11 +3,183 @@
 Kept independent of the code paths they check: the finite-difference
 gradient only calls the forward pass, and the edit-distance oracle is a
 plain memoized recursion with no alignment bookkeeping.
+
+The graph ops below (`matmul`, `add`, `tanh`, `relu`, `concat`, `narrow`,
+`reshape`, `softmax`, `conv1d`, `lstm`) are one autodiff node each.  The
+model runs as a few whole-sequence nodes; these ops build the per-op
+graphs that its encoder and decoder nodes are checked against
+(`graph_encode`, `graph_attend`, `graph_decode_step`, `graph_teacher_forced`).
+`conv1d` and `lstm` run the package's own array kernels.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from icdscribe import autodiff as ad
+from icdscribe.autodiff import Tensor, _push
+from icdscribe.errors import ContractError, ShapeError
+
+
+# ---------------------------------------------------------------------------
+# graph ops: one autodiff node each
+# ---------------------------------------------------------------------------
+
+def zeros(shape):
+    return Tensor(np.zeros(shape))
+
+
+def _unbroadcast(g, shape):
+    """Sum `g` down to `shape`, reversing numpy broadcasting."""
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def matmul(a, b):
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not agree")
+    out_values = a.values @ b.values
+    def backprop(g, terms):
+        if a.requires_grad:
+            _push(terms, a, g @ b.values.T)
+        if b.requires_grad:
+            _push(terms, b, a.values, g)
+    return Tensor(out_values, _parents=(a, b), _backprop=backprop)
+
+
+def add(a, b):
+    try:
+        out_values = a.values + b.values
+    except ValueError:
+        raise ShapeError(f"add shapes {a.shape} and {b.shape} do not broadcast") from None
+    def backprop(g, terms):
+        if a.requires_grad:
+            _push(terms, a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _push(terms, b, _unbroadcast(g, b.shape))
+    return Tensor(out_values, _parents=(a, b), _backprop=backprop)
+
+
+def tanh(a):
+    out_values = np.tanh(a.values)
+    def backprop(g, terms):
+        _push(terms, a, g * (1.0 - out_values * out_values))
+    return Tensor(out_values, _parents=(a,), _backprop=backprop)
+
+
+def relu(a):
+    out_values = np.maximum(a.values, 0.0)
+    def backprop(g, terms):
+        _push(terms, a, g * (a.values > 0.0))
+    return Tensor(out_values, _parents=(a,), _backprop=backprop)
+
+
+def concat(parts, axis=-1):
+    if not parts:
+        raise ContractError("concat needs at least one operand")
+    try:
+        out_values = np.concatenate([p.values for p in parts], axis=axis)
+    except ValueError:
+        shapes = ", ".join(str(p.shape) for p in parts)
+        raise ShapeError(f"concat shapes {shapes} do not agree off axis {axis}") from None
+    ax = axis % out_values.ndim
+    def backprop(g, terms):
+        start = 0
+        for p in parts:
+            if p.requires_grad:
+                _push(terms, p, g[(slice(None),) * ax + (slice(start, start + p.shape[ax]),)])
+            start += p.shape[ax]
+    return Tensor(out_values, _parents=tuple(parts), _backprop=backprop)
+
+
+def narrow(a, axis, start, length):
+    """Contiguous slice [start, start+length) along one axis."""
+    dim = a.shape[axis]
+    if not (0 <= start and start + length <= dim and length >= 1):
+        raise ShapeError(f"narrow [{start}:{start + length}] outside axis of extent {dim}")
+    index = (slice(None),) * (axis % a.values.ndim) + (slice(start, start + length),)
+    def backprop(g, terms):
+        full = np.zeros_like(a.values)
+        full[index] = g
+        _push(terms, a, full)
+    return Tensor(a.values[index], _parents=(a,), _backprop=backprop)
+
+
+def reshape(a, shape):
+    out_values = a.values.reshape(shape)
+    def backprop(g, terms):
+        _push(terms, a, g.reshape(a.shape))
+    return Tensor(out_values, _parents=(a,), _backprop=backprop)
+
+
+def softmax(a):
+    """Softmax along the last axis, shift-stabilized."""
+    out_values = ad.softmax_values(a.values)
+    def backprop(g, terms):
+        inner = (g * out_values).sum(axis=-1, keepdims=True)
+        _push(terms, a, out_values * (g - inner))
+    return Tensor(out_values, _parents=(a,), _backprop=backprop)
+
+
+def conv1d(x, w, b, stride=1, dilation=1):
+    """The causal convolution `ad._conv1d` as a node: x [T, C_in], w [K, C_in, C_out], b [C_out]."""
+    if x.values.ndim != 2 or w.values.ndim != 3 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"conv1d shapes {x.shape} and {w.shape} do not agree")
+    if x.shape[0] < 1:
+        raise ContractError("conv1d needs at least one input row")
+    out_values, cols = ad._conv1d(x.values, w.values, b.values, stride, dilation)
+    def backprop(g, terms):
+        if b.requires_grad:
+            _push(terms, b, g.sum(axis=0))
+        if w.requires_grad:
+            _push(terms, w, (cols.T @ g).reshape(w.shape))
+        if x.requires_grad:
+            _push(terms, x, ad._conv1d_input_grad(g, w.values, x.shape[0], stride, dilation))
+    return Tensor(out_values, _parents=(x, w, b), _backprop=backprop)
+
+
+def lstm(x, h0, c0, wx, wh, b):
+    """`ad._lstm_forward` as a node: [T, 2H] rows h_t | c_t from x [T, D] and h0, c0 [1, H].
+
+    wx: [D, 4H], wh: [H, 4H], b: [4H]; gate order i, f, g, o.  The backward
+    pass is one sweep of `ad._lstm_cell_backward` steps.
+    """
+    steps, n = x.shape[0], wh.shape[-1] // 4
+    if not (x.values.ndim == 2 and wx.shape == (x.shape[1], 4 * n) and wh.shape == (n, 4 * n)
+            and b.shape == (4 * n,) and h0.shape == c0.shape == (1, n)):
+        raise ShapeError(f"lstm shapes disagree: x {x.shape}, h0 {h0.shape}, c0 {c0.shape}, "
+                         f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    hs, cs, gates, tanh_c = ad._lstm_forward(x.values, h0.values[0], c0.values[0], wx.values,
+                                             wh.values, b.values)
+    def backprop(g_out, terms):
+        cell_step = ad._lstm_cell_backward(wh.values, gates, cs[:-1], tanh_c)
+        dz = np.empty_like(gates)
+        dh = np.zeros(n)
+        dc = np.zeros(n)
+        for t in range(steps - 1, -1, -1):
+            dh += g_out[t, :n]
+            dc += g_out[t, n:]
+            cell_step(t, dh, dc, dz[t])
+        dz = dz.reshape(steps, 4 * n)
+        if x.requires_grad:
+            _push(terms, x, dz @ wx.values.T)
+        if h0.requires_grad:
+            _push(terms, h0, dh[None, :])
+        if c0.requires_grad:
+            _push(terms, c0, dc[None, :])
+        if wx.requires_grad:
+            _push(terms, wx, x.values, dz)
+        if wh.requires_grad:
+            _push(terms, wh, hs[:-1], dz)
+        if b.requires_grad:
+            _push(terms, b, dz.sum(axis=0))
+    out_values = np.concatenate([hs[1:], cs[1:]], axis=1)
+    return Tensor(out_values, _parents=(x, h0, c0, wx, wh, b), _backprop=backprop)
 
 
 def finite_difference_grad(forward, x, h=1e-5):
@@ -38,23 +210,52 @@ def weighted_sum(t, seed=None):
     """
     size = t.size
     w = np.ones((size, 1)) if seed is None else np.random.default_rng(seed).normal(size=(size, 1))
-    return ad.matmul(ad.reshape(t, (1, size)), ad.Tensor(w))
+    return matmul(reshape(t, (1, size)), Tensor(w))
 
 
 def assert_grad_close(analytic, numeric, rtol, atol=1e-7):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
-# The attention decoder as a per-step graph of primitive ops: the reference
-# that the model's plain-array steps and whole-target op are checked against.
+# The model as a per-op graph: the reference that its encoder node, its
+# plain-array decode steps and its whole-target decoder node are checked against.
+
+@dataclass
+class GraphEncoding:
+    hidden: Tensor  # [U, encoder hidden]
+    keys: Tensor  # [U, attention dim]
+
+    @property
+    def reduced_steps(self):
+        return self.hidden.shape[0]
+
+
+def graph_encode(model, x):
+    """The encoder as a graph of conv1d, relu, concat, reshape, lstm, narrow and matmul nodes."""
+    p = model.named_parameters()
+    out = Tensor(np.asarray(x, dtype=np.float64))
+    for l, spec in enumerate(model.encoder_cfg.conv):
+        out = relu(conv1d(out, p[f"conv{l}.w"], p[f"conv{l}.b"], stride=spec.stride,
+                          dilation=spec.dilation))
+    beta, n = model.encoder_cfg.beta, model.encoder_cfg.hidden
+    start = zeros((1, n))
+    for j in range(model.encoder_cfg.layers):
+        frames, width = out.shape
+        steps = -(-frames // beta)
+        if steps * beta > frames:
+            out = concat([out, zeros((steps * beta - frames, width))], axis=0)
+        weights = [p[f"enc{j}.{k}"] for k in ("wx", "wh", "b")]
+        out = narrow(lstm(reshape(out, (steps, beta * width)), start, start, *weights), 1, 0, n)
+    return GraphEncoding(hidden=out, keys=matmul(out, p["attn.keys"]))
+
 
 def graph_attend(model, s_prev, encoded):
     """Attention weights [1, U] and context [1, He] as Tensors, from a [1, H] state Tensor."""
     p = model.named_parameters()
-    query = ad.matmul(s_prev, p["attn.query"])
-    e = ad.matmul(ad.tanh(ad.add(ad.add(encoded.keys, query), p["attn.b"])), p["attn.score"])
-    alpha = ad.softmax(ad.reshape(e, (1, encoded.reduced_steps)))
-    return alpha, ad.matmul(alpha, encoded.hidden)
+    query = matmul(s_prev, p["attn.query"])
+    e = matmul(tanh(add(add(encoded.keys, query), p["attn.b"])), p["attn.score"])
+    alpha = softmax(reshape(e, (1, encoded.reduced_steps)))
+    return alpha, matmul(alpha, encoded.hidden)
 
 
 def graph_decode_step(model, prev_token, state, context):
@@ -62,25 +263,25 @@ def graph_decode_step(model, prev_token, state, context):
     if not 0 <= prev_token < model.vocab_size:
         raise IndexError(f"token id {prev_token} outside vocabulary of {model.vocab_size}")
     p = model.named_parameters()
-    embedding = ad.narrow(p["dec.embed"], 0, int(prev_token), 1)
+    embedding = narrow(p["dec.embed"], 0, int(prev_token), 1)
     n = model.decoder_cfg.hidden
-    states = ad.lstm(ad.concat([embedding, context], axis=1), *state,
-                     p["dec.wx"], p["dec.wh"], p["dec.b"])
-    h, c = ad.narrow(states, 1, 0, n), ad.narrow(states, 1, n, n)
-    logits = ad.add(ad.matmul(ad.concat([h, context], axis=1), p["out.w"]), p["out.b"])
+    states = lstm(concat([embedding, context], axis=1), *state,
+                  p["dec.wx"], p["dec.wh"], p["dec.b"])
+    h, c = narrow(states, 1, 0, n), narrow(states, 1, n, n)
+    logits = add(matmul(concat([h, context], axis=1), p["out.w"]), p["out.b"])
     return (h, c), logits
 
 
 def graph_teacher_forced(model, encoded, inputs):
-    """Logit rows [len(inputs), V] of the per-step graph decoder."""
+    """Logit rows [len(inputs), V] of the per-step graph decoder over a `graph_encode` output."""
     n = model.decoder_cfg.hidden
-    state = (ad.zeros((1, n)), ad.zeros((1, n)))
+    state = (zeros((1, n)), zeros((1, n)))
     rows = []
     for token in inputs:
         _, context = graph_attend(model, state[0], encoded)
         state, logits = graph_decode_step(model, token, state, context)
         rows.append(logits)
-    return ad.concat(rows, axis=0)
+    return concat(rows, axis=0)
 
 
 def edit_distance_oracle(a, b):

