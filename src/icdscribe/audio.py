@@ -64,6 +64,9 @@ class SpeakerProfile:
             raise ContractError(f"base pitch {self.base_pitch} outside [80, 400] Hz")
         if not 0.7 <= self.rate <= 1.3:
             raise ContractError(f"rate multiplier {self.rate} outside [0.7, 1.3]")
+        # below 1, a drawn pitch stays in (0, 800) Hz: every word has at least 4 harmonics
+        if not 0.0 <= self.pitch_jitter < 1.0:
+            raise ContractError(f"pitch_jitter {self.pitch_jitter} outside [0, 1)")
 
 
 @dataclass
@@ -126,9 +129,18 @@ def synthesize_word(word, profile, repeat_index, sample_rate=DEFAULT_SAMPLE_RATE
     pitch = profile.base_pitch * (1.0 + profile.pitch_jitter * rng.uniform(-1.0, 1.0))
     t = np.arange(char_samples) / sample_rate
     freqs = np.arange(1, int(_MAX_HARMONIC_HZ / pitch) + 1) * pitch
-    # sin(a + phase) = sin a cos phase + cos a sin phase: one [2H, T] basis for every character
-    angle = 2.0 * math.pi * freqs[:, None] * t
-    basis = np.concatenate([np.sin(angle), np.cos(angle)])
+    # row h of rot is e^{i(h+1)wt}: row 0 is e^{iwt}, and rows [k, 2k) are rows [0, k) times
+    # row k - 1, so about log2 H complex products stand in for H * T sin and cos calls
+    rot = np.empty((len(freqs), char_samples), dtype=np.complex128)
+    rot[0] = np.exp(2j * math.pi * pitch * t)
+    k = 1
+    while k < len(freqs):
+        n = min(k, len(freqs) - k)
+        np.multiply(rot[:n], rot[k - 1], out=rot[k : k + n])
+        k += n
+    # sin(a + phase) = sin a cos phase + cos a sin phase: one [2H, T] basis of sin (the
+    # imaginary parts) and cos (the real parts) for every character
+    basis = np.concatenate([rot.imag, rot.real])
     idx = np.frombuffer(word.encode("ascii"), dtype=np.uint8)[:, None] - ord("a")
     f1, f2 = _F1_BASE + _F1_STEP * idx, _F2_BASE + _F2_STEP * idx
     amps = (
@@ -174,6 +186,15 @@ def next_fast_len(n):
     return best
 
 
+@functools.lru_cache(maxsize=8)
+def _decay(tail_len, sample_rate, rt60):
+    """The read-only envelope of the impulse-response tail: -60 dB at rt60, one entry per tap."""
+    tt = np.arange(1, tail_len + 1) / sample_rate
+    decay = np.exp(-6.907755278982137 * tt / rt60)
+    decay.setflags(write=False)
+    return decay
+
+
 def apply_far_field(w, room, seed=0):
     """Push a close-talk waveform through the room model.
 
@@ -188,9 +209,7 @@ def apply_far_field(w, room, seed=0):
     samples = w.samples
     if room.rt60 > 0:
         tail_len = int(room.rt60 * w.sample_rate)
-        tt = np.arange(1, tail_len + 1) / w.sample_rate
-        decay = np.exp(-6.907755278982137 * tt / room.rt60)  # -60 dB at rt60
-        tail = 0.35 * rng.standard_normal(tail_len) * decay
+        tail = 0.35 * rng.standard_normal(tail_len) * _decay(tail_len, w.sample_rate, room.rt60)
         ir = np.concatenate([[1.0], tail])
         size = next_fast_len(len(samples) + len(ir) - 1)
         spectrum = np.fft.rfft(samples, size) * np.fft.rfft(ir, size)

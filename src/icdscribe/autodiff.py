@@ -3,10 +3,10 @@
 Every trainable part of the pipeline (conv filter banks, LSTM gates,
 attention projections, embeddings) lives in `Tensor` leaves.  A node is a
 `Tensor` whose value depends on leaves that require a gradient: it records
-its parents and a backward closure, except inside `no_grad()`, where
-nothing is recorded.  `backward` orders the subgraph reachable from the
-loss topologically and replays it in reverse.  A node hands each parent
-adjoint terms: a dense array, or the two factors of an `x.T @ g` product.
+its parents and a backward closure.  `backward` orders the subgraph
+reachable from the loss topologically and replays it in reverse.  A node
+hands each parent adjoint terms: a dense array, or the two factors of an
+`x.T @ g` product.
 When backward reaches a tensor, after all its consumers, it sums the dense
 terms and adds the products as one stacked matmul (or the lone product, as
 is); leaves and nodes are treated alike.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +51,8 @@ class Tensor:
     def __init__(self, values, requires_grad=False, _parents=(), _backprop=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
-        # an op output records its graph only outside no_grad() and when a parent needs a gradient
-        tracked = _recording and any(p.requires_grad for p in _parents)
+        # an op output records its graph only when a parent needs a gradient
+        tracked = any(p.requires_grad for p in _parents)
         self.requires_grad = bool(requires_grad) or tracked
         self._parents = _parents if tracked else ()
         self._backprop = _backprop if tracked else None
@@ -74,20 +73,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-
-_recording = True  # False inside no_grad(); one flag for the whole process, not per thread
-
-
-@contextmanager
-def no_grad():
-    """A block whose op outputs keep no parents and no backprop closure (inference)."""
-    global _recording
-    saved, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = saved
 
 
 def backward(loss):

@@ -13,6 +13,7 @@ from icdscribe.audio import (
     Waveform,
     apply_far_field,
     concat_with_silence,
+    _decay,
     _hann,
     mel_filterbank,
     next_fast_len,
@@ -103,6 +104,8 @@ class TestSynthesizeWord:
             SpeakerProfile(speaker_id="x", base_pitch=50.0)
         with pytest.raises(ContractError):
             SpeakerProfile(speaker_id="x", rate=1.5)
+        with pytest.raises(ContractError):
+            SpeakerProfile(speaker_id="x", pitch_jitter=1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -118,6 +121,24 @@ class TestSynthesizeWord:
         profile = SpeakerProfile("spk", base_pitch=pitch, rate=rate, seed=seed)
         samples = synthesize_word(word, profile, repeat_index).samples
         want = reference_word(word, profile, repeat_index)
+        assert samples.shape == want.shape
+        assert np.max(np.abs(samples - want)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        word=st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=16),
+        sample_rate=st.integers(8000, 48000),
+        pitch=st.floats(80.0, 400.0),
+        rate=st.floats(0.7, 1.3),
+        repeat_index=st.integers(0, 50),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_rotated_basis_matches_the_per_character_sum_at_any_sample_rate(
+        self, word, sample_rate, pitch, rate, repeat_index, seed
+    ):
+        profile = SpeakerProfile("spk", base_pitch=pitch, rate=rate, seed=seed)
+        samples = synthesize_word(word, profile, repeat_index, sample_rate).samples
+        want = reference_word(word, profile, repeat_index, sample_rate)
         assert samples.shape == want.shape
         assert np.max(np.abs(samples - want)) <= 1e-12
 
@@ -319,6 +340,17 @@ class TestCachedTables:
         want = np.log(magnitude @ bank.T + 1e-6)
         for _ in range(2):  # cold, then warm cache
             assert np.array_equal(stft_logmel(w, FRONTEND), want)
+
+    def test_decay_is_shared_per_tail_and_read_only(self):
+        decay = _decay(4800, 16000, 0.3)
+        assert decay is _decay(4800, 16000, 0.3)
+        assert decay is not _decay(4800, 16000, 0.31)
+        assert decay is not _decay(2400, 8000, 0.3)
+        assert not decay.flags.writeable
+        with pytest.raises(ValueError):
+            decay[0] = 1.0
+        tt = np.arange(1, 4801) / 16000
+        assert np.array_equal(decay, np.exp(-6.907755278982137 * tt / 0.3))  # -60 dB at rt60
 
 
 class TestWavRoundTrip:

@@ -478,6 +478,10 @@ class TestMalformedInputs:
             ({"dataset": {"frontend": {"n_mels": -1}}}, "dataset.frontend: n_mels"),
             ({"dataset": {"frontend": {"n_mels": 0}}}, "dataset.frontend: n_mels"),
             ({"dataset": {"frontend": {"sample_rate": 0}}}, "dataset.frontend: sample_rate"),
+            ({"dataset": {"speakers": [{"speaker_id": "a", "pitch_jitter": -3}]}},
+             "dataset.speakers: pitch_jitter"),
+            ({"dataset": {"speakers": [{"speaker_id": "a", "pitch_jitter": 30}]}},
+             "dataset.speakers: pitch_jitter"),
         ],
     )
     def test_config(self, tmp_path, payload, fragment):
