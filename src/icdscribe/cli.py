@@ -37,7 +37,7 @@ from .data import (
 )
 from .audio import read_wav, stft_logmel
 from .errors import ConfigError, ContractError, ParseError, ValidationError
-from .fusion import EpochRecord, beam_search_decode, evaluate_dataset
+from .fusion import EpochRecord, beam_search_decode, check_vocabulary_alignment, evaluate_dataset
 from .fusion import train_with_scheduled_lm_sampling
 from .lm import Corpus, load_lm, perplexity, save_lm, train_lm
 from .metrics import format_report, wer
@@ -133,7 +133,9 @@ def cmd_train(args):
         model = fresh_model(config, vocab)
         optimizer = AdamState(model.values.size, config.optimizer)
         start_epoch, kept = 0, []
-    epochs = args.epochs if args.epochs is not None else config.training.epochs
+    epochs = config.training.epochs
+    if args.epochs is not None:  # checked by TrainingConfig; the saved config keeps its count
+        epochs = dataclasses.replace(config.training, epochs=args.epochs).epochs
     if start_epoch >= epochs:
         raise ContractError(
             f"checkpoint already covers {start_epoch} epochs; raise --epochs to continue"
@@ -192,10 +194,20 @@ def cmd_train(args):
     return 0
 
 
+def _fusion_lm(path, cfg, vocab):
+    """The LM at `path`, or None; fused decoding needs one that knows every decoder word."""
+    lm = load_lm(path) if path else None
+    if cfg.lambda_lm > 0:
+        if lm is None:
+            raise ConfigError("--lm is required unless --lambda-lm 0 disables fusion")
+        check_vocabulary_alignment(lm, vocab)
+    return lm
+
+
 def cmd_evaluate(args):
     ckpt = load_checkpoint(args.ckpt)
     model = build_model(ckpt)
-    lm = load_lm(args.lm)
+    lm = _fusion_lm(args.lm, ckpt.config.fusion, ckpt.vocabulary)
     manifest = load_manifest(args.manifest)
     if manifest.vocabulary != ckpt.vocabulary:
         raise ValidationError("manifest vocabulary does not match the checkpoint")
@@ -230,9 +242,7 @@ def cmd_transcribe(args):
     overrides = {"lambda_acoustic": args.lambda_acoustic, "lambda_lm": args.lambda_lm,
                  "beam_width": args.beam}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    lm = load_lm(args.lm) if args.lm else None
-    if cfg.lambda_lm > 0 and lm is None:
-        raise ConfigError("--lm is required unless --lambda-lm 0 disables fusion")
+    lm = _fusion_lm(args.lm, cfg, ckpt.vocabulary)
 
     lines = []
     for uid, spec in _decode_inputs(args, ckpt):

@@ -7,12 +7,17 @@ proportionally across the orders that did see the context, so the
 conditional distribution stays proper.  A tiny floor keeps every
 vocabulary word (and the unknown-word token) strictly positive.
 
+The model is one gram-count table per order.  Each context's next-word
+distribution over the sorted vocabulary is built once and memoized on the
+model, which never changes; `prob` reads it, `sample_next` draws from it.
+
 Sentence starts are padded with an internal start marker so that short
 contexts near the beginning are still well defined.  There is no
 end-of-sentence token at this level: the model scores word sequences,
 and sequence termination is the decoder's concern.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -50,28 +55,6 @@ class Corpus:
         return len({w for s in self.sentences for w in s})
 
 
-@dataclass
-class NGramCounts:
-    """Per-order gram counts plus totals for each distinct context."""
-
-    max_order: int
-    grams: list = field(default_factory=list)  # grams[k-1]: {(context..., word): count}
-    context_totals: list = field(default_factory=list)  # context_totals[k-1]: {context: count}
-
-    @classmethod
-    def from_corpus(cls, corpus, max_order):
-        grams = [{} for _ in range(max_order)]
-        totals = [{} for _ in range(max_order)]
-        for sentence in corpus.sentences:
-            for i, word in enumerate(sentence):
-                for k in range(1, max_order + 1):
-                    context = _padded_context(sentence[:i], k - 1)
-                    key = context + (word,)
-                    grams[k - 1][key] = grams[k - 1].get(key, 0) + 1
-                    totals[k - 1][context] = totals[k - 1].get(context, 0) + 1
-        return cls(max_order, grams, totals)
-
-
 def _padded_context(history, length):
     """Last `length` history words, left-padded with the start marker."""
     if length == 0:
@@ -82,22 +65,34 @@ def _padded_context(history, length):
 
 @dataclass
 class InterpolatedLM:
-    max_order: int
-    counts: NGramCounts
-    lambdas: list
+    grams: list  # grams[k-1]: {(context..., word): count}
+    lambdas: list  # one weight per order
     vocabulary: frozenset
-    # next_logprobs memo per (words, context): valid since an LM never changes; not saved
+    # derived from the fields above; never saved or compared
+    totals: list = field(init=False, repr=False, compare=False)  # totals[k-1]: {context: count}
+    words: list = field(init=False, repr=False, compare=False)  # sorted vocabulary
+    # memos per Markov window (and word tuple): valid since an LM never changes
+    _dist: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _next: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.lambdas) != self.max_order:
-            raise ContractError(
-                f"{self.max_order} orders need {self.max_order} weights, got {len(self.lambdas)}"
-            )
+        if len(self.grams) != len(self.lambdas):
+            raise ContractError(f"{len(self.grams)} orders, {len(self.lambdas)} weights")
         if any(lam < 0 for lam in self.lambdas):
             raise ContractError("interpolation weights must be nonnegative")
         if abs(sum(self.lambdas) - 1.0) > 1e-12:
             raise ContractError(f"interpolation weights sum to {sum(self.lambdas)}, expected 1")
+        self.totals = [{} for _ in self.grams]
+        for table, totals in zip(self.grams, self.totals):
+            for gram, count in table.items():
+                totals[gram[:-1]] = totals.get(gram[:-1], 0) + count
+        if () not in self.totals[0]:
+            raise ContractError("the model holds no unigram counts")
+        self.words = sorted(self.vocabulary)
+
+    @property
+    def max_order(self):
+        return len(self.lambdas)
 
 
 def train_lm(corpus, max_order, lambdas=None):
@@ -107,15 +102,36 @@ def train_lm(corpus, max_order, lambdas=None):
         raise ContractError("cannot train a language model on an empty corpus")
     if lambdas is None:
         lambdas = [1.0 / max_order] * max_order
-    counts = NGramCounts.from_corpus(corpus, max_order)
+    grams = [{} for _ in range(max_order)]
+    for sentence in corpus.sentences:
+        for i, word in enumerate(sentence):
+            for k, table in enumerate(grams):
+                key = _padded_context(sentence[:i], k) + (word,)
+                table[key] = table.get(key, 0) + 1
     vocab = frozenset(w for s in corpus.sentences for w in s) | {UNK_WORD}
-    return InterpolatedLM(max_order, counts, list(lambdas), vocab)
+    return InterpolatedLM(grams, list(lambdas), vocab)
 
 
-def _floored_unigram(lm, word):
-    total = lm.counts.context_totals[0][()]
-    count = lm.counts.grams[0].get((word,), 0)
-    return (count / total + _FLOOR) / (1.0 + _FLOOR * len(lm.vocabulary))
+def _distribution(lm, history):
+    """Read-only vector of the next-word probabilities over `lm.words` after `history`."""
+    window = _padded_context(list(history), lm.max_order - 1)
+    vector = lm._dist.get(window)
+    if vector is None:
+        counts = np.array([lm.grams[0].get((w,), 0) for w in lm.words])
+        unigram = (counts / lm.totals[0][()] + _FLOOR) / (1.0 + _FLOOR * len(lm.vocabulary))
+        weight, mass = lm.lambdas[0], lm.lambdas[0] * unigram
+        for k in range(2, lm.max_order + 1):
+            context = window[-(k - 1):]
+            total = lm.totals[k - 1].get(context)
+            if total is not None:  # orders that never saw the context give up their weight
+                counts = np.array([lm.grams[k - 1].get(context + (w,), 0) for w in lm.words])
+                weight += lm.lambdas[k - 1]
+                mass += lm.lambdas[k - 1] * (counts / total)
+        # every weighted order missed its context: fall back to the unigram
+        vector = mass / weight if weight > 0.0 else unigram
+        vector.flags.writeable = False
+        lm._dist[window] = vector
+    return vector
 
 
 def prob(lm, word, history):
@@ -126,25 +142,7 @@ def prob(lm, word, history):
     """
     if word not in lm.vocabulary:
         word = UNK_WORD
-    history = list(history)[-(lm.max_order - 1):] if lm.max_order > 1 else []
-
-    estimates = []  # (lambda_k, p_k) for orders whose context was seen
-    for k in range(1, lm.max_order + 1):
-        if k == 1:
-            estimates.append((lm.lambdas[0], _floored_unigram(lm, word)))
-            continue
-        context = _padded_context(history, k - 1)
-        total = lm.counts.context_totals[k - 1].get(context)
-        if total is None:
-            continue
-        count = lm.counts.grams[k - 1].get(context + (word,), 0)
-        estimates.append((lm.lambdas[k - 1], count / total))
-
-    weight = sum(lam for lam, _ in estimates)
-    if weight <= 0.0:
-        # every weighted order missed its context; fall back to the unigram
-        return _floored_unigram(lm, word)
-    return sum(lam * p for lam, p in estimates) / weight
+    return float(_distribution(lm, history)[bisect.bisect_left(lm.words, word)])
 
 
 def next_logprobs(lm, words, history):
@@ -186,19 +184,12 @@ def perplexity(lm, sentences):
 def sample_next(lm, history, rng):
     """Draw the next word from the conditional distribution.
 
-    Iterates the vocabulary in sorted order so identical rng states give
-    identical draws.
+    The running sum goes over the sorted vocabulary, so identical rng
+    states give identical draws.
     """
-    words = sorted(lm.vocabulary)
-    probs = [prob(lm, w, history) for w in words]
-    mass = sum(probs)
-    threshold = rng.random() * mass
-    cumulative = 0.0
-    for w, p in zip(words, probs):
-        cumulative += p
-        if threshold < cumulative:
-            return w
-    return words[-1]
+    cumulative = np.cumsum(_distribution(lm, history))
+    index = np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right")
+    return lm.words[min(index, len(lm.words) - 1)]
 
 
 @dataclass
@@ -216,14 +207,23 @@ class _LmDocument:
     vocabulary: list[str]
     orders: list[_OrderCounts]
 
+    def __post_init__(self):
+        if self.max_order != len(self.lambdas):
+            raise ConfigError(f"max_order {self.max_order} needs as many weights, "
+                              f"got {len(self.lambdas)}")
+        for block in self.orders:
+            if not 1 <= block.order <= self.max_order or any(
+                c < 1 or len(gram) != block.order for gram, c in block.counts
+            ):
+                raise ConfigError(f"order {block.order} outside 1..{self.max_order}, "
+                                  "or a gram of another length, or a count below 1")
+
 
 def save_lm(lm, path):
     """Serialize to the versioned lm-v1 structured-text format."""
-    orders = [
-        _OrderCounts(k, [(list(gram), c) for gram, c in sorted(lm.counts.grams[k - 1].items())])
-        for k in range(1, lm.max_order + 1)
-    ]
-    document = _LmDocument(lm.max_order, lm.lambdas, sorted(lm.vocabulary), orders)
+    orders = [_OrderCounts(k, [(list(gram), c) for gram, c in sorted(table.items())])
+              for k, table in enumerate(lm.grams, start=1)]
+    document = _LmDocument(lm.max_order, lm.lambdas, lm.words, orders)
     write_document(path, LM_FORMAT, to_payload(document))
 
 
@@ -233,17 +233,10 @@ def load_lm(path):
 
 def _lm_from_payload(payload):
     doc = from_payload(_LmDocument, payload)
-    grams = [{} for _ in range(doc.max_order)]
-    totals = [{} for _ in range(doc.max_order)]
+    grams = [{} for _ in doc.lambdas]
     for block in doc.orders:
-        if not 1 <= block.order <= doc.max_order or any(c < 1 for _, c in block.counts):
-            raise ConfigError(f"order {block.order} outside 1..{doc.max_order}, or a count below 1")
-        k = block.order - 1
-        for gram, count in block.counts:
-            grams[k][tuple(gram)] = count
-            totals[k][tuple(gram[:-1])] = totals[k].get(tuple(gram[:-1]), 0) + count
-    counts = NGramCounts(doc.max_order, grams, totals)
-    lm = InterpolatedLM(doc.max_order, counts, doc.lambdas, frozenset(doc.vocabulary))
-    if () not in totals[0]:
-        raise ConfigError("the model holds no unigram counts")
-    return lm
+        grams[block.order - 1].update((tuple(gram), c) for gram, c in block.counts)
+    try:
+        return InterpolatedLM(grams, doc.lambdas, frozenset(doc.vocabulary))
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from exc

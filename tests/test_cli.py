@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -197,6 +198,15 @@ class TestTrain:
         assert code == 2
         assert_one_line_error(err, str(config), "optimizer")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("epochs", ["0", "-2"])
+    def test_fresh_run_with_fewer_than_one_epoch_exits_2(self, workspace, tmp_path, epochs):
+        code, err = run(["train", "--config", workspace.config, "--data", workspace.data,
+                         "--lm", workspace.lm, "--epochs", epochs,
+                         "--output", tmp_path / "model.json"])
+        assert code == 2
+        assert_one_line_error(err, "need at least one epoch", epochs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_past_the_horizon_exits_2(self, workspace, tmp_path, capsys):
         code = main(["train", "--data", str(workspace.data), "--lm", str(workspace.lm),
@@ -443,6 +453,37 @@ class TestTranscribe:
         assert [p.name for p in tmp_path.iterdir()] == ["lines.tsv"]
 
 
+class TestLmWithoutDecoderWords:
+    """Fused decoding with an LM that lacks decoder words exits 2, as training does."""
+
+    @pytest.fixture
+    def partial_lm(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("aa bb\n", encoding="utf-8")
+        lm = tmp_path / "lm.json"
+        assert run(["train-lm", "--corpus", corpus, "--order", "2", "--output", lm])[0] == 0
+        return lm
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda w, lm: ["evaluate", "--ckpt", w.ckpt, "--lm", lm,
+                           "--manifest", w.data / "test.json"],
+            lambda w, lm: ["transcribe", w.data / "test.json", "--ckpt", w.ckpt, "--lm", lm],
+        ],
+        ids=["evaluate", "transcribe"],
+    )
+    def test_fused_decoding_exits_2(self, workspace, partial_lm, command):
+        code, err = run(command(workspace, partial_lm))
+        assert code == 2
+        assert_one_line_error(err, "absent from the language model corpus", "'cc'")
+
+    def test_zero_lm_weight_still_decodes(self, workspace, partial_lm):
+        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", workspace.ckpt,
+                         "--lm", partial_lm, "--lambda-lm", "0"])
+        assert code == 0, err
+
+
 def run(argv):
     """main() with its output captured: (exit code, stderr text)."""
     err = io.StringIO()
@@ -455,6 +496,22 @@ def assert_one_line_error(err, *fragments):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     for fragment in fragments:
         assert fragment in err, err
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the test from a timer signal once `seconds` have passed inside the block."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestMalformedInputs:
@@ -517,6 +574,18 @@ class TestMalformedInputs:
                          "--ckpt", workspace.ckpt, "--lm", path])
         assert code == 2
         assert_one_line_error(err, str(path), "lambdas")
+
+    def test_lm_with_a_huge_max_order(self, workspace, tmp_path):
+        payload = json.loads(workspace.lm.read_text(encoding="utf-8"))
+        payload.update(max_order=10**12, lambdas=[0.25, 0.25, 0.5])
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        # `train` loads the LM first; a loader that allocates per declared order runs out of time
+        with deadline(0.5):
+            code, err = run(["train", "--data", workspace.data, "--lm", path,
+                             "--output", tmp_path / "model.json"])
+        assert code == 2
+        assert_one_line_error(err, str(path), "max_order 1000000000000", "got 3")
 
     @pytest.mark.parametrize(
         "damage",

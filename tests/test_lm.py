@@ -81,11 +81,11 @@ class TestNormalizer:
 class TestTraining:
     def test_hand_counts_on_toy_corpus(self):
         lm = train_lm(TOY, max_order=2)
-        assert lm.counts.grams[0][("a",)] == 2
-        assert lm.counts.grams[0][("b",)] == 1
-        assert lm.counts.grams[1][("a", "b")] == 1
-        assert lm.counts.grams[1][("a", "c")] == 1
-        assert lm.counts.context_totals[1][("a",)] == 2
+        assert lm.grams[0][("a",)] == 2
+        assert lm.grams[0][("b",)] == 1
+        assert lm.grams[1][("a", "b")] == 1
+        assert lm.grams[1][("a", "c")] == 1
+        assert lm.totals[1][("a",)] == 2
 
     def test_default_weights_are_uniform(self):
         corpus = Corpus([["a"] * 12])
@@ -110,18 +110,18 @@ class TestTraining:
         corpus = Corpus([["a", "b", "a"], ["b", "b", "c", "a"]])
         lm = train_lm(corpus, max_order=3)
         for k in range(1, 4):
-            for gram, count in lm.counts.grams[k - 1].items():
-                assert count <= lm.counts.context_totals[k - 1][gram[:-1]]
+            for gram, count in lm.grams[k - 1].items():
+                assert count <= lm.totals[k - 1][gram[:-1]]
 
     def test_gram_counts_never_exceed_suffix_counts(self):
         corpus = Corpus([["a", "b", "a"], ["b", "b", "c", "a"]])
         lm = train_lm(corpus, max_order=3)
         for k in range(2, 4):
-            for gram, count in lm.counts.grams[k - 1].items():
+            for gram, count in lm.grams[k - 1].items():
                 suffix = gram[1:]
                 if "<sos>" in suffix[:-1]:
                     continue
-                assert count <= lm.counts.grams[k - 2][suffix]
+                assert count <= lm.grams[k - 2][suffix]
 
 
 class TestProb:
@@ -254,6 +254,19 @@ class TestSentenceLogprob:
             sentence_logprob(lm, [])
 
 
+def running_sum_draw(lm, history, rng):
+    """One draw by a running sum of prob over the sorted vocabulary, word by word."""
+    words = sorted(lm.vocabulary)
+    probs = [prob(lm, w, history) for w in words]
+    threshold = rng.random() * sum(probs)
+    cumulative = 0.0
+    for w, p in zip(words, probs):
+        cumulative += p
+        if threshold < cumulative:
+            return w
+    return words[-1]
+
+
 class TestSampling:
     def test_point_mass_corpus(self):
         lm = train_lm(Corpus([["a", "a", "a"]]), max_order=2)
@@ -278,6 +291,19 @@ class TestSampling:
         seq_b = [sample_next(lm, ["a"], rng2) for _ in range(50)]
         assert seq_a == seq_b
 
+    @given(
+        sentences=SENTENCES_ST,
+        history=st.lists(st.sampled_from(["a", "b", "c", "y"]), max_size=4),
+        max_order=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_draws_equal_a_running_sum_over_prob(self, sentences, history, max_order, seed):
+        lm = train_lm(Corpus(sentences), max_order=max_order)
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert sample_next(lm, history, rng) == running_sum_draw(lm, history, reference)
+
 
 class TestSerialization:
     def test_round_trip_preserves_queries(self, tmp_path):
@@ -289,8 +315,8 @@ class TestSerialization:
         assert back.max_order == lm.max_order
         assert back.lambdas == lm.lambdas
         assert back.vocabulary == lm.vocabulary
-        assert back.counts.grams == lm.counts.grams
-        assert back.counts.context_totals == lm.counts.context_totals
+        assert back.grams == lm.grams
+        assert back.totals == lm.totals
         for w in ("a", "b", "c", "zebra"):
             for h in ([], ["a"], ["a", "b"]):
                 assert prob(back, w, h) == prob(lm, w, h)
@@ -323,6 +349,6 @@ class TestPerplexity:
 
 class TestConstruction:
     def test_weight_length_mismatch_rejected(self):
-        counts = train_lm(TOY, max_order=2).counts
+        grams = train_lm(TOY, max_order=2).grams
         with pytest.raises(ContractError):
-            InterpolatedLM(2, counts, [1.0], frozenset("ab"))
+            InterpolatedLM(grams, [1.0], frozenset("ab"))
