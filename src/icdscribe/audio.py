@@ -64,9 +64,9 @@ class SpeakerProfile:
             raise ContractError(f"base pitch {self.base_pitch} outside [80, 400] Hz")
         if not 0.7 <= self.rate <= 1.3:
             raise ContractError(f"rate multiplier {self.rate} outside [0.7, 1.3]")
-        # below 1, a drawn pitch stays in (0, 800) Hz: every word has at least 4 harmonics
-        if not 0.0 <= self.pitch_jitter < 1.0:
-            raise ContractError(f"pitch_jitter {self.pitch_jitter} outside [0, 1)")
+        # up to 1/2, a drawn pitch stays in [40, 600] Hz: every word has 6 to 95 harmonics
+        if not 0.0 <= self.pitch_jitter <= 0.5:
+            raise ContractError(f"pitch_jitter {self.pitch_jitter} outside [0, 0.5]")
 
 
 @dataclass

@@ -1,28 +1,21 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode differentiation of one training update over dense float64 arrays.
 
-Every trainable part of the pipeline (conv filter banks, LSTM gates,
-attention projections, embeddings) lives in `Tensor` leaves.  A node is a
-`Tensor` whose value depends on leaves that require a gradient: it records
-its parents and a backward closure.  `backward` orders the subgraph
-reachable from the loss topologically and replays it in reverse.  A node
-hands each parent adjoint terms: a dense array, or the two factors of an
-`x.T @ g` product.
-When backward reaches a tensor, after all its consumers, it sums the dense
-terms and adds the products as one stacked matmul (or the lone product, as
-is); leaves and nodes are treated alike.
+A model's parameters are views into one flat float64 vector, in
+registration order (`parameter_vectors`), and their gradients views into a
+second vector of the same length.  Each parameter is a `Tensor`: its
+value view, its gradient view and its shape.  Gradient clipping and Adam
+work on the two vectors, and a checkpoint stores them as they lie in
+memory.
 
-A model's parameter leaves are views into one flat float64 vector, in
-registration order (`parameter_vectors`), and their gradients views into a second
-vector of the same length.  Gradient clipping and Adam work on these
-vectors, and a checkpoint stores them as they lie in memory.
-
-The graph is rebuilt on every forward pass (define-by-run).  Its nodes are
-whole sequences: the model's encoder and its teacher-forced attention
-decoder, each one node with a hand-written backward sweep, then the
-`softmax_cross_entropy` loss.  This module holds the array kernels they
-share (the causal convolution and the LSTM step and its backward step);
-decoding runs the same kernels and makes no `Tensor`.  Everything is
-float64 so the finite-difference tests can use tight tolerances.
+An update is one fixed chain: the encoder, the teacher-forced attention
+decoder, then the cross-entropy loss.  The model's forward pass returns the
+logits and a `sweep` over the rows it kept; `backward` forms the loss and
+its adjoint and hands that to the sweep, which runs the decoder's reverse
+pass, then the encoder's, and adds each parameter's gradient into its view
+as one product over all steps.  This module holds the array kernels the
+model's passes share (the causal convolution and the LSTM step and its
+backward step); decoding runs the same kernels.  Everything is float64 so
+the finite-difference tests can use tight tolerances.
 """
 
 from __future__ import annotations
@@ -37,97 +30,17 @@ from .errors import ConfigError, ContractError, ShapeError
 
 
 class Tensor:
-    """Dense n-d array with an optional adjoint.
+    """One parameter: `values` and `grad`, its views into the parameter and gradient vectors."""
 
-    `values` is always a row-major float64 ndarray.  Only leaves hold a
-    `grad`: the sum of the adjoints that backward passes added in, shaped
-    like `values`.  It is None until a backward pass reaches the leaf, unless
-    the leaf comes from `parameter_vectors`: its grad is then a view into
-    the gradient vector.
-    """
+    __slots__ = ("values", "grad")
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backprop")
-
-    def __init__(self, values, requires_grad=False, _parents=(), _backprop=None):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.grad = None
-        # an op output records its graph only when a parent needs a gradient
-        tracked = any(p.requires_grad for p in _parents)
-        self.requires_grad = bool(requires_grad) or tracked
-        self._parents = _parents if tracked else ()
-        self._backprop = _backprop if tracked else None
+    def __init__(self, values, grad):
+        self.values = values
+        self.grad = grad
 
     @property
     def shape(self):
         return self.values.shape
-
-    @property
-    def size(self):
-        return self.values.size
-
-    def item(self):
-        if self.size != 1:
-            raise ContractError(f"item() needs a scalar, got shape {self.shape}")
-        return float(self.values.reshape(-1)[0])
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
-
-def backward(loss):
-    """Propagate adjoints from a scalar loss to every reachable leaf.
-
-    Each call seeds d(loss)/d(loss) = 1 and adds this pass's adjoint into
-    the `grad` of each leaf that requires one, so repeated calls
-    accumulate.  A tensor's adjoint is formed once, when backward reaches
-    it: its dense terms summed in push order, plus its product terms as one
-    matmul, stacked when there are several.  Intermediate tensors keep no
-    `grad`.
-    """
-    if loss.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    # iterative post-order DFS: every node's parents precede it in `order`
-    order = []
-    seen = set()
-    stack = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        stack.extend((p, False) for p in node._parents if id(p) not in seen)
-    terms = {}
-    if loss.requires_grad:
-        _push(terms, loss, np.ones_like(loss.values))
-    for node in reversed(order):
-        held = terms.pop(id(node), None)
-        if held is None:
-            continue
-        g = None
-        for contribution, right in held:  # dense terms; never added into in place, they may be views
-            if right is None:
-                g = contribution if g is None else g + contribution
-        if products := [term for term in held if term[1] is not None]:
-            # a lone product's factors are used as they are, not copied into a stack
-            left, right = products[0] if len(products) == 1 else map(np.concatenate, zip(*products))
-            stacked = left.T @ right
-            g = stacked if g is None else g + stacked
-        if node._backprop is not None:
-            node._backprop(g, terms)
-        elif node.grad is None:
-            node.grad = np.array(g)  # a copy: g may be a view that another tensor holds
-        else:
-            node.grad += g
-
-
-def _push(terms, tensor, contribution, right=None):
-    """Hand `tensor` an adjoint term: `contribution`, or the factors of `contribution.T @ right`."""
-    terms.setdefault(id(tensor), []).append((contribution, right))
 
 
 # ---------------------------------------------------------------------------
@@ -135,24 +48,25 @@ def _push(terms, tensor, contribution, right=None):
 # ---------------------------------------------------------------------------
 
 def softmax_values(x):
-    """Shift-stabilized softmax of a plain ndarray along its last axis (no graph)."""
+    """Shift-stabilized softmax of a plain ndarray along its last axis."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_values(x):
-    """Numerically stable log-softmax of a plain ndarray (no graph)."""
+    """Numerically stable log-softmax of a plain ndarray."""
     shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_cross_entropy(logits, targets):
-    """Mean negative log-softmax of the target entries.
+def backward(logits, targets, sweep):
+    """The mean negative log-softmax of the target entries, backpropagated by `sweep`.
 
-    logits: [n, V]; targets: n integer ids.  Gradient of the loss w.r.t.
-    the logits is (softmax - onehot) / n.
+    logits: [n, V]; targets: n integer ids.  The loss's adjoint w.r.t. the
+    logits, (softmax - onehot) / n, is handed to `sweep`, which adds each
+    parameter's gradient into its view.  Returns the loss as a float.
     """
-    if logits.values.ndim != 2:
+    if logits.ndim != 2:
         raise ShapeError(f"cross entropy expects [n, V] logits, got {logits.shape}")
     targets = np.asarray(targets, dtype=np.int64)
     n, vocab = logits.shape
@@ -164,14 +78,13 @@ def softmax_cross_entropy(logits, targets):
         raise IndexError(
             f"target id out of range [0, {vocab}): {targets[(targets < 0) | (targets >= vocab)][0]}"
         )
-    logp = log_softmax_values(logits.values)
+    logp = log_softmax_values(logits)
     rows = np.arange(n)
     loss = -logp[rows, targets].mean()
-    def backprop(g, terms):
-        grad = np.exp(logp)
-        grad[rows, targets] -= 1.0
-        _push(terms, logits, grad * (float(g) / n))
-    return Tensor(loss, _parents=(logits,), _backprop=backprop)
+    d_logits = np.exp(logp)
+    d_logits[rows, targets] -= 1.0
+    sweep(d_logits * (1.0 / n))
+    return float(loss)
 
 
 def _conv1d(x, w, b, stride, dilation):
@@ -298,7 +211,7 @@ def _lstm_cell_backward(wh, gates, c_prev, tanh_c):
 # ---------------------------------------------------------------------------
 
 def parameter_vectors(layout, rng, values=None):
-    """Parameter leaves that are views into one flat vector, plus a gradient twin.
+    """Parameters that are views into one flat vector, plus a gradient twin.
 
     `layout` maps each name, in order, to (shape, init): a fan-in, for
     entries drawn uniform in +-1/sqrt(fan_in) straight into the vector, or
@@ -306,8 +219,8 @@ def parameter_vectors(layout, rng, values=None):
     checkpoint's), the vector is those values, adopted without a copy when
     they are already a contiguous float64 array, and nothing is drawn.
     Returns (values, grads, {name: Tensor}); no parameter is ever held
-    twice, and the zero gradient vector stays untouched until a backward
-    pass writes to it.
+    twice, and the zero gradient vector stays untouched until a reverse
+    pass adds into it.
     """
     sizes = [math.prod(shape) for shape, _ in layout.values()]
     drawn = values is None
@@ -318,8 +231,7 @@ def parameter_vectors(layout, rng, values=None):
     tensors, start = {}, 0
     for (name, (shape, init)), size in zip(layout.items(), sizes):
         part = slice(start, start + size)
-        t = tensors[name] = Tensor(values[part].reshape(shape), requires_grad=True)
-        t.grad = grads[part].reshape(shape)
+        t = tensors[name] = Tensor(values[part].reshape(shape), grads[part].reshape(shape))
         if drawn and isinstance(init, np.ndarray):
             t.values[...] = init
         elif drawn:

@@ -190,6 +190,9 @@ def plan_variations(code, speaker, repeats, cap, seed):
         raise ContractError(f"repeats and cap must be positive, got {repeats}, {cap}")
     k = len(code.words)
     total = repeats**k
+    if total > np.iinfo(np.int64).max:  # the sampled indices are int64
+        raise ContractError(f"dataset.repeats {repeats}: {repeats}**{k} variations of "
+                            f"{code.code!r} exceed 2**63 - 1")
     if total <= cap:
         indices = range(total)
     else:

@@ -5,7 +5,9 @@ start marker, with a per-epoch probability the input token is swapped
 for one sampled from the language model conditioned on the ground-truth
 prefix.  Targets never change, and the language model itself is never
 updated.  The swap probability ramps linearly from zero to its maximum
-over the first part of training.
+over the first part of training.  Each utterance makes one update: the
+model's forward pass, `backward` (the loss, then the model's reverse
+sweep into its gradient vector), global-norm clipping and an Adam step.
 
 Decoding ranks hypotheses by a normalized convex combination of the
 acoustic and language-model log probabilities, divided by emitted token
@@ -14,8 +16,7 @@ candidates among completed hypotheses and every one-token extension of
 the active ones, which makes width 1 coincide with greedy decoding.  Only
 each active hypothesis's best `beam_width` extensions are built, since no
 other can enter the beam; all tokens are scored in one vector expression,
-with the LM's memoized next-word vector.  The encoder and decoder run on
-plain arrays, so decoding makes no autodiff `Tensor`.
+with the LM's memoized next-word vector.
 `evaluate_dataset` transcribes a whole manifest and scores it.
 """
 
@@ -25,13 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import (
-    adam_step,
-    backward,
-    clip_global_norm,
-    log_softmax_values,
-    softmax_cross_entropy,
-)
+from .autodiff import adam_step, backward, clip_global_norm, log_softmax_values
 from .data import EOS, PAD, SOS, iter_utterances
 from .errors import ConfigError, ContractError, ValidationError
 from .lm import next_logprobs, sample_next
@@ -152,15 +147,15 @@ def train_with_scheduled_lm_sampling(
         for index, utt in enumerate(utterances):
             rng = np.random.default_rng(stable_seed("lm-swap", seed, epoch, index))
             inputs = sampled_inputs(lm, vocab, utt.target, p, rng)
-            logits = model.forward_teacher_forced(features[index], utt.target, input_tokens=inputs)
-            loss = softmax_cross_entropy(logits, utt.target[1:])
-            backward(loss)
+            logits, sweep = model.forward_teacher_forced(features[index], utt.target,
+                                                         input_tokens=inputs)
+            loss = backward(logits, utt.target[1:], sweep)
             norm = clip_global_norm(model.grads, clip_norm)
             if not math.isfinite(norm):
-                raise ValidationError(f"epoch {epoch}, utterance {index}: loss {loss.item()}, "
+                raise ValidationError(f"epoch {epoch}, utterance {index}: loss {loss}, "
                                       f"gradient norm {norm}; no parameter was updated")
             adam_step(model.values, model.grads, optimizer)
-            total += loss.item()
+            total += loss
         record = EpochRecord(epoch, total / len(utterances), p)
         log.append(record)
         if on_epoch is not None:

@@ -95,9 +95,13 @@ class InterpolatedLM:
         return len(self.lambdas)
 
 
+# far above the longest bundled description (6 words); every order costs a pass per word
+MAX_ORDER = 16
+
+
 def train_lm(corpus, max_order, lambdas=None):
-    if max_order < 1:
-        raise ContractError(f"max order must be at least 1, got {max_order}")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ContractError(f"max order must lie in 1..{MAX_ORDER}, got {max_order}")
     if not corpus.sentences:
         raise ContractError("cannot train a language model on an empty corpus")
     if lambdas is None:

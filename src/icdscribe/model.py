@@ -6,8 +6,7 @@ beta consecutive outputs of the layer below into one input, so J layers
 shrink T_conv frames to ceil(T_conv / beta**J) encoder states; a final
 group short of beta rows is padded with zeros.  Nothing reads future
 frames, so the encoder can run incrementally.  `encode` runs on plain
-arrays and keeps the rows its backward pass reads; training wraps its
-states as one autodiff node, whose backward pass is one sweep down the
+arrays and keeps the rows its reverse pass reads, one sweep down the
 layers.
 
 The decoder is a single LSTM.  At step i it attends over the encoder
@@ -15,11 +14,12 @@ states with its previous hidden state, consumes the previous token's
 embedding concatenated with that context, and projects [state, context]
 to vocabulary logits.  Scoring is additive: e_j = w . tanh(W s + V h_j + b).
 `attend` and `decode_step` run one step on plain arrays; beam search calls
-them one hypothesis at a time, so decoding makes no `Tensor`.  Teacher
-forcing runs the same step code over a whole target inside one autodiff
-node, which also forms the attention keys' gradient.  Each node's
-backward pass is one sweep of backpropagation through time with each
-weight gradient formed as one product over all steps.
+them one hypothesis at a time.  Teacher forcing runs the same step code
+over a whole target and returns its logits with a sweep: the decoder's
+reverse pass, which also forms the attention keys' gradient, then the
+encoder's.  Each is one pass of backpropagation through time that adds
+each weight gradient into the model's gradient vector as one product
+over all steps.
 """
 
 from dataclasses import dataclass, field
@@ -27,13 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    Tensor,
     _conv1d,
     _conv1d_input_grad,
     _lstm_cell,
     _lstm_cell_backward,
     _lstm_forward,
-    _push,
     parameter_vectors,
     softmax_values,
 )
@@ -85,7 +83,7 @@ class DecoderConfig:
 
 @dataclass
 class EncoderOutput:
-    """The encoder's states and attention keys, plus the forward rows its backward sweep reads."""
+    """The encoder's states and attention keys, plus the forward rows its reverse pass reads."""
 
     hidden: np.ndarray  # [U, encoder hidden]
     keys: np.ndarray  # [U, attention dim]: hidden @ attn.keys, shared by every decode step
@@ -190,51 +188,46 @@ class Seq2SeqModel:
             out = states[0][1:]  # h_1 .. h_steps
         return EncoderOutput(out, out @ p["attn.keys"].values, convs, layers)
 
-    def _encoder_node(self, encoded):
-        """`encoded.hidden` as one autodiff node over the conv and pyramid LSTM leaves.
+    def _encoder_sweep(self, encoded, g):
+        """Add the conv and pyramid LSTM gradients, given g, the adjoint of `encoded.hidden`.
 
-        Its backward pass sweeps down the layers once: backpropagation
-        through time per pyramid layer, the un-reshape without the padding
-        rows, then per conv layer the ReLU mask and the taps.
+        One sweep down the layers: backpropagation through time per pyramid
+        layer, the un-reshape without the padding rows, then per conv layer
+        the ReLU mask and the taps.
         """
         p, cfg = self._params, self.encoder_cfg
-
-        def backprop(g, terms):
-            for j in range(cfg.layers - 1, -1, -1):
-                wx, wh, b = (p[f"enc{j}.{k}"] for k in ("wx", "wh", "b"))
-                frames, rows, (hs, cs, gates, tanh_c) = encoded.layers[j]
-                cell_step = _lstm_cell_backward(wh.values, gates, cs[:-1], tanh_c)
-                dz = np.empty_like(gates)
-                dh, dc = np.zeros(cfg.hidden), np.zeros(cfg.hidden)
-                for t in range(len(rows) - 1, -1, -1):
-                    dh += g[t]
-                    cell_step(t, dh, dc, dz[t])
-                dz = dz.reshape(len(rows), -1)
-                _push(terms, wx, rows, dz)
-                _push(terms, wh, hs[:-1], dz)
-                _push(terms, b, dz.sum(axis=0))
-                if j or cfg.conv:  # the layer's input rows, less the final group's padding
-                    g = (dz @ wx.values.T).reshape(len(rows) * cfg.beta, -1)[:frames]
-            for l in range(len(cfg.conv) - 1, -1, -1):
-                w, b, spec = p[f"conv{l}.w"], p[f"conv{l}.b"], cfg.conv[l]
-                cols, pre = encoded.convs[l]
-                g = g * (pre > 0.0)
-                _push(terms, b, g.sum(axis=0))
-                _push(terms, w, (cols.T @ g).reshape(w.shape))
-                if l:
-                    steps = len(encoded.convs[l - 1][1])
-                    g = _conv1d_input_grad(g, w.values, steps, spec.stride, spec.dilation)
-
-        parents = tuple(leaf for name, leaf in p.items() if name.startswith(("conv", "enc")))
-        return Tensor(encoded.hidden, _parents=parents, _backprop=backprop)
+        for j in range(cfg.layers - 1, -1, -1):
+            wx, wh, b = (p[f"enc{j}.{k}"] for k in ("wx", "wh", "b"))
+            frames, rows, (hs, cs, gates, tanh_c) = encoded.layers[j]
+            cell_step = _lstm_cell_backward(wh.values, gates, cs[:-1], tanh_c)
+            dz = np.empty_like(gates)
+            dh, dc = np.zeros(cfg.hidden), np.zeros(cfg.hidden)
+            for t in range(len(rows) - 1, -1, -1):
+                dh += g[t]
+                cell_step(t, dh, dc, dz[t])
+            dz = dz.reshape(len(rows), -1)
+            wx.grad += rows.T @ dz
+            wh.grad += hs[:-1].T @ dz
+            b.grad += dz.sum(axis=0)
+            if j or cfg.conv:  # the layer's input rows, less the final group's padding
+                g = (dz @ wx.values.T).reshape(len(rows) * cfg.beta, -1)[:frames]
+        for l in range(len(cfg.conv) - 1, -1, -1):
+            w, b, spec = p[f"conv{l}.w"], p[f"conv{l}.b"], cfg.conv[l]
+            cols, pre = encoded.convs[l]
+            g = g * (pre > 0.0)
+            b.grad += g.sum(axis=0)
+            w.grad += (cols.T @ g).reshape(w.shape)
+            if l:
+                steps = len(encoded.convs[l - 1][1])
+                g = _conv1d_input_grad(g, w.values, steps, spec.stride, spec.dilation)
 
     # --------------------------------------------------------------- attention
 
     def attention_scores(self, s_prev, encoder_output, tanh_rows=None):
         """Unnormalized additive scores [1, U] for the decoder state s_prev [1, H].
 
-        tanh(W s + V h_j + b) is formed in `tanh_rows` [U, A] when given; the
-        teacher-forced op keeps those rows for its backward sweep.
+        tanh(W s + V h_j + b) is formed in `tanh_rows` [U, A] when given;
+        teacher forcing keeps those rows for its reverse pass.
         """
         p = self._params
         query = s_prev @ p["attn.query"].values
@@ -282,10 +275,12 @@ class Seq2SeqModel:
         return (h, c), self._logits(np.concatenate([h, context], axis=1))
 
     def forward_teacher_forced(self, x, target, input_tokens=None):
-        """Logit rows for positions 1..len(target)-1, as one autodiff node.
+        """Logit rows for positions 1..len(target)-1, and the sweep that backpropagates them.
 
-        `input_tokens` overrides what the decoder consumes (scheduled
-        sampling); prediction targets are unaffected.
+        Returns (logits, sweep): `sweep(d_logits)` runs the decoder's
+        reverse pass, then the encoder's, adding every parameter's gradient
+        into `self.grads`.  `input_tokens` overrides what the decoder
+        consumes (scheduled sampling); prediction targets are unaffected.
         """
         target = list(target)
         if len(target) < 2 or target[0] != SOS or target[-1] != EOS:
@@ -298,16 +293,17 @@ class Seq2SeqModel:
                 f"{len(target) - 1} decode steps need {len(target) - 1} inputs, got {len(inputs)}"
             )
         encoded = self.encode(x)
-        return self._decode_teacher_forced(encoded, self._encoder_node(encoded), inputs)
+        logits, decoder_sweep = self._decode_teacher_forced(encoded, inputs)
+        return logits, lambda d_logits: self._encoder_sweep(encoded, decoder_sweep(d_logits))
 
-    def _decode_teacher_forced(self, encoded, hidden, inputs):
+    def _decode_teacher_forced(self, encoded, inputs):
         """The decoder over a whole target: `attend` and `_cell` per step, then one logits product.
 
-        The node's parents are `hidden`, the node of `encoded.hidden`, and
-        the decoder, attention and output leaves; the keys product
-        `hidden @ attn.keys` is part of the node.  Its backward pass sweeps
-        back through the steps once; every weight gradient is one product
-        over all steps, handed to `backward` as its two factors.
+        Returns (logits, sweep).  `sweep(g)` goes back through the steps
+        once, given g, the adjoint of the logits; it adds every decoder,
+        attention and output gradient, each one product over all steps, and
+        returns the adjoint of `encoded.hidden`: the keys' share, then the
+        contexts'.
         """
         p = self._params
         steps, units = len(inputs), encoded.reduced_steps
@@ -323,10 +319,8 @@ class Seq2SeqModel:
             self._cell(token, hs[t], cs[t], context[0], xs[t], gates[t], hs[t + 1], cs[t + 1],
                        tanh_c[t])
         outs = np.concatenate([hs[1:], xs[:, e:]], axis=1)
-        names = ("dec.embed", "dec.wx", "dec.wh", "dec.b", "attn.query", "attn.keys", "attn.b",
-                 "attn.score", "out.w", "out.b")
 
-        def backprop(g, terms):
+        def sweep(g):
             wx, score = p["dec.wx"].values, p["attn.score"].values[:, 0]
             w_context_t, w_query_t = wx[e:].T, p["attn.query"].values.T
             tanh_slope = 1.0 - tanh_rows * tanh_rows
@@ -352,19 +346,16 @@ class Seq2SeqModel:
             d_embed = np.zeros_like(p["dec.embed"].values)
             np.add.at(d_embed, inputs, dz @ wx[:e].T)  # rows added in step order
             d_keys = d_pre.sum(axis=0)
-            _push(terms, hidden, d_keys @ p["attn.keys"].values.T)
-            _push(terms, hidden, alphas, d_context)
-            _push(terms, p["attn.keys"], encoded.hidden, d_keys)
-            _push(terms, p["dec.embed"], d_embed)
-            _push(terms, p["dec.wx"], xs, dz)
-            _push(terms, p["dec.wh"], hs[:-1], dz)
-            _push(terms, p["dec.b"], dz.sum(axis=0))
-            _push(terms, p["attn.query"], hs[:-1], d_query)
-            _push(terms, p["attn.b"], d_query.sum(axis=0))
-            _push(terms, p["attn.score"], tanh_rows.reshape(steps * units, -1),
-                  d_scores.reshape(-1, 1))
-            _push(terms, p["out.w"], outs, g)
-            _push(terms, p["out.b"], g.sum(axis=0))
+            p["attn.keys"].grad += encoded.hidden.T @ d_keys
+            p["dec.embed"].grad += d_embed
+            p["dec.wx"].grad += xs.T @ dz
+            p["dec.wh"].grad += hs[:-1].T @ dz
+            p["dec.b"].grad += dz.sum(axis=0)
+            p["attn.query"].grad += hs[:-1].T @ d_query
+            p["attn.b"].grad += d_query.sum(axis=0)
+            p["attn.score"].grad += tanh_rows.reshape(steps * units, -1).T @ d_scores.reshape(-1, 1)
+            p["out.w"].grad += outs.T @ g
+            p["out.b"].grad += g.sum(axis=0)
+            return d_keys @ p["attn.keys"].values.T + alphas.T @ d_context
 
-        parents = (hidden,) + tuple(p[name] for name in names)
-        return Tensor(self._logits(outs), _parents=parents, _backprop=backprop)
+        return self._logits(outs), sweep

@@ -4,21 +4,146 @@ Kept independent of the code paths they check: the finite-difference
 gradient only calls the forward pass, and the edit-distance oracle is a
 plain memoized recursion with no alignment bookkeeping.
 
-The graph ops below (`matmul`, `add`, `tanh`, `relu`, `concat`, `narrow`,
-`reshape`, `softmax`, `conv1d`, `lstm`) are one autodiff node each.  The
-model runs as a few whole-sequence nodes; these ops build the per-op
-graphs that its encoder and decoder nodes are checked against
-(`graph_encode`, `graph_attend`, `graph_decode_step`, `graph_teacher_forced`).
-`conv1d` and `lstm` run the package's own array kernels.
+The model trains without a graph: its forward pass returns a sweep that
+adds each gradient straight into the parameter gradient vector.  The
+reference it is checked against is a define-by-run graph engine kept here:
+`Tensor`, `backward` and the ops `matmul`, `add`, `tanh`, `relu`,
+`concat`, `narrow`, `reshape`, `softmax`, `conv1d`, `lstm` and
+`softmax_cross_entropy`, one node each.  They build the per-op graphs of
+the encoder and decoder (`graph_encode`, `graph_attend`,
+`graph_decode_step`, `graph_teacher_forced`) over leaves that wrap the
+model's parameters (`graph_parameters`).  `conv1d` and `lstm` run the
+package's own array kernels, and the loss node runs `autodiff.backward`.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from icdscribe import autodiff as ad
-from icdscribe.autodiff import Tensor, _push
 from icdscribe.errors import ContractError, ShapeError
+
+
+# ---------------------------------------------------------------------------
+# the graph engine
+# ---------------------------------------------------------------------------
+
+class Tensor:
+    """Dense n-d array with an optional adjoint.
+
+    `values` is always a row-major float64 ndarray.  Only leaves hold a
+    `grad`: the sum of the adjoints that backward passes added in, shaped
+    like `values`.  It is None until a backward pass reaches the leaf, unless
+    the leaf wraps a model parameter (`graph_parameters`): its grad is then
+    the parameter's view into the gradient vector.
+    """
+
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backprop")
+
+    def __init__(self, values, requires_grad=False, _parents=(), _backprop=None):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.grad = None
+        # an op output records its graph only when a parent needs a gradient
+        tracked = any(p.requires_grad for p in _parents)
+        self.requires_grad = bool(requires_grad) or tracked
+        self._parents = _parents if tracked else ()
+        self._backprop = _backprop if tracked else None
+
+    @property
+    def shape(self):
+        return self.values.shape
+
+    @property
+    def size(self):
+        return self.values.size
+
+    def item(self):
+        if self.size != 1:
+            raise ContractError(f"item() needs a scalar, got shape {self.shape}")
+        return float(self.values.reshape(-1)[0])
+
+    def __repr__(self):
+        flag = ", requires_grad=True" if self.requires_grad else ""
+        return f"Tensor(shape={self.shape}{flag})"
+
+
+def backward(loss):
+    """Propagate adjoints from a scalar loss to every reachable leaf.
+
+    Each call seeds d(loss)/d(loss) = 1 and adds this pass's adjoint into
+    the `grad` of each leaf that requires one, so repeated calls
+    accumulate.  A tensor's adjoint is formed once, when backward reaches
+    it: its dense terms summed in push order, plus its product terms as one
+    matmul, stacked when there are several.  Intermediate tensors keep no
+    `grad`.
+    """
+    if loss.size != 1:
+        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    # iterative post-order DFS: every node's parents precede it in `order`
+    order = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    terms = {}
+    if loss.requires_grad:
+        _push(terms, loss, np.ones_like(loss.values))
+    for node in reversed(order):
+        held = terms.pop(id(node), None)
+        if held is None:
+            continue
+        g = None
+        for contribution, right in held:  # dense terms; never added into in place, they may be views
+            if right is None:
+                g = contribution if g is None else g + contribution
+        if products := [term for term in held if term[1] is not None]:
+            # a lone product's factors are used as they are, not copied into a stack
+            left, right = products[0] if len(products) == 1 else map(np.concatenate, zip(*products))
+            stacked = left.T @ right
+            g = stacked if g is None else g + stacked
+        if node._backprop is not None:
+            node._backprop(g, terms)
+        elif node.grad is None:
+            node.grad = np.array(g)  # a copy: g may be a view that another tensor holds
+        else:
+            node.grad += g
+
+
+def _push(terms, tensor, contribution, right=None):
+    """Hand `tensor` an adjoint term: `contribution`, or the factors of `contribution.T @ right`."""
+    terms.setdefault(id(tensor), []).append((contribution, right))
+
+
+_LEAVES = weakref.WeakKeyDictionary()
+
+
+def graph_parameters(model):
+    """The model's graph leaves, one per parameter, in registration order.
+
+    A leaf's values are the parameter's value view and its grad the
+    parameter's gradient view, so `backward` adds into `model.grads`.  Every
+    call for one model returns the same leaves: a weight used at every step
+    is one leaf, whose product terms backward stacks.
+    """
+    if model not in _LEAVES:
+        _LEAVES[model] = {name: graph_leaf(p) for name, p in model.named_parameters().items()}
+    return _LEAVES[model]
+
+
+def graph_leaf(param):
+    """A leaf over an `autodiff.Tensor` parameter: its value view, adding into its gradient view."""
+    leaf = Tensor(param.values, requires_grad=True)
+    leaf.grad = param.grad
+    return leaf
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +251,29 @@ def softmax(a):
     return Tensor(out_values, _parents=(a,), _backprop=backprop)
 
 
+def softmax_cross_entropy(logits, targets):
+    """`autodiff.backward`'s loss as a node: its adjoint is the one backward hands its sweep."""
+    held = []
+    loss = ad.backward(logits.values, targets, held.append)
+    def backprop(g, terms):
+        _push(terms, logits, held[0] * float(g))
+    return Tensor(loss, _parents=(logits,), _backprop=backprop)
+
+
+def sweep_node(values, sweep, into=None):
+    """`values` as a node whose backward pass calls `sweep(g)`, one of the model's reverse passes.
+
+    The sweep adds its gradients into the model's gradient vector; what it
+    returns, the adjoint of its input, goes to the leaf `into` when given.
+    """
+    parent = Tensor(0.0, requires_grad=True) if into is None else into
+    def backprop(g, terms):
+        d_input = sweep(g)
+        if into is not None:
+            _push(terms, into, d_input)
+    return Tensor(values, _parents=(parent,), _backprop=backprop)
+
+
 def conv1d(x, w, b, stride=1, dilation=1):
     """The causal convolution `ad._conv1d` as a node: x [T, C_in], w [K, C_in, C_out], b [C_out]."""
     if x.values.ndim != 2 or w.values.ndim != 3 or x.shape[1] != w.shape[1]:
@@ -217,8 +365,20 @@ def assert_grad_close(analytic, numeric, rtol, atol=1e-7):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
-# The model as a per-op graph: the reference that its encoder node, its
-# plain-array decode steps and its whole-target decoder node are checked against.
+def loss_value(model, x, target, inputs=None):
+    """One update's loss as training forms it, with no reverse pass."""
+    logits, _ = model.forward_teacher_forced(x, target, inputs)
+    return ad.backward(logits, target[1:], lambda d_logits: None)
+
+
+def update_gradients(model, x, target, inputs=None):
+    """One training update's loss; its gradient is added into `model.grads`."""
+    logits, sweep = model.forward_teacher_forced(x, target, inputs)
+    return ad.backward(logits, target[1:], sweep)
+
+
+# The model as a per-op graph: the reference that its encoder's and decoder's
+# reverse passes and its plain-array decode steps are checked against.
 
 @dataclass
 class GraphEncoding:
@@ -232,7 +392,7 @@ class GraphEncoding:
 
 def graph_encode(model, x):
     """The encoder as a graph of conv1d, relu, concat, reshape, lstm, narrow and matmul nodes."""
-    p = model.named_parameters()
+    p = graph_parameters(model)
     out = Tensor(np.asarray(x, dtype=np.float64))
     for l, spec in enumerate(model.encoder_cfg.conv):
         out = relu(conv1d(out, p[f"conv{l}.w"], p[f"conv{l}.b"], stride=spec.stride,
@@ -251,7 +411,7 @@ def graph_encode(model, x):
 
 def graph_attend(model, s_prev, encoded):
     """Attention weights [1, U] and context [1, He] as Tensors, from a [1, H] state Tensor."""
-    p = model.named_parameters()
+    p = graph_parameters(model)
     query = matmul(s_prev, p["attn.query"])
     e = matmul(tanh(add(add(encoded.keys, query), p["attn.b"])), p["attn.score"])
     alpha = softmax(reshape(e, (1, encoded.reduced_steps)))
@@ -262,7 +422,7 @@ def graph_decode_step(model, prev_token, state, context):
     """The next (h, c) Tensors and [1, V] logits: one-step `lstm` on [embedding | context]."""
     if not 0 <= prev_token < model.vocab_size:
         raise IndexError(f"token id {prev_token} outside vocabulary of {model.vocab_size}")
-    p = model.named_parameters()
+    p = graph_parameters(model)
     embedding = narrow(p["dec.embed"], 0, int(prev_token), 1)
     n = model.decoder_cfg.hidden
     states = lstm(concat([embedding, context], axis=1), *state,

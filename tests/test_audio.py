@@ -107,6 +107,14 @@ class TestSynthesizeWord:
         with pytest.raises(ContractError):
             SpeakerProfile(speaker_id="x", pitch_jitter=1.0)
 
+    def test_pitch_jitter_bounded_at_one_half(self):
+        # at 1/2 the lowest drawn pitch is 40 Hz; near 1 it nears 0 Hz and thousands of harmonics
+        profile = SpeakerProfile(speaker_id="x", base_pitch=80.0, pitch_jitter=0.5, seed=3)
+        assert np.all(np.isfinite(synthesize_word("pain", profile, repeat_index=0).samples))
+        for jitter in (0.51, 0.99):
+            with pytest.raises(ContractError, match=r"outside \[0, 0\.5\]"):
+                SpeakerProfile(speaker_id="x", pitch_jitter=jitter)
+
     @settings(max_examples=40, deadline=None)
     @given(
         word=st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12),

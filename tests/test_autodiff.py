@@ -22,39 +22,39 @@ def square_norm(x):
 
 class TestForwardValues:
     def test_matmul_identity(self):
-        eye = ad.Tensor(np.eye(2))
-        m = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        eye = ops.Tensor(np.eye(2))
+        m = ops.Tensor([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(ops.matmul(eye, m).values, m.values)
 
     def test_matmul_inner_product(self):
-        a = ad.Tensor([[1.0, 2.0]])
-        b = ad.Tensor([[3.0], [4.0]])
+        a = ops.Tensor([[1.0, 2.0]])
+        b = ops.Tensor([[3.0], [4.0]])
         np.testing.assert_array_equal(ops.matmul(a, b).values, [[11.0]])
 
     def test_matmul_shape_error_names_both_shapes(self):
-        a = ad.Tensor(np.zeros((2, 3)))
-        b = ad.Tensor(np.zeros((4, 2)))
+        a = ops.Tensor(np.zeros((2, 3)))
+        b = ops.Tensor(np.zeros((4, 2)))
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
             ops.matmul(a, b)
 
     def test_tanh_odd(self):
-        assert ops.tanh(ad.Tensor([0.0])).values[0] == 0.0
+        assert ops.tanh(ops.Tensor([0.0])).values[0] == 0.0
 
     def test_lstm_extreme_gates_stay_finite(self):
         # pre-activations of +-710 overflow a naive exp; gates must saturate
         # to exactly 0 or 1 and the state stays finite
         n = 2
-        wx = ad.Tensor(np.zeros((1, 4 * n)))
-        wh = ad.Tensor(np.zeros((n, 4 * n)))
-        h0 = ad.Tensor(np.zeros((1, n)))
-        c0 = ad.Tensor(np.full((1, n), 3.0))
+        wx = ops.Tensor(np.zeros((1, 4 * n)))
+        wh = ops.Tensor(np.zeros((n, 4 * n)))
+        h0 = ops.Tensor(np.zeros((1, n)))
+        c0 = ops.Tensor(np.full((1, n), 3.0))
         # i and g open, f shut, o open: c = 1, h = tanh(1)
-        b = ad.Tensor(np.repeat([710.0, -710.0, 710.0, 710.0], n))
-        out = ops.lstm(ad.Tensor(np.zeros((1, 1))), h0, c0, wx, wh, b).values
+        b = ops.Tensor(np.repeat([710.0, -710.0, 710.0, 710.0], n))
+        out = ops.lstm(ops.Tensor(np.zeros((1, 1))), h0, c0, wx, wh, b).values
         np.testing.assert_array_equal(out, [[math.tanh(1.0)] * n + [1.0] * n])
         # i shut, f open: the cell carries c0 through unchanged
-        b = ad.Tensor(np.repeat([-710.0, 710.0, -710.0, 710.0], n))
-        out = ops.lstm(ad.Tensor(np.zeros((3, 1))), h0, c0, wx, wh, b).values
+        b = ops.Tensor(np.repeat([-710.0, 710.0, -710.0, 710.0], n))
+        out = ops.lstm(ops.Tensor(np.zeros((3, 1))), h0, c0, wx, wh, b).values
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out[:, n:], 3.0)
 
@@ -67,7 +67,7 @@ class TestForwardValues:
         steps, d, n = 6, 3, 4
         x, wx, wh = rng.normal(size=(steps, d)), rng.normal(size=(d, 4 * n)), rng.normal(size=(n, 4 * n))
         b, h, c = rng.normal(size=4 * n), rng.normal(size=n), rng.normal(size=n)
-        out = ops.lstm(*(ad.Tensor(v) for v in (x, h[None, :], c[None, :], wx, wh, b))).values
+        out = ops.lstm(*(ops.Tensor(v) for v in (x, h[None, :], c[None, :], wx, wh, b))).values
         for t in range(steps):
             z = x[t] @ wx + h @ wh + b
             i, f, o = sigmoid(z[:n]), sigmoid(z[n : 2 * n]), sigmoid(z[3 * n :])
@@ -78,41 +78,40 @@ class TestForwardValues:
     def test_lstm_shape_error_names_shapes(self):
         n = 2
         with pytest.raises(ShapeError, match=r"wx \(3, 8\)"):
-            ops.lstm(ad.Tensor(np.zeros((4, 2))), ops.zeros((1, n)), ops.zeros((1, n)),
-                     ad.Tensor(np.zeros((3, 4 * n))), ad.Tensor(np.zeros((n, 4 * n))),
-                     ad.Tensor(np.zeros(4 * n)))
+            ops.lstm(ops.Tensor(np.zeros((4, 2))), ops.zeros((1, n)), ops.zeros((1, n)),
+                     ops.Tensor(np.zeros((3, 4 * n))), ops.Tensor(np.zeros((n, 4 * n))),
+                     ops.Tensor(np.zeros(4 * n)))
 
     def test_concat_last_axis(self):
-        out = ops.concat([ad.Tensor([1.0, 2.0]), ad.Tensor([3.0])])
+        out = ops.concat([ops.Tensor([1.0, 2.0]), ops.Tensor([3.0])])
         np.testing.assert_array_equal(out.values, [1.0, 2.0, 3.0])
 
     def test_concat_mismatch(self):
         with pytest.raises(ShapeError, match=r"\(2, 2\), \(3, 3\) do not agree off axis 1"):
-            ops.concat([ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((3, 3)))], axis=1)
+            ops.concat([ops.Tensor(np.zeros((2, 2))), ops.Tensor(np.zeros((3, 3)))], axis=1)
         with pytest.raises(ShapeError, match=r"\(2,\), \(2, 1\)"):
-            ops.concat([ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros((2, 1)))], axis=0)
+            ops.concat([ops.Tensor(np.zeros(2)), ops.Tensor(np.zeros((2, 1)))], axis=0)
 
     def test_add_broadcast_mismatch(self):
         with pytest.raises(ShapeError):
-            ops.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 4))))
+            ops.add(ops.Tensor(np.zeros((2, 3))), ops.Tensor(np.zeros((2, 4))))
 
     def test_cross_entropy_uniform(self):
-        logits = ad.Tensor(np.zeros((1, 4)))
-        loss = ad.softmax_cross_entropy(logits, [2])
-        assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
+        loss = ad.backward(np.zeros((1, 4)), [2], lambda d_logits: None)
+        assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_cross_entropy_peaked(self):
         # direct evaluation: -log softmax([10,0,0])[0] = log(1 + 2 e^-10)
-        loss = ad.softmax_cross_entropy(ad.Tensor([[10.0, 0.0, 0.0]]), [0])
-        assert loss.item() == pytest.approx(math.log1p(2.0 * math.exp(-10.0)), abs=1e-12)
+        loss = ad.backward(np.array([[10.0, 0.0, 0.0]]), [0], lambda d_logits: None)
+        assert loss == pytest.approx(math.log1p(2.0 * math.exp(-10.0)), abs=1e-12)
 
     def test_cross_entropy_target_out_of_range(self):
         with pytest.raises(IndexError):
-            ad.softmax_cross_entropy(ad.Tensor(np.zeros((1, 3))), [3])
+            ad.backward(np.zeros((1, 3)), [3], lambda d_logits: None)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        x = ad.Tensor(rng.normal(size=(6, 9)) * 30.0)
+        x = ops.Tensor(rng.normal(size=(6, 9)) * 30.0)
         out = ops.softmax(x).values
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(out >= 0.0)
@@ -120,75 +119,103 @@ class TestForwardValues:
     def test_forward_determinism(self):
         def run():
             rng = np.random.default_rng(7)
-            a = ad.Tensor(rng.normal(size=(4, 4)))
-            b = ad.Tensor(rng.normal(size=(4, 4)))
+            a = ops.Tensor(rng.normal(size=(4, 4)))
+            b = ops.Tensor(rng.normal(size=(4, 4)))
             return ops.softmax(ops.tanh(ops.matmul(a, b))).values
 
         first, second = run(), run()
         assert np.array_equal(first, second)
 
 
+class TestLoss:
+    """`autodiff.backward`: the cross entropy of an update and the adjoint it hands the sweep."""
+
+    def test_sweep_gets_softmax_minus_onehot_over_n(self):
+        logits = np.random.default_rng(4).normal(size=(3, 5)) * 4.0
+        adjoints = []
+        loss = ad.backward(logits, [1, 4, 1], adjoints.append)
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        assert type(loss) is float
+        assert loss == pytest.approx(-np.log(probs[[0, 1, 2], [1, 4, 1]]).mean(), abs=1e-12)
+        (d_logits,) = adjoints
+        probs[[0, 1, 2], [1, 4, 1]] -= 1.0
+        np.testing.assert_allclose(d_logits, probs / 3.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("logits, targets, error", [
+        (np.zeros(3), [0], ShapeError),
+        (np.zeros((2, 3)), [0], ShapeError),
+        (np.zeros((2, 3)), [[0, 1]], ShapeError),
+        (np.zeros((0, 3)), [], ContractError),
+        (np.zeros((1, 3)), [-1], IndexError),
+    ])
+    def test_malformed_input_is_rejected_before_the_sweep(self, logits, targets, error):
+        swept = []
+        with pytest.raises(error):
+            ad.backward(logits, targets, swept.append)
+        assert not swept
+
+
 class TestBackward:
     def test_sum_gradient(self):
-        x = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        ad.backward(weighted_sum(x))
+        x = ops.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        ops.backward(weighted_sum(x))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_square_gradient(self):
-        x = ad.Tensor([2.0], requires_grad=True)
-        ad.backward(square_norm(x))
+        x = ops.Tensor([2.0], requires_grad=True)
+        ops.backward(square_norm(x))
         np.testing.assert_array_equal(x.grad, [4.0])
 
     def test_shared_subexpression_sums_adjoints(self):
         # loss = x.x + sum(x) has three paths into x; d/dx = 2x + 1 by hand
-        x = ad.Tensor([3.0, -1.0], requires_grad=True)
+        x = ops.Tensor([3.0, -1.0], requires_grad=True)
         loss = ops.add(square_norm(x), weighted_sum(x))
-        ad.backward(loss)
+        ops.backward(loss)
         np.testing.assert_allclose(x.grad, 2.0 * x.values + 1.0, atol=1e-12)
 
     def test_repeated_backward_accumulates(self):
-        x = ad.Tensor([1.0, 4.0], requires_grad=True)
+        x = ops.Tensor([1.0, 4.0], requires_grad=True)
         loss = square_norm(x)
-        ad.backward(loss)
-        ad.backward(loss)
+        ops.backward(loss)
+        ops.backward(loss)
         np.testing.assert_allclose(x.grad, 4.0 * x.values, atol=1e-12)
 
     def test_only_leaves_keep_a_gradient(self):
-        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        x = ops.Tensor([1.0, 2.0], requires_grad=True)
         row = ops.reshape(x, (1, -1))
         square = ops.matmul(row, ops.reshape(x, (-1, 1)))
-        ad.backward(square)
+        ops.backward(square)
         assert row.grad is None and square.grad is None
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_backward_rejects_non_scalar(self):
-        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        x = ops.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            ad.backward(ops.tanh(x))
+            ops.backward(ops.tanh(x))
 
     def test_deep_chain_does_not_recurse(self):
         # the graph walk is iterative: a chain far deeper than the
         # interpreter recursion limit still gets every adjoint
-        x = ad.Tensor([1.0], requires_grad=True)
+        x = ops.Tensor([1.0], requires_grad=True)
         node = x
         for _ in range(5000):
             node = ops.add(node, x)
-        ad.backward(node)
+        ops.backward(node)
         np.testing.assert_array_equal(x.grad, [5001.0])
 
     def test_two_layer_network_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        w1 = ad.Tensor(rng.normal(size=(5, 4)) * 0.5, requires_grad=True)
-        w2 = ad.Tensor(rng.normal(size=(4, 3)) * 0.5, requires_grad=True)
-        x = ad.Tensor(rng.normal(size=(2, 5)))
+        w1 = ops.Tensor(rng.normal(size=(5, 4)) * 0.5, requires_grad=True)
+        w2 = ops.Tensor(rng.normal(size=(4, 3)) * 0.5, requires_grad=True)
+        x = ops.Tensor(rng.normal(size=(2, 5)))
         targets = [0, 2]
 
         def forward():
             hidden = ops.tanh(ops.matmul(x, w1))
-            return ad.softmax_cross_entropy(ops.matmul(hidden, w2), targets).item()
+            return ops.softmax_cross_entropy(ops.matmul(hidden, w2), targets).item()
 
-        loss = ad.softmax_cross_entropy(ops.matmul(ops.tanh(ops.matmul(x, w1)), w2), targets)
-        ad.backward(loss)
+        loss = ops.softmax_cross_entropy(ops.matmul(ops.tanh(ops.matmul(x, w1)), w2), targets)
+        ops.backward(loss)
         for p in (w1, w2):
             assert_grad_close(p.grad, finite_difference_grad(forward, p.values), rtol=1e-4)
 
@@ -206,66 +233,66 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(stable_seed("op-gradient", op, trial))
         m, k, n = rng.integers(1, 9, size=3)
         if op == "matmul":
-            a = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
-            b = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
+            a = ops.Tensor(rng.normal(size=(m, k)), requires_grad=True)
+            b = ops.Tensor(rng.normal(size=(k, n)), requires_grad=True)
             build = lambda: ops.matmul(a, b)
             leaves = [a, b]
         elif op == "add":
-            a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
-            b = ad.Tensor(rng.normal(size=(1, n)), requires_grad=True)  # broadcast path
+            a = ops.Tensor(rng.normal(size=(m, n)), requires_grad=True)
+            b = ops.Tensor(rng.normal(size=(1, n)), requires_grad=True)  # broadcast path
             build = lambda: ops.add(a, b)
             leaves = [a, b]
         elif op in ("tanh", "relu"):
             fn = getattr(ops, op)
-            a = ad.Tensor(rng.normal(size=(m, n)) + 0.05, requires_grad=True)
+            a = ops.Tensor(rng.normal(size=(m, n)) + 0.05, requires_grad=True)
             build = lambda: fn(a)
             leaves = [a]
         elif op == "concat":
-            a = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
-            b = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
+            a = ops.Tensor(rng.normal(size=(m, k)), requires_grad=True)
+            b = ops.Tensor(rng.normal(size=(m, n)), requires_grad=True)
             build = lambda: ops.concat([a, b], axis=-1)
             leaves = [a, b]
         elif op == "softmax":
-            a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
+            a = ops.Tensor(rng.normal(size=(m, n)), requires_grad=True)
             build = lambda: ops.softmax(a)  # the seeded weighted sum breaks symmetry
             leaves = [a]
         elif op == "narrow":
-            a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
+            a = ops.Tensor(rng.normal(size=(m, n)), requires_grad=True)
             start = int(rng.integers(0, n))
             length = int(rng.integers(1, n - start + 1))
             build = lambda: ops.narrow(a, 1, start, length)
             leaves = [a]
         elif op == "reshape":
-            a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
+            a = ops.Tensor(rng.normal(size=(m, n)), requires_grad=True)
             build = lambda: ops.reshape(a, (int(n), int(m)))
             leaves = [a]
         elif op == "cross_entropy":
-            a = ad.Tensor(rng.normal(size=(m, n)), requires_grad=True)
+            a = ops.Tensor(rng.normal(size=(m, n)), requires_grad=True)
             targets = rng.integers(0, n, size=m)
-            build = lambda: ad.softmax_cross_entropy(a, targets)
+            build = lambda: ops.softmax_cross_entropy(a, targets)
             leaves = [a]
         elif op == "conv1d":
             kernel = int(rng.integers(1, 4))
             stride = int(rng.integers(1, 3))
             dilation = int(rng.integers(1, 3))
             c_out = int(rng.integers(1, 5))
-            x = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
-            w = ad.Tensor(rng.normal(size=(kernel, int(k), c_out)), requires_grad=True)
-            bias = ad.Tensor(rng.normal(size=c_out), requires_grad=True)
+            x = ops.Tensor(rng.normal(size=(m, k)), requires_grad=True)
+            w = ops.Tensor(rng.normal(size=(kernel, int(k), c_out)), requires_grad=True)
+            bias = ops.Tensor(rng.normal(size=c_out), requires_grad=True)
             build = lambda: ops.conv1d(x, w, bias, stride=stride, dilation=dilation)
             leaves = [x, w, bias]
         elif op == "lstm":
             # m steps of width k, n hidden units; h0 and c0 are leaves too
-            x = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
-            h0 = ad.Tensor(rng.normal(size=(1, n)), requires_grad=True)
-            c0 = ad.Tensor(rng.normal(size=(1, n)), requires_grad=True)
-            wx = ad.Tensor(rng.normal(size=(k, 4 * n)), requires_grad=True)
-            wh = ad.Tensor(rng.normal(size=(n, 4 * n)), requires_grad=True)
-            bias = ad.Tensor(rng.normal(size=4 * n), requires_grad=True)
+            x = ops.Tensor(rng.normal(size=(m, k)), requires_grad=True)
+            h0 = ops.Tensor(rng.normal(size=(1, n)), requires_grad=True)
+            c0 = ops.Tensor(rng.normal(size=(1, n)), requires_grad=True)
+            wx = ops.Tensor(rng.normal(size=(k, 4 * n)), requires_grad=True)
+            wh = ops.Tensor(rng.normal(size=(n, 4 * n)), requires_grad=True)
+            bias = ops.Tensor(rng.normal(size=4 * n), requires_grad=True)
             build = lambda: ops.lstm(x, h0, c0, wx, wh, bias)
             leaves = [x, h0, c0, wx, wh, bias]
         elif op == "encoder":
-            # the model's encoder node: a padded two-layer pyramid over two conv layers, m + 8 frames
+            # the model's encoder sweep: a padded two-layer pyramid over two conv layers, m + 8 frames
             model = Seq2SeqModel(EncoderConfig(conv=(ConvSpec(2, 2, 1, 2), ConvSpec(3, 1, 2, 2)),
                                                layers=2, beta=3, hidden=int(n)),
                                  DecoderConfig(embedding_dim=2, hidden=3, attention_dim=2),
@@ -273,20 +300,29 @@ class TestGradientsAgainstFiniteDifferences:
             # no zero biases: a conv row that reads only zeros would sit on its ReLU's kink
             model.values[:] = rng.normal(scale=0.5, size=model.values.size)
             x = rng.normal(size=(m + 8, k))
-            build = lambda: model._encoder_node(model.encode(x))
-            leaves = list(build()._parents)
+
+            def build():
+                encoded = model.encode(x)
+                return ops.sweep_node(encoded.hidden, lambda g: model._encoder_sweep(encoded, g))
+
+            leaves = [p for name, p in model.named_parameters().items()
+                      if name.startswith(("conv", "enc"))]
         elif op == "attention_decoder":
             # the model's teacher-forced decoder: m steps over k encoder states of width n,
-            # read from a leaf of hidden states; the keys are formed inside the node
+            # read from a leaf of hidden states; its sweep forms the keys' share
             model = Seq2SeqModel(EncoderConfig(conv=(), layers=1, hidden=int(n)),
                                  DecoderConfig(embedding_dim=2, hidden=3, attention_dim=2),
                                  6, input_dim=1, seed=trial)
-            hidden = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
+            hidden = ops.Tensor(rng.normal(size=(k, n)), requires_grad=True)
             keys = model.named_parameters()["attn.keys"].values
             inputs = rng.integers(0, 6, size=m).tolist()
-            build = lambda: model._decode_teacher_forced(
-                EncoderOutput(hidden.values, hidden.values @ keys, [], []), hidden, inputs)
-            leaves = list(build()._parents)
+
+            def build():
+                encoded = EncoderOutput(hidden.values, hidden.values @ keys, [], [])
+                return ops.sweep_node(*model._decode_teacher_forced(encoded, inputs), into=hidden)
+
+            leaves = [hidden] + [p for name, p in model.named_parameters().items()
+                                 if name.startswith(("dec", "attn", "out"))]
         else:
             raise AssertionError(op)
 
@@ -294,7 +330,7 @@ class TestGradientsAgainstFiniteDifferences:
             out = build()
             return out if out.size == 1 else weighted_sum(ops.tanh(out), seed=trial)
 
-        ad.backward(forward())
+        ops.backward(forward())
 
         for leaf in leaves:
             fd = finite_difference_grad(lambda: forward().item(), leaf.values)
@@ -303,7 +339,7 @@ class TestGradientsAgainstFiniteDifferences:
 
 class TestNoGrad:
     def test_ops_on_constants_record_no_graph(self):
-        x = ad.Tensor(np.eye(2))
+        x = ops.Tensor(np.eye(2))
         out = ops.matmul(ops.tanh(x), x)
         assert not out.requires_grad and out._parents == () and out._backprop is None
 
@@ -326,12 +362,12 @@ class TestStackedWeightGradients:
         """
         rng = np.random.default_rng(5)
         h = self.H
-        outs = [ops.matmul(ad.Tensor(rng.normal(size=(rows, h))), weights[i])
+        outs = [ops.matmul(ops.Tensor(rng.normal(size=(rows, h))), weights[i])
                 for i, rows in enumerate((1, 1, 2))]
-        outs.append(ops.matmul(weights[3], ad.Tensor(rng.normal(size=(4 * h, 2)))))
-        state = [ad.Tensor(rng.normal(size=(1, h))) for _ in range(3)]
-        outs.append(ops.lstm(*state, weights[4], weights[5], ad.Tensor(rng.normal(size=4 * h))))
-        outs.append(ops.add(weights[6], ad.Tensor(rng.normal(size=(h, 4 * h)))))
+        outs.append(ops.matmul(weights[3], ops.Tensor(rng.normal(size=(4 * h, 2)))))
+        state = [ops.Tensor(rng.normal(size=(1, h))) for _ in range(3)]
+        outs.append(ops.lstm(*state, weights[4], weights[5], ops.Tensor(rng.normal(size=4 * h))))
+        outs.append(ops.add(weights[6], ops.Tensor(rng.normal(size=(h, 4 * h)))))
         total = weighted_sum(ops.tanh(outs[0]))
         for out in outs[1:]:
             total = ops.add(total, weighted_sum(ops.tanh(out)))
@@ -341,32 +377,32 @@ class TestStackedWeightGradients:
         return np.random.default_rng(6).normal(size=(self.H, 4 * self.H)) * 0.5
 
     def test_shared_weight_equals_the_per_term_sum(self):
-        w = ad.Tensor(self.weight(), requires_grad=True)
+        w = ops.Tensor(self.weight(), requires_grad=True)
         assert w.grad is None  # a plain leaf, not a parameter-vector view
-        ad.backward(self.loss([w] * 7))
+        ops.backward(self.loss([w] * 7))
         # reference: one copy per use, so each copy's grad is exactly one term
-        copies = [ad.Tensor(self.weight(), requires_grad=True) for _ in range(7)]
-        ad.backward(self.loss(copies))
+        copies = [ops.Tensor(self.weight(), requires_grad=True) for _ in range(7)]
+        ops.backward(self.loss(copies))
         reference = sum(c.grad for c in copies)
         assert_within_1e12(w.grad, reference)
         fd = finite_difference_grad(lambda: self.loss([w] * 7).item(), w.values)
         assert_grad_close(w.grad, fd, rtol=1e-4)
 
     def test_repeated_backward_accumulates(self):
-        w = ad.Tensor(self.weight(), requires_grad=True)
+        w = ops.Tensor(self.weight(), requires_grad=True)
         loss = self.loss([w] * 7)
-        ad.backward(loss)
+        ops.backward(loss)
         once = w.grad.copy()
-        ad.backward(loss)
+        ops.backward(loss)
         assert_within_1e12(w.grad, 2.0 * once)
 
     def test_parameter_leaf_adds_into_its_gradient_view(self):
         layout = {"w": ((self.H, 4 * self.H), self.H)}
         _, grads, params = ad.parameter_vectors(layout, None, values=self.weight().ravel())
-        w = params["w"]
-        ad.backward(self.loss([w] * 7))
-        plain = ad.Tensor(self.weight(), requires_grad=True)
-        ad.backward(self.loss([plain] * 7))
+        w = ops.graph_leaf(params["w"])
+        ops.backward(self.loss([w] * 7))
+        plain = ops.Tensor(self.weight(), requires_grad=True)
+        ops.backward(self.loss([plain] * 7))
         assert np.shares_memory(w.grad, grads)
         np.testing.assert_array_equal(grads, plain.grad.ravel())
 
@@ -374,26 +410,26 @@ class TestStackedWeightGradients:
         # attention's matmul(alpha, hidden): hidden is an op output, and w
         # reaches the loss only through it
         rng = np.random.default_rng(8)
-        x, query = ad.Tensor(rng.normal(size=(4, 3))), ad.Tensor(rng.normal(size=(1, 5)))
-        w = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        keys = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        x, query = ops.Tensor(rng.normal(size=(4, 3))), ops.Tensor(rng.normal(size=(1, 5)))
+        w = ops.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        keys = ops.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
 
         def forward():
             hidden = ops.tanh(ops.matmul(x, w))
             alpha = ops.softmax(ops.matmul(query, keys))
             return weighted_sum(ops.tanh(ops.matmul(alpha, hidden)))
 
-        ad.backward(forward())
+        ops.backward(forward())
         for leaf in (w, keys):
             fd = finite_difference_grad(lambda: forward().item(), leaf.values)
             assert_grad_close(leaf.grad, fd, rtol=1e-4)
 
     def test_scalar_loss_that_is_a_leaf(self):
-        x = ad.Tensor(2.0, requires_grad=True)
-        ad.backward(x)
+        x = ops.Tensor(2.0, requires_grad=True)
+        ops.backward(x)
         np.testing.assert_array_equal(x.grad, 1.0)
-        constant = ad.Tensor(2.0)
-        ad.backward(constant)
+        constant = ops.Tensor(2.0)
+        ops.backward(constant)
         assert constant.grad is None
 
 
@@ -402,9 +438,9 @@ class TestOneAdjointPerTensor:
         # hidden is an op output with one dense term (through add) and three
         # product terms (as the right operand of matmul(alpha_i, hidden))
         rng = np.random.default_rng(12)
-        x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        w = ad.Tensor(rng.normal(size=(3, 5)))
-        shift = ad.Tensor(rng.normal(size=(4, 5)))
+        x = ops.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = ops.Tensor(rng.normal(size=(3, 5)))
+        shift = ops.Tensor(rng.normal(size=(4, 5)))
         alphas = [rng.normal(size=(1, 4)) for _ in range(3)]
         captured = []
 
@@ -415,10 +451,10 @@ class TestOneAdjointPerTensor:
                 hidden._backprop = lambda g, terms: (captured.append(g.copy()), backprop(g, terms))
             total = weighted_sum(ops.add(hidden, shift))
             for i, alpha in enumerate(alphas):
-                total = ops.add(total, weighted_sum(ops.matmul(ad.Tensor(alpha), hidden), seed=i))
+                total = ops.add(total, weighted_sum(ops.matmul(ops.Tensor(alpha), hidden), seed=i))
             return total
 
-        ad.backward(forward(capture=True))
+        ops.backward(forward(capture=True))
         columns = [np.random.default_rng(i).normal(size=(5, 1)) for i in range(3)]
         want = np.ones((4, 5)) + sum(a.T @ c.T for a, c in zip(alphas, columns))
         (got,) = captured
@@ -458,12 +494,12 @@ class TestConv1dAsOneMatmul:
     @settings(max_examples=80, deadline=None)
     def test_matches_the_per_tap_loop(self, steps, kernel, c_in, c_out, stride, dilation, seed):
         rng = np.random.default_rng(seed)
-        x = ad.Tensor(rng.normal(size=(steps, c_in)), requires_grad=True)
-        w = ad.Tensor(rng.normal(size=(kernel, c_in, c_out)), requires_grad=True)
-        b = ad.Tensor(rng.normal(size=c_out), requires_grad=True)
+        x = ops.Tensor(rng.normal(size=(steps, c_in)), requires_grad=True)
+        w = ops.Tensor(rng.normal(size=(kernel, c_in, c_out)), requires_grad=True)
+        b = ops.Tensor(rng.normal(size=c_out), requires_grad=True)
         out = ops.conv1d(x, w, b, stride=stride, dilation=dilation)
         g = rng.normal(size=out.shape)
-        ad.backward(ops.matmul(ops.reshape(out, (1, -1)), ad.Tensor(g.reshape(-1, 1))))
+        ops.backward(ops.matmul(ops.reshape(out, (1, -1)), ops.Tensor(g.reshape(-1, 1))))
         want = conv1d_per_tap(x.values, w.values, b.values, g, stride, dilation)
         for got, expected in zip((out.values, x.grad, w.grad, b.grad), want, strict=True):
             assert got.shape == expected.shape
@@ -482,9 +518,9 @@ class TestConv1dAsOneMatmul:
     def test_input_gradient_equals_add_at_bit_for_bit(self, steps, kernel, c_in, stride,
                                                        dilation, seed):
         rng = np.random.default_rng(seed)
-        x = ad.Tensor(rng.normal(size=(steps, c_in)), requires_grad=True)
-        w = ad.Tensor(rng.normal(size=(kernel, c_in, 2)))
-        out = ops.conv1d(x, w, ad.Tensor(np.zeros(2)), stride=stride, dilation=dilation)
+        x = ops.Tensor(rng.normal(size=(steps, c_in)), requires_grad=True)
+        w = ops.Tensor(rng.normal(size=(kernel, c_in, 2)))
+        out = ops.conv1d(x, w, ops.Tensor(np.zeros(2)), stride=stride, dilation=dilation)
         g = rng.normal(size=out.shape)
         terms = {}
         out._backprop(g, terms)
@@ -497,9 +533,9 @@ class TestConv1dAsOneMatmul:
 
     def test_short_input_and_long_stride(self):
         # T < (K - 1) * dilation reads padding only below row 0; stride > T gives one row
-        x = ad.Tensor([[1.0], [2.0]])
-        w = ad.Tensor(np.array([3.0, 5.0, 7.0]).reshape(3, 1, 1))
-        out = ops.conv1d(x, w, ad.Tensor([0.5]), stride=4, dilation=2)
+        x = ops.Tensor([[1.0], [2.0]])
+        w = ops.Tensor(np.array([3.0, 5.0, 7.0]).reshape(3, 1, 1))
+        out = ops.conv1d(x, w, ops.Tensor([0.5]), stride=4, dilation=2)
         np.testing.assert_array_equal(out.values, [[0.5 + 7.0 * 1.0]])
 
 
@@ -554,7 +590,7 @@ class TestLstmStepsWithoutTemporaries:
         arrays = (rng.normal(size=(steps, d)), rng.normal(size=(1, n)), rng.normal(size=(1, n)),
                   rng.normal(size=(d, 4 * n)), rng.normal(size=(n, 4 * n)),
                   rng.normal(size=4 * n))
-        leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        leaves = [ops.Tensor(a, requires_grad=True) for a in arrays]
         g_out = rng.normal(size=(steps, 2 * n))
         want_out, want_terms = lstm_allocating_steps(*arrays, g_out)
         out = ops.lstm(*leaves)
@@ -587,6 +623,15 @@ class TestParameterVectors:
         np.testing.assert_array_equal(params["b"].values, [0.0, 1.0, 2.0])
         assert np.array_equal(values, np.concatenate([p.values.ravel() for p in params.values()]))
         assert grads.shape == values.shape and not grads.any()
+
+    def test_a_parameter_is_a_value_view_and_a_gradient_view(self):
+        layout = {"w": ((2, 3), 4), "b": ((3,), np.zeros(3))}
+        values, grads, params = ad.parameter_vectors(layout, np.random.default_rng(0))
+        b = params["b"]
+        assert b.shape == b.values.shape == b.grad.shape == (3,)
+        b.grad += 1.0
+        np.testing.assert_array_equal(grads, [0.0] * 6 + [1.0] * 3)
+        assert np.shares_memory(b.values, values) and not hasattr(b, "__dict__")
 
     def test_stored_values_are_adopted_without_drawing(self):
         layout = {"w": ((2, 3), 4), "b": ((3,), np.zeros(3))}
@@ -699,11 +744,11 @@ class TestAdam:
             return x
 
         values, grads, params = ad.parameter_vectors({"x": ((1,), np.zeros(1))}, rng=None)
-        p = params["x"]
+        p = ops.graph_leaf(params["x"])
         state = ad.AdamState(values.size, ad.OptimizerConfig(lr=0.1))
         for _ in range(200):
-            diff = ops.add(p, ad.Tensor([-3.0]))
-            ad.backward(square_norm(diff))
+            diff = ops.add(p, ops.Tensor([-3.0]))
+            ops.backward(square_norm(diff))
             ad.adam_step(values, grads, state)
         assert abs(p.values[0] - 3.0) < 0.1
         assert p.values[0] == pytest.approx(reference(200, 0.1), abs=1e-9)

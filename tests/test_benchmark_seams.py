@@ -7,12 +7,15 @@ transcribe pass featurizes wavs through `audio.frontend_spectrogram`, and
 positional argument.  The train and evaluate passes time a CLI command by
 wrapping module attributes: `cli.train_with_scheduled_lm_sampling` and
 `fusion.adam_step`, and `cli.evaluate_dataset` and `fusion.transcribe`.
+The traced passes run the real benchmarks/tracer.py, which wraps
+`autodiff.backward` and counts `autodiff.Tensor`s made while training.
 A change that breaks one of these otherwise shows up only in a benchmark run.
 """
 
 import ast
 import importlib
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -152,3 +155,38 @@ class TestProbedCommands:
         assert calls == {"evaluate_dataset": 1, "transcribe": len(manifest.records)}
         words = set(manifest.vocabulary.content_words)
         assert all(isinstance(h, list) and set(h) <= words for h in hypotheses)
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    """benchmarks/tracer.py, imported as the traced passes import it."""
+    monkeypatch.syspath_prepend(str(RUN_PY.parent))
+    yield importlib.import_module("tracer")
+    for name in ("tracer", "run"):
+        sys.modules.pop(name, None)
+
+
+class TestTracer:
+    def test_training_backpropagates_once_per_update_and_makes_no_tensor(self, pipeline, tmp_path,
+                                                                        monkeypatch,
+                                                                        tracer_module):
+        train, made = cli.train_with_scheduled_lm_sampling, {}
+
+        def probed(*args, **kwargs):  # as the train pass counts the Tensors made in training
+            before = tracer.tensors["other"]
+            try:
+                return train(*args, **kwargs)
+            finally:
+                made["training"] = tracer.tensors["other"] - before
+
+        monkeypatch.setattr(cli, "train_with_scheduled_lm_sampling", probed)
+        with tracer_module.Tracer() as tracer:
+            assert cli.main(["train", "--config", str(pipeline.config), "--data",
+                             str(pipeline.data), "--lm", str(pipeline.lm),
+                             "--output", str(tmp_path / "m.ckpt")]) == 0
+        records = load_manifest(pipeline.data / "train.json").records
+        updates = TINY_CONFIG["training"]["epochs"] * len(records)
+        assert tracer.stats["autodiff.backward"][0] == updates
+        assert tracer.stats["autodiff.adam_step"][0] == updates
+        assert tracer.tensors["other"] > 0  # the model's parameters, made before training
+        assert made == {"training": 0} and tracer.tensors["decode"] == 0

@@ -151,6 +151,14 @@ class TestTrainLm:
         assert code == 2
         assert "no sentences" in capsys.readouterr().err
 
+    def test_order_above_the_bound_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "lm.json"
+        with deadline(0.5):
+            code = main(["train-lm", "--corpus", str(workspace.data / "corpus.txt"),
+                         "--order", "17", "--output", str(out)])
+        assert code == 2 and not out.exists()
+        assert_one_line_error(capsys.readouterr().err, "1..16", "got 17")
+
 
 class TestTrain:
     def test_checkpoint_and_log_written(self, workspace):
@@ -538,6 +546,11 @@ class TestMalformedInputs:
             ({"dataset": {"speakers": [{"speaker_id": "a", "pitch_jitter": -3}]}},
              "dataset.speakers: pitch_jitter"),
             ({"dataset": {"speakers": [{"speaker_id": "a", "pitch_jitter": 30}]}},
+             "dataset.speakers: pitch_jitter"),
+            ({"dataset": {"repeats": 100000, "cap": 2}}, "dataset.repeats"),
+            ({"dataset": {"speakers": [{"speaker_id": "a", "pitch_jitter": 0.51}]}},
+             "dataset.speakers: pitch_jitter"),
+            ({"dataset": {"speakers": [{"speaker_id": "a", "pitch_jitter": 0.99}]}},
              "dataset.speakers: pitch_jitter"),
         ],
     )

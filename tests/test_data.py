@@ -183,6 +183,15 @@ class TestPlanVariations:
         with pytest.raises(ContractError):
             plan_variations(code, SPEAKER, repeats=2, cap=0, seed=0)
 
+    def test_variation_count_bounded_by_int64(self):
+        # 2**63 - 1 one-word variations are drawn from; 3037000500**2 two-word ones,
+        # just past that bound, are refused
+        plans = plan_variations(IcdCode("C", ["pain"]), SPEAKER, repeats=2**63 - 1, cap=2, seed=0)
+        assert len(plans) == 2 and all(0 <= p.repeat_indices[0] < 2**63 - 1 for p in plans)
+        with pytest.raises(ContractError, match=r"dataset.repeats 3037000500: 3037000500\*\*2"):
+            plan_variations(IcdCode("C", ["low", "pain"]), SPEAKER, repeats=3037000500, cap=2,
+                            seed=0)
+
     @given(
         k=st.integers(min_value=1, max_value=6),
         repeats=st.integers(min_value=1, max_value=6),

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graph_attend, graph_decode_step, graph_encode, zeros
+import helpers
+from helpers import graph_attend, graph_decode_step, graph_encode, update_gradients, zeros
 from icdscribe.autodiff import (
     AdamState,
     OptimizerConfig,
     Tensor,
     adam_step,
-    backward,
     clip_global_norm,
-    softmax_cross_entropy,
+    log_softmax_values,
 )
-from icdscribe.autodiff import log_softmax_values
 from icdscribe.config import TrainingConfig
 from icdscribe.data import EOS, PAD, SOS, IcdCode, build_vocabulary
 from icdscribe.errors import ConfigError, ContractError, ValidationError
@@ -231,13 +230,10 @@ class TestTraining:
             total = 0.0
             for utt in utts:
                 feats = standardize_spectrogram(utt.spectrogram)
-                loss = softmax_cross_entropy(
-                    manual.forward_teacher_forced(feats, utt.target), utt.target[1:]
-                )
-                backward(loss)
+                loss = update_gradients(manual, feats, utt.target)
                 clip_global_norm(manual.grads, 5.0)
                 adam_step(manual.values, manual.grads, opt)
-                total += loss.item()
+                total += loss
             manual_losses.append(total / len(utts))
 
         assert [e.loss for e in log] == manual_losses
@@ -516,6 +512,44 @@ class TestPrunedBeamSearch:
                 want.tokens, want.log_acoustic, want.log_lm, want.fused)
 
 
+class TestTrainingUpdate:
+    """One update's whole gradient vector against the per-op graph engine in the tests."""
+
+    @given(
+        convs=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+                                 st.integers(1, 3)), max_size=2),
+        layers=st.integers(min_value=1, max_value=3),
+        beta=st.integers(min_value=2, max_value=3),
+        hidden=st.integers(min_value=1, max_value=4),
+        frames=st.integers(min_value=1, max_value=40),
+        words=st.integers(min_value=0, max_value=4),
+        p=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_graph_engine(self, convs, layers, beta, hidden, frames, words, p, seed):
+        # frame counts cover final pyramid groups short of beta rows; p swaps inputs by the LM
+        enc = EncoderConfig(conv=tuple(ConvSpec(*c) for c in convs), layers=layers, beta=beta,
+                            hidden=hidden)
+        model = Seq2SeqModel(enc, DecoderConfig(2, 3, 2), len(VOCAB), input_dim=5, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(frames, 5))
+        target = [SOS] + rng.integers(4, len(VOCAB), size=words).tolist() + [EOS]
+        inputs = sampled_inputs(LM, VOCAB, target, p, rng)
+        loss = update_gradients(model, x, target, inputs)
+        grads = model.grads.copy()
+        model.grads[:] = 0.0
+        logits = helpers.graph_teacher_forced(model, graph_encode(model, x), inputs)
+        want_loss = helpers.softmax_cross_entropy(logits, target[1:])
+        helpers.backward(want_loss)
+        assert grads.any()
+        if hidden > 1:  # the forward pass runs the graph's products in its order
+            assert loss == want_loss.item()
+        # the graph stacks a weight's per-step products last step first and sums the
+        # embedding's rows densely: another summation order, so the last bits may differ
+        assert np.abs(grads - model.grads).max() <= 1e-12 * np.abs(model.grads).max()
+
+
 class TestGradOffDecoding:
     def test_decode_records_no_graph(self):
         model = tiny_model(seed=1)
@@ -532,10 +566,7 @@ class TestGradOffDecoding:
             model = tiny_model(seed=7)
             if decode_first:
                 beam_search_decode(model, LM, utt.spectrogram, FusionConfig(beam_width=2), VOCAB)
-            loss = softmax_cross_entropy(model.forward_teacher_forced(features, utt.target),
-                                         utt.target[1:])
-            assert loss.requires_grad
-            backward(loss)
+            update_gradients(model, features, utt.target)
             grads.append(model.grads.copy())
         assert grads[0].any() and np.array_equal(grads[0], grads[1])
 
@@ -561,16 +592,12 @@ class TestGraphSize:
                             hidden=4)
         return Seq2SeqModel(enc, DecoderConfig(3, 4, 3), len(VOCAB), input_dim=5, seed=3)
 
-    def test_a_training_update_makes_three_nodes(self, monkeypatch):
-        # the encoder node, the decoder node (which forms the attention keys) and the loss
+    def test_a_training_update_makes_none(self, monkeypatch):
+        # the reverse passes add into the parameters' gradient views
         model, utt = self.model(), fake_utterances()[0]
         features = standardize_spectrogram(utt.spectrogram)
-
-        def update():
-            logits = model.forward_teacher_forced(features, utt.target)
-            backward(softmax_cross_entropy(logits, utt.target[1:]))
-
-        assert self.count_tensors(monkeypatch, update) == 3
+        update = lambda: update_gradients(model, features, utt.target)
+        assert self.count_tensors(monkeypatch, update) == 0
         assert model.grads.any()
 
     def test_a_decode_makes_none(self, monkeypatch):

@@ -100,6 +100,11 @@ class TestTraining:
         with pytest.raises(ContractError):
             train_lm(TOY, max_order=0)
 
+    def test_order_bounded_at_sixteen(self):
+        assert train_lm(TOY, max_order=16).max_order == 16
+        with pytest.raises(ContractError, match=r"max order must lie in 1\.\.16, got 17"):
+            train_lm(TOY, max_order=17)
+
     def test_weight_invariants_enforced(self):
         with pytest.raises(ContractError):
             train_lm(TOY, max_order=2, lambdas=[0.7, 0.7])

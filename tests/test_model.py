@@ -6,18 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Tensor,
     add,
     assert_grad_close,
+    backward,
     finite_difference_grad,
     graph_attend,
     graph_decode_step,
     graph_encode,
     graph_teacher_forced,
+    loss_value,
     softmax,
+    softmax_cross_entropy,
+    sweep_node,
+    update_gradients,
     weighted_sum,
     zeros,
 )
-from icdscribe.autodiff import Tensor, backward, softmax_cross_entropy
 from icdscribe.data import EOS, SOS
 from icdscribe.errors import ContractError
 from icdscribe.model import (
@@ -224,7 +229,7 @@ class TestDecodeStep:
 
 
 class TestTeacherForcedOp:
-    """The whole-target decoder op against the per-step graph it replaced."""
+    """The whole-target decoder and its reverse pass against the per-step graph."""
 
     @given(
         steps=st.integers(min_value=1, max_value=8),
@@ -247,7 +252,8 @@ class TestTeacherForcedOp:
         results = []
         def nodes():
             encoded = model.encode(x)
-            return model._decode_teacher_forced(encoded, model._encoder_node(encoded), inputs)
+            logits, decoder_sweep = model._decode_teacher_forced(encoded, inputs)
+            return sweep_node(logits, lambda g: model._encoder_sweep(encoded, decoder_sweep(g)))
 
         for forward in (nodes, lambda: graph_teacher_forced(model, graph_encode(model, x), inputs)):
             model.grads[:] = 0.0
@@ -261,13 +267,13 @@ class TestTeacherForcedOp:
         scale = np.abs(want_grads).max()
         start = 0
         for name, p in model.named_parameters().items():
-            got, want = grads[start : start + p.size], want_grads[start : start + p.size]
-            assert np.abs(got - want).max() <= 1e-12 * scale, name
-            start += p.size
+            stop = start + p.values.size
+            assert np.abs(grads[start:stop] - want_grads[start:stop]).max() <= 1e-12 * scale, name
+            start = stop
 
 
 class TestEncoderNode:
-    """The whole-encoder node against the per-op graph encoder it replaced."""
+    """The encoder and its reverse pass against the per-op graph encoder."""
 
     @given(
         convs=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
@@ -289,7 +295,8 @@ class TestEncoderNode:
         x = spectrogram(frames, seed=seed % 1000)
         encoded, graph = model.encode(x), graph_encode(model, x)
         grads = []
-        for hidden_node in (model._encoder_node(encoded), graph.hidden):
+        for hidden_node in (sweep_node(encoded.hidden, lambda g: model._encoder_sweep(encoded, g)),
+                            graph.hidden):
             model.grads[:] = 0.0
             backward(weighted_sum(hidden_node, seed=seed % 1000))
             grads.append(model.grads.copy())
@@ -308,7 +315,7 @@ class TestEncoderNode:
 class TestForwardTeacherForced:
     def test_row_per_predicted_position(self):
         model = small_model()
-        logits = model.forward_teacher_forced(spectrogram(12), [SOS, 4, EOS])
+        logits, _ = model.forward_teacher_forced(spectrogram(12), [SOS, 4, EOS])
         assert logits.shape == (2, 7)
 
     @pytest.mark.parametrize(
@@ -328,16 +335,15 @@ class TestForwardTeacherForced:
     def test_input_override_changes_predictions(self):
         model = small_model(seed=2)
         x = spectrogram(12)
-        forced = model.forward_teacher_forced(x, [SOS, 4, 5, EOS])
-        swapped = model.forward_teacher_forced(x, [SOS, 4, 5, EOS], input_tokens=[SOS, 6, 6])
+        forced, _ = model.forward_teacher_forced(x, [SOS, 4, 5, EOS])
+        swapped, _ = model.forward_teacher_forced(x, [SOS, 4, 5, EOS], input_tokens=[SOS, 6, 6])
         assert forced.shape == swapped.shape
-        assert not np.allclose(forced.values[1:], swapped.values[1:])
+        assert not np.allclose(forced[1:], swapped[1:])
 
     def test_initial_loss_near_uniform(self):
         model = small_model(vocab_size=145, seed=11)
         target = [SOS, 9, 23, 77, EOS]
-        logits = model.forward_teacher_forced(spectrogram(40, seed=1), target)
-        loss = softmax_cross_entropy(logits, target[1:]).item()
+        loss = loss_value(model, spectrogram(40, seed=1), target)
         assert math.log(145) - 1 <= loss <= math.log(145) + 1
 
 
@@ -366,22 +372,16 @@ class TestGradients:
         self.check_against_finite_differences(model, x, target)
 
     def check_against_finite_differences(self, model, x, target):
-        def loss_value():
-            logits = model.forward_teacher_forced(x, target)
-            return softmax_cross_entropy(logits, target[1:]).item()
-
-        loss = softmax_cross_entropy(model.forward_teacher_forced(x, target), target[1:])
-        backward(loss)
+        update_gradients(model, x, target)
         for name, p in model.named_parameters().items():
-            numeric = finite_difference_grad(loss_value, p.values, h=1e-5)
+            numeric = finite_difference_grad(lambda: loss_value(model, x, target), p.values, h=1e-5)
             assert_grad_close(p.grad, numeric, rtol=1e-3)
 
     def test_no_dead_parameters_at_init(self):
         model = small_model(seed=21)
         x = spectrogram(16, seed=3)
         target = [SOS, 4, 5, 6, EOS]
-        loss = softmax_cross_entropy(model.forward_teacher_forced(x, target), target[1:])
-        backward(loss)
+        update_gradients(model, x, target)
         for name, p in model.named_parameters().items():
             assert p.grad is not None, name
             assert np.any(p.grad != 0.0), name
@@ -389,12 +389,10 @@ class TestGradients:
     def test_parameters_are_views_of_the_flat_vectors(self):
         model = small_model(seed=21)
         target = [SOS, 4, 5, 6, EOS]
-        backward(softmax_cross_entropy(
-            model.forward_teacher_forced(spectrogram(16, seed=3), target), target[1:]
-        ))
+        update_gradients(model, spectrogram(16, seed=3), target)
         start = 0
         for name, p in model.named_parameters().items():
-            stop = start + p.size
+            stop = start + p.values.size
             assert np.shares_memory(p.values, model.values[start:stop]), name
             assert np.shares_memory(p.grad, model.grads[start:stop]), name
             assert np.array_equal(p.values.ravel(), model.values[start:stop]), name
