@@ -80,8 +80,9 @@ class RoomModel:
     def __post_init__(self):
         if self.distance <= 0:
             raise ContractError(f"source distance must be positive, got {self.distance}")
-        if self.rt60 < 0:
-            raise ContractError(f"reverberation time must be nonnegative, got {self.rt60}")
+        # the impulse response has rt60 * sample_rate taps
+        if not 0.0 <= self.rt60 <= 2.0:
+            raise ContractError(f"rt60 {self.rt60} outside [0, 2] s")
 
 
 @dataclass

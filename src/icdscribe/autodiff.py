@@ -11,17 +11,30 @@ An update is one fixed chain: the encoder, the teacher-forced attention
 decoder, then the cross-entropy loss.  The model's forward pass returns the
 logits and a `sweep` over the rows it kept; `backward` forms the loss and
 its adjoint and hands that to the sweep, which runs the decoder's reverse
-pass, then the encoder's, and adds each parameter's gradient into its view
-as one product over all steps.  This module holds the array kernels the
-model's passes share (the causal convolution and the LSTM step and its
-backward step); decoding runs the same kernels.  Everything is float64 so
-the finite-difference tests can use tight tolerances.
+pass, then the encoder's.  A reverse pass writes the update's gradient:
+each dense term (a bias, a conv kernel, the attention score, the
+embedding) with `out=` as the sweep reaches it, and each weight that every
+step reads as one product over all steps, recorded during the sweeps and
+written once both have finished (`write_products`).  This module holds the
+array kernels the model's passes share (the causal convolution and the
+LSTM step and its backward step); decoding runs the same kernels.
+Everything is float64 so the finite-difference tests can use tight
+tolerances.
+
+Two bulk phases of an update, the weight-gradient products and Adam's
+blocks, run on the calling thread and one helper thread at once
+(`run_shared`).  Each job writes its own slice of memory, so the split
+never changes a bit.  The helper is made on the first call that has two
+jobs, and only where two or more cores are usable; on one core the same
+functions run on the calling thread alone.  There is no knob.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +76,7 @@ def backward(logits, targets, sweep):
     """The mean negative log-softmax of the target entries, backpropagated by `sweep`.
 
     logits: [n, V]; targets: n integer ids.  The loss's adjoint w.r.t. the
-    logits, (softmax - onehot) / n, is handed to `sweep`, which adds each
+    logits, (softmax - onehot) / n, is handed to `sweep`, which writes each
     parameter's gradient into its view.  Returns the loss as a float.
     """
     if logits.ndim != 2:
@@ -207,6 +220,67 @@ def _lstm_cell_backward(wh, gates, c_prev, tanh_c):
 
 
 # ---------------------------------------------------------------------------
+# the helper thread
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _helper():
+    """The one helper thread, as a one-worker executor made on first use; None on one core."""
+    from concurrent.futures import ThreadPoolExecutor  # only a training update needs it
+
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return ThreadPoolExecutor(1, thread_name_prefix="icdscribe-helper") if cores >= 2 else None
+
+
+def run_shared(work, jobs):
+    """Call `work(job, worker)` once per job, on the calling thread (worker 0) and the helper (1).
+
+    Both threads claim jobs from one iterator until it runs out, so the
+    jobs must write disjoint memory; the bulk numpy kernels they run
+    release the GIL, so the threads overlap.  After its own share the
+    caller cancels the helper's turn if the helper has not started it, and
+    otherwise waits for it: once the jobs have run out, that is the one job
+    the helper is running.  An exception from a job on either thread
+    propagates unchanged.
+    """
+    claims, claiming = iter(jobs), threading.Lock()
+
+    def drain(worker):
+        while True:
+            with claiming:
+                job = next(claims, None)
+            if job is None:
+                return
+            work(job, worker)
+
+    helper = _helper() if len(jobs) > 1 else None
+    turn = None if helper is None else helper.submit(drain, 1)
+    try:
+        drain(0)
+    finally:
+        if turn is not None and not turn.cancel():
+            turn.result()
+
+
+def _write_product(product, worker):
+    grad, left, right = product
+    np.matmul(left.T, right, out=grad)
+
+
+def write_products(products):
+    """Write each recorded weight gradient (grad, left, right) as grad = left.T @ right.
+
+    The largest products start first, on both threads (`run_shared`).
+    Each gradient view gets one product per update, so the order changes no bit.
+    """
+    products.sort(key=lambda p: len(p[1]) * p[0].size, reverse=True)
+    run_shared(_write_product, products)
+
+
+# ---------------------------------------------------------------------------
 # optimization
 # ---------------------------------------------------------------------------
 
@@ -219,8 +293,8 @@ def parameter_vectors(layout, rng, values=None):
     checkpoint's), the vector is those values, adopted without a copy when
     they are already a contiguous float64 array, and nothing is drawn.
     Returns (values, grads, {name: Tensor}); no parameter is ever held
-    twice, and the zero gradient vector stays untouched until a reverse
-    pass adds into it.
+    twice.  The gradient vector starts at zero; the reverse pass of a
+    training update writes every entry of it.
     """
     sizes = [math.prod(shape) for shape, _ in layout.values()]
     drawn = values is None
@@ -263,12 +337,19 @@ class OptimizerConfig:
             raise ConfigError(f"eps must be positive, got {self.eps}")
 
 
+# elements per block, chosen by timing 8k-128k: a block's five operands (values,
+# grads, m, v and a scratch row, 1.25 MiB) stay in a 2 MiB L2 cache
+ADAM_BLOCK = 1 << 15
+
+
 class AdamState:
-    """Adam's hyperparameters (`config`) and its first/second moment vectors.
+    """Adam's hyperparameters (`config`), its first/second moment vectors and its scratch.
 
     `m` and `v` are flat, element-aligned with the parameter vector the
     state was built for; they may be views into one buffer (a restored
-    checkpoint's).  `step` increases by exactly one per update.
+    checkpoint's).  `step` increases by exactly one per update.  `scratch`
+    holds one row of at most `ADAM_BLOCK` elements for each thread that
+    runs Adam's blocks, allocated once, so a step allocates nothing.
     """
 
     def __init__(self, size, config):
@@ -276,23 +357,38 @@ class AdamState:
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self.scratch = np.empty((2, min(ADAM_BLOCK, size)))
 
 
-# elements per block, chosen by timing 8k-128k: a block's five operands (values,
-# grads, m, v and the scratch array, 1.25 MiB) stay in a 2 MiB L2 cache
-ADAM_BLOCK = 1 << 15
+def _adam_block(values, g, m, v, s, cfg, step_size, eps):
+    """One block of `adam_step`: the moments, then the parameters, with `s` as scratch."""
+    s = s[: len(g)]
+    np.multiply(g, 1.0 - cfg.beta1, out=s)
+    m *= cfg.beta1
+    m += s
+    np.multiply(g, 1.0 - cfg.beta2, out=s)
+    s *= g
+    v *= cfg.beta2
+    v += s
+    np.sqrt(v, out=s)
+    s += eps
+    np.divide(m, s, out=s)
+    s *= step_size
+    values -= s
 
 
 def adam_step(values, grads, state):
-    """One Adam update of flat `values` in Kingma & Ba's folded form; zeroes `grads` afterwards.
+    """One Adam update of flat `values` in Kingma & Ba's folded form; `grads` is only read.
 
     The moments follow the textbook recurrences operation for operation.
     The bias corrections fold into the step size and eps (end of §2 of
     arXiv:1412.6980): values -= (m / (sqrt(v) + eps_t)) * a_t, with
     a_t = lr sqrt(1 - beta2^t) / (1 - beta1^t) and eps_t = eps sqrt(1 - beta2^t),
     so `m / c1` and `v / c2` are never formed.  This equals the textbook
-    update up to rounding.  Each pass writes into one scratch array of
-    `ADAM_BLOCK` elements.
+    update up to rounding.  The update is elementwise, so its blocks of
+    `ADAM_BLOCK` elements run on both threads (`run_shared`), each pass
+    writing into its thread's row of `state.scratch`.  The next reverse
+    pass overwrites `grads`, so they are not zeroed.
     """
     if not len(values) == len(grads) == len(state.m):
         raise ContractError(f"optimizer state covers {len(state.m)} values, got {len(values)} "
@@ -302,24 +398,13 @@ def adam_step(values, grads, state):
     root_c2 = math.sqrt(1.0 - cfg.beta2 ** state.step)
     step_size = cfg.lr * root_c2 / (1.0 - cfg.beta1 ** state.step)
     eps = cfg.eps * root_c2
-    scratch = np.empty(min(ADAM_BLOCK, len(values)))
-    for start in range(0, len(values), ADAM_BLOCK):
-        block = slice(start, start + ADAM_BLOCK)
-        g, m, v = grads[block], state.m[block], state.v[block]
-        s = scratch[: len(g)]
-        np.multiply(g, 1.0 - cfg.beta1, out=s)
-        m *= cfg.beta1
-        m += s
-        np.multiply(g, 1.0 - cfg.beta2, out=s)
-        s *= g
-        v *= cfg.beta2
-        v += s
-        np.sqrt(v, out=s)
-        s += eps
-        np.divide(m, s, out=s)
-        s *= step_size
-        values[block] -= s
-        g[...] = 0.0
+
+    def block(start, worker):
+        part = slice(start, start + ADAM_BLOCK)
+        _adam_block(values[part], grads[part], state.m[part], state.v[part],
+                    state.scratch[worker], cfg, step_size, eps)
+
+    run_shared(block, range(0, len(values), ADAM_BLOCK))
 
 
 def clip_global_norm(grads, max_norm):

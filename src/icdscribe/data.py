@@ -136,8 +136,9 @@ class DatasetConfig:
         if len(set(ids)) != len(ids):
             raise ValidationError(f"speakers repeat a speaker id: {ids}")
         low, high = self.gap_range
-        if not 0 <= low <= high:
-            raise ContractError(f"gap_range {list(self.gap_range)} must satisfy 0 <= low <= high")
+        if not 0 <= low <= high <= 2.0:  # every word gap is up to `high` s of zeros
+            raise ContractError(f"gap_range {list(self.gap_range)} must satisfy "
+                                f"0 <= low <= high <= 2 s")
 
 
 @dataclass

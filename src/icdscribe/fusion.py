@@ -7,7 +7,9 @@ prefix.  Targets never change, and the language model itself is never
 updated.  The swap probability ramps linearly from zero to its maximum
 over the first part of training.  Each utterance makes one update: the
 model's forward pass, `backward` (the loss, then the model's reverse
-sweep into its gradient vector), global-norm clipping and an Adam step.
+sweep, which writes its whole gradient vector), global-norm clipping and
+an Adam step; the sweep's weight products and Adam's blocks share two
+threads (`autodiff.run_shared`).
 
 Decoding ranks hypotheses by a normalized convex combination of the
 acoustic and language-model log probabilities, divided by emitted token

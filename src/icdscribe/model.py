@@ -17,9 +17,11 @@ to vocabulary logits.  Scoring is additive: e_j = w . tanh(W s + V h_j + b).
 them one hypothesis at a time.  Teacher forcing runs the same step code
 over a whole target and returns its logits with a sweep: the decoder's
 reverse pass, which also forms the attention keys' gradient, then the
-encoder's.  Each is one pass of backpropagation through time that adds
-each weight gradient into the model's gradient vector as one product
-over all steps.
+encoder's.  Each is one pass of backpropagation through time.  It writes
+each dense gradient term into the model's gradient vector as it goes and
+records each weight gradient that every step reads as one product over
+all steps, (grad view, left, right); the recorded products are written
+after both passes, on two threads (`autodiff.write_products`).
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +36,7 @@ from .autodiff import (
     _lstm_forward,
     parameter_vectors,
     softmax_values,
+    write_products,
 )
 from .data import EOS, PAD, SOS
 from .errors import ContractError
@@ -188,12 +191,13 @@ class Seq2SeqModel:
             out = states[0][1:]  # h_1 .. h_steps
         return EncoderOutput(out, out @ p["attn.keys"].values, convs, layers)
 
-    def _encoder_sweep(self, encoded, g):
-        """Add the conv and pyramid LSTM gradients, given g, the adjoint of `encoded.hidden`.
+    def _encoder_sweep(self, encoded, g, products):
+        """Write the conv and pyramid LSTM gradients, given g, the adjoint of `encoded.hidden`.
 
         One sweep down the layers: backpropagation through time per pyramid
         layer, the un-reshape without the padding rows, then per conv layer
-        the ReLU mask and the taps.
+        the ReLU mask and the taps.  The LSTM weights' products are appended
+        to `products`, not written.
         """
         p, cfg = self._params, self.encoder_cfg
         for j in range(cfg.layers - 1, -1, -1):
@@ -206,17 +210,16 @@ class Seq2SeqModel:
                 dh += g[t]
                 cell_step(t, dh, dc, dz[t])
             dz = dz.reshape(len(rows), -1)
-            wx.grad += rows.T @ dz
-            wh.grad += hs[:-1].T @ dz
-            b.grad += dz.sum(axis=0)
+            products += [(wx.grad, rows, dz), (wh.grad, hs[:-1], dz)]
+            dz.sum(axis=0, out=b.grad)
             if j or cfg.conv:  # the layer's input rows, less the final group's padding
                 g = (dz @ wx.values.T).reshape(len(rows) * cfg.beta, -1)[:frames]
         for l in range(len(cfg.conv) - 1, -1, -1):
             w, b, spec = p[f"conv{l}.w"], p[f"conv{l}.b"], cfg.conv[l]
             cols, pre = encoded.convs[l]
             g = g * (pre > 0.0)
-            b.grad += g.sum(axis=0)
-            w.grad += (cols.T @ g).reshape(w.shape)
+            g.sum(axis=0, out=b.grad)
+            np.matmul(cols.T, g, out=w.grad.reshape(cols.shape[1], -1))
             if l:
                 steps = len(encoded.convs[l - 1][1])
                 g = _conv1d_input_grad(g, w.values, steps, spec.stride, spec.dilation)
@@ -278,9 +281,10 @@ class Seq2SeqModel:
         """Logit rows for positions 1..len(target)-1, and the sweep that backpropagates them.
 
         Returns (logits, sweep): `sweep(d_logits)` runs the decoder's
-        reverse pass, then the encoder's, adding every parameter's gradient
-        into `self.grads`.  `input_tokens` overrides what the decoder
-        consumes (scheduled sampling); prediction targets are unaffected.
+        reverse pass, then the encoder's, then writes their recorded
+        products, so it writes every parameter's gradient into
+        `self.grads`.  `input_tokens` overrides what the decoder consumes
+        (scheduled sampling); prediction targets are unaffected.
         """
         target = list(target)
         if len(target) < 2 or target[0] != SOS or target[-1] != EOS:
@@ -294,16 +298,22 @@ class Seq2SeqModel:
             )
         encoded = self.encode(x)
         logits, decoder_sweep = self._decode_teacher_forced(encoded, inputs)
-        return logits, lambda d_logits: self._encoder_sweep(encoded, decoder_sweep(d_logits))
+
+        def sweep(d_logits):
+            products = []
+            self._encoder_sweep(encoded, decoder_sweep(d_logits, products), products)
+            write_products(products)
+
+        return logits, sweep
 
     def _decode_teacher_forced(self, encoded, inputs):
         """The decoder over a whole target: `attend` and `_cell` per step, then one logits product.
 
-        Returns (logits, sweep).  `sweep(g)` goes back through the steps
-        once, given g, the adjoint of the logits; it adds every decoder,
-        attention and output gradient, each one product over all steps, and
-        returns the adjoint of `encoded.hidden`: the keys' share, then the
-        contexts'.
+        Returns (logits, sweep).  `sweep(g, products)` goes back through
+        the steps once, given g, the adjoint of the logits; it writes the
+        dense decoder, attention and output gradients, appends the weights'
+        products over all steps to `products`, and returns the adjoint of
+        `encoded.hidden`: the keys' share, then the contexts'.
         """
         p = self._params
         steps, units = len(inputs), encoded.reduced_steps
@@ -320,7 +330,7 @@ class Seq2SeqModel:
                        tanh_c[t])
         outs = np.concatenate([hs[1:], xs[:, e:]], axis=1)
 
-        def sweep(g):
+        def sweep(g, products):
             wx, score = p["dec.wx"].values, p["attn.score"].values[:, 0]
             w_context_t, w_query_t = wx[e:].T, p["attn.query"].values.T
             tanh_slope = 1.0 - tanh_rows * tanh_rows
@@ -343,19 +353,18 @@ class Seq2SeqModel:
                 d_pre[t].sum(axis=0, out=d_query[t])
                 dh += d_query[t] @ w_query_t  # step t's query read h_{t-1}
             dz = dz.reshape(steps, 4 * n)
-            d_embed = np.zeros_like(p["dec.embed"].values)
+            d_embed = p["dec.embed"].grad
+            d_embed[...] = 0.0
             np.add.at(d_embed, inputs, dz @ wx[:e].T)  # rows added in step order
             d_keys = d_pre.sum(axis=0)
-            p["attn.keys"].grad += encoded.hidden.T @ d_keys
-            p["dec.embed"].grad += d_embed
-            p["dec.wx"].grad += xs.T @ dz
-            p["dec.wh"].grad += hs[:-1].T @ dz
-            p["dec.b"].grad += dz.sum(axis=0)
-            p["attn.query"].grad += hs[:-1].T @ d_query
-            p["attn.b"].grad += d_query.sum(axis=0)
-            p["attn.score"].grad += tanh_rows.reshape(steps * units, -1).T @ d_scores.reshape(-1, 1)
-            p["out.w"].grad += outs.T @ g
-            p["out.b"].grad += g.sum(axis=0)
+            products += [(p["attn.keys"].grad, encoded.hidden, d_keys),
+                         (p["dec.wx"].grad, xs, dz), (p["dec.wh"].grad, hs[:-1], dz),
+                         (p["attn.query"].grad, hs[:-1], d_query), (p["out.w"].grad, outs, g)]
+            dz.sum(axis=0, out=p["dec.b"].grad)
+            d_query.sum(axis=0, out=p["attn.b"].grad)
+            np.matmul(tanh_rows.reshape(steps * units, -1).T, d_scores.reshape(-1, 1),
+                      out=p["attn.score"].grad)
+            g.sum(axis=0, out=p["out.b"].grad)
             return d_keys @ p["attn.keys"].values.T + alphas.T @ d_context
 
         return self._logits(outs), sweep

@@ -16,7 +16,9 @@ model's parameters (`graph_parameters`).  `conv1d` and `lstm` run the
 package's own array kernels, and the loss node runs `autodiff.backward`.
 """
 
+import contextlib
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,14 +263,18 @@ def softmax_cross_entropy(logits, targets):
 
 
 def sweep_node(values, sweep, into=None):
-    """`values` as a node whose backward pass calls `sweep(g)`, one of the model's reverse passes.
+    """`values` as a node whose backward pass calls `sweep(g, products)`, a model reverse pass.
 
-    The sweep adds its gradients into the model's gradient vector; what it
-    returns, the adjoint of its input, goes to the leaf `into` when given.
+    The sweep writes its dense gradients into the model's gradient vector
+    and records its weight products, written once it returns
+    (`autodiff.write_products`); what it returns, the adjoint of its input,
+    goes to the leaf `into` when given.
     """
     parent = Tensor(0.0, requires_grad=True) if into is None else into
     def backprop(g, terms):
-        d_input = sweep(g)
+        products = []
+        d_input = sweep(g, products)
+        ad.write_products(products)
         if into is not None:
             _push(terms, into, d_input)
     return Tensor(values, _parents=(parent,), _backprop=backprop)
@@ -363,6 +369,24 @@ def weighted_sum(t, seed=None):
 
 def assert_grad_close(analytic, numeric, rtol, atol=1e-7):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+@contextlib.contextmanager
+def helper_thread(on):
+    """`autodiff`'s shared phases with a helper thread of their own (`on`), or on one thread.
+
+    Patches the helper factory, so the two-thread path runs whatever the
+    machine's core count.  Yields the helper's executor, or None.
+    """
+    executor = ThreadPoolExecutor(1) if on else None
+    factory = ad._helper
+    ad._helper = lambda: executor
+    try:
+        yield executor
+    finally:
+        ad._helper = factory
+        if executor is not None:
+            executor.shutdown()
 
 
 def loss_value(model, x, target, inputs=None):

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icdscribe import autodiff as ad
+from icdscribe.data import EOS, SOS
 from icdscribe.errors import ContractError, ShapeError
 from icdscribe.model import ConvSpec, DecoderConfig, EncoderConfig, EncoderOutput, Seq2SeqModel
 from icdscribe.seeds import stable_seed
@@ -303,7 +307,7 @@ class TestGradientsAgainstFiniteDifferences:
 
             def build():
                 encoded = model.encode(x)
-                return ops.sweep_node(encoded.hidden, lambda g: model._encoder_sweep(encoded, g))
+                return ops.sweep_node(encoded.hidden, partial(model._encoder_sweep, encoded))
 
             leaves = [p for name, p in model.named_parameters().items()
                       if name.startswith(("conv", "enc"))]
@@ -687,10 +691,11 @@ class TestAdam:
             ad.adam_step(np.zeros(4), np.zeros(4), state)
         assert state.step == 0
 
-    def test_grads_zeroed_after_step(self):
-        grads = np.ones(1)
-        ad.adam_step(np.zeros(1), grads, ad.AdamState(1, ad.OptimizerConfig()))
-        np.testing.assert_array_equal(grads, [0.0])
+    @pytest.mark.parametrize("size", [1, 7, ad.ADAM_BLOCK, ad.ADAM_BLOCK + 1, 500_789])
+    def test_scratch_is_one_block_row_per_thread(self, size):
+        state = ad.AdamState(size, ad.OptimizerConfig())
+        assert state.scratch.shape == (2, min(ad.ADAM_BLOCK, size))
+        assert state.scratch.dtype == np.float64
 
     @given(
         size=st.sampled_from([
@@ -713,8 +718,9 @@ class TestAdam:
             grads = rng.normal(size=size) * rng.choice([1e-6, 1.0, 1e3], size=size)
             want, _, _ = folded_adam(want, grads, m, v, step, lr=0.01)
             textbook, m, v = textbook_adam(textbook, grads, m, v, step, lr=0.01)
+            given = grads.copy()
             ad.adam_step(values, grads, state)
-            assert not grads.any()
+            assert np.array_equal(grads, given)  # read, never written
         assert np.array_equal(values, want)
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
         update = np.abs(textbook - start).max()
@@ -747,6 +753,7 @@ class TestAdam:
         p = ops.graph_leaf(params["x"])
         state = ad.AdamState(values.size, ad.OptimizerConfig(lr=0.1))
         for _ in range(200):
+            grads[...] = 0.0  # the graph engine adds into the view; a model's sweep writes it
             diff = ops.add(p, ops.Tensor([-3.0]))
             ops.backward(square_norm(diff))
             ad.adam_step(values, grads, state)
@@ -777,3 +784,108 @@ class TestAdam:
         grads = np.array([0.5])
         ad.clip_global_norm(grads, 5.0)
         assert grads[0] == 0.5
+
+
+class TestTwoThreads:
+    """Adam's blocks and the weight-gradient products, shared by the calling thread and a helper."""
+
+    ADAM_SIZE = 2 * ad.ADAM_BLOCK + 1  # three blocks
+
+    @staticmethod
+    def adam_run(size):
+        rng = np.random.default_rng(size)
+        values = rng.normal(size=size)
+        state = ad.AdamState(size, ad.OptimizerConfig(lr=0.01))
+        for _ in range(3):
+            ad.adam_step(values, rng.normal(size=size), state)
+        return values, state.m, state.v
+
+    @staticmethod
+    def update():
+        """One update's loss and gradient vector on a model with two conv and two pyramid layers."""
+        enc = EncoderConfig(conv=(ConvSpec(3, 2, 1, 2), ConvSpec(3, 2, 2, 2)), layers=2, beta=2,
+                            hidden=4)
+        model = Seq2SeqModel(enc, DecoderConfig(3, 4, 3), 7, input_dim=5, seed=3)
+        x = np.random.default_rng(4).normal(size=(23, 5))
+        loss = ops.update_gradients(model, x, [SOS, 4, 6, 5, EOS])
+        return loss, model.grads
+
+    @staticmethod
+    def fail_on_the_helper(patch, name):
+        """Patch `ad.<name>`, a job's work, to raise in the first job the helper runs; the error."""
+        real, error = getattr(ad, name), RuntimeError("a helper job failed")
+        claimed = threading.Event()
+
+        def work(*args):
+            if threading.current_thread() is threading.main_thread():
+                claimed.wait(10)  # until the helper has claimed a job of its own
+                return real(*args)
+            claimed.set()
+            raise error
+
+        patch.setattr(ad, name, work)
+        return error
+
+    @pytest.mark.parametrize("size", [1, 7, ad.ADAM_BLOCK - 1, ad.ADAM_BLOCK + 1,
+                                      2 * ad.ADAM_BLOCK - 1, 2 * ad.ADAM_BLOCK + 1, 500_789])
+    def test_adam_bit_identical_on_one_thread_and_two(self, size):
+        runs = []
+        for on in (False, True):
+            with ops.helper_thread(on):
+                runs.append(self.adam_run(size))
+        assert all(np.array_equal(a, b) for a, b in zip(*runs, strict=True))
+
+    def test_helper_error_in_adam_step_propagates_and_the_next_call_works(self, monkeypatch):
+        with ops.helper_thread(False):
+            want = self.adam_run(self.ADAM_SIZE)
+        with ops.helper_thread(True):
+            with monkeypatch.context() as patch:
+                error = self.fail_on_the_helper(patch, "_adam_block")
+                size = self.ADAM_SIZE
+                with pytest.raises(RuntimeError) as raised:
+                    ad.adam_step(np.zeros(size), np.ones(size),
+                                 ad.AdamState(size, ad.OptimizerConfig()))
+                assert raised.value is error
+            got = self.adam_run(self.ADAM_SIZE)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    def test_helper_error_in_backward_propagates_and_the_next_call_works(self, monkeypatch):
+        with ops.helper_thread(False):
+            want_loss, want = self.update()
+        with ops.helper_thread(True):
+            with monkeypatch.context() as patch:
+                error = self.fail_on_the_helper(patch, "_write_product")
+                with pytest.raises(RuntimeError) as raised:
+                    self.update()
+                assert raised.value is error
+            loss, got = self.update()
+        assert loss == want_loss and np.array_equal(got, want)
+
+    def test_each_job_runs_once_under_rapid_switching(self):
+        ran = [0] * 20_000
+        def work(job, worker):
+            ran[job] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ops.helper_thread(True):
+                for _ in range(5):
+                    ad.run_shared(work, range(len(ran)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert ran == [5] * len(ran)
+
+    def test_a_busy_helper_is_never_waited_for(self):
+        with ops.helper_thread(False):
+            want_adam, want_update = self.adam_run(self.ADAM_SIZE), self.update()
+        release = threading.Event()
+        with ops.helper_thread(True) as helper:
+            busy = helper.submit(release.wait, 30)
+            try:
+                got_adam, got_update = self.adam_run(self.ADAM_SIZE), self.update()
+                assert not busy.done()  # both calls returned while the helper was still blocked
+            finally:
+                release.set()
+        assert all(np.array_equal(a, b) for a, b in zip(got_adam, want_adam, strict=True))
+        assert got_update[0] == want_update[0] and np.array_equal(got_update[1], want_update[1])

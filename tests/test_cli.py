@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import signal
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icdscribe.audio import SpeakerProfile, synthesize_word, write_wav
-from icdscribe import cli
+from icdscribe import autodiff, cli
 from icdscribe.checkpoint import build_model, load_checkpoint
 from icdscribe.cli import main
 from icdscribe.lm import load_lm, prob
@@ -420,6 +421,15 @@ class TestTranscribe:
         assert code == 2
         assert "--lm" in capsys.readouterr().err
 
+    def test_starts_no_thread(self, workspace, monkeypatch):
+        # decoding never reaches the training update's helper thread
+        asked = []
+        monkeypatch.setattr(autodiff, "_helper", lambda: asked.append("helper"))
+        before = threading.active_count()
+        code, _ = run(["transcribe", workspace.data / "test.json", "--ckpt", workspace.ckpt,
+                       "--lm", workspace.lm])
+        assert code == 0 and threading.active_count() == before and asked == []
+
     def test_wav_input_decodes(self, workspace, tmp_path, capsys):
         speaker = SpeakerProfile("near", base_pitch=120.0, rate=0.9, seed=1)
         wav = tmp_path / "sample.wav"
@@ -552,6 +562,8 @@ class TestMalformedInputs:
              "dataset.speakers: pitch_jitter"),
             ({"dataset": {"speakers": [{"speaker_id": "a", "pitch_jitter": 0.99}]}},
              "dataset.speakers: pitch_jitter"),
+            ({"dataset": {"room": {"rt60": 2.001}}}, "dataset.room: rt60"),
+            ({"dataset": {"gap_range": [0.1, 2.001]}}, "dataset: gap_range"),
         ],
     )
     def test_config(self, tmp_path, payload, fragment):

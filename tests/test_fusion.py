@@ -550,6 +550,57 @@ class TestTrainingUpdate:
         assert np.abs(grads - model.grads).max() <= 1e-12 * np.abs(model.grads).max()
 
 
+    @given(
+        convs=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+                                 st.integers(1, 3)), max_size=2),
+        layers=st.integers(min_value=1, max_value=3),
+        beta=st.integers(min_value=2, max_value=3),
+        hidden=st.integers(min_value=1, max_value=4),
+        frames=st.integers(min_value=1, max_value=40),
+        words=st.integers(min_value=0, max_value=4),
+        p=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_two_threads_match_one(self, convs, layers, beta, hidden, frames, words, p, seed):
+        # one whole update, with and without the helper thread that shares the
+        # weight-gradient products and Adam's blocks
+        enc = EncoderConfig(conv=tuple(ConvSpec(*c) for c in convs), layers=layers, beta=beta,
+                            hidden=hidden)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(frames, 5))
+        target = [SOS] + rng.integers(4, len(VOCAB), size=words).tolist() + [EOS]
+        inputs = sampled_inputs(LM, VOCAB, target, p, rng)
+        results = []
+        for on in (False, True):
+            model = Seq2SeqModel(enc, DecoderConfig(2, 3, 2), len(VOCAB), input_dim=5, seed=seed)
+            with helpers.helper_thread(on):
+                loss = update_gradients(model, x, target, inputs)
+                grads = model.grads.copy()
+                clip_global_norm(model.grads, CLIP_NORM)
+                optimizer = AdamState(model.values.size, OptimizerConfig())
+                adam_step(model.values, model.grads, optimizer)
+            results.append((loss, grads, model.values))
+        (loss, grads, values), (want_loss, want_grads, want_values) = results
+        assert loss == want_loss and grads.any()
+        assert np.array_equal(grads, want_grads) and np.array_equal(values, want_values)
+
+    def test_a_reverse_pass_writes_every_gradient(self):
+        # stale gradients, even NaN ones, leave no trace: every entry is written, not added to
+        enc = EncoderConfig(conv=(ConvSpec(3, 2, 1, 2), ConvSpec(3, 2, 2, 2)), layers=2, beta=2,
+                            hidden=4)
+        utt = fake_utterances()[0]
+        features = standardize_spectrogram(utt.spectrogram)
+        grads = []
+        for stale in (None, np.nan):
+            model = Seq2SeqModel(enc, DecoderConfig(3, 4, 3), len(VOCAB), input_dim=5, seed=3)
+            if stale is not None:
+                model.grads[:] = stale
+            update_gradients(model, features, utt.target)
+            grads.append(model.grads.copy())
+        assert np.isfinite(grads[1]).all() and np.array_equal(grads[0], grads[1])
+
+
 class TestGradOffDecoding:
     def test_decode_records_no_graph(self):
         model = tiny_model(seed=1)

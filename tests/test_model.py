@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -253,7 +254,8 @@ class TestTeacherForcedOp:
         def nodes():
             encoded = model.encode(x)
             logits, decoder_sweep = model._decode_teacher_forced(encoded, inputs)
-            return sweep_node(logits, lambda g: model._encoder_sweep(encoded, decoder_sweep(g)))
+            return sweep_node(logits, lambda g, products: model._encoder_sweep(
+                encoded, decoder_sweep(g, products), products))
 
         for forward in (nodes, lambda: graph_teacher_forced(model, graph_encode(model, x), inputs)):
             model.grads[:] = 0.0
@@ -295,7 +297,7 @@ class TestEncoderNode:
         x = spectrogram(frames, seed=seed % 1000)
         encoded, graph = model.encode(x), graph_encode(model, x)
         grads = []
-        for hidden_node in (sweep_node(encoded.hidden, lambda g: model._encoder_sweep(encoded, g)),
+        for hidden_node in (sweep_node(encoded.hidden, partial(model._encoder_sweep, encoded)),
                             graph.hidden):
             model.grads[:] = 0.0
             backward(weighted_sum(hidden_node, seed=seed % 1000))
