@@ -4,13 +4,14 @@ A checkpoint stores the run config, the vocabulary, every named parameter
 tensor, the completed-epoch counter, and (optionally) the Adam state, so a
 run can resume on the exact trajectory it left.  The file is one line of
 compact, sorted-key JSON (the header: format tag, config, vocabulary, step,
-the parameter names and shapes in registration order, and the Adam
-hyperparameters or null), a newline, and then the raw bytes of one
+the parameter names and shapes in registration order, and Adam's update
+count or null), a newline, and then the raw bytes of one
 little-endian float64 array: the model's flat parameter vector, then the
 Adam `m` and `v` vectors when an optimizer is saved.  These are the
 vectors as they lie in memory, so saving writes three arrays.  Loading
 reads the header line and then only the parameter vector; Adam's vectors
-are read by `restore_optimizer`, which only a resumed run needs.  Raw
+are read by `restore_optimizer`, which only a resumed run needs.  Adam's
+hyperparameters are the config's `optimizer` section, stored once.  Raw
 bytes round trip bit for bit, and a rewrite of the same state is
 byte-identical.
 """
@@ -18,18 +19,18 @@ byte-identical.
 import json
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdamState, OptimizerConfig
+from .autodiff import AdamState
 from .config import RunConfig
 from .data import Vocabulary
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ContractError, ValidationError
 from .model import Seq2SeqModel
 from .schema import atomic_write, decode_document, from_payload, to_payload
 
-CKPT_FORMAT = "ckpt-v2"
+CKPT_FORMAT = "ckpt-v3"
 
 
 @dataclass
@@ -43,31 +44,17 @@ class ParameterEntry:
 
 
 @dataclass
-class AdamPayload:
-    """The header's Adam state: an `OptimizerConfig`'s values, all required, and the step."""
-
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
-    step: int
-
-    def __post_init__(self):
-        self.config()  # raises on an out-of-range hyperparameter
-        if self.step < 0:
-            raise ConfigError(f"step must be nonnegative, got {self.step}")
-
-    def config(self):
-        return OptimizerConfig(self.lr, self.beta1, self.beta2, self.eps)
-
-
-@dataclass
 class CheckpointHeader:
     config: RunConfig
     vocabulary: list[str]
     step: int  # completed training epochs
     parameters: list[ParameterEntry]
-    optimizer: object  # AdamPayload as plain JSON, or None
+    optimizer: object  # Adam's update count, or None when no Adam state is saved
+
+    def __post_init__(self):
+        if self.optimizer is not None and (type(self.optimizer) is not int or self.optimizer < 0):
+            raise ConfigError(f"'optimizer' must be Adam's update count, an int >= 0, or null; "
+                              f"got {json.dumps(self.optimizer)[:40]}")
 
 
 @dataclass
@@ -76,7 +63,7 @@ class Checkpoint:
     vocabulary: Vocabulary
     parameters: list  # ParameterEntry per parameter, in blob order
     step: int  # completed training epochs
-    optimizer: object  # AdamPayload, or None
+    optimizer: object  # Adam's update count, or None
     blob: np.ndarray  # float64 parameter vector, adopted by `build_model`
     path: str  # the file, which holds Adam's m and v after the parameters when saved
     moments_at: int  # byte offset of Adam's m in that file
@@ -98,17 +85,20 @@ def _layout(model):
 
 
 def save_checkpoint(path, model, vocab, config, step, optimizer=None):
-    vectors, adam = [model.values], None
+    """Write `path`; an `optimizer` must run `config.optimizer`, its hyperparameters' one copy."""
+    vectors, adam_step = [model.values], None
     if optimizer is not None:
+        if optimizer.config != config.optimizer:
+            raise ContractError(f"the optimizer runs {optimizer.config}, "
+                                f"not the config's {config.optimizer}")
         vectors += [optimizer.m, optimizer.v]
-        # floats, so a config's `"lr": 1` is stored as 1.0
-        adam = to_payload(AdamPayload(*map(float, astuple(optimizer.config)), optimizer.step))
+        adam_step = optimizer.step
     header = CheckpointHeader(
         config=config,
         vocabulary=vocab.content_words,
         step=int(step),
         parameters=_layout(model),
-        optimizer=adam,
+        optimizer=adam_step,
     )
     line = json.dumps(
         {"format": CKPT_FORMAT, **to_payload(header)}, sort_keys=True, separators=(",", ":")
@@ -158,18 +148,15 @@ def _read_finite(fh, count, what):
 
 def _checkpoint_from_header(payload, path, fh, blob_bytes):
     header = from_payload(CheckpointHeader, payload)
-    optimizer = None
-    if header.optimizer is not None:
-        optimizer = from_payload(AdamPayload, header.optimizer, "optimizer")
     count = sum(math.prod(entry.shape) for entry in header.parameters)
-    stored = count * (1 if optimizer is None else 3)
+    stored = count * (1 if header.optimizer is None else 3)
     if blob_bytes != 8 * stored:
         raise ConfigError(f"blob holds {blob_bytes} bytes, header declares {stored} float64 values")
     if len({entry.name for entry in header.parameters}) != len(header.parameters):
         raise ConfigError("a parameter name appears twice")
     values = _read_finite(fh, count, "the parameter vector")
     return Checkpoint(header.config, Vocabulary(header.vocabulary), header.parameters,
-                      header.step, optimizer, blob=values, path=os.fspath(path),
+                      header.step, header.optimizer, blob=values, path=os.fspath(path),
                       moments_at=fh.tell())
 
 
@@ -187,10 +174,10 @@ def build_model(checkpoint):
 def restore_optimizer(checkpoint, model):
     """Read back the Adam vectors saved alongside the parameters of `model`.
 
-    `m` and `v` are the two halves of the array read, adopted without a copy.
+    `m` and `v` are the two halves of the array read, adopted without a copy;
+    the hyperparameters are the checkpoint config's `optimizer`.
     """
-    stored = checkpoint.optimizer
-    if stored is None:
+    if checkpoint.optimizer is None:
         raise ValidationError("checkpoint carries no optimizer state")
     n = model.values.size
     if checkpoint.blob.size != n:
@@ -199,7 +186,7 @@ def restore_optimizer(checkpoint, model):
     with open(checkpoint.path, "rb") as fh:
         fh.seek(checkpoint.moments_at)
         moments = _read_finite(fh, 2 * n, f"{checkpoint.path}: the optimizer state")
-    state = AdamState(n, stored.config())
-    state.step = stored.step
+    state = AdamState(n, checkpoint.config.optimizer)
+    state.step = checkpoint.optimizer
     state.m, state.v = moments[:n], moments[n:]
     return state

@@ -72,7 +72,8 @@ def cmd_generate_data(args):
     vocab = manifest.vocabulary
     print(f"codes: {len(codes)}")
     print(f"vocabulary: {len(vocab.content_words)} words")
-    print(f"train utterances: {len(train.records)} (speakers {', '.join(train.train_speakers)})")
+    kept = ", ".join(s.speaker_id for s in config.dataset.speakers if s.speaker_id != held_out)
+    print(f"train utterances: {len(train.records)} (speakers {kept})")
     print(f"test utterances: {len(test.records)} (speaker {held_out})")
     print(f"wrote config.json, corpus.txt, train.json, test.json to {out}")
     return 0
@@ -114,6 +115,15 @@ def _log_before(path, step):
     return [r for r in records if r.epoch < step]
 
 
+def _check_manifest(manifest, ckpt):
+    """Reject a manifest whose vocabulary or featurization is not the checkpoint's."""
+    if manifest.vocabulary != ckpt.vocabulary:
+        raise ValidationError("manifest vocabulary does not match the checkpoint")
+    if manifest.config.frontend != ckpt.config.dataset.frontend:
+        raise ValidationError(f"manifest dataset.frontend {manifest.config.frontend} "
+                              f"is not the checkpoint's {ckpt.config.dataset.frontend}")
+
+
 def cmd_train(args):
     lm = load_lm(args.lm)
     manifest = load_manifest(Path(args.data) / "train.json")
@@ -121,15 +131,15 @@ def cmd_train(args):
 
     if args.resume:
         ckpt = load_checkpoint(args.resume)
-        if ckpt.vocabulary != vocab:
-            raise ValidationError("checkpoint vocabulary does not match the training manifest")
+        _check_manifest(manifest, ckpt)
         config = ckpt.config
         model = build_model(ckpt)
         optimizer = restore_optimizer(ckpt, model)
         start_epoch = ckpt.step
         kept = _log_before(Path(args.resume).with_suffix(".log.jsonl"), start_epoch)
     else:
-        config = _load_config(args)
+        # the features come from the manifest, so its dataset settings are the run's
+        config = dataclasses.replace(_load_config(args), dataset=manifest.config)
         model = fresh_model(config, vocab)
         optimizer = AdamState(model.values.size, config.optimizer)
         start_epoch, kept = 0, []
@@ -209,8 +219,7 @@ def cmd_evaluate(args):
     model = build_model(ckpt)
     lm = _fusion_lm(args.lm, ckpt.config.fusion, ckpt.vocabulary)
     manifest = load_manifest(args.manifest)
-    if manifest.vocabulary != ckpt.vocabulary:
-        raise ValidationError("manifest vocabulary does not match the checkpoint")
+    _check_manifest(manifest, ckpt)
     report = evaluate_dataset(
         model, lm, manifest, ckpt.config.fusion, seed=args.seed, resamples=args.resamples
     )
@@ -229,8 +238,7 @@ def _decode_inputs(args, ckpt):
         yield path.stem, stft_logmel(waveform, ckpt.config.dataset.frontend)
         return
     manifest = load_manifest(path)
-    if manifest.vocabulary != ckpt.vocabulary:
-        raise ValidationError("manifest vocabulary does not match the checkpoint")
+    _check_manifest(manifest, ckpt)
     for utt in iter_utterances(manifest):
         yield f"{utt.code}/{utt.speaker_id}/{utt.variation_index}", utt.spectrogram
 

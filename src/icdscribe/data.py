@@ -31,7 +31,9 @@ from .seeds import stable_seed
 
 PAD, SOS, EOS, UNK = 0, 1, 2, 3
 SPECIALS = ("<pad>", "<sos>", "<eos>", "<unk>")
-MANIFEST_FORMAT = "manifest-v1"
+MANIFEST_FORMAT = "manifest-v2"
+# a sampled plan draws `cap` int64 indices at once: at most 800 kB
+MAX_CAP = 100_000
 
 
 @dataclass
@@ -135,6 +137,8 @@ class DatasetConfig:
             raise ContractError("speakers must list at least one speaker")
         if len(set(ids)) != len(ids):
             raise ValidationError(f"speakers repeat a speaker id: {ids}")
+        if not 1 <= self.cap <= MAX_CAP:
+            raise ContractError(f"cap must lie in 1..{MAX_CAP}, got {self.cap}")
         low, high = self.gap_range
         if not 0 <= low <= high <= 2.0:  # every word gap is up to `high` s of zeros
             raise ContractError(f"gap_range {list(self.gap_range)} must satisfy "
@@ -165,8 +169,6 @@ class DatasetManifest:
     config: DatasetConfig
     codes: list[IcdCode]
     records: list[UtteranceRecord]
-    train_speakers: list[str]
-    test_speakers: list[str]
 
     @property
     def vocabulary(self):
@@ -269,13 +271,7 @@ def generate_dataset(codes, config):
     for speaker in config.speakers:
         for code in codes:
             records.extend(plan_variations(code, speaker, config.repeats, config.cap, config.seed))
-    return DatasetManifest(
-        config=config,
-        codes=list(codes),
-        records=records,
-        train_speakers=[s.speaker_id for s in config.speakers],
-        test_speakers=[],
-    )
+    return DatasetManifest(config=config, codes=list(codes), records=records)
 
 
 def iter_utterances(manifest):
@@ -294,18 +290,8 @@ def split_by_speaker(manifest, held_out):
     known = [s.speaker_id for s in manifest.config.speakers]
     if held_out not in known:
         raise ContractError(f"unknown speaker {held_out!r}; manifest has {known}")
-    train = replace(
-        manifest,
-        records=[r for r in manifest.records if r.speaker_id != held_out],
-        train_speakers=[s for s in known if s != held_out],
-        test_speakers=[],
-    )
-    test = replace(
-        manifest,
-        records=[r for r in manifest.records if r.speaker_id == held_out],
-        train_speakers=[],
-        test_speakers=[held_out],
-    )
+    train = replace(manifest, records=[r for r in manifest.records if r.speaker_id != held_out])
+    test = replace(manifest, records=[r for r in manifest.records if r.speaker_id == held_out])
     return train, test
 
 

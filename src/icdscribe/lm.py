@@ -10,6 +10,8 @@ vocabulary word (and the unknown-word token) strictly positive.
 The model is one gram-count table per order.  Each context's next-word
 distribution over the sorted vocabulary is built once and memoized on the
 model, which never changes; `prob` reads it, `sample_next` draws from it.
+An lm-v2 document stores the weights and, per order, the sorted gram
+counts; the order, the vocabulary and the context totals are derived.
 
 Sentence starts are padded with an internal start marker so that short
 contexts near the beginning are still well defined.  There is no
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .schema import from_payload, read_document, to_payload, write_document
 
-LM_FORMAT = "lm-v1"
+LM_FORMAT = "lm-v2"
 SOS_MARKER = "<sos>"
 UNK_WORD = "<unk>"
 
@@ -67,9 +69,9 @@ def _padded_context(history, length):
 class InterpolatedLM:
     grams: list  # grams[k-1]: {(context..., word): count}
     lambdas: list  # one weight per order
-    vocabulary: frozenset
     # derived from the fields above; never saved or compared
     totals: list = field(init=False, repr=False, compare=False)  # totals[k-1]: {context: count}
+    vocabulary: frozenset = field(init=False, repr=False, compare=False)  # unigram words, <unk>
     words: list = field(init=False, repr=False, compare=False)  # sorted vocabulary
     # memos per Markov window (and word tuple): valid since an LM never changes
     _dist: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -88,6 +90,7 @@ class InterpolatedLM:
                 totals[gram[:-1]] = totals.get(gram[:-1], 0) + count
         if () not in self.totals[0]:
             raise ContractError("the model holds no unigram counts")
+        self.vocabulary = frozenset(word for (word,) in self.grams[0]) | {UNK_WORD}
         self.words = sorted(self.vocabulary)
 
     @property
@@ -112,8 +115,7 @@ def train_lm(corpus, max_order, lambdas=None):
             for k, table in enumerate(grams):
                 key = _padded_context(sentence[:i], k) + (word,)
                 table[key] = table.get(key, 0) + 1
-    vocab = frozenset(w for s in corpus.sentences for w in s) | {UNK_WORD}
-    return InterpolatedLM(grams, list(lambdas), vocab)
+    return InterpolatedLM(grams, list(lambdas))
 
 
 def _distribution(lm, history):
@@ -197,38 +199,24 @@ def sample_next(lm, history, rng):
 
 
 @dataclass
-class _OrderCounts:
-    order: int
-    counts: list[tuple[list[str], int]]  # [gram words, count], grams sorted
-
-
-@dataclass
 class _LmDocument:
-    """The lm-v1 payload: counts per order, from which context totals are rebuilt."""
+    """The lm-v2 payload: `counts[k-1]` holds the sorted [gram words, count] pairs of order k."""
 
-    max_order: int
     lambdas: list[float]
-    vocabulary: list[str]
-    orders: list[_OrderCounts]
+    counts: list[list[tuple[list[str], int]]]
 
     def __post_init__(self):
-        if self.max_order != len(self.lambdas):
-            raise ConfigError(f"max_order {self.max_order} needs as many weights, "
-                              f"got {len(self.lambdas)}")
-        for block in self.orders:
-            if not 1 <= block.order <= self.max_order or any(
-                c < 1 or len(gram) != block.order for gram, c in block.counts
-            ):
-                raise ConfigError(f"order {block.order} outside 1..{self.max_order}, "
-                                  "or a gram of another length, or a count below 1")
+        if len(self.counts) > MAX_ORDER:  # each order costs a pass per word, as in `train_lm`
+            raise ConfigError(f"{len(self.counts)} orders exceed the largest, {MAX_ORDER}")
+        for k, pairs in enumerate(self.counts, start=1):
+            if any(c < 1 or len(gram) != k for gram, c in pairs):
+                raise ConfigError(f"order {k} holds a gram of another length or a count below 1")
 
 
 def save_lm(lm, path):
-    """Serialize to the versioned lm-v1 structured-text format."""
-    orders = [_OrderCounts(k, [(list(gram), c) for gram, c in sorted(table.items())])
-              for k, table in enumerate(lm.grams, start=1)]
-    document = _LmDocument(lm.max_order, lm.lambdas, lm.words, orders)
-    write_document(path, LM_FORMAT, to_payload(document))
+    """Serialize to the versioned lm-v2 structured-text format."""
+    counts = [[(list(gram), c) for gram, c in sorted(table.items())] for table in lm.grams]
+    write_document(path, LM_FORMAT, to_payload(_LmDocument(lm.lambdas, counts)))
 
 
 def load_lm(path):
@@ -237,10 +225,8 @@ def load_lm(path):
 
 def _lm_from_payload(payload):
     doc = from_payload(_LmDocument, payload)
-    grams = [{} for _ in doc.lambdas]
-    for block in doc.orders:
-        grams[block.order - 1].update((tuple(gram), c) for gram, c in block.counts)
+    grams = [{tuple(gram): c for gram, c in pairs} for pairs in doc.counts]
     try:
-        return InterpolatedLM(grams, doc.lambdas, frozenset(doc.vocabulary))
+        return InterpolatedLM(grams, doc.lambdas)
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc

@@ -17,7 +17,7 @@ from icdscribe.checkpoint import (
 )
 from icdscribe.config import RunConfig, TrainingConfig
 from icdscribe.data import EOS, SOS, DatasetConfig, IcdCode, build_vocabulary
-from icdscribe.errors import ConfigError, ParseError, ValidationError
+from icdscribe.errors import ConfigError, ContractError, ParseError, ValidationError
 from icdscribe.fusion import FusionConfig, train_with_scheduled_lm_sampling
 from icdscribe.lm import Corpus, train_lm
 from icdscribe.model import ConvSpec, DecoderConfig, EncoderConfig
@@ -25,6 +25,7 @@ from icdscribe.schema import to_payload
 
 VOCAB = build_vocabulary([IcdCode("X", ["aa", "bb"])])
 LM = train_lm(Corpus([["aa", "bb"], ["bb", "aa"]]), max_order=2)
+ADAM = OptimizerConfig(lr=2e-3)
 
 
 def run_config(seed=3):
@@ -36,6 +37,7 @@ def run_config(seed=3):
             layers=1, beta=2, hidden=6,
         ),
         decoder=DecoderConfig(embedding_dim=4, hidden=6, attention_dim=3),
+        optimizer=ADAM,
         training=TrainingConfig(epochs=5),
     )
 
@@ -52,7 +54,7 @@ def fake_utterances():
 
 def touched_optimizer(model):
     """Optimizer whose moments are nonzero, so serialization is exercised."""
-    state = AdamState(model.values.size, OptimizerConfig(lr=2e-3))
+    state = AdamState(model.values.size, ADAM)
     for i, p in enumerate(model.named_parameters().values()):
         p.grad[...] = 0.01 * (i + 1)
     adam_step(model.values, model.grads, state)
@@ -115,7 +117,9 @@ class TestRoundTrip:
         payload = json.loads(header)
         compact = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert header == compact.encode("ascii") + b"\n"
-        assert payload["format"] == "ckpt-v2"
+        assert payload["format"] == "ckpt-v3"
+        assert payload["optimizer"] == state.step == 1
+        assert payload["config"]["optimizer"] == to_payload(ADAM)
         params = model.values.size
         assert len(raw) == len(header) + 8 * (params + 2 * params)
         arrays = [p.values for p in model.named_parameters().values()] + [state.m, state.v]
@@ -163,12 +167,12 @@ class TestRoundTrip:
             for kind, power in (("values", 1), ("m", 1), ("v", 2))
         }
         header = {
-            "format": "ckpt-v2",
+            "format": "ckpt-v3",
             "config": to_payload(config),
             "vocabulary": VOCAB.content_words,
             "step": 3,
             "parameters": [{"name": name, "shape": list(t.shape)} for name, t in named.items()],
-            "optimizer": {"lr": 0.002, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 7},
+            "optimizer": 7,
         }
         blob = b"".join(
             a.astype("<f8").tobytes() for kind in ("values", "m", "v") for a in arrays[kind]
@@ -189,6 +193,15 @@ class TestRoundTrip:
         resaved = tmp_path / "resaved.ckpt"
         save_checkpoint(resaved, rebuilt, VOCAB, loaded.config, step=3, optimizer=state)
         assert resaved.read_bytes() == path.read_bytes()
+
+    def test_optimizer_of_another_config_is_not_saved(self, tmp_path):
+        config = run_config()
+        model = fresh_model(config, VOCAB)
+        state = AdamState(model.values.size, replace(ADAM, beta2=0.99))
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ContractError, match="beta2=0.99"):
+            save_checkpoint(path, model, VOCAB, config, step=1, optimizer=state)
+        assert not path.exists()
 
     def test_missing_optimizer_state_is_explicit(self, tmp_path):
         config = run_config()
@@ -293,14 +306,14 @@ class TestResume:
         leg1_cfg = FusionConfig(lm_sample_max=0.5, ramp_frac=2 / 3)
 
         straight = fresh_model(config, VOCAB)
-        opt = AdamState(straight.values.size, OptimizerConfig(lr=2e-3))
+        opt = AdamState(straight.values.size, config.optimizer)
         wanted = train_with_scheduled_lm_sampling(
             straight, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt, seed=7,
             clip_norm=config.training.clip_norm,
         )
 
         first = fresh_model(config, VOCAB)
-        opt1 = AdamState(first.values.size, OptimizerConfig(lr=2e-3))
+        opt1 = AdamState(first.values.size, config.optimizer)
         leg1 = train_with_scheduled_lm_sampling(
             first, LM, VOCAB, utts, leg1_cfg, epochs=3, optimizer=opt1, seed=7,
             clip_norm=config.training.clip_norm,

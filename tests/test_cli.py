@@ -16,6 +16,7 @@ from icdscribe.audio import SpeakerProfile, synthesize_word, write_wav
 from icdscribe import autodiff, cli
 from icdscribe.checkpoint import build_model, load_checkpoint
 from icdscribe.cli import main
+from icdscribe.data import load_manifest
 from icdscribe.lm import load_lm, prob
 
 TINY_CONFIG = {
@@ -87,6 +88,8 @@ class TestGenerateData:
         stdout = capsys.readouterr().out
         assert "codes: 2" in stdout
         assert "vocabulary: 3 words" in stdout
+        assert "train utterances: 5 (speakers near)" in stdout
+        assert "test utterances: 5 (speaker far)" in stdout
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         out = tmp_path / "rerun"
@@ -216,6 +219,24 @@ class TestTrain:
         assert code == 2
         assert_one_line_error(err, "need at least one epoch", epochs)
         assert list(tmp_path.iterdir()) == []
+
+    def test_fresh_run_takes_the_dataset_settings_of_its_manifest(self, workspace, tmp_path):
+        dataset = {**TINY_CONFIG["dataset"],
+                   "frontend": {**TINY_CONFIG["dataset"]["frontend"], "window": 512, "hop": 200}}
+        made = tmp_path / "made.json"
+        made.write_text(json.dumps({**TINY_CONFIG, "dataset": dataset}), encoding="utf-8")
+        assert run(["generate-data", "--config", made, "--codes", workspace.codes,
+                    "--output", tmp_path / "data"])[0] == 0
+        # a run config without a dataset section: its defaults would featurize at 400/160
+        trained = tmp_path / "trained.json"
+        without = {k: v for k, v in TINY_CONFIG.items() if k != "dataset"}
+        trained.write_text(json.dumps({**without, "training": {"epochs": 1, "wer_every": 0}}),
+                           encoding="utf-8")
+        assert run(["train", "--config", trained, "--data", tmp_path / "data",
+                    "--lm", workspace.lm, "--output", tmp_path / "model.json"])[0] == 0
+        stored = load_checkpoint(tmp_path / "model.json").config.dataset
+        assert stored == load_manifest(tmp_path / "data" / "train.json").config
+        assert (stored.frontend.window, stored.frontend.hop) == (512, 200)
 
     def test_resume_past_the_horizon_exits_2(self, workspace, tmp_path, capsys):
         code = main(["train", "--data", str(workspace.data), "--lm", str(workspace.lm),
@@ -564,6 +585,7 @@ class TestMalformedInputs:
              "dataset.speakers: pitch_jitter"),
             ({"dataset": {"room": {"rt60": 2.001}}}, "dataset.room: rt60"),
             ({"dataset": {"gap_range": [0.1, 2.001]}}, "dataset: gap_range"),
+            ({"dataset": {"cap": 100_001}}, "dataset: cap"),
         ],
     )
     def test_config(self, tmp_path, payload, fragment):
@@ -601,16 +623,56 @@ class TestMalformedInputs:
         assert_one_line_error(err, str(path), "lambdas")
 
     def test_lm_with_a_huge_max_order(self, workspace, tmp_path):
-        payload = json.loads(workspace.lm.read_text(encoding="utf-8"))
-        payload.update(max_order=10**12, lambdas=[0.25, 0.25, 0.5])
         path = tmp_path / "lm.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_text(json.dumps(lm_v1(load_lm(workspace.lm), max_order=10**12)),
+                        encoding="utf-8")
         # `train` loads the LM first; a loader that allocates per declared order runs out of time
         with deadline(0.5):
             code, err = run(["train", "--data", workspace.data, "--lm", path,
                              "--output", tmp_path / "model.json"])
         assert code == 2
-        assert_one_line_error(err, str(path), "max_order 1000000000000", "got 3")
+        assert_one_line_error(err, str(path), '"lm-v1"', "lm-v2")
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda p: p["counts"].append([]), "3 orders, 2 weights"),
+            (lambda p: p["counts"][1][0][0].append("aa"), "order 2"),
+            (lambda p: p["counts"][0][0].__setitem__(1, 0), "count below 1"),
+            (lambda p: p.update(counts=p["counts"] + [[]] * 15, lambdas=[1 / 17] * 17),
+             "17 orders exceed the largest, 16"),
+        ],
+        ids=["extra-order", "gram-length", "zero-count", "seventeen-orders"],
+    )
+    def test_lm_v2(self, workspace, tmp_path, mutate, fragment):
+        payload = json.loads(workspace.lm.read_text(encoding="utf-8"))
+        mutate(payload)
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, err = run(["transcribe", workspace.data / "test.json",
+                         "--ckpt", workspace.ckpt, "--lm", path])
+        assert code == 2
+        assert_one_line_error(err, str(path), fragment)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda w, d: ["train", "--data", d, "--lm", w.lm, "--resume", w.ckpt,
+                          "--epochs", "3", "--output", d / "resumed.json"],
+            lambda w, d: ["evaluate", "--ckpt", w.ckpt, "--lm", w.lm,
+                          "--manifest", d / "train.json"],
+            lambda w, d: ["transcribe", d / "train.json", "--ckpt", w.ckpt, "--lm", w.lm],
+        ],
+        ids=["resume", "evaluate", "transcribe"],
+    )
+    def test_manifest_of_another_frontend(self, workspace, tmp_path, command):
+        payload = json.loads((workspace.data / "train.json").read_text(encoding="utf-8"))
+        payload["config"]["frontend"]["hop"] = 200
+        (tmp_path / "train.json").write_text(json.dumps(payload), encoding="utf-8")
+        code, err = run(command(workspace, tmp_path))
+        assert code == 2
+        assert_one_line_error(err, "dataset.frontend", "hop=200", "hop=160")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
 
     @pytest.mark.parametrize(
         "damage",
@@ -650,6 +712,14 @@ class TestMalformedInputs:
         assert code == 0
         written = json.loads((tmp_path / "out" / "config.json").read_text(encoding="utf-8"))
         assert written["dataset"]["room"]["snr_db"] is None
+
+
+def lm_v1(lm, max_order):
+    """`lm` as an lm-v1 document, which also stored the order, the vocabulary and block orders."""
+    orders = [{"order": k, "counts": [[list(gram), c] for gram, c in sorted(table.items())]}
+              for k, table in enumerate(lm.grams, start=1)]
+    return {"format": "lm-v1", "max_order": max_order, "lambdas": lm.lambdas,
+            "vocabulary": lm.words, "orders": orders}
 
 
 def json_paths(node, prefix=()):
@@ -748,7 +818,10 @@ class TestHostileArtifacts:
     def test_out_of_range_adam_header_exits_2(self, workspace, tmp_path, key, value):
         head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
         header = json.loads(head)
-        header["optimizer"][key] = value
+        if key == "step":
+            header["optimizer"] = value
+        else:
+            header["config"]["optimizer"][key] = value
         path = tmp_path / "adam.ckpt"
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
         for argv in (
@@ -792,4 +865,36 @@ class TestHostileArtifacts:
         code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", path,
                          "--lambda-lm", "0"])
         assert code == 2
-        assert_one_line_error(err, str(path), "'ckpt-v1'", "ckpt-v2", "retrain")
+        assert_one_line_error(err, str(path), "'ckpt-v1'", "ckpt-v3", "retrain")
+
+    def earlier_document(self, workspace, artifact):
+        """The workspace's `artifact` written in the format before this one."""
+        if artifact == "lm":
+            return json.dumps(lm_v1(load_lm(workspace.lm), max_order=2)).encode("utf-8")
+        if artifact == "manifest":
+            payload = json.loads((workspace.data / "test.json").read_text(encoding="utf-8"))
+            payload.update(format="manifest-v1", train_speakers=[], test_speakers=["far"])
+            return json.dumps(payload).encode("utf-8")
+        head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        adam = {**header["config"]["optimizer"], "step": header["optimizer"]}
+        header.update(format="ckpt-v2", optimizer=adam)
+        return json.dumps(header).encode("utf-8") + b"\n" + blob
+
+    @pytest.mark.parametrize(
+        "artifact, fragments",
+        [
+            ("manifest", ['"manifest-v1"', "manifest-v2"]),
+            ("lm", ['"lm-v1"', "lm-v2"]),
+            ("checkpoint", ["'ckpt-v2'", "ckpt-v3", "retrain"]),
+        ],
+    )
+    def test_earlier_format_exits_2_naming_it(self, workspace, tmp_path, artifact, fragments):
+        path = tmp_path / f"old-{artifact}"
+        path.write_bytes(self.earlier_document(workspace, artifact))
+        inputs = {"manifest": workspace.data / "test.json", "lm": workspace.lm,
+                  "checkpoint": workspace.ckpt, artifact: path}
+        code, err = run(["transcribe", inputs["manifest"], "--ckpt", inputs["checkpoint"],
+                         "--lm", inputs["lm"]])
+        assert code == 2
+        assert_one_line_error(err, str(path), *fragments)

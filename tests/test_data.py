@@ -50,7 +50,7 @@ def realize_all(code, repeats, cap, vocab=None):
     """Every planned utterance of one (code, SPEAKER) pair, realized."""
     config = DatasetConfig(repeats=repeats, cap=cap, speakers=[SPEAKER])
     plans = plan_variations(code, SPEAKER, repeats, cap, seed=0)
-    manifest = DatasetManifest(config, [code], plans, [SPEAKER.speaker_id], [])
+    manifest = DatasetManifest(config, [code], plans)
     return [realize_utterance(manifest, r, vocab) for r in plans]
 
 
@@ -308,7 +308,8 @@ class TestSplitBySpeaker:
         train, test = split_by_speaker(manifest, "spk1")
         assert {r.speaker_id for r in test.records} == {"spk1"}
         assert "spk1" not in {r.speaker_id for r in train.records}
-        assert set(train.train_speakers) & set(test.test_speakers) == set()
+        assert {r.speaker_id for r in train.records} == {"spk0"}
+        assert train.config == test.config == manifest.config
 
     def test_union_restores_original_records(self):
         manifest = self.make_manifest()
@@ -365,6 +366,6 @@ class TestManifestSerialization:
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"format": "manifest-v2"}')
-        with pytest.raises(ParseError):
+        path.write_text('{"format": "manifest-v9"}')
+        with pytest.raises(ParseError, match="manifest-v9"):
             load_manifest(path)

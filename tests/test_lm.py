@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +335,26 @@ class TestSerialization:
         save_lm(lm, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @given(
+        sentences=SENTENCES_ST,
+        weights=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=4),
+        histories=st.lists(st.lists(st.sampled_from(["a", "b", "c", "y"]), max_size=4),
+                           min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lm_v2_round_trip(self, sentences, weights, histories):
+        lambdas = [w / sum(weights) for w in weights]
+        lm = train_lm(Corpus(sentences), max_order=len(lambdas), lambdas=lambdas)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.lm"
+            save_lm(lm, path)
+            back = load_lm(path)
+        assert back.grams == lm.grams and back.lambdas == lm.lambdas
+        assert back.vocabulary == {w for s in sentences for w in s} | {"<unk>"}
+        for history in histories:
+            for w in ("a", "b", "c", "<unk>", "zebra"):
+                assert prob(back, w, history) == prob(lm, w, history)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.lm"
         path.write_text('{"format": "lm-v9", "max_order": 1}')
@@ -356,4 +378,4 @@ class TestConstruction:
     def test_weight_length_mismatch_rejected(self):
         grams = train_lm(TOY, max_order=2).grams
         with pytest.raises(ContractError):
-            InterpolatedLM(grams, [1.0], frozenset("ab"))
+            InterpolatedLM(grams, [1.0])
