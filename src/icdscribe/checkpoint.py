@@ -30,7 +30,7 @@ from .errors import ConfigError, ContractError, ValidationError
 from .model import Seq2SeqModel
 from .schema import atomic_write, decode_document, from_payload, to_payload
 
-CKPT_FORMAT = "ckpt-v3"
+CKPT_FORMAT = "ckpt-v4"
 
 
 @dataclass

@@ -246,10 +246,8 @@ def _decode_inputs(args, ckpt):
 def cmd_transcribe(args):
     ckpt = load_checkpoint(args.ckpt)
     model = build_model(ckpt)
-    cfg = ckpt.config.fusion
-    overrides = {"lambda_acoustic": args.lambda_acoustic, "lambda_lm": args.lambda_lm,
-                 "beam_width": args.beam}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    flags = {"lambda_lm": args.lambda_lm, "beam_width": args.beam}
+    cfg = dataclasses.replace(ckpt.config.fusion, **{k: v for k, v in flags.items() if v is not None})
     lm = _fusion_lm(args.lm, cfg, ckpt.vocabulary)
 
     lines = []
@@ -309,7 +307,6 @@ def _build_parser():
     p.add_argument("input", help="wav file or manifest JSON")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--lm", help="required unless --lambda-lm 0")
-    p.add_argument("--lambda-acoustic", type=float, dest="lambda_acoustic")
     p.add_argument("--lambda-lm", type=float, dest="lambda_lm")
     p.add_argument("--beam", type=int, help="beam width override")
     p.add_argument("--output", help="also write transcriptions to this file")

@@ -15,7 +15,7 @@ from .fusion import FusionConfig
 from .model import DecoderConfig, EncoderConfig
 from .schema import from_payload, read_document, to_payload, write_document
 
-CONFIG_FORMAT = "config-v2"
+CONFIG_FORMAT = "config-v3"
 
 
 @dataclass

@@ -11,19 +11,20 @@ sweep, which writes its whole gradient vector), global-norm clipping and
 an Adam step; the sweep's weight products and Adam's blocks share two
 threads (`autodiff.run_shared`).
 
-Decoding ranks hypotheses by a normalized convex combination of the
-acoustic and language-model log probabilities, divided by emitted token
-count so short hypotheses hold no advantage.  Beam search keeps the top
-candidates among completed hypotheses and every one-token extension of
-the active ones, which makes width 1 coincide with greedy decoding.  Only
-each active hypothesis's best `beam_width` extensions are built, since no
-other can enter the beam; all tokens are scored in one vector expression,
-with the LM's memoized next-word vector.
+Decoding ranks hypotheses by the shallow-fusion score
+`(log_acoustic + lambda_lm * log_lm) / (1 + lambda_lm)`, divided by the
+emitted token count so short hypotheses hold no advantage.  Beam search
+keeps the top candidates among completed hypotheses and every one-token
+extension of the active ones, which makes width 1 coincide with greedy
+decoding.  Only each active hypothesis's best `beam_width` extensions are
+built, since no other can enter the beam; all tokens are scored in one
+vector expression, with the LM's memoized next-word vector.
 `evaluate_dataset` transcribes a whole manifest and scores it.
 """
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,7 +41,6 @@ from .seeds import stable_seed
 
 @dataclass
 class FusionConfig:
-    lambda_acoustic: float = 1.0
     lambda_lm: float = 0.3
     beam_width: int = 4
     max_decode_len: int = 16
@@ -48,16 +48,12 @@ class FusionConfig:
     ramp_frac: float = 0.5
 
     def __post_init__(self):
-        if self.lambda_acoustic < 0 or self.lambda_lm < 0:
-            raise ConfigError("mixing weights must be nonnegative")
-        if self.lambda_acoustic + self.lambda_lm <= 0:
-            raise ConfigError("at least one mixing weight must be positive")
-        if not 0.0 <= self.lm_sample_max <= 1.0:
-            raise ConfigError(f"sampling probability {self.lm_sample_max} outside [0, 1]")
-        if not 0.0 <= self.ramp_frac <= 1.0:
-            raise ConfigError(f"ramp fraction {self.ramp_frac} outside [0, 1]")
-        if self.beam_width < 1:
-            raise ConfigError(f"beam width must be at least 1, got {self.beam_width}")
+        # a decode expands up to beam_width hypotheses a step for up to max_decode_len steps
+        ranges = {"lambda_lm": (0.0, sys.float_info.max), "lm_sample_max": (0.0, 1.0),
+                  "ramp_frac": (0.0, 1.0), "beam_width": (1, 64), "max_decode_len": (1, 256)}
+        for name, (low, high) in ranges.items():
+            if not low <= getattr(self, name) <= high:  # also false for NaN
+                raise ConfigError(f"{name} {getattr(self, name)} outside [{low:g}, {high:g}]")
 
 
 @dataclass
@@ -76,9 +72,8 @@ class Hypothesis:
 
 
 def fused_score(log_acoustic, log_lm, cfg):
-    """Normalized mix of the two log posteriors; higher is better (the weights' sum is positive)."""
-    total = cfg.lambda_acoustic + cfg.lambda_lm
-    return (cfg.lambda_acoustic * log_acoustic + cfg.lambda_lm * log_lm) / total
+    """Normalized mix of the two log posteriors, the acoustic one weighing 1; higher is better."""
+    return (log_acoustic + cfg.lambda_lm * log_lm) / (1.0 + cfg.lambda_lm)
 
 
 def lm_sample_probability(cfg, epoch, total_epochs):
@@ -232,8 +227,9 @@ def transcribe(model, lm, x, cfg, vocab):
 
 def evaluate_dataset(model, lm, manifest, cfg, seed, resamples):
     """Transcribe every utterance in a manifest and score the results."""
-    if resamples < 1:
-        raise ContractError(f"the bootstrap needs at least 1 resample, got {resamples}")
+    if not 1 <= resamples <= 10_000:  # the bootstrap holds int64 arrays of resamples x pairs
+        raise ContractError(f"the bootstrap needs at least 1 resample and at most 10000, "
+                            f"got {resamples}")
     vocab = manifest.vocabulary
     pairs = []
     for utt in iter_utterances(manifest):

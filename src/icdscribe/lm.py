@@ -1,17 +1,17 @@
 """Interpolated n-gram language model over ICD description text.
 
-Probabilities mix maximum-likelihood estimates of every order 1..n with
-nonnegative weights summing to one.  Orders whose context never occurred
-in training contribute nothing; their weight is redistributed
-proportionally across the orders that did see the context, so the
-conditional distribution stays proper.  A tiny floor keeps every
-vocabulary word (and the unknown-word token) strictly positive.
+Probabilities mix maximum-likelihood estimates of every order 1..n, each
+weighing 1/n.  Orders whose context never occurred in training contribute
+nothing; the mix is renormalized over the orders that did see the
+context, so the conditional distribution stays proper.  A tiny floor
+keeps every vocabulary word (and the unknown-word token) strictly
+positive.
 
 The model is one gram-count table per order.  Each context's next-word
 distribution over the sorted vocabulary is built once and memoized on the
 model, which never changes; `prob` reads it, `sample_next` draws from it.
-An lm-v2 document stores the weights and, per order, the sorted gram
-counts; the order, the vocabulary and the context totals are derived.
+An lm-v3 document stores, per order, the sorted gram counts; the order,
+the weights, the vocabulary and the context totals are derived.
 
 Sentence starts are padded with an internal start marker so that short
 contexts near the beginning are still well defined.  There is no
@@ -22,13 +22,14 @@ and sequence termination is the decoder's concern.
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
 from .schema import from_payload, read_document, to_payload, write_document
 
-LM_FORMAT = "lm-v2"
+LM_FORMAT = "lm-v3"
 SOS_MARKER = "<sos>"
 UNK_WORD = "<unk>"
 
@@ -68,8 +69,7 @@ def _padded_context(history, length):
 @dataclass
 class InterpolatedLM:
     grams: list  # grams[k-1]: {(context..., word): count}
-    lambdas: list  # one weight per order
-    # derived from the fields above; never saved or compared
+    # derived from the counts; never saved or compared
     totals: list = field(init=False, repr=False, compare=False)  # totals[k-1]: {context: count}
     vocabulary: frozenset = field(init=False, repr=False, compare=False)  # unigram words, <unk>
     words: list = field(init=False, repr=False, compare=False)  # sorted vocabulary
@@ -78,44 +78,34 @@ class InterpolatedLM:
     _next: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.grams) != len(self.lambdas):
-            raise ContractError(f"{len(self.grams)} orders, {len(self.lambdas)} weights")
-        if any(lam < 0 for lam in self.lambdas):
-            raise ContractError("interpolation weights must be nonnegative")
-        if abs(sum(self.lambdas) - 1.0) > 1e-12:
-            raise ContractError(f"interpolation weights sum to {sum(self.lambdas)}, expected 1")
         self.totals = [{} for _ in self.grams]
         for table, totals in zip(self.grams, self.totals):
             for gram, count in table.items():
                 totals[gram[:-1]] = totals.get(gram[:-1], 0) + count
-        if () not in self.totals[0]:
-            raise ContractError("the model holds no unigram counts")
         self.vocabulary = frozenset(word for (word,) in self.grams[0]) | {UNK_WORD}
         self.words = sorted(self.vocabulary)
 
     @property
     def max_order(self):
-        return len(self.lambdas)
+        return len(self.grams)
 
 
 # far above the longest bundled description (6 words); every order costs a pass per word
 MAX_ORDER = 16
 
 
-def train_lm(corpus, max_order, lambdas=None):
+def train_lm(corpus, max_order):
     if not 1 <= max_order <= MAX_ORDER:
         raise ContractError(f"max order must lie in 1..{MAX_ORDER}, got {max_order}")
     if not corpus.sentences:
         raise ContractError("cannot train a language model on an empty corpus")
-    if lambdas is None:
-        lambdas = [1.0 / max_order] * max_order
     grams = [{} for _ in range(max_order)]
     for sentence in corpus.sentences:
         for i, word in enumerate(sentence):
             for k, table in enumerate(grams):
                 key = _padded_context(sentence[:i], k) + (word,)
                 table[key] = table.get(key, 0) + 1
-    return InterpolatedLM(grams, list(lambdas))
+    return InterpolatedLM(grams)
 
 
 def _distribution(lm, history):
@@ -125,16 +115,16 @@ def _distribution(lm, history):
     if vector is None:
         counts = np.array([lm.grams[0].get((w,), 0) for w in lm.words])
         unigram = (counts / lm.totals[0][()] + _FLOOR) / (1.0 + _FLOOR * len(lm.vocabulary))
-        weight, mass = lm.lambdas[0], lm.lambdas[0] * unigram
+        weight = 1.0 / lm.max_order  # of each order
+        seen, mass = weight, weight * unigram
         for k in range(2, lm.max_order + 1):
             context = window[-(k - 1):]
             total = lm.totals[k - 1].get(context)
             if total is not None:  # orders that never saw the context give up their weight
                 counts = np.array([lm.grams[k - 1].get(context + (w,), 0) for w in lm.words])
-                weight += lm.lambdas[k - 1]
-                mass += lm.lambdas[k - 1] * (counts / total)
-        # every weighted order missed its context: fall back to the unigram
-        vector = mass / weight if weight > 0.0 else unigram
+                seen += weight
+                mass += weight * (counts / total)
+        vector = mass / seen
         vector.flags.writeable = False
         lm._dist[window] = vector
     return vector
@@ -200,9 +190,8 @@ def sample_next(lm, history, rng):
 
 @dataclass
 class _LmDocument:
-    """The lm-v2 payload: `counts[k-1]` holds the sorted [gram words, count] pairs of order k."""
+    """The lm-v3 payload: `counts[k-1]` holds the sorted [gram words, count] pairs of order k."""
 
-    lambdas: list[float]
     counts: list[list[tuple[list[str], int]]]
 
     def __post_init__(self):
@@ -211,12 +200,19 @@ class _LmDocument:
         for k, pairs in enumerate(self.counts, start=1):
             if any(c < 1 or len(gram) != k for gram, c in pairs):
                 raise ConfigError(f"order {k} holds a gram of another length or a count below 1")
+            misplaced = next((b for (a, _), (b, _) in pairwise(pairs) if b <= a), None)
+            if misplaced is not None:  # `save_lm` writes each gram once, in sorted order
+                raise ConfigError(f"order {k} lists {misplaced!r:.60} twice or out of sorted order")
+        # `train_lm` counts each corpus word once in every order
+        words = [sum(c for _, c in pairs) for pairs in self.counts]
+        if len(set(words)) != 1 or words[0] < 1:
+            raise ConfigError(f"the orders count {words} words, not one positive number")
 
 
 def save_lm(lm, path):
-    """Serialize to the versioned lm-v2 structured-text format."""
+    """Serialize to the versioned lm-v3 structured-text format."""
     counts = [[(list(gram), c) for gram, c in sorted(table.items())] for table in lm.grams]
-    write_document(path, LM_FORMAT, to_payload(_LmDocument(lm.lambdas, counts)))
+    write_document(path, LM_FORMAT, to_payload(_LmDocument(counts)))
 
 
 def load_lm(path):
@@ -225,8 +221,4 @@ def load_lm(path):
 
 def _lm_from_payload(payload):
     doc = from_payload(_LmDocument, payload)
-    grams = [{tuple(gram): c for gram, c in pairs} for pairs in doc.counts]
-    try:
-        return InterpolatedLM(grams, doc.lambdas)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
+    return InterpolatedLM([{tuple(gram): c for gram, c in pairs} for pairs in doc.counts])

@@ -414,6 +414,16 @@ class TestEvaluate:
         assert code == 2
         assert_one_line_error(err, "at least 1 resample", count)
 
+    def test_resamples_above_ten_thousand_exit_2_before_decoding(self, workspace, monkeypatch):
+        def no_decode(*args):
+            raise AssertionError("an utterance was decoded")
+
+        monkeypatch.setattr("icdscribe.fusion.transcribe", no_decode)
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm,
+                         "--manifest", workspace.data / "test.json", "--resamples", "10001"])
+        assert code == 2
+        assert_one_line_error(err, "at most 10000", "10001")
+
     def test_missing_checkpoint_exits_3(self, workspace, tmp_path):
         assert main(["evaluate", "--ckpt", str(tmp_path / "nope.json"),
                      "--lm", str(workspace.lm),
@@ -435,6 +445,19 @@ class TestTranscribe:
         assert main(["transcribe", str(workspace.data / "test.json"),
                      "--ckpt", str(workspace.ckpt), "--lambda-lm", "0"]) == 0
         assert capsys.readouterr().out.strip()
+
+    def test_beam_above_the_bound_exits_2(self, workspace, capsys):
+        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", workspace.ckpt,
+                         "--lambda-lm", "0", "--beam", "100000"])
+        assert code == 2
+        assert_one_line_error(err, "beam_width 100000 outside [1, 64]")
+
+    def test_acoustic_weight_is_no_option(self, workspace, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["transcribe", str(workspace.data / "test.json"), "--ckpt", str(workspace.ckpt),
+                  "--lambda-lm", "0", "--lambda-acoustic", "1"])
+        assert stop.value.code == 2
+        assert "--lambda-acoustic" in capsys.readouterr().err
 
     def test_missing_lm_with_positive_weight_exits_2(self, workspace, capsys):
         code = main(["transcribe", str(workspace.data / "test.json"),
@@ -586,6 +609,11 @@ class TestMalformedInputs:
             ({"dataset": {"room": {"rt60": 2.001}}}, "dataset.room: rt60"),
             ({"dataset": {"gap_range": [0.1, 2.001]}}, "dataset: gap_range"),
             ({"dataset": {"cap": 100_001}}, "dataset: cap"),
+            ({"fusion": {"lambda_acoustic": 1.0}}, "fusion.lambda_acoustic"),
+            ({"format": "config-v2", "fusion": {"lambda_acoustic": 1.0}}, "'config-v2'"),
+            ({"fusion": {"beam_width": 65}}, "fusion: beam_width 65 outside [1, 64]"),
+            ({"fusion": {"max_decode_len": 0}}, "fusion: max_decode_len 0 outside [1, 256]"),
+            ({"fusion": {"max_decode_len": 257}}, "fusion: max_decode_len 257 outside [1, 256]"),
         ],
     )
     def test_config(self, tmp_path, payload, fragment):
@@ -613,14 +641,25 @@ class TestMalformedInputs:
         assert_one_line_error(err, fragment)
 
     def test_lm_without_lambdas(self, workspace, tmp_path):
+        """An lm-v2 document stripped of its `lambdas` is still lm-v2: its tag decides."""
         payload = json.loads(workspace.lm.read_text(encoding="utf-8"))
-        del payload["lambdas"]
+        payload["format"] = "lm-v2"
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         code, err = run(["transcribe", workspace.data / "test.json",
                          "--ckpt", workspace.ckpt, "--lm", path])
         assert code == 2
-        assert_one_line_error(err, str(path), "lambdas")
+        assert_one_line_error(err, str(path), '"lm-v2"', "lm-v3")
+
+    def test_lm_with_lambdas(self, workspace, tmp_path):
+        payload = json.loads(workspace.lm.read_text(encoding="utf-8"))
+        payload["lambdas"] = [0.5, 0.5]  # the weights follow from the order
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, err = run(["transcribe", workspace.data / "test.json",
+                         "--ckpt", workspace.ckpt, "--lm", path])
+        assert code == 2
+        assert_one_line_error(err, str(path), "unknown key 'lambdas'")
 
     def test_lm_with_a_huge_max_order(self, workspace, tmp_path):
         path = tmp_path / "lm.json"
@@ -631,18 +670,22 @@ class TestMalformedInputs:
             code, err = run(["train", "--data", workspace.data, "--lm", path,
                              "--output", tmp_path / "model.json"])
         assert code == 2
-        assert_one_line_error(err, str(path), '"lm-v1"', "lm-v2")
+        assert_one_line_error(err, str(path), '"lm-v1"', "lm-v3")
 
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
-            (lambda p: p["counts"].append([]), "3 orders, 2 weights"),
+            (lambda p: p["counts"].append([]), "the orders count ["),
             (lambda p: p["counts"][1][0][0].append("aa"), "order 2"),
             (lambda p: p["counts"][0][0].__setitem__(1, 0), "count below 1"),
-            (lambda p: p.update(counts=p["counts"] + [[]] * 15, lambdas=[1 / 17] * 17),
-             "17 orders exceed the largest, 16"),
+            (lambda p: p["counts"].extend([[]] * 15), "17 orders exceed the largest, 16"),
+            (lambda p: p.update(counts=[[[["a"], 1], [["a"], 5], [["b"], 1]]]),
+             "order 1 lists ['a'] twice or out of sorted order"),
+            (lambda p: p["counts"][1].insert(0, p["counts"][1].pop()), "order 2 lists"),
+            (lambda p: p["counts"][0][0].__setitem__(1, 99), "the orders count ["),
         ],
-        ids=["extra-order", "gram-length", "zero-count", "seventeen-orders"],
+        ids=["extra-order", "gram-length", "zero-count", "seventeen-orders", "duplicate-gram",
+             "out-of-order", "unequal-orders"],
     )
     def test_lm_v2(self, workspace, tmp_path, mutate, fragment):
         payload = json.loads(workspace.lm.read_text(encoding="utf-8"))
@@ -718,7 +761,8 @@ def lm_v1(lm, max_order):
     """`lm` as an lm-v1 document, which also stored the order, the vocabulary and block orders."""
     orders = [{"order": k, "counts": [[list(gram), c] for gram, c in sorted(table.items())]}
               for k, table in enumerate(lm.grams, start=1)]
-    return {"format": "lm-v1", "max_order": max_order, "lambdas": lm.lambdas,
+    lambdas = [1 / lm.max_order] * lm.max_order
+    return {"format": "lm-v1", "max_order": max_order, "lambdas": lambdas,
             "vocabulary": lm.words, "orders": orders}
 
 
@@ -865,28 +909,30 @@ class TestHostileArtifacts:
         code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", path,
                          "--lambda-lm", "0"])
         assert code == 2
-        assert_one_line_error(err, str(path), "'ckpt-v1'", "ckpt-v3", "retrain")
+        assert_one_line_error(err, str(path), "'ckpt-v1'", "ckpt-v4", "retrain")
 
     def earlier_document(self, workspace, artifact):
         """The workspace's `artifact` written in the format before this one."""
         if artifact == "lm":
-            return json.dumps(lm_v1(load_lm(workspace.lm), max_order=2)).encode("utf-8")
+            payload = json.loads(workspace.lm.read_text(encoding="utf-8"))
+            payload.update(format="lm-v2", lambdas=[0.5, 0.5])
+            return json.dumps(payload).encode("utf-8")
         if artifact == "manifest":
             payload = json.loads((workspace.data / "test.json").read_text(encoding="utf-8"))
             payload.update(format="manifest-v1", train_speakers=[], test_speakers=["far"])
             return json.dumps(payload).encode("utf-8")
         head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
         header = json.loads(head)
-        adam = {**header["config"]["optimizer"], "step": header["optimizer"]}
-        header.update(format="ckpt-v2", optimizer=adam)
+        header["config"]["fusion"]["lambda_acoustic"] = 1.0
+        header.update(format="ckpt-v3")
         return json.dumps(header).encode("utf-8") + b"\n" + blob
 
     @pytest.mark.parametrize(
         "artifact, fragments",
         [
             ("manifest", ['"manifest-v1"', "manifest-v2"]),
-            ("lm", ['"lm-v1"', "lm-v2"]),
-            ("checkpoint", ["'ckpt-v2'", "ckpt-v3", "retrain"]),
+            ("lm", ['"lm-v2"', "lm-v3"]),
+            ("checkpoint", ["'ckpt-v3'", "ckpt-v4", "retrain"]),
         ],
     )
     def test_earlier_format_exits_2_naming_it(self, workspace, tmp_path, artifact, fragments):

@@ -106,7 +106,7 @@ class TestValidation:
 
     def test_section_validators_fire_through_from_dict(self):
         with pytest.raises(ConfigError):
-            RunConfig.from_dict({"fusion": {"lambda_acoustic": -1.0}})
+            RunConfig.from_dict({"fusion": {"lambda_lm": -1.0}})
 
     def test_serialized_document_is_plain_json(self):
         json.dumps(to_payload(RunConfig()))

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,32 +121,55 @@ def exhaustive_best(model, lm, cfg):
     return best
 
 
+LOG_SCORE_ST = st.floats(min_value=-1e6, max_value=0.0)
+
+
 class TestFusedScore:
     def test_unit_weights_average(self):
-        cfg = FusionConfig(lambda_acoustic=1.0, lambda_lm=1.0)
+        cfg = FusionConfig(lambda_lm=1.0)
         assert fused_score(-2.0, -4.0, cfg) == pytest.approx(-3.0)
 
     def test_acoustic_only_degenerates(self):
-        cfg = FusionConfig(lambda_acoustic=1.0, lambda_lm=0.0)
+        cfg = FusionConfig(lambda_lm=0.0)
         assert fused_score(-2.7, -99.0, cfg) == -2.7
 
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ConfigError):
-            FusionConfig(lambda_acoustic=0.0, lambda_lm=0.0)
-        with pytest.raises(ConfigError):
-            FusionConfig(lambda_acoustic=-1.0, lambda_lm=2.0)
+    def test_negative_or_non_finite_weight_rejected(self):
+        for lambda_lm in (-1.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(ConfigError, match=re.escape("outside [0, 1.79769e+308]")):
+                FusionConfig(lambda_lm=lambda_lm)
 
-    def test_scaling_weights_preserves_ranking(self):
-        rng = np.random.default_rng(3)
-        scores = [(-float(a), -float(l)) for a, l in rng.uniform(0.1, 9.0, size=(20, 2))]
-        base = FusionConfig(lambda_acoustic=1.0, lambda_lm=0.3)
-        for kappa in (0.37, 5.0):
-            scaled = FusionConfig(lambda_acoustic=kappa, lambda_lm=0.3 * kappa)
-            order_base = sorted(range(20), key=lambda i: fused_score(*scores[i], base))
-            order_scaled = sorted(range(20), key=lambda i: fused_score(*scores[i], scaled))
-            assert order_base == order_scaled
-            for la, ll in scores:
-                assert fused_score(la, ll, scaled) == pytest.approx(fused_score(la, ll, base))
+    @given(
+        log_acoustic=st.lists(LOG_SCORE_ST, min_size=1, max_size=6),
+        log_lm=LOG_SCORE_ST,
+        lambda_lm=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_two_weight_form_at_unit_acoustic_weight(
+        self, log_acoustic, log_lm, lambda_lm
+    ):
+        """Bit for bit the score of the former (lambda_acoustic, lambda_lm) pair at (1.0, λ)."""
+        lambda_acoustic = 1.0
+
+        def two_weight_form(la, ll):
+            total = lambda_acoustic + lambda_lm
+            return (lambda_acoustic * la + lambda_lm * ll) / total
+
+        cfg = FusionConfig(lambda_lm=lambda_lm)
+        for la in log_acoustic:
+            assert fused_score(la, log_lm, cfg) == two_weight_form(la, log_lm)
+        vector_a, vector_l = np.array(log_acoustic), np.full(len(log_acoustic), log_lm)
+        got = fused_score(vector_a, vector_l, cfg)
+        assert got.tobytes() == two_weight_form(vector_a, vector_l).tobytes()
+
+
+class TestConfigBounds:
+    def test_decode_sizes_accept_exactly_their_ranges(self):
+        FusionConfig(beam_width=1, max_decode_len=1)
+        FusionConfig(beam_width=64, max_decode_len=256)
+        for field, value in [("beam_width", 0), ("beam_width", 65), ("max_decode_len", 0),
+                             ("max_decode_len", 257)]:
+            with pytest.raises(ConfigError, match=f"{field} {value} outside"):
+                FusionConfig(**{field: value})
 
 
 class TestSchedule:
@@ -340,7 +364,7 @@ class TestBeamSearch:
                 (1, 5): [1e-12, 1e-12, 0.30, 1e-12, 0.36, 0.34],
             }
         )
-        cfg = FusionConfig(lambda_lm=0.5, beam_width=100, max_decode_len=3)
+        cfg = FusionConfig(lambda_lm=0.5, beam_width=64, max_decode_len=3)
         best = beam_search_decode(flat, LM, DUMMY_SPEC, cfg, VOCAB)
         oracle = exhaustive_best(flat, LM, cfg)
         assert best.tokens == oracle["tokens"]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from icdscribe.errors import ContractError, ParseError
 from icdscribe.lm import (
     Corpus,
-    InterpolatedLM,
     load_lm,
     next_logprobs,
     normalize_line,
@@ -37,8 +36,8 @@ def scan_count(sentences, gram):
     return hits
 
 
-def oracle_prob(sentences, word, history, max_order, lambdas):
-    """Interpolated probability recomputed from scratch per query."""
+def oracle_prob(sentences, word, history, max_order):
+    """Interpolated probability recomputed from scratch per query; each order weighs 1/max_order."""
     vocab = {w for s in sentences for w in s} | {"<unk>"}
     if word not in vocab:
         word = "<unk>"
@@ -50,19 +49,16 @@ def oracle_prob(sentences, word, history, max_order, lambdas):
     for k in range(1, max_order + 1):
         if k == 1:
             p1 = scan_count(sentences, (word,)) / total_words
-            estimates.append((lambdas[0], (p1 + floor) / (1.0 + floor * len(vocab))))
+            estimates.append((1.0 / max_order, (p1 + floor) / (1.0 + floor * len(vocab))))
             continue
         context = tuple(history[-(k - 1):])
         context = ("<sos>",) * (k - 1 - len(context)) + context
         ctx_total = sum(scan_count(sentences, context + (w,)) for w in vocab)
         if ctx_total == 0:
             continue
-        estimates.append((lambdas[k - 1], scan_count(sentences, context + (word,)) / ctx_total))
+        estimates.append((1.0 / max_order, scan_count(sentences, context + (word,)) / ctx_total))
 
     weight = sum(lam for lam, _ in estimates)
-    if weight <= 0:
-        p1 = scan_count(sentences, (word,)) / total_words
-        return (p1 + floor) / (1.0 + floor * len(vocab))
     return sum(lam * p for lam, p in estimates) / weight
 
 
@@ -90,9 +86,9 @@ class TestTraining:
         assert lm.totals[1][("a",)] == 2
 
     def test_default_weights_are_uniform(self):
-        corpus = Corpus([["a"] * 12])
-        lm = train_lm(corpus, max_order=10)
-        assert lm.lambdas == pytest.approx([0.1] * 10)
+        lm = train_lm(TOY, max_order=10)
+        # after "a" every order gives b 0.5, but the unigram gives it 0.25
+        assert prob(lm, "b", ["a"]) == pytest.approx((0.25 + 9 * 0.5) / 10, abs=1e-8)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractError):
@@ -106,12 +102,6 @@ class TestTraining:
         assert train_lm(TOY, max_order=16).max_order == 16
         with pytest.raises(ContractError, match=r"max order must lie in 1\.\.16, got 17"):
             train_lm(TOY, max_order=17)
-
-    def test_weight_invariants_enforced(self):
-        with pytest.raises(ContractError):
-            train_lm(TOY, max_order=2, lambdas=[0.7, 0.7])
-        with pytest.raises(ContractError):
-            train_lm(TOY, max_order=2, lambdas=[1.5, -0.5])
 
     def test_gram_counts_never_exceed_context_totals(self):
         corpus = Corpus([["a", "b", "a"], ["b", "b", "c", "a"]])
@@ -133,7 +123,7 @@ class TestTraining:
 
 class TestProb:
     def test_toy_interpolated_value(self):
-        lm = train_lm(TOY, max_order=2, lambdas=[0.5, 0.5])
+        lm = train_lm(TOY, max_order=2)
         assert prob(lm, "b", ["a"]) == pytest.approx(0.375, abs=1e-8)
 
     def test_unigram_model_is_relative_frequency(self):
@@ -142,7 +132,7 @@ class TestProb:
         assert prob(lm, "b", []) == pytest.approx(0.25, abs=1e-8)
 
     def test_history_truncated_to_markov_window(self):
-        lm = train_lm(TOY, max_order=2, lambdas=[0.5, 0.5])
+        lm = train_lm(TOY, max_order=2)
         long_history = ["c", "b", "c", "b", "a"]
         assert prob(lm, "b", long_history) == prob(lm, "b", ["a"])
 
@@ -153,14 +143,10 @@ class TestProb:
             mass = sum(prob(lm, w, history) for w in lm.vocabulary)
             assert mass == pytest.approx(1.0, abs=1e-9)
 
-    def test_top_weight_degenerates_to_pure_estimate(self):
-        lm = train_lm(TOY, max_order=2, lambdas=[0.0, 1.0])
-        assert prob(lm, "b", ["a"]) == 0.5
-        assert prob(lm, "c", ["a"]) == 0.5
-
     def test_unseen_context_falls_back_to_unigram(self):
-        lm = train_lm(TOY, max_order=2, lambdas=[0.0, 1.0])
+        lm = train_lm(TOY, max_order=2)  # the bigram context ("c",) never occurs
         assert prob(lm, "a", ["c"]) == pytest.approx(0.5, abs=1e-8)
+        assert prob(lm, "a", ["c"]) == prob(train_lm(TOY, max_order=1), "a", [])
 
     def test_unknown_word_gets_floor_probability(self):
         lm = train_lm(TOY, max_order=2)
@@ -194,9 +180,8 @@ class TestOracleEquivalence:
     )
     @settings(max_examples=120, deadline=None)
     def test_matches_direct_count_oracle(self, sentences, word, history, max_order):
-        lambdas = [1.0 / max_order] * max_order
         lm = train_lm(Corpus(sentences), max_order=max_order)
-        expected = oracle_prob(sentences, word, history, max_order, lambdas)
+        expected = oracle_prob(sentences, word, history, max_order)
         assert prob(lm, word, history) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
@@ -246,7 +231,7 @@ class TestSentenceLogprob:
         assert sentence_logprob(lm, ["b"]) == pytest.approx(math.log(0.25), abs=1e-8)
 
     def test_in_corpus_sentence_beats_permutation(self):
-        lm = train_lm(TOY, max_order=2, lambdas=[0.5, 0.5])
+        lm = train_lm(TOY, max_order=2)
         assert sentence_logprob(lm, ["a", "b"]) > sentence_logprob(lm, ["b", "a"])
 
     def test_appending_never_increases_logprob(self):
@@ -320,7 +305,6 @@ class TestSerialization:
         save_lm(lm, path)
         back = load_lm(path)
         assert back.max_order == lm.max_order
-        assert back.lambdas == lm.lambdas
         assert back.vocabulary == lm.vocabulary
         assert back.grams == lm.grams
         assert back.totals == lm.totals
@@ -337,19 +321,18 @@ class TestSerialization:
 
     @given(
         sentences=SENTENCES_ST,
-        weights=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=4),
+        max_order=st.integers(min_value=1, max_value=4),
         histories=st.lists(st.lists(st.sampled_from(["a", "b", "c", "y"]), max_size=4),
                            min_size=1, max_size=4),
     )
     @settings(max_examples=60, deadline=None)
-    def test_lm_v2_round_trip(self, sentences, weights, histories):
-        lambdas = [w / sum(weights) for w in weights]
-        lm = train_lm(Corpus(sentences), max_order=len(lambdas), lambdas=lambdas)
+    def test_lm_v2_round_trip(self, sentences, max_order, histories):
+        lm = train_lm(Corpus(sentences), max_order=max_order)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.lm"
             save_lm(lm, path)
             back = load_lm(path)
-        assert back.grams == lm.grams and back.lambdas == lm.lambdas
+        assert back.grams == lm.grams and back.max_order == max_order
         assert back.vocabulary == {w for s in sentences for w in s} | {"<unk>"}
         for history in histories:
             for w in ("a", "b", "c", "<unk>", "zebra"):
@@ -372,10 +355,3 @@ class TestPerplexity:
         sentences = [["a", "b", "c"], ["a", "b", "d"]]
         lm = train_lm(Corpus(sentences), max_order=2)
         assert perplexity(lm, sentences) < perplexity(lm, [["c", "b", "a"], ["d", "b", "a"]])
-
-
-class TestConstruction:
-    def test_weight_length_mismatch_rejected(self):
-        grams = train_lm(TOY, max_order=2).grams
-        with pytest.raises(ContractError):
-            InterpolatedLM(grams, [1.0])

@@ -1,8 +1,11 @@
+import argparse
+import re
 from pathlib import Path
 
 import pytest
 
 from icdscribe.checkpoint import CKPT_FORMAT
+from icdscribe.cli import _build_parser
 from icdscribe.config import CONFIG_FORMAT
 from icdscribe.data import MANIFEST_FORMAT
 from icdscribe.lm import LM_FORMAT
@@ -18,6 +21,32 @@ def section(title):
     return text[start : end if end >= 0 else len(text)]
 
 
+def subcommand_options():
+    """{subcommand: the option strings its parser defines, without --help}."""
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return {name: {s for a in parser._actions for s in a.option_strings
+                   if s not in ("-h", "--help")}
+            for name, parser in subparsers.choices.items()}
+
+
+def options_named(text):
+    return set(re.findall(r"--[a-z][a-z-]*", text))
+
+
 @pytest.mark.parametrize("tag", [CONFIG_FORMAT, MANIFEST_FORMAT, LM_FORMAT, CKPT_FORMAT])
 def test_artifacts_section_names_the_current_format(tag):
     assert f"`{tag}`" in section("Artifacts")
+
+
+@pytest.mark.parametrize("command, defined", sorted(subcommand_options().items()))
+def test_cli_reference_names_exactly_the_options_of_each_subcommand(command, defined):
+    paragraphs = [p for p in section("CLI reference").split("\n\n")
+                  if p.startswith(f"`icdscribe {command} ")]
+    assert len(paragraphs) == 1, command
+    assert options_named(paragraphs[0]) == defined
+
+
+def test_cli_reference_names_no_option_that_no_subcommand_defines():
+    defined = set().union(*subcommand_options().values())
+    assert options_named(section("CLI reference")) <= defined
