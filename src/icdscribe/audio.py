@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .schema import INF_AS_NULL
 from .seeds import stable_seed
 
@@ -284,7 +284,7 @@ def write_wav(path, w):
 
 
 def read_wav(path):
-    """Mono 16-bit PCM audio; a file that is not a complete wav raises ConfigError."""
+    """Mono 16-bit PCM audio; a file that is not a complete wav raises ContractError."""
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
@@ -295,6 +295,6 @@ def read_wav(path):
                 raise wave.Error("data ends mid-sample")
     except (wave.Error, EOFError) as exc:
         detail = str(exc) or "it ends early"
-        raise ConfigError(f"{path} is not a readable wav file: {detail}") from None
+        raise ContractError(f"{path} is not a readable wav file: {detail}") from None
     pcm = np.frombuffer(raw, dtype="<i2")
     return Waveform(pcm.astype(np.float64) / 32767.0, rate)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ContractError
 
 
 class Tensor:
@@ -80,11 +80,11 @@ def backward(logits, targets, sweep):
     parameter's gradient into its view.  Returns the loss as a float.
     """
     if logits.ndim != 2:
-        raise ShapeError(f"cross entropy expects [n, V] logits, got {logits.shape}")
+        raise ContractError(f"cross entropy expects [n, V] logits, got {logits.shape}")
     targets = np.asarray(targets, dtype=np.int64)
     n, vocab = logits.shape
     if targets.ndim != 1 or targets.size != n:
-        raise ShapeError(f"expected {n} targets, got shape {targets.shape}")
+        raise ContractError(f"expected {n} targets, got shape {targets.shape}")
     if n < 1:
         raise ContractError("cross entropy needs at least one row")
     if targets.min() < 0 or targets.max() >= vocab:
@@ -329,12 +329,12 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+            raise ContractError(f"learning rate must be positive, got {self.lr}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ConfigError("moment decay rates must lie in [0, 1)")
+            raise ContractError("moment decay rates must lie in [0, 1)")
         if self.eps <= 0:
             # a zero eps divides 0 by 0 wherever a gradient has been zero so far
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+            raise ContractError(f"eps must be positive, got {self.eps}")
 
 
 # elements per block, chosen by timing 8k-128k: a block's five operands (values,

@@ -26,7 +26,7 @@ import numpy as np
 from .autodiff import AdamState
 from .config import RunConfig
 from .data import Vocabulary
-from .errors import ConfigError, ContractError, ValidationError
+from .errors import ContractError
 from .model import Seq2SeqModel
 from .schema import atomic_write, decode_document, from_payload, to_payload
 
@@ -40,7 +40,7 @@ class ParameterEntry:
 
     def __post_init__(self):
         if any(dim < 0 for dim in self.shape):
-            raise ConfigError(f"shape {list(self.shape)} has a negative dimension")
+            raise ContractError(f"shape {list(self.shape)} has a negative dimension")
 
 
 @dataclass
@@ -53,8 +53,8 @@ class CheckpointHeader:
 
     def __post_init__(self):
         if self.optimizer is not None and (type(self.optimizer) is not int or self.optimizer < 0):
-            raise ConfigError(f"'optimizer' must be Adam's update count, an int >= 0, or null; "
-                              f"got {json.dumps(self.optimizer)[:40]}")
+            raise ContractError(f"'optimizer' must be Adam's update count, an int >= 0, or null; "
+                                f"got {json.dumps(self.optimizer)[:40]}")
 
 
 @dataclass
@@ -113,36 +113,18 @@ def load_checkpoint(path):
     """The checkpoint at `path`: its parameter vector is read and checked, Adam's is not read."""
     with open(path, "rb") as fh:
         line = fh.readline()
-        header = line.removesuffix(b"\n")
-        found = _declared_format(header)
-        if found != CKPT_FORMAT:
-            # A whole-file JSON document, such as a ckpt-v1 checkpoint, still names its format.
-            found = found or _declared_format(line + fh.read())
-            raise ConfigError(
-                f"{path}: not a {CKPT_FORMAT} checkpoint (format {found!r:.40}); "
-                "retrain to write one"
-            )
         blob_bytes = os.fstat(fh.fileno()).st_size - len(line)
-        return decode_document(path, header, CKPT_FORMAT,
+        return decode_document(path, line.removesuffix(b"\n"), CKPT_FORMAT,
                                lambda p: _checkpoint_from_header(p, path, fh, blob_bytes))
-
-
-def _declared_format(data):
-    """The format tag of the JSON mapping that the bytes `data` start with, or None."""
-    try:
-        payload = json.JSONDecoder().raw_decode(data.decode("utf-8", "replace"))[0]
-    except (ValueError, RecursionError):
-        return None
-    return payload.get("format") if isinstance(payload, dict) else None
 
 
 def _read_finite(fh, count, what):
     """`count` float64s read from `fh`; a short read or a non-finite value raises."""
     values = np.empty(count, dtype="<f8")
     if fh.readinto(values) != values.nbytes:
-        raise ConfigError(f"{what} ends early")
+        raise ContractError(f"{what} ends early")
     if not np.isfinite(values).all():
-        raise ConfigError(f"{what} holds a non-finite value")
+        raise ContractError(f"{what} holds a non-finite value")
     return values
 
 
@@ -151,9 +133,10 @@ def _checkpoint_from_header(payload, path, fh, blob_bytes):
     count = sum(math.prod(entry.shape) for entry in header.parameters)
     stored = count * (1 if header.optimizer is None else 3)
     if blob_bytes != 8 * stored:
-        raise ConfigError(f"blob holds {blob_bytes} bytes, header declares {stored} float64 values")
+        raise ContractError(f"blob holds {blob_bytes} bytes, "
+                            f"header declares {stored} float64 values")
     if len({entry.name for entry in header.parameters}) != len(header.parameters):
-        raise ConfigError("a parameter name appears twice")
+        raise ContractError("a parameter name appears twice")
     values = _read_finite(fh, count, "the parameter vector")
     return Checkpoint(header.config, Vocabulary(header.vocabulary), header.parameters,
                       header.step, header.optimizer, blob=values, path=os.fspath(path),
@@ -166,8 +149,8 @@ def build_model(checkpoint):
     stored, wanted = checkpoint.parameters, _layout(model)
     if stored != wanted:
         differ = sorted({(e.name, e.shape) for e in stored} ^ {(e.name, e.shape) for e in wanted})
-        raise ValidationError(f"checkpoint parameters do not match the model: "
-                              f"{differ[:4] or 'the same parameters in another order'}")
+        raise ContractError(f"checkpoint parameters do not match the model: "
+                            f"{differ[:4] or 'the same parameters in another order'}")
     return model
 
 
@@ -178,11 +161,11 @@ def restore_optimizer(checkpoint, model):
     the hyperparameters are the checkpoint config's `optimizer`.
     """
     if checkpoint.optimizer is None:
-        raise ValidationError("checkpoint carries no optimizer state")
+        raise ContractError("checkpoint carries no optimizer state")
     n = model.values.size
     if checkpoint.blob.size != n:
-        raise ValidationError(f"optimizer state covers {checkpoint.blob.size} values, "
-                              f"model has {n}")
+        raise ContractError(f"optimizer state covers {checkpoint.blob.size} values, "
+                            f"model has {n}")
     with open(checkpoint.path, "rb") as fh:
         fh.seek(checkpoint.moments_at)
         moments = _read_finite(fh, 2 * n, f"{checkpoint.path}: the optimizer state")

@@ -36,7 +36,7 @@ from .data import (
     split_by_speaker,
 )
 from .audio import read_wav, stft_logmel
-from .errors import ConfigError, ContractError, ParseError, ValidationError
+from .errors import ContractError
 from .fusion import EpochRecord, beam_search_decode, check_vocabulary_alignment, evaluate_dataset
 from .fusion import train_with_scheduled_lm_sampling
 from .lm import Corpus, load_lm, perplexity, save_lm, train_lm
@@ -118,10 +118,10 @@ def _log_before(path, step):
 def _check_manifest(manifest, ckpt):
     """Reject a manifest whose vocabulary or featurization is not the checkpoint's."""
     if manifest.vocabulary != ckpt.vocabulary:
-        raise ValidationError("manifest vocabulary does not match the checkpoint")
+        raise ContractError("manifest vocabulary does not match the checkpoint")
     if manifest.config.frontend != ckpt.config.dataset.frontend:
-        raise ValidationError(f"manifest dataset.frontend {manifest.config.frontend} "
-                              f"is not the checkpoint's {ckpt.config.dataset.frontend}")
+        raise ContractError(f"manifest dataset.frontend {manifest.config.frontend} "
+                            f"is not the checkpoint's {ckpt.config.dataset.frontend}")
 
 
 def cmd_train(args):
@@ -143,9 +143,9 @@ def cmd_train(args):
         model = fresh_model(config, vocab)
         optimizer = AdamState(model.values.size, config.optimizer)
         start_epoch, kept = 0, []
+    if args.epochs is not None:  # saved with the run, so a plain --resume continues to it
+        config.training = dataclasses.replace(config.training, epochs=args.epochs)
     epochs = config.training.epochs
-    if args.epochs is not None:  # checked by TrainingConfig; the saved config keeps its count
-        epochs = dataclasses.replace(config.training, epochs=args.epochs).epochs
     if start_epoch >= epochs:
         raise ContractError(
             f"checkpoint already covers {start_epoch} epochs; raise --epochs to continue"
@@ -209,7 +209,7 @@ def _fusion_lm(path, cfg, vocab):
     lm = load_lm(path) if path else None
     if cfg.lambda_lm > 0:
         if lm is None:
-            raise ConfigError("--lm is required unless --lambda-lm 0 disables fusion")
+            raise ContractError("--lm is required unless --lambda-lm 0 disables fusion")
         check_vocabulary_alignment(lm, vocab)
     return lm
 
@@ -321,7 +321,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ContractError, ParseError) as exc:
+    except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .autodiff import OptimizerConfig
 from .data import DatasetConfig
-from .errors import ConfigError
+from .errors import ContractError
 from .fusion import FusionConfig
 from .model import DecoderConfig, EncoderConfig
 from .schema import from_payload, read_document, to_payload, write_document
@@ -27,13 +27,13 @@ class TrainingConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ConfigError(f"need at least one epoch, got {self.epochs}")
+            raise ContractError(f"need at least one epoch, got {self.epochs}")
         if self.clip_norm <= 0:
-            raise ConfigError(f"gradient clip norm must be positive, got {self.clip_norm}")
+            raise ContractError(f"gradient clip norm must be positive, got {self.clip_norm}")
         if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ConfigError(f"holdout fraction {self.holdout_fraction} outside [0, 1)")
+            raise ContractError(f"holdout fraction {self.holdout_fraction} outside [0, 1)")
         if self.wer_every < 0:
-            raise ConfigError("decode cadence cannot be negative")
+            raise ContractError("decode cadence cannot be negative")
 
 
 @dataclass
@@ -53,7 +53,7 @@ class RunConfig:
             payload = dict(payload)
             declared = payload.pop("format")
             if declared != CONFIG_FORMAT:
-                raise ConfigError(f"unsupported config format {declared!r:.40}")
+                raise ContractError(f"unsupported config format {declared!r:.40}")
         return from_payload(cls, payload)
 
 

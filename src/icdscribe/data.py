@@ -24,7 +24,7 @@ from .audio import (
     stft_logmel,
     synthesize_word,
 )
-from .errors import ContractError, ParseError, ValidationError
+from .errors import ContractError
 from .lm import normalize_line
 from .schema import from_payload, read_document, read_lines, to_payload, write_document
 from .seeds import stable_seed
@@ -34,6 +34,8 @@ SPECIALS = ("<pad>", "<sos>", "<eos>", "<unk>")
 MANIFEST_FORMAT = "manifest-v2"
 # a sampled plan draws `cap` int64 indices at once: at most 800 kB
 MAX_CAP = 100_000
+# every planned record is kept in the manifest, and each is realized by `train` or `evaluate`
+MAX_RECORDS = 1_000_000
 
 
 @dataclass
@@ -56,13 +58,13 @@ def load_icd_list(path):
             continue
         code_id, tab, description = line.partition("\t")
         if not tab:
-            raise ParseError("expected a tab between code and description", line=lineno)
+            raise ContractError(f"line {lineno}: expected a tab between code and description")
         code_id = code_id.strip()
         words = normalize_line(description)
         if not code_id or not words:
-            raise ParseError("code and description must both be nonempty", line=lineno)
+            raise ContractError(f"line {lineno}: code and description must both be nonempty")
         if code_id in seen:
-            raise ValidationError(f"duplicate code id {code_id!r}")
+            raise ContractError(f"duplicate code id {code_id!r}")
         seen.add(code_id)
         codes.append(IcdCode(code_id, words))
     return codes
@@ -136,7 +138,7 @@ class DatasetConfig:
         if not ids:
             raise ContractError("speakers must list at least one speaker")
         if len(set(ids)) != len(ids):
-            raise ValidationError(f"speakers repeat a speaker id: {ids}")
+            raise ContractError(f"speakers repeat a speaker id: {ids}")
         if not 1 <= self.cap <= MAX_CAP:
             raise ContractError(f"cap must lie in 1..{MAX_CAP}, got {self.cap}")
         low, high = self.gap_range
@@ -232,9 +234,9 @@ def realize_utterance(manifest, record, vocab=None, recordings=None):
     target = vocab.encode(code.words)
     if UNK in target:
         missing = [w for w in code.words if vocab.id_of(w) == UNK]
-        raise ValidationError(f"words missing from vocabulary: {missing}")
+        raise ContractError(f"words missing from vocabulary: {missing}")
     if len(record.repeat_indices) != len(code.words):
-        raise ValidationError(f"{record} needs one repeat index per word of {code.words}")
+        raise ContractError(f"{record} needs one repeat index per word of {code.words}")
     recordings = {} if recordings is None else recordings
     waves = []
     for word, rep in zip(code.words, record.repeat_indices):
@@ -267,6 +269,11 @@ def generate_dataset(codes, config):
     if not codes:
         raise ContractError("cannot generate a dataset from an empty code list")
     build_vocabulary(codes)  # validates early
+    planned = len(config.speakers) * sum(min(config.cap, config.repeats ** len(c.words))
+                                         for c in codes)
+    if planned > MAX_RECORDS:
+        raise ContractError(f"dataset.cap {config.cap} and dataset.repeats {config.repeats} "
+                            f"plan {planned} records, above {MAX_RECORDS}")
     records = []
     for speaker in config.speakers:
         for code in codes:

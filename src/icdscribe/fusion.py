@@ -31,7 +31,7 @@ import numpy as np
 
 from .autodiff import adam_step, backward, clip_global_norm, log_softmax_values
 from .data import EOS, PAD, SOS, iter_utterances
-from .errors import ConfigError, ContractError, ValidationError
+from .errors import ContractError
 from .lm import next_logprobs, sample_next
 from .metrics import build_report
 from .model import standardize_spectrogram
@@ -53,7 +53,7 @@ class FusionConfig:
                   "ramp_frac": (0.0, 1.0), "beam_width": (1, 64), "max_decode_len": (1, 256)}
         for name, (low, high) in ranges.items():
             if not low <= getattr(self, name) <= high:  # also false for NaN
-                raise ConfigError(f"{name} {getattr(self, name)} outside [{low:g}, {high:g}]")
+                raise ContractError(f"{name} {getattr(self, name)} outside [{low:g}, {high:g}]")
 
 
 @dataclass
@@ -117,7 +117,7 @@ class EpochRecord:
 def check_vocabulary_alignment(lm, vocab):
     missing = [w for w in vocab.content_words if w not in lm.vocabulary]
     if missing:
-        raise ValidationError(f"words absent from the language model corpus: {missing}")
+        raise ContractError(f"words absent from the language model corpus: {missing}")
 
 
 def train_with_scheduled_lm_sampling(
@@ -149,8 +149,8 @@ def train_with_scheduled_lm_sampling(
             loss = backward(logits, utt.target[1:], sweep)
             norm = clip_global_norm(model.grads, clip_norm)
             if not math.isfinite(norm):
-                raise ValidationError(f"epoch {epoch}, utterance {index}: loss {loss}, "
-                                      f"gradient norm {norm}; no parameter was updated")
+                raise ContractError(f"epoch {epoch}, utterance {index}: loss {loss}, "
+                                    f"gradient norm {norm}; no parameter was updated")
             adam_step(model.values, model.grads, optimizer)
             total += loss
         record = EpochRecord(epoch, total / len(utterances), p)

@@ -26,7 +26,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .schema import from_payload, read_document, to_payload, write_document
 
 LM_FORMAT = "lm-v3"
@@ -196,17 +196,23 @@ class _LmDocument:
 
     def __post_init__(self):
         if len(self.counts) > MAX_ORDER:  # each order costs a pass per word, as in `train_lm`
-            raise ConfigError(f"{len(self.counts)} orders exceed the largest, {MAX_ORDER}")
+            raise ContractError(f"{len(self.counts)} orders exceed the largest, {MAX_ORDER}")
         for k, pairs in enumerate(self.counts, start=1):
             if any(c < 1 or len(gram) != k for gram, c in pairs):
-                raise ConfigError(f"order {k} holds a gram of another length or a count below 1")
+                raise ContractError(f"order {k} holds a gram of another length or a count below 1")
             misplaced = next((b for (a, _), (b, _) in pairwise(pairs) if b <= a), None)
             if misplaced is not None:  # `save_lm` writes each gram once, in sorted order
-                raise ConfigError(f"order {k} lists {misplaced!r:.60} twice or out of sorted order")
+                raise ContractError(f"order {k} lists {misplaced!r:.60} "
+                                    "twice or out of sorted order")
         # `train_lm` counts each corpus word once in every order
         words = [sum(c for _, c in pairs) for pairs in self.counts]
         if len(set(words)) != 1 or words[0] < 1:
-            raise ConfigError(f"the orders count {words} words, not one positive number")
+            raise ContractError(f"the orders count {words} words, not one positive number")
+        known = {word for (word,), _ in self.counts[0]}  # the words a next-word vector covers
+        for k, pairs in enumerate(self.counts[1:], start=2):
+            stray = next((gram[-1] for gram, _ in pairs if gram[-1] not in known), None)
+            if stray is not None:
+                raise ContractError(f"order {k} predicts {stray!r:.40}, which order 1 never counts")
 
 
 def save_lm(lm, path):

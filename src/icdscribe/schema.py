@@ -2,7 +2,7 @@
 
 Reading follows the field annotations: an unknown key, a value of the
 wrong type (a bool is not an int; a float must be finite), a tuple of the
-wrong length or a failed constructor check raises ConfigError naming the
+wrong length or a failed constructor check raises ContractError naming the
 dotted path, and a missing key takes the field default.  A float field
 whose metadata is INF_AS_NULL stores +inf as null.
 """
@@ -16,7 +16,7 @@ import sys
 import typing
 from functools import cache
 
-from .errors import ConfigError, ContractError, ParseError, ShapeError, ValidationError
+from .errors import ContractError
 
 INF_AS_NULL = {"inf_as_null": True}
 
@@ -56,29 +56,29 @@ def from_payload(tp, value, where=""):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (list, tuple):
         if not isinstance(value, list):
-            raise ConfigError(f"{where!r} must be a list, got {_shown(value)}")
+            raise ContractError(f"{where!r} must be a list, got {_shown(value)}")
         if origin is list or args[-1] is Ellipsis:
             return origin(from_payload(args[0], item, where) for item in value)
         if len(value) != len(args):
-            raise ConfigError(f"{where!r} must hold {len(args)} values, got {len(value)}")
+            raise ContractError(f"{where!r} must hold {len(args)} values, got {len(value)}")
         return tuple(from_payload(a, item, where) for a, item in zip(args, value))
     if tp is float:
         ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
     else:
         ok = tp is object or type(value) is tp
     if not ok:
-        raise ConfigError(f"{where!r} must be {tp.__name__}, got {_shown(value)}")
+        raise ContractError(f"{where!r} must be {tp.__name__}, got {_shown(value)}")
     return value
 
 
 def _from_mapping(cls, value, where):
     if not isinstance(value, dict):
-        raise ConfigError(f"{where or 'document'!r} must be a mapping, got {_shown(value)}")
+        raise ContractError(f"{where or 'document'!r} must be a mapping, got {_shown(value)}")
     prefix = where + "." if where else ""
     fields = _fields(cls)
     unknown = sorted(set(value) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown key {prefix + unknown[0]!r}")
+        raise ContractError(f"unknown key {prefix + unknown[0]!r}")
     kwargs = {}
     for name, (f, hint) in fields.items():
         if name in value:
@@ -86,11 +86,11 @@ def _from_mapping(cls, value, where):
             null_inf = item is None and f.metadata.get("inf_as_null")
             kwargs[name] = math.inf if null_inf else from_payload(hint, item, prefix + name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"missing key {prefix + name!r}")
+            raise ContractError(f"missing key {prefix + name!r}")
     try:
         return cls(**kwargs)
-    except (ContractError, ValidationError, ConfigError) as exc:
-        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+    except ContractError as exc:
+        raise ContractError(f"{where}: {exc}") if where else exc
 
 
 @contextlib.contextmanager
@@ -121,12 +121,12 @@ def write_document(path, fmt, payload):
 
 
 def read_lines(path):
-    """The lines of the UTF-8 text file at `path`; bad UTF-8 raises a ParseError naming the file."""
+    """The lines of the UTF-8 text file at `path`; bad UTF-8 raises a ContractError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return list(fh)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
+        raise ContractError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
 def read_document(path, fmt, decode):
@@ -139,25 +139,23 @@ def decode_document(path, data, fmt, decode):
     """`decode(payload)` for the UTF-8 JSON `data` read from `path`, its format tag `fmt` removed.
 
     With `fmt` None the whole payload goes to `decode`.  Bad UTF-8 or JSON
-    (nesting too deep included), a wrong tag, and the ConfigErrors, lookup
-    and type errors raised by `decode` become a ConfigError naming the file;
-    other package errors pass through.
+    (nesting too deep included), a wrong tag, and any ContractError, lookup,
+    type or value error raised by `decode` become one ContractError that
+    names `path` once; an OSError passes through.
     """
     try:
         payload = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        raise ContractError(f"{path}: not valid JSON ({exc})") from exc
     try:
         if fmt is not None:
             declared = payload.get("format") if isinstance(payload, dict) else None
             if declared != fmt:
-                raise ConfigError(f"unsupported format {_shown(declared)}, expected {fmt!r}")
+                raise ContractError(f"unsupported format {_shown(declared)}, expected {fmt!r}")
             del payload["format"]
         return decode(payload)
-    except (ContractError, ShapeError, ValidationError):
-        raise
-    except ParseError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ConfigError(f"{path}: malformed document: {detail}") from exc
+        raise ContractError(f"{path}: malformed document: {detail}") from exc

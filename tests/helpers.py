@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from icdscribe import autodiff as ad
-from icdscribe.errors import ContractError, ShapeError
+from icdscribe.errors import ContractError
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ def _unbroadcast(g, shape):
 
 def matmul(a, b):
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not agree")
+        raise ContractError(f"matmul shapes {a.shape} and {b.shape} do not agree")
     out_values = a.values @ b.values
     def backprop(g, terms):
         if a.requires_grad:
@@ -183,7 +183,7 @@ def add(a, b):
     try:
         out_values = a.values + b.values
     except ValueError:
-        raise ShapeError(f"add shapes {a.shape} and {b.shape} do not broadcast") from None
+        raise ContractError(f"add shapes {a.shape} and {b.shape} do not broadcast") from None
     def backprop(g, terms):
         if a.requires_grad:
             _push(terms, a, _unbroadcast(g, a.shape))
@@ -213,7 +213,7 @@ def concat(parts, axis=-1):
         out_values = np.concatenate([p.values for p in parts], axis=axis)
     except ValueError:
         shapes = ", ".join(str(p.shape) for p in parts)
-        raise ShapeError(f"concat shapes {shapes} do not agree off axis {axis}") from None
+        raise ContractError(f"concat shapes {shapes} do not agree off axis {axis}") from None
     ax = axis % out_values.ndim
     def backprop(g, terms):
         start = 0
@@ -228,7 +228,7 @@ def narrow(a, axis, start, length):
     """Contiguous slice [start, start+length) along one axis."""
     dim = a.shape[axis]
     if not (0 <= start and start + length <= dim and length >= 1):
-        raise ShapeError(f"narrow [{start}:{start + length}] outside axis of extent {dim}")
+        raise ContractError(f"narrow [{start}:{start + length}] outside axis of extent {dim}")
     index = (slice(None),) * (axis % a.values.ndim) + (slice(start, start + length),)
     def backprop(g, terms):
         full = np.zeros_like(a.values)
@@ -283,7 +283,7 @@ def sweep_node(values, sweep, into=None):
 def conv1d(x, w, b, stride=1, dilation=1):
     """The causal convolution `ad._conv1d` as a node: x [T, C_in], w [K, C_in, C_out], b [C_out]."""
     if x.values.ndim != 2 or w.values.ndim != 3 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv1d shapes {x.shape} and {w.shape} do not agree")
+        raise ContractError(f"conv1d shapes {x.shape} and {w.shape} do not agree")
     if x.shape[0] < 1:
         raise ContractError("conv1d needs at least one input row")
     out_values, cols = ad._conv1d(x.values, w.values, b.values, stride, dilation)
@@ -306,8 +306,8 @@ def lstm(x, h0, c0, wx, wh, b):
     steps, n = x.shape[0], wh.shape[-1] // 4
     if not (x.values.ndim == 2 and wx.shape == (x.shape[1], 4 * n) and wh.shape == (n, 4 * n)
             and b.shape == (4 * n,) and h0.shape == c0.shape == (1, n)):
-        raise ShapeError(f"lstm shapes disagree: x {x.shape}, h0 {h0.shape}, c0 {c0.shape}, "
-                         f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+        raise ContractError(f"lstm shapes disagree: x {x.shape}, h0 {h0.shape}, c0 {c0.shape}, "
+                            f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
     hs, cs, gates, tanh_c = ad._lstm_forward(x.values, h0.values[0], c0.values[0], wx.values,
                                              wh.values, b.values)
     def backprop(g_out, terms):

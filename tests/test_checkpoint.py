@@ -17,7 +17,7 @@ from icdscribe.checkpoint import (
 )
 from icdscribe.config import RunConfig, TrainingConfig
 from icdscribe.data import EOS, SOS, DatasetConfig, IcdCode, build_vocabulary
-from icdscribe.errors import ConfigError, ContractError, ParseError, ValidationError
+from icdscribe.errors import ContractError
 from icdscribe.fusion import FusionConfig, train_with_scheduled_lm_sampling
 from icdscribe.lm import Corpus, train_lm
 from icdscribe.model import ConvSpec, DecoderConfig, EncoderConfig
@@ -209,7 +209,7 @@ class TestRoundTrip:
         path = tmp_path / "model.json"
         save_checkpoint(path, model, VOCAB, config, step=0)
         loaded = load_checkpoint(path)
-        with pytest.raises(ValidationError, match="optimizer"):
+        with pytest.raises(ContractError, match="optimizer"):
             restore_optimizer(loaded, build_model(loaded))
 
 
@@ -245,19 +245,19 @@ class TestRejection:
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = self.write_tampered(tmp_path, lambda p: p.update(format="ckpt-v0"))
-        with pytest.raises(ParseError, match="ckpt-v0"):
+        with pytest.raises(ContractError, match="ckpt-v0"):
             load_checkpoint(path)
 
     def test_truncated_parameter_rejected(self, tmp_path):
         path = self.write_tampered(tmp_path, cut=lambda blob: blob[8:])
-        with pytest.raises(ConfigError, match=f"{path}: blob holds"):
+        with pytest.raises(ContractError, match=f"{path}: blob holds"):
             load_checkpoint(path)
 
     def test_renamed_parameter_rejected(self, tmp_path):
         def rename(payload):
             payload["parameters"][0]["name"] = "mystery.w"
 
-        with pytest.raises(ValidationError, match="mystery"):
+        with pytest.raises(ContractError, match="mystery"):
             build_model(load_checkpoint(self.write_tampered(tmp_path, rename)))
 
     def test_reordered_parameters_rejected(self, tmp_path):
@@ -265,7 +265,7 @@ class TestRejection:
             entries = payload["parameters"]
             entries[0], entries[1] = entries[1], entries[0]
 
-        with pytest.raises(ValidationError, match="another order"):
+        with pytest.raises(ContractError, match="another order"):
             build_model(load_checkpoint(self.write_tampered(tmp_path, swap)))
 
     def test_optimizer_of_another_model_rejected(self, tmp_path):
@@ -274,14 +274,14 @@ class TestRejection:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, VOCAB, config, step=1, optimizer=touched_optimizer(model))
         wider = replace(config, decoder=DecoderConfig(embedding_dim=5, hidden=6, attention_dim=3))
-        with pytest.raises(ValidationError, match="optimizer state covers"):
+        with pytest.raises(ContractError, match="optimizer state covers"):
             restore_optimizer(load_checkpoint(path), fresh_model(wider, VOCAB))
 
     def test_negative_dimension_rejected(self, tmp_path):
         def negate(payload):
             payload["parameters"][0]["shape"][0] *= -1
 
-        with pytest.raises(ConfigError, match="negative dimension"):
+        with pytest.raises(ContractError, match="negative dimension"):
             load_checkpoint(self.write_tampered(tmp_path, negate))
 
     def test_repeated_parameter_rejected(self, tmp_path):
@@ -291,7 +291,7 @@ class TestRejection:
             payload["parameters"].append(payload["parameters"][0])
 
         path = self.write_tampered(tmp_path, repeat, cut=lambda blob: blob + blob[: first.nbytes])
-        with pytest.raises(ConfigError, match="appears twice"):
+        with pytest.raises(ContractError, match="appears twice"):
             load_checkpoint(path)
 
 

@@ -129,6 +129,28 @@ class TestGenerateData:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["config.json", "corpus.txt", "test.json", "train.json"]
 
+    def test_holdout_names_the_test_speaker(self, workspace, tmp_path, capsys):
+        out = tmp_path / "near-held-out"
+        assert main(["generate-data", "--config", str(workspace.config),
+                     "--codes", str(workspace.codes), "--output", str(out),
+                     "--holdout", "near"]) == 0
+        stdout = capsys.readouterr().out
+        assert "train utterances: 5 (speakers far)" in stdout
+        assert "test utterances: 5 (speaker near)" in stdout
+        # the same records as the default split, with the two speakers' roles swapped
+        assert load_manifest(out / "train.json") == load_manifest(workspace.data / "test.json")
+        assert load_manifest(out / "test.json") == load_manifest(workspace.data / "train.json")
+        speakers = {r.speaker_id for r in load_manifest(out / "test.json").records}
+        assert speakers == {"near"}
+
+    def test_unknown_holdout_speaker_exits_2(self, workspace, tmp_path):
+        out = tmp_path / "o"
+        code, err = run(["generate-data", "--config", workspace.config, "--codes", workspace.codes,
+                         "--output", out, "--holdout", "spk9"])
+        assert code == 2
+        assert_one_line_error(err, "unknown speaker 'spk9'", "near", "far")
+        assert not out.exists()
+
     def test_missing_codes_file_exits_3(self, tmp_path):
         assert main([
             "generate-data", "--codes", str(tmp_path / "nope.tsv"),
@@ -251,21 +273,16 @@ class TestResumeThroughTheLog:
 
     EPOCHS = 6
 
-    def write_config(self, tmp_path, lr):
+    def write_config(self, tmp_path, lr, **sections):
         config = tmp_path / "config.json"
         training = {"epochs": self.EPOCHS, "holdout_fraction": 0.3, "wer_every": 1}
-        config.write_text(json.dumps({**TINY_CONFIG, "optimizer": {"lr": lr}, "training": training}),
+        config.write_text(json.dumps({**TINY_CONFIG, "optimizer": {"lr": lr}, "training": training,
+                                      **sections}),
                           encoding="utf-8")
         return config
 
-    @pytest.mark.parametrize("lr", [0.05, 0.2])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_interrupted_run_resumes_byte_identically(self, workspace, tmp_path, monkeypatch, k, lr):
-        train = ["train", "--config", self.write_config(tmp_path, lr), "--data", workspace.data,
-                 "--lm", workspace.lm]
-        straight = tmp_path / "straight.json"
-        assert run(train + ["--output", straight])[0] == 0
-
+    def interrupt(self, monkeypatch, argv, k):
+        """Run `argv` until epoch k - 1 is logged and checkpointed, then stop it."""
         real = cli.train_with_scheduled_lm_sampling
 
         def interrupted(*args, on_epoch, **kwargs):
@@ -277,10 +294,19 @@ class TestResumeThroughTheLog:
             return real(*args, on_epoch=on_epoch_then_stop, **kwargs)
 
         monkeypatch.setattr(cli, "train_with_scheduled_lm_sampling", interrupted)
-        resumed = tmp_path / "resumed.json"
         with pytest.raises(KeyboardInterrupt):
-            run(train + ["--output", resumed])
+            run(argv)
         monkeypatch.undo()
+
+    @pytest.mark.parametrize("lr", [0.05, 0.2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_interrupted_run_resumes_byte_identically(self, workspace, tmp_path, monkeypatch, k, lr):
+        train = ["train", "--config", self.write_config(tmp_path, lr), "--data", workspace.data,
+                 "--lm", workspace.lm]
+        straight = tmp_path / "straight.json"
+        assert run(train + ["--output", straight])[0] == 0
+        resumed = tmp_path / "resumed.json"
+        self.interrupt(monkeypatch, train + ["--output", resumed], k)
         code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm, "--resume", resumed,
                          "--epochs", self.EPOCHS, "--output", resumed])
         assert code == 0, err
@@ -288,6 +314,37 @@ class TestResumeThroughTheLog:
         log = resumed.with_suffix(".log.jsonl").read_bytes()
         assert log == straight.with_suffix(".log.jsonl").read_bytes()
         assert [json.loads(line)["epoch"] for line in log.splitlines()] == list(range(self.EPOCHS))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_epochs_flag_is_saved_so_a_plain_resume_continues_to_it(
+        self, workspace, tmp_path, monkeypatch, k
+    ):
+        # the sampling ramp spans the run's epoch count, so each epoch's lm_sample_p depends on it
+        config = self.write_config(tmp_path, 0.05, fusion={**TINY_CONFIG["fusion"],
+                                                           "lm_sample_max": 0.5})
+        train = ["train", "--config", config, "--data", workspace.data, "--lm", workspace.lm,
+                 "--epochs", 3]
+        straight = tmp_path / "straight.json"
+        assert run(train + ["--output", straight])[0] == 0
+        assert load_checkpoint(straight).config.training.epochs == 3
+        resumed = tmp_path / "resumed.json"
+        self.interrupt(monkeypatch, train + ["--output", resumed], k)
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
+                         "--resume", resumed, "--output", resumed])
+        assert code == 0, err
+        assert resumed.read_bytes() == straight.read_bytes()
+        log = resumed.with_suffix(".log.jsonl").read_bytes()
+        assert log == straight.with_suffix(".log.jsonl").read_bytes()
+        assert [json.loads(line)["lm_sample_p"] for line in log.splitlines()] == [0.0, 0.25, 0.5]
+
+    def test_plain_resume_of_a_finished_epochs_run_exits_2(self, workspace, tmp_path):
+        out = tmp_path / "model.json"
+        assert run(["train", "--config", self.write_config(tmp_path, 0.05), "--data",
+                    workspace.data, "--lm", workspace.lm, "--epochs", 1, "--output", out])[0] == 0
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
+                         "--resume", out, "--output", out])
+        assert code == 2
+        assert_one_line_error(err, "already covers 1 epochs")
 
     def test_kill_after_the_checkpoint_write_keeps_the_log_record(
         self, workspace, tmp_path, monkeypatch
@@ -683,9 +740,10 @@ class TestMalformedInputs:
              "order 1 lists ['a'] twice or out of sorted order"),
             (lambda p: p["counts"][1].insert(0, p["counts"][1].pop()), "order 2 lists"),
             (lambda p: p["counts"][0][0].__setitem__(1, 99), "the orders count ["),
+            (lambda p: p["counts"][1][-1][0].__setitem__(1, "zz"), "order 2 predicts 'zz'"),
         ],
         ids=["extra-order", "gram-length", "zero-count", "seventeen-orders", "duplicate-gram",
-             "out-of-order", "unequal-orders"],
+             "out-of-order", "unequal-orders", "unknown-next-word"],
     )
     def test_lm_v2(self, workspace, tmp_path, mutate, fragment):
         payload = json.loads(workspace.lm.read_text(encoding="utf-8"))
@@ -845,7 +903,7 @@ class TestHostileArtifacts:
             (lambda head, blob: head + blob, "not valid JSON"),
             (lambda head, blob: head.replace(b'"vocabulary":["', b'"vocabulary":["\xff')
              + b"\n" + blob, "can't decode byte 0xff"),
-            (lambda head, blob: b"[" * 100_000 + b"\n" + blob, "retrain"),
+            (lambda head, blob: b"[" * 100_000 + b"\n" + blob, "not valid JSON"),
         ],
         ids=["nan", "inf", "extra-float", "no-newline", "non-utf8-header", "deep-header"],
     )
@@ -889,7 +947,7 @@ class TestHostileArtifacts:
         assert code == 2
         assert_one_line_error(err, str(path), "non-finite")
 
-    def test_json_checkpoint_asks_for_a_retrain(self, workspace, tmp_path):
+    def test_whole_file_json_checkpoint_exits_2(self, workspace, tmp_path):
         ckpt = load_checkpoint(workspace.ckpt)
         named = build_model(ckpt).named_parameters()
         config = json.loads(workspace.config.read_text(encoding="utf-8"))
@@ -909,7 +967,7 @@ class TestHostileArtifacts:
         code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", path,
                          "--lambda-lm", "0"])
         assert code == 2
-        assert_one_line_error(err, str(path), "'ckpt-v1'", "ckpt-v4", "retrain")
+        assert_one_line_error(err, str(path), "not valid JSON")
 
     def earlier_document(self, workspace, artifact):
         """The workspace's `artifact` written in the format before this one."""
@@ -932,7 +990,7 @@ class TestHostileArtifacts:
         [
             ("manifest", ['"manifest-v1"', "manifest-v2"]),
             ("lm", ['"lm-v2"', "lm-v3"]),
-            ("checkpoint", ["'ckpt-v3'", "ckpt-v4", "retrain"]),
+            ("checkpoint", ['"ckpt-v3"', "ckpt-v4"]),
         ],
     )
     def test_earlier_format_exits_2_naming_it(self, workspace, tmp_path, artifact, fragments):

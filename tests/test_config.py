@@ -11,7 +11,7 @@ from icdscribe.config import (
     load_run_config,
     save_run_config,
 )
-from icdscribe.errors import ConfigError
+from icdscribe.errors import ContractError
 from icdscribe.schema import to_payload
 
 
@@ -64,48 +64,48 @@ class TestStrictness:
         ],
     )
     def test_unknown_keys_name_their_path(self, payload, fragment):
-        with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
+        with pytest.raises(ContractError, match=fragment.replace(".", r"\.")):
             RunConfig.from_dict(payload)
 
     def test_wrong_format_marker_rejected(self):
-        with pytest.raises(ConfigError, match="config-v9"):
+        with pytest.raises(ContractError, match="config-v9"):
             RunConfig.from_dict({"format": "config-v9"})
 
     def test_non_mapping_section_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             RunConfig.from_dict({"optimizer": [1, 2]})
 
     def test_speaker_entry_needs_an_id(self):
-        with pytest.raises(ConfigError, match="speaker_id"):
+        with pytest.raises(ContractError, match="speaker_id"):
             RunConfig.from_dict({"dataset": {"speakers": [{"base_pitch": 120.0}]}})
 
     def test_invalid_json_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ConfigError, match="JSON"):
+        with pytest.raises(ContractError, match="JSON"):
             load_run_config(path)
 
 
 class TestValidation:
     def test_bad_learning_rate(self):
         for bad in ({"lr": 0.0}, {"eps": 0.0}, {"eps": -1e-8}):
-            with pytest.raises(ConfigError, match="must be positive"):
+            with pytest.raises(ContractError, match="must be positive"):
                 OptimizerConfig(**bad)
 
     def test_bad_epoch_count(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             TrainingConfig(epochs=0)
 
     def test_bad_holdout_fraction(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             TrainingConfig(holdout_fraction=1.0)
 
     def test_bad_decoder_dimension(self):
-        with pytest.raises(ConfigError, match="decoder: decoder dimensions must be positive"):
+        with pytest.raises(ContractError, match="decoder: decoder dimensions must be positive"):
             RunConfig.from_dict({"decoder": {"hidden": 0}})
 
     def test_section_validators_fire_through_from_dict(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             RunConfig.from_dict({"fusion": {"lambda_lm": -1.0}})
 
     def test_serialized_document_is_plain_json(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icdscribe import data
 from icdscribe.audio import FrontendConfig, RoomModel, SpeakerProfile, synthesize_word
 from icdscribe.data import (
     EOS,
@@ -28,7 +29,7 @@ from icdscribe.data import (
     save_manifest,
     split_by_speaker,
 )
-from icdscribe.errors import ContractError, ParseError, ValidationError
+from icdscribe.errors import ContractError
 
 SPEAKER = SpeakerProfile("spk0", base_pitch=150.0, seed=5)
 
@@ -71,19 +72,19 @@ class TestLoadIcdList:
     def test_missing_tab_reports_line_number(self, tmp_path):
         path = tmp_path / "codes.tsv"
         path.write_text("R10.84\tGeneralized abdominal pain\nR06.4 Hyperventilation\n")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ContractError, match="line 2"):
             load_icd_list(path)
 
     def test_duplicate_code_rejected(self, tmp_path):
         path = tmp_path / "codes.tsv"
         path.write_text("R06.4\tHyperventilation\nR06.4\tHyperventilation\n")
-        with pytest.raises(ValidationError, match="R06.4"):
+        with pytest.raises(ContractError, match="R06.4"):
             load_icd_list(path)
 
     def test_blank_description_rejected(self, tmp_path):
         path = tmp_path / "codes.tsv"
         path.write_text("R06.4\t , ;\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ContractError, match="line 1"):
             load_icd_list(path)
 
     def test_bundled_list(self):
@@ -234,7 +235,7 @@ class TestRealization:
 
     def test_out_of_vocabulary_word_rejected(self):
         vocab = build_vocabulary([IcdCode("X", ["fever"])])
-        with pytest.raises(ValidationError, match="pain"):
+        with pytest.raises(ContractError, match="pain"):
             realize_all(IcdCode("C", ["pain"]), repeats=1, cap=5, vocab=vocab)
 
 
@@ -296,6 +297,36 @@ class TestGenerateDataset:
     def test_empty_codes_rejected(self):
         with pytest.raises(ContractError):
             generate_dataset([], small_config())
+
+    def record_plans(self, monkeypatch):
+        """The (code, speaker) pairs planned from now on; each plan is left empty."""
+        planned = []
+        monkeypatch.setattr(data, "plan_variations", lambda code, speaker, *_: planned.append(
+            (code.code, speaker.speaker_id)) or [])
+        return planned
+
+    def test_record_total_is_bounded_before_any_plan(self, monkeypatch):
+        planned = self.record_plans(monkeypatch)
+        codes = load_icd_list(bundled_icd_path())
+        # each of 3 speakers: sum over the 20 codes of min(100,000, 10**words) records
+        config = small_config(repeats=10, cap=100_000, speakers=default_speakers())
+        with pytest.raises(ContractError, match=r"dataset\.cap 100000 and dataset\.repeats 10 "
+                                                r"plan 1282560 records, above 1000000"):
+            generate_dataset(codes, config)
+        assert planned == []
+
+    @pytest.mark.parametrize("speakers, allowed", [(10, True), (11, False)])
+    def test_record_bound_is_inclusive(self, monkeypatch, speakers, allowed):
+        planned = self.record_plans(monkeypatch)
+        profiles = [SpeakerProfile(f"spk{i}", seed=i) for i in range(speakers)]
+        config = small_config(repeats=10**6, cap=100_000, speakers=profiles)
+        if allowed:  # 10 speakers x 100,000 records
+            generate_dataset([IcdCode("C1", ["aa"])], config)
+            assert len(planned) == speakers
+        else:
+            with pytest.raises(ContractError, match="plan 1100000 records"):
+                generate_dataset([IcdCode("C1", ["aa"])], config)
+            assert planned == []
 
 
 class TestSplitBySpeaker:
@@ -367,5 +398,5 @@ class TestManifestSerialization:
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "manifest-v9"}')
-        with pytest.raises(ParseError, match="manifest-v9"):
+        with pytest.raises(ContractError, match="manifest-v9"):
             load_manifest(path)

@@ -19,7 +19,7 @@ from icdscribe.autodiff import (
 )
 from icdscribe.config import TrainingConfig
 from icdscribe.data import EOS, PAD, SOS, IcdCode, build_vocabulary
-from icdscribe.errors import ConfigError, ContractError, ValidationError
+from icdscribe.errors import ContractError
 from icdscribe.fusion import (
     FusionConfig,
     Hypothesis,
@@ -135,7 +135,7 @@ class TestFusedScore:
 
     def test_negative_or_non_finite_weight_rejected(self):
         for lambda_lm in (-1.0, -1e-300, math.nan, math.inf):
-            with pytest.raises(ConfigError, match=re.escape("outside [0, 1.79769e+308]")):
+            with pytest.raises(ContractError, match=re.escape("outside [0, 1.79769e+308]")):
                 FusionConfig(lambda_lm=lambda_lm)
 
     @given(
@@ -168,7 +168,7 @@ class TestConfigBounds:
         FusionConfig(beam_width=64, max_decode_len=256)
         for field, value in [("beam_width", 0), ("beam_width", 65), ("max_decode_len", 0),
                              ("max_decode_len", 257)]:
-            with pytest.raises(ConfigError, match=f"{field} {value} outside"):
+            with pytest.raises(ContractError, match=f"{field} {value} outside"):
                 FusionConfig(**{field: value})
 
 
@@ -187,7 +187,7 @@ class TestSchedule:
         assert [lm_sample_probability(cfg, e, 5) for e in range(5)] == [1.0] * 5
 
     def test_bad_probability_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             FusionConfig(lm_sample_max=1.5)
 
 
@@ -287,7 +287,7 @@ class TestTraining:
     def test_vocabulary_mismatch_rejected(self):
         vocab = build_vocabulary([IcdCode("X", ["aa", "zebra"])])
         model = tiny_model()
-        with pytest.raises(ValidationError, match="zebra"):
+        with pytest.raises(ContractError, match="zebra"):
             train_with_scheduled_lm_sampling(
                 model, LM, vocab, fake_utterances(), FusionConfig(),
                 epochs=1, optimizer=AdamState(model.values.size, OptimizerConfig()),
@@ -309,7 +309,7 @@ class TestTraining:
         cfg = FusionConfig(lm_sample_max=0.0)
         model, twin = tiny_model(seed=4), tiny_model(seed=4)
         opt = AdamState(model.values.size, OptimizerConfig())
-        with pytest.raises(ValidationError, match="epoch 0, utterance 1"):
+        with pytest.raises(ContractError, match="epoch 0, utterance 1"):
             train_with_scheduled_lm_sampling(
                 model, LM, VOCAB, utts, cfg, epochs=2, optimizer=opt, seed=0, clip_norm=CLIP_NORM,
             )

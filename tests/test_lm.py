@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdscribe.errors import ContractError, ParseError
+from icdscribe.errors import ContractError
 from icdscribe.lm import (
     Corpus,
     load_lm,
@@ -338,10 +339,20 @@ class TestSerialization:
             for w in ("a", "b", "c", "<unk>", "zebra"):
                 assert prob(back, w, history) == prob(lm, w, history)
 
+    def test_gram_predicting_a_word_order_one_never_counts_is_rejected(self, tmp_path):
+        # loaded, its next-word vector after "a" would sum to 0.5
+        path = tmp_path / "improper.lm"
+        path.write_text(json.dumps({"format": "lm-v3", "counts": [
+            [[["a"], 1], [["b"], 1]],
+            [[["<sos>", "a"], 1], [["a", "zzz"], 1]],
+        ]}))
+        with pytest.raises(ContractError, match=r"improper\.lm: order 2 predicts 'zzz'"):
+            load_lm(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.lm"
         path.write_text('{"format": "lm-v9", "max_order": 1}')
-        with pytest.raises(ParseError):
+        with pytest.raises(ContractError):
             load_lm(path)
 
 
