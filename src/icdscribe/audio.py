@@ -110,6 +110,11 @@ def _hann(n):
     return window
 
 
+def speakable(word):
+    """Whether `synthesize_word` can voice `word`: one or more lowercase ASCII letters."""
+    return word.isascii() and word.isalpha() and word == word.lower()
+
+
 def synthesize_word(word, profile, repeat_index, sample_rate=DEFAULT_SAMPLE_RATE):
     """Deterministic waveform for (word, speaker, repeat_index).
 
@@ -119,9 +124,7 @@ def synthesize_word(word, profile, repeat_index, sample_rate=DEFAULT_SAMPLE_RATE
     Distinct repeat indices re-draw pitch jitter, phases and per-character
     amplitudes, giving distinct realizations of the same word.
     """
-    if not word:
-        raise ContractError("cannot synthesize an empty word")
-    if not (word.isascii() and word.isalpha() and word == word.lower()):
+    if not speakable(word):
         raise ContractError(f"word must be lowercase alphabetic, got {word!r}")
     rng = np.random.default_rng(
         stable_seed("word", word, profile.speaker_id, profile.seed, repeat_index)

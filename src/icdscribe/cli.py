@@ -3,6 +3,9 @@
 Subcommands cover the whole workflow: synthesize a dataset, train the
 language model, train the acoustic model, evaluate, and transcribe.
 Every command is reproducible from its persisted config and seed alone.
+`train` loops over the epoch records that training yields: it scores a
+measuring epoch with `evaluate`'s code at beam width 1, logs the record, and
+checkpoints a better score.
 
 Exit codes: 0 success, 2 configuration or validation problem, 3 i/o.
 """
@@ -40,7 +43,7 @@ from .errors import ContractError
 from .fusion import EpochRecord, beam_search_decode, check_vocabulary_alignment, evaluate_dataset
 from .fusion import train_with_scheduled_lm_sampling
 from .lm import Corpus, load_lm, perplexity, save_lm, train_lm
-from .metrics import format_report, wer
+from .metrics import format_report
 from .schema import atomic_write, decode_document, from_payload, read_lines, write_document
 
 log = logging.getLogger("icdscribe")
@@ -92,17 +95,6 @@ def cmd_train_lm(args):
     return 0
 
 
-def _greedy_wer(model, lm, utterances, cfg, vocab):
-    greedy = dataclasses.replace(cfg, beam_width=1)
-    errors = words = 0
-    for utt in utterances:
-        hyp = beam_search_decode(model, lm, utt.spectrogram, greedy, vocab)
-        breakdown = wer(vocab.decode(utt.target), vocab.decode(hyp.tokens))
-        errors += breakdown.errors
-        words += breakdown.reference_length
-    return errors / max(1, words)
-
-
 def _log_before(path, step):
     """Log records at `path` before epoch `step`, kept on resume; a torn last line is skipped."""
     try:
@@ -125,6 +117,10 @@ def _check_manifest(manifest, ckpt):
 
 
 def cmd_train(args):
+    for flag in ("config", "seed") if args.resume else ():
+        if getattr(args, flag) is not None:
+            raise ContractError(f"--{flag} cannot be given with --resume, which takes every "
+                                f"setting but --epochs from the checkpoint")
     lm = load_lm(args.lm)
     manifest = load_manifest(Path(args.data) / "train.json")
     vocab = manifest.vocabulary
@@ -153,12 +149,11 @@ def cmd_train(args):
 
     log.info("realizing %d utterances", len(manifest.records))
     utterances = list(iter_utterances(manifest))
-    held = int(len(utterances) * config.training.holdout_fraction)
-    train_slice = utterances[: len(utterances) - held] if held else utterances
-    eval_slice = utterances[len(utterances) - held:] if held else utterances
+    split = len(utterances) - int(len(utterances) * config.training.holdout_fraction)
+    train_slice, eval_slice = utterances[:split], utterances[split:] or utterances
 
-    cadence = config.training.wer_every
-    fusion_cfg = config.fusion
+    every = config.training.wer_every
+    greedy = dataclasses.replace(config.fusion, beam_width=1)
     log_path = Path(args.output).with_suffix(".log.jsonl")
     best = min(((r.wer, r.loss) for r in kept), default=(math.inf, math.inf))
     if args.resume and Path(args.resume).resolve() != Path(args.output).resolve():
@@ -169,13 +164,14 @@ def cmd_train(args):
     started = time.monotonic()
 
     with open(log_path, "a", encoding="utf-8") as log_fh:
-
-        def on_epoch(record):
-            nonlocal best
-            final = record.epoch == epochs - 1
-            measure = final or (cadence > 0 and (record.epoch + 1) % cadence == 0)
-            if measure:
-                record.wer = _greedy_wer(model, lm, eval_slice, fusion_cfg, vocab)
+        for record in train_with_scheduled_lm_sampling(
+            model, lm, vocab, train_slice, config.fusion, epochs, optimizer, seed=config.seed,
+            clip_norm=config.training.clip_norm, start_epoch=start_epoch,
+        ):
+            measure = record.epoch == epochs - 1 or (every > 0 and (record.epoch + 1) % every == 0)
+            if measure:  # the corpus WER does not depend on the bootstrap, so one resample
+                record.wer = evaluate_dataset(model, lm, eval_slice, greedy, vocab,
+                                              seed=config.seed, resamples=1).corpus_wer
             # The record goes to disk before the checkpoint of step epoch + 1: a resume keeps
             # only records older than its checkpoint's step, so a kill between the two is safe.
             log_fh.write(record.line())
@@ -183,22 +179,12 @@ def cmd_train(args):
             if measure and (record.wer, record.loss) < best:
                 best = (record.wer, record.loss)
                 save_checkpoint(args.output, model, vocab, config, record.epoch + 1, optimizer)
-            log.info(
-                "epoch %d  loss %.4f  sample_p %.3f%s",
-                record.epoch, record.loss, record.lm_sample_p,
-                f"  wer {record.wer:.4f}" if measure else "",
-            )
-
-        history = train_with_scheduled_lm_sampling(
-            model, lm, vocab, train_slice, fusion_cfg,
-            epochs=epochs, optimizer=optimizer, seed=config.seed,
-            clip_norm=config.training.clip_norm,
-            start_epoch=start_epoch, on_epoch=on_epoch,
-        )
+            log.info("epoch %d  loss %.4f  sample_p %.3f%s", record.epoch, record.loss,
+                     record.lm_sample_p, f"  wer {record.wer:.4f}" if measure else "")
 
     elapsed = time.monotonic() - started
     print(f"trained epochs {start_epoch}..{epochs - 1} in {elapsed:.1f}s")
-    print(f"final loss: {history[-1].loss:.4f}")
+    print(f"final loss: {record.loss:.4f}")
     print(f"best decode wer: {best[0]:.4f} on {len(eval_slice)} utterances")
     print(f"wrote {args.output} and {log_path}")
     return 0
@@ -220,9 +206,8 @@ def cmd_evaluate(args):
     lm = _fusion_lm(args.lm, ckpt.config.fusion, ckpt.vocabulary)
     manifest = load_manifest(args.manifest)
     _check_manifest(manifest, ckpt)
-    report = evaluate_dataset(
-        model, lm, manifest, ckpt.config.fusion, seed=args.seed, resamples=args.resamples
-    )
+    report = evaluate_dataset(model, lm, iter_utterances(manifest), ckpt.config.fusion,
+                              ckpt.vocabulary, seed=args.seed, resamples=args.resamples)
     print(format_report(report))
     if args.output:
         write_document(args.output, None, report.to_dict())
@@ -285,13 +270,13 @@ def _build_parser():
     p.set_defaults(func=cmd_train_lm)
 
     p = sub.add_parser("train", help="train the acoustic model")
-    p.add_argument("--config", help="run config JSON; ignored with --resume")
+    p.add_argument("--config", help="run config JSON; not allowed with --resume")
     p.add_argument("--data", required=True, help="directory holding train.json")
     p.add_argument("--lm", required=True, help="serialized language model")
     p.add_argument("--output", required=True, help="checkpoint path")
     p.add_argument("--epochs", type=int, help="override the configured epoch count")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--seed", type=int, help="override the configured seed")
+    p.add_argument("--seed", type=int, help="override the configured seed; not with --resume")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a manifest")

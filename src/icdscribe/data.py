@@ -21,6 +21,7 @@ from .audio import (
     SpeakerProfile,
     apply_far_field,
     concat_with_silence,
+    speakable,
     stft_logmel,
     synthesize_word,
 )
@@ -44,8 +45,9 @@ class IcdCode:
     words: list[str]
 
     def __post_init__(self):
-        if not self.words:
-            raise ContractError(f"code {self.code} has an empty description")
+        if not self.code or not self.words or not all(map(speakable, self.words)):
+            raise ContractError(f"code {self.code!r} needs an id and a description of "
+                                f"lowercase alphabetic words, got {self.words}")
 
 
 def load_icd_list(path):
@@ -60,13 +62,13 @@ def load_icd_list(path):
         if not tab:
             raise ContractError(f"line {lineno}: expected a tab between code and description")
         code_id = code_id.strip()
-        words = normalize_line(description)
-        if not code_id or not words:
-            raise ContractError(f"line {lineno}: code and description must both be nonempty")
         if code_id in seen:
             raise ContractError(f"duplicate code id {code_id!r}")
         seen.add(code_id)
-        codes.append(IcdCode(code_id, words))
+        try:
+            codes.append(IcdCode(code_id, normalize_line(description)))
+        except ContractError as exc:
+            raise ContractError(f"line {lineno}: {exc}") from None
     return codes
 
 

@@ -19,7 +19,8 @@ extension of the active ones, which makes width 1 coincide with greedy
 decoding.  Only each active hypothesis's best `beam_width` extensions are
 built, since no other can enter the beam; all tokens are scored in one
 vector expression, with the LM's memoized next-word vector.
-`evaluate_dataset` transcribes a whole manifest and scores it.
+`evaluate_dataset` transcribes utterances and scores them; the training
+log's WER is its corpus WER at beam width 1.
 """
 
 import json
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import adam_step, backward, clip_global_norm, log_softmax_values
-from .data import EOS, PAD, SOS, iter_utterances
+from .data import EOS, PAD, SOS
 from .errors import ContractError
 from .lm import next_logprobs, sample_next
 from .metrics import build_report
@@ -121,15 +122,15 @@ def check_vocabulary_alignment(lm, vocab):
 
 
 def train_with_scheduled_lm_sampling(
-    model, lm, vocab, utterances, cfg, epochs, optimizer, *, seed, clip_norm,
-    start_epoch=0, on_epoch=None,
+    model, lm, vocab, utterances, cfg, epochs, optimizer, *, seed, clip_norm, start_epoch=0,
 ):
-    """Train the acoustic model; returns one `EpochRecord` per epoch, each passed to `on_epoch`.
+    """Train the acoustic model, yielding each epoch's `EpochRecord` as that epoch ends.
 
     `utterances` are visited in the given order each epoch.  The language
     model only generates input-token swaps; its tables are never touched.
     `start_epoch` resumes a run mid-schedule: epochs before it are skipped
-    but the sampling ramp still spans the full `epochs` horizon.
+    but the sampling ramp still spans the full `epochs` horizon.  Nothing,
+    the argument checks included, runs before the first record is asked for.
     """
     if not utterances:
         raise ContractError("cannot train on an empty utterance list")
@@ -137,7 +138,6 @@ def train_with_scheduled_lm_sampling(
         raise ContractError(f"start epoch {start_epoch} outside [0, {epochs}]")
     check_vocabulary_alignment(lm, vocab)
     features = [standardize_spectrogram(u.spectrogram) for u in utterances]
-    log = []
     for epoch in range(start_epoch, epochs):
         p = lm_sample_probability(cfg, epoch, epochs)
         total = 0.0
@@ -153,11 +153,7 @@ def train_with_scheduled_lm_sampling(
                                     f"gradient norm {norm}; no parameter was updated")
             adam_step(model.values, model.grads, optimizer)
             total += loss
-        record = EpochRecord(epoch, total / len(utterances), p)
-        log.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
-    return log
+        yield EpochRecord(epoch, total / len(utterances), p)
 
 
 def _expand(model, lm, hyp, encoded, cfg, vocab, tokens, words):
@@ -225,15 +221,11 @@ def transcribe(model, lm, x, cfg, vocab):
     return vocab.decode(best.tokens)
 
 
-def evaluate_dataset(model, lm, manifest, cfg, seed, resamples):
-    """Transcribe every utterance in a manifest and score the results."""
+def evaluate_dataset(model, lm, utterances, cfg, vocab, seed, resamples):
+    """Transcribe each utterance in turn and score the results; `utterances` may be lazy."""
     if not 1 <= resamples <= 10_000:  # the bootstrap holds int64 arrays of resamples x pairs
         raise ContractError(f"the bootstrap needs at least 1 resample and at most 10000, "
                             f"got {resamples}")
-    vocab = manifest.vocabulary
-    pairs = []
-    for utt in iter_utterances(manifest):
-        reference = vocab.decode(utt.target)
-        hypothesis = transcribe(model, lm, utt.spectrogram, cfg, vocab)
-        pairs.append((reference, hypothesis))
+    pairs = [(vocab.decode(utt.target), transcribe(model, lm, utt.spectrogram, cfg, vocab))
+             for utt in utterances]
     return build_report(pairs, seed=seed, resamples=resamples)

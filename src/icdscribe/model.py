@@ -226,22 +226,19 @@ class Seq2SeqModel:
 
     # --------------------------------------------------------------- attention
 
-    def attention_scores(self, s_prev, encoder_output, tanh_rows=None):
-        """Unnormalized additive scores [1, U] for the decoder state s_prev [1, H].
+    def attend(self, s_prev, encoder_output, tanh_rows=None):
+        """Attention weights alpha [1, U] and the context alpha @ hidden [1, He], as arrays.
 
-        tanh(W s + V h_j + b) is formed in `tanh_rows` [U, A] when given;
-        teacher forcing keeps those rows for its reverse pass.
+        The additive scores are tanh(W s + V h_j + b) @ w for the decoder state
+        s_prev [1, H]; the tanh rows are formed in `tanh_rows` [U, A] when
+        given, since teacher forcing keeps them for its reverse pass.
         """
         p = self._params
         query = s_prev @ p["attn.query"].values
         rows = np.add(encoder_output.keys, query, out=tanh_rows)
         rows += p["attn.b"].values
         np.tanh(rows, out=rows)
-        return (rows @ p["attn.score"].values).reshape(1, -1)
-
-    def attend(self, s_prev, encoder_output, tanh_rows=None):
-        """Attention weights alpha [1, U] and the context alpha @ hidden [1, He], as arrays."""
-        alpha = softmax_values(self.attention_scores(s_prev, encoder_output, tanh_rows))
+        alpha = softmax_values((rows @ p["attn.score"].values).reshape(1, -1))
         return alpha, alpha @ encoder_output.hidden
 
     # ----------------------------------------------------------------- decoder

@@ -10,10 +10,11 @@ reference it is checked against is a define-by-run graph engine kept here:
 `Tensor`, `backward` and the ops `matmul`, `add`, `tanh`, `relu`,
 `concat`, `narrow`, `reshape`, `softmax`, `conv1d`, `lstm` and
 `softmax_cross_entropy`, one node each.  They build the per-op graphs of
-the encoder and decoder (`graph_encode`, `graph_attend`,
-`graph_decode_step`, `graph_teacher_forced`) over leaves that wrap the
-model's parameters (`graph_parameters`).  `conv1d` and `lstm` run the
-package's own array kernels, and the loss node runs `autodiff.backward`.
+the encoder and decoder (`graph_encode`, `graph_attention_scores`,
+`graph_attend`, `graph_decode_step`, `graph_teacher_forced`) over leaves
+that wrap the model's parameters (`graph_parameters`).  `conv1d` and
+`lstm` run the package's own array kernels, and the loss node runs
+`autodiff.backward`.
 """
 
 import contextlib
@@ -433,12 +434,17 @@ def graph_encode(model, x):
     return GraphEncoding(hidden=out, keys=matmul(out, p["attn.keys"]))
 
 
-def graph_attend(model, s_prev, encoded):
-    """Attention weights [1, U] and context [1, He] as Tensors, from a [1, H] state Tensor."""
+def graph_attention_scores(model, s_prev, encoded):
+    """The additive attention scores [1, U], before the softmax, from a [1, H] state Tensor."""
     p = graph_parameters(model)
     query = matmul(s_prev, p["attn.query"])
     e = matmul(tanh(add(add(encoded.keys, query), p["attn.b"])), p["attn.score"])
-    alpha = softmax(reshape(e, (1, encoded.reduced_steps)))
+    return reshape(e, (1, encoded.reduced_steps))
+
+
+def graph_attend(model, s_prev, encoded):
+    """Attention weights [1, U] and context [1, He] as Tensors, from a [1, H] state Tensor."""
+    alpha = softmax(graph_attention_scores(model, s_prev, encoded))
     return alpha, matmul(alpha, encoded.hidden)
 
 

@@ -450,11 +450,11 @@ class TestOverfitRecovery:
         trained = 0
         max_epochs = 200
         for chunk_end in range(20, max_epochs + 1, 20):
-            train_with_scheduled_lm_sampling(
+            list(train_with_scheduled_lm_sampling(
                 model, lm, vocab, utterances, train_cfg, epochs=chunk_end,
                 optimizer=optimizer, seed=0, clip_norm=config.training.clip_norm,
                 start_epoch=trained,
-            )
+            ))
             trained = chunk_end
             final_wer = pooled_wer(model, None, utterances, decode_cfg, vocab)
             if final_wer <= 0.05:
@@ -496,10 +496,10 @@ class TestHeldOutSpeaker:
         config = RunConfig(seed=0, dataset=dataset, encoder=desk_encoder(), decoder=desk_decoder())
         model = fresh_model(config, vocab)
         optimizer = AdamState(model.values.size, OptimizerConfig(lr=2e-3))
-        train_with_scheduled_lm_sampling(
+        list(train_with_scheduled_lm_sampling(
             model, lm, vocab, train_utts, FusionConfig(lm_sample_max=0.0),
             epochs=30, optimizer=optimizer, seed=0, clip_norm=config.training.clip_norm,
-        )
+        ))
 
         decode_cfg = FusionConfig(lambda_lm=0.3, beam_width=2, max_decode_len=12)
         model_wer = pooled_wer(model, lm, test_utts, decode_cfg, vocab)

@@ -7,6 +7,12 @@ transcribe pass featurizes wavs through `audio.frontend_spectrogram`, and
 positional argument.  The train and evaluate passes time a CLI command by
 wrapping module attributes: `cli.train_with_scheduled_lm_sampling` and
 `fusion.adam_step`, and `cli.evaluate_dataset` and `fusion.transcribe`.
+The training loop is a generator, so a probe around it enters when `train`
+creates it: after every utterance is realized and before the first update,
+which keeps the train pass's set-up time apart from its steps.  Its exit
+hook fires at creation too, so the pass's Tensor count covers only that.
+`evaluate` hands `evaluate_dataset` a lazy iterator, so each utterance is
+realized inside that probed call.
 The traced passes run the real benchmarks/tracer.py, which wraps
 `autodiff.backward` and counts `autodiff.Tensor`s made while training.
 A change that breaks one of these otherwise shows up only in a benchmark run.
@@ -16,7 +22,6 @@ import ast
 import importlib
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -119,11 +124,11 @@ def pipeline(tmp_path_factory):
 
 
 def count_calls(monkeypatch, owner, attr, calls, results=None):
-    """Wrap `owner.attr` as the benchmark's probes do, counting calls in `calls[attr]`."""
+    """Wrap `owner.attr` as the benchmark's probes do, appending `attr` to `calls` on entry."""
     fn = getattr(owner, attr)
 
     def counted(*args, **kwargs):
-        calls[attr] += 1
+        calls.append(attr)
         result = fn(*args, **kwargs)
         if results is not None:
             results.append(result)
@@ -135,24 +140,30 @@ def count_calls(monkeypatch, owner, attr, calls, results=None):
 class TestProbedCommands:
     def test_train_runs_one_loop_and_one_adam_step_per_update(self, pipeline, tmp_path,
                                                                monkeypatch):
-        calls = Counter()
+        calls = []
+        count_calls(monkeypatch, data, "realize_utterance", calls)
         count_calls(monkeypatch, cli, "train_with_scheduled_lm_sampling", calls)
         count_calls(monkeypatch, fusion, "adam_step", calls)
         assert cli.main(["train", "--config", str(pipeline.config), "--data", str(pipeline.data),
                          "--lm", str(pipeline.lm), "--output", str(tmp_path / "m.ckpt")]) == 0
-        records = load_manifest(pipeline.data / "train.json").records
-        updates = TINY_CONFIG["training"]["epochs"] * len(records)
-        assert calls == {"train_with_scheduled_lm_sampling": 1, "adam_step": updates}
+        records = len(load_manifest(pipeline.data / "train.json").records)
+        updates = TINY_CONFIG["training"]["epochs"] * records
+        # the loop is entered once, after set-up and before the first update: setup_s ends there
+        assert calls == (["realize_utterance"] * records + ["train_with_scheduled_lm_sampling"]
+                         + ["adam_step"] * updates)
 
     def test_evaluate_transcribes_each_record_once_into_words(self, pipeline, tmp_path,
                                                               monkeypatch, capsys):
-        calls, hypotheses = Counter(), []
+        calls, hypotheses = [], []
+        count_calls(monkeypatch, data, "realize_utterance", calls)
         count_calls(monkeypatch, cli, "evaluate_dataset", calls)
         count_calls(monkeypatch, fusion, "transcribe", calls, hypotheses)
         manifest = load_manifest(pipeline.data / "test.json")
         assert cli.main(["evaluate", "--ckpt", str(pipeline.ckpt), "--lm", str(pipeline.lm),
                          "--manifest", str(pipeline.data / "test.json"), "--resamples", "10"]) == 0
-        assert calls == {"evaluate_dataset": 1, "transcribe": len(manifest.records)}
+        # each utterance is realized inside the probed call, so set-up ends before any audio
+        assert calls == (["evaluate_dataset"]
+                         + ["realize_utterance", "transcribe"] * len(manifest.records))
         words = set(manifest.vocabulary.content_words)
         assert all(isinstance(h, list) and set(h) <= words for h in hypotheses)
 
@@ -175,7 +186,7 @@ class TestTracer:
         def probed(*args, **kwargs):  # as the train pass counts the Tensors made in training
             before = tracer.tensors["other"]
             try:
-                return train(*args, **kwargs)
+                yield from train(*args, **kwargs)
             finally:
                 made["training"] = tracer.tensors["other"] - before
 

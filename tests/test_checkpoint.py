@@ -307,27 +307,27 @@ class TestResume:
 
         straight = fresh_model(config, VOCAB)
         opt = AdamState(straight.values.size, config.optimizer)
-        wanted = train_with_scheduled_lm_sampling(
+        wanted = list(train_with_scheduled_lm_sampling(
             straight, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt, seed=7,
             clip_norm=config.training.clip_norm,
-        )
+        ))
 
         first = fresh_model(config, VOCAB)
         opt1 = AdamState(first.values.size, config.optimizer)
-        leg1 = train_with_scheduled_lm_sampling(
+        leg1 = list(train_with_scheduled_lm_sampling(
             first, LM, VOCAB, utts, leg1_cfg, epochs=3, optimizer=opt1, seed=7,
             clip_norm=config.training.clip_norm,
-        )
+        ))
         path = tmp_path / "partial.json"
         save_checkpoint(path, first, VOCAB, config, step=3, optimizer=opt1)
 
         loaded = load_checkpoint(path)
         second = build_model(loaded)
         opt2 = restore_optimizer(loaded, second)
-        leg2 = train_with_scheduled_lm_sampling(
+        leg2 = list(train_with_scheduled_lm_sampling(
             second, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt2, seed=7,
             clip_norm=config.training.clip_norm, start_epoch=loaded.step,
-        )
+        ))
 
         assert [e.loss for e in leg1] == [e.loss for e in wanted[:3]]
         assert [e.loss for e in leg2] == [e.loss for e in wanted[3:]]

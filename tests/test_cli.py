@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -16,7 +17,8 @@ from icdscribe.audio import SpeakerProfile, synthesize_word, write_wav
 from icdscribe import autodiff, cli
 from icdscribe.checkpoint import build_model, load_checkpoint
 from icdscribe.cli import main
-from icdscribe.data import load_manifest
+from icdscribe.data import iter_utterances, load_manifest
+from icdscribe.fusion import evaluate_dataset
 from icdscribe.lm import load_lm, prob
 
 TINY_CONFIG = {
@@ -151,6 +153,18 @@ class TestGenerateData:
         assert_one_line_error(err, "unknown speaker 'spk9'", "near", "far")
         assert not out.exists()
 
+    @pytest.mark.parametrize("description, word", [("acute pain (chest)", "'(chest)'"),
+                                                   ("type 2 diabetes", "'2'")])
+    def test_unspeakable_description_word_exits_2_before_writing(self, tmp_path, description,
+                                                                 word):
+        codes = tmp_path / "codes.tsv"
+        codes.write_text(f"C1\taa bb\nC2\t{description}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, err = run(["generate-data", "--codes", codes, "--output", out])
+        assert code == 2
+        assert_one_line_error(err, "line 2", "C2", word)
+        assert not out.exists()
+
     def test_missing_codes_file_exits_3(self, tmp_path):
         assert main([
             "generate-data", "--codes", str(tmp_path / "nope.tsv"),
@@ -260,6 +274,43 @@ class TestTrain:
         assert stored == load_manifest(tmp_path / "data" / "train.json").config
         assert (stored.frontend.window, stored.frontend.hop) == (512, 200)
 
+    @pytest.mark.parametrize("flag", ["--seed", "--config"])
+    def test_resume_with_a_setting_flag_exits_2_before_writing(self, workspace, tmp_path, flag):
+        value = {"--seed": 3, "--config": workspace.config}[flag]
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
+                         "--resume", workspace.ckpt, "--epochs", 3, flag, value,
+                         "--output", tmp_path / "resumed.json"])
+        assert code == 2
+        assert_one_line_error(err, flag, "--resume")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_logged_wer_is_the_evaluate_corpus_wer_at_beam_width_1(self, workspace, tmp_path,
+                                                                    monkeypatch):
+        config = tmp_path / "config.json"
+        training = {"epochs": 4, "holdout_fraction": 0.4, "wer_every": 1}
+        config.write_text(json.dumps({**TINY_CONFIG, "optimizer": {"lr": 0.2},
+                                      "training": training}), encoding="utf-8")
+        held_out = list(iter_utterances(load_manifest(workspace.data / "train.json")))[-2:]
+        real, scores = cli.train_with_scheduled_lm_sampling, []
+
+        def scored_after_each_epoch(model, lm, vocab, utterances, cfg, *args, **kwargs):
+            assert len(utterances) == 3  # the 5 records less int(5 * 0.4) held out
+            greedy = dataclasses.replace(cfg, beam_width=1)
+            for record in real(model, lm, vocab, utterances, cfg, *args, **kwargs):
+                report = evaluate_dataset(model, lm, held_out, greedy, vocab, seed=0,
+                                          resamples=1000)
+                scores.append(report.corpus_wer)
+                yield record
+
+        monkeypatch.setattr(cli, "train_with_scheduled_lm_sampling", scored_after_each_epoch)
+        out = tmp_path / "model.json"
+        code, err = run(["train", "--config", config, "--data", workspace.data,
+                         "--lm", workspace.lm, "--output", out])
+        assert code == 0, err
+        lines = out.with_suffix(".log.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["wer"] for line in lines] == scores
+        assert len(scores) == 4
+
     def test_resume_past_the_horizon_exits_2(self, workspace, tmp_path, capsys):
         code = main(["train", "--data", str(workspace.data), "--lm", str(workspace.lm),
                      "--resume", str(workspace.ckpt), "--epochs", "2",
@@ -285,13 +336,11 @@ class TestResumeThroughTheLog:
         """Run `argv` until epoch k - 1 is logged and checkpointed, then stop it."""
         real = cli.train_with_scheduled_lm_sampling
 
-        def interrupted(*args, on_epoch, **kwargs):
-            def on_epoch_then_stop(stats):
-                on_epoch(stats)
-                if stats.epoch == k - 1:
+        def interrupted(*args, **kwargs):
+            for record in real(*args, **kwargs):
+                yield record  # train logs and checkpoints the record before asking for the next
+                if record.epoch == k - 1:
                     raise KeyboardInterrupt
-
-            return real(*args, on_epoch=on_epoch_then_stop, **kwargs)
 
         monkeypatch.setattr(cli, "train_with_scheduled_lm_sampling", interrupted)
         with pytest.raises(KeyboardInterrupt):
@@ -383,7 +432,8 @@ class TestResumeThroughTheLog:
     def test_resume_into_a_new_output_without_a_better_epoch_keeps_the_best(
         self, workspace, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(cli, "_greedy_wer", lambda *args: 99.0)
+        monkeypatch.setattr(cli, "evaluate_dataset",
+                            lambda *args, **kwargs: SimpleNamespace(corpus_wer=99.0))
         out = tmp_path / "resumed.json"
         code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
                          "--resume", workspace.ckpt, "--epochs", "3", "--output", out])
@@ -399,11 +449,11 @@ class TestResumeThroughTheLog:
         out, before = self.copy_of_the_run(workspace, tmp_path)
         seen = []
 
-        def greedy_wer_reading_the_log(*args):
+        def evaluate_reading_the_log(*args, **kwargs):
             seen.append(out.with_suffix(".log.jsonl").read_bytes())
-            return 99.0
+            return SimpleNamespace(corpus_wer=99.0)
 
-        monkeypatch.setattr(cli, "_greedy_wer", greedy_wer_reading_the_log)
+        monkeypatch.setattr(cli, "evaluate_dataset", evaluate_reading_the_log)
         code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
                          "--resume", out, "--epochs", "3", "--output", out])
         assert code == 0, err
@@ -696,6 +746,18 @@ class TestMalformedInputs:
         code, err = run(["transcribe", path, "--ckpt", workspace.ckpt, "--lambda-lm", "0"])
         assert code == 2
         assert_one_line_error(err, fragment)
+
+    def test_manifest_with_an_unspeakable_word(self, workspace, tmp_path):
+        payload = json.loads((workspace.data / "train.json").read_text(encoding="utf-8"))
+        payload["codes"][0]["words"][0] = "a2"
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.json").write_text(json.dumps(payload), encoding="utf-8")
+        code, err = run(["train", "--config", workspace.config, "--data", data,
+                         "--lm", workspace.lm, "--output", tmp_path / "model.json"])
+        assert code == 2
+        assert_one_line_error(err, str(data / "train.json"), "'a2'")
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
 
     def test_lm_without_lambdas(self, workspace, tmp_path):
         """An lm-v2 document stripped of its `lambdas` is still lm-v2: its tag decides."""

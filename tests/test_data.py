@@ -87,6 +87,13 @@ class TestLoadIcdList:
         with pytest.raises(ContractError, match="line 1"):
             load_icd_list(path)
 
+    @pytest.mark.parametrize("description", ["acute pain (chest)", "type 2 diabetes", "café"])
+    def test_unspeakable_word_reports_line_number(self, tmp_path, description):
+        path = tmp_path / "codes.tsv"
+        path.write_text(f"R06.4\tHyperventilation\nX1\t{description}\n", encoding="utf-8")
+        with pytest.raises(ContractError, match="line 2"):
+            load_icd_list(path)
+
     def test_bundled_list(self):
         codes = load_icd_list(bundled_icd_path())
         assert len(codes) == 20
@@ -145,6 +152,11 @@ class TestVocabulary:
     def test_empty_description_rejected(self):
         with pytest.raises(ContractError):
             IcdCode("X", [])
+
+    @pytest.mark.parametrize("word", ["", "r10", "Pain", "ab cd", "café", "(chest)"])
+    def test_word_that_synthesis_refuses_rejected(self, word):
+        with pytest.raises(ContractError, match="lowercase alphabetic"):
+            IcdCode("X", ["pain", word])
 
 
 class TestPlanVariations:

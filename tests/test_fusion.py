@@ -241,11 +241,11 @@ class TestTraining:
         cfg = FusionConfig(lm_sample_max=0.0)
 
         trained = tiny_model(seed=5)
-        log = train_with_scheduled_lm_sampling(
+        log = list(train_with_scheduled_lm_sampling(
             trained, LM, VOCAB, utts, cfg, epochs=3,
             optimizer=AdamState(trained.values.size, OptimizerConfig()), seed=1,
             clip_norm=CLIP_NORM,
-        )
+        ))
 
         manual = tiny_model(seed=5)
         opt = AdamState(manual.values.size, OptimizerConfig())
@@ -267,41 +267,41 @@ class TestTraining:
         runs = []
         for _ in range(2):
             model = tiny_model(seed=2)
-            log = train_with_scheduled_lm_sampling(
+            log = list(train_with_scheduled_lm_sampling(
                 model, LM, VOCAB, fake_utterances(), cfg, epochs=4,
                 optimizer=AdamState(model.values.size, OptimizerConfig()), seed=9,
                 clip_norm=CLIP_NORM,
-            )
+            ))
             runs.append([e.loss for e in log])
         assert runs[0] == runs[1]
 
     def test_loss_decreases_on_tiny_problem(self):
         model = tiny_model(seed=3)
         opt = AdamState(model.values.size, OptimizerConfig(lr=5e-3))
-        log = train_with_scheduled_lm_sampling(
+        log = list(train_with_scheduled_lm_sampling(
             model, LM, VOCAB, fake_utterances(), FusionConfig(lm_sample_max=0.0),
             epochs=25, optimizer=opt, seed=0, clip_norm=CLIP_NORM,
-        )
+        ))
         assert log[-1].loss < log[0].loss * 0.7
 
     def test_vocabulary_mismatch_rejected(self):
         vocab = build_vocabulary([IcdCode("X", ["aa", "zebra"])])
         model = tiny_model()
         with pytest.raises(ContractError, match="zebra"):
-            train_with_scheduled_lm_sampling(
+            list(train_with_scheduled_lm_sampling(
                 model, LM, vocab, fake_utterances(), FusionConfig(),
                 epochs=1, optimizer=AdamState(model.values.size, OptimizerConfig()),
                 seed=0, clip_norm=CLIP_NORM,
-            )
+            ))
 
     def test_empty_dataset_rejected(self):
         model = tiny_model()
         with pytest.raises(ContractError):
-            train_with_scheduled_lm_sampling(
+            list(train_with_scheduled_lm_sampling(
                 model, LM, VOCAB, [], FusionConfig(), epochs=1,
                 optimizer=AdamState(model.values.size, OptimizerConfig()),
                 seed=0, clip_norm=CLIP_NORM,
-            )
+            ))
 
     def test_nan_loss_stops_before_the_update(self):
         utts = fake_utterances()
@@ -310,14 +310,14 @@ class TestTraining:
         model, twin = tiny_model(seed=4), tiny_model(seed=4)
         opt = AdamState(model.values.size, OptimizerConfig())
         with pytest.raises(ContractError, match="epoch 0, utterance 1"):
-            train_with_scheduled_lm_sampling(
+            list(train_with_scheduled_lm_sampling(
                 model, LM, VOCAB, utts, cfg, epochs=2, optimizer=opt, seed=0, clip_norm=CLIP_NORM,
-            )
+            ))
         # the twin takes only the good first step; the bad one must change nothing
-        train_with_scheduled_lm_sampling(
+        list(train_with_scheduled_lm_sampling(
             twin, LM, VOCAB, utts[:1], cfg, epochs=1,
             optimizer=AdamState(twin.values.size, OptimizerConfig()), seed=0, clip_norm=CLIP_NORM,
-        )
+        ))
         assert opt.step == 1
         for name, p in model.named_parameters().items():
             assert np.array_equal(p.values, twin.named_parameters()[name].values), name
@@ -325,10 +325,10 @@ class TestTraining:
     def test_schedule_recorded_in_log(self):
         model = tiny_model()
         cfg = FusionConfig(lm_sample_max=0.25, ramp_frac=0.5)
-        log = train_with_scheduled_lm_sampling(
+        log = list(train_with_scheduled_lm_sampling(
             model, LM, VOCAB, fake_utterances()[:1], cfg, epochs=4,
             optimizer=AdamState(model.values.size, OptimizerConfig()), seed=0, clip_norm=CLIP_NORM,
-        )
+        ))
         assert [e.lm_sample_p for e in log] == [
             lm_sample_probability(cfg, e, 4) for e in range(4)
         ]

@@ -13,6 +13,7 @@ from helpers import (
     backward,
     finite_difference_grad,
     graph_attend,
+    graph_attention_scores,
     graph_decode_step,
     graph_encode,
     graph_teacher_forced,
@@ -161,8 +162,8 @@ class TestAttention:
 
     def test_score_shift_leaves_weights_unchanged(self):
         model = small_model(seed=4)
-        encoded = model.encode(spectrogram(24, seed=2))
-        scores = Tensor(model.attention_scores(model.start_state()[0], encoded))
+        encoded = graph_encode(model, spectrogram(24, seed=2))
+        scores = graph_attention_scores(model, Tensor(model.start_state()[0]), encoded)
         base = softmax(scores).values
         shifted = softmax(add(scores, Tensor(np.full(scores.shape, 17.3)))).values
         assert np.allclose(base, shifted, atol=1e-12)
