@@ -24,6 +24,9 @@ from .seeds import stable_seed
 
 DEFAULT_SAMPLE_RATE = 16000
 
+# the longest wav `read_wav` accepts: 30 s at 48 kHz, 2.9 MB of samples
+MAX_WAV_FRAMES = 30 * 48_000
+
 # seconds of audio synthesized per character at rate multiplier 1.0
 CHAR_SECONDS = 0.05
 
@@ -287,11 +290,18 @@ def write_wav(path, w):
 
 
 def read_wav(path):
-    """Mono 16-bit PCM audio; a file that is not a complete wav raises ContractError."""
+    """Mono 16-bit PCM audio; a file that is not a complete wav raises ContractError.
+
+    A header that declares more than `MAX_WAV_FRAMES` frames is refused
+    before any sample is read, whatever rate it states.
+    """
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
                 raise ContractError("only mono 16-bit PCM input is supported")
+            if fh.getnframes() > MAX_WAV_FRAMES:
+                raise ContractError(f"{path} declares {fh.getnframes()} frames, more than the "
+                                    f"{MAX_WAV_FRAMES} (30 s at 48 kHz) a wav may hold")
             rate = fh.getframerate()
             raw = fh.readframes(fh.getnframes())
             if len(raw) % 2:

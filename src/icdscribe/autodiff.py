@@ -24,9 +24,12 @@ tolerances.
 Two bulk phases of an update, the weight-gradient products and Adam's
 blocks, run on the calling thread and one helper thread at once
 (`run_shared`).  Each job writes its own slice of memory, so the split
-never changes a bit.  The helper is made on the first call that has two
-jobs, and only where two or more cores are usable; on one core the same
-functions run on the calling thread alone.  There is no knob.
+never changes a bit.  The same helper draws the next item of an iterator
+while the caller works on the current one (`prefetched`), which lets
+`evaluate` realize one utterance while it decodes the one before.  The
+helper is made on first use, and only where two or more cores are usable;
+on one core the same functions run on the calling thread alone.  There is
+no knob.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ def _lstm_cell_backward(wh, gates, c_prev, tanh_c):
 @functools.cache
 def _helper():
     """The one helper thread, as a one-worker executor made on first use; None on one core."""
-    from concurrent.futures import ThreadPoolExecutor  # only a training update needs it
+    from concurrent.futures import ThreadPoolExecutor  # only training and `prefetched` need it
 
     try:
         cores = len(os.sched_getaffinity(0))
@@ -263,6 +266,30 @@ def run_shared(work, jobs):
     finally:
         if turn is not None and not turn.cancel():
             turn.result()
+
+
+def prefetched(items):
+    """Yield `items` in order, drawing item k + 1 on the helper while the caller holds item k.
+
+    Every draw runs on the helper, one at a time and in order, so state
+    that the iterator keeps is never touched by two threads.  The items
+    and any exception are those of a plain iteration; on one core this is
+    one.  A consumer that stops early cancels the pending draw if the
+    helper has not started it, and otherwise waits for it.
+    """
+    helper = _helper()
+    if helper is None:
+        yield from items
+        return
+    draws, end = iter(items), object()
+    pending = helper.submit(next, draws, end)
+    try:
+        while (item := pending.result()) is not end:
+            pending = helper.submit(next, draws, end)
+            yield item
+    finally:
+        if not pending.cancel():
+            pending.exception()  # waits; an item nobody asked for raises nothing
 
 
 def _write_product(product, worker):

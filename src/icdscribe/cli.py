@@ -5,7 +5,10 @@ language model, train the acoustic model, evaluate, and transcribe.
 Every command is reproducible from its persisted config and seed alone.
 `train` loops over the epoch records that training yields: it scores a
 measuring epoch with `evaluate`'s code at beam width 1, logs the record, and
-checkpoints a better score.
+checkpoints a better score.  `evaluate` and a manifest `transcribe` realize
+each next utterance on the helper thread while the current one is decoded
+(`autodiff.prefetched`); `train` realizes its set up front on the calling
+thread.
 
 Exit codes: 0 success, 2 configuration or validation problem, 3 i/o.
 """
@@ -20,7 +23,7 @@ import time
 from functools import partial
 from pathlib import Path
 
-from .autodiff import AdamState
+from .autodiff import AdamState, prefetched
 from .checkpoint import (
     build_model,
     fresh_model,
@@ -206,8 +209,9 @@ def cmd_evaluate(args):
     lm = _fusion_lm(args.lm, ckpt.config.fusion, ckpt.vocabulary)
     manifest = load_manifest(args.manifest)
     _check_manifest(manifest, ckpt)
-    report = evaluate_dataset(model, lm, iter_utterances(manifest), ckpt.config.fusion,
-                              ckpt.vocabulary, seed=args.seed, resamples=args.resamples)
+    report = evaluate_dataset(model, lm, prefetched(iter_utterances(manifest)),
+                              ckpt.config.fusion, ckpt.vocabulary, seed=args.seed,
+                              resamples=args.resamples)
     print(format_report(report))
     if args.output:
         write_document(args.output, None, report.to_dict())
@@ -224,7 +228,7 @@ def _decode_inputs(args, ckpt):
         return
     manifest = load_manifest(path)
     _check_manifest(manifest, ckpt)
-    for utt in iter_utterances(manifest):
+    for utt in prefetched(iter_utterances(manifest)):
         yield f"{utt.code}/{utt.speaker_id}/{utt.variation_index}", utt.spectrogram
 
 

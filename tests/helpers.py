@@ -18,6 +18,7 @@ that wrap the model's parameters (`graph_parameters`).  `conv1d` and
 """
 
 import contextlib
+import struct
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from icdscribe import autodiff as ad
+from icdscribe.audio import Waveform, write_wav
 from icdscribe.errors import ContractError
 
 
@@ -374,9 +376,9 @@ def assert_grad_close(analytic, numeric, rtol, atol=1e-7):
 
 @contextlib.contextmanager
 def helper_thread(on):
-    """`autodiff`'s shared phases with a helper thread of their own (`on`), or on one thread.
+    """`autodiff`'s helper thread replaced by one of this block's own (`on`), or by none.
 
-    Patches the helper factory, so the two-thread path runs whatever the
+    Patches the helper factory, so the two-thread paths run whatever the
     machine's core count.  Yields the helper's executor, or None.
     """
     executor = ThreadPoolExecutor(1) if on else None
@@ -388,6 +390,16 @@ def helper_thread(on):
         ad._helper = factory
         if executor is not None:
             executor.shutdown()
+
+
+def forged_wav(path, frames):
+    """A 10-sample mono wav whose RIFF and data chunk headers claim `frames` frames."""
+    write_wav(path, Waveform(np.zeros(10), 16000))
+    raw = path.read_bytes()
+    assert raw[36:40] == b"data"  # the data chunk's size follows its tag
+    size = 2 * frames
+    path.write_bytes(raw[:4] + struct.pack("<I", 36 + size) + raw[8:40]
+                     + struct.pack("<I", size) + raw[44:])
 
 
 def loss_value(model, x, target, inputs=None):

@@ -1,12 +1,15 @@
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import forged_wav
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icdscribe.audio import (
+    MAX_WAV_FRAMES,
     FrontendConfig,
     RoomModel,
     SpeakerProfile,
@@ -370,3 +373,23 @@ class TestWavRoundTrip:
         assert back.sample_rate == w.sample_rate
         assert len(back.samples) == len(w.samples)
         assert np.max(np.abs(back.samples - w.samples)) <= 1.0 / 32767.0
+
+    @pytest.mark.parametrize("frames", [MAX_WAV_FRAMES + 1, 2**31 - 20])
+    def test_a_header_declaring_too_many_frames_is_refused_before_any_read(self, tmp_path,
+                                                                          frames):
+        path = tmp_path / "forged.wav"
+        forged_wav(path, frames)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError) as refused:
+                read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"declares {frames} frames" in str(refused.value)
+        assert peak < 256 * 1024  # reading the samples it claims would take 2.9 MB or more
+
+    def test_a_header_at_the_bound_is_read(self, tmp_path):
+        path = tmp_path / "long.wav"
+        write_wav(path, Waveform(np.zeros(MAX_WAV_FRAMES), 48000))
+        assert len(read_wav(path).samples) == MAX_WAV_FRAMES

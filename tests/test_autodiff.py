@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -891,3 +892,64 @@ class TestTwoThreads:
                 release.set()
         assert all(np.array_equal(a, b) for a, b in zip(got_adam, want_adam, strict=True))
         assert got_update[0] == want_update[0] and np.array_equal(got_update[1], want_update[1])
+
+
+class TestPrefetched:
+    """`prefetched` yields what a plain iteration yields, drawing one item ahead on the helper."""
+
+    @staticmethod
+    def drawn(items, threads, fail_at=None, error=None):
+        """Yield `items`, recording the thread of each draw; raise `error` at index `fail_at`."""
+        for index, item in enumerate(items):
+            threads.append(threading.current_thread())
+            if index == fail_at:
+                raise error
+            yield item
+
+    @pytest.mark.parametrize("on", [False, True])
+    @given(items=st.lists(st.integers(), max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_yields_the_items_in_order(self, on, items):
+        threads = []
+        with ops.helper_thread(on):
+            assert list(ad.prefetched(self.drawn(items, threads))) == items
+        assert len(threads) == len(items)
+        assert all((t is not threading.main_thread()) == on for t in threads)
+
+    @pytest.mark.parametrize("on", [False, True])
+    @given(data=st.data(), size=st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_an_error_comes_out_after_the_items_before_it(self, on, data, size):
+        fail_at = data.draw(st.integers(0, size - 1))
+        error, got, threads = ValueError("item failed"), [], []
+        with ops.helper_thread(on):
+            with pytest.raises(ValueError) as raised:
+                for item in ad.prefetched(self.drawn(range(size), threads, fail_at, error)):
+                    got.append(item)
+        assert raised.value is error and got == list(range(fail_at))
+        assert len(threads) == fail_at + 1
+
+    @pytest.mark.parametrize("on", [False, True])
+    @given(data=st.data(), size=st.integers(0, 20))
+    @settings(max_examples=30, deadline=None)
+    def test_closing_early_leaves_the_helper_idle(self, on, data, size):
+        taken = data.draw(st.integers(0, size))
+        busy, started = threading.Event(), []
+
+        def slow():
+            for item in range(size):
+                busy.set()
+                started.append(item)
+                time.sleep(0.001)  # long enough that a close often finds the draw running
+                busy.clear()
+                yield item
+
+        with ops.helper_thread(False):
+            want = TestTwoThreads.adam_run(TestTwoThreads.ADAM_SIZE)
+        with ops.helper_thread(on):
+            items = ad.prefetched(slow())
+            assert [next(items) for _ in range(taken)] == list(range(taken))
+            items.close()
+            assert not busy.is_set() and len(started) <= taken + 1
+            got = TestTwoThreads.adam_run(TestTwoThreads.ADAM_SIZE)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))

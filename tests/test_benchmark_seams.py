@@ -12,7 +12,10 @@ creates it: after every utterance is realized and before the first update,
 which keeps the train pass's set-up time apart from its steps.  Its exit
 hook fires at creation too, so the pass's Tensor count covers only that.
 `evaluate` hands `evaluate_dataset` a lazy iterator, so each utterance is
-realized inside that probed call.
+realized inside that probed call.  It realizes the next utterance on the
+helper thread while the current one is transcribed, so whether record k + 1
+or transcript k comes first depends on thread timing; the evaluate test
+pins only the order within each record and that nothing runs further ahead.
 The traced passes run the real benchmarks/tracer.py, which wraps
 `autodiff.backward` and counts `autodiff.Tensor`s made while training.
 A change that breaks one of these otherwise shows up only in a benchmark run.
@@ -154,16 +157,30 @@ class TestProbedCommands:
 
     def test_evaluate_transcribes_each_record_once_into_words(self, pipeline, tmp_path,
                                                               monkeypatch, capsys):
-        calls, hypotheses = [], []
-        count_calls(monkeypatch, data, "realize_utterance", calls)
+        calls, hypotheses, realized = [], [], []
+        realize = data.realize_utterance
+
+        def recorded(manifest, record, *args):  # logged when done, on whichever thread ran it
+            utt = realize(manifest, record, *args)
+            realized.append(record)
+            calls.append("realized")
+            return utt
+
+        monkeypatch.setattr(data, "realize_utterance", recorded)
         count_calls(monkeypatch, cli, "evaluate_dataset", calls)
         count_calls(monkeypatch, fusion, "transcribe", calls, hypotheses)
         manifest = load_manifest(pipeline.data / "test.json")
         assert cli.main(["evaluate", "--ckpt", str(pipeline.ckpt), "--lm", str(pipeline.lm),
                          "--manifest", str(pipeline.data / "test.json"), "--resamples", "10"]) == 0
         # each utterance is realized inside the probed call, so set-up ends before any audio
-        assert calls == (["evaluate_dataset"]
-                         + ["realize_utterance", "transcribe"] * len(manifest.records))
+        assert calls[0] == "evaluate_dataset" and calls.count("evaluate_dataset") == 1
+        assert realized == manifest.records  # each record once, in order
+        done = [i for i, call in enumerate(calls) if call == "realized"]
+        decoded = [i for i, call in enumerate(calls) if call == "transcribe"]
+        assert len(done) == len(decoded) == len(manifest.records)
+        # record k is realized before its transcript starts, and k + 2 only after it has started
+        assert all(d < t for d, t in zip(done, decoded))
+        assert all(d > t for d, t in zip(done[2:], decoded))
         words = set(manifest.vocabulary.content_words)
         assert all(isinstance(h, list) and set(h) <= words for h in hypotheses)
 

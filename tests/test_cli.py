@@ -9,15 +9,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import fail_writes_after
+from helpers import fail_writes_after, forged_wav, helper_thread
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdscribe.audio import SpeakerProfile, synthesize_word, write_wav
+from icdscribe.audio import MAX_WAV_FRAMES, SpeakerProfile, synthesize_word, write_wav
 from icdscribe import autodiff, cli
+from icdscribe import data as data_module
 from icdscribe.checkpoint import build_model, load_checkpoint
 from icdscribe.cli import main
 from icdscribe.data import iter_utterances, load_manifest
+from icdscribe.errors import ContractError
 from icdscribe.fusion import evaluate_dataset
 from icdscribe.lm import load_lm, prob
 
@@ -572,13 +574,14 @@ class TestTranscribe:
         assert code == 2
         assert "--lm" in capsys.readouterr().err
 
-    def test_starts_no_thread(self, workspace, monkeypatch):
-        # decoding never reaches the training update's helper thread
+    def test_wav_input_starts_no_thread(self, workspace, tmp_path, monkeypatch):
+        # one wav has nothing to realize ahead, so it never asks for the helper
+        wav = tmp_path / "sample.wav"
+        write_wav(wav, synthesize_word("aa", SpeakerProfile("near", seed=1), repeat_index=0))
         asked = []
         monkeypatch.setattr(autodiff, "_helper", lambda: asked.append("helper"))
         before = threading.active_count()
-        code, _ = run(["transcribe", workspace.data / "test.json", "--ckpt", workspace.ckpt,
-                       "--lm", workspace.lm])
+        code, _ = run(["transcribe", wav, "--ckpt", workspace.ckpt, "--lm", workspace.lm])
         assert code == 0 and threading.active_count() == before and asked == []
 
     def test_wav_input_decodes(self, workspace, tmp_path, capsys):
@@ -620,6 +623,68 @@ class TestTranscribe:
         assert_one_line_error(err, "No space left")
         assert out.read_bytes() == b"an earlier transcript\n"
         assert [p.name for p in tmp_path.iterdir()] == ["lines.tsv"]
+
+
+class TestRealizedOnTheHelper:
+    """`evaluate` and a manifest `transcribe` realize the next utterance on the helper thread."""
+
+    @staticmethod
+    def commands(workspace, out):
+        manifest = workspace.data / "test.json"
+        return [
+            ["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm, "--manifest", manifest,
+             "--resamples", "20", "--output", out / "report.json"],
+            ["transcribe", manifest, "--ckpt", workspace.ckpt, "--lm", workspace.lm,
+             "--output", out / "transcripts.txt"],
+        ]
+
+    def test_starts_at_most_the_one_helper(self, workspace, tmp_path):
+        for argv in self.commands(workspace, tmp_path):
+            before = set(threading.enumerate())
+            code, err = run(argv)
+            assert code == 0, err
+            started = set(threading.enumerate()) - before
+            assert len(started) <= 1
+            assert all(t.name.startswith("icdscribe-helper") for t in started)
+
+    def test_output_is_byte_identical_with_and_without_the_helper(self, workspace, tmp_path):
+        runs = []
+        for on in (False, True):
+            out = tmp_path / str(on)
+            out.mkdir()
+            printed = []
+            with helper_thread(on):
+                for argv in self.commands(workspace, out):
+                    stdout = io.StringIO()
+                    with contextlib.redirect_stdout(stdout):
+                        assert main([str(a) for a in argv]) == 0
+                    printed.append(stdout.getvalue().replace(str(out), "OUT"))
+            runs.append((printed, (out / "report.json").read_bytes(),
+                         (out / "transcripts.txt").read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_a_realization_error_on_the_helper_exits_2_as_on_one_thread(self, workspace,
+                                                                        monkeypatch):
+        realize, threads = data_module.realize_utterance, []
+
+        def third_fails(manifest, record, *args):
+            threads.append(threading.current_thread())
+            if len(threads) == 3:
+                raise ContractError(f"record {record.code} cannot be realized")
+            return realize(manifest, record, *args)
+
+        monkeypatch.setattr(data_module, "realize_utterance", third_fails)
+        errors = []
+        for on in (False, True):
+            threads.clear()
+            with helper_thread(on):
+                code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm,
+                                 "--manifest", workspace.data / "test.json"])
+            assert code == 2 and len(threads) == 3
+            assert all((t is not threading.main_thread()) == on for t in threads)
+            assert_one_line_error(err, "cannot be realized")
+            errors.append(err)
+        assert errors[0] == errors[1]
 
 
 class TestLmWithoutDecoderWords:
@@ -850,6 +915,14 @@ class TestMalformedInputs:
         code, err = run(["transcribe", path, "--ckpt", workspace.ckpt, "--lambda-lm", "0"])
         assert code == 2
         assert_one_line_error(err, str(path), "not a readable wav")
+
+    def test_wav_declaring_more_frames_than_the_bound(self, workspace, tmp_path):
+        path = tmp_path / "forged.wav"  # 20 bytes of samples behind a 4 GB header
+        forged_wav(path, 2**31 - 20)
+        code, err = run(["transcribe", path, "--ckpt", workspace.ckpt, "--lambda-lm", "0"])
+        assert code == 2
+        assert_one_line_error(err, str(path), f"declares {2**31 - 20} frames",
+                              f"more than the {MAX_WAV_FRAMES}")
 
     @pytest.mark.parametrize(
         "command, flag", [("generate-data", "--codes"), ("train-lm", "--corpus")]
