@@ -24,16 +24,16 @@ tolerances.
 Two bulk phases of an update, the weight-gradient products and Adam's
 blocks, run on the calling thread and one helper thread at once
 (`run_shared`).  Each job writes its own slice of memory, so the split
-never changes a bit.  The same helper draws the next item of an iterator
-while the caller works on the current one (`prefetched`), which lets
-`evaluate` realize one utterance while it decodes the one before.  The
-helper is made on first use, and only where two or more cores are usable;
-on one core the same functions run on the calling thread alone.  There is
-no knob.
+never changes a bit.  The same two threads compute a lazy map in order
+(`mapped`), which lets `evaluate` realize the next utterances while it
+decodes one, and `train` realize its set on both threads.  The helper is
+made on first use, and only where two or more cores are usable; on one
+core the same functions run on the calling thread alone.  There is no knob.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -226,10 +226,14 @@ def _lstm_cell_backward(wh, gates, c_prev, tanh_c):
 # the helper thread
 # ---------------------------------------------------------------------------
 
+# jobs `mapped` draws past the result the caller waits for; a window of 1 measured slower
+MAP_WINDOW = 2
+
+
 @functools.cache
 def _helper():
     """The one helper thread, as a one-worker executor made on first use; None on one core."""
-    from concurrent.futures import ThreadPoolExecutor  # only training and `prefetched` need it
+    from concurrent.futures import ThreadPoolExecutor  # only training and `mapped` need it
 
     try:
         cores = len(os.sched_getaffinity(0))
@@ -268,28 +272,56 @@ def run_shared(work, jobs):
             turn.result()
 
 
-def prefetched(items):
-    """Yield `items` in order, drawing item k + 1 on the helper while the caller holds item k.
+def mapped(fn, jobs):
+    """Yield `fn(job)` for each of `jobs` in order, computing them on the caller and the helper.
 
-    Every draw runs on the helper, one at a time and in order, so state
-    that the iterator keeps is never touched by two threads.  The items
-    and any exception are those of a plain iteration; on one core this is
-    one.  A consumer that stops early cancels the pending draw if the
-    helper has not started it, and otherwise waits for it.
+    Only the caller draws `jobs`, at most `MAP_WINDOW` past the result it
+    waits for.  It hands each drawn job to the helper, which takes them in
+    order and goes idle once none is left, so `run_shared` never queues
+    behind an idle wait.  A caller whose next result is not ready takes
+    back the next job the helper has not started and computes it instead
+    of waiting.  Results and exceptions, from `fn` or a draw, come out as
+    from `map`, which is what runs on one core.  Closing early cancels the
+    jobs the helper has not started and waits for the one it is running.
     """
     helper = _helper()
     if helper is None:
-        yield from items
+        yield from map(fn, jobs)
         return
-    draws, end = iter(items), object()
-    pending = helper.submit(next, draws, end)
+    from concurrent.futures import Future
+    draws, ahead, end = iter(jobs), collections.deque(), object()  # ahead: (job, its future)
+
+    def settled(call, *args):  # a done future holding call(*args) or the exception it raised
+        result = Future()
+        try:
+            result.set_result(call(*args))
+        except Exception as exc:  # raised when the caller reaches this result
+            result.set_exception(exc)
+        return result
+
     try:
-        while (item := pending.result()) is not end:
-            pending = helper.submit(next, draws, end)
-            yield item
+        while True:
+            while draws is not None and len(ahead) <= MAP_WINDOW:
+                drawn = settled(next, draws, end)
+                if drawn.exception() is None and drawn.result() is not end:
+                    ahead.append((drawn.result(), helper.submit(fn, drawn.result())))
+                    continue
+                draws = None  # the jobs ran out, or this draw failed and is raised in its turn
+                if drawn.exception() is not None:
+                    ahead.append((None, drawn))
+            if not ahead:
+                return
+            # until the next result is ready, compute each job the helper has not started
+            for i, (job, result) in enumerate(list(ahead)):
+                if ahead[0][1].done():
+                    break
+                if result.cancel():
+                    ahead[i] = job, settled(fn, job)
+            yield ahead.popleft()[1].result()
     finally:
-        if not pending.cancel():
-            pending.exception()  # waits; an item nobody asked for raises nothing
+        for _, result in ahead:  # cancel what the helper has not started, await what it has
+            if not result.cancel():
+                result.exception()
 
 
 def _write_product(product, worker):
@@ -311,19 +343,27 @@ def write_products(products):
 # optimization
 # ---------------------------------------------------------------------------
 
+# values, gradients and Adam's two moments of a model this size take 800 MB
+MAX_PARAMETERS = 25_000_000
+
+
 def parameter_vectors(layout, rng, values=None):
     """Parameters that are views into one flat vector, plus a gradient twin.
 
     `layout` maps each name, in order, to (shape, init): a fan-in, for
     entries drawn uniform in +-1/sqrt(fan_in) straight into the vector, or
-    an array of initial values.  Given stored `values` (such as a
-    checkpoint's), the vector is those values, adopted without a copy when
-    they are already a contiguous float64 array, and nothing is drawn.
-    Returns (values, grads, {name: Tensor}); no parameter is ever held
-    twice.  The gradient vector starts at zero; the reverse pass of a
-    training update writes every entry of it.
+    an array of as many initial values, in any shape.  Given stored
+    `values` (such as a checkpoint's), the vector is those values, adopted
+    without a copy when they are already a contiguous float64 array, and
+    nothing is drawn.  Returns (values, grads, {name: Tensor}); no
+    parameter is ever held twice.  A layout above `MAX_PARAMETERS` values
+    is refused before anything is allocated.  The gradient vector starts at
+    zero; the reverse pass of a training update writes every entry of it.
     """
     sizes = [math.prod(shape) for shape, _ in layout.values()]
+    if sum(sizes) > MAX_PARAMETERS:
+        raise ContractError(f"a model of {sum(sizes):,} parameters is above the bound of "
+                            f"{MAX_PARAMETERS:,}")
     drawn = values is None
     if not drawn and len(values) != sum(sizes):
         raise ContractError(f"{len(values)} stored values for a layout of {sum(sizes)}")
@@ -334,7 +374,7 @@ def parameter_vectors(layout, rng, values=None):
         part = slice(start, start + size)
         t = tensors[name] = Tensor(values[part].reshape(shape), grads[part].reshape(shape))
         if drawn and isinstance(init, np.ndarray):
-            t.values[...] = init
+            t.values.reshape(init.shape)[...] = init
         elif drawn:
             # bit for bit what rng.uniform(-bound, bound, shape) draws: -bound + 2 bound u
             bound = 1.0 / float(init) ** 0.5

@@ -5,10 +5,10 @@ language model, train the acoustic model, evaluate, and transcribe.
 Every command is reproducible from its persisted config and seed alone.
 `train` loops over the epoch records that training yields: it scores a
 measuring epoch with `evaluate`'s code at beam width 1, logs the record, and
-checkpoints a better score.  `evaluate` and a manifest `transcribe` realize
-each next utterance on the helper thread while the current one is decoded
-(`autodiff.prefetched`); `train` realizes its set up front on the calling
-thread.
+checkpoints a better score.  Every command that realizes a manifest does
+so on the calling thread and the helper at once (`data.iter_utterances`):
+`train` its whole set up front, `evaluate` and a manifest `transcribe` the
+next utterances while the current one is decoded.
 
 Exit codes: 0 success, 2 configuration or validation problem, 3 i/o.
 """
@@ -23,7 +23,7 @@ import time
 from functools import partial
 from pathlib import Path
 
-from .autodiff import AdamState, prefetched
+from .autodiff import AdamState
 from .checkpoint import (
     build_model,
     fresh_model,
@@ -209,9 +209,8 @@ def cmd_evaluate(args):
     lm = _fusion_lm(args.lm, ckpt.config.fusion, ckpt.vocabulary)
     manifest = load_manifest(args.manifest)
     _check_manifest(manifest, ckpt)
-    report = evaluate_dataset(model, lm, prefetched(iter_utterances(manifest)),
-                              ckpt.config.fusion, ckpt.vocabulary, seed=args.seed,
-                              resamples=args.resamples)
+    report = evaluate_dataset(model, lm, iter_utterances(manifest), ckpt.config.fusion,
+                              ckpt.vocabulary, seed=args.seed, resamples=args.resamples)
     print(format_report(report))
     if args.output:
         write_document(args.output, None, report.to_dict())
@@ -220,15 +219,27 @@ def cmd_evaluate(args):
 
 
 def _decode_inputs(args, ckpt):
-    """Yield (utterance id, spectrogram) pairs for a wav file or a manifest."""
+    """Yield (utterance id, spectrogram) pairs for a wav file or a manifest.
+
+    A wav too short for one encoder state, or whose log-mel frames are all
+    alike (silence, DC), holds no speech and is refused.
+    """
     path = Path(args.input)
     if path.suffix.lower() == ".wav":
-        waveform = read_wav(path)
-        yield path.stem, stft_logmel(waveform, ckpt.config.dataset.frontend)
+        spec = stft_logmel(read_wav(path), ckpt.config.dataset.frontend)
+        enc = ckpt.config.encoder
+        span = math.prod(c.stride for c in enc.conv) * enc.beta ** enc.layers
+        if len(spec) < span:
+            raise ContractError(f"{path} gives {len(spec)} log-mel frames, fewer than the "
+                                f"{span} that one encoder state spans")
+        if (spec == spec[0]).all():
+            raise ContractError(f"{path} has no variance across its log-mel frames "
+                                f"(silence or a constant signal)")
+        yield path.stem, spec
         return
     manifest = load_manifest(path)
     _check_manifest(manifest, ckpt)
-    for utt in prefetched(iter_utterances(manifest)):
+    for utt in iter_utterances(manifest):
         yield f"{utt.code}/{utt.speaker_id}/{utt.variation_index}", utt.spectrogram
 
 

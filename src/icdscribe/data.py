@@ -25,6 +25,7 @@ from .audio import (
     stft_logmel,
     synthesize_word,
 )
+from .autodiff import mapped
 from .errors import ContractError
 from .lm import normalize_line
 from .schema import from_payload, read_document, read_lines, to_payload, write_document
@@ -223,31 +224,36 @@ def plan_variations(code, speaker, repeats, cap, seed):
     ]
 
 
-def realize_utterance(manifest, record, vocab=None, recordings=None):
-    """Synthesize, degrade and featurize one planned utterance.
-
-    `recordings` maps (word, speaker id, repeat index) to word waveforms
-    already synthesized under this config; new ones are added to it.
-    """
+def _word_waves(manifest, record, vocab, recordings):
+    """The target and word waveforms of `record`, synthesizing those `recordings` lacks into it."""
     code = manifest.code_by_id(record.code)
     speaker = manifest.speaker_by_id(record.speaker_id)
-    config = manifest.config
-    vocab = manifest.vocabulary if vocab is None else vocab
     target = vocab.encode(code.words)
     if UNK in target:
         missing = [w for w in code.words if vocab.id_of(w) == UNK]
         raise ContractError(f"words missing from vocabulary: {missing}")
     if len(record.repeat_indices) != len(code.words):
         raise ContractError(f"{record} needs one repeat index per word of {code.words}")
-    recordings = {} if recordings is None else recordings
     waves = []
     for word, rep in zip(code.words, record.repeat_indices):
         key = (word, speaker.speaker_id, rep)
         if key not in recordings:
             recordings[key] = synthesize_word(
-                word, speaker, rep, sample_rate=config.frontend.sample_rate
+                word, speaker, rep, sample_rate=manifest.config.frontend.sample_rate
             )
         waves.append(recordings[key])
+    return target, waves
+
+
+def realize_utterance(manifest, record, vocab=None, recordings=None):
+    """Synthesize, degrade and featurize one planned utterance.
+
+    `recordings` maps (word, speaker id, repeat index) to word waveforms
+    already synthesized under this config; new ones are added to it.
+    """
+    config = manifest.config
+    vocab = manifest.vocabulary if vocab is None else vocab
+    target, waves = _word_waves(manifest, record, vocab, {} if recordings is None else recordings)
     gap_rng = np.random.default_rng(
         stable_seed("gaps", config.seed, record.code, record.speaker_id, record.variation_index)
     )
@@ -286,12 +292,19 @@ def generate_dataset(codes, config):
 def iter_utterances(manifest):
     """Realize every record in order, synthesizing each distinct word recording once.
 
-    The recordings are shared only within one pass and freed when it ends.
+    The calling thread draws each record and synthesizes the recordings it
+    lacks, so it is the cache's only writer; the rest of a realization runs
+    on whichever thread claims it (`autodiff.mapped`).  The recordings are
+    shared only within one pass and freed when it ends.
     """
-    vocab = manifest.vocabulary
-    recordings = {}
-    for record in manifest.records:
-        yield realize_utterance(manifest, record, vocab, recordings)
+    vocab, recordings = manifest.vocabulary, {}
+
+    def drawn():
+        for record in manifest.records:
+            _word_waves(manifest, record, vocab, recordings)
+            yield record
+
+    return mapped(lambda record: realize_utterance(manifest, record, vocab, recordings), drawn())
 
 
 def split_by_speaker(manifest, held_out):

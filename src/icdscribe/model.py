@@ -121,20 +121,20 @@ class Seq2SeqModel:
         def param(name, shape, fan_in=None):
             layout[name] = (shape, fan_in or shape[0])
 
-        def bias(name, values):
-            layout[name] = (values.shape, values)
+        def bias(name, values):  # a broadcast view, so no bias is allocated before the size check
+            layout[name] = ((values.size,), values)
 
         channels = input_dim
         for l, spec in enumerate(encoder_cfg.conv):
             param(f"conv{l}.w", (spec.kernel, channels, spec.channels), fan_in=spec.kernel * channels)
-            bias(f"conv{l}.b", np.zeros(spec.channels))
+            bias(f"conv{l}.b", np.broadcast_to(0.0, spec.channels))
             channels = spec.channels
 
         def lstm_params(prefix, in_dim, n):
             param(f"{prefix}.wx", (in_dim, 4 * n))
             param(f"{prefix}.wh", (n, 4 * n))
             # open forget gates (i, f, g, o) at init so early state survives long sequences
-            bias(f"{prefix}.b", np.repeat([0.0, 1.0, 0.0, 0.0], n))
+            bias(f"{prefix}.b", np.broadcast_to([[0.0], [1.0], [0.0], [0.0]], (4, n)))
 
         in_dim = channels * encoder_cfg.beta
         for j in range(encoder_cfg.layers):
@@ -147,11 +147,11 @@ class Seq2SeqModel:
 
         param("attn.query", (decoder_cfg.hidden, decoder_cfg.attention_dim))
         param("attn.keys", (encoder_cfg.hidden, decoder_cfg.attention_dim))
-        bias("attn.b", np.zeros(decoder_cfg.attention_dim))
+        bias("attn.b", np.broadcast_to(0.0, decoder_cfg.attention_dim))
         param("attn.score", (decoder_cfg.attention_dim, 1))
 
         param("out.w", (decoder_cfg.hidden + encoder_cfg.hidden, vocab_size))
-        bias("out.b", np.zeros(vocab_size))
+        bias("out.b", np.broadcast_to(0.0, vocab_size))
         # every parameter's values and grad are views into these two vectors; stored
         # `values` (a checkpoint's) are adopted in place of the seeded draw
         rng = np.random.default_rng(stable_seed("model-init", seed)) if values is None else None

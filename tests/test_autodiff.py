@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -894,62 +895,129 @@ class TestTwoThreads:
         assert got_update[0] == want_update[0] and np.array_equal(got_update[1], want_update[1])
 
 
-class TestPrefetched:
-    """`prefetched` yields what a plain iteration yields, drawing one item ahead on the helper."""
+class TestMapped:
+    """`mapped` yields what `map` yields, drawing on the caller and computing on both threads."""
 
     @staticmethod
-    def drawn(items, threads, fail_at=None, error=None):
-        """Yield `items`, recording the thread of each draw; raise `error` at index `fail_at`."""
-        for index, item in enumerate(items):
-            threads.append(threading.current_thread())
+    def drawn(jobs, draws, fail_at=None, error=None):
+        """Yield `jobs`, recording the thread of each draw; raise `error` at index `fail_at`."""
+        for index, job in enumerate(jobs):
+            draws.append(threading.current_thread())
             if index == fail_at:
                 raise error
-            yield item
+            yield job
+
+    @staticmethod
+    def work(job):
+        return np.full(3, job).sum() * 2 + 1
 
     @pytest.mark.parametrize("on", [False, True])
-    @given(items=st.lists(st.integers(), max_size=20))
+    @given(jobs=st.lists(st.integers(-1000, 1000), max_size=20))
     @settings(max_examples=60, deadline=None)
-    def test_yields_the_items_in_order(self, on, items):
-        threads = []
+    def test_results_equal_map_and_every_draw_is_on_the_caller(self, on, jobs):
+        draws, threads = [], set()
+
+        def fn(job):
+            threads.add(threading.current_thread())
+            return self.work(job)
+
         with ops.helper_thread(on):
-            assert list(ad.prefetched(self.drawn(items, threads))) == items
-        assert len(threads) == len(items)
-        assert all((t is not threading.main_thread()) == on for t in threads)
+            got = list(ad.mapped(fn, self.drawn(jobs, draws)))
+        assert got == list(map(self.work, jobs))
+        assert len(draws) == len(jobs) and all(t is threading.main_thread() for t in draws)
+        assert on or threads <= {threading.main_thread()}
 
     @pytest.mark.parametrize("on", [False, True])
+    @pytest.mark.parametrize("source", ["fn", "draw"])
     @given(data=st.data(), size=st.integers(1, 20))
-    @settings(max_examples=60, deadline=None)
-    def test_an_error_comes_out_after_the_items_before_it(self, on, data, size):
+    @settings(max_examples=40, deadline=None)
+    def test_an_error_comes_out_after_the_results_before_it(self, on, source, data, size):
         fail_at = data.draw(st.integers(0, size - 1))
-        error, got, threads = ValueError("item failed"), [], []
+        error, got, draws = ValueError("job failed"), [], []
+
+        def fn(job):
+            if source == "fn" and job == fail_at:
+                raise error
+            return self.work(job)
+
+        jobs = self.drawn(range(size), draws, fail_at if source == "draw" else None, error)
         with ops.helper_thread(on):
             with pytest.raises(ValueError) as raised:
-                for item in ad.prefetched(self.drawn(range(size), threads, fail_at, error)):
-                    got.append(item)
-        assert raised.value is error and got == list(range(fail_at))
-        assert len(threads) == fail_at + 1
+                for result in ad.mapped(fn, jobs):
+                    got.append(result)
+        assert raised.value is error and got == list(map(self.work, range(fail_at)))
+        drawn_past = 0 if source == "draw" else ad.MAP_WINDOW
+        assert len(draws) <= min(size, fail_at + 1 + drawn_past)
+        assert all(t is threading.main_thread() for t in draws)
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    @given(size=st.integers(2, 20))
+    @settings(max_examples=20, deadline=None)
+    def test_an_error_on_either_thread_comes_out_in_order(self, where, size):
+        # the first job run on `where`'s thread raises; a job on the other thread waits
+        # until that one has started, so each thread runs a job
+        error, started, failed, got = RuntimeError("job failed"), threading.Event(), [], []
+
+        def fn(job):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (where == "caller") and not started.is_set():
+                started.set()
+                failed.append(job)
+                raise error
+            started.wait(10)
+            return self.work(job)
+
+        with ops.helper_thread(True):
+            with pytest.raises(RuntimeError) as raised:
+                for result in ad.mapped(fn, range(size)):
+                    got.append(result)
+        assert raised.value is error and len(failed) == 1
+        assert got == list(map(self.work, range(failed[0])))
 
     @pytest.mark.parametrize("on", [False, True])
     @given(data=st.data(), size=st.integers(0, 20))
     @settings(max_examples=30, deadline=None)
     def test_closing_early_leaves_the_helper_idle(self, on, data, size):
         taken = data.draw(st.integers(0, size))
-        busy, started = threading.Event(), []
+        running, draws = [], []
 
-        def slow():
-            for item in range(size):
-                busy.set()
-                started.append(item)
-                time.sleep(0.001)  # long enough that a close often finds the draw running
-                busy.clear()
-                yield item
+        def slow(job):
+            running.append(job)
+            time.sleep(0.001)  # long enough that a close often finds the helper busy
+            running.remove(job)
+            return job
 
         with ops.helper_thread(False):
             want = TestTwoThreads.adam_run(TestTwoThreads.ADAM_SIZE)
         with ops.helper_thread(on):
-            items = ad.prefetched(slow())
-            assert [next(items) for _ in range(taken)] == list(range(taken))
-            items.close()
-            assert not busy.is_set() and len(started) <= taken + 1
+            results = ad.mapped(slow, self.drawn(range(size), draws))
+            assert [next(results) for _ in range(taken)] == list(range(taken))
+            results.close()
+            assert running == [] and len(draws) <= taken + ad.MAP_WINDOW
             got = TestTwoThreads.adam_run(TestTwoThreads.ADAM_SIZE)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    def test_each_job_runs_once_under_rapid_thread_switches(self):
+        # a job claimed by both threads, or by neither, would break the count or the results
+        computed, switch = [], sys.getswitchinterval()
+
+        def fn(job):
+            computed.append(job)
+            return self.work(job)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            with ops.helper_thread(True):
+                for _ in range(20):
+                    computed.clear()
+                    assert list(ad.mapped(fn, range(50))) == list(map(self.work, range(50)))
+                    assert sorted(computed) == list(range(50))
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_one_usable_core_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(ad, "_helper", functools.cache(ad._helper.__wrapped__))
+        before = threading.active_count()
+        assert list(ad.mapped(self.work, range(5))) == list(map(self.work, range(5)))
+        assert ad._helper() is None and threading.active_count() == before

@@ -12,10 +12,11 @@ creates it: after every utterance is realized and before the first update,
 which keeps the train pass's set-up time apart from its steps.  Its exit
 hook fires at creation too, so the pass's Tensor count covers only that.
 `evaluate` hands `evaluate_dataset` a lazy iterator, so each utterance is
-realized inside that probed call.  It realizes the next utterance on the
-helper thread while the current one is transcribed, so whether record k + 1
-or transcript k comes first depends on thread timing; the evaluate test
-pins only the order within each record and that nothing runs further ahead.
+realized inside that probed call.  Records are realized on the calling
+thread and the helper while earlier ones are transcribed, so when record
+k + 1 or k + 2 is done relative to transcript k depends on thread timing;
+the evaluate test pins only that each record is realized before its
+transcript and that nothing runs further ahead.
 The traced passes run the real benchmarks/tracer.py, which wraps
 `autodiff.backward` and counts `autodiff.Tensor`s made while training.
 A change that breaks one of these otherwise shows up only in a benchmark run.
@@ -157,30 +158,32 @@ class TestProbedCommands:
 
     def test_evaluate_transcribes_each_record_once_into_words(self, pipeline, tmp_path,
                                                               monkeypatch, capsys):
-        calls, hypotheses, realized = [], [], []
+        calls, hypotheses = [], []
+        manifest = load_manifest(pipeline.data / "test.json")
+        index = {(r.code, r.variation_index): k for k, r in enumerate(manifest.records)}
         realize = data.realize_utterance
 
         def recorded(manifest, record, *args):  # logged when done, on whichever thread ran it
             utt = realize(manifest, record, *args)
-            realized.append(record)
-            calls.append("realized")
+            calls.append(("realized", index[record.code, record.variation_index]))
             return utt
 
         monkeypatch.setattr(data, "realize_utterance", recorded)
         count_calls(monkeypatch, cli, "evaluate_dataset", calls)
         count_calls(monkeypatch, fusion, "transcribe", calls, hypotheses)
-        manifest = load_manifest(pipeline.data / "test.json")
         assert cli.main(["evaluate", "--ckpt", str(pipeline.ckpt), "--lm", str(pipeline.lm),
                          "--manifest", str(pipeline.data / "test.json"), "--resamples", "10"]) == 0
         # each utterance is realized inside the probed call, so set-up ends before any audio
         assert calls[0] == "evaluate_dataset" and calls.count("evaluate_dataset") == 1
-        assert realized == manifest.records  # each record once, in order
-        done = [i for i, call in enumerate(calls) if call == "realized"]
-        decoded = [i for i, call in enumerate(calls) if call == "transcribe"]
-        assert len(done) == len(decoded) == len(manifest.records)
-        # record k is realized before its transcript starts, and k + 2 only after it has started
-        assert all(d < t for d, t in zip(done, decoded))
-        assert all(d > t for d, t in zip(done[2:], decoded))
+        events = calls[1:]
+        realized = [(event[1], i) for i, event in enumerate(events) if isinstance(event, tuple)]
+        decoded = [i for i, event in enumerate(events) if event == "transcribe"]
+        assert sorted(k for k, _ in realized) == list(range(len(manifest.records)))  # each once
+        assert len(decoded) == len(manifest.records) == len(events) - len(realized)
+        done = dict(realized)
+        # record k is realized before its transcript starts, and k + 3 only after it has started
+        assert all(done[k] < t for k, t in enumerate(decoded))
+        assert all(done[k + 3] > t for k, t in enumerate(decoded[:-3]))
         words = set(manifest.vocabulary.content_words)
         assert all(isinstance(h, list) and set(h) <= words for h in hypotheses)
 

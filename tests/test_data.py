@@ -1,8 +1,12 @@
+import gc
 import math
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import helper_thread
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -289,6 +293,46 @@ class TestIterUtterances:
             calls.clear()
             list(iter_utterances(manifest))
             assert sorted(calls) == sorted(distinct)
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_every_synthesis_runs_on_the_calling_thread(self, monkeypatch, on):
+        manifest = self.manifest()
+        synthesized, realized = [], []
+        realize = data.realize_utterance
+
+        def spied(word, profile, repeat_index, **kwargs):
+            synthesized.append(threading.current_thread())
+            return synthesize_word(word, profile, repeat_index, **kwargs)
+
+        def recorded(manifest, record, *args):
+            realized.append(threading.current_thread())
+            return realize(manifest, record, *args)
+
+        monkeypatch.setattr(data, "synthesize_word", spied)
+        monkeypatch.setattr(data, "realize_utterance", recorded)
+        with helper_thread(on):
+            utterances = list(iter_utterances(manifest))
+        assert len(utterances) == len(realized) == len(manifest.records)
+        assert synthesized and all(t is threading.main_thread() for t in synthesized)
+        assert on or all(t is threading.main_thread() for t in realized)
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_the_word_cache_is_freed_when_the_pass_ends(self, monkeypatch, on):
+        waves = []
+
+        def spied(word, profile, repeat_index, **kwargs):
+            wave = synthesize_word(word, profile, repeat_index, **kwargs)
+            waves.append(weakref.ref(wave))
+            return wave
+
+        monkeypatch.setattr(data, "synthesize_word", spied)
+        gc.disable()  # freed by reference counting, not whenever the cycle collector runs
+        try:
+            with helper_thread(on):
+                utterances = list(iter_utterances(self.manifest()))
+            assert utterances and waves and all(ref() is None for ref in waves)
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("field, value", [("code", "Z99"), ("speaker_id", "spk9")])
     def test_unknown_code_or_speaker_rejected(self, field, value):

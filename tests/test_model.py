@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -25,6 +26,7 @@ from helpers import (
     weighted_sum,
     zeros,
 )
+from icdscribe.autodiff import MAX_PARAMETERS
 from icdscribe.data import EOS, SOS
 from icdscribe.errors import ContractError
 from icdscribe.model import (
@@ -429,3 +431,19 @@ class TestConfigValidation:
     def test_tiny_vocab_rejected(self):
         with pytest.raises(ContractError):
             Seq2SeqModel(EncoderConfig(), DecoderConfig(), 4, input_dim=N_MELS)
+
+    # encoder.hidden 1,221 is the first width whose default model tops 25,000,000 values;
+    # at 1,250,000 each LSTM bias alone would take 40 MB if it were built before the check
+    @pytest.mark.parametrize("hidden, count", [(1221, "25,035,628"),
+                                               (1_250_000, "25,001,087,619,902")])
+    def test_a_model_above_the_size_bound_is_refused_before_any_allocation(self, hidden, count):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError) as refused:
+                Seq2SeqModel(EncoderConfig(hidden=hidden), DecoderConfig(), 30, input_dim=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"{count} parameters" in str(refused.value)
+        assert f"bound of {MAX_PARAMETERS:,}" in str(refused.value) and MAX_PARAMETERS == 25_000_000
+        assert peak < 1 << 20  # its parameter vector alone would take 200 MB
