@@ -24,8 +24,13 @@ from .seeds import stable_seed
 
 DEFAULT_SAMPLE_RATE = 16000
 
-# the longest wav `read_wav` accepts: 30 s at 48 kHz, 2.9 MB of samples
-MAX_WAV_FRAMES = 30 * 48_000
+# the highest `frontend.sample_rate`: `synthesize_word` builds a complex [harmonics,
+# CHAR_SECONDS * rate * sample_rate] basis per word
+MAX_SAMPLE_RATE = 48_000
+# the widest STFT window: `mel_filterbank` builds an [n_mels, n_fft / 2 + 1] array
+MAX_WINDOW = 4096
+# the longest wav `read_wav` accepts: 30 s at the highest rate, 2.9 MB of samples
+MAX_WAV_FRAMES = 30 * MAX_SAMPLE_RATE
 
 # seconds of audio synthesized per character at rate multiplier 1.0
 CHAR_SECONDS = 0.05
@@ -96,13 +101,21 @@ class FrontendConfig:
     n_mels: int = 40
 
     def __post_init__(self):
-        if self.sample_rate <= 2 * _MAX_HARMONIC_HZ:
+        if not 2 * _MAX_HARMONIC_HZ < self.sample_rate <= MAX_SAMPLE_RATE:
             raise ContractError(f"sample_rate {self.sample_rate} Hz must exceed twice the "
-                                f"highest synthesized harmonic, {2 * _MAX_HARMONIC_HZ:g} Hz")
-        if not self.window >= self.hop >= 1:
-            raise ContractError(f"need window >= hop >= 1, got window={self.window} hop={self.hop}")
-        if self.n_mels < 1:
-            raise ContractError(f"n_mels must be at least 1, got {self.n_mels}")
+                                f"highest synthesized harmonic, {2 * _MAX_HARMONIC_HZ:g} Hz, "
+                                f"and be at most {MAX_SAMPLE_RATE} Hz")
+        if not MAX_WINDOW >= self.window >= self.hop >= 1:
+            raise ContractError(f"need {MAX_WINDOW} >= window >= hop >= 1, "
+                                f"got window={self.window} hop={self.hop}")
+        if not 1 <= self.n_mels <= self.n_fft // 2 + 1:
+            raise ContractError(f"n_mels {self.n_mels} outside [1, {self.n_fft // 2 + 1}], "
+                                f"the frequency bins of a {self.n_fft}-point FFT")
+
+    @property
+    def n_fft(self):
+        """The FFT length: the window rounded up to a power of two."""
+        return 1 << (self.window - 1).bit_length()
 
 
 @functools.lru_cache(maxsize=16)
@@ -268,10 +281,9 @@ def stft_logmel(w, cfg):
     n = len(w.samples)
     if n < window:
         raise ContractError(f"waveform of {n} samples is shorter than one {window}-sample window")
-    n_fft = 1 << (window - 1).bit_length()
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, window)[::hop]
-    magnitude = np.abs(np.fft.rfft(frames * _hann(window), n=n_fft, axis=-1))
-    bank = mel_filterbank(cfg.n_mels, n_fft, w.sample_rate)
+    magnitude = np.abs(np.fft.rfft(frames * _hann(window), n=cfg.n_fft, axis=-1))
+    bank = mel_filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate)
     return np.log(magnitude @ bank.T + 1e-6)
 
 

@@ -1,14 +1,14 @@
 """Versioned training checkpoints.
 
 A checkpoint stores the run config, the vocabulary, every named parameter
-tensor, the completed-epoch counter, and (optionally) the Adam state, so a
-run can resume on the exact trajectory it left.  The file is one line of
-compact, sorted-key JSON (the header: format tag, config, vocabulary, step,
-the parameter names and shapes in registration order, and Adam's update
-count or null), a newline, and then the raw bytes of one
-little-endian float64 array: the model's flat parameter vector, then the
-Adam `m` and `v` vectors when an optimizer is saved.  These are the
-vectors as they lie in memory, so saving writes three arrays.  Loading
+tensor, the completed-epoch counter, and the Adam state, so a run can
+resume on the exact trajectory it left.  The file is one line of compact,
+sorted-key JSON (the header: format tag, config, vocabulary, step, the
+parameter names and shapes in registration order, and Adam's update
+count), a newline, and then the raw bytes of one little-endian float64
+array: the model's flat parameter vector, then the Adam `m` and `v`
+vectors.  These are the vectors as they lie in memory, so saving writes
+three arrays.  Loading
 reads the header line and then only the parameter vector; Adam's vectors
 are read by `restore_optimizer`, which only a resumed run needs.  Adam's
 hyperparameters are the config's `optimizer` section, stored once.  Raw
@@ -49,12 +49,11 @@ class CheckpointHeader:
     vocabulary: list[str]
     step: int  # completed training epochs
     parameters: list[ParameterEntry]
-    optimizer: object  # Adam's update count, or None when no Adam state is saved
+    optimizer: int  # Adam's update count
 
     def __post_init__(self):
-        if self.optimizer is not None and (type(self.optimizer) is not int or self.optimizer < 0):
-            raise ContractError(f"'optimizer' must be Adam's update count, an int >= 0, or null; "
-                                f"got {json.dumps(self.optimizer)[:40]}")
+        if self.optimizer < 0:
+            raise ContractError(f"'optimizer', Adam's update count, is {self.optimizer}, below 0")
 
 
 @dataclass
@@ -63,9 +62,9 @@ class Checkpoint:
     vocabulary: Vocabulary
     parameters: list  # ParameterEntry per parameter, in blob order
     step: int  # completed training epochs
-    optimizer: object  # Adam's update count, or None
+    optimizer: int  # Adam's update count
     blob: np.ndarray  # float64 parameter vector, adopted by `build_model`
-    path: str  # the file, which holds Adam's m and v after the parameters when saved
+    path: str  # the file, which holds Adam's m and v after the parameters
     moments_at: int  # byte offset of Adam's m in that file
 
 
@@ -84,28 +83,24 @@ def _layout(model):
     return [ParameterEntry(name, t.shape) for name, t in model.named_parameters().items()]
 
 
-def save_checkpoint(path, model, vocab, config, step, optimizer=None):
-    """Write `path`; an `optimizer` must run `config.optimizer`, its hyperparameters' one copy."""
-    vectors, adam_step = [model.values], None
-    if optimizer is not None:
-        if optimizer.config != config.optimizer:
-            raise ContractError(f"the optimizer runs {optimizer.config}, "
-                                f"not the config's {config.optimizer}")
-        vectors += [optimizer.m, optimizer.v]
-        adam_step = optimizer.step
+def save_checkpoint(path, model, vocab, config, step, optimizer):
+    """Write `path`; `optimizer` must run `config.optimizer`, its hyperparameters' one copy."""
+    if optimizer.config != config.optimizer:
+        raise ContractError(f"the optimizer runs {optimizer.config}, "
+                            f"not the config's {config.optimizer}")
     header = CheckpointHeader(
         config=config,
         vocabulary=vocab.content_words,
         step=int(step),
         parameters=_layout(model),
-        optimizer=adam_step,
+        optimizer=optimizer.step,
     )
     line = json.dumps(
         {"format": CKPT_FORMAT, **to_payload(header)}, sort_keys=True, separators=(",", ":")
     )
     with atomic_write(path) as fh:
         fh.write(line.encode("utf-8") + b"\n")
-        for vector in vectors:
+        for vector in (model.values, optimizer.m, optimizer.v):
             fh.write(np.ascontiguousarray(vector, dtype="<f8"))
 
 
@@ -131,10 +126,9 @@ def _read_finite(fh, count, what):
 def _checkpoint_from_header(payload, path, fh, blob_bytes):
     header = from_payload(CheckpointHeader, payload)
     count = sum(math.prod(entry.shape) for entry in header.parameters)
-    stored = count * (1 if header.optimizer is None else 3)
-    if blob_bytes != 8 * stored:
+    if blob_bytes != 8 * 3 * count:
         raise ContractError(f"blob holds {blob_bytes} bytes, "
-                            f"header declares {stored} float64 values")
+                            f"header declares {3 * count} float64 values")
     if len({entry.name for entry in header.parameters}) != len(header.parameters):
         raise ContractError("a parameter name appears twice")
     values = _read_finite(fh, count, "the parameter vector")
@@ -160,8 +154,6 @@ def restore_optimizer(checkpoint, model):
     `m` and `v` are the two halves of the array read, adopted without a copy;
     the hyperparameters are the checkpoint config's `optimizer`.
     """
-    if checkpoint.optimizer is None:
-        raise ContractError("checkpoint carries no optimizer state")
     n = model.values.size
     if checkpoint.blob.size != n:
         raise ContractError(f"optimizer state covers {checkpoint.blob.size} values, "

@@ -54,9 +54,9 @@ log = logging.getLogger("icdscribe")
 
 def _load_config(args):
     config = load_run_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-        config.dataset = dataclasses.replace(config.dataset, seed=args.seed)
+    if getattr(args, "seed", None) is not None:  # replaced, so the seed is checked
+        config = dataclasses.replace(config, seed=args.seed,
+                                     dataset=dataclasses.replace(config.dataset, seed=args.seed))
     return config
 
 
@@ -227,8 +227,7 @@ def _decode_inputs(args, ckpt):
     path = Path(args.input)
     if path.suffix.lower() == ".wav":
         spec = stft_logmel(read_wav(path), ckpt.config.dataset.frontend)
-        enc = ckpt.config.encoder
-        span = math.prod(c.stride for c in enc.conv) * enc.beta ** enc.layers
+        span = ckpt.config.encoder.state_span
         if len(spec) < span:
             raise ContractError(f"{path} gives {len(spec)} log-mel frames, fewer than the "
                                 f"{span} that one encoder state spans")

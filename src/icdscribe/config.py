@@ -46,6 +46,10 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:  # numpy's generators refuse a negative seed
+            raise ContractError(f"seed must be at least 0, got {self.seed}")
+
     @classmethod
     def from_dict(cls, payload):
         """Parse a config document; the format tag is optional, but must match when present."""

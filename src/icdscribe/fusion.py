@@ -6,10 +6,11 @@ for one sampled from the language model conditioned on the ground-truth
 prefix.  Targets never change, and the language model itself is never
 updated.  The swap probability ramps linearly from zero to its maximum
 over the first part of training.  Each utterance makes one update: the
-model's forward pass, `backward` (the loss, then the model's reverse
-sweep, which writes its whole gradient vector), global-norm clipping and
-an Adam step; the sweep's weight products and Adam's blocks share two
-threads (`autodiff.run_shared`).
+model's forward pass over its spectrogram, standardized as the update
+starts so that training holds no second copy of the set, `backward` (the
+loss, then the model's reverse sweep, which writes its whole gradient
+vector), global-norm clipping and an Adam step; the sweep's weight
+products and Adam's blocks share two threads (`autodiff.run_shared`).
 
 Decoding ranks hypotheses by the shallow-fusion score
 `(log_acoustic + lambda_lm * log_lm) / (1 + lambda_lm)`, divided by the
@@ -137,15 +138,14 @@ def train_with_scheduled_lm_sampling(
     if not 0 <= start_epoch <= epochs:
         raise ContractError(f"start epoch {start_epoch} outside [0, {epochs}]")
     check_vocabulary_alignment(lm, vocab)
-    features = [standardize_spectrogram(u.spectrogram) for u in utterances]
     for epoch in range(start_epoch, epochs):
         p = lm_sample_probability(cfg, epoch, epochs)
         total = 0.0
         for index, utt in enumerate(utterances):
             rng = np.random.default_rng(stable_seed("lm-swap", seed, epoch, index))
             inputs = sampled_inputs(lm, vocab, utt.target, p, rng)
-            logits, sweep = model.forward_teacher_forced(features[index], utt.target,
-                                                         input_tokens=inputs)
+            x = standardize_spectrogram(utt.spectrogram)
+            logits, sweep = model.forward_teacher_forced(x, utt.target, input_tokens=inputs)
             loss = backward(logits, utt.target[1:], sweep)
             norm = clip_global_norm(model.grads, clip_norm)
             if not math.isfinite(norm):
@@ -226,6 +226,8 @@ def evaluate_dataset(model, lm, utterances, cfg, vocab, seed, resamples):
     if not 1 <= resamples <= 10_000:  # the bootstrap holds int64 arrays of resamples x pairs
         raise ContractError(f"the bootstrap needs at least 1 resample and at most 10000, "
                             f"got {resamples}")
+    if seed < 0:
+        raise ContractError(f"the bootstrap seed must be at least 0, got {seed}")
     pairs = [(vocab.decode(utt.target), transcribe(model, lm, utt.spectrogram, cfg, vocab))
              for utt in utterances]
     return build_report(pairs, seed=seed, resamples=resamples)

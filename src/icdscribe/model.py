@@ -24,6 +24,7 @@ all steps, (grad view, left, right); the recorded products are written
 after both passes, on two threads (`autodiff.write_products`).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,13 @@ from .errors import ContractError
 from .seeds import stable_seed
 
 
+# `_conv1d` pads (kernel - 1) * dilation rows and unfolds [frames, kernel * C_in] taps, and the
+# parameter bound alone admits kernels in the thousands; at 64 and 64 one layer already reaches
+# back 4,033 frames, 40 s at the default 10 ms hop.  Strides and beta need no bound: `encode`
+# always yields a state, and `MAX_PARAMETERS` bounds beta through the LSTM input width.
+MAX_KERNEL = MAX_DILATION = 64
+
+
 @dataclass
 class ConvSpec:
     channels: int = 32
@@ -53,6 +61,9 @@ class ConvSpec:
     def __post_init__(self):
         if self.stride < 1 or self.kernel < 1 or self.dilation < 1 or self.channels < 1:
             raise ContractError(f"conv layer fields must be positive: {self}")
+        for name, bound in ("kernel", MAX_KERNEL), ("dilation", MAX_DILATION):
+            if getattr(self, name) > bound:
+                raise ContractError(f"conv {name} {getattr(self, name)} is above {bound}")
 
 
 @dataclass
@@ -69,6 +80,11 @@ class EncoderConfig:
             raise ContractError(f"pyramid factor must be at least 2, got {self.beta}")
         if self.layers < 1 or self.hidden < 1:
             raise ContractError("encoder needs at least one layer and one hidden unit")
+
+    @property
+    def state_span(self):
+        """Input frames per encoder state: each conv stride, then beta per pyramid layer."""
+        return math.prod(c.stride for c in self.conv) * self.beta**self.layers
 
 
 @dataclass

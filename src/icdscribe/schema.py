@@ -32,14 +32,14 @@ def _shown(value):
 
 
 def to_payload(value):
-    """Plain JSON values for a dataclass tree; tuples become lists, `object` fields pass as is."""
+    """Plain JSON values for a dataclass tree; tuples become lists."""
     if dataclasses.is_dataclass(value):
         out = {}
-        for name, (f, hint) in _fields(type(value)).items():
+        for name, (f, _) in _fields(type(value)).items():
             item = getattr(value, name)
             if f.metadata.get("inf_as_null") and item == math.inf:
                 item = None
-            out[name] = item if hint is object else to_payload(item)
+            out[name] = to_payload(item)
         return out
     if isinstance(value, (list, tuple)):
         return [to_payload(item) for item in value]
@@ -49,7 +49,7 @@ def to_payload(value):
 def from_payload(tp, value, where=""):
     """A value of annotation `tp` rebuilt from plain JSON values found at path `where`.
 
-    List items share their list's path; `object` passes a value unchecked.
+    List items share their list's path.
     """
     if dataclasses.is_dataclass(tp):
         return _from_mapping(tp, value, where)
@@ -65,7 +65,7 @@ def from_payload(tp, value, where=""):
     if tp is float:
         ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
     else:
-        ok = tp is object or type(value) is tp
+        ok = type(value) is tp
     if not ok:
         raise ContractError(f"{where!r} must be {tp.__name__}, got {_shown(value)}")
     return value

@@ -52,6 +52,10 @@ def fake_utterances():
     ]
 
 
+def fresh_optimizer(model):
+    return AdamState(model.values.size, ADAM)
+
+
 def touched_optimizer(model):
     """Optimizer whose moments are nonzero, so serialization is exercised."""
     state = AdamState(model.values.size, ADAM)
@@ -66,7 +70,7 @@ class TestRoundTrip:
         config = run_config()
         model = fresh_model(config, VOCAB)
         path = tmp_path / "model.json"
-        save_checkpoint(path, model, VOCAB, config, step=0)
+        save_checkpoint(path, model, VOCAB, config, step=0, optimizer=fresh_optimizer(model))
 
         loaded = load_checkpoint(path)
         rebuilt = build_model(loaded)
@@ -94,16 +98,13 @@ class TestRoundTrip:
     def test_resave_is_byte_identical(self, tmp_path):
         config = run_config()
         model = fresh_model(config, VOCAB)
-        for optimizer in (None, touched_optimizer(model)):
-            a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-            save_checkpoint(a, model, VOCAB, config, step=2, optimizer=optimizer)
-            loaded = load_checkpoint(a)
-            rebuilt = build_model(loaded)
-            restored = None
-            if optimizer is not None:
-                restored = restore_optimizer(loaded, rebuilt)
-            save_checkpoint(b, rebuilt, VOCAB, config, step=2, optimizer=restored)
-            assert a.read_bytes() == b.read_bytes()
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(a, model, VOCAB, config, step=2, optimizer=touched_optimizer(model))
+        loaded = load_checkpoint(a)
+        rebuilt = build_model(loaded)
+        save_checkpoint(b, rebuilt, VOCAB, config, step=2,
+                        optimizer=restore_optimizer(loaded, rebuilt))
+        assert a.read_bytes() == b.read_bytes()
 
     def test_file_is_a_header_line_and_raw_float64s(self, tmp_path):
         config = run_config()
@@ -204,13 +205,17 @@ class TestRoundTrip:
         assert not path.exists()
 
     def test_missing_optimizer_state_is_explicit(self, tmp_path):
+        """A header without Adam's update count, whose blob holds only the parameters, is refused."""
         config = run_config()
         model = fresh_model(config, VOCAB)
         path = tmp_path / "model.json"
-        save_checkpoint(path, model, VOCAB, config, step=0)
-        loaded = load_checkpoint(path)
-        with pytest.raises(ContractError, match="optimizer"):
-            restore_optimizer(loaded, build_model(loaded))
+        save_checkpoint(path, model, VOCAB, config, step=0, optimizer=fresh_optimizer(model))
+        header, _, blob = path.read_bytes().partition(b"\n")
+        payload = json.loads(header)
+        payload["optimizer"] = None
+        path.write_bytes(json.dumps(payload).encode("utf-8") + b"\n" + blob[: model.values.nbytes])
+        with pytest.raises(ContractError, match="'optimizer' must be int, got null"):
+            load_checkpoint(path)
 
 
 class TestAtomicWrite:
@@ -218,14 +223,16 @@ class TestAtomicWrite:
     def test_interrupted_overwrite_keeps_the_old_checkpoint(self, tmp_path, monkeypatch, failure):
         config = run_config()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, fresh_model(config, VOCAB), VOCAB, config, step=1)
+        model = fresh_model(config, VOCAB)
+        save_checkpoint(path, model, VOCAB, config, step=1, optimizer=fresh_optimizer(model))
         before = path.read_bytes()
         inside_blob = before.index(b"\n") + 1 + 800
         assert inside_blob < len(before)
 
         fail_writes_after(monkeypatch, inside_blob, failure)
         with pytest.raises(type(failure)):
-            save_checkpoint(path, fresh_model(run_config(seed=4), VOCAB), VOCAB, config, step=2)
+            other = fresh_model(run_config(seed=4), VOCAB)
+            save_checkpoint(path, other, VOCAB, config, step=2, optimizer=fresh_optimizer(other))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
@@ -236,7 +243,7 @@ class TestRejection:
         config = run_config()
         model = fresh_model(config, VOCAB)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model, VOCAB, config, step=0)
+        save_checkpoint(path, model, VOCAB, config, step=0, optimizer=fresh_optimizer(model))
         header, _, blob = path.read_bytes().partition(b"\n")
         payload = json.loads(header)
         mutate(payload)
@@ -290,7 +297,7 @@ class TestRejection:
         def repeat(payload):
             payload["parameters"].append(payload["parameters"][0])
 
-        path = self.write_tampered(tmp_path, repeat, cut=lambda blob: blob + blob[: first.nbytes])
+        path = self.write_tampered(tmp_path, repeat, cut=lambda blob: blob + blob[: 3 * first.nbytes])
         with pytest.raises(ContractError, match="appears twice"):
             load_checkpoint(path)
 

@@ -5,6 +5,7 @@ import io
 import json
 import signal
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,16 @@ from helpers import fail_writes_after, forged_wav, helper_thread
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdscribe.audio import MAX_WAV_FRAMES, SpeakerProfile, Waveform, synthesize_word, write_wav
+from icdscribe.audio import (
+    MAX_SAMPLE_RATE,
+    MAX_WAV_FRAMES,
+    MAX_WINDOW,
+    FrontendConfig,
+    SpeakerProfile,
+    Waveform,
+    synthesize_word,
+    write_wav,
+)
 from icdscribe import autodiff, cli
 from icdscribe import data as data_module
 from icdscribe.checkpoint import build_model, load_checkpoint
@@ -22,6 +32,7 @@ from icdscribe.data import iter_utterances, load_manifest
 from icdscribe.errors import ContractError
 from icdscribe.fusion import evaluate_dataset
 from icdscribe.lm import load_lm, prob
+from icdscribe.model import MAX_DILATION, MAX_KERNEL
 
 TINY_CONFIG = {
     "dataset": {
@@ -788,6 +799,7 @@ class TestMalformedInputs:
             ({"fusion": {"beam_width": 65}}, "fusion: beam_width 65 outside [1, 64]"),
             ({"fusion": {"max_decode_len": 0}}, "fusion: max_decode_len 0 outside [1, 256]"),
             ({"fusion": {"max_decode_len": 257}}, "fusion: max_decode_len 257 outside [1, 256]"),
+            ({"seed": -1}, "seed must be at least 0, got -1"),
         ],
     )
     def test_config(self, tmp_path, payload, fragment):
@@ -796,6 +808,52 @@ class TestMalformedInputs:
         code, err = run(["generate-data", "--config", path, "--output", tmp_path / "out"])
         assert code == 2
         assert_one_line_error(err, fragment)
+
+    @pytest.mark.parametrize(
+        "command, fragment",
+        [
+            (lambda w, d: ["generate-data", "--output", d / "out"], "seed must be at least 0"),
+            (lambda w, d: ["train", "--data", w.data, "--lm", w.lm, "--output", d / "model.ckpt"],
+             "seed must be at least 0"),
+            (lambda w, d: ["evaluate", "--ckpt", w.ckpt, "--lm", w.lm, "--manifest",
+                           w.data / "test.json", "--output", d / "report.json"],
+             "the bootstrap seed must be at least 0"),
+        ],
+        ids=["generate-data", "train", "evaluate"],
+    )
+    def test_negative_seed_exits_2_before_any_work(self, workspace, tmp_path, monkeypatch,
+                                                   command, fragment):
+        realized = []
+        monkeypatch.setattr(data_module, "realize_utterance", lambda *args: realized.append(args))
+        code, err = run(command(workspace, tmp_path) + ["--seed", "-1"])
+        assert code == 2
+        assert_one_line_error(err, fragment, "got -1")
+        assert realized == [] and list(tmp_path.iterdir()) == []
+
+    @given(knob=st.sampled_from(["sample_rate", "window", "n_mels", "kernel", "dilation"]),
+           excess=st.integers(1, 10**12))
+    @settings(max_examples=30, deadline=None)
+    def test_knob_past_its_bound_exits_2_at_read(self, workspace, knob, excess):
+        """Nothing the size of the knob is built: the config read refuses it."""
+        bound = {"sample_rate": MAX_SAMPLE_RATE, "window": MAX_WINDOW,
+                 "n_mels": FrontendConfig().n_fft // 2 + 1, "kernel": MAX_KERNEL,
+                 "dilation": MAX_DILATION}[knob]
+        if knob in ("kernel", "dilation"):
+            key, payload = "encoder.conv", {"encoder": {"conv": [{knob: bound + excess}]}}
+        else:
+            key, payload = "dataset.frontend", {"dataset": {"frontend": {knob: bound + excess}}}
+        path = workspace.root / "past-a-bound.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code, err = run(["generate-data", "--config", path,
+                             "--output", workspace.root / "past-a-bound"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert_one_line_error(err, f"{key}: ", knob, str(bound + excess))
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "mutate, fragment",
@@ -1091,7 +1149,8 @@ class TestHostileArtifacts:
         assert code == 2
         assert_one_line_error(err, str(path), fragment)
 
-    @pytest.mark.parametrize("key, value", [("beta1", 1.0), ("lr", -1), ("eps", 0), ("step", -1)])
+    @pytest.mark.parametrize("key, value", [("beta1", 1.0), ("lr", -1), ("eps", 0), ("step", -1),
+                                            ("step", None)])
     def test_out_of_range_adam_header_exits_2(self, workspace, tmp_path, key, value):
         head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
         header = json.loads(head)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -332,6 +333,26 @@ class TestTraining:
         assert [e.lm_sample_p for e in log] == [
             lm_sample_probability(cfg, e, 4) for e in range(4)
         ]
+
+    def test_an_epoch_holds_no_second_copy_of_the_spectrograms(self):
+        """Long utterances and a tiny model: the set's bytes dwarf one update's working set."""
+        rng = np.random.default_rng(6)
+        utts = [SimpleNamespace(spectrogram=rng.normal(size=(4000, 5)), target=[SOS, 4, 5, EOS])
+                for _ in range(16)]
+        spectrogram_bytes = sum(u.spectrogram.nbytes for u in utts)  # 2.56 MB
+        enc = EncoderConfig(conv=(ConvSpec(channels=2, stride=4, kernel=1),), beta=4, hidden=2)
+        model = Seq2SeqModel(enc, DecoderConfig(2, 2, 2), len(VOCAB), input_dim=5)
+        records = train_with_scheduled_lm_sampling(
+            model, LM, VOCAB, utts, FusionConfig(), epochs=1,
+            optimizer=AdamState(model.values.size, OptimizerConfig()), seed=0, clip_norm=CLIP_NORM,
+        )
+        tracemalloc.start()
+        try:
+            next(records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spectrogram_bytes / 2
 
 
 class TestBeamSearch:

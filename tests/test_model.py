@@ -89,6 +89,20 @@ class TestPyramidArithmetic:
         expected = math.ceil(frames / beta**layers)
         assert model.encode(spectrogram(frames)).reduced_steps == expected
 
+    @given(
+        strides=st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+        beta=st.integers(min_value=2, max_value=4),
+        layers=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_state_span_is_the_frames_of_exactly_one_state(self, strides, beta, layers):
+        enc = EncoderConfig(conv=tuple(ConvSpec(channels=2, stride=s, kernel=2) for s in strides),
+                            layers=layers, beta=beta, hidden=2)
+        model = Seq2SeqModel(enc, DecoderConfig(2, 2, 2), 5, input_dim=N_MELS)
+        span = enc.state_span
+        assert model.encode(spectrogram(span)).reduced_steps == 1
+        assert model.encode(spectrogram(span + 1)).reduced_steps == 2
+
 
 class TestEncoder:
     def test_empty_spectrogram_rejected(self):

@@ -1,9 +1,12 @@
 import argparse
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import icdscribe
 from icdscribe.checkpoint import CKPT_FORMAT
 from icdscribe.cli import _build_parser
 from icdscribe.config import CONFIG_FORMAT
@@ -34,9 +37,24 @@ def options_named(text):
     return set(re.findall(r"--[a-z][a-z-]*", text))
 
 
+def bound_constants():
+    """(name, value) of every `MAX_` constant in the package's modules."""
+    modules = [importlib.import_module(f"icdscribe.{m.name}")
+               for m in pkgutil.iter_modules(icdscribe.__path__)]
+    return sorted({(name, value) for module in modules for name, value in vars(module).items()
+                   if name.startswith("MAX_")})
+
+
 @pytest.mark.parametrize("tag", [CONFIG_FORMAT, MANIFEST_FORMAT, LM_FORMAT, CKPT_FORMAT])
 def test_artifacts_section_names_the_current_format(tag):
     assert f"`{tag}`" in section("Artifacts")
+
+
+@pytest.mark.parametrize("name, value", bound_constants())
+def test_config_rules_state_every_bound(name, value):
+    artifacts = section("Artifacts")
+    rules = artifacts[artifacts.index("Reading is strict") :]
+    assert re.search(rf"(?<![\d,]){value:,}(?![\d,])", rules), name
 
 
 @pytest.mark.parametrize("command, defined", sorted(subcommand_options().items()))
