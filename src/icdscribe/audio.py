@@ -257,23 +257,22 @@ def mel_filterbank(n_mels, n_fft, sample_rate):
     """Triangular filters from 0 Hz to Nyquist, returned read-only as [n_mels, bins]."""
     nyquist = sample_rate / 2.0
     bin_freqs = np.linspace(0.0, nyquist, n_fft // 2 + 1)
-    mel_points = np.linspace(0.0, hz_to_mel(nyquist), n_mels + 2)
-    edges = mel_to_hz(mel_points)
-    bank = np.zeros((n_mels, len(bin_freqs)))
-    for m in range(n_mels):
-        left, center, right = edges[m], edges[m + 1], edges[m + 2]
-        up = (bin_freqs - left) / (center - left)
-        down = (right - bin_freqs) / (right - center)
-        bank[m] = np.clip(np.minimum(up, down), 0.0, None)
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(nyquist), n_mels + 2))[:, None]
+    left, center, right = edges[:-2], edges[1:-1], edges[2:]  # filter m spans edges m..m + 2
+    up = (bin_freqs - left) / (center - left)
+    down = (right - bin_freqs) / (right - center)
+    bank = np.clip(np.minimum(up, down), 0.0, None)
     bank.setflags(write=False)
     return bank
 
 
 def stft_logmel(w, cfg):
-    """Hann-window magnitude STFT, mel filterbank, then log(x + 1e-6).
+    """Hann-window magnitude STFT, mel filterbank, log(x + 1e-6), then per-utterance
+    normalization to mean 0 and standard deviation 1: the encoder's input as it stands.
 
     Returns a float64 [frames, n_mels] array, frames = floor((num_samples -
-    window) / hop) + 1.  Audio not at the config's sample rate is rejected.
+    window) / hop) + 1; one with no variance (silence) is all zeros.  Audio
+    not at the config's sample rate is rejected.
     """
     if w.sample_rate != cfg.sample_rate:
         raise ContractError(f"audio is sampled at {w.sample_rate} Hz, not {cfg.sample_rate} Hz")
@@ -284,7 +283,11 @@ def stft_logmel(w, cfg):
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, window)[::hop]
     magnitude = np.abs(np.fft.rfft(frames * _hann(window), n=cfg.n_fft, axis=-1))
     bank = mel_filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate)
-    return np.log(magnitude @ bank.T + 1e-6)
+    logmel = np.log(magnitude @ bank.T + 1e-6)
+    std = logmel.std()
+    logmel -= logmel.mean()  # in place: the result is the array np.log made, not a copy
+    logmel /= std if std > 1e-8 else 1.0
+    return logmel
 
 
 frontend_spectrogram = stft_logmel  # the benchmark's transcribe pass calls this name

@@ -52,6 +52,8 @@ class CheckpointHeader:
     optimizer: int  # Adam's update count
 
     def __post_init__(self):
+        if self.step < 0:
+            raise ContractError(f"'step', the completed-epoch count, is {self.step}, below 0")
         if self.optimizer < 0:
             raise ContractError(f"'optimizer', Adam's update count, is {self.optimizer}, below 0")
 

@@ -162,7 +162,7 @@ class UtteranceRecord:
 
 @dataclass
 class Utterance:
-    spectrogram: np.ndarray  # log-mel features, [frames, n_mels]
+    spectrogram: np.ndarray  # normalized log-mel features, [frames, n_mels]: the encoder's input
     target: list
     code: str
     speaker_id: str
@@ -228,10 +228,6 @@ def _word_waves(manifest, record, vocab, recordings):
     """The target and word waveforms of `record`, synthesizing those `recordings` lacks into it."""
     code = manifest.code_by_id(record.code)
     speaker = manifest.speaker_by_id(record.speaker_id)
-    target = vocab.encode(code.words)
-    if UNK in target:
-        missing = [w for w in code.words if vocab.id_of(w) == UNK]
-        raise ContractError(f"words missing from vocabulary: {missing}")
     if len(record.repeat_indices) != len(code.words):
         raise ContractError(f"{record} needs one repeat index per word of {code.words}")
     waves = []
@@ -242,18 +238,19 @@ def _word_waves(manifest, record, vocab, recordings):
                 word, speaker, rep, sample_rate=manifest.config.frontend.sample_rate
             )
         waves.append(recordings[key])
-    return target, waves
+    return vocab.encode(code.words), waves
 
 
-def realize_utterance(manifest, record, vocab=None, recordings=None):
+def realize_utterance(manifest, record, drawn=None):
     """Synthesize, degrade and featurize one planned utterance.
 
-    `recordings` maps (word, speaker id, repeat index) to word waveforms
-    already synthesized under this config; new ones are added to it.
+    `drawn` is the record's (target, word waveforms) from `_word_waves`, if
+    the caller has drawn them; otherwise its words are synthesized here.
     """
     config = manifest.config
-    vocab = manifest.vocabulary if vocab is None else vocab
-    target, waves = _word_waves(manifest, record, vocab, {} if recordings is None else recordings)
+    if drawn is None:
+        drawn = _word_waves(manifest, record, manifest.vocabulary, {})
+    target, waves = drawn
     gap_rng = np.random.default_rng(
         stable_seed("gaps", config.seed, record.code, record.speaker_id, record.variation_index)
     )
@@ -292,19 +289,16 @@ def generate_dataset(codes, config):
 def iter_utterances(manifest):
     """Realize every record in order, synthesizing each distinct word recording once.
 
-    The calling thread draws each record and synthesizes the recordings it
-    lacks, so it is the cache's only writer; the rest of a realization runs
-    on whichever thread claims it (`autodiff.mapped`).  The recordings are
-    shared only within one pass and freed when it ends.
+    The calling thread draws each record, once: its target and word
+    waveforms, synthesizing those the pass has not made yet, so it alone
+    reads and writes the recordings.  The rest of a realization runs on
+    whichever thread claims the drawn pair (`autodiff.mapped`).  The
+    recordings are shared only within one pass and freed when it ends.
     """
     vocab, recordings = manifest.vocabulary, {}
-
-    def drawn():
-        for record in manifest.records:
-            _word_waves(manifest, record, vocab, recordings)
-            yield record
-
-    return mapped(lambda record: realize_utterance(manifest, record, vocab, recordings), drawn())
+    drawn = ((record, _word_waves(manifest, record, vocab, recordings))
+             for record in manifest.records)
+    return mapped(lambda job: realize_utterance(manifest, *job), drawn)
 
 
 def split_by_speaker(manifest, held_out):

@@ -6,11 +6,10 @@ for one sampled from the language model conditioned on the ground-truth
 prefix.  Targets never change, and the language model itself is never
 updated.  The swap probability ramps linearly from zero to its maximum
 over the first part of training.  Each utterance makes one update: the
-model's forward pass over its spectrogram, standardized as the update
-starts so that training holds no second copy of the set, `backward` (the
-loss, then the model's reverse sweep, which writes its whole gradient
-vector), global-norm clipping and an Adam step; the sweep's weight
-products and Adam's blocks share two threads (`autodiff.run_shared`).
+model's forward pass over its spectrogram, taken as the featurizer made
+it, `backward` (the loss, then the model's reverse sweep, which writes its
+whole gradient vector), global-norm clipping and an Adam step; the sweep's
+weight products and Adam's blocks share two threads (`autodiff.run_shared`).
 
 Decoding ranks hypotheses by the shallow-fusion score
 `(log_acoustic + lambda_lm * log_lm) / (1 + lambda_lm)`, divided by the
@@ -36,7 +35,6 @@ from .data import EOS, PAD, SOS
 from .errors import ContractError
 from .lm import next_logprobs, sample_next
 from .metrics import build_report
-from .model import standardize_spectrogram
 from .schema import INF_AS_NULL, to_payload
 from .seeds import stable_seed
 
@@ -144,8 +142,8 @@ def train_with_scheduled_lm_sampling(
         for index, utt in enumerate(utterances):
             rng = np.random.default_rng(stable_seed("lm-swap", seed, epoch, index))
             inputs = sampled_inputs(lm, vocab, utt.target, p, rng)
-            x = standardize_spectrogram(utt.spectrogram)
-            logits, sweep = model.forward_teacher_forced(x, utt.target, input_tokens=inputs)
+            logits, sweep = model.forward_teacher_forced(utt.spectrogram, utt.target,
+                                                         input_tokens=inputs)
             loss = backward(logits, utt.target[1:], sweep)
             norm = clip_global_norm(model.grads, clip_norm)
             if not math.isfinite(norm):
@@ -197,7 +195,7 @@ def beam_search_decode(model, lm, x, cfg, vocab):
         raise ContractError("a language model is required when its mixing weight is positive")
     tokens = np.array([t for t in range(model.vocab_size) if t not in (PAD, SOS)])
     words = tuple(vocab.word_of(t) for t in tokens if t != EOS)
-    encoded = model.encode(standardize_spectrogram(x))
+    encoded = model.encode(x)
     beam = [Hypothesis((SOS,), (), 0.0, 0.0, 0.0, model.start_state(), completed=False)]
     while True:
         active = [h for h in beam if not h.completed]

@@ -114,13 +114,6 @@ class EncoderOutput:
         return self.hidden.shape[0]
 
 
-def standardize_spectrogram(values):
-    """Per-utterance zero-mean, unit-variance feature normalization."""
-    values = np.asarray(values, dtype=np.float64)
-    std = values.std()
-    return (values - values.mean()) / (std if std > 1e-8 else 1.0)
-
-
 class Seq2SeqModel:
     """Encoder, attention and decoder parameters plus their wiring."""
 

@@ -18,7 +18,9 @@ from icdscribe.audio import (
     concat_with_silence,
     _decay,
     _hann,
+    hz_to_mel,
     mel_filterbank,
+    mel_to_hz,
     next_fast_len,
     read_wav,
     stft_logmel,
@@ -267,8 +269,20 @@ class TestStftLogmel:
         assert spec.shape == (98, 40)
 
     def test_silence_floor(self):
+        # the 1e-6 floor keeps the log of silence's zero magnitudes finite
         spec = stft_logmel(Waveform(np.zeros(4000)), FRONTEND)
-        assert np.allclose(spec, np.log(1e-6))
+        assert np.all(np.isfinite(spec))
+
+    def test_constant_input_is_safe(self):
+        # silence's log-mel is a constant with no variance: normalization leaves zeros
+        spec = stft_logmel(Waveform(np.zeros(4000)), FRONTEND)
+        assert np.array_equal(spec, np.zeros_like(spec))
+
+    def test_speech_has_zero_mean_unit_variance(self):
+        w = apply_far_field(synthesize_word("pain", PROFILE, repeat_index=0), RoomModel(), seed=1)
+        spec = stft_logmel(w, FRONTEND)
+        assert spec.mean() == pytest.approx(0.0, abs=1e-12)
+        assert spec.std() == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_tone_peak_bin_constant(self):
         t = np.arange(16000) / 16000
@@ -333,6 +347,22 @@ class TestMelFilterbank:
         assert np.all(bank >= 0)
         assert np.all(bank <= 1.0)
 
+    @pytest.mark.parametrize("n_mels", [1, 2, 24, 40, 129])
+    @pytest.mark.parametrize("n_fft, sample_rate", [(256, 8000), (512, 16000), (1024, 22050),
+                                                     (4096, 48000)])
+    def test_matches_a_per_filter_loop_byte_for_byte(self, n_mels, n_fft, sample_rate):
+        nyquist = sample_rate / 2.0
+        bin_freqs = np.linspace(0.0, nyquist, n_fft // 2 + 1)
+        edges = mel_to_hz(np.linspace(0.0, hz_to_mel(nyquist), n_mels + 2))
+        want = np.zeros((n_mels, len(bin_freqs)))
+        for m in range(n_mels):
+            left, center, right = edges[m], edges[m + 1], edges[m + 2]
+            up = (bin_freqs - left) / (center - left)
+            down = (right - bin_freqs) / (right - center)
+            want[m] = np.clip(np.minimum(up, down), 0.0, None)
+        bank = mel_filterbank.__wrapped__(n_mels, n_fft, sample_rate)
+        assert bank.shape == want.shape and bank.tobytes() == want.tobytes()
+
 
 class TestCachedTables:
     def test_bank_and_window_are_shared_and_read_only(self):
@@ -348,7 +378,8 @@ class TestCachedTables:
         frames = np.lib.stride_tricks.sliding_window_view(w.samples, 400)[::160]
         magnitude = np.abs(np.fft.rfft(frames * np.hanning(400), n=512, axis=-1))
         bank = mel_filterbank.__wrapped__(40, 512, 16000)
-        want = np.log(magnitude @ bank.T + 1e-6)
+        logmel = np.log(magnitude @ bank.T + 1e-6)
+        want = (logmel - logmel.mean()) / logmel.std()
         for _ in range(2):  # cold, then warm cache
             assert np.array_equal(stft_logmel(w, FRONTEND), want)
 

@@ -1169,6 +1169,26 @@ class TestHostileArtifacts:
             assert code == 2
             assert_one_line_error(err, str(path), "optimizer")
 
+    def test_negative_epoch_count_exits_2_writing_nothing(self, workspace, tmp_path):
+        head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["step"] = -1
+        path = tmp_path / "negative.ckpt"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        output = tmp_path / "out" / "result.ckpt"
+        for argv in (
+            ["transcribe", workspace.data / "test.json", "--ckpt", path, "--lambda-lm", "0",
+             "--output", output],
+            ["train", "--data", workspace.data, "--lm", workspace.lm, "--resume", path,
+             "--epochs", "3", "--output", output],
+        ):
+            output.parent.mkdir()
+            code, err = run(argv)
+            assert code == 2
+            assert_one_line_error(err, str(path), "'step'", "-1")
+            assert list(output.parent.iterdir()) == []
+            output.parent.rmdir()
+
     def test_non_finite_adam_state_fails_only_a_resume(self, workspace, tmp_path):
         raw = workspace.ckpt.read_bytes()
         path = tmp_path / "damaged.ckpt"

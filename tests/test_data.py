@@ -51,12 +51,12 @@ def small_config(**overrides):
     return DatasetConfig(**base)
 
 
-def realize_all(code, repeats, cap, vocab=None):
+def realize_all(code, repeats, cap):
     """Every planned utterance of one (code, SPEAKER) pair, realized."""
     config = DatasetConfig(repeats=repeats, cap=cap, speakers=[SPEAKER])
     plans = plan_variations(code, SPEAKER, repeats, cap, seed=0)
     manifest = DatasetManifest(config, [code], plans)
-    return [realize_utterance(manifest, r, vocab) for r in plans]
+    return [realize_utterance(manifest, r) for r in plans]
 
 
 class TestLoadIcdList:
@@ -249,11 +249,6 @@ class TestRealization:
         if a.spectrogram.shape == b.spectrogram.shape:
             assert not np.array_equal(a.spectrogram, b.spectrogram)
 
-    def test_out_of_vocabulary_word_rejected(self):
-        vocab = build_vocabulary([IcdCode("X", ["fever"])])
-        with pytest.raises(ContractError, match="pain"):
-            realize_all(IcdCode("C", ["pain"]), repeats=1, cap=5, vocab=vocab)
-
 
 class TestIterUtterances:
     CODES = [
@@ -297,22 +292,29 @@ class TestIterUtterances:
     @pytest.mark.parametrize("on", [False, True])
     def test_every_synthesis_runs_on_the_calling_thread(self, monkeypatch, on):
         manifest = self.manifest()
-        synthesized, realized = [], []
-        realize = data.realize_utterance
+        synthesized, drawn, realized = [], [], []
+        realize, draw = data.realize_utterance, data._word_waves
 
         def spied(word, profile, repeat_index, **kwargs):
             synthesized.append(threading.current_thread())
             return synthesize_word(word, profile, repeat_index, **kwargs)
+
+        def drawn_once(manifest, record, *args):
+            drawn.append((record, threading.current_thread()))
+            return draw(manifest, record, *args)
 
         def recorded(manifest, record, *args):
             realized.append(threading.current_thread())
             return realize(manifest, record, *args)
 
         monkeypatch.setattr(data, "synthesize_word", spied)
+        monkeypatch.setattr(data, "_word_waves", drawn_once)
         monkeypatch.setattr(data, "realize_utterance", recorded)
         with helper_thread(on):
             utterances = list(iter_utterances(manifest))
         assert len(utterances) == len(realized) == len(manifest.records)
+        assert [record for record, _ in drawn] == manifest.records
+        assert all(t is threading.main_thread() for _, t in drawn)
         assert synthesized and all(t is threading.main_thread() for t in synthesized)
         assert on or all(t is threading.main_thread() for t in realized)
 

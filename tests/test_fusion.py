@@ -39,7 +39,6 @@ from icdscribe.model import (
     DecoderConfig,
     EncoderConfig,
     Seq2SeqModel,
-    standardize_spectrogram,
 )
 
 VOCAB = build_vocabulary([IcdCode("X", ["aa", "bb"])])  # aa=4, bb=5
@@ -254,8 +253,7 @@ class TestTraining:
         for _ in range(3):
             total = 0.0
             for utt in utts:
-                feats = standardize_spectrogram(utt.spectrogram)
-                loss = update_gradients(manual, feats, utt.target)
+                loss = update_gradients(manual, utt.spectrogram, utt.target)
                 clip_global_norm(manual.grads, 5.0)
                 adam_step(manual.values, manual.grads, opt)
                 total += loss
@@ -306,7 +304,7 @@ class TestTraining:
 
     def test_nan_loss_stops_before_the_update(self):
         utts = fake_utterances()
-        utts[1].spectrogram[3, 2] = np.nan  # every feature, loss and gradient turn NaN
+        utts[1].spectrogram[3, 2] = np.nan  # the loss and every gradient turn NaN
         cfg = FusionConfig(lm_sample_max=0.0)
         model, twin = tiny_model(seed=4), tiny_model(seed=4)
         opt = AdamState(model.values.size, OptimizerConfig())
@@ -519,7 +517,7 @@ class TestPrunedBeamSearch:
         spec = np.random.default_rng(4).normal(size=(16, 5))
         for width in (1, 3, 8):
             cfg = FusionConfig(lambda_lm=0.4, beam_width=width, max_decode_len=4)
-            encoded = model.encode(standardize_spectrogram(spec))
+            encoded = model.encode(spec)
             fixed = SimpleNamespace(encode=lambda _: encoded, start_state=model.start_state,
                                     attend=model.attend, decode_step=model.decode_step,
                                     vocab_size=model.vocab_size)
@@ -543,7 +541,7 @@ class TestPrunedBeamSearch:
         for seed, width in ((4, 1), (5, 3), (6, 8)):
             spec = np.random.default_rng(seed).normal(size=(16, 5))
             cfg = FusionConfig(lambda_lm=0.4, beam_width=width, max_decode_len=4)
-            encoded = graph_encode(model, standardize_spectrogram(spec))
+            encoded = graph_encode(model, spec)
             graph = SimpleNamespace(
                 encode=lambda _: encoded,
                 start_state=lambda: (zeros((1, n)), zeros((1, n))),
@@ -635,13 +633,12 @@ class TestTrainingUpdate:
         enc = EncoderConfig(conv=(ConvSpec(3, 2, 1, 2), ConvSpec(3, 2, 2, 2)), layers=2, beta=2,
                             hidden=4)
         utt = fake_utterances()[0]
-        features = standardize_spectrogram(utt.spectrogram)
         grads = []
         for stale in (None, np.nan):
             model = Seq2SeqModel(enc, DecoderConfig(3, 4, 3), len(VOCAB), input_dim=5, seed=3)
             if stale is not None:
                 model.grads[:] = stale
-            update_gradients(model, features, utt.target)
+            update_gradients(model, utt.spectrogram, utt.target)
             grads.append(model.grads.copy())
         assert np.isfinite(grads[1]).all() and np.array_equal(grads[0], grads[1])
 
@@ -656,13 +653,12 @@ class TestGradOffDecoding:
 
     def test_training_after_a_decode_gets_the_same_gradients(self):
         utt = fake_utterances()[0]
-        features = standardize_spectrogram(utt.spectrogram)
         grads = []
         for decode_first in (True, False):
             model = tiny_model(seed=7)
             if decode_first:
                 beam_search_decode(model, LM, utt.spectrogram, FusionConfig(beam_width=2), VOCAB)
-            update_gradients(model, features, utt.target)
+            update_gradients(model, utt.spectrogram, utt.target)
             grads.append(model.grads.copy())
         assert grads[0].any() and np.array_equal(grads[0], grads[1])
 
@@ -691,8 +687,7 @@ class TestGraphSize:
     def test_a_training_update_makes_none(self, monkeypatch):
         # the reverse passes add into the parameters' gradient views
         model, utt = self.model(), fake_utterances()[0]
-        features = standardize_spectrogram(utt.spectrogram)
-        update = lambda: update_gradients(model, features, utt.target)
+        update = lambda: update_gradients(model, utt.spectrogram, utt.target)
         assert self.count_tensors(monkeypatch, update) == 0
         assert model.grads.any()
 

@@ -34,7 +34,6 @@ from icdscribe.model import (
     DecoderConfig,
     EncoderConfig,
     Seq2SeqModel,
-    standardize_spectrogram,
 )
 
 N_MELS = 6
@@ -419,18 +418,6 @@ class TestGradients:
             start = stop
         assert start == model.values.size == model.grads.size
         assert np.any(model.grads != 0.0)
-
-
-class TestStandardization:
-    def test_zero_mean_unit_variance(self):
-        out = standardize_spectrogram(spectrogram(30, seed=2) * 3.0 + 5.0)
-        assert out.mean() == pytest.approx(0.0, abs=1e-12)
-        assert out.std() == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_input_is_safe(self):
-        out = standardize_spectrogram(np.full((4, 3), 2.5))
-        assert np.all(np.isfinite(out))
-        assert np.allclose(out, 0.0)
 
 
 class TestConfigValidation:

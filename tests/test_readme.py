@@ -37,10 +37,13 @@ def options_named(text):
     return set(re.findall(r"--[a-z][a-z-]*", text))
 
 
+def package_modules():
+    return [m.name for m in pkgutil.iter_modules(icdscribe.__path__)]
+
+
 def bound_constants():
     """(name, value) of every `MAX_` constant in the package's modules."""
-    modules = [importlib.import_module(f"icdscribe.{m.name}")
-               for m in pkgutil.iter_modules(icdscribe.__path__)]
+    modules = [importlib.import_module(f"icdscribe.{name}") for name in package_modules()]
     return sorted({(name, value) for module in modules for name, value in vars(module).items()
                    if name.startswith("MAX_")})
 
@@ -68,3 +71,8 @@ def test_cli_reference_names_exactly_the_options_of_each_subcommand(command, def
 def test_cli_reference_names_no_option_that_no_subcommand_defines():
     defined = set().union(*subcommand_options().values())
     assert options_named(section("CLI reference")) <= defined
+
+
+@pytest.mark.parametrize("module", package_modules())
+def test_module_map_has_a_row_for_every_module(module):
+    assert f"\n| `icdscribe.{module}` | " in section("Module map")
