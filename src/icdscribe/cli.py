@@ -5,10 +5,11 @@ language model, train the acoustic model, evaluate, and transcribe.
 Every command is reproducible from its persisted config and seed alone.
 `train` loops over the epoch records that training yields: it scores a
 measuring epoch with `evaluate`'s code at beam width 1, logs the record, and
-checkpoints a better score.  Every command that realizes a manifest does
-so on the calling thread and the helper at once (`data.iter_utterances`):
-`train` its whole set up front, `evaluate` and a manifest `transcribe` the
-next utterances while the current one is decoded.
+checkpoints a better score.  `evaluate` decodes a manifest and `transcribe`
+one wav, each with the checkpoint's fusion settings or `--lambda-lm` and
+`--beam`.  Every command that realizes a manifest does so on the calling
+thread and the helper at once (`data.iter_utterances`): `train` its whole
+set up front, `evaluate` the next utterances while the current one is decoded.
 
 Exit codes: 0 success, 2 configuration or validation problem, 3 i/o.
 """
@@ -193,24 +194,26 @@ def cmd_train(args):
     return 0
 
 
-def _fusion_lm(path, cfg, vocab):
-    """The LM at `path`, or None; fused decoding needs one that knows every decoder word."""
-    lm = load_lm(path) if path else None
+def _fusion(args, ckpt):
+    """The checkpoint's fusion settings under the flags, and an LM knowing every decoder word."""
+    flags = {"lambda_lm": args.lambda_lm, "beam_width": args.beam}
+    cfg = dataclasses.replace(ckpt.config.fusion, **{k: v for k, v in flags.items() if v is not None})
+    lm = load_lm(args.lm) if args.lm else None
     if cfg.lambda_lm > 0:
         if lm is None:
             raise ContractError("--lm is required unless --lambda-lm 0 disables fusion")
-        check_vocabulary_alignment(lm, vocab)
-    return lm
+        check_vocabulary_alignment(lm, ckpt.vocabulary)
+    return cfg, lm
 
 
 def cmd_evaluate(args):
     ckpt = load_checkpoint(args.ckpt)
     model = build_model(ckpt)
-    lm = _fusion_lm(args.lm, ckpt.config.fusion, ckpt.vocabulary)
+    cfg, lm = _fusion(args, ckpt)
     manifest = load_manifest(args.manifest)
     _check_manifest(manifest, ckpt)
-    report = evaluate_dataset(model, lm, iter_utterances(manifest), ckpt.config.fusion,
-                              ckpt.vocabulary, seed=args.seed, resamples=args.resamples)
+    report = evaluate_dataset(model, lm, iter_utterances(manifest), cfg, ckpt.vocabulary,
+                              seed=args.seed, resamples=args.resamples)
     print(format_report(report))
     if args.output:
         write_document(args.output, None, report.to_dict())
@@ -218,47 +221,28 @@ def cmd_evaluate(args):
     return 0
 
 
-def _decode_inputs(args, ckpt):
-    """Yield (utterance id, spectrogram) pairs for a wav file or a manifest.
-
-    A wav too short for one encoder state, or whose log-mel frames are all
-    alike (silence, DC), holds no speech and is refused.
-    """
-    path = Path(args.input)
-    if path.suffix.lower() == ".wav":
-        spec = stft_logmel(read_wav(path), ckpt.config.dataset.frontend)
-        span = ckpt.config.encoder.state_span
-        if len(spec) < span:
-            raise ContractError(f"{path} gives {len(spec)} log-mel frames, fewer than the "
-                                f"{span} that one encoder state spans")
-        if (spec == spec[0]).all():
-            raise ContractError(f"{path} has no variance across its log-mel frames "
-                                f"(silence or a constant signal)")
-        yield path.stem, spec
-        return
-    manifest = load_manifest(path)
-    _check_manifest(manifest, ckpt)
-    for utt in iter_utterances(manifest):
-        yield f"{utt.code}/{utt.speaker_id}/{utt.variation_index}", utt.spectrogram
-
-
 def cmd_transcribe(args):
+    path = Path(args.input)
+    if path.suffix.lower() != ".wav":
+        raise ContractError(f"{path} is not a .wav file: transcribe decodes one wav, "
+                            f"and evaluate --manifest decodes a manifest")
     ckpt = load_checkpoint(args.ckpt)
     model = build_model(ckpt)
-    flags = {"lambda_lm": args.lambda_lm, "beam_width": args.beam}
-    cfg = dataclasses.replace(ckpt.config.fusion, **{k: v for k, v in flags.items() if v is not None})
-    lm = _fusion_lm(args.lm, cfg, ckpt.vocabulary)
-
-    lines = []
-    for uid, spec in _decode_inputs(args, ckpt):
-        best = beam_search_decode(model, lm, spec, cfg, ckpt.vocabulary)
-        text = " ".join(ckpt.vocabulary.decode(best.tokens))
-        lines.append(f"{uid}\t{text}\t{best.fused:.6f}")
-    output = "\n".join(lines)
-    print(output)
+    cfg, lm = _fusion(args, ckpt)
+    spec = stft_logmel(read_wav(path), ckpt.config.dataset.frontend)
+    span = ckpt.config.encoder.state_span
+    if len(spec) < span:
+        raise ContractError(f"{path} gives {len(spec)} log-mel frames, fewer than the "
+                            f"{span} that one encoder state spans")
+    if (spec == spec[0]).all():
+        raise ContractError(f"{path} has no variance across its log-mel frames "
+                            f"(silence or a constant signal)")
+    best = beam_search_decode(model, lm, spec, cfg, ckpt.vocabulary)
+    line = f"{path.stem}\t{' '.join(ckpt.vocabulary.decode(best.tokens))}\t{best.fused:.6f}"
+    print(line)
     if args.output:
         with atomic_write(args.output) as fh:
-            fh.write((output + "\n").encode("utf-8"))
+            fh.write((line + "\n").encode("utf-8"))
     return 0
 
 
@@ -293,23 +277,23 @@ def _build_parser():
     p.add_argument("--seed", type=int, help="override the configured seed; not with --resume")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint against a manifest")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--lm", required=True)
+    p = sub.add_parser("evaluate", help="decode and score every utterance of a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--output", help="write the full report as JSON")
     p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     p.add_argument("--resamples", type=int, default=1000)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("transcribe", help="decode a wav file or a whole manifest")
-    p.add_argument("input", help="wav file or manifest JSON")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--lm", help="required unless --lambda-lm 0")
-    p.add_argument("--lambda-lm", type=float, dest="lambda_lm")
-    p.add_argument("--beam", type=int, help="beam width override")
-    p.add_argument("--output", help="also write transcriptions to this file")
+    p = sub.add_parser("transcribe", help="decode one wav file")
+    p.add_argument("input", help="wav file")
+    p.add_argument("--output", help="also write the transcription to this file")
     p.set_defaults(func=cmd_transcribe)
+
+    for p in (sub.choices["evaluate"], sub.choices["transcribe"]):  # the decoding commands
+        p.add_argument("--ckpt", required=True)
+        p.add_argument("--lm", help="required unless --lambda-lm 0")
+        p.add_argument("--lambda-lm", type=float, dest="lambda_lm")
+        p.add_argument("--beam", type=int, help="beam width override")
 
     return parser
 

@@ -19,8 +19,8 @@ extension of the active ones, which makes width 1 coincide with greedy
 decoding.  Only each active hypothesis's best `beam_width` extensions are
 built, since no other can enter the beam; all tokens are scored in one
 vector expression, with the LM's memoized next-word vector.
-`evaluate_dataset` transcribes utterances and scores them; the training
-log's WER is its corpus WER at beam width 1.
+`evaluate_dataset` transcribes utterances and scores them, naming each one
+in the report; the training log's WER is its corpus WER at beam width 1.
 """
 
 import json
@@ -226,6 +226,9 @@ def evaluate_dataset(model, lm, utterances, cfg, vocab, seed, resamples):
                             f"got {resamples}")
     if seed < 0:
         raise ContractError(f"the bootstrap seed must be at least 0, got {seed}")
-    pairs = [(vocab.decode(utt.target), transcribe(model, lm, utt.spectrogram, cfg, vocab))
-             for utt in utterances]
-    return build_report(pairs, seed=seed, resamples=resamples)
+    ids, pairs = [], []
+    for utt in utterances:
+        ids.append(f"{utt.code}/{utt.speaker_id}/{utt.variation_index}")
+        pairs.append((vocab.decode(utt.target), transcribe(model, lm, utt.spectrogram, cfg, vocab)))
+    return build_report(pairs, seed=seed, resamples=resamples, ids=ids,
+                        lambda_lm=cfg.lambda_lm, beam_width=cfg.beam_width)

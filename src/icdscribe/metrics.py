@@ -99,6 +99,8 @@ def _pooled_bleu(weights, stats, max_n):
 
 @dataclass
 class EvalReport:
+    ids: list  # one name per utterance, in order
+    pairs: list  # each utterance's (reference, hypothesis) words
     breakdowns: list
     corpus_wer: float
     corpus_bleu: float
@@ -106,6 +108,8 @@ class EvalReport:
     bleu_ci: tuple
     resamples: int
     seed: int
+    lambda_lm: float  # the fusion settings the hypotheses were decoded with, or None
+    beam_width: int
 
     def to_dict(self):
         return {
@@ -120,7 +124,10 @@ class EvalReport:
             "bleu_ci_95": list(self.bleu_ci),
             "resamples": self.resamples,
             "seed": self.seed,
-            "per_utterance": [{**to_payload(b), "wer": b.wer} for b in self.breakdowns],
+            "lambda_lm": self.lambda_lm, "beam_width": self.beam_width,
+            "per_utterance": [{"id": i, "reference": " ".join(r), "hypothesis": " ".join(h),
+                               **to_payload(b), "wer": b.wer}
+                              for i, (r, h), b in zip(self.ids, self.pairs, self.breakdowns)],
         }
 
 
@@ -133,12 +140,13 @@ def _percentile(ordered, p):
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
-def build_report(pairs, seed, resamples, max_n=4):
+def build_report(pairs, seed, resamples, max_n=4, ids=None, lambda_lm=None, beam_width=None):
     """Score (reference, hypothesis) pairs and bootstrap 95% intervals.
 
-    Corpus WER is total errors over total reference words, not the mean
-    of per-utterance rates.  Each resample is a row of pair multiplicities,
-    so pooled counts are one integer matrix product.
+    `ids` name the pairs (their positions by default); the fusion settings
+    are kept as given.  Corpus WER is total errors over total reference
+    words, not the mean of per-utterance rates.  Each resample is a row of
+    pair multiplicities, so pooled counts are one integer matrix product.
     """
     if not pairs:
         raise ContractError("cannot evaluate an empty test set")
@@ -156,6 +164,8 @@ def build_report(pairs, seed, resamples, max_n=4):
     bleu_draws = np.sort(_pooled_bleu(weights, stats, max_n))
 
     return EvalReport(
+        ids=list(range(n)) if ids is None else list(ids),
+        pairs=pairs,
         breakdowns=breakdowns,
         corpus_wer=sum(errors) / sum(lengths),
         corpus_bleu=_pooled_bleu(np.ones((1, n), dtype=np.int64), stats, max_n)[0],
@@ -163,6 +173,8 @@ def build_report(pairs, seed, resamples, max_n=4):
         bleu_ci=(_percentile(bleu_draws, 2.5), _percentile(bleu_draws, 97.5)),
         resamples=resamples,
         seed=seed,
+        lambda_lm=lambda_lm,
+        beam_width=beam_width,
     )
 
 

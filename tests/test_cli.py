@@ -24,7 +24,7 @@ from icdscribe.audio import (
     synthesize_word,
     write_wav,
 )
-from icdscribe import autodiff, cli
+from icdscribe import autodiff, cli, fusion
 from icdscribe import data as data_module
 from icdscribe.checkpoint import build_model, load_checkpoint
 from icdscribe.cli import main
@@ -83,8 +83,11 @@ def workspace(tmp_path_factory):
     assert main(["train", "--config", str(config), "--data", str(data),
                  "--lm", str(lm), "--output", str(ckpt)]) == 0
 
+    wav = root / "sample.wav"
+    write_wav(wav, synthesize_word("pain", SpeakerProfile("near", base_pitch=120.0, rate=0.9,
+                                                          seed=1), repeat_index=0))
     return SimpleNamespace(
-        root=root, config=config, codes=codes, data=data, lm=lm, ckpt=ckpt
+        root=root, config=config, codes=codes, data=data, lm=lm, ckpt=ckpt, wav=wav
     )
 
 
@@ -549,39 +552,105 @@ class TestEvaluate:
                      "--lm", str(workspace.lm),
                      "--manifest", str(workspace.data / "test.json")]) == 3
 
+    def test_report_names_each_utterance_with_its_transcript(self, workspace, tmp_path):
+        report = tmp_path / "report.json"
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm,
+                         "--manifest", workspace.data / "test.json", "--resamples", "20",
+                         "--output", report])
+        assert code == 0, err
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        ckpt = load_checkpoint(workspace.ckpt)
+        model, lm, vocab = build_model(ckpt), load_lm(workspace.lm), ckpt.vocabulary
+        cfg = ckpt.config.fusion
+        assert (payload["lambda_lm"], payload["beam_width"]) == (cfg.lambda_lm, cfg.beam_width)
+        utterances = list(iter_utterances(load_manifest(workspace.data / "test.json")))
+        for entry, utt in zip(payload["per_utterance"], utterances, strict=True):
+            assert entry["id"] == f"{utt.code}/{utt.speaker_id}/{utt.variation_index}"
+            assert entry["reference"] == " ".join(vocab.decode(utt.target))
+            hypothesis = fusion.transcribe(model, lm, utt.spectrogram, cfg, vocab)
+            assert entry["hypothesis"] == " ".join(hypothesis)
+
+    def test_missing_lm_with_positive_weight_exits_2(self, workspace):
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--manifest",
+                         workspace.data / "test.json"])
+        assert code == 2
+        assert err == "error: --lm is required unless --lambda-lm 0 disables fusion\n"
+
+    def test_lm_weight_zero_needs_no_lm(self, workspace, tmp_path):
+        report = tmp_path / "report.json"
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--manifest",
+                         workspace.data / "test.json", "--lambda-lm", "0", "--beam", "1",
+                         "--resamples", "20", "--output", report])
+        assert code == 0, err
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        assert (payload["lambda_lm"], payload["beam_width"]) == (0.0, 1)
+
+    def test_flags_that_repeat_the_checkpoint_change_no_byte(self, workspace, tmp_path):
+        cfg = load_checkpoint(workspace.ckpt).config.fusion
+        reports = [tmp_path / "plain.json", tmp_path / "flagged.json"]
+        for report, flags in zip(reports, [[], ["--lambda-lm", cfg.lambda_lm,
+                                                "--beam", cfg.beam_width]]):
+            code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm,
+                             "--manifest", workspace.data / "test.json", "--resamples", "20",
+                             "--output", report] + flags)
+            assert code == 0, err
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+class TestDecodingFlags:
+    """`evaluate` and `transcribe` apply their fusion flags through one helper, so alike."""
+
+    COMMANDS = {
+        "evaluate": lambda w: ["evaluate", "--ckpt", w.ckpt, "--manifest", w.data / "test.json"],
+        "transcribe": lambda w: ["transcribe", w.wav, "--ckpt", w.ckpt],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_beam_above_the_bound_exits_2(self, workspace, command):
+        code, err = run(self.COMMANDS[command](workspace) + ["--lambda-lm", "0",
+                                                             "--beam", "100000"])
+        assert code == 2
+        assert err == "error: beam_width 100000 outside [1, 64]\n"
+
 
 class TestTranscribe:
-    def test_manifest_lines_have_three_fields(self, workspace, capsys):
-        assert main(["transcribe", str(workspace.data / "test.json"),
-                     "--ckpt", str(workspace.ckpt), "--lm", str(workspace.lm)]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 5
-        for line in lines:
-            uid, _, score = line.split("\t")
-            assert uid.count("/") == 2
-            float(score)
+    @pytest.mark.parametrize("name", ["test.json", "notes.txt", "ghost.json", "noext"])
+    def test_input_that_is_not_a_wav_exits_2_naming_evaluate(self, workspace, tmp_path,
+                                                             monkeypatch, name):
+        path = workspace.data / name if name == "test.json" else tmp_path / name
+        if name == "notes.txt":
+            path.write_text("not audio\n", encoding="utf-8")
+
+        def no_read(*args):
+            raise AssertionError("a file was read")
+
+        asked = []
+        monkeypatch.setattr(cli, "load_checkpoint", no_read)
+        monkeypatch.setattr(cli, "load_lm", no_read)
+        monkeypatch.setattr(autodiff, "_helper", lambda: asked.append("helper"))
+        out = tmp_path / "out"
+        out.mkdir()
+        before = threading.active_count()
+        code, err = run(["transcribe", path, "--ckpt", workspace.ckpt, "--lm", workspace.lm,
+                         "--output", out / "lines.tsv"])
+        assert code == 2
+        assert_one_line_error(err, str(path), "evaluate --manifest")
+        assert list(out.iterdir()) == [] and asked == [] and threading.active_count() == before
 
     def test_lm_weight_zero_skips_the_lm(self, workspace, capsys):
-        assert main(["transcribe", str(workspace.data / "test.json"),
+        assert main(["transcribe", str(workspace.wav),
                      "--ckpt", str(workspace.ckpt), "--lambda-lm", "0"]) == 0
         assert capsys.readouterr().out.strip()
 
-    def test_beam_above_the_bound_exits_2(self, workspace, capsys):
-        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", workspace.ckpt,
-                         "--lambda-lm", "0", "--beam", "100000"])
-        assert code == 2
-        assert_one_line_error(err, "beam_width 100000 outside [1, 64]")
-
     def test_acoustic_weight_is_no_option(self, workspace, capsys):
         with pytest.raises(SystemExit) as stop:
-            main(["transcribe", str(workspace.data / "test.json"), "--ckpt", str(workspace.ckpt),
+            main(["transcribe", str(workspace.wav), "--ckpt", str(workspace.ckpt),
                   "--lambda-lm", "0", "--lambda-acoustic", "1"])
         assert stop.value.code == 2
         assert "--lambda-acoustic" in capsys.readouterr().err
 
     def test_missing_lm_with_positive_weight_exits_2(self, workspace, capsys):
-        code = main(["transcribe", str(workspace.data / "test.json"),
-                     "--ckpt", str(workspace.ckpt)])
+        code = main(["transcribe", str(workspace.wav), "--ckpt", str(workspace.ckpt)])
         assert code == 2
         assert "--lm" in capsys.readouterr().err
 
@@ -601,9 +670,10 @@ class TestTranscribe:
         write_wav(wav, synthesize_word("pain", speaker, repeat_index=0))
         assert main(["transcribe", str(wav), "--ckpt", str(workspace.ckpt),
                      "--lm", str(workspace.lm)]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("sample\t")
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        uid, words, score = line.split("\t")
+        assert uid == "sample" and set(words.split()) <= {"aa", "bb", "cc"}
+        float(score)
 
     def test_wav_at_another_sample_rate_exits_2(self, workspace, tmp_path):
         speaker = SpeakerProfile("near", base_pitch=120.0, rate=0.9, seed=1)
@@ -617,18 +687,19 @@ class TestTranscribe:
         assert main(["transcribe", str(tmp_path / "ghost.wav"),
                      "--ckpt", str(workspace.ckpt), "--lambda-lm", "0"]) == 3
 
-    def test_output_file_written(self, workspace, tmp_path):
+    def test_output_file_written(self, workspace, tmp_path, capsys):
         out = tmp_path / "lines.tsv"
-        assert main(["transcribe", str(workspace.data / "test.json"),
+        assert main(["transcribe", str(workspace.wav),
                      "--ckpt", str(workspace.ckpt), "--lm", str(workspace.lm),
                      "--output", str(out)]) == 0
-        assert len(out.read_text(encoding="utf-8").splitlines()) == 5
+        printed = capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == printed and printed.count("\n") == 1
 
     def test_failed_output_write_keeps_the_old_file(self, workspace, tmp_path, monkeypatch):
         out = tmp_path / "lines.tsv"
         out.write_bytes(b"an earlier transcript\n")
         fail_writes_after(monkeypatch, 10, OSError(errno.ENOSPC, "No space left on device"))
-        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", workspace.ckpt,
+        code, err = run(["transcribe", workspace.wav, "--ckpt", workspace.ckpt,
                          "--lm", workspace.lm, "--output", out])
         assert code == 3
         assert_one_line_error(err, "No space left")
@@ -637,41 +708,32 @@ class TestTranscribe:
 
 
 class TestRealizedOnTheHelper:
-    """`evaluate` and a manifest `transcribe` realize utterances on the caller and the helper."""
+    """`evaluate` realizes utterances on the caller and the helper."""
 
     @staticmethod
-    def commands(workspace, out):
-        manifest = workspace.data / "test.json"
-        return [
-            ["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm, "--manifest", manifest,
-             "--resamples", "20", "--output", out / "report.json"],
-            ["transcribe", manifest, "--ckpt", workspace.ckpt, "--lm", workspace.lm,
-             "--output", out / "transcripts.txt"],
-        ]
+    def command(workspace, out):
+        return ["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm,
+                "--manifest", workspace.data / "test.json", "--resamples", "20",
+                "--output", out / "report.json"]
 
     def test_starts_at_most_the_one_helper(self, workspace, tmp_path):
-        for argv in self.commands(workspace, tmp_path):
-            before = set(threading.enumerate())
-            code, err = run(argv)
-            assert code == 0, err
-            started = set(threading.enumerate()) - before
-            assert len(started) <= 1
-            assert all(t.name.startswith("icdscribe-helper") for t in started)
+        before = set(threading.enumerate())
+        code, err = run(self.command(workspace, tmp_path))
+        assert code == 0, err
+        started = set(threading.enumerate()) - before
+        assert len(started) <= 1
+        assert all(t.name.startswith("icdscribe-helper") for t in started)
 
     def test_output_is_byte_identical_with_and_without_the_helper(self, workspace, tmp_path):
         runs = []
         for on in (False, True):
             out = tmp_path / str(on)
             out.mkdir()
-            printed = []
-            with helper_thread(on):
-                for argv in self.commands(workspace, out):
-                    stdout = io.StringIO()
-                    with contextlib.redirect_stdout(stdout):
-                        assert main([str(a) for a in argv]) == 0
-                    printed.append(stdout.getvalue().replace(str(out), "OUT"))
-            runs.append((printed, (out / "report.json").read_bytes(),
-                         (out / "transcripts.txt").read_bytes()))
+            stdout = io.StringIO()
+            with helper_thread(on), contextlib.redirect_stdout(stdout):
+                assert main([str(a) for a in self.command(workspace, out)]) == 0
+            runs.append((stdout.getvalue().replace(str(out), "OUT"),
+                         (out / "report.json").read_bytes()))
         assert runs[0] == runs[1]
 
     def test_a_realization_error_exits_2_as_on_one_thread(self, workspace, monkeypatch):
@@ -716,7 +778,7 @@ class TestLmWithoutDecoderWords:
         [
             lambda w, lm: ["evaluate", "--ckpt", w.ckpt, "--lm", lm,
                            "--manifest", w.data / "test.json"],
-            lambda w, lm: ["transcribe", w.data / "test.json", "--ckpt", w.ckpt, "--lm", lm],
+            lambda w, lm: ["transcribe", w.wav, "--ckpt", w.ckpt, "--lm", lm],
         ],
         ids=["evaluate", "transcribe"],
     )
@@ -726,8 +788,8 @@ class TestLmWithoutDecoderWords:
         assert_one_line_error(err, "absent from the language model corpus", "'cc'")
 
     def test_zero_lm_weight_still_decodes(self, workspace, partial_lm):
-        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", workspace.ckpt,
-                         "--lm", partial_lm, "--lambda-lm", "0"])
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--manifest",
+                         workspace.data / "test.json", "--lm", partial_lm, "--lambda-lm", "0"])
         assert code == 0, err
 
 
@@ -868,7 +930,8 @@ class TestMalformedInputs:
         mutate(payload)
         path = tmp_path / "test.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        code, err = run(["transcribe", path, "--ckpt", workspace.ckpt, "--lambda-lm", "0"])
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--manifest", path,
+                         "--lambda-lm", "0"])
         assert code == 2
         assert_one_line_error(err, fragment)
 
@@ -890,8 +953,8 @@ class TestMalformedInputs:
         payload["format"] = "lm-v2"
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        code, err = run(["transcribe", workspace.data / "test.json",
-                         "--ckpt", workspace.ckpt, "--lm", path])
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", path,
+                         "--manifest", workspace.data / "test.json"])
         assert code == 2
         assert_one_line_error(err, str(path), '"lm-v2"', "lm-v3")
 
@@ -900,8 +963,8 @@ class TestMalformedInputs:
         payload["lambdas"] = [0.5, 0.5]  # the weights follow from the order
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        code, err = run(["transcribe", workspace.data / "test.json",
-                         "--ckpt", workspace.ckpt, "--lm", path])
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", path,
+                         "--manifest", workspace.data / "test.json"])
         assert code == 2
         assert_one_line_error(err, str(path), "unknown key 'lambdas'")
 
@@ -937,8 +1000,8 @@ class TestMalformedInputs:
         mutate(payload)
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        code, err = run(["transcribe", workspace.data / "test.json",
-                         "--ckpt", workspace.ckpt, "--lm", path])
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", path,
+                         "--manifest", workspace.data / "test.json"])
         assert code == 2
         assert_one_line_error(err, str(path), fragment)
 
@@ -949,9 +1012,8 @@ class TestMalformedInputs:
                           "--epochs", "3", "--output", d / "resumed.json"],
             lambda w, d: ["evaluate", "--ckpt", w.ckpt, "--lm", w.lm,
                           "--manifest", d / "train.json"],
-            lambda w, d: ["transcribe", d / "train.json", "--ckpt", w.ckpt, "--lm", w.lm],
         ],
-        ids=["resume", "evaluate", "transcribe"],
+        ids=["resume", "evaluate"],
     )
     def test_manifest_of_another_frontend(self, workspace, tmp_path, command):
         payload = json.loads((workspace.data / "train.json").read_text(encoding="utf-8"))
@@ -1083,10 +1145,11 @@ class TestHostileArtifacts:
     COMMANDS = {
         "config": lambda w, m: ["generate-data", "--config", m, "--codes", w.codes,
                                 "--output", w.root / "mutant-out"],
-        "manifest": lambda w, m: ["transcribe", m, "--ckpt", w.ckpt, "--lambda-lm", "0"],
-        "lm": lambda w, m: ["transcribe", w.data / "test.json", "--ckpt", w.ckpt, "--lm", m],
-        "checkpoint": lambda w, m: ["transcribe", w.data / "test.json", "--ckpt", m,
-                                    "--lambda-lm", "0"],
+        "manifest": lambda w, m: ["evaluate", "--ckpt", w.ckpt, "--manifest", m,
+                                  "--lambda-lm", "0"],
+        "lm": lambda w, m: ["evaluate", "--ckpt", w.ckpt, "--manifest", w.data / "test.json",
+                            "--lm", m],
+        "checkpoint": lambda w, m: ["transcribe", w.wav, "--ckpt", m, "--lambda-lm", "0"],
     }
 
     def source(self, workspace, artifact):
@@ -1144,8 +1207,7 @@ class TestHostileArtifacts:
         head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
         path = tmp_path / "damaged.ckpt"
         path.write_bytes(damage(head, blob))
-        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", path,
-                         "--lambda-lm", "0"])
+        code, err = run(["transcribe", workspace.wav, "--ckpt", path, "--lambda-lm", "0"])
         assert code == 2
         assert_one_line_error(err, str(path), fragment)
 
@@ -1161,7 +1223,7 @@ class TestHostileArtifacts:
         path = tmp_path / "adam.ckpt"
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
         for argv in (
-            ["transcribe", workspace.data / "test.json", "--ckpt", path, "--lambda-lm", "0"],
+            ["transcribe", workspace.wav, "--ckpt", path, "--lambda-lm", "0"],
             ["train", "--data", workspace.data, "--lm", workspace.lm, "--resume", path,
              "--epochs", "3", "--output", tmp_path / "resumed.json"],
         ):
@@ -1177,7 +1239,7 @@ class TestHostileArtifacts:
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
         output = tmp_path / "out" / "result.ckpt"
         for argv in (
-            ["transcribe", workspace.data / "test.json", "--ckpt", path, "--lambda-lm", "0",
+            ["transcribe", workspace.wav, "--ckpt", path, "--lambda-lm", "0",
              "--output", output],
             ["train", "--data", workspace.data, "--lm", workspace.lm, "--resume", path,
              "--epochs", "3", "--output", output],
@@ -1193,8 +1255,7 @@ class TestHostileArtifacts:
         raw = workspace.ckpt.read_bytes()
         path = tmp_path / "damaged.ckpt"
         path.write_bytes(raw[:-8] + np.float64(np.nan).tobytes())  # the last value of Adam's v
-        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", path,
-                         "--lambda-lm", "0"])
+        code, err = run(["transcribe", workspace.wav, "--ckpt", path, "--lambda-lm", "0"])
         assert code == 0, err
         code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm, "--resume", path,
                          "--epochs", "3", "--output", tmp_path / "resumed.json"])
@@ -1218,8 +1279,7 @@ class TestHostileArtifacts:
         }
         path = tmp_path / "old.json"
         path.write_text(json.dumps(v1, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        code, err = run(["transcribe", workspace.data / "test.json", "--ckpt", path,
-                         "--lambda-lm", "0"])
+        code, err = run(["transcribe", workspace.wav, "--ckpt", path, "--lambda-lm", "0"])
         assert code == 2
         assert_one_line_error(err, str(path), "not valid JSON")
 
@@ -1252,7 +1312,7 @@ class TestHostileArtifacts:
         path.write_bytes(self.earlier_document(workspace, artifact))
         inputs = {"manifest": workspace.data / "test.json", "lm": workspace.lm,
                   "checkpoint": workspace.ckpt, artifact: path}
-        code, err = run(["transcribe", inputs["manifest"], "--ckpt", inputs["checkpoint"],
-                         "--lm", inputs["lm"]])
+        code, err = run(["evaluate", "--manifest", inputs["manifest"],
+                         "--ckpt", inputs["checkpoint"], "--lm", inputs["lm"]])
         assert code == 2
         assert_one_line_error(err, str(path), *fragments)

@@ -12,6 +12,7 @@ from icdscribe.cli import _build_parser
 from icdscribe.config import CONFIG_FORMAT
 from icdscribe.data import MANIFEST_FORMAT
 from icdscribe.lm import LM_FORMAT
+from icdscribe.metrics import build_report
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,12 +61,25 @@ def test_config_rules_state_every_bound(name, value):
     assert re.search(rf"(?<![\d,]){value:,}(?![\d,])", rules), name
 
 
-@pytest.mark.parametrize("command, defined", sorted(subcommand_options().items()))
-def test_cli_reference_names_exactly_the_options_of_each_subcommand(command, defined):
+def cli_paragraph(command):
+    """The one CLI reference paragraph that documents `command`."""
     paragraphs = [p for p in section("CLI reference").split("\n\n")
                   if p.startswith(f"`icdscribe {command} ")]
     assert len(paragraphs) == 1, command
-    assert options_named(paragraphs[0]) == defined
+    return paragraphs[0]
+
+
+@pytest.mark.parametrize("command, defined", sorted(subcommand_options().items()))
+def test_cli_reference_names_exactly_the_options_of_each_subcommand(command, defined):
+    assert options_named(cli_paragraph(command)) == defined
+
+
+def test_evaluate_paragraph_names_every_report_key():
+    report = build_report([(["aa", "bb"], ["aa"])], seed=0, resamples=1, ids=["C1/spk/0"],
+                          lambda_lm=0.3, beam_width=4).to_dict()
+    keys = set(report) | set(report["per_utterance"][0])
+    paragraph = cli_paragraph("evaluate")
+    assert sorted(k for k in keys if f"`{k}`" not in paragraph) == []
 
 
 def test_cli_reference_names_no_option_that_no_subcommand_defines():
