@@ -1,34 +1,33 @@
-"""Reverse-mode differentiation of one training update over dense float64 arrays.
+"""The numerics of a training update: its loss, the array kernels, the
+parameter vectors, Adam and clipping, and the one helper thread.
+
+`backward` forms an update's loss, the mean cross entropy of the
+teacher-forced logits, and its adjoint, and hands that to the `sweep` that
+the model's forward pass returned: the decoder's reverse pass, then the
+encoder's.  A reverse pass writes each dense term (a bias, a conv kernel,
+the attention score, the embedding) with `out=` as it reaches it, and
+records each weight that every step reads as one product over all steps,
+written once both passes have finished (`write_products`).  The array
+kernels are those the model's passes share, in training and decoding: the
+causal convolution and its input gradient, and the LSTM forward, step and
+backward step.  Everything is float64 so the finite-difference tests can
+use tight tolerances.
 
 A model's parameters are views into one flat float64 vector, in
 registration order (`parameter_vectors`), and their gradients views into a
-second vector of the same length.  Each parameter is a `Tensor`: its
-value view, its gradient view and its shape.  Gradient clipping and Adam
-work on the two vectors, and a checkpoint stores them as they lie in
-memory.
+second vector of the same length; a `Tensor` is one parameter's handle, its
+value view, gradient view and shape.  Adam (`adam_step`) and global-norm
+clipping (`clip_global_norm`) work on the two vectors, and a checkpoint
+stores them as they lie in memory.
 
-An update is one fixed chain: the encoder, the teacher-forced attention
-decoder, then the cross-entropy loss.  The model's forward pass returns the
-logits and a `sweep` over the rows it kept; `backward` forms the loss and
-its adjoint and hands that to the sweep, which runs the decoder's reverse
-pass, then the encoder's.  A reverse pass writes the update's gradient:
-each dense term (a bias, a conv kernel, the attention score, the
-embedding) with `out=` as the sweep reaches it, and each weight that every
-step reads as one product over all steps, recorded during the sweeps and
-written once both have finished (`write_products`).  This module holds the
-array kernels the model's passes share (the causal convolution and the
-LSTM step and its backward step); decoding runs the same kernels.
-Everything is float64 so the finite-difference tests can use tight
-tolerances.
-
-Two bulk phases of an update, the weight-gradient products and Adam's
-blocks, run on the calling thread and one helper thread at once
-(`run_shared`).  Each job writes its own slice of memory, so the split
-never changes a bit.  The same two threads compute a lazy map in order
-(`mapped`), which lets `evaluate` realize the next utterances while it
-decodes one, and `train` realize its set on both threads.  The helper is
-made on first use, and only where two or more cores are usable; on one
-core the same functions run on the calling thread alone.  There is no knob.
+The weight-gradient products and Adam's blocks run on the calling thread
+and one helper thread at once (`run_shared`); each job writes its own slice
+of memory, so the split never changes a bit.  The same two threads compute
+a lazy map in order (`mapped`), which lets `evaluate` realize the next
+utterances while it decodes one, and `train` realize its set on both
+threads.  The helper is made on first use, and only where two or more cores
+are usable; on one core the same functions run on the calling thread alone.
+There is no knob.
 """
 
 from __future__ import annotations

@@ -48,7 +48,8 @@ from .fusion import EpochRecord, beam_search_decode, check_vocabulary_alignment,
 from .fusion import train_with_scheduled_lm_sampling
 from .lm import Corpus, load_lm, perplexity, save_lm, train_lm
 from .metrics import format_report
-from .schema import atomic_write, decode_document, from_payload, read_lines, write_document
+from .schema import (atomic_write, decode_document, from_payload, read_lines, to_payload,
+                     write_document)
 
 log = logging.getLogger("icdscribe")
 
@@ -126,8 +127,12 @@ def cmd_train(args):
             raise ContractError(f"--{flag} cannot be given with --resume, which takes every "
                                 f"setting but --epochs from the checkpoint")
     lm = load_lm(args.lm)
-    manifest = load_manifest(Path(args.data) / "train.json")
+    path = Path(args.data) / "train.json"
+    manifest = load_manifest(path)
+    if not manifest.records:
+        raise ContractError(f"{path} holds no utterances to train on")
     vocab = manifest.vocabulary
+    check_vocabulary_alignment(lm, vocab)
 
     if args.resume:
         ckpt = load_checkpoint(args.resume)
@@ -216,7 +221,7 @@ def cmd_evaluate(args):
                               seed=args.seed, resamples=args.resamples)
     print(format_report(report))
     if args.output:
-        write_document(args.output, None, report.to_dict())
+        write_document(args.output, None, to_payload(report))
         print(f"wrote {args.output}")
     return 0
 

@@ -226,9 +226,7 @@ def evaluate_dataset(model, lm, utterances, cfg, vocab, seed, resamples):
                             f"got {resamples}")
     if seed < 0:
         raise ContractError(f"the bootstrap seed must be at least 0, got {seed}")
-    ids, pairs = [], []
-    for utt in utterances:
-        ids.append(f"{utt.code}/{utt.speaker_id}/{utt.variation_index}")
-        pairs.append((vocab.decode(utt.target), transcribe(model, lm, utt.spectrogram, cfg, vocab)))
-    return build_report(pairs, seed=seed, resamples=resamples, ids=ids,
+    scored = [(f"{utt.code}/{utt.speaker_id}/{utt.variation_index}", vocab.decode(utt.target),
+               transcribe(model, lm, utt.spectrogram, cfg, vocab)) for utt in utterances]
+    return build_report(scored, seed=seed, resamples=resamples,
                         lambda_lm=cfg.lambda_lm, beam_width=cfg.beam_width)

@@ -98,37 +98,33 @@ def _pooled_bleu(weights, stats, max_n):
 
 
 @dataclass
-class EvalReport:
-    ids: list  # one name per utterance, in order
-    pairs: list  # each utterance's (reference, hypothesis) words
-    breakdowns: list
+class UtteranceScore:  # one `per_utterance` entry; the transcripts are space-joined words
+    id: str
+    reference: str
+    hypothesis: str
+    substitutions: int
+    deletions: int
+    insertions: int
+    reference_length: int
+    wer: float
+
+
+@dataclass
+class EvalReport:  # the `evaluate` report, written by `schema.to_payload`
+    utterances: int
+    substitutions: int
+    deletions: int
+    insertions: int
+    reference_words: int
     corpus_wer: float
     corpus_bleu: float
-    wer_ci: tuple
-    bleu_ci: tuple
+    wer_ci_95: tuple[float, float]
+    bleu_ci_95: tuple[float, float]
     resamples: int
     seed: int
-    lambda_lm: float  # the fusion settings the hypotheses were decoded with, or None
+    lambda_lm: float  # the fusion settings the hypotheses were decoded with
     beam_width: int
-
-    def to_dict(self):
-        return {
-            "utterances": len(self.breakdowns),
-            "substitutions": sum(b.substitutions for b in self.breakdowns),
-            "deletions": sum(b.deletions for b in self.breakdowns),
-            "insertions": sum(b.insertions for b in self.breakdowns),
-            "reference_words": sum(b.reference_length for b in self.breakdowns),
-            "corpus_wer": self.corpus_wer,
-            "corpus_bleu": self.corpus_bleu,
-            "wer_ci_95": list(self.wer_ci),
-            "bleu_ci_95": list(self.bleu_ci),
-            "resamples": self.resamples,
-            "seed": self.seed,
-            "lambda_lm": self.lambda_lm, "beam_width": self.beam_width,
-            "per_utterance": [{"id": i, "reference": " ".join(r), "hypothesis": " ".join(h),
-                               **to_payload(b), "wer": b.wer}
-                              for i, (r, h), b in zip(self.ids, self.pairs, self.breakdowns)],
-        }
+    per_utterance: list[UtteranceScore]
 
 
 def _percentile(ordered, p):
@@ -140,17 +136,16 @@ def _percentile(ordered, p):
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
-def build_report(pairs, seed, resamples, max_n=4, ids=None, lambda_lm=None, beam_width=None):
-    """Score (reference, hypothesis) pairs and bootstrap 95% intervals.
+def build_report(scored, seed, resamples, lambda_lm, beam_width, max_n=4):
+    """Score (id, reference words, hypothesis words) triples and bootstrap 95% intervals.
 
-    `ids` name the pairs (their positions by default); the fusion settings
-    are kept as given.  Corpus WER is total errors over total reference
-    words, not the mean of per-utterance rates.  Each resample is a row of
-    pair multiplicities, so pooled counts are one integer matrix product.
+    Corpus WER is total errors over total reference words, not the mean of
+    per-utterance rates.  Each resample is a row of pair multiplicities, so
+    pooled counts are one integer matrix product.  The fusion settings are kept as given.
     """
-    if not pairs:
+    if not scored:
         raise ContractError("cannot evaluate an empty test set")
-    pairs = [(list(r), list(h)) for r, h in pairs]
+    pairs = [(list(r), list(h)) for _, r, h in scored]
     breakdowns = [wer(r, h) for r, h in pairs]
     errors = [b.errors for b in breakdowns]
     lengths = [b.reference_length for b in breakdowns]
@@ -164,30 +159,35 @@ def build_report(pairs, seed, resamples, max_n=4, ids=None, lambda_lm=None, beam
     bleu_draws = np.sort(_pooled_bleu(weights, stats, max_n))
 
     return EvalReport(
-        ids=list(range(n)) if ids is None else list(ids),
-        pairs=pairs,
-        breakdowns=breakdowns,
+        utterances=n,
+        substitutions=sum(b.substitutions for b in breakdowns),
+        deletions=sum(b.deletions for b in breakdowns),
+        insertions=sum(b.insertions for b in breakdowns),
+        reference_words=sum(lengths),
         corpus_wer=sum(errors) / sum(lengths),
         corpus_bleu=_pooled_bleu(np.ones((1, n), dtype=np.int64), stats, max_n)[0],
-        wer_ci=(_percentile(wer_draws, 2.5), _percentile(wer_draws, 97.5)),
-        bleu_ci=(_percentile(bleu_draws, 2.5), _percentile(bleu_draws, 97.5)),
+        wer_ci_95=(_percentile(wer_draws, 2.5), _percentile(wer_draws, 97.5)),
+        bleu_ci_95=(_percentile(bleu_draws, 2.5), _percentile(bleu_draws, 97.5)),
         resamples=resamples,
         seed=seed,
         lambda_lm=lambda_lm,
         beam_width=beam_width,
+        per_utterance=[UtteranceScore(i, " ".join(r), " ".join(h), **to_payload(b), wer=b.wer)
+                       for (i, _, _), (r, h), b in zip(scored, pairs, breakdowns)],
     )
 
 
 def format_report(report):
-    """Plain-text table with the corpus scores and their intervals."""
-    totals = report.to_dict()
+    """Plain-text table with the corpus scores and their intervals, and the decode settings."""
+    wer_ci, bleu_ci = report.wer_ci_95, report.bleu_ci_95
     lines = [
         f"{'metric':<8} {'value':>8}   95% CI",
-        f"{'WER':<8} {report.corpus_wer:>8.4f}   [{report.wer_ci[0]:.4f}, {report.wer_ci[1]:.4f}]",
-        f"{'BLEU':<8} {report.corpus_bleu:>8.4f}   [{report.bleu_ci[0]:.4f}, {report.bleu_ci[1]:.4f}]",
-        f"utterances: {len(report.breakdowns)}",
-        "errors: S={substitutions} D={deletions} I={insertions} over {reference_words} "
-        "reference words".format(**totals),
+        f"{'WER':<8} {report.corpus_wer:>8.4f}   [{wer_ci[0]:.4f}, {wer_ci[1]:.4f}]",
+        f"{'BLEU':<8} {report.corpus_bleu:>8.4f}   [{bleu_ci[0]:.4f}, {bleu_ci[1]:.4f}]",
+        f"utterances: {report.utterances}",
+        f"errors: S={report.substitutions} D={report.deletions} I={report.insertions} "
+        f"over {report.reference_words} reference words",
+        f"decoding: beam width {report.beam_width}, lambda_lm {report.lambda_lm:g}",
         f"bootstrap: {report.resamples} resamples, seed {report.seed}",
     ]
     return "\n".join(lines)

@@ -28,6 +28,7 @@ import numpy as np
 from icdscribe import autodiff as ad
 from icdscribe.audio import Waveform, write_wav
 from icdscribe.errors import ContractError
+from icdscribe.metrics import build_report
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +504,15 @@ def edit_distance_oracle(a, b):
         return min(sub, dist(i, j - 1) + 1, dist(i - 1, j) + 1)
 
     return dist(len(a), len(b))
+
+
+def score_pairs(pairs, seed, resamples, max_n=4):
+    """`metrics.build_report` of (reference, hypothesis) pairs, each named by its position.
+
+    The report records a greedy decode without an LM (beam width 1, weight 0).
+    """
+    scored = [(str(i), reference, hypothesis) for i, (reference, hypothesis) in enumerate(pairs)]
+    return build_report(scored, seed, resamples, lambda_lm=0.0, beam_width=1, max_n=max_n)
 
 
 class _FillingFile:

@@ -46,7 +46,7 @@ from icdscribe.fusion import (
     train_with_scheduled_lm_sampling,
 )
 from icdscribe.lm import Corpus, prob, train_lm
-from icdscribe.metrics import build_report, wer
+from icdscribe.metrics import wer
 from icdscribe.model import ConvSpec, DecoderConfig, EncoderConfig, Seq2SeqModel
 
 import helpers as ops
@@ -55,6 +55,7 @@ from helpers import (
     edit_distance_oracle,
     finite_difference_grad,
     loss_value,
+    score_pairs,
     update_gradients,
     weighted_sum,
 )
@@ -394,7 +395,7 @@ class TestWordErrorRate:
 
 def corpus_bleu(pairs):
     """The report's corpus BLEU, the package's one BLEU entry."""
-    return build_report(pairs, seed=0, resamples=1).corpus_bleu
+    return score_pairs(pairs, seed=0, resamples=1).corpus_bleu
 
 
 class TestBleu:

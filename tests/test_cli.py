@@ -32,7 +32,9 @@ from icdscribe.data import iter_utterances, load_manifest
 from icdscribe.errors import ContractError
 from icdscribe.fusion import evaluate_dataset
 from icdscribe.lm import load_lm, prob
+from icdscribe.metrics import EvalReport
 from icdscribe.model import MAX_DILATION, MAX_KERNEL
+from icdscribe.schema import from_payload, to_payload, write_document
 
 TINY_CONFIG = {
     "dataset": {
@@ -327,6 +329,20 @@ class TestTrain:
         assert [json.loads(line)["wer"] for line in lines] == scores
         assert len(scores) == 4
 
+    def test_empty_manifest_exits_2_before_writing(self, workspace, tmp_path, monkeypatch):
+        # with one speaker, that speaker is held out and train.json holds no record
+        dataset = {**TINY_CONFIG["dataset"], "speakers": TINY_CONFIG["dataset"]["speakers"][:1]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "dataset": dataset}), encoding="utf-8")
+        data = tmp_path / "data"
+        assert run(["generate-data", "--config", config, "--codes", workspace.codes,
+                    "--output", data])[0] == 0
+        assert load_manifest(data / "train.json").records == []
+        out = tmp_path / "run" / "model.json"
+        assert_train_refused(workspace, monkeypatch, out,
+                             ["train", "--config", config, "--data", data, "--lm", workspace.lm,
+                              "--output", out], str(data / "train.json"), "no utterances")
+
     def test_resume_past_the_horizon_exits_2(self, workspace, tmp_path, capsys):
         code = main(["train", "--data", str(workspace.data), "--lm", str(workspace.lm),
                      "--resume", str(workspace.ckpt), "--epochs", "2",
@@ -585,6 +601,29 @@ class TestEvaluate:
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert (payload["lambda_lm"], payload["beam_width"]) == (0.0, 1)
 
+    def test_table_names_the_decode_settings(self, workspace, capsys):
+        cfg = load_checkpoint(workspace.ckpt).config.fusion
+        argv = ["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm,
+                "--manifest", workspace.data / "test.json", "--resamples", "20"]
+        tables = []
+        for flags in ([], ["--lambda-lm", "0", "--beam", "1"]):
+            assert main([str(a) for a in argv + flags]) == 0
+            tables.append(capsys.readouterr().out)
+        assert f"decoding: beam width {cfg.beam_width}, lambda_lm {cfg.lambda_lm:g}\n" in tables[0]
+        assert "decoding: beam width 1, lambda_lm 0\n" in tables[1]
+        assert tables[0] != tables[1]
+
+    def test_written_report_round_trips_through_schema(self, workspace, tmp_path):
+        report, again = tmp_path / "report.json", tmp_path / "again.json"
+        code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm,
+                         "--manifest", workspace.data / "test.json", "--resamples", "20",
+                         "--output", report])
+        assert code == 0, err
+        read = from_payload(EvalReport, json.loads(report.read_text(encoding="utf-8")))
+        assert len(read.per_utterance) == read.utterances == 5
+        write_document(again, None, to_payload(read))
+        assert again.read_bytes() == report.read_bytes()
+
     def test_flags_that_repeat_the_checkpoint_change_no_byte(self, workspace, tmp_path):
         cfg = load_checkpoint(workspace.ckpt).config.fusion
         reports = [tmp_path / "plain.json", tmp_path / "flagged.json"]
@@ -787,10 +826,38 @@ class TestLmWithoutDecoderWords:
         assert code == 2
         assert_one_line_error(err, "absent from the language model corpus", "'cc'")
 
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    def test_training_exits_2_before_writing(self, workspace, partial_lm, tmp_path, monkeypatch,
+                                             resume):
+        out = tmp_path / "run" / "model.json"
+        argv = ["train", "--data", workspace.data, "--lm", partial_lm, "--output", out]
+        argv += ["--resume", out, "--epochs", "3"] if resume else ["--config", workspace.config]
+        assert_train_refused(workspace, monkeypatch, out, argv,
+                             "absent from the language model corpus", "'cc'")
+
     def test_zero_lm_weight_still_decodes(self, workspace, partial_lm):
         code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--manifest",
                          workspace.data / "test.json", "--lm", partial_lm, "--lambda-lm", "0"])
         assert code == 0, err
+
+
+def assert_train_refused(workspace, monkeypatch, out, argv, *fragments):
+    """`train` exits 2 with one line before it realizes an utterance or writes a file.
+
+    The directory of `out` holds the workspace's log, and on a resume its checkpoint at `out`.
+    """
+    out.parent.mkdir()
+    out.with_suffix(".log.jsonl").write_bytes((workspace.root / "model.log.jsonl").read_bytes())
+    if "--resume" in argv:
+        out.write_bytes(workspace.ckpt.read_bytes())
+    before = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+    realized = []
+    monkeypatch.setattr(data_module, "realize_utterance", lambda *args: realized.append(args))
+    code, err = run(argv)
+    assert code == 2
+    assert_one_line_error(err, *fragments)
+    assert {p.name: p.read_bytes() for p in out.parent.iterdir()} == before
+    assert realized == []
 
 
 def run(argv):

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import edit_distance_oracle
+from helpers import edit_distance_oracle, score_pairs
 from icdscribe import metrics
 from icdscribe.errors import ContractError
 from icdscribe.metrics import (
     WerBreakdown,
     _percentile,
-    build_report,
     format_report,
     wer,
 )
+from icdscribe.schema import to_payload
 
 
 class TestWer:
@@ -97,7 +97,7 @@ class TestWer:
 
 def corpus_bleu(pairs, max_n=4):
     """The report's corpus BLEU, the package's one BLEU entry."""
-    return build_report(pairs, seed=0, resamples=1, max_n=max_n).corpus_bleu
+    return score_pairs(pairs, seed=0, resamples=1, max_n=max_n).corpus_bleu
 
 
 class TestBleu:
@@ -150,17 +150,17 @@ class TestBleu:
 class TestReport:
     def test_perfect_hypotheses(self):
         pairs = [(["a", "b"], ["a", "b"]), (["c"], ["c"])]
-        report = build_report(pairs, seed=1, resamples=50)
+        report = score_pairs(pairs, seed=1, resamples=50)
         assert report.corpus_wer == 0.0
         assert report.corpus_bleu == pytest.approx(1.0)
-        assert report.wer_ci == (0.0, 0.0)
+        assert report.wer_ci_95 == (0.0, 0.0)
 
     def test_corpus_wer_pools_errors(self):
         pairs = [
             (["a", "b", "c"], ["a", "b", "x"]),
             (["d", "e", "f", "g", "h", "i"], ["d", "e", "f", "g", "h", "i"]),
         ]
-        report = build_report(pairs, seed=0, resamples=10)
+        report = score_pairs(pairs, seed=0, resamples=10)
         assert report.corpus_wer == pytest.approx(1 / 9)
         assert report.corpus_wer != pytest.approx((1 / 3 + 0) / 2)
 
@@ -170,10 +170,10 @@ class TestReport:
             (["d", "e"], ["d", "e"]),
             (["f", "g", "h"], ["f", "h"]),
         ]
-        one = build_report(pairs, seed=9, resamples=200)
-        two = build_report(pairs, seed=9, resamples=200)
-        assert one.wer_ci == two.wer_ci
-        assert one.bleu_ci == two.bleu_ci
+        one = score_pairs(pairs, seed=9, resamples=200)
+        two = score_pairs(pairs, seed=9, resamples=200)
+        assert one.wer_ci_95 == two.wer_ci_95
+        assert one.bleu_ci_95 == two.bleu_ci_95
 
     def test_interval_brackets_point_estimate(self):
         rng = random.Random(3)
@@ -182,9 +182,9 @@ class TestReport:
             ref = [rng.choice("abcde") for _ in range(rng.randint(2, 6))]
             hyp = [w for w in ref if rng.random() > 0.2]
             pairs.append((ref, hyp or ["q"]))
-        report = build_report(pairs, seed=2, resamples=400)
-        assert report.wer_ci[0] <= report.corpus_wer <= report.wer_ci[1]
-        assert report.bleu_ci[0] <= report.corpus_bleu <= report.bleu_ci[1]
+        report = score_pairs(pairs, seed=2, resamples=400)
+        assert report.wer_ci_95[0] <= report.corpus_wer <= report.wer_ci_95[1]
+        assert report.bleu_ci_95[0] <= report.corpus_bleu <= report.bleu_ci_95[1]
 
     @pytest.mark.parametrize("n, seed", [(1, 0), (3, 1), (7, 7), (60, 123), (61, 0)])
     def test_matches_per_resample_loop(self, n, seed):
@@ -195,7 +195,7 @@ class TestReport:
              [rng.choice("abcd") for _ in range(rng.randint(0, 7))])
             for _ in range(n)
         ]
-        report = build_report(pairs, seed=seed, resamples=100)
+        report = score_pairs(pairs, seed=seed, resamples=100)
         scored = [wer(r, h) for r, h in pairs]
         stream = np.random.default_rng(seed)
         wers, bleus = [], []
@@ -205,7 +205,7 @@ class TestReport:
             wers.append(errors / sum(scored[i].reference_length for i in index))
             bleus.append(corpus_bleu([pairs[i] for i in index]))
         assert report.corpus_bleu == corpus_bleu(pairs)
-        for got, sample in ((report.wer_ci, wers), (report.bleu_ci, bleus)):
+        for got, sample in ((report.wer_ci_95, wers), (report.bleu_ci_95, bleus)):
             assert got == (float(np.percentile(sample, 2.5)), float(np.percentile(sample, 97.5)))
 
     @settings(max_examples=300, deadline=None)
@@ -222,7 +222,8 @@ class TestReport:
         # np.percentile imports numpy.ma on first use, a cost every evaluate would pay
         script = ("import sys\n"
                   "from icdscribe.metrics import build_report\n"
-                  "build_report([(['a', 'b'], ['a']), (['c'], ['c', 'd'])], seed=0, resamples=50)\n"
+                  "build_report([('0', ['a', 'b'], ['a']), ('1', ['c'], ['c', 'd'])], seed=0,\n"
+                  "             resamples=50, lambda_lm=0.0, beam_width=1)\n"
                   "print('numpy.ma' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(metrics.__file__))
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -231,14 +232,14 @@ class TestReport:
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ContractError):
-            build_report([], seed=0, resamples=1)
+            score_pairs([], seed=0, resamples=1)
 
     def test_report_renders_and_serializes(self):
         pairs = [(["a", "b"], ["a", "b"]), (["c", "d"], ["c", "x"])]
-        report = build_report(pairs, seed=4, resamples=20)
+        report = score_pairs(pairs, seed=4, resamples=20)
         text = format_report(report)
         assert "WER" in text and "BLEU" in text and "95% CI" in text
-        payload = report.to_dict()
+        payload = to_payload(report)
         assert payload["utterances"] == 2
         assert len(payload["per_utterance"]) == 2
 
