@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .schema import INF_AS_NULL
+from .schema import INF_AS_NULL, check_bounds, within
 from .seeds import stable_seed
 
 DEFAULT_SAMPLE_RATE = 16000
@@ -44,7 +44,8 @@ _MAX_HARMONIC_HZ = 3800.0
 
 @dataclass
 class Waveform:
-    """Mono audio samples in [-1, 1]."""
+    """Mono float64 audio samples; `synthesize_word`'s lie in (-1, 1), but reverberation and
+    noise in `apply_far_field` can carry them past ±1, where `write_wav` clips them."""
 
     samples: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
@@ -62,52 +63,43 @@ class SpeakerProfile:
     """Per-speaker voice parameters; jitter draws are seeded per utterance."""
 
     speaker_id: str
-    base_pitch: float = 160.0
-    pitch_jitter: float = 0.08
-    rate: float = 1.0
+    base_pitch: float = field(default=160.0, metadata=within(80.0, 400.0))  # Hz
+    # up to 1/2, a drawn pitch stays in [40, 600] Hz: every word has 6 to 95 harmonics
+    pitch_jitter: float = field(default=0.08, metadata=within(0.0, 0.5))
+    rate: float = field(default=1.0, metadata=within(0.7, 1.3))
     seed: int = 0
 
-    def __post_init__(self):
-        if not 80.0 <= self.base_pitch <= 400.0:
-            raise ContractError(f"base pitch {self.base_pitch} outside [80, 400] Hz")
-        if not 0.7 <= self.rate <= 1.3:
-            raise ContractError(f"rate multiplier {self.rate} outside [0.7, 1.3]")
-        # up to 1/2, a drawn pitch stays in [40, 600] Hz: every word has 6 to 95 harmonics
-        if not 0.0 <= self.pitch_jitter <= 0.5:
-            raise ContractError(f"pitch_jitter {self.pitch_jitter} outside [0, 0.5]")
+    __post_init__ = check_bounds
 
 
 @dataclass
 class RoomModel:
     """Far-field acoustic channel: distance, reverberation, noise floor."""
 
-    distance: float = 3.6
-    rt60: float = 0.3
-    snr_db: float = field(default=20.0, metadata=INF_AS_NULL)
+    # metres: a closer source overflows the squared 1/distance gain, a farther one sinks the
+    # speech under the log-mel floor
+    distance: float = field(default=3.6, metadata=within(0.01, 100.0))
+    rt60: float = field(default=0.3, metadata=within(0.0, 2.0))  # s; rt60 * sample_rate IR taps
+    # dB: at -100 the noise RMS is 10**5 times the signal's, and the gain overflows near
+    # -6,165 dB; +inf (stored as null) adds no noise
+    snr_db: float = field(default=20.0, metadata={**INF_AS_NULL, **within(-100.0, math.inf, "[]")})
 
-    def __post_init__(self):
-        if self.distance <= 0:
-            raise ContractError(f"source distance must be positive, got {self.distance}")
-        # the impulse response has rt60 * sample_rate taps
-        if not 0.0 <= self.rt60 <= 2.0:
-            raise ContractError(f"rt60 {self.rt60} outside [0, 2] s")
+    __post_init__ = check_bounds
 
 
 @dataclass
 class FrontendConfig:
-    sample_rate: int = DEFAULT_SAMPLE_RATE
-    window: int = 400
-    hop: int = 160
+    # the rate must exceed twice the highest synthesized harmonic
+    sample_rate: int = field(default=DEFAULT_SAMPLE_RATE,
+                             metadata=within(2 * _MAX_HARMONIC_HZ, MAX_SAMPLE_RATE, "(]"))
+    window: int = field(default=400, metadata=within(1, MAX_WINDOW))
+    hop: int = field(default=160, metadata=within(1))
     n_mels: int = 40
 
     def __post_init__(self):
-        if not 2 * _MAX_HARMONIC_HZ < self.sample_rate <= MAX_SAMPLE_RATE:
-            raise ContractError(f"sample_rate {self.sample_rate} Hz must exceed twice the "
-                                f"highest synthesized harmonic, {2 * _MAX_HARMONIC_HZ:g} Hz, "
-                                f"and be at most {MAX_SAMPLE_RATE} Hz")
-        if not MAX_WINDOW >= self.window >= self.hop >= 1:
-            raise ContractError(f"need {MAX_WINDOW} >= window >= hop >= 1, "
-                                f"got window={self.window} hop={self.hop}")
+        check_bounds(self)
+        if self.hop > self.window:
+            raise ContractError(f"hop {self.hop} outside [1, {self.window}], the window")
         if not 1 <= self.n_mels <= self.n_fft // 2 + 1:
             raise ContractError(f"n_mels {self.n_mels} outside [1, {self.n_fft // 2 + 1}], "
                                 f"the frequency bins of a {self.n_fft}-point FFT")

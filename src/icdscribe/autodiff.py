@@ -37,11 +37,12 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError
+from .schema import check_bounds, within
 
 
 class Tensor:
@@ -388,19 +389,13 @@ def parameter_vectors(layout, rng, values=None):
 class OptimizerConfig:
     """Adam's hyperparameters (Kingma & Ba 2015): step size, moment decay rates and eps."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float = field(default=1e-3, metadata=within(0.0, ends="()"))
+    beta1: float = field(default=0.9, metadata=within(0.0, 1.0, "[)"))
+    beta2: float = field(default=0.999, metadata=within(0.0, 1.0, "[)"))
+    # a zero eps divides 0 by 0 wherever a gradient has been zero so far
+    eps: float = field(default=1e-8, metadata=within(0.0, ends="()"))
 
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ContractError(f"learning rate must be positive, got {self.lr}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ContractError("moment decay rates must lie in [0, 1)")
-        if self.eps <= 0:
-            # a zero eps divides 0 by 0 wherever a gradient has been zero so far
-            raise ContractError(f"eps must be positive, got {self.eps}")
+    __post_init__ = check_bounds
 
 
 # elements per block, chosen by timing 8k-128k: a block's five operands (values,

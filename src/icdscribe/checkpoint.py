@@ -19,7 +19,7 @@ byte-identical.
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .config import RunConfig
 from .data import Vocabulary
 from .errors import ContractError
 from .model import Seq2SeqModel
-from .schema import atomic_write, decode_document, from_payload, to_payload
+from .schema import atomic_write, check_bounds, decode_document, from_payload, to_payload, within
 
 CKPT_FORMAT = "ckpt-v4"
 
@@ -47,15 +47,11 @@ class ParameterEntry:
 class CheckpointHeader:
     config: RunConfig
     vocabulary: list[str]
-    step: int  # completed training epochs
+    step: int = field(metadata=within(0))  # completed training epochs
     parameters: list[ParameterEntry]
-    optimizer: int  # Adam's update count
+    optimizer: int = field(metadata=within(0))  # Adam's update count
 
-    def __post_init__(self):
-        if self.step < 0:
-            raise ContractError(f"'step', the completed-epoch count, is {self.step}, below 0")
-        if self.optimizer < 0:
-            raise ContractError(f"'optimizer', Adam's update count, is {self.optimizer}, below 0")
+    __post_init__ = check_bounds
 
 
 @dataclass

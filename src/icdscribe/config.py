@@ -13,32 +13,24 @@ from .data import DatasetConfig
 from .errors import ContractError
 from .fusion import FusionConfig
 from .model import DecoderConfig, EncoderConfig
-from .schema import from_payload, read_document, to_payload, write_document
+from .schema import check_bounds, from_payload, read_document, to_payload, within, write_document
 
 CONFIG_FORMAT = "config-v3"
 
 
 @dataclass
 class TrainingConfig:
-    epochs: int = 40
-    clip_norm: float = 5.0
-    holdout_fraction: float = 0.1
-    wer_every: int = 1  # 0 means final epoch only
+    epochs: int = field(default=40, metadata=within(1))
+    clip_norm: float = field(default=5.0, metadata=within(0.0, ends="()"))
+    holdout_fraction: float = field(default=0.1, metadata=within(0.0, 1.0, "[)"))
+    wer_every: int = field(default=1, metadata=within(0))  # 0 means final epoch only
 
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ContractError(f"need at least one epoch, got {self.epochs}")
-        if self.clip_norm <= 0:
-            raise ContractError(f"gradient clip norm must be positive, got {self.clip_norm}")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ContractError(f"holdout fraction {self.holdout_fraction} outside [0, 1)")
-        if self.wer_every < 0:
-            raise ContractError("decode cadence cannot be negative")
+    __post_init__ = check_bounds
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
+    seed: int = field(default=0, metadata=within(0))  # numpy's generators refuse a negative seed
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
@@ -46,9 +38,7 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
-    def __post_init__(self):
-        if self.seed < 0:  # numpy's generators refuse a negative seed
-            raise ContractError(f"seed must be at least 0, got {self.seed}")
+    __post_init__ = check_bounds
 
     @classmethod
     def from_dict(cls, payload):

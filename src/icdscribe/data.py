@@ -28,7 +28,9 @@ from .audio import (
 from .autodiff import mapped
 from .errors import ContractError
 from .lm import normalize_line
-from .schema import from_payload, read_document, read_lines, to_payload, write_document
+from .schema import (
+    check_bounds, from_payload, read_document, read_lines, to_payload, within, write_document,
+)
 from .seeds import stable_seed
 
 PAD, SOS, EOS, UNK = 0, 1, 2, 3
@@ -129,21 +131,20 @@ def default_speakers():
 @dataclass
 class DatasetConfig:
     seed: int = 0
-    repeats: int = 5
-    cap: int = 50
+    repeats: int = field(default=5, metadata=within(1))
+    cap: int = field(default=50, metadata=within(1, MAX_CAP))
     gap_range: tuple[float, float] = (0.1, 0.3)
     room: RoomModel = field(default_factory=RoomModel)
     speakers: list[SpeakerProfile] = field(default_factory=default_speakers)
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
 
     def __post_init__(self):
+        check_bounds(self)
         ids = [s.speaker_id for s in self.speakers]
         if not ids:
             raise ContractError("speakers must list at least one speaker")
         if len(set(ids)) != len(ids):
             raise ContractError(f"speakers repeat a speaker id: {ids}")
-        if not 1 <= self.cap <= MAX_CAP:
-            raise ContractError(f"cap must lie in 1..{MAX_CAP}, got {self.cap}")
         low, high = self.gap_range
         if not 0 <= low <= high <= 2.0:  # every word gap is up to `high` s of zeros
             raise ContractError(f"gap_range {list(self.gap_range)} must satisfy "
@@ -193,9 +194,7 @@ class DatasetManifest:
 
 
 def plan_variations(code, speaker, repeats, cap, seed):
-    """Choose which repeat-index combinations a (code, speaker) pair gets."""
-    if repeats < 1 or cap < 1:
-        raise ContractError(f"repeats and cap must be positive, got {repeats}, {cap}")
+    """Choose which repeat-index combinations a (code, speaker) pair gets; repeats, cap >= 1."""
     k = len(code.words)
     total = repeats**k
     if total > np.iinfo(np.int64).max:  # the sampled indices are int64

@@ -25,7 +25,6 @@ in the report; the training log's WER is its corpus WER at beam width 1.
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,25 +34,20 @@ from .data import EOS, PAD, SOS
 from .errors import ContractError
 from .lm import next_logprobs, sample_next
 from .metrics import build_report
-from .schema import INF_AS_NULL, to_payload
+from .schema import INF_AS_NULL, check_bounds, to_payload, within
 from .seeds import stable_seed
 
 
 @dataclass
 class FusionConfig:
-    lambda_lm: float = 0.3
-    beam_width: int = 4
-    max_decode_len: int = 16
-    lm_sample_max: float = 0.25
-    ramp_frac: float = 0.5
+    # a decode expands up to beam_width hypotheses a step for up to max_decode_len steps
+    lambda_lm: float = field(default=0.3, metadata=within(0.0))
+    beam_width: int = field(default=4, metadata=within(1, 64))
+    max_decode_len: int = field(default=16, metadata=within(1, 256))
+    lm_sample_max: float = field(default=0.25, metadata=within(0.0, 1.0))
+    ramp_frac: float = field(default=0.5, metadata=within(0.0, 1.0))
 
-    def __post_init__(self):
-        # a decode expands up to beam_width hypotheses a step for up to max_decode_len steps
-        ranges = {"lambda_lm": (0.0, sys.float_info.max), "lm_sample_max": (0.0, 1.0),
-                  "ramp_frac": (0.0, 1.0), "beam_width": (1, 64), "max_decode_len": (1, 256)}
-        for name, (low, high) in ranges.items():
-            if not low <= getattr(self, name) <= high:  # also false for NaN
-                raise ContractError(f"{name} {getattr(self, name)} outside [{low:g}, {high:g}]")
+    __post_init__ = check_bounds
 
 
 @dataclass

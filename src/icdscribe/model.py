@@ -41,6 +41,7 @@ from .autodiff import (
 )
 from .data import EOS, PAD, SOS
 from .errors import ContractError
+from .schema import check_bounds, within
 from .seeds import stable_seed
 
 
@@ -53,17 +54,12 @@ MAX_KERNEL = MAX_DILATION = 64
 
 @dataclass
 class ConvSpec:
-    channels: int = 32
-    stride: int = 2
-    dilation: int = 1
-    kernel: int = 3
+    channels: int = field(default=32, metadata=within(1))
+    stride: int = field(default=2, metadata=within(1))
+    dilation: int = field(default=1, metadata=within(1, MAX_DILATION))
+    kernel: int = field(default=3, metadata=within(1, MAX_KERNEL))
 
-    def __post_init__(self):
-        if self.stride < 1 or self.kernel < 1 or self.dilation < 1 or self.channels < 1:
-            raise ContractError(f"conv layer fields must be positive: {self}")
-        for name, bound in ("kernel", MAX_KERNEL), ("dilation", MAX_DILATION):
-            if getattr(self, name) > bound:
-                raise ContractError(f"conv {name} {getattr(self, name)} is above {bound}")
+    __post_init__ = check_bounds
 
 
 @dataclass
@@ -71,15 +67,11 @@ class EncoderConfig:
     conv: tuple[ConvSpec, ...] = field(
         default_factory=lambda: (ConvSpec(32, 2, 1), ConvSpec(32, 2, 2))
     )
-    layers: int = 2
-    beta: int = 2
-    hidden: int = 128
+    layers: int = field(default=2, metadata=within(1))
+    beta: int = field(default=2, metadata=within(2))  # the pyramid factor
+    hidden: int = field(default=128, metadata=within(1))
 
-    def __post_init__(self):
-        if self.beta < 2:
-            raise ContractError(f"pyramid factor must be at least 2, got {self.beta}")
-        if self.layers < 1 or self.hidden < 1:
-            raise ContractError("encoder needs at least one layer and one hidden unit")
+    __post_init__ = check_bounds
 
     @property
     def state_span(self):
@@ -91,13 +83,11 @@ class EncoderConfig:
 class DecoderConfig:
     """Decoder sizes; the vocabulary size comes from the dataset."""
 
-    embedding_dim: int = 64
-    hidden: int = 128
-    attention_dim: int = 64
+    embedding_dim: int = field(default=64, metadata=within(1))
+    hidden: int = field(default=128, metadata=within(1))
+    attention_dim: int = field(default=64, metadata=within(1))
 
-    def __post_init__(self):
-        if min(self.embedding_dim, self.hidden, self.attention_dim) < 1:
-            raise ContractError("decoder dimensions must be positive")
+    __post_init__ = check_bounds
 
 
 @dataclass

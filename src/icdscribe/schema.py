@@ -4,7 +4,9 @@ Reading follows the field annotations: an unknown key, a value of the
 wrong type (a bool is not an int; a float must be finite), a tuple of the
 wrong length or a failed constructor check raises ContractError naming the
 dotted path, and a missing key takes the field default.  A float field
-whose metadata is INF_AS_NULL stores +inf as null.
+whose metadata is INF_AS_NULL stores +inf as null.  A number field whose
+metadata is `within(...)` is bounded by `check_bounds`, which its class
+runs on construction.
 """
 
 import contextlib
@@ -19,6 +21,34 @@ from functools import cache
 from .errors import ContractError
 
 INF_AS_NULL = {"inf_as_null": True}
+
+
+class Interval(typing.NamedTuple):
+    """A range of numbers; `ends` is `[` or `(` then `]` or `)`, a parenthesis for an open end."""
+
+    low: float
+    high: float
+    ends: str
+
+    def __contains__(self, value):  # false for NaN
+        above = self.low < value if self.ends[0] == "(" else self.low <= value
+        return above and (value < self.high if self.ends[1] == ")" else value <= self.high)
+
+    def __str__(self):
+        return f"{self.ends[0]}{self.low:g}, {self.high:g}{self.ends[1]}"
+
+
+def within(low, high=math.inf, ends=None):
+    """Field metadata bounding a number; by default both ends are closed, but +inf is left out."""
+    return {"within": Interval(low, high, ends or "[" + ("]" if high < math.inf else ")"))}
+
+
+def check_bounds(obj):
+    """Raise a ContractError naming the first field of dataclass `obj` outside its `within`."""
+    for name, (f, _) in _fields(type(obj)).items():
+        bound = f.metadata.get("within")
+        if bound and getattr(obj, name) not in bound:
+            raise ContractError(f"{name} {getattr(obj, name)} outside {bound}")
 
 
 @cache

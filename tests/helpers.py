@@ -18,7 +18,9 @@ that wrap the model's parameters (`graph_parameters`).  `conv1d` and
 """
 
 import contextlib
+import dataclasses
 import struct
+import typing
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -556,3 +558,27 @@ def fail_writes_after(monkeypatch, limit, failure, name=None):
     monkeypatch.setattr(schema, "open", filling_open, raising=False)
     if name is not None:
         monkeypatch.setattr(cli, "open", filling_open, raising=False)
+
+
+# the int and float fields of a run config or checkpoint header that no `within` bounds, and why
+UNBOUNDED = {
+    "DatasetConfig.seed": "only feeds `stable_seed`, which hashes any integer",
+    "SpeakerProfile.seed": "only feeds `stable_seed`, which hashes any integer",
+    "FrontendConfig.n_mels": "its upper bound, n_fft/2 + 1, is derived from the window",
+}
+
+
+def number_fields(cls, path=""):
+    """(dotted path, class, field) of each int or float field in the dataclass tree under `cls`.
+
+    List and tuple items share their list's path, as in `schema`'s messages.
+    """
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint, where = hints[f.name], path + f.name
+        items = typing.get_args(hint) if typing.get_origin(hint) in (list, tuple) else ()
+        for tp in (hint, *items):
+            if dataclasses.is_dataclass(tp):
+                yield from number_fields(tp, where + ".")
+        if hint in (int, float):
+            yield where, cls, f

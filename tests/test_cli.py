@@ -271,7 +271,7 @@ class TestTrain:
                          "--lm", workspace.lm, "--epochs", epochs,
                          "--output", tmp_path / "model.json"])
         assert code == 2
-        assert_one_line_error(err, "need at least one epoch", epochs)
+        assert_one_line_error(err, f"epochs {epochs} outside [1, inf)")
         assert list(tmp_path.iterdir()) == []
 
     def test_fresh_run_takes_the_dataset_settings_of_its_manifest(self, workspace, tmp_path):
@@ -928,7 +928,8 @@ class TestMalformedInputs:
             ({"fusion": {"beam_width": 65}}, "fusion: beam_width 65 outside [1, 64]"),
             ({"fusion": {"max_decode_len": 0}}, "fusion: max_decode_len 0 outside [1, 256]"),
             ({"fusion": {"max_decode_len": 257}}, "fusion: max_decode_len 257 outside [1, 256]"),
-            ({"seed": -1}, "seed must be at least 0, got -1"),
+            ({"seed": -1}, "seed -1 outside [0, inf)"),
+            ({"dataset": {"repeats": 0}}, "dataset: repeats 0 outside [1, inf)"),
         ],
     )
     def test_config(self, tmp_path, payload, fragment):
@@ -941,12 +942,12 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "command, fragment",
         [
-            (lambda w, d: ["generate-data", "--output", d / "out"], "seed must be at least 0"),
+            (lambda w, d: ["generate-data", "--output", d / "out"], "seed -1 outside [0, inf)"),
             (lambda w, d: ["train", "--data", w.data, "--lm", w.lm, "--output", d / "model.ckpt"],
-             "seed must be at least 0"),
+             "seed -1 outside [0, inf)"),
             (lambda w, d: ["evaluate", "--ckpt", w.ckpt, "--lm", w.lm, "--manifest",
                            w.data / "test.json", "--output", d / "report.json"],
-             "the bootstrap seed must be at least 0"),
+             "the bootstrap seed must be at least 0, got -1"),
         ],
         ids=["generate-data", "train", "evaluate"],
     )
@@ -956,8 +957,34 @@ class TestMalformedInputs:
         monkeypatch.setattr(data_module, "realize_utterance", lambda *args: realized.append(args))
         code, err = run(command(workspace, tmp_path) + ["--seed", "-1"])
         assert code == 2
-        assert_one_line_error(err, fragment, "got -1")
+        assert_one_line_error(err, fragment)
         assert realized == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "room, fragment",
+        [
+            # noise at 10**350 times the signal: `apply_far_field`'s gain overflowed in `train`
+            ({"snr_db": -7000.0}, "dataset.room: snr_db -7000.0 outside [-100, inf]"),
+            # the 1/distance gain squared overflowed, and the features were NaN
+            ({"distance": 1e-300}, "dataset.room: distance 1e-300 outside [0.01, 100]"),
+            # the speech sank under the log-mel floor, and the features were all about 0
+            ({"distance": 1e300}, "dataset.room: distance 1e+300 outside [0.01, 100]"),
+        ],
+        ids=["snr_db", "distance-near", "distance-far"],
+    )
+    def test_room_knob_past_its_bound_exits_2_before_any_work(self, workspace, tmp_path,
+                                                              monkeypatch, room, fragment):
+        realized = []
+        monkeypatch.setattr(data_module, "realize_utterance", lambda *args: realized.append(args))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": {"room": room}}), encoding="utf-8")
+        for argv in (["generate-data", "--config", config, "--output", tmp_path / "out"],
+                     ["train", "--config", config, "--data", workspace.data, "--lm", workspace.lm,
+                      "--output", tmp_path / "model.ckpt"]):
+            code, err = run(argv)
+            assert code == 2
+            assert_one_line_error(err, fragment)
+        assert realized == [] and [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @given(knob=st.sampled_from(["sample_rate", "window", "n_mels", "kernel", "dilation"]),
            excess=st.integers(1, 10**12))
@@ -1314,7 +1341,7 @@ class TestHostileArtifacts:
             output.parent.mkdir()
             code, err = run(argv)
             assert code == 2
-            assert_one_line_error(err, str(path), "'step'", "-1")
+            assert_one_line_error(err, f"{path}: step -1 outside [0, inf)")
             assert list(output.parent.iterdir()) == []
             output.parent.rmdir()
 

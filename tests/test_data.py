@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import threading
 import weakref
 from dataclasses import replace
@@ -163,6 +164,14 @@ class TestVocabulary:
             IcdCode("X", ["pain", word])
 
 
+class TestDatasetConfig:
+    def test_bad_repeats_and_cap_rejected(self):
+        with pytest.raises(ContractError, match=re.escape("repeats 0 outside [1, inf)")):
+            small_config(repeats=0, cap=5)
+        with pytest.raises(ContractError, match=re.escape("cap 0 outside [1, 100000]")):
+            small_config(repeats=2, cap=0)
+
+
 class TestPlanVariations:
     def test_full_enumeration_below_cap(self):
         code = IcdCode("A", ["low", "back", "pain"])
@@ -192,13 +201,6 @@ class TestPlanVariations:
         for p in plan_variations(code, SPEAKER, repeats=3, cap=20, seed=1):
             assert len(p.repeat_indices) == 4
             assert all(0 <= r < 3 for r in p.repeat_indices)
-
-    def test_bad_arguments_rejected(self):
-        code = IcdCode("C", ["pain"])
-        with pytest.raises(ContractError):
-            plan_variations(code, SPEAKER, repeats=0, cap=5, seed=0)
-        with pytest.raises(ContractError):
-            plan_variations(code, SPEAKER, repeats=2, cap=0, seed=0)
 
     def test_variation_count_bounded_by_int64(self):
         # 2**63 - 1 one-word variations are drawn from; 3037000500**2 two-word ones,

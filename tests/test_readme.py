@@ -6,11 +6,12 @@ import re
 from pathlib import Path
 
 import pytest
+from helpers import UNBOUNDED, number_fields
 
 import icdscribe
-from icdscribe.checkpoint import CKPT_FORMAT
+from icdscribe.checkpoint import CKPT_FORMAT, CheckpointHeader
 from icdscribe.cli import _build_parser
-from icdscribe.config import CONFIG_FORMAT
+from icdscribe.config import CONFIG_FORMAT, RunConfig
 from icdscribe.data import MANIFEST_FORMAT
 from icdscribe.lm import LM_FORMAT
 from icdscribe.metrics import EvalReport, UtteranceScore
@@ -60,6 +61,17 @@ def test_config_rules_state_every_bound(name, value):
     artifacts = section("Artifacts")
     rules = artifacts[artifacts.index("Reading is strict") :]
     assert re.search(rf"(?<![\d,]){value:,}(?![\d,])", rules), name
+
+
+def test_bounds_table_lists_every_within_declaration_once():
+    rows = re.findall(r"^\| (run config|checkpoint header) \| `([\w.]+)` \| ([^|]+?) \|",
+                      section("Artifacts"), re.M)
+    declared = [(document, path, str(f.metadata.get("within")))
+                for document, root in (("run config", RunConfig),
+                                       ("checkpoint header", CheckpointHeader))
+                for path, cls, f in number_fields(root)
+                if f"{cls.__name__}.{f.name}" not in UNBOUNDED and not path.startswith("config.")]
+    assert sorted(rows) == sorted(declared)
 
 
 def cli_paragraph(command):
