@@ -53,10 +53,6 @@ class Waveform:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
 
-    @property
-    def duration(self):
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass
 class SpeakerProfile:

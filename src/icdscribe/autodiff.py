@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import os
 import threading
@@ -280,35 +281,30 @@ def mapped(fn, jobs):
     order and goes idle once none is left, so `run_shared` never queues
     behind an idle wait.  A caller whose next result is not ready takes
     back the next job the helper has not started and computes it instead
-    of waiting.  Results and exceptions, from `fn` or a draw, come out as
-    from `map`, which is what runs on one core.  Closing early cancels the
-    jobs the helper has not started and waits for the one it is running.
+    of waiting.  Results and exceptions from `fn` come out as from `map`,
+    which is what runs on one core; an error drawing a job propagates as
+    soon as it is drawn.  That error or an early close cancels the jobs the
+    helper has not started and waits for the one it is running.
     """
     helper = _helper()
     if helper is None:
         yield from map(fn, jobs)
         return
     from concurrent.futures import Future
-    draws, ahead, end = iter(jobs), collections.deque(), object()  # ahead: (job, its future)
+    draws, ahead = iter(jobs), collections.deque()  # ahead: (job, its future)
 
-    def settled(call, *args):  # a done future holding call(*args) or the exception it raised
+    def settled(job):  # a done future holding fn(job) or the exception it raised
         result = Future()
         try:
-            result.set_result(call(*args))
+            result.set_result(fn(job))
         except Exception as exc:  # raised when the caller reaches this result
             result.set_exception(exc)
         return result
 
     try:
         while True:
-            while draws is not None and len(ahead) <= MAP_WINDOW:
-                drawn = settled(next, draws, end)
-                if drawn.exception() is None and drawn.result() is not end:
-                    ahead.append((drawn.result(), helper.submit(fn, drawn.result())))
-                    continue
-                draws = None  # the jobs ran out, or this draw failed and is raised in its turn
-                if drawn.exception() is not None:
-                    ahead.append((None, drawn))
+            for job in itertools.islice(draws, MAP_WINDOW + 1 - len(ahead)):
+                ahead.append((job, helper.submit(fn, job)))
             if not ahead:
                 return
             # until the next result is ready, compute each job the helper has not started
@@ -316,7 +312,7 @@ def mapped(fn, jobs):
                 if ahead[0][1].done():
                     break
                 if result.cancel():
-                    ahead[i] = job, settled(fn, job)
+                    ahead[i] = job, settled(job)
             yield ahead.popleft()[1].result()
     finally:
         for _, result in ahead:  # cancel what the helper has not started, await what it has

@@ -212,11 +212,11 @@ def _fusion(args, ckpt):
 
 
 def cmd_evaluate(args):
+    manifest = load_manifest(args.manifest)  # first, so a damaged one costs no model load
     ckpt = load_checkpoint(args.ckpt)
+    _check_manifest(manifest, ckpt)
     model = build_model(ckpt)
     cfg, lm = _fusion(args, ckpt)
-    manifest = load_manifest(args.manifest)
-    _check_manifest(manifest, ckpt)
     report = evaluate_dataset(model, lm, iter_utterances(manifest), cfg, ckpt.vocabulary,
                               seed=args.seed, resamples=args.resamples)
     print(format_report(report))

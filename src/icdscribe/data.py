@@ -54,9 +54,8 @@ class IcdCode:
 
 
 def load_icd_list(path):
-    """Parse a tab-separated "CODE<tab>Description" listing."""
+    """Parse a tab-separated "CODE<tab>Description" listing; a manifest refuses a repeated id."""
     codes = []
-    seen = set()
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line:
@@ -64,12 +63,8 @@ def load_icd_list(path):
         code_id, tab, description = line.partition("\t")
         if not tab:
             raise ContractError(f"line {lineno}: expected a tab between code and description")
-        code_id = code_id.strip()
-        if code_id in seen:
-            raise ContractError(f"duplicate code id {code_id!r}")
-        seen.add(code_id)
         try:
-            codes.append(IcdCode(code_id, normalize_line(description)))
+            codes.append(IcdCode(code_id.strip(), normalize_line(description)))
         except ContractError as exc:
             raise ContractError(f"line {lineno}: {exc}") from None
     return codes
@@ -172,25 +167,39 @@ class Utterance:
 
 @dataclass
 class DatasetManifest:
+    """Settings, codes and planned records, checked whole when built, so realizing never fails."""
+
     config: DatasetConfig
     codes: list[IcdCode]
     records: list[UtteranceRecord]
 
-    @property
-    def vocabulary(self):
-        return build_vocabulary(self.codes)
-
-    def code_by_id(self, code_id):
-        for c in self.codes:
-            if c.code == code_id:
-                return c
-        raise ContractError(f"manifest has no code {code_id!r}")
-
-    def speaker_by_id(self, speaker_id):
-        for s in self.config.speakers:
-            if s.speaker_id == speaker_id:
-                return s
-        raise ContractError(f"manifest has no speaker {speaker_id!r}")
+    def __post_init__(self):  # also builds the vocabulary and the id -> words, speaker maps
+        self.vocabulary = build_vocabulary(self.codes)
+        self.words_of = {c.code: c.words for c in self.codes}
+        self.speaker_of = {s.speaker_id: s for s in self.config.speakers}
+        if len(self.words_of) != len(self.codes):
+            listed = [c.code for c in self.codes]
+            twice = next(code for code in listed if listed.count(code) > 1)
+            raise ContractError(f"code {twice!r} is listed twice")
+        if len(self.records) > MAX_RECORDS:
+            raise ContractError(f"{len(self.records)} records, above {MAX_RECORDS}")
+        span, seen = range(self.config.repeats), set()
+        for r in self.records:
+            name, words = f"{r.code}/{r.speaker_id}/{r.variation_index}", self.words_of.get(r.code)
+            if words is None:
+                broken = f"names code {r.code!r}, which the manifest does not list"
+            elif r.speaker_id not in self.speaker_of:
+                broken = f"names speaker {r.speaker_id!r}, which dataset.speakers does not list"
+            elif (len(r.repeat_indices) != len(words)
+                  or any(i not in span for i in r.repeat_indices)):
+                broken = (f"needs one repeat index in [0, {self.config.repeats}) for each of its "
+                          f"{len(words)} words, got {list(r.repeat_indices)}")
+            elif name in seen:
+                broken = "appears twice"
+            else:
+                seen.add(name)
+                continue
+            raise ContractError(f"record {name} {broken}")
 
 
 def plan_variations(code, speaker, repeats, cap, seed):
@@ -223,21 +232,19 @@ def plan_variations(code, speaker, repeats, cap, seed):
     ]
 
 
-def _word_waves(manifest, record, vocab, recordings):
+def _word_waves(manifest, record, recordings):
     """The target and word waveforms of `record`, synthesizing those `recordings` lacks into it."""
-    code = manifest.code_by_id(record.code)
-    speaker = manifest.speaker_by_id(record.speaker_id)
-    if len(record.repeat_indices) != len(code.words):
-        raise ContractError(f"{record} needs one repeat index per word of {code.words}")
+    words = manifest.words_of[record.code]
+    speaker = manifest.speaker_of[record.speaker_id]
     waves = []
-    for word, rep in zip(code.words, record.repeat_indices):
+    for word, rep in zip(words, record.repeat_indices):
         key = (word, speaker.speaker_id, rep)
         if key not in recordings:
             recordings[key] = synthesize_word(
                 word, speaker, rep, sample_rate=manifest.config.frontend.sample_rate
             )
         waves.append(recordings[key])
-    return vocab.encode(code.words), waves
+    return manifest.vocabulary.encode(words), waves
 
 
 def realize_utterance(manifest, record, drawn=None):
@@ -248,7 +255,7 @@ def realize_utterance(manifest, record, drawn=None):
     """
     config = manifest.config
     if drawn is None:
-        drawn = _word_waves(manifest, record, manifest.vocabulary, {})
+        drawn = _word_waves(manifest, record, {})
     target, waves = drawn
     gap_rng = np.random.default_rng(
         stable_seed("gaps", config.seed, record.code, record.speaker_id, record.variation_index)
@@ -270,9 +277,6 @@ def realize_utterance(manifest, record, drawn=None):
 
 def generate_dataset(codes, config):
     """Manifest covering every (code, speaker) pair under the config."""
-    if not codes:
-        raise ContractError("cannot generate a dataset from an empty code list")
-    build_vocabulary(codes)  # validates early
     planned = len(config.speakers) * sum(min(config.cap, config.repeats ** len(c.words))
                                          for c in codes)
     if planned > MAX_RECORDS:
@@ -294,9 +298,8 @@ def iter_utterances(manifest):
     whichever thread claims the drawn pair (`autodiff.mapped`).  The
     recordings are shared only within one pass and freed when it ends.
     """
-    vocab, recordings = manifest.vocabulary, {}
-    drawn = ((record, _word_waves(manifest, record, vocab, recordings))
-             for record in manifest.records)
+    recordings = {}
+    drawn = ((record, _word_waves(manifest, record, recordings)) for record in manifest.records)
     return mapped(lambda job: realize_utterance(manifest, *job), drawn)
 
 

@@ -12,12 +12,12 @@ utterances.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError
-from .schema import to_payload
+from .schema import check_bounds, to_payload, within
 
 
 @dataclass
@@ -110,8 +110,11 @@ class UtteranceScore:  # one `per_utterance` entry; the transcripts are space-jo
 
 
 @dataclass
-class EvalReport:  # the `evaluate` report, written by `schema.to_payload`
-    utterances: int
+class EvalReport:
+    """The `evaluate` report, written by `schema.to_payload`; one that disagrees with itself is
+    refused: its totals and quotients must follow from its entries, as `build_report` makes them."""
+
+    utterances: int = field(metadata=within(1))
     substitutions: int
     deletions: int
     insertions: int
@@ -120,11 +123,38 @@ class EvalReport:  # the `evaluate` report, written by `schema.to_payload`
     corpus_bleu: float
     wer_ci_95: tuple[float, float]
     bleu_ci_95: tuple[float, float]
-    resamples: int
-    seed: int
-    lambda_lm: float  # the fusion settings the hypotheses were decoded with
-    beam_width: int
+    resamples: int = field(metadata=within(1, 10_000))
+    seed: int = field(metadata=within(0))
+    lambda_lm: float = field(metadata=within(0))  # the fusion settings decoded with
+    beam_width: int = field(metadata=within(1, 64))
     per_utterance: list[UtteranceScore]
+
+    def __post_init__(self):
+        check_bounds(self)
+        entries = self.per_utterance
+        for e in entries:
+            score = WerBreakdown(e.substitutions, e.deletions, e.insertions, e.reference_length)
+            if not 1 <= score.reference_length == len(e.reference.split()):
+                raise ContractError(f"per_utterance {e.id}: reference_length {e.reference_length} "
+                                    f"is not its reference's word count, at least 1")
+            if min(score.substitutions, score.deletions, score.insertions) < 0:
+                raise ContractError(f"per_utterance {e.id}: an error count is below 0")
+            if e.wer != score.wer:
+                raise ContractError(f"per_utterance {e.id}: wer {e.wer} is not its errors over "
+                                    f"its reference length, {score.wer}")
+        total = WerBreakdown(*(sum(getattr(e, key) for e in entries) for key in
+                               ("substitutions", "deletions", "insertions", "reference_length")))
+        for name, derived in (("utterances", len(entries)), ("substitutions", total.substitutions),
+                              ("deletions", total.deletions), ("insertions", total.insertions),
+                              ("reference_words", total.reference_length),
+                              ("corpus_wer", total.wer)):
+            if getattr(self, name) != derived:
+                raise ContractError(f"{name} {getattr(self, name)} is not {derived}, "
+                                    f"which per_utterance gives")
+        for name in ("wer_ci_95", "bleu_ci_95"):
+            low, high = getattr(self, name)
+            if low > high:
+                raise ContractError(f"{name} [{low}, {high}] runs high to low")
 
 
 def _percentile(ordered, p):

@@ -9,6 +9,7 @@ metadata is `within(...)` is bounded by `check_bounds`, which its class
 runs on construction.
 """
 
+import codecs
 import contextlib
 import dataclasses
 import json
@@ -151,9 +152,10 @@ def write_document(path, fmt, payload):
 
 
 def read_lines(path):
-    """The lines of the UTF-8 text file at `path`; bad UTF-8 raises a ContractError naming it."""
+    """The lines of the UTF-8 text file at `path`, less a leading byte-order mark; bad UTF-8
+    raises a ContractError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return list(fh)
     except UnicodeDecodeError as exc:
         raise ContractError(f"{path}: not valid UTF-8 ({exc})") from None
@@ -168,13 +170,14 @@ def read_document(path, fmt, decode):
 def decode_document(path, data, fmt, decode):
     """`decode(payload)` for the UTF-8 JSON `data` read from `path`, its format tag `fmt` removed.
 
-    With `fmt` None the whole payload goes to `decode`.  Bad UTF-8 or JSON
-    (nesting too deep included), a wrong tag, and any ContractError, lookup,
-    type or value error raised by `decode` become one ContractError that
-    names `path` once; an OSError passes through.
+    A leading byte-order mark is dropped, and with `fmt` None the whole
+    payload goes to `decode`.  Bad UTF-8 or JSON (nesting too deep included),
+    a wrong tag, and any ContractError, lookup, type or value error raised by
+    `decode` become one ContractError that names `path` once; an OSError
+    passes through.
     """
     try:
-        payload = json.loads(data.decode("utf-8"))
+        payload = json.loads(data.removeprefix(codecs.BOM_UTF8).decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ContractError(f"{path}: not valid JSON ({exc})") from exc
     try:

@@ -928,7 +928,7 @@ class TestMapped:
         assert on or threads <= {threading.main_thread()}
 
     @pytest.mark.parametrize("on", [False, True])
-    @pytest.mark.parametrize("source", ["fn", "draw"])
+    @pytest.mark.parametrize("source", ["fn"])  # a draw error: the next test
     @given(data=st.data(), size=st.integers(1, 20))
     @settings(max_examples=40, deadline=None)
     def test_an_error_comes_out_after_the_results_before_it(self, on, source, data, size):
@@ -936,19 +936,46 @@ class TestMapped:
         error, got, draws = ValueError("job failed"), [], []
 
         def fn(job):
-            if source == "fn" and job == fail_at:
+            if job == fail_at:
                 raise error
             return self.work(job)
 
-        jobs = self.drawn(range(size), draws, fail_at if source == "draw" else None, error)
         with ops.helper_thread(on):
             with pytest.raises(ValueError) as raised:
-                for result in ad.mapped(fn, jobs):
+                for result in ad.mapped(fn, self.drawn(range(size), draws)):
                     got.append(result)
         assert raised.value is error and got == list(map(self.work, range(fail_at)))
-        drawn_past = 0 if source == "draw" else ad.MAP_WINDOW
-        assert len(draws) <= min(size, fail_at + 1 + drawn_past)
+        assert len(draws) <= min(size, fail_at + 1 + ad.MAP_WINDOW)
         assert all(t is threading.main_thread() for t in draws)
+
+    @pytest.mark.parametrize("on", [False, True])
+    @given(data=st.data(), size=st.integers(1, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_a_draw_error_comes_out_as_soon_as_it_is_drawn(self, on, data, size):
+        """No result comes out after the failed draw, and the helper is left idle."""
+        fail_at = data.draw(st.integers(0, size - 1))
+        error, got, running, failed_after = ValueError("draw failed"), [], [], []
+
+        def jobs():
+            for job in range(size):
+                if job == fail_at:
+                    failed_after.append((len(got), threading.current_thread()))
+                    raise error
+                yield job
+
+        def fn(job):
+            running.append(job)
+            time.sleep(0.0005)  # long enough that the failed draw often finds the helper busy
+            running.remove(job)
+            return self.work(job)
+
+        with ops.helper_thread(on):
+            with pytest.raises(ValueError) as raised:
+                for result in ad.mapped(fn, jobs()):
+                    got.append(result)
+        assert raised.value is error and running == []
+        assert failed_after == [(len(got), threading.main_thread())]
+        assert got == list(map(self.work, range(len(got))))
 
     @pytest.mark.parametrize("where", ["caller", "helper"])
     @given(size=st.integers(2, 20))

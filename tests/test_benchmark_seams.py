@@ -90,6 +90,22 @@ class TestBenchmarkSeams:
             again = audio.stft_logmel(waveform, config.frontend)
             assert again.tobytes() == want.tobytes()
 
+    def test_held_out_surgery_loads_again(self, tmp_path):
+        """passes.make_inputs keeps the first records of each code of a loaded test.json,
+        assigning them to `records`, then saves that manifest and loads it again."""
+        codes = [IcdCode("R52", ["pain"]), IcdCode("M54.5", ["low", "back", "pain"])]
+        full = generate_dataset(codes, DatasetConfig(repeats=2, cap=4))
+        data.save_manifest(data.split_by_speaker(full, "spk2")[1], tmp_path / "test.json")
+        held_out = load_manifest(tmp_path / "test.json")
+        by_code = {}
+        for record in held_out.records:
+            by_code.setdefault(record.code, []).append(record)
+        held_out.records = [r for records in by_code.values() for r in records[:3]]
+        data.save_manifest(held_out, tmp_path / "held-out.json")
+        loaded = load_manifest(tmp_path / "held-out.json")
+        assert loaded == held_out
+        assert [r.code for r in loaded.records] == ["R52"] * 2 + ["M54.5"] * 3
+
 
 TINY_CONFIG = {
     "dataset": {

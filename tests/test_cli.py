@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import dataclasses
 import errno
@@ -6,6 +7,7 @@ import json
 import signal
 import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,9 +28,10 @@ from icdscribe.audio import (
 )
 from icdscribe import autodiff, cli, fusion
 from icdscribe import data as data_module
-from icdscribe.checkpoint import build_model, load_checkpoint
+from icdscribe.checkpoint import Checkpoint, build_model, load_checkpoint
 from icdscribe.cli import main
-from icdscribe.data import iter_utterances, load_manifest
+from icdscribe.config import load_run_config
+from icdscribe.data import iter_utterances, load_icd_list, load_manifest
 from icdscribe.errors import ContractError
 from icdscribe.fusion import evaluate_dataset
 from icdscribe.lm import load_lm, prob
@@ -1014,20 +1017,36 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
-            (lambda m: m["config"].update(bogus=1), "config.bogus"),
-            (lambda m: m.pop("records"), "records"),
-            (lambda m: m["records"][0].update(repeat_indices=[]), "repeat index"),
+            (lambda m, mp: m["config"].update(bogus=1), "config.bogus"),
+            (lambda m, mp: m.pop("records"), "records"),
+            (lambda m, mp: m["records"][0].update(repeat_indices=[]), "repeat index"),
+            # test.json holds far's records C1/far/0..2, then C2/far/0..1
+            (lambda m, mp: m["records"][-1].update(code="ZZZ"),
+             "record ZZZ/far/1 names code 'ZZZ', which the manifest does not list"),
+            (lambda m, mp: m["records"][-1].update(speaker_id="near2"),
+             "record C2/near2/1 names speaker 'near2'"),
+            (lambda m, mp: m["records"][0].update(repeat_indices=[0, 2]),
+             "record C1/far/0 needs one repeat index in [0, 2)"),
+            (lambda m, mp: m["records"][-1].update(variation_index=0),
+             "record C2/far/0 appears twice"),
+            (lambda m, mp: m["codes"].append(m["codes"][0]), "code 'C1' is listed twice"),
+            (lambda m, mp: mp.setattr(data_module, "MAX_RECORDS", 4), "5 records, above 4"),
         ],
     )
-    def test_manifest(self, workspace, tmp_path, mutate, fragment):
+    def test_manifest(self, workspace, tmp_path, monkeypatch, mutate, fragment):
+        """Refused when read, before the checkpoint is loaded or any record realized."""
         payload = json.loads((workspace.data / "test.json").read_text(encoding="utf-8"))
-        mutate(payload)
+        mutate(payload, monkeypatch)
         path = tmp_path / "test.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
+        called = []
+        for owner, name in ((data_module, "realize_utterance"), (cli, "load_checkpoint")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name: called.append(name))
         code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--manifest", path,
                          "--lambda-lm", "0"])
         assert code == 2
-        assert_one_line_error(err, fragment)
+        assert_one_line_error(err, str(path), fragment)
+        assert called == []
 
     def test_manifest_with_an_unspeakable_word(self, workspace, tmp_path):
         payload = json.loads((workspace.data / "train.json").read_text(encoding="utf-8"))
@@ -1224,6 +1243,41 @@ def json_paths(node, prefix=()):
     for key, child in items:
         yield prefix + (key,)
         yield from json_paths(child, prefix + (key,))
+
+
+class TestByteOrderMark:
+    """A text artifact saved with a leading UTF-8 byte-order mark loads as the plain file does."""
+
+    @staticmethod
+    def seen(loaded):  # what a load gives, in a form that compares by value
+        if isinstance(loaded, Checkpoint):
+            moments = Path(loaded.path).read_bytes()[loaded.moments_at:]  # Adam's m and v
+            return (loaded.config, loaded.vocabulary, loaded.parameters, loaded.step,
+                    loaded.optimizer, loaded.blob.tobytes(), moments)
+        return to_payload(loaded) if dataclasses.is_dataclass(loaded) else loaded
+
+    @pytest.mark.parametrize("artifact, load", [
+        ("codes", load_icd_list),
+        ("config", load_run_config),
+        ("manifest", load_manifest),
+        ("lm", load_lm),
+        ("ckpt", load_checkpoint),
+        ("log", lambda path: cli._log_before(path, 10)),
+    ])
+    def test_loads_equal_to_the_plain_file(self, workspace, tmp_path, artifact, load):
+        plain = {"codes": workspace.codes, "config": workspace.config,
+                 "manifest": workspace.data / "test.json", "lm": workspace.lm,
+                 "ckpt": workspace.ckpt, "log": workspace.ckpt.with_suffix(".log.jsonl")}[artifact]
+        marked = tmp_path / plain.name
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert self.seen(load(marked)) == self.seen(load(plain))
+
+    def test_corpus_trains_the_same_lm(self, workspace, tmp_path):
+        marked = tmp_path / "corpus.txt"
+        marked.write_bytes(codecs.BOM_UTF8 + (workspace.data / "corpus.txt").read_bytes())
+        for corpus, out in ((workspace.data / "corpus.txt", "plain.json"), (marked, "bom.json")):
+            assert run(["train-lm", "--corpus", corpus, "--output", tmp_path / out])[0] == 0
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "bom.json").read_bytes()
 
 
 class TestHostileArtifacts:

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import re
 import threading
@@ -83,8 +84,8 @@ class TestLoadIcdList:
     def test_duplicate_code_rejected(self, tmp_path):
         path = tmp_path / "codes.tsv"
         path.write_text("R06.4\tHyperventilation\nR06.4\tHyperventilation\n")
-        with pytest.raises(ContractError, match="R06.4"):
-            load_icd_list(path)
+        with pytest.raises(ContractError, match="code 'R06.4' is listed twice"):
+            generate_dataset(load_icd_list(path), small_config())
 
     def test_blank_description_rejected(self, tmp_path):
         path = tmp_path / "codes.tsv"
@@ -284,7 +285,7 @@ class TestIterUtterances:
         distinct = {
             (word, r.speaker_id, rep)
             for r in manifest.records
-            for word, rep in zip(manifest.code_by_id(r.code).words, r.repeat_indices)
+            for word, rep in zip(manifest.words_of[r.code], r.repeat_indices)
         }
         for _ in range(2):  # a second pass starts from an empty cache
             calls.clear()
@@ -340,10 +341,12 @@ class TestIterUtterances:
 
     @pytest.mark.parametrize("field, value", [("code", "Z99"), ("speaker_id", "spk9")])
     def test_unknown_code_or_speaker_rejected(self, field, value):
+        """Refused when the manifest is built, so no record is realized."""
         manifest = self.manifest()
-        manifest.records[1] = replace(manifest.records[1], **{field: value})
-        with pytest.raises(ContractError, match=value):
-            list(iter_utterances(manifest))
+        records = list(manifest.records)
+        records[1] = replace(records[1], **{field: value})
+        with pytest.raises(ContractError, match=f"record .*{value}.* names .*'{value}', which"):
+            replace(manifest, records=records)
 
 
 class TestGenerateDataset:
@@ -460,3 +463,87 @@ class TestManifestSerialization:
         path.write_text('{"format": "manifest-v9"}')
         with pytest.raises(ContractError, match="manifest-v9"):
             load_manifest(path)
+
+
+class TestManifestRules:
+    """A manifest is checked whole whenever it is built; realizing it then never fails."""
+
+    CODES = [IcdCode("A", ["pain"]), IcdCode("B", ["low", "back"])]
+
+    def manifest(self):
+        return generate_dataset(self.CODES, small_config(repeats=2, cap=2))
+
+    @pytest.mark.parametrize(
+        "damage, fragment",
+        [
+            (lambda m: m["records"][-1].update(code="ZZZ"),
+             "record ZZZ/spk1/1 names code 'ZZZ', which the manifest does not list"),
+            (lambda m: m["records"][-1].update(speaker_id="spk9"),
+             "record B/spk9/1 names speaker 'spk9', which dataset.speakers does not list"),
+            (lambda m: m["records"][-1].update(repeat_indices=[0]),
+             "record B/spk1/1 needs one repeat index in [0, 2) for each of its 2 words, got [0]"),
+            (lambda m: m["records"][-1].update(repeat_indices=[0, 2]), "record B/spk1/1 needs"),
+            (lambda m: m["records"][-1].update(repeat_indices=[-1, 0]), "record B/spk1/1 needs"),
+            (lambda m: m["records"][-1].update(variation_index=0), "record B/spk1/0 appears twice"),
+            (lambda m: m["codes"].append({"code": "A", "words": ["fever"]}),
+             "code 'A' is listed twice"),
+        ],
+        ids=["code", "speaker", "too-few-repeats", "repeat-past-repeats", "negative-repeat",
+             "duplicate-record", "duplicate-code"],
+    )
+    def test_load_refuses_each_broken_rule_naming_the_file(self, tmp_path, damage, fragment):
+        path = tmp_path / "m.json"
+        save_manifest(self.manifest(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        damage(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ContractError) as raised:
+            load_manifest(path)
+        assert str(raised.value).startswith(f"{path}: {fragment}")
+
+    def test_record_bound(self, monkeypatch):
+        manifest = self.manifest()
+        monkeypatch.setattr(data, "MAX_RECORDS", len(manifest.records))
+        replace(manifest)
+        monkeypatch.setattr(data, "MAX_RECORDS", len(manifest.records) - 1)
+        with pytest.raises(ContractError, match=f"{len(manifest.records)} records, above"):
+            replace(manifest)
+
+    def test_every_way_of_building_checks(self):
+        manifest = self.manifest()
+        manifest.records[0] = replace(manifest.records[0], code="ZZZ")  # past the constructor
+        for build in (lambda: replace(manifest), lambda: split_by_speaker(manifest, "spk0"),
+                      lambda: DatasetManifest(manifest.config, manifest.codes, manifest.records)):
+            with pytest.raises(ContractError, match="record ZZZ/spk0/0 names code 'ZZZ'"):
+                build()
+        with pytest.raises(ContractError, match="code 'A' is listed twice"):
+            generate_dataset(self.CODES + [IcdCode("A", ["fever"])], small_config())
+
+    @given(index=st.integers(0, 7), damage=st.one_of(
+        st.tuples(st.just("code"), st.sampled_from(["A", "B", "ZZZ", ""])),
+        st.tuples(st.just("speaker_id"), st.sampled_from(["spk0", "spk1", "spk9"])),
+        st.tuples(st.just("repeat_indices"), st.lists(st.integers(-1, 2), max_size=3)),
+        st.tuples(st.just("variation_index"), st.integers(-2, 4)),
+        st.tuples(st.just("codes"), st.sampled_from(["A", "B", "C"])),
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_a_damaged_manifest_is_refused_or_realizes_whole(self, tmp_path_factory, index,
+                                                              damage):
+        path = tmp_path_factory.mktemp("damaged") / "m.json"
+        save_manifest(self.manifest(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        key, value = damage
+        if key == "codes":  # one more code, whose id may repeat one listed
+            payload["codes"].append({"code": value, "words": ["fever"]})
+        else:
+            payload["records"][index][key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            manifest = load_manifest(path)
+        except ContractError as exc:
+            assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc)
+            return
+        utterances = list(iter_utterances(manifest))
+        assert len(utterances) == len(manifest.records) == 8
+        for record, utt in zip(manifest.records, utterances):
+            assert utt.target == manifest.vocabulary.encode(manifest.words_of[record.code])

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -13,12 +14,13 @@ from helpers import edit_distance_oracle, score_pairs
 from icdscribe import metrics
 from icdscribe.errors import ContractError
 from icdscribe.metrics import (
+    EvalReport,
     WerBreakdown,
     _percentile,
     format_report,
     wer,
 )
-from icdscribe.schema import to_payload
+from icdscribe.schema import from_payload, to_payload
 
 
 class TestWer:
@@ -247,3 +249,50 @@ class TestReport:
         b = WerBreakdown(substitutions=1, deletions=2, insertions=3, reference_length=10)
         assert b.errors == 6
         assert b.wer == pytest.approx(0.6)
+
+
+class TestReportRules:
+    """An EvalReport that disagrees with itself is refused, and `build_report`'s never is."""
+
+    PAIRS = [(["a", "b", "c"], ["a", "x"]), (["d"], ["d"]), (["e", "f"], ["e", "f", "g"])]
+
+    def payload(self):
+        return to_payload(score_pairs(self.PAIRS, seed=3, resamples=40))
+
+    @pytest.mark.parametrize(
+        "damage, fragment",
+        [
+            (lambda p: p.update(utterances=2), "utterances 2 is not 3"),
+            (lambda p: p.update(substitutions=999), "substitutions 999 is not 1"),
+            (lambda p: p.update(insertions=0), "insertions 0 is not 1"),
+            (lambda p: p.update(reference_words=7), "reference_words 7 is not 6"),
+            (lambda p: p.update(corpus_wer=0.25), "corpus_wer 0.25 is not 0.5"),
+            (lambda p: p["per_utterance"][0].update(wer=-5.0), "per_utterance 0: wer -5.0"),
+            (lambda p: p["per_utterance"][1].update(reference_length=2),
+             "per_utterance 1: reference_length 2"),
+            (lambda p: p["per_utterance"][1].update(reference="", reference_length=0),
+             "per_utterance 1: reference_length 0"),
+            (lambda p: p["per_utterance"][2].update(insertions=-1), "per_utterance 2: an error"),
+            (lambda p: p.update(wer_ci_95=[0.9, 0.1]), "wer_ci_95 [0.9, 0.1] runs high to low"),
+            (lambda p: p.update(bleu_ci_95=[0.9, 0.1]), "bleu_ci_95"),
+            (lambda p: p.update(resamples=0), "resamples 0 outside [1, 10000]"),
+            (lambda p: p.update(resamples=10_001), "resamples 10001 outside [1, 10000]"),
+            (lambda p: p.update(seed=-1), "seed -1 outside [0, inf)"),
+            (lambda p: p.update(beam_width=65), "beam_width 65 outside [1, 64]"),
+            (lambda p: p.update(lambda_lm=-0.1), "lambda_lm -0.1 outside [0, inf)"),
+        ],
+    )
+    def test_each_disagreement_is_refused(self, damage, fragment):
+        payload = self.payload()
+        damage(payload)
+        with pytest.raises(ContractError, match=re.escape(fragment)):
+            from_payload(EvalReport, payload)
+
+    @given(pairs=st.lists(st.tuples(st.lists(st.sampled_from("abc"), min_size=1, max_size=6),
+                                    st.lists(st.sampled_from("abcd"), max_size=6)),
+                          min_size=1, max_size=12),
+           seed=st.integers(0, 2**32), resamples=st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_built_reports_pass_exactly(self, pairs, seed, resamples):
+        report = score_pairs(pairs, seed=seed, resamples=resamples)
+        assert from_payload(EvalReport, to_payload(report)) == report
