@@ -4,14 +4,12 @@ parameter vectors, Adam and clipping, and the one helper thread.
 `backward` forms an update's loss, the mean cross entropy of the
 teacher-forced logits, and its adjoint, and hands that to the `sweep` that
 the model's forward pass returned: the decoder's reverse pass, then the
-encoder's.  A reverse pass writes each dense term (a bias, a conv kernel,
-the attention score, the embedding) with `out=` as it reaches it, and
-records each weight that every step reads as one product over all steps,
-written once both passes have finished (`write_products`).  The array
-kernels are those the model's passes share, in training and decoding: the
-causal convolution and its input gradient, and the LSTM forward, step and
-backward step.  Everything is float64 so the finite-difference tests can
-use tight tolerances.
+encoder's.  A reverse pass writes each gradient with `out=` as it reaches
+it, on the calling thread; a weight that every step reads gets one product
+over all steps.  The array kernels are those the model's passes share, in
+training and decoding: the causal convolution and its input gradient, and
+the LSTM forward, step and backward step.  Everything is float64 so the
+finite-difference tests can use tight tolerances.
 
 A model's parameters are views into one flat float64 vector, in
 registration order (`parameter_vectors`), and their gradients views into a
@@ -20,11 +18,11 @@ value view, gradient view and shape.  Adam (`adam_step`) and global-norm
 clipping (`clip_global_norm`) work on the two vectors, and a checkpoint
 stores them as they lie in memory.
 
-The weight-gradient products and Adam's blocks run on the calling thread
-and one helper thread at once (`run_shared`); each job writes its own slice
-of memory, so the split never changes a bit.  The same two threads compute
-a lazy map in order (`mapped`), which lets `evaluate` realize the next
-utterances while it decodes one, and `train` realize its set on both
+Only two jobs use the one helper thread.  Adam's blocks run on the calling
+thread and the helper at once (`run_shared`); each block writes its own
+slice of memory, so the split never changes a bit.  The same two threads
+compute a lazy map in order (`mapped`), which lets `evaluate` realize the
+next utterances while it decodes one, and `train` realize its set on both
 threads.  The helper is made on first use, and only where two or more cores
 are usable; on one core the same functions run on the calling thread alone.
 There is no knob.
@@ -234,7 +232,7 @@ MAP_WINDOW = 2
 @functools.cache
 def _helper():
     """The one helper thread, as a one-worker executor made on first use; None on one core."""
-    from concurrent.futures import ThreadPoolExecutor  # only training and `mapped` need it
+    from concurrent.futures import ThreadPoolExecutor  # only `adam_step` and `mapped` need it
 
     try:
         cores = len(os.sched_getaffinity(0))
@@ -318,21 +316,6 @@ def mapped(fn, jobs):
         for _, result in ahead:  # cancel what the helper has not started, await what it has
             if not result.cancel():
                 result.exception()
-
-
-def _write_product(product, worker):
-    grad, left, right = product
-    np.matmul(left.T, right, out=grad)
-
-
-def write_products(products):
-    """Write each recorded weight gradient (grad, left, right) as grad = left.T @ right.
-
-    The largest products start first, on both threads (`run_shared`).
-    Each gradient view gets one product per update, so the order changes no bit.
-    """
-    products.sort(key=lambda p: len(p[1]) * p[0].size, reverse=True)
-    run_shared(_write_product, products)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,8 @@ def _fusion(args, ckpt):
 
 def cmd_evaluate(args):
     manifest = load_manifest(args.manifest)  # first, so a damaged one costs no model load
+    if not manifest.records:
+        raise ContractError(f"{args.manifest} holds no utterances to evaluate")
     ckpt = load_checkpoint(args.ckpt)
     _check_manifest(manifest, ckpt)
     model = build_model(ckpt)

@@ -62,11 +62,12 @@ def load_icd_list(path):
             continue
         code_id, tab, description = line.partition("\t")
         if not tab:
-            raise ContractError(f"line {lineno}: expected a tab between code and description")
+            raise ContractError(f"{path}: line {lineno}: expected a tab between code "
+                                f"and description")
         try:
             codes.append(IcdCode(code_id.strip(), normalize_line(description)))
         except ContractError as exc:
-            raise ContractError(f"line {lineno}: {exc}") from None
+            raise ContractError(f"{path}: line {lineno}: {exc}") from None
     return codes
 
 

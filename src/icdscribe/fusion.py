@@ -8,8 +8,8 @@ updated.  The swap probability ramps linearly from zero to its maximum
 over the first part of training.  Each utterance makes one update: the
 model's forward pass over its spectrogram, taken as the featurizer made
 it, `backward` (the loss, then the model's reverse sweep, which writes its
-whole gradient vector), global-norm clipping and an Adam step; the sweep's
-weight products and Adam's blocks share two threads (`autodiff.run_shared`).
+whole gradient vector on the calling thread), global-norm clipping and an
+Adam step, whose blocks share two threads (`autodiff.run_shared`).
 
 Decoding ranks hypotheses by the shallow-fusion score
 `(log_acoustic + lambda_lm * log_lm) / (1 + lambda_lm)`, divided by the

@@ -18,10 +18,9 @@ them one hypothesis at a time.  Teacher forcing runs the same step code
 over a whole target and returns its logits with a sweep: the decoder's
 reverse pass, which also forms the attention keys' gradient, then the
 encoder's.  Each is one pass of backpropagation through time.  It writes
-each dense gradient term into the model's gradient vector as it goes and
-records each weight gradient that every step reads as one product over
-all steps, (grad view, left, right); the recorded products are written
-after both passes, on two threads (`autodiff.write_products`).
+each gradient into the model's gradient vector where it forms it, on the
+calling thread; a weight that every step reads gets one product over all
+steps, `np.matmul(left.T, right, out=grad)`.
 """
 
 import math
@@ -37,7 +36,6 @@ from .autodiff import (
     _lstm_forward,
     parameter_vectors,
     softmax_values,
-    write_products,
 )
 from .data import EOS, PAD, SOS
 from .errors import ContractError
@@ -190,13 +188,12 @@ class Seq2SeqModel:
             out = states[0][1:]  # h_1 .. h_steps
         return EncoderOutput(out, out @ p["attn.keys"].values, convs, layers)
 
-    def _encoder_sweep(self, encoded, g, products):
+    def _encoder_sweep(self, encoded, g):
         """Write the conv and pyramid LSTM gradients, given g, the adjoint of `encoded.hidden`.
 
         One sweep down the layers: backpropagation through time per pyramid
         layer, the un-reshape without the padding rows, then per conv layer
-        the ReLU mask and the taps.  The LSTM weights' products are appended
-        to `products`, not written.
+        the ReLU mask and the taps.
         """
         p, cfg = self._params, self.encoder_cfg
         for j in range(cfg.layers - 1, -1, -1):
@@ -209,7 +206,8 @@ class Seq2SeqModel:
                 dh += g[t]
                 cell_step(t, dh, dc, dz[t])
             dz = dz.reshape(len(rows), -1)
-            products += [(wx.grad, rows, dz), (wh.grad, hs[:-1], dz)]
+            np.matmul(rows.T, dz, out=wx.grad)
+            np.matmul(hs[:-1].T, dz, out=wh.grad)
             dz.sum(axis=0, out=b.grad)
             if j or cfg.conv:  # the layer's input rows, less the final group's padding
                 g = (dz @ wx.values.T).reshape(len(rows) * cfg.beta, -1)[:frames]
@@ -277,10 +275,10 @@ class Seq2SeqModel:
         """Logit rows for positions 1..len(target)-1, and the sweep that backpropagates them.
 
         Returns (logits, sweep): `sweep(d_logits)` runs the decoder's
-        reverse pass, then the encoder's, then writes their recorded
-        products, so it writes every parameter's gradient into
-        `self.grads`.  `input_tokens` overrides what the decoder consumes
-        (scheduled sampling); prediction targets are unaffected.
+        reverse pass, then the encoder's, so it writes every parameter's
+        gradient into `self.grads`.  `input_tokens` overrides what the
+        decoder consumes (scheduled sampling); prediction targets are
+        unaffected.
         """
         target = list(target)
         if len(target) < 2 or target[0] != SOS or target[-1] != EOS:
@@ -294,21 +292,14 @@ class Seq2SeqModel:
             )
         encoded = self.encode(x)
         logits, decoder_sweep = self._decode_teacher_forced(encoded, inputs)
-
-        def sweep(d_logits):
-            products = []
-            self._encoder_sweep(encoded, decoder_sweep(d_logits, products), products)
-            write_products(products)
-
-        return logits, sweep
+        return logits, lambda d_logits: self._encoder_sweep(encoded, decoder_sweep(d_logits))
 
     def _decode_teacher_forced(self, encoded, inputs):
         """The decoder over a whole target: `attend` and `_cell` per step, then one logits product.
 
-        Returns (logits, sweep).  `sweep(g, products)` goes back through
-        the steps once, given g, the adjoint of the logits; it writes the
-        dense decoder, attention and output gradients, appends the weights'
-        products over all steps to `products`, and returns the adjoint of
+        Returns (logits, sweep).  `sweep(g)` goes back through the steps
+        once, given g, the adjoint of the logits; it writes the decoder,
+        attention and output gradients and returns the adjoint of
         `encoded.hidden`: the keys' share, then the contexts'.
         """
         p = self._params
@@ -326,7 +317,7 @@ class Seq2SeqModel:
                        tanh_c[t])
         outs = np.concatenate([hs[1:], xs[:, e:]], axis=1)
 
-        def sweep(g, products):
+        def sweep(g):
             wx, score = p["dec.wx"].values, p["attn.score"].values[:, 0]
             w_context_t, w_query_t = wx[e:].T, p["attn.query"].values.T
             tanh_slope = 1.0 - tanh_rows * tanh_rows
@@ -353,9 +344,11 @@ class Seq2SeqModel:
             d_embed[...] = 0.0
             np.add.at(d_embed, inputs, dz @ wx[:e].T)  # rows added in step order
             d_keys = d_pre.sum(axis=0)
-            products += [(p["attn.keys"].grad, encoded.hidden, d_keys),
-                         (p["dec.wx"].grad, xs, dz), (p["dec.wh"].grad, hs[:-1], dz),
-                         (p["attn.query"].grad, hs[:-1], d_query), (p["out.w"].grad, outs, g)]
+            np.matmul(encoded.hidden.T, d_keys, out=p["attn.keys"].grad)
+            np.matmul(xs.T, dz, out=p["dec.wx"].grad)
+            np.matmul(hs[:-1].T, dz, out=p["dec.wh"].grad)
+            np.matmul(hs[:-1].T, d_query, out=p["attn.query"].grad)
+            np.matmul(outs.T, g, out=p["out.w"].grad)
             dz.sum(axis=0, out=p["dec.b"].grad)
             d_query.sum(axis=0, out=p["attn.b"].grad)
             np.matmul(tanh_rows.reshape(steps * units, -1).T, d_scores.reshape(-1, 1),

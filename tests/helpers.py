@@ -269,18 +269,14 @@ def softmax_cross_entropy(logits, targets):
 
 
 def sweep_node(values, sweep, into=None):
-    """`values` as a node whose backward pass calls `sweep(g, products)`, a model reverse pass.
+    """`values` as a node whose backward pass calls `sweep(g)`, a model reverse pass.
 
-    The sweep writes its dense gradients into the model's gradient vector
-    and records its weight products, written once it returns
-    (`autodiff.write_products`); what it returns, the adjoint of its input,
-    goes to the leaf `into` when given.
+    The sweep writes its gradients into the model's gradient vector; what it
+    returns, the adjoint of its input, goes to the leaf `into` when given.
     """
     parent = Tensor(0.0, requires_grad=True) if into is None else into
     def backprop(g, terms):
-        products = []
-        d_input = sweep(g, products)
-        ad.write_products(products)
+        d_input = sweep(g)
         if into is not None:
             _push(terms, into, d_input)
     return Tensor(values, _parents=(parent,), _backprop=backprop)

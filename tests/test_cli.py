@@ -183,7 +183,16 @@ class TestGenerateData:
         out = tmp_path / "out"
         code, err = run(["generate-data", "--codes", codes, "--output", out])
         assert code == 2
-        assert_one_line_error(err, "line 2", "C2", word)
+        assert_one_line_error(err, f"{codes}: line 2: ", "C2", word)
+        assert not out.exists()
+
+    def test_code_line_without_a_tab_exits_2_naming_the_file(self, tmp_path):
+        codes = tmp_path / "bad.tsv"
+        codes.write_text("C1\taa bb\nC2 cc\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, err = run(["generate-data", "--codes", codes, "--output", out])
+        assert code == 2
+        assert err == f"error: {codes}: line 2: expected a tab between code and description\n"
         assert not out.exists()
 
     def test_missing_codes_file_exits_3(self, tmp_path):
@@ -1031,6 +1040,7 @@ class TestMalformedInputs:
              "record C2/far/0 appears twice"),
             (lambda m, mp: m["codes"].append(m["codes"][0]), "code 'C1' is listed twice"),
             (lambda m, mp: mp.setattr(data_module, "MAX_RECORDS", 4), "5 records, above 4"),
+            (lambda m, mp: m["records"].clear(), "holds no utterances to evaluate"),
         ],
     )
     def test_manifest(self, workspace, tmp_path, monkeypatch, mutate, fragment):

@@ -78,7 +78,7 @@ class TestLoadIcdList:
     def test_missing_tab_reports_line_number(self, tmp_path):
         path = tmp_path / "codes.tsv"
         path.write_text("R10.84\tGeneralized abdominal pain\nR06.4 Hyperventilation\n")
-        with pytest.raises(ContractError, match="line 2"):
+        with pytest.raises(ContractError, match="codes.tsv: line 2: "):
             load_icd_list(path)
 
     def test_duplicate_code_rejected(self, tmp_path):
@@ -90,14 +90,14 @@ class TestLoadIcdList:
     def test_blank_description_rejected(self, tmp_path):
         path = tmp_path / "codes.tsv"
         path.write_text("R06.4\t , ;\n")
-        with pytest.raises(ContractError, match="line 1"):
+        with pytest.raises(ContractError, match="codes.tsv: line 1: "):
             load_icd_list(path)
 
     @pytest.mark.parametrize("description", ["acute pain (chest)", "type 2 diabetes", "café"])
     def test_unspeakable_word_reports_line_number(self, tmp_path, description):
         path = tmp_path / "codes.tsv"
         path.write_text(f"R06.4\tHyperventilation\nX1\t{description}\n", encoding="utf-8")
-        with pytest.raises(ContractError, match="line 2"):
+        with pytest.raises(ContractError, match="codes.tsv: line 2: "):
             load_icd_list(path)
 
     def test_bundled_list(self):

@@ -606,8 +606,7 @@ class TestTrainingUpdate:
     )
     @settings(max_examples=50, deadline=None)
     def test_two_threads_match_one(self, convs, layers, beta, hidden, frames, words, p, seed):
-        # one whole update, with and without the helper thread that shares the
-        # weight-gradient products and Adam's blocks
+        # one whole update, with and without the helper thread that shares Adam's blocks
         enc = EncoderConfig(conv=tuple(ConvSpec(*c) for c in convs), layers=layers, beta=beta,
                             hidden=hidden)
         rng = np.random.default_rng(seed)

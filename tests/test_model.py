@@ -270,8 +270,7 @@ class TestTeacherForcedOp:
         def nodes():
             encoded = model.encode(x)
             logits, decoder_sweep = model._decode_teacher_forced(encoded, inputs)
-            return sweep_node(logits, lambda g, products: model._encoder_sweep(
-                encoded, decoder_sweep(g, products), products))
+            return sweep_node(logits, lambda g: model._encoder_sweep(encoded, decoder_sweep(g)))
 
         for forward in (nodes, lambda: graph_teacher_forced(model, graph_encode(model, x), inputs)):
             model.grads[:] = 0.0

@@ -3,6 +3,9 @@
 These read the source with `ast`: a module other than `autodiff` that
 imports a threading module, or builds an executor or a `Thread`, fails here,
 so training and decoding keep sharing the one helper behind `_helper()`.
+The helper has two users, Adam's blocks and realization: a new caller of
+`run_shared` or `mapped` fails here too, and must bring a measurement that
+the helper pays off for it.
 """
 
 import ast
@@ -17,6 +20,12 @@ THREAD_MAKERS = {"Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor",
                  "start_new_thread"}
 
 
+def call_name(call):
+    """The name a call calls: `f` of `f(...)` and of `module.f(...)`."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def thread_uses(tree):
     """Each import of a threading module and each call that builds a thread or a pool."""
     def threading_module(name):
@@ -27,11 +36,8 @@ def thread_uses(tree):
             yield from (alias.name for alias in node.names if threading_module(alias.name))
         elif isinstance(node, ast.ImportFrom) and threading_module(node.module):
             yield f"from {node.module}"
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in THREAD_MAKERS:
-                yield f"{name}()"
+        elif isinstance(node, ast.Call) and call_name(node) in THREAD_MAKERS:
+            yield f"{call_name(node)}()"
 
 
 def test_only_autodiff_starts_threads():
@@ -52,6 +58,45 @@ def test_autodiff_builds_one_executor_in_helper():
         for use in thread_uses(function) if use.endswith("()")
     ]
     assert builders == ["_helper"]
+
+
+# the one function that may call each entry point to the helper
+HELPER_CALLERS = {"run_shared": "autodiff.adam_step", "mapped": "data.iter_utterances"}
+
+
+def helper_calls(module, node, owner="<module>"):
+    """(entry, `module.function`) for each call of a `HELPER_CALLERS` entry, by name or attribute.
+
+    The function is the innermost one that holds the call.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    elif isinstance(node, ast.Call) and call_name(node) in HELPER_CALLERS:
+        yield call_name(node), f"{module}.{owner}"
+    for child in ast.iter_child_nodes(node):
+        yield from helper_calls(module, child, owner)
+
+
+def test_each_helper_entry_point_has_one_caller():
+    found = sorted(
+        call
+        for path in MODULES
+        for call in helper_calls(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert found == sorted(HELPER_CALLERS.items())
+
+
+def test_the_caller_guard_sees_each_form():
+    source = """
+run_shared(print, [])
+def outer():
+    ad.mapped(print, [])
+    def inner():
+        autodiff.run_shared(print, [])
+"""
+    assert list(helper_calls("m", ast.parse(source))) == [
+        ("run_shared", "m.<module>"), ("mapped", "m.outer"), ("run_shared", "m.inner"),
+    ]
 
 
 def test_the_guard_sees_each_form():
