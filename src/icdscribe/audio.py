@@ -6,9 +6,10 @@ character maps to a fixed pair of formant-like resonances, excited by a
 harmonic stack at the speaker's pitch.  Word identity is therefore
 acoustically recoverable across speakers (formants are shared, pitch is
 not), which is the property the acoustic model needs.  The room model
-applies distance attenuation, an exponentially decaying impulse response
-and additive noise at a target SNR.  All three stages are pure functions
-of their inputs and seeds.
+applies an exponentially decaying impulse response and additive noise at a
+target SNR, and `recording` ends realization where a recorder does: 16-bit
+samples at a fixed peak, which `write_wav` stores and `read_wav` returns
+unchanged.  Every stage is a pure function of its inputs and seeds.
 """
 
 import functools
@@ -34,6 +35,8 @@ MAX_WAV_FRAMES = 30 * MAX_SAMPLE_RATE
 
 # seconds of audio synthesized per character at rate multiplier 1.0
 CHAR_SECONDS = 0.05
+# a recording's peak, as a fraction of 16-bit full scale: the level `synthesize_word` scales to
+RECORD_PEAK = 0.9
 
 # resonance pair per character: spread across the band so distinct
 # characters produce distinct spectral envelopes
@@ -45,7 +48,7 @@ _MAX_HARMONIC_HZ = 3800.0
 @dataclass
 class Waveform:
     """Mono float64 audio samples; `synthesize_word`'s lie in (-1, 1), but reverberation and
-    noise in `apply_far_field` can carry them past ±1, where `write_wav` clips them."""
+    noise in `apply_far_field` can carry them past ±1, which `recording` scales back."""
 
     samples: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
@@ -70,11 +73,8 @@ class SpeakerProfile:
 
 @dataclass
 class RoomModel:
-    """Far-field acoustic channel: distance, reverberation, noise floor."""
+    """Far-field acoustic channel: reverberation, noise floor."""
 
-    # metres: a closer source overflows the squared 1/distance gain, a farther one sinks the
-    # speech under the log-mel floor
-    distance: float = field(default=3.6, metadata=within(0.01, 100.0))
     rt60: float = field(default=0.3, metadata=within(0.0, 2.0))  # s; rt60 * sample_rate IR taps
     # dB: at -100 the noise RMS is 10**5 times the signal's, and the gain overflows near
     # -6,165 dB; +inf (stored as null) adds no noise
@@ -208,10 +208,10 @@ def apply_far_field(w, room, seed=0):
 
     Convolves with a synthetic impulse response (unit direct path plus an
     exponentially decaying noise tail when rt60 > 0) by one FFT product,
-    zero-padded to a 5-smooth length, keeping the first len(samples) outputs;
-    scales by 1/distance, then adds white noise at exactly the configured SNR.  `seed` draws the
-    impulse-response tail and the noise.  Neutral parameters (distance 1,
-    rt60 0, infinite SNR) return the input unchanged.
+    zero-padded to a 5-smooth length, keeping the first len(samples) outputs,
+    then adds white noise at exactly the configured SNR.  `seed` draws the
+    impulse-response tail and the noise.  Neutral parameters (rt60 0,
+    infinite SNR) return the input unchanged.
     """
     rng = np.random.default_rng(stable_seed("room", seed))
     samples = w.samples
@@ -222,7 +222,6 @@ def apply_far_field(w, room, seed=0):
         size = next_fast_len(len(samples) + len(ir) - 1)
         spectrum = np.fft.rfft(samples, size) * np.fft.rfft(ir, size)
         samples = np.fft.irfft(spectrum, size)[: len(samples)]
-    samples = samples / room.distance
     if math.isfinite(room.snr_db):
         signal_rms = float(np.sqrt(np.mean(samples**2)))
         if signal_rms > 0:
@@ -281,15 +280,33 @@ def stft_logmel(w, cfg):
 frontend_spectrogram = stft_logmel  # the benchmark's transcribe pass calls this name
 
 
+def _pcm(samples, gain=1.0):
+    """`samples * gain`, which lie in [-1, 1], rounded to 16-bit steps of 1/32767."""
+    # one temporary, scaled and rounded in place: realization runs beside decoding
+    steps = samples * gain
+    steps *= 32767.0
+    return np.rint(steps, out=steps).astype("<i2")
+
+
+def recording(w):
+    """What a recorder keeps of `w`: scaled to peak at `RECORD_PEAK` of full scale and rounded
+    to 16-bit steps.  Its samples are `pcm / 32767`, what `read_wav` returns for that pcm, so
+    `write_wav` and `read_wav` carry them bit for bit; silence stays silent."""
+    peak = max(w.samples.max(initial=0.0), -w.samples.min(initial=0.0))
+    pcm = _pcm(w.samples, RECORD_PEAK / peak if peak > 0 else 1.0)
+    return Waveform(pcm / 32767.0, w.sample_rate)
+
+
 def write_wav(path, w):
-    """Debug export as mono 16-bit PCM."""
-    quantized = np.clip(w.samples, -1.0, 1.0)
-    pcm = (quantized * 32767.0).round().astype("<i2")
+    """Mono 16-bit PCM; samples beyond full scale (±1) are refused, not clipped."""
+    peak = np.max(np.abs(w.samples), initial=0.0)
+    if not peak <= 1.0:  # NaN too
+        raise ContractError(f"{path}: samples peak at {peak:.4g}, beyond 16-bit full scale (1)")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(w.sample_rate)
-        fh.writeframes(pcm.tobytes())
+        fh.writeframes(_pcm(w.samples).tobytes())
 
 
 def read_wav(path):

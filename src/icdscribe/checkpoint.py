@@ -30,7 +30,7 @@ from .errors import ContractError
 from .model import Seq2SeqModel
 from .schema import atomic_write, check_bounds, decode_document, from_payload, to_payload, within
 
-CKPT_FORMAT = "ckpt-v4"
+CKPT_FORMAT = "ckpt-v5"
 
 
 @dataclass
@@ -51,7 +51,10 @@ class CheckpointHeader:
     parameters: list[ParameterEntry]
     optimizer: int = field(metadata=within(0))  # Adam's update count
 
-    __post_init__ = check_bounds
+    def __post_init__(self):
+        check_bounds(self)
+        if self.vocabulary != sorted(set(self.vocabulary)):  # as `save_checkpoint` writes it
+            raise ContractError("vocabulary must be strictly ascending: sorted, each word once")
 
 
 @dataclass

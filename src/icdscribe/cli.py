@@ -126,11 +126,11 @@ def cmd_train(args):
         if getattr(args, flag) is not None:
             raise ContractError(f"--{flag} cannot be given with --resume, which takes every "
                                 f"setting but --epochs from the checkpoint")
-    lm = load_lm(args.lm)
     path = Path(args.data) / "train.json"
-    manifest = load_manifest(path)
+    manifest = load_manifest(path)  # first, so a damaged or empty one costs no LM load
     if not manifest.records:
         raise ContractError(f"{path} holds no utterances to train on")
+    lm = load_lm(args.lm)
     vocab = manifest.vocabulary
     check_vocabulary_alignment(lm, vocab)
 

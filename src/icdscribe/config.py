@@ -15,7 +15,7 @@ from .fusion import FusionConfig
 from .model import DecoderConfig, EncoderConfig
 from .schema import check_bounds, from_payload, read_document, to_payload, within, write_document
 
-CONFIG_FORMAT = "config-v3"
+CONFIG_FORMAT = "config-v4"
 
 
 @dataclass

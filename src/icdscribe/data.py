@@ -21,6 +21,7 @@ from .audio import (
     SpeakerProfile,
     apply_far_field,
     concat_with_silence,
+    recording,
     speakable,
     stft_logmel,
     synthesize_word,
@@ -35,7 +36,7 @@ from .seeds import stable_seed
 
 PAD, SOS, EOS, UNK = 0, 1, 2, 3
 SPECIALS = ("<pad>", "<sos>", "<eos>", "<unk>")
-MANIFEST_FORMAT = "manifest-v2"
+MANIFEST_FORMAT = "manifest-v3"
 # a sampled plan draws `cap` int64 indices at once: at most 800 kB
 MAX_CAP = 100_000
 # every planned record is kept in the manifest, and each is realized by `train` or `evaluate`
@@ -249,7 +250,8 @@ def _word_waves(manifest, record, recordings):
 
 
 def realize_utterance(manifest, record, drawn=None):
-    """Synthesize, degrade and featurize one planned utterance.
+    """Synthesize, degrade, record and featurize one planned utterance: the features are
+    those of the far-field audio's 16-bit `recording`, as a wav of it gives them.
 
     `drawn` is the record's (target, word waveforms) from `_word_waves`, if
     the caller has drawn them; otherwise its words are synthesized here.
@@ -268,7 +270,7 @@ def realize_utterance(manifest, record, drawn=None):
     )
     far = apply_far_field(clean, config.room, seed=noise_seed)
     return Utterance(
-        spectrogram=stft_logmel(far, cfg=config.frontend),
+        spectrogram=stft_logmel(recording(far), cfg=config.frontend),
         target=target,
         code=record.code,
         speaker_id=record.speaker_id,

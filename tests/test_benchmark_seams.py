@@ -2,11 +2,13 @@
 
 benchmarks/run.py lists the functions its traced passes wrap, the
 transcribe pass featurizes wavs through `audio.frontend_spectrogram`, and
-`passes.write_wavs` captures each held-out far-field waveform by replacing
-`data.stft_logmel` with a stand-in that takes the waveform as its only
-positional argument.  The train and evaluate passes time a CLI command by
-wrapping module attributes: `cli.train_with_scheduled_lm_sampling` and
-`fusion.adam_step`, and `cli.evaluate_dataset` and `fusion.transcribe`.
+`passes.write_wavs` captures each held-out recording (`audio.recording` of
+the far-field waveform) by replacing `data.stft_logmel` with a stand-in that
+takes the waveform as its only positional argument, and writes it as a wav
+that featurizes to `evaluate`'s features bit for bit.  The train and
+evaluate passes time a CLI command by wrapping module attributes:
+`cli.train_with_scheduled_lm_sampling` and `fusion.adam_step`, and
+`cli.evaluate_dataset` and `fusion.transcribe`.
 The training loop is a generator, so a probe around it enters when `train`
 creates it: after every utterance is realized and before the first update,
 which keeps the train pass's set-up time apart from its steps.  Its exit
@@ -33,7 +35,7 @@ import pytest
 
 from icdscribe import audio, cli, data, fusion
 from icdscribe.audio import RoomModel
-from icdscribe.data import DatasetConfig, IcdCode, generate_dataset, load_manifest
+from icdscribe.data import DatasetConfig, IcdCode, generate_dataset, iter_utterances, load_manifest
 from icdscribe.model import Seq2SeqModel
 
 RUN_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
@@ -62,7 +64,7 @@ class TestBenchmarkSeams:
     def test_frontend_spectrogram_is_the_featurizer(self):
         assert audio.frontend_spectrogram is audio.stft_logmel
 
-    def test_keyword_stand_in_sees_each_far_field_waveform(self, monkeypatch):
+    def test_keyword_stand_in_sees_each_far_field_waveform(self, monkeypatch, tmp_path):
         codes = [IcdCode("R52", ["pain"]), IcdCode("M54.5", ["low", "back", "pain"])]
         config = DatasetConfig(seed=2, repeats=2, cap=2, room=RoomModel(rt60=0.05))
         manifest = generate_dataset(codes, config)
@@ -85,10 +87,12 @@ class TestBenchmarkSeams:
             got = data.realize_utterance(manifest, record).spectrogram
             assert got.tobytes() == want.tobytes()
             (waveform,) = captured
-            assert waveform is far_fields[-1]
             captured.clear()
-            again = audio.stft_logmel(waveform, config.frontend)
-            assert again.tobytes() == want.tobytes()
+            # the recording of the far-field audio, so the wav the benchmark writes carries it
+            assert waveform.samples.tobytes() == audio.recording(far_fields[-1]).samples.tobytes()
+            audio.write_wav(tmp_path / "utt.wav", waveform)
+            again = audio.stft_logmel(audio.read_wav(tmp_path / "utt.wav"), config.frontend)
+            assert again.shape == want.shape and again.tobytes() == want.tobytes()
 
     def test_held_out_surgery_loads_again(self, tmp_path):
         """passes.make_inputs keeps the first records of each code of a loaded test.json,
@@ -115,7 +119,7 @@ TINY_CONFIG = {
             {"speaker_id": "near", "base_pitch": 120.0, "rate": 0.9, "seed": 1},
             {"speaker_id": "far", "base_pitch": 200.0, "rate": 1.1, "seed": 2},
         ],
-        "room": {"distance": 1.0, "rt60": 0.0, "snr_db": None},
+        "room": {"rt60": 0.0, "snr_db": None},
         "frontend": {"sample_rate": 16000, "window": 400, "hop": 160, "n_mels": 8},
     },
     "encoder": {"conv": [{"channels": 4, "stride": 3}], "layers": 1, "beta": 3, "hidden": 8},
@@ -202,6 +206,38 @@ class TestProbedCommands:
         assert all(done[k + 3] > t for k, t in enumerate(decoded[:-3]))
         words = set(manifest.vocabulary.content_words)
         assert all(isinstance(h, list) and set(h) <= words for h in hypotheses)
+
+
+@pytest.fixture
+def passes_module(monkeypatch):
+    """benchmarks/passes.py, imported as benchmarks/run.py imports it."""
+    monkeypatch.syspath_prepend(str(RUN_PY.parent))
+    yield importlib.import_module("passes")
+    sys.modules.pop("passes", None)
+
+
+class TestOneRecording:
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_evaluate_and_transcribe_decode_the_same_recording(self, pipeline, tmp_path, capsys,
+                                                              passes_module, split):
+        manifest = load_manifest(pipeline.data / f"{split}.json")
+        passes_module.write_wavs(manifest, tmp_path / "wav")
+        entries = json.loads((tmp_path / "wav" / "list.json").read_text(encoding="utf-8"))
+        for utt, entry in zip(iter_utterances(manifest), entries, strict=True):
+            wav = audio.stft_logmel(audio.read_wav(entry["wav"]), manifest.config.frontend)
+            assert wav.shape == utt.spectrogram.shape
+            assert wav.tobytes() == utt.spectrogram.tobytes()
+        decoding = ["--ckpt", str(pipeline.ckpt), "--lm", str(pipeline.lm)]
+        report = tmp_path / "report.json"
+        assert cli.main(["evaluate", "--manifest", str(pipeline.data / f"{split}.json"),
+                         "--output", str(report), "--resamples", "1", *decoding]) == 0
+        per_utterance = json.loads(report.read_text(encoding="utf-8"))["per_utterance"]
+        assert [u["id"] for u in per_utterance] == [e["id"] for e in entries]
+        for scored, entry in zip(per_utterance, entries):
+            capsys.readouterr()
+            assert cli.main(["transcribe", entry["wav"], *decoding]) == 0
+            _, words, _ = capsys.readouterr().out.rstrip("\n").split("\t")
+            assert words == scored["hypothesis"]
 
 
 @pytest.fixture

@@ -118,7 +118,7 @@ class TestRoundTrip:
         payload = json.loads(header)
         compact = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert header == compact.encode("ascii") + b"\n"
-        assert payload["format"] == "ckpt-v4"
+        assert payload["format"] == "ckpt-v5"
         assert payload["optimizer"] == state.step == 1
         assert payload["config"]["optimizer"] == to_payload(ADAM)
         params = model.values.size
@@ -168,7 +168,7 @@ class TestRoundTrip:
             for kind, power in (("values", 1), ("m", 1), ("v", 2))
         }
         header = {
-            "format": "ckpt-v4",
+            "format": "ckpt-v5",
             "config": to_payload(config),
             "vocabulary": VOCAB.content_words,
             "step": 3,

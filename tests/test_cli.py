@@ -47,7 +47,7 @@ TINY_CONFIG = {
             {"speaker_id": "near", "base_pitch": 120.0, "rate": 0.9, "seed": 1},
             {"speaker_id": "far", "base_pitch": 200.0, "rate": 1.1, "seed": 2},
         ],
-        "room": {"distance": 1.0, "rt60": 0.0, "snr_db": None},
+        "room": {"rt60": 0.0, "snr_db": None},
         "frontend": {"sample_rate": 16000, "window": 400, "hop": 160, "n_mels": 8},
     },
     "encoder": {
@@ -351,9 +351,13 @@ class TestTrain:
                     "--output", data])[0] == 0
         assert load_manifest(data / "train.json").records == []
         out = tmp_path / "run" / "model.json"
+        loaded = []
+        monkeypatch.setattr(cli, "load_lm", loaded.append)  # the manifest is read first
         assert_train_refused(workspace, monkeypatch, out,
-                             ["train", "--config", config, "--data", data, "--lm", workspace.lm,
-                              "--output", out], str(data / "train.json"), "no utterances")
+                             ["train", "--config", config, "--data", data,
+                              "--lm", tmp_path / "nope.json", "--output", out],
+                             f"{data / 'train.json'} holds no utterances to train on")
+        assert loaded == []
 
     def test_resume_past_the_horizon_exits_2(self, workspace, tmp_path, capsys):
         code = main(["train", "--data", str(workspace.data), "--lm", str(workspace.lm),
@@ -942,6 +946,8 @@ class TestMalformedInputs:
             ({"fusion": {"max_decode_len": 257}}, "fusion: max_decode_len 257 outside [1, 256]"),
             ({"seed": -1}, "seed -1 outside [0, inf)"),
             ({"dataset": {"repeats": 0}}, "dataset: repeats 0 outside [1, inf)"),
+            ({"dataset": {"room": {"distance": 3.6}}}, "dataset.room.distance"),
+            ({"format": "config-v3", "dataset": {"room": {"distance": 3.6}}}, "'config-v3'"),
         ],
     )
     def test_config(self, tmp_path, payload, fragment):
@@ -977,12 +983,8 @@ class TestMalformedInputs:
         [
             # noise at 10**350 times the signal: `apply_far_field`'s gain overflowed in `train`
             ({"snr_db": -7000.0}, "dataset.room: snr_db -7000.0 outside [-100, inf]"),
-            # the 1/distance gain squared overflowed, and the features were NaN
-            ({"distance": 1e-300}, "dataset.room: distance 1e-300 outside [0.01, 100]"),
-            # the speech sank under the log-mel floor, and the features were all about 0
-            ({"distance": 1e300}, "dataset.room: distance 1e+300 outside [0.01, 100]"),
         ],
-        ids=["snr_db", "distance-near", "distance-far"],
+        ids=["snr_db"],
     )
     def test_room_knob_past_its_bound_exits_2_before_any_work(self, workspace, tmp_path,
                                                               monkeypatch, room, fragment):
@@ -1389,6 +1391,19 @@ class TestHostileArtifacts:
             assert code == 2
             assert_one_line_error(err, str(path), "optimizer")
 
+    @pytest.mark.parametrize("edit", [lambda words: words[:1] + words, lambda words: words[::-1]],
+                             ids=["repeated-word", "out-of-order"])
+    def test_vocabulary_not_strictly_ascending_exits_2(self, workspace, tmp_path, edit):
+        head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["vocabulary"] = edit(header["vocabulary"])
+        path = tmp_path / "vocabulary.ckpt"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        code, err = run(["evaluate", "--manifest", workspace.data / "test.json", "--ckpt", path,
+                         "--lm", workspace.lm, "--resamples", "1"])
+        assert code == 2
+        assert_one_line_error(err, str(path), "vocabulary must be strictly ascending")
+
     def test_negative_epoch_count_exits_2_writing_nothing(self, workspace, tmp_path):
         head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
         header = json.loads(head)
@@ -1449,20 +1464,21 @@ class TestHostileArtifacts:
             return json.dumps(payload).encode("utf-8")
         if artifact == "manifest":
             payload = json.loads((workspace.data / "test.json").read_text(encoding="utf-8"))
-            payload.update(format="manifest-v1", train_speakers=[], test_speakers=["far"])
+            payload["config"]["room"]["distance"] = 3.6
+            payload.update(format="manifest-v2")
             return json.dumps(payload).encode("utf-8")
         head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
         header = json.loads(head)
-        header["config"]["fusion"]["lambda_acoustic"] = 1.0
-        header.update(format="ckpt-v3")
+        header["config"]["dataset"]["room"]["distance"] = 3.6
+        header.update(format="ckpt-v4")
         return json.dumps(header).encode("utf-8") + b"\n" + blob
 
     @pytest.mark.parametrize(
         "artifact, fragments",
         [
-            ("manifest", ['"manifest-v1"', "manifest-v2"]),
+            ("manifest", ['"manifest-v2"', "manifest-v3"]),
             ("lm", ['"lm-v2"', "lm-v3"]),
-            ("checkpoint", ['"ckpt-v3"', "ckpt-v4"]),
+            ("checkpoint", ['"ckpt-v4"', "ckpt-v5"]),
         ],
     )
     def test_earlier_format_exits_2_naming_it(self, workspace, tmp_path, artifact, fragments):

@@ -45,7 +45,7 @@ def small_config(**overrides):
         seed=3,
         repeats=2,
         cap=4,
-        room=RoomModel(distance=2.0, rt60=0.0, snr_db=30.0),
+        room=RoomModel(rt60=0.0, snr_db=30.0),
         speakers=[SPEAKER, SpeakerProfile("spk1", base_pitch=210.0, seed=6)],
         frontend=FrontendConfig(),
     )
@@ -261,7 +261,7 @@ class TestIterUtterances:
     ]
 
     def manifest(self):
-        room = RoomModel(distance=2.0, rt60=0.05, snr_db=30.0)
+        room = RoomModel(rt60=0.05, snr_db=30.0)
         return generate_dataset(self.CODES, small_config(room=room))
 
     def test_matches_realizing_each_record(self):
@@ -443,7 +443,7 @@ class TestManifestSerialization:
         assert loaded.config == manifest.config
 
     def test_infinite_snr_survives_round_trip(self, tmp_path):
-        config = small_config(room=RoomModel(distance=1.0, rt60=0.0, snr_db=math.inf))
+        config = small_config(room=RoomModel(rt60=0.0, snr_db=math.inf))
         manifest = generate_dataset([IcdCode("A", ["pain"])], config)
         path = tmp_path / "m.json"
         save_manifest(manifest, path)
