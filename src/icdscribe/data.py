@@ -321,4 +321,7 @@ def save_manifest(manifest, path):
 
 
 def load_manifest(path):
-    return read_document(path, MANIFEST_FORMAT, partial(from_payload, DatasetManifest))
+    """The manifest at `path`, which must hold every key `save_manifest` writes: a settings key
+    left out would otherwise be realized with today's default, not the one it was made with."""
+    return read_document(path, MANIFEST_FORMAT,
+                         partial(from_payload, DatasetManifest, defaults=False))

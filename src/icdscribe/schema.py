@@ -3,7 +3,8 @@
 Reading follows the field annotations: an unknown key, a value of the
 wrong type (a bool is not an int; a float must be finite), a tuple of the
 wrong length or a failed constructor check raises ContractError naming the
-dotted path, and a missing key takes the field default.  A float field
+dotted path, and a missing key takes the field default unless the reader
+asks for every key, as a manifest's does.  A float field
 whose metadata is INF_AS_NULL stores +inf as null.  A number field whose
 metadata is `within(...)` is bounded by `check_bounds`, which its class
 runs on construction.
@@ -77,22 +78,23 @@ def to_payload(value):
     return value
 
 
-def from_payload(tp, value, where=""):
+def from_payload(tp, value, where="", defaults=True):
     """A value of annotation `tp` rebuilt from plain JSON values found at path `where`.
 
-    List items share their list's path.
+    List items share their list's path.  With `defaults` False a key left out
+    is refused at any depth, even where its field has a default.
     """
     if dataclasses.is_dataclass(tp):
-        return _from_mapping(tp, value, where)
+        return _from_mapping(tp, value, where, defaults)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (list, tuple):
         if not isinstance(value, list):
             raise ContractError(f"{where!r} must be a list, got {_shown(value)}")
         if origin is list or args[-1] is Ellipsis:
-            return origin(from_payload(args[0], item, where) for item in value)
+            return origin(from_payload(args[0], item, where, defaults) for item in value)
         if len(value) != len(args):
             raise ContractError(f"{where!r} must hold {len(args)} values, got {len(value)}")
-        return tuple(from_payload(a, item, where) for a, item in zip(args, value))
+        return tuple(from_payload(a, item, where, defaults) for a, item in zip(args, value))
     if tp is float:
         ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
     else:
@@ -102,7 +104,7 @@ def from_payload(tp, value, where=""):
     return value
 
 
-def _from_mapping(cls, value, where):
+def _from_mapping(cls, value, where, defaults):
     if not isinstance(value, dict):
         raise ContractError(f"{where or 'document'!r} must be a mapping, got {_shown(value)}")
     prefix = where + "." if where else ""
@@ -115,8 +117,10 @@ def _from_mapping(cls, value, where):
         if name in value:
             item = value[name]
             null_inf = item is None and f.metadata.get("inf_as_null")
-            kwargs[name] = math.inf if null_inf else from_payload(hint, item, prefix + name)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            kwargs[name] = (math.inf if null_inf
+                            else from_payload(hint, item, prefix + name, defaults))
+        elif not defaults or (f.default is dataclasses.MISSING
+                              and f.default_factory is dataclasses.MISSING):
             raise ContractError(f"missing key {prefix + name!r}")
     try:
         return cls(**kwargs)

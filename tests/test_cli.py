@@ -1043,6 +1043,8 @@ class TestMalformedInputs:
             (lambda m, mp: m["codes"].append(m["codes"][0]), "code 'C1' is listed twice"),
             (lambda m, mp: mp.setattr(data_module, "MAX_RECORDS", 4), "5 records, above 4"),
             (lambda m, mp: m["records"].clear(), "holds no utterances to evaluate"),
+            (lambda m, mp: m["config"]["room"].pop("snr_db"), "missing key 'config.room.snr_db'"),
+            (lambda m, mp: m["config"].pop("gap_range"), "missing key 'config.gap_range'"),
         ],
     )
     def test_manifest(self, workspace, tmp_path, monkeypatch, mutate, fragment):

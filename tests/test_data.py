@@ -36,6 +36,7 @@ from icdscribe.data import (
     split_by_speaker,
 )
 from icdscribe.errors import ContractError
+from icdscribe.schema import to_payload
 
 SPEAKER = SpeakerProfile("spk0", base_pitch=150.0, seed=5)
 
@@ -428,7 +429,47 @@ class TestSplitBySpeaker:
             split_by_speaker(self.make_manifest(), "spk9")
 
 
+def key_paths(payload, path=()):
+    """The path of each key in a JSON payload, parents first; a list's are its first item's."""
+    if isinstance(payload, list) and payload:
+        yield from key_paths(payload[0], path + (0,))
+    elif isinstance(payload, dict):
+        for key, value in payload.items():
+            yield path + (key,)
+            yield from key_paths(value, path + (key,))
+
+
+def dotted(path):
+    """The key a path names as a read error does: list items share their list's path."""
+    return ".".join(key for key in path if isinstance(key, str))
+
+
+SAVED_KEYS = list(key_paths(to_payload(
+    generate_dataset([IcdCode("A", ["low", "back"])], small_config(cap=1)))))
+
+
 class TestManifestSerialization:
+    def test_every_written_key_is_checked(self):
+        assert {"config.room.snr_db", "config.gap_range", "config.speakers.base_pitch",
+                "config.frontend.n_mels", "records.repeat_indices"} <= set(map(dotted, SAVED_KEYS))
+
+    @pytest.mark.parametrize("key", SAVED_KEYS, ids=dotted)
+    def test_a_key_left_out_is_refused_naming_it(self, tmp_path, key):
+        """A default would realize settings the file never held."""
+        path = tmp_path / "m.json"
+        save_manifest(generate_dataset([IcdCode("A", ["low", "back"])], small_config(cap=1)), path)
+        load_manifest(path)  # intact, it loads
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        *parents, last = key
+        node = payload
+        for step in parents:
+            node = node[step]
+        del node[last]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ContractError) as raised:
+            load_manifest(path)
+        assert str(raised.value) == f"{path}: missing key {dotted(key)!r}"
+
     def test_round_trip_preserves_everything(self, tmp_path):
         codes = [IcdCode("A", ["pain"]), IcdCode("B", ["fever", "unspecified"])]
         manifest = generate_dataset(codes, small_config())
