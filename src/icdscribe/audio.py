@@ -322,10 +322,10 @@ def read_wav(path):
             if fh.getnframes() > MAX_WAV_FRAMES:
                 raise ContractError(f"{path} declares {fh.getnframes()} frames, more than the "
                                     f"{MAX_WAV_FRAMES} (30 s at 48 kHz) a wav may hold")
-            rate = fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
-            if len(raw) % 2:
-                raise wave.Error("data ends mid-sample")
+            rate, declared = fh.getframerate(), fh.getnframes()
+            raw = fh.readframes(declared)
+            if len(raw) != 2 * declared:
+                raise wave.Error(f"data holds {len(raw) // 2} of the {declared} frames declared")
     except (wave.Error, EOFError) as exc:
         detail = str(exc) or "it ends early"
         raise ContractError(f"{path} is not a readable wav file: {detail}") from None

@@ -16,7 +16,8 @@ registration order (`parameter_vectors`), and their gradients views into a
 second vector of the same length; a `Tensor` is one parameter's handle, its
 value view, gradient view and shape.  Adam (`adam_step`) and global-norm
 clipping (`clip_global_norm`) work on the two vectors, and a checkpoint
-stores them as they lie in memory.
+stores them as they lie in memory.  Each Adam step is handed its
+`OptimizerConfig`; `AdamState` holds only the update count and moments.
 
 Only two jobs use the one helper thread.  Adam's blocks run on the calling
 thread and the helper at once (`run_shared`); each block writes its own
@@ -383,7 +384,7 @@ ADAM_BLOCK = 1 << 15
 
 
 class AdamState:
-    """Adam's hyperparameters (`config`), its first/second moment vectors and its scratch.
+    """Adam's update count, first/second moment vectors and scratch, not its hyperparameters.
 
     `m` and `v` are flat, element-aligned with the parameter vector the
     state was built for; they may be views into one buffer (a restored
@@ -392,8 +393,7 @@ class AdamState:
     runs Adam's blocks, allocated once, so a step allocates nothing.
     """
 
-    def __init__(self, size, config):
-        self.config = config
+    def __init__(self, size):
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -417,11 +417,11 @@ def _adam_block(values, g, m, v, s, cfg, step_size, eps):
     values -= s
 
 
-def adam_step(values, grads, state):
-    """One Adam update of flat `values` in Kingma & Ba's folded form; `grads` is only read.
+def adam_step(values, grads, state, cfg):
+    """One Adam update of flat `values` under `cfg`, in Kingma & Ba's folded form.
 
-    The moments follow the textbook recurrences operation for operation.
-    The bias corrections fold into the step size and eps (end of §2 of
+    `grads` is only read.  The moments follow the textbook recurrences
+    operation for operation.  The bias corrections fold into the step size and eps (end of §2 of
     arXiv:1412.6980): values -= (m / (sqrt(v) + eps_t)) * a_t, with
     a_t = lr sqrt(1 - beta2^t) / (1 - beta1^t) and eps_t = eps sqrt(1 - beta2^t),
     so `m / c1` and `v / c2` are never formed.  This equals the textbook
@@ -433,7 +433,6 @@ def adam_step(values, grads, state):
     if not len(values) == len(grads) == len(state.m):
         raise ContractError(f"optimizer state covers {len(state.m)} values, got {len(values)} "
                             f"values and {len(grads)} gradients")
-    cfg = state.config
     state.step += 1
     root_c2 = math.sqrt(1.0 - cfg.beta2 ** state.step)
     step_size = cfg.lr * root_c2 / (1.0 - cfg.beta1 ** state.step)

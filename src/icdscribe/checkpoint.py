@@ -85,10 +85,7 @@ def _layout(model):
 
 
 def save_checkpoint(path, model, vocab, config, step, optimizer):
-    """Write `path`; `optimizer` must run `config.optimizer`, its hyperparameters' one copy."""
-    if optimizer.config != config.optimizer:
-        raise ContractError(f"the optimizer runs {optimizer.config}, "
-                            f"not the config's {config.optimizer}")
+    """Write `path`: `config`, whose `optimizer` holds Adam's hyperparameters, and the state."""
     header = CheckpointHeader(
         config=config,
         vocabulary=vocab.content_words,
@@ -152,8 +149,7 @@ def build_model(checkpoint):
 def restore_optimizer(checkpoint, model):
     """Read back the Adam vectors saved alongside the parameters of `model`.
 
-    `m` and `v` are the two halves of the array read, adopted without a copy;
-    the hyperparameters are the checkpoint config's `optimizer`.
+    `m` and `v` are the two halves of the array read, adopted without a copy.
     """
     n = model.values.size
     if checkpoint.blob.size != n:
@@ -162,7 +158,7 @@ def restore_optimizer(checkpoint, model):
     with open(checkpoint.path, "rb") as fh:
         fh.seek(checkpoint.moments_at)
         moments = _read_finite(fh, 2 * n, f"{checkpoint.path}: the optimizer state")
-    state = AdamState(n, checkpoint.config.optimizer)
+    state = AdamState(n)
     state.step = checkpoint.optimizer
     state.m, state.v = moments[:n], moments[n:]
     return state

@@ -3,13 +3,14 @@
 Subcommands cover the whole workflow: synthesize a dataset, train the
 language model, train the acoustic model, evaluate, and transcribe.
 Every command is reproducible from its persisted config and seed alone.
-`train` loops over the epoch records that training yields: it scores a
-measuring epoch with `evaluate`'s code at beam width 1, logs the record, and
-checkpoints a better score.  `evaluate` decodes a manifest and `transcribe`
-one wav, each with the checkpoint's fusion settings or `--lambda-lm` and
-`--beam`.  Every command that realizes a manifest does so on the calling
-thread and the helper at once (`data.iter_utterances`): `train` its whole
-set up front, `evaluate` the next utterances while the current one is decoded.
+`train` hands training the run config and loops over the epoch records it
+yields: it scores a measuring epoch with `evaluate`'s code at beam width 1,
+logs the record, and checkpoints a better score.  `evaluate` decodes a
+manifest and `transcribe` one wav, each with the checkpoint's fusion
+settings or `--lambda-lm` and `--beam`.  Every command that realizes a
+manifest does so on the calling thread and the helper at once
+(`data.iter_utterances`): `train` its whole set up front, `evaluate` the
+next utterances while the current one is decoded.
 
 Exit codes: 0 success, 2 configuration or validation problem, 3 i/o.
 """
@@ -171,7 +172,7 @@ def cmd_train(args):
         # the features come from the manifest, so its dataset settings are the run's
         config = dataclasses.replace(_load_config(args), dataset=manifest.config)
         model = fresh_model(config, vocab)
-        optimizer = AdamState(model.values.size, config.optimizer)
+        optimizer = AdamState(model.values.size)
         start_epoch, kept = 0, []
     if args.epochs is not None:  # saved with the run, so a plain --resume continues to it
         config.training = dataclasses.replace(config.training, epochs=args.epochs)
@@ -198,10 +199,8 @@ def cmd_train(args):
     started = time.monotonic()
 
     with open(log_path, "a", encoding="utf-8") as log_fh:
-        for record in train_with_scheduled_lm_sampling(
-            model, lm, vocab, train_slice, config.fusion, epochs, optimizer, seed=config.seed,
-            clip_norm=config.training.clip_norm, start_epoch=start_epoch,
-        ):
+        for record in train_with_scheduled_lm_sampling(model, lm, vocab, train_slice, config,
+                                                       optimizer, start_epoch):
             measure = record.epoch == epochs - 1 or (every > 0 and (record.epoch + 1) % every == 0)
             if measure:  # the corpus WER does not depend on the bootstrap, so one resample
                 record.wer = evaluate_dataset(model, lm, eval_slice, greedy, vocab,

@@ -33,8 +33,8 @@ from .autodiff import adam_step, backward, clip_global_norm, log_softmax_values
 from .data import EOS, PAD, SOS
 from .errors import ContractError
 from .lm import next_logprobs, sample_next
-from .metrics import build_report
-from .schema import INF_AS_NULL, check_bounds, to_payload, within
+from .metrics import EvalReport, build_report
+from .schema import INF_AS_NULL, check_bounds, check_within, to_payload, within
 from .seeds import stable_seed
 
 
@@ -114,36 +114,38 @@ def check_vocabulary_alignment(lm, vocab):
         raise ContractError(f"words absent from the language model corpus: {missing}")
 
 
-def train_with_scheduled_lm_sampling(
-    model, lm, vocab, utterances, cfg, epochs, optimizer, *, seed, clip_norm, start_epoch=0,
-):
+def train_with_scheduled_lm_sampling(model, lm, vocab, utterances, config, optimizer,
+                                     start_epoch=0):
     """Train the acoustic model, yielding each epoch's `EpochRecord` as that epoch ends.
 
+    The loop reads its settings from the run config `config`: `fusion`,
+    `training.epochs`, `training.clip_norm`, `seed` and `optimizer`.
     `utterances` are visited in the given order each epoch.  The language
     model only generates input-token swaps; its tables are never touched.
     `start_epoch` resumes a run mid-schedule: epochs before it are skipped
     but the sampling ramp still spans the full `epochs` horizon.  Nothing,
     the argument checks included, runs before the first record is asked for.
     """
+    epochs = config.training.epochs
     if not utterances:
         raise ContractError("cannot train on an empty utterance list")
     if not 0 <= start_epoch <= epochs:
         raise ContractError(f"start epoch {start_epoch} outside [0, {epochs}]")
     check_vocabulary_alignment(lm, vocab)
     for epoch in range(start_epoch, epochs):
-        p = lm_sample_probability(cfg, epoch, epochs)
+        p = lm_sample_probability(config.fusion, epoch, epochs)
         total = 0.0
         for index, utt in enumerate(utterances):
-            rng = np.random.default_rng(stable_seed("lm-swap", seed, epoch, index))
+            rng = np.random.default_rng(stable_seed("lm-swap", config.seed, epoch, index))
             inputs = sampled_inputs(lm, vocab, utt.target, p, rng)
             logits, sweep = model.forward_teacher_forced(utt.spectrogram, utt.target,
                                                          input_tokens=inputs)
             loss = backward(logits, utt.target[1:], sweep)
-            norm = clip_global_norm(model.grads, clip_norm)
+            norm = clip_global_norm(model.grads, config.training.clip_norm)
             if not math.isfinite(norm):
                 raise ContractError(f"epoch {epoch}, utterance {index}: loss {loss}, "
                                     f"gradient norm {norm}; no parameter was updated")
-            adam_step(model.values, model.grads, optimizer)
+            adam_step(model.values, model.grads, optimizer, config.optimizer)
             total += loss
         yield EpochRecord(epoch, total / len(utterances), p)
 
@@ -215,11 +217,8 @@ def transcribe(model, lm, x, cfg, vocab):
 
 def evaluate_dataset(model, lm, utterances, cfg, vocab, seed, resamples):
     """Transcribe each utterance in turn and score the results; `utterances` may be lazy."""
-    if not 1 <= resamples <= 10_000:  # the bootstrap holds int64 arrays of resamples x pairs
-        raise ContractError(f"the bootstrap needs at least 1 resample and at most 10000, "
-                            f"got {resamples}")
-    if seed < 0:
-        raise ContractError(f"the bootstrap seed must be at least 0, got {seed}")
+    check_within(EvalReport, "resamples", resamples)  # refused before anything is decoded
+    check_within(EvalReport, "seed", seed)
     scored = [(f"{utt.code}/{utt.speaker_id}/{utt.variation_index}", vocab.decode(utt.target),
                transcribe(model, lm, utt.spectrogram, cfg, vocab)) for utt in utterances]
     return build_report(scored, seed=seed, resamples=resamples,

@@ -123,7 +123,7 @@ class EvalReport:
     corpus_bleu: float
     wer_ci_95: tuple[float, float]
     bleu_ci_95: tuple[float, float]
-    resamples: int = field(metadata=within(1, 10_000))
+    resamples: int = field(metadata=within(1, 10_000))  # the bootstrap holds resamples x pairs
     seed: int = field(metadata=within(0))
     lambda_lm: float = field(metadata=within(0))  # the fusion settings decoded with
     beam_width: int = field(metadata=within(1, 64))

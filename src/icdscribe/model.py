@@ -112,7 +112,6 @@ class Seq2SeqModel:
         self.decoder_cfg = decoder_cfg
         self.vocab_size = vocab_size
         self.input_dim = input_dim
-        self.seed = seed
         layout = {}  # name -> (shape, fan-in or initial values), in registration order
 
         def param(name, shape, fan_in=None):

@@ -7,7 +7,7 @@ dotted path, and a missing key takes the field default unless the reader
 asks for every key, as a manifest's does.  A float field
 whose metadata is INF_AS_NULL stores +inf as null.  A number field whose
 metadata is `within(...)` is bounded by `check_bounds`, which its class
-runs on construction.
+runs on construction; `check_within` checks one value against it.
 """
 
 import codecs
@@ -45,12 +45,17 @@ def within(low, high=math.inf, ends=None):
     return {"within": Interval(low, high, ends or "[" + ("]" if high < math.inf else ")"))}
 
 
+def check_within(cls, name, value):
+    """Raise a ContractError if `value` is outside the `within` of `cls`'s field `name`."""
+    bound = _fields(cls)[name][0].metadata.get("within")
+    if bound and value not in bound:
+        raise ContractError(f"{name} {value} outside {bound}")
+
+
 def check_bounds(obj):
     """Raise a ContractError naming the first field of dataclass `obj` outside its `within`."""
-    for name, (f, _) in _fields(type(obj)).items():
-        bound = f.metadata.get("within")
-        if bound and getattr(obj, name) not in bound:
-            raise ContractError(f"{name} {getattr(obj, name)} outside {bound}")
+    for name in _fields(type(obj)):
+        check_within(type(obj), name, getattr(obj, name))
 
 
 @cache

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from icdscribe.audio import SpeakerProfile
 from icdscribe.autodiff import AdamState, OptimizerConfig
 from icdscribe.checkpoint import fresh_model
 from icdscribe.cli import main
-from icdscribe.config import RunConfig
+from icdscribe.config import RunConfig, TrainingConfig
 from icdscribe.data import (
     EOS,
     SOS,
@@ -441,21 +442,20 @@ class TestOverfitRecovery:
         assert len(utterances) == 10
 
         lm = train_lm(Corpus([list(c.words) for c in codes]), max_order=3)
-        config = RunConfig(seed=0, dataset=dataset, encoder=desk_encoder(), decoder=desk_decoder())
+        config = RunConfig(seed=0, dataset=dataset, encoder=desk_encoder(), decoder=desk_decoder(),
+                           fusion=FusionConfig(lm_sample_max=0.0),
+                           optimizer=OptimizerConfig(lr=2e-3))
         model = fresh_model(config, vocab)
-        optimizer = AdamState(model.values.size, OptimizerConfig(lr=2e-3))
-        train_cfg = FusionConfig(lm_sample_max=0.0)
+        optimizer = AdamState(model.values.size)
         decode_cfg = FusionConfig(lambda_lm=0.0, beam_width=1, max_decode_len=12)
 
         final_wer = None
         trained = 0
         max_epochs = 200
         for chunk_end in range(20, max_epochs + 1, 20):
-            list(train_with_scheduled_lm_sampling(
-                model, lm, vocab, utterances, train_cfg, epochs=chunk_end,
-                optimizer=optimizer, seed=0, clip_norm=config.training.clip_norm,
-                start_epoch=trained,
-            ))
+            chunk = replace(config, training=replace(config.training, epochs=chunk_end))
+            list(train_with_scheduled_lm_sampling(model, lm, vocab, utterances, chunk, optimizer,
+                                                  start_epoch=trained))
             trained = chunk_end
             final_wer = pooled_wer(model, None, utterances, decode_cfg, vocab)
             if final_wer <= 0.05:
@@ -494,13 +494,12 @@ class TestHeldOutSpeaker:
         assert len(train_utts) == 40 and len(test_utts) == 20
 
         lm = train_lm(Corpus([list(c.words) for c in codes]), max_order=3)
-        config = RunConfig(seed=0, dataset=dataset, encoder=desk_encoder(), decoder=desk_decoder())
+        config = RunConfig(seed=0, dataset=dataset, encoder=desk_encoder(), decoder=desk_decoder(),
+                           fusion=FusionConfig(lm_sample_max=0.0),
+                           optimizer=OptimizerConfig(lr=2e-3), training=TrainingConfig(epochs=30))
         model = fresh_model(config, vocab)
-        optimizer = AdamState(model.values.size, OptimizerConfig(lr=2e-3))
-        list(train_with_scheduled_lm_sampling(
-            model, lm, vocab, train_utts, FusionConfig(lm_sample_max=0.0),
-            epochs=30, optimizer=optimizer, seed=0, clip_norm=config.training.clip_norm,
-        ))
+        list(train_with_scheduled_lm_sampling(model, lm, vocab, train_utts, config,
+                                              AdamState(model.values.size)))
 
         decode_cfg = FusionConfig(lambda_lm=0.3, beam_width=2, max_decode_len=12)
         model_wer = pooled_wer(model, lm, test_utts, decode_cfg, vocab)

@@ -457,6 +457,16 @@ class TestWavRoundTrip:
         assert f"declares {frames} frames" in str(refused.value)
         assert peak < 256 * 1024  # reading the samples it claims would take 2.9 MB or more
 
+    @pytest.mark.parametrize("cut, held", [(1000, 15500), (1001, 15499), (32000, 0)])
+    def test_data_shorter_than_its_header_is_refused(self, tmp_path, cut, held):
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(np.zeros(16000)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ContractError) as refused:
+            read_wav(path)
+        assert str(refused.value) == (f"{path} is not a readable wav file: data holds "
+                                      f"{held} of the 16000 frames declared")
+
     def test_a_header_at_the_bound_is_read(self, tmp_path):
         path = tmp_path / "long.wav"
         write_wav(path, Waveform(np.zeros(MAX_WAV_FRAMES), 48000))

@@ -676,28 +676,28 @@ def folded_adam(values, grads, m, v, step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         values = np.array([1.0, -2.0])
-        state = ad.AdamState(2, ad.OptimizerConfig(lr=0.1))
-        ad.adam_step(values, np.zeros(2), state)
+        state = ad.AdamState(2)
+        ad.adam_step(values, np.zeros(2), state, ad.OptimizerConfig(lr=0.1))
         np.testing.assert_array_equal(values, [1.0, -2.0])
 
     def test_step_count_increments_by_one(self):
         values = np.zeros(1)
-        state = ad.AdamState(1, ad.OptimizerConfig())
+        state = ad.AdamState(1)
         for expected in (1, 2, 3):
-            ad.adam_step(values, np.ones(1), state)
+            ad.adam_step(values, np.ones(1), state, ad.OptimizerConfig())
             assert state.step == expected
 
     def test_length_mismatch_is_a_contract_error(self):
-        state = ad.AdamState(3, ad.OptimizerConfig())
+        state = ad.AdamState(3)
         with pytest.raises(ContractError, match="covers 3 values"):
-            ad.adam_step(np.zeros(3), np.zeros(2), state)
+            ad.adam_step(np.zeros(3), np.zeros(2), state, ad.OptimizerConfig())
         with pytest.raises(ContractError, match="covers 3 values"):
-            ad.adam_step(np.zeros(4), np.zeros(4), state)
+            ad.adam_step(np.zeros(4), np.zeros(4), state, ad.OptimizerConfig())
         assert state.step == 0
 
     @pytest.mark.parametrize("size", [1, 7, ad.ADAM_BLOCK, ad.ADAM_BLOCK + 1, 500_789])
     def test_scratch_is_one_block_row_per_thread(self, size):
-        state = ad.AdamState(size, ad.OptimizerConfig())
+        state = ad.AdamState(size)
         assert state.scratch.shape == (2, min(ad.ADAM_BLOCK, size))
         assert state.scratch.dtype == np.float64
 
@@ -715,7 +715,7 @@ class TestAdam:
         rng = np.random.default_rng(seed)
         values = rng.normal(size=size)
         start = values.copy()
-        state = ad.AdamState(size, ad.OptimizerConfig(lr=0.01))
+        state = ad.AdamState(size)
         want, m, v = values.copy(), np.zeros(size), np.zeros(size)
         textbook = values.copy()
         for step in range(1, steps + 1):
@@ -723,7 +723,7 @@ class TestAdam:
             want, _, _ = folded_adam(want, grads, m, v, step, lr=0.01)
             textbook, m, v = textbook_adam(textbook, grads, m, v, step, lr=0.01)
             given = grads.copy()
-            ad.adam_step(values, grads, state)
+            ad.adam_step(values, grads, state, ad.OptimizerConfig(lr=0.01))
             assert np.array_equal(grads, given)  # read, never written
         assert np.array_equal(values, want)
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
@@ -733,10 +733,10 @@ class TestAdam:
     def test_peak_memory_is_one_scratch_block(self):
         size = 500_789
         values, grads = np.zeros(size), np.ones(size)
-        state = ad.AdamState(size, ad.OptimizerConfig())
+        state, cfg = ad.AdamState(size), ad.OptimizerConfig()
         tracemalloc.start()
         try:
-            ad.adam_step(values, grads, state)
+            ad.adam_step(values, grads, state, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -755,12 +755,12 @@ class TestAdam:
 
         values, grads, params = ad.parameter_vectors({"x": ((1,), np.zeros(1))}, rng=None)
         p = ops.graph_leaf(params["x"])
-        state = ad.AdamState(values.size, ad.OptimizerConfig(lr=0.1))
+        state, cfg = ad.AdamState(values.size), ad.OptimizerConfig(lr=0.1)
         for _ in range(200):
             grads[...] = 0.0  # the graph engine adds into the view; a model's sweep writes it
             diff = ops.add(p, ops.Tensor([-3.0]))
             ops.backward(square_norm(diff))
-            ad.adam_step(values, grads, state)
+            ad.adam_step(values, grads, state, cfg)
         assert abs(p.values[0] - 3.0) < 0.1
         assert p.values[0] == pytest.approx(reference(200, 0.1), abs=1e-9)
 
@@ -799,9 +799,9 @@ class TestTwoThreads:
     def adam_run(size):
         rng = np.random.default_rng(size)
         values = rng.normal(size=size)
-        state = ad.AdamState(size, ad.OptimizerConfig(lr=0.01))
+        state, cfg = ad.AdamState(size), ad.OptimizerConfig(lr=0.01)
         for _ in range(3):
-            ad.adam_step(values, rng.normal(size=size), state)
+            ad.adam_step(values, rng.normal(size=size), state, cfg)
         return values, state.m, state.v
 
     @staticmethod
@@ -847,8 +847,8 @@ class TestTwoThreads:
                 error = self.fail_on_the_helper(patch, "_adam_block")
                 size = self.ADAM_SIZE
                 with pytest.raises(RuntimeError) as raised:
-                    ad.adam_step(np.zeros(size), np.ones(size),
-                                 ad.AdamState(size, ad.OptimizerConfig()))
+                    ad.adam_step(np.zeros(size), np.ones(size), ad.AdamState(size),
+                                 ad.OptimizerConfig())
                 assert raised.value is error
             got = self.adam_run(self.ADAM_SIZE)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))

@@ -53,15 +53,15 @@ def fake_utterances():
 
 
 def fresh_optimizer(model):
-    return AdamState(model.values.size, ADAM)
+    return AdamState(model.values.size)
 
 
 def touched_optimizer(model):
     """Optimizer whose moments are nonzero, so serialization is exercised."""
-    state = AdamState(model.values.size, ADAM)
+    state = AdamState(model.values.size)
     for i, p in enumerate(model.named_parameters().values()):
         p.grad[...] = 0.01 * (i + 1)
-    adam_step(model.values, model.grads, state)
+    adam_step(model.values, model.grads, state, ADAM)
     return state
 
 
@@ -138,7 +138,6 @@ class TestRoundTrip:
         rebuilt = build_model(loaded)
         restored = restore_optimizer(loaded, rebuilt)
         assert restored.step == state.step
-        assert restored.config == state.config
         assert np.array_equal(restored.m, state.m)
         assert np.array_equal(restored.v, state.v)
 
@@ -188,21 +187,13 @@ class TestRoundTrip:
         for (name, tensor), want in zip(rebuilt.named_parameters().items(), arrays["values"]):
             assert np.array_equal(tensor.values, want), name
         state = restore_optimizer(loaded, rebuilt)
-        assert (state.step, state.config) == (7, OptimizerConfig(0.002, 0.9, 0.999, 1e-8))
+        assert state.step == 7
+        assert loaded.config.optimizer == OptimizerConfig(0.002, 0.9, 0.999, 1e-8)
         assert np.array_equal(state.m, np.concatenate([a.ravel() for a in arrays["m"]]))
         assert np.array_equal(state.v, np.concatenate([a.ravel() for a in arrays["v"]]))
         resaved = tmp_path / "resaved.ckpt"
         save_checkpoint(resaved, rebuilt, VOCAB, loaded.config, step=3, optimizer=state)
         assert resaved.read_bytes() == path.read_bytes()
-
-    def test_optimizer_of_another_config_is_not_saved(self, tmp_path):
-        config = run_config()
-        model = fresh_model(config, VOCAB)
-        state = AdamState(model.values.size, replace(ADAM, beta2=0.99))
-        path = tmp_path / "model.ckpt"
-        with pytest.raises(ContractError, match="beta2=0.99"):
-            save_checkpoint(path, model, VOCAB, config, step=1, optimizer=state)
-        assert not path.exists()
 
     def test_missing_optimizer_state_is_explicit(self, tmp_path):
         """A header without Adam's update count, whose blob holds only the parameters, is refused."""
@@ -309,32 +300,26 @@ class TestResume:
         utts = fake_utterances()
         # ramp spans = round(5 * 0.4) = round(3 * 2/3) = 2 epochs in both runs,
         # so the sampling schedule agrees epoch for epoch across the split.
-        full_cfg = FusionConfig(lm_sample_max=0.5, ramp_frac=0.4)
-        leg1_cfg = FusionConfig(lm_sample_max=0.5, ramp_frac=2 / 3)
+        full = replace(config, seed=7, fusion=FusionConfig(lm_sample_max=0.5, ramp_frac=0.4),
+                       training=replace(config.training, epochs=5))
+        leg1_run = replace(full, fusion=FusionConfig(lm_sample_max=0.5, ramp_frac=2 / 3),
+                           training=replace(config.training, epochs=3))
 
         straight = fresh_model(config, VOCAB)
-        opt = AdamState(straight.values.size, config.optimizer)
-        wanted = list(train_with_scheduled_lm_sampling(
-            straight, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt, seed=7,
-            clip_norm=config.training.clip_norm,
-        ))
+        opt = AdamState(straight.values.size)
+        wanted = list(train_with_scheduled_lm_sampling(straight, LM, VOCAB, utts, full, opt))
 
         first = fresh_model(config, VOCAB)
-        opt1 = AdamState(first.values.size, config.optimizer)
-        leg1 = list(train_with_scheduled_lm_sampling(
-            first, LM, VOCAB, utts, leg1_cfg, epochs=3, optimizer=opt1, seed=7,
-            clip_norm=config.training.clip_norm,
-        ))
+        opt1 = AdamState(first.values.size)
+        leg1 = list(train_with_scheduled_lm_sampling(first, LM, VOCAB, utts, leg1_run, opt1))
         path = tmp_path / "partial.json"
         save_checkpoint(path, first, VOCAB, config, step=3, optimizer=opt1)
 
         loaded = load_checkpoint(path)
         second = build_model(loaded)
         opt2 = restore_optimizer(loaded, second)
-        leg2 = list(train_with_scheduled_lm_sampling(
-            second, LM, VOCAB, utts, full_cfg, epochs=5, optimizer=opt2, seed=7,
-            clip_norm=config.training.clip_norm, start_epoch=loaded.step,
-        ))
+        leg2 = list(train_with_scheduled_lm_sampling(second, LM, VOCAB, utts, full, opt2,
+                                                     start_epoch=loaded.step))
 
         assert [e.loss for e in leg1] == [e.loss for e in wanted[:3]]
         assert [e.loss for e in leg2] == [e.loss for e in wanted[3:]]

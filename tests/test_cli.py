@@ -323,10 +323,10 @@ class TestTrain:
         held_out = list(iter_utterances(load_manifest(workspace.data / "train.json")))[-2:]
         real, scores = cli.train_with_scheduled_lm_sampling, []
 
-        def scored_after_each_epoch(model, lm, vocab, utterances, cfg, *args, **kwargs):
+        def scored_after_each_epoch(model, lm, vocab, utterances, config, *args, **kwargs):
             assert len(utterances) == 3  # the 5 records less int(5 * 0.4) held out
-            greedy = dataclasses.replace(cfg, beam_width=1)
-            for record in real(model, lm, vocab, utterances, cfg, *args, **kwargs):
+            greedy = dataclasses.replace(config.fusion, beam_width=1)
+            for record in real(model, lm, vocab, utterances, config, *args, **kwargs):
                 report = evaluate_dataset(model, lm, held_out, greedy, vocab, seed=0,
                                           resamples=1000)
                 scores.append(report.corpus_wer)
@@ -567,7 +567,7 @@ class TestEvaluate:
         code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm,
                          "--manifest", workspace.data / "test.json", "--resamples", count])
         assert code == 2
-        assert_one_line_error(err, "at least 1 resample", count)
+        assert_one_line_error(err, f"resamples {count} outside [1, 10000]")
 
     def test_resamples_above_ten_thousand_exit_2_before_decoding(self, workspace, monkeypatch):
         def no_decode(*args):
@@ -577,7 +577,7 @@ class TestEvaluate:
         code, err = run(["evaluate", "--ckpt", workspace.ckpt, "--lm", workspace.lm,
                          "--manifest", workspace.data / "test.json", "--resamples", "10001"])
         assert code == 2
-        assert_one_line_error(err, "at most 10000", "10001")
+        assert_one_line_error(err, "resamples 10001 outside [1, 10000]")
 
     def test_missing_checkpoint_exits_3(self, workspace, tmp_path):
         assert main(["evaluate", "--ckpt", str(tmp_path / "nope.json"),
@@ -965,7 +965,7 @@ class TestMalformedInputs:
              "seed -1 outside [0, inf)"),
             (lambda w, d: ["evaluate", "--ckpt", w.ckpt, "--lm", w.lm, "--manifest",
                            w.data / "test.json", "--output", d / "report.json"],
-             "the bootstrap seed must be at least 0, got -1"),
+             "seed -1 outside [0, inf)"),
         ],
         ids=["generate-data", "train", "evaluate"],
     )
@@ -1153,8 +1153,9 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize(
         "damage",
-        [lambda wav: b"these bytes are not a wav file\n" * 4, lambda wav: wav[:30]],
-        ids=["not-a-wav", "truncated-header"],
+        [lambda wav: b"these bytes are not a wav file\n" * 4, lambda wav: wav[:30],
+         lambda wav: wav[:-1000]],
+        ids=["not-a-wav", "truncated-header", "truncated-data"],
     )
     def test_wav(self, workspace, tmp_path, damage):
         good = tmp_path / "good.wav"

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from icdscribe.autodiff import (
     clip_global_norm,
     log_softmax_values,
 )
-from icdscribe.config import TrainingConfig
+from icdscribe.config import RunConfig, TrainingConfig
 from icdscribe.data import EOS, PAD, SOS, IcdCode, build_vocabulary
 from icdscribe.errors import ContractError
 from icdscribe.fusion import (
@@ -225,6 +226,12 @@ def tiny_model(seed=0):
     return Seq2SeqModel(enc, dec, len(VOCAB), input_dim=5, seed=seed)
 
 
+def run_config(fusion=FusionConfig(), epochs=1, seed=0, optimizer=OptimizerConfig()):
+    """The run config the training loop reads: the default clip norm and these settings."""
+    return RunConfig(seed=seed, fusion=fusion, optimizer=optimizer,
+                     training=TrainingConfig(epochs=epochs))
+
+
 def fake_utterances():
     rng = np.random.default_rng(8)
     specs = [rng.normal(size=(18, 5)), rng.normal(size=(14, 5))]
@@ -242,20 +249,19 @@ class TestTraining:
 
         trained = tiny_model(seed=5)
         log = list(train_with_scheduled_lm_sampling(
-            trained, LM, VOCAB, utts, cfg, epochs=3,
-            optimizer=AdamState(trained.values.size, OptimizerConfig()), seed=1,
-            clip_norm=CLIP_NORM,
+            trained, LM, VOCAB, utts, run_config(cfg, epochs=3, seed=1),
+            AdamState(trained.values.size),
         ))
 
         manual = tiny_model(seed=5)
-        opt = AdamState(manual.values.size, OptimizerConfig())
+        opt = AdamState(manual.values.size)
         manual_losses = []
         for _ in range(3):
             total = 0.0
             for utt in utts:
                 loss = update_gradients(manual, utt.spectrogram, utt.target)
                 clip_global_norm(manual.grads, 5.0)
-                adam_step(manual.values, manual.grads, opt)
+                adam_step(manual.values, manual.grads, opt, OptimizerConfig())
                 total += loss
             manual_losses.append(total / len(utts))
 
@@ -267,19 +273,18 @@ class TestTraining:
         for _ in range(2):
             model = tiny_model(seed=2)
             log = list(train_with_scheduled_lm_sampling(
-                model, LM, VOCAB, fake_utterances(), cfg, epochs=4,
-                optimizer=AdamState(model.values.size, OptimizerConfig()), seed=9,
-                clip_norm=CLIP_NORM,
+                model, LM, VOCAB, fake_utterances(), run_config(cfg, epochs=4, seed=9),
+                AdamState(model.values.size),
             ))
             runs.append([e.loss for e in log])
         assert runs[0] == runs[1]
 
     def test_loss_decreases_on_tiny_problem(self):
         model = tiny_model(seed=3)
-        opt = AdamState(model.values.size, OptimizerConfig(lr=5e-3))
+        config = run_config(FusionConfig(lm_sample_max=0.0), epochs=25,
+                            optimizer=OptimizerConfig(lr=5e-3))
         log = list(train_with_scheduled_lm_sampling(
-            model, LM, VOCAB, fake_utterances(), FusionConfig(lm_sample_max=0.0),
-            epochs=25, optimizer=opt, seed=0, clip_norm=CLIP_NORM,
+            model, LM, VOCAB, fake_utterances(), config, AdamState(model.values.size),
         ))
         assert log[-1].loss < log[0].loss * 0.7
 
@@ -288,18 +293,14 @@ class TestTraining:
         model = tiny_model()
         with pytest.raises(ContractError, match="zebra"):
             list(train_with_scheduled_lm_sampling(
-                model, LM, vocab, fake_utterances(), FusionConfig(),
-                epochs=1, optimizer=AdamState(model.values.size, OptimizerConfig()),
-                seed=0, clip_norm=CLIP_NORM,
+                model, LM, vocab, fake_utterances(), run_config(), AdamState(model.values.size),
             ))
 
     def test_empty_dataset_rejected(self):
         model = tiny_model()
         with pytest.raises(ContractError):
             list(train_with_scheduled_lm_sampling(
-                model, LM, VOCAB, [], FusionConfig(), epochs=1,
-                optimizer=AdamState(model.values.size, OptimizerConfig()),
-                seed=0, clip_norm=CLIP_NORM,
+                model, LM, VOCAB, [], run_config(), AdamState(model.values.size),
             ))
 
     def test_nan_loss_stops_before_the_update(self):
@@ -307,15 +308,14 @@ class TestTraining:
         utts[1].spectrogram[3, 2] = np.nan  # the loss and every gradient turn NaN
         cfg = FusionConfig(lm_sample_max=0.0)
         model, twin = tiny_model(seed=4), tiny_model(seed=4)
-        opt = AdamState(model.values.size, OptimizerConfig())
+        opt = AdamState(model.values.size)
         with pytest.raises(ContractError, match="epoch 0, utterance 1"):
             list(train_with_scheduled_lm_sampling(
-                model, LM, VOCAB, utts, cfg, epochs=2, optimizer=opt, seed=0, clip_norm=CLIP_NORM,
+                model, LM, VOCAB, utts, run_config(cfg, epochs=2), opt,
             ))
         # the twin takes only the good first step; the bad one must change nothing
         list(train_with_scheduled_lm_sampling(
-            twin, LM, VOCAB, utts[:1], cfg, epochs=1,
-            optimizer=AdamState(twin.values.size, OptimizerConfig()), seed=0, clip_norm=CLIP_NORM,
+            twin, LM, VOCAB, utts[:1], run_config(cfg), AdamState(twin.values.size),
         ))
         assert opt.step == 1
         for name, p in model.named_parameters().items():
@@ -325,8 +325,8 @@ class TestTraining:
         model = tiny_model()
         cfg = FusionConfig(lm_sample_max=0.25, ramp_frac=0.5)
         log = list(train_with_scheduled_lm_sampling(
-            model, LM, VOCAB, fake_utterances()[:1], cfg, epochs=4,
-            optimizer=AdamState(model.values.size, OptimizerConfig()), seed=0, clip_norm=CLIP_NORM,
+            model, LM, VOCAB, fake_utterances()[:1], run_config(cfg, epochs=4),
+            AdamState(model.values.size),
         ))
         assert [e.lm_sample_p for e in log] == [
             lm_sample_probability(cfg, e, 4) for e in range(4)
@@ -341,8 +341,7 @@ class TestTraining:
         enc = EncoderConfig(conv=(ConvSpec(channels=2, stride=4, kernel=1),), beta=4, hidden=2)
         model = Seq2SeqModel(enc, DecoderConfig(2, 2, 2), len(VOCAB), input_dim=5)
         records = train_with_scheduled_lm_sampling(
-            model, LM, VOCAB, utts, FusionConfig(), epochs=1,
-            optimizer=AdamState(model.values.size, OptimizerConfig()), seed=0, clip_norm=CLIP_NORM,
+            model, LM, VOCAB, utts, run_config(), AdamState(model.values.size),
         )
         tracemalloc.start()
         try:
@@ -351,6 +350,47 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak < spectrogram_bytes / 2
+
+
+# a run whose every setting the loop reads shows in its parameters or records: swaps are on
+# from the first epoch, so the seed and the swap probability both reach the inputs
+BASE_RUN = run_config(FusionConfig(lm_sample_max=0.5, ramp_frac=0.0), epochs=2, seed=0)
+ONE_SETTING_CHANGED = {
+    "optimizer.lr": replace(BASE_RUN, optimizer=OptimizerConfig(lr=1e-2)),
+    "training.clip_norm": replace(BASE_RUN, training=replace(BASE_RUN.training, clip_norm=1e-3)),
+    "training.epochs": replace(BASE_RUN, training=replace(BASE_RUN.training, epochs=3)),
+    "seed": replace(BASE_RUN, seed=1),
+    "fusion.lm_sample_max": replace(BASE_RUN, fusion=replace(BASE_RUN.fusion, lm_sample_max=1.0)),
+}
+
+
+class TestTrainingReadsTheRunConfig:
+    """The loop takes each setting from the run config it is handed, not from a stale copy."""
+
+    @staticmethod
+    def trained(config):
+        """The parameter bytes and the log lines of a run of the same model under `config`."""
+        model = tiny_model(seed=2)
+        records = train_with_scheduled_lm_sampling(model, LM, VOCAB, fake_utterances(), config,
+                                                   AdamState(model.values.size))
+        return model.values.tobytes(), [record.line() for record in records]
+
+    @pytest.mark.parametrize("setting", sorted(ONE_SETTING_CHANGED))
+    def test_a_changed_setting_changes_the_run_and_the_same_config_does_not(self, setting):
+        base = self.trained(BASE_RUN)
+        assert self.trained(BASE_RUN) == base
+        assert self.trained(ONE_SETTING_CHANGED[setting]) != base
+
+    def test_the_changed_clip_norm_clips_every_update(self, monkeypatch):
+        norms = []
+
+        def recorded(grads, max_norm):
+            norms.append(clip_global_norm(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr("icdscribe.fusion.clip_global_norm", recorded)
+        self.trained(ONE_SETTING_CHANGED["training.clip_norm"])
+        assert len(norms) == 4 and min(norms) > 1e-3  # 2 utterances x 2 epochs
 
 
 class TestBeamSearch:
@@ -620,8 +660,8 @@ class TestTrainingUpdate:
                 loss = update_gradients(model, x, target, inputs)
                 grads = model.grads.copy()
                 clip_global_norm(model.grads, CLIP_NORM)
-                optimizer = AdamState(model.values.size, OptimizerConfig())
-                adam_step(model.values, model.grads, optimizer)
+                optimizer = AdamState(model.values.size)
+                adam_step(model.values, model.grads, optimizer, OptimizerConfig())
             results.append((loss, grads, model.values))
         (loss, grads, values), (want_loss, want_grads, want_values) = results
         assert loss == want_loss and grads.any()
