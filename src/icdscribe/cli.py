@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration or validation problem, 3 i/o.
 import argparse
 import ctypes
 import dataclasses
+import errno
 import logging
 import math
 import os
@@ -62,6 +63,14 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD, TRIM_THRESHOLD = 4 << 20, 8 << 20
 
 
+def _libc(name):
+    """The running program's C library function `name`, or None where it has no such call."""
+    try:
+        return getattr(ctypes.CDLL(None), name)
+    except (OSError, TypeError, AttributeError):  # no C library to load, or no `name` in it
+        return None
+
+
 def _keep_freed_memory():
     """Let each utterance reuse the heap blocks the previous one freed (glibc's allocator).
 
@@ -71,13 +80,36 @@ def _keep_freed_memory():
     arrays and a higher trim threshold keep the pages in the process.  Where
     the C library has no `mallopt` (macOS, Windows) nothing changes.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):  # no C library to load, or no mallopt in it
+    mallopt = _libc("mallopt")
+    if mallopt is None:
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+def _return_freed_memory():
+    """Hand the heap's free pages back to the kernel (glibc's `malloc_trim`).
+
+    `train` calls it once it has realized its whole set: the temporaries
+    realization freed, and the holes between the spectrograms it keeps,
+    would otherwise stay resident under `_keep_freed_memory`'s thresholds
+    while training faults in its gradient and Adam state.  `evaluate`
+    realizes as it decodes, so it keeps its pages for the next utterance.
+    Where the C library has no `malloc_trim` nothing changes.
+    """
+    malloc_trim = _libc("malloc_trim")
+    if malloc_trim is None:
+        return
+    malloc_trim.argtypes, malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    malloc_trim(0)
+
+
+def _check_output(path):
+    """Refuse an output whose directory does not exist (exit 3), before any work is done."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, f"no directory {str(Path(path).parent)!r} to "
+                                f"write into", str(path))
 
 
 def _load_config(args):
@@ -138,6 +170,16 @@ def _log_before(path, step):
     return [r for r in records if r.epoch < step]
 
 
+def _peak_rss_mb():
+    """The process's peak resident memory in MB (2**20 bytes), or None without `resource`."""
+    try:
+        import resource
+    except ImportError:  # Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB elsewhere
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def _check_manifest(manifest, ckpt):
     """Reject a manifest whose vocabulary or featurization is not the checkpoint's."""
     if manifest.vocabulary != ckpt.vocabulary:
@@ -152,6 +194,7 @@ def cmd_train(args):
         if getattr(args, flag) is not None:
             raise ContractError(f"--{flag} cannot be given with --resume, which takes every "
                                 f"setting but --epochs from the checkpoint")
+    _check_output(args.output)
     path = Path(args.data) / "train.json"
     manifest = load_manifest(path)  # first, so a damaged or empty one costs no LM load
     if not manifest.records:
@@ -184,6 +227,7 @@ def cmd_train(args):
 
     log.info("realizing %d utterances", len(manifest.records))
     utterances = list(iter_utterances(manifest))
+    _return_freed_memory()
     split = len(utterances) - int(len(utterances) * config.training.holdout_fraction)
     train_slice, eval_slice = utterances[:split], utterances[split:] or utterances
 
@@ -196,11 +240,12 @@ def cmd_train(args):
             fh.write(Path(args.resume).read_bytes())
     with atomic_write(log_path) as fh:
         fh.write("".join(r.line() for r in kept).encode("utf-8"))
-    started = time.monotonic()
+    started = epoch_started = time.monotonic()
 
     with open(log_path, "a", encoding="utf-8") as log_fh:
         for record in train_with_scheduled_lm_sampling(model, lm, vocab, train_slice, config,
                                                        optimizer, start_epoch):
+            took = time.monotonic() - epoch_started  # the epoch's updates, before its measuring
             measure = record.epoch == epochs - 1 or (every > 0 and (record.epoch + 1) % every == 0)
             if measure:  # the corpus WER does not depend on the bootstrap, so one resample
                 record.wer = evaluate_dataset(model, lm, eval_slice, greedy, vocab,
@@ -212,8 +257,13 @@ def cmd_train(args):
             if measure and (record.wer, record.loss) < best:
                 best = (record.wer, record.loss)
                 save_checkpoint(args.output, model, vocab, config, record.epoch + 1, optimizer)
-            log.info("epoch %d  loss %.4f  sample_p %.3f%s", record.epoch, record.loss,
-                     record.lm_sample_p, f"  wer {record.wer:.4f}" if measure else "")
+            peak = _peak_rss_mb()
+            log.info("epoch %d  loss %.4f  sample_p %.3f%s  %.2f s  %.1f updates/s%s",
+                     record.epoch, record.loss, record.lm_sample_p,
+                     f"  wer {record.wer:.4f}" if measure else "", took,
+                     len(train_slice) / max(took, 1e-9),
+                     "" if peak is None else f"  peak rss {peak:.1f} MB")
+            epoch_started = time.monotonic()
 
     elapsed = time.monotonic() - started
     print(f"trained epochs {start_epoch}..{epochs - 1} in {elapsed:.1f}s")
@@ -236,6 +286,7 @@ def _fusion(args, ckpt):
 
 
 def cmd_evaluate(args):
+    _check_output(args.output)
     manifest = load_manifest(args.manifest)  # first, so a damaged one costs no model load
     if not manifest.records:
         raise ContractError(f"{args.manifest} holds no utterances to evaluate")
@@ -257,6 +308,7 @@ def cmd_transcribe(args):
     if path.suffix.lower() != ".wav":
         raise ContractError(f"{path} is not a .wav file: transcribe decodes one wav, "
                             f"and evaluate --manifest decodes a manifest")
+    _check_output(args.output)
     ckpt = load_checkpoint(args.ckpt)
     model = build_model(ckpt)
     cfg, lm = _fusion(args, ckpt)

@@ -9,6 +9,7 @@ is a pure function of (config, record), so audio is regenerated on
 demand and reruns are bit-identical.
 """
 
+import collections
 from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources as importlib_resources
@@ -234,18 +235,33 @@ def plan_variations(code, speaker, repeats, cap, seed):
     ]
 
 
-def _word_waves(manifest, record, recordings):
-    """The target and word waveforms of `record`, synthesizing those `recordings` lacks into it."""
+def _uses(manifest, records):
+    """How many words of `records` each (word, speaker, repeat) recording speaks."""
+    return collections.Counter(
+        (word, r.speaker_id, rep)
+        for r in records for word, rep in zip(manifest.words_of[r.code], r.repeat_indices)
+    )
+
+
+def _word_waves(manifest, record, recordings, uses):
+    """The target and word waveforms of `record`, synthesizing those `recordings` lacks into it.
+
+    `uses` counts the words still to be drawn that speak each recording,
+    this record's included; a recording leaves `recordings` at its last use.
+    """
     words = manifest.words_of[record.code]
     speaker = manifest.speaker_of[record.speaker_id]
     waves = []
     for word, rep in zip(words, record.repeat_indices):
         key = (word, speaker.speaker_id, rep)
-        if key not in recordings:
-            recordings[key] = synthesize_word(
-                word, speaker, rep, sample_rate=manifest.config.frontend.sample_rate
-            )
-        waves.append(recordings[key])
+        wave = recordings.pop(key, None)
+        if wave is None:
+            wave = synthesize_word(word, speaker, rep,
+                                   sample_rate=manifest.config.frontend.sample_rate)
+        uses[key] -= 1
+        if uses[key]:
+            recordings[key] = wave
+        waves.append(wave)
     return manifest.vocabulary.encode(words), waves
 
 
@@ -258,7 +274,7 @@ def realize_utterance(manifest, record, drawn=None):
     """
     config = manifest.config
     if drawn is None:
-        drawn = _word_waves(manifest, record, {})
+        drawn = _word_waves(manifest, record, {}, _uses(manifest, [record]))
     target, waves = drawn
     gap_rng = np.random.default_rng(
         stable_seed("gaps", config.seed, record.code, record.speaker_id, record.variation_index)
@@ -298,11 +314,13 @@ def iter_utterances(manifest):
     The calling thread draws each record, once: its target and word
     waveforms, synthesizing those the pass has not made yet, so it alone
     reads and writes the recordings.  The rest of a realization runs on
-    whichever thread claims the drawn pair (`autodiff.mapped`).  The
-    recordings are shared only within one pass and freed when it ends.
+    whichever thread claims the drawn pair (`autodiff.mapped`).  The pass
+    counts each recording's uses first and drops it from its cache at the
+    last, so none outlives the last record that speaks it.
     """
-    recordings = {}
-    drawn = ((record, _word_waves(manifest, record, recordings)) for record in manifest.records)
+    recordings, uses = {}, _uses(manifest, manifest.records)
+    drawn = ((record, _word_waves(manifest, record, recordings, uses))
+             for record in manifest.records)
     return mapped(lambda job: realize_utterance(manifest, *job), drawn)
 
 

@@ -97,12 +97,20 @@ def sampled_inputs(lm, vocab, target, p, rng):
 
 @dataclass
 class EpochRecord:
-    """One line of the training log; `wer` is inf (null) on epochs that do not measure it."""
+    """One line of the training log; `wer` is inf (null) on epochs that do not measure it.
+
+    The gradient fields describe the epoch's updates: the mean and largest
+    global norm before clipping, and the share of updates clipped.  A log
+    written before they existed reads them as 0.
+    """
 
     epoch: int
     loss: float  # mean over the epoch's utterances
     lm_sample_p: float
     wer: float = field(default=math.inf, metadata=INF_AS_NULL)
+    grad_norm_mean: float = 0.0
+    grad_norm_max: float = 0.0
+    clipped_frac: float = 0.0
 
     def line(self):
         return json.dumps(to_payload(self), sort_keys=True) + "\n"
@@ -134,7 +142,7 @@ def train_with_scheduled_lm_sampling(model, lm, vocab, utterances, config, optim
     check_vocabulary_alignment(lm, vocab)
     for epoch in range(start_epoch, epochs):
         p = lm_sample_probability(config.fusion, epoch, epochs)
-        total = 0.0
+        total, norms = 0.0, []
         for index, utt in enumerate(utterances):
             rng = np.random.default_rng(stable_seed("lm-swap", config.seed, epoch, index))
             inputs = sampled_inputs(lm, vocab, utt.target, p, rng)
@@ -147,7 +155,11 @@ def train_with_scheduled_lm_sampling(model, lm, vocab, utterances, config, optim
                                     f"gradient norm {norm}; no parameter was updated")
             adam_step(model.values, model.grads, optimizer, config.optimizer)
             total += loss
-        yield EpochRecord(epoch, total / len(utterances), p)
+            norms.append(norm)
+        clipped = sum(norm > config.training.clip_norm for norm in norms)
+        yield EpochRecord(epoch, total / len(utterances), p,
+                          grad_norm_mean=sum(norms) / len(norms), grad_norm_max=max(norms),
+                          clipped_frac=clipped / len(norms))
 
 
 def _expand(model, lm, hyp, encoded, cfg, vocab, tokens, words):

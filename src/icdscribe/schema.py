@@ -139,16 +139,19 @@ def atomic_write(path):
 
     The bytes go to a temporary file beside `path` that then replaces it, so
     a write that fails or is interrupted leaves the old file intact and no
-    temporary file behind.
+    temporary file behind.  An error opening or renaming the temporary file
+    names `path`, the file the caller asked for.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

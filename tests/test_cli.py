@@ -4,7 +4,12 @@ import dataclasses
 import errno
 import io
 import json
+import os
+import platform
+import re
 import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -359,6 +364,43 @@ class TestTrain:
                              f"{data / 'train.json'} holds no utterances to train on")
         assert loaded == []
 
+    def test_info_log_shows_each_epochs_time_and_memory_on_stderr_only(self, workspace,
+                                                                       tmp_path):
+        out = tmp_path / "model.json"
+        env = dict(os.environ, ICDSCRIBE_LOG="INFO", PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-m", "icdscribe.cli", "train", "--config", str(workspace.config),
+             "--data", str(workspace.data), "--lm", str(workspace.lm), "--output", str(out)],
+            capture_output=True, text=True, env=env, check=True)
+        lines = [line for line in done.stderr.splitlines() if line.startswith("epoch ")]
+        assert len(lines) == TINY_CONFIG["training"]["epochs"], done.stderr
+        rss = r"  peak rss [\d.]+ MB" if platform.system() != "Windows" else ""
+        for epoch, line in enumerate(lines):
+            assert re.fullmatch(rf"epoch {epoch}  loss [\d.]+  sample_p [\d.]+(  wer [\d.]+)?"
+                                rf"  [\d.]+ s  [\d.]+ updates/s{rss}", line), line
+        assert not [line for line in done.stdout.splitlines() if line.startswith("epoch ")]
+        # the log and the checkpoint are those of a run without the log level
+        assert out.read_bytes() == workspace.ckpt.read_bytes()
+        assert (out.with_suffix(".log.jsonl").read_bytes()
+                == (workspace.root / "model.log.jsonl").read_bytes())
+
+    def test_freed_memory_goes_back_after_realization_and_before_the_first_update(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        events = []
+        realize, update = data_module.realize_utterance, fusion.adam_step
+        monkeypatch.setattr(data_module, "realize_utterance",
+                            lambda *args: events.append("realize") or realize(*args))
+        monkeypatch.setattr(fusion, "adam_step",
+                            lambda *args: events.append("update") or update(*args))
+        monkeypatch.setattr(cli, "_return_freed_memory", lambda: events.append("return"))
+        assert run(["train", "--config", workspace.config, "--data", workspace.data,
+                    "--lm", workspace.lm, "--output", tmp_path / "model.json"])[0] == 0
+        records = len(load_manifest(workspace.data / "train.json").records)
+        assert events[:records + 2] == ["realize"] * records + ["return", "update"]
+        assert events.count("return") == 1
+
     def test_resume_past_the_horizon_exits_2(self, workspace, tmp_path, capsys):
         code = main(["train", "--data", str(workspace.data), "--lm", str(workspace.lm),
                      "--resume", str(workspace.ckpt), "--epochs", "2",
@@ -506,6 +548,22 @@ class TestResumeThroughTheLog:
                          "--resume", out, "--epochs", "3", "--output", out])
         assert code == 0, err
         assert seen == [before]
+
+    def test_a_log_without_the_gradient_fields_still_resumes(self, workspace, tmp_path):
+        out, before = self.copy_of_the_run(workspace, tmp_path)
+        added = ("grad_norm_mean", "grad_norm_max", "clipped_frac")
+        older = [{k: v for k, v in json.loads(line).items() if k not in added}
+                 for line in before.decode("utf-8").splitlines()]
+        out.with_suffix(".log.jsonl").write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in older), encoding="utf-8")
+        code, err = run(["train", "--data", workspace.data, "--lm", workspace.lm,
+                         "--resume", out, "--epochs", "3", "--output", out])
+        assert code == 0, err
+        lines = out.with_suffix(".log.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["epoch"] for r in records] == [0, 1, 2]
+        assert all(records[i][k] == 0.0 for i in (0, 1) for k in added)  # read as the default
+        assert records[2]["grad_norm_max"] > 0
 
     def test_torn_last_line_is_skipped(self, workspace, tmp_path):
         out, before = self.copy_of_the_run(workspace, tmp_path)
@@ -760,6 +818,35 @@ class TestTranscribe:
         assert_one_line_error(err, "No space left")
         assert out.read_bytes() == b"an earlier transcript\n"
         assert [p.name for p in tmp_path.iterdir()] == ["lines.tsv"]
+
+
+class TestOutputInAMissingDirectory:
+    """An output that cannot be written is refused first: exit 3, one line naming it."""
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "transcribe"])
+    def test_refused_before_anything_is_read(self, workspace, tmp_path, monkeypatch, command):
+        out = tmp_path / "nodir" / "out.json"
+        argv = {
+            "train": ["train", "--config", workspace.config, "--data", workspace.data],
+            "evaluate": ["evaluate", "--ckpt", workspace.ckpt,
+                         "--manifest", workspace.data / "test.json"],
+            "transcribe": ["transcribe", workspace.wav, "--ckpt", workspace.ckpt],
+        }[command] + ["--lm", workspace.lm, "--output", out]
+        read = []
+        for name in ("load_manifest", "load_checkpoint", "load_lm", "read_wav"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: read.append(name))
+        code, err = run(argv)
+        assert code == 3
+        assert_one_line_error(err, f"'{out}'", "no directory")
+        assert ".tmp" not in err and read == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_write_names_the_file_asked_for(self, tmp_path):
+        out = tmp_path / "nodir" / "r.json"
+        with pytest.raises(FileNotFoundError) as caught:
+            write_document(out, None, {})
+        assert caught.value.filename == str(out)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRealizedOnTheHelper:

@@ -340,6 +340,65 @@ class TestIterUtterances:
         finally:
             gc.enable()
 
+    def last_users(self, manifest):
+        """The index of the last record that speaks each (word, speaker, repeat) recording."""
+        return {(word, r.speaker_id, rep): index
+                for index, r in enumerate(manifest.records)
+                for word, rep in zip(manifest.words_of[r.code], r.repeat_indices)}
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_the_cache_holds_each_recording_from_its_synthesis_to_its_last_use(self, monkeypatch,
+                                                                                on):
+        manifest = self.manifest()
+        last_user, synthesized, cached = self.last_users(manifest), [], []
+        draw = data._word_waves
+
+        def counted(word, profile, repeat_index, **kwargs):
+            synthesized.append((word, profile.speaker_id, repeat_index))
+            return synthesize_word(word, profile, repeat_index, **kwargs)
+
+        def drawn(manifest, record, recordings, *args):
+            got = draw(manifest, record, recordings, *args)
+            cached.append(set(recordings))
+            return got
+
+        monkeypatch.setattr(data, "synthesize_word", counted)
+        monkeypatch.setattr(data, "_word_waves", drawn)
+        with helper_thread(on):
+            list(iter_utterances(manifest))
+        assert sorted(synthesized) == sorted(last_user)  # each once, the M54.9 repeats included
+        made = set()
+        for index, (record, held) in enumerate(zip(manifest.records, cached, strict=True)):
+            made |= {(word, record.speaker_id, rep)
+                     for word, rep in zip(manifest.words_of[record.code], record.repeat_indices)}
+            assert held == {key for key in made if last_user[key] > index}
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_each_recording_is_released_once_its_last_user_is_realized(self, monkeypatch, on):
+        manifest = self.manifest()
+        last_user, made = self.last_users(manifest), {}
+
+        def spied(word, profile, repeat_index, **kwargs):
+            wave = synthesize_word(word, profile, repeat_index, **kwargs)
+            made[word, profile.speaker_id, repeat_index] = weakref.ref(wave)
+            return wave
+
+        # With the helper, the job it just finished, or the one `mapped` last looked at, may
+        # still be referenced while the next utterance comes out.
+        lag = 2 if on else 0
+        monkeypatch.setattr(data, "synthesize_word", spied)
+        gc.disable()  # freed by reference counting, not whenever the cycle collector runs
+        checked = set()  # released before the pass ends
+        try:
+            with helper_thread(on):
+                for index, _ in enumerate(iter_utterances(manifest)):
+                    due = {key for key, user in last_user.items() if user <= index - lag}
+                    assert [key for key in due if made[key]() is not None] == [], index
+                    checked |= due if index < len(manifest.records) - 1 else set()
+        finally:
+            gc.enable()
+        assert len(checked) > len(last_user) / 2
+
     @pytest.mark.parametrize("field, value", [("code", "Z99"), ("speaker_id", "spk9")])
     def test_unknown_code_or_speaker_rejected(self, field, value):
         """Refused when the manifest is built, so no record is realized."""

@@ -267,6 +267,28 @@ class TestTraining:
 
         assert [e.loss for e in log] == manual_losses
 
+    def test_log_records_each_epochs_gradient_norms_and_clipping(self):
+        utts, clip = fake_utterances(), 0.5  # clips the second utterance's update, not the first's
+        config = RunConfig(fusion=FusionConfig(lm_sample_max=0.0),
+                           training=TrainingConfig(epochs=3, clip_norm=clip))
+        trained = tiny_model(seed=5)
+        log = list(train_with_scheduled_lm_sampling(trained, LM, VOCAB, utts, config,
+                                                    AdamState(trained.values.size)))
+
+        manual = tiny_model(seed=5)
+        opt = AdamState(manual.values.size)
+        expected = []
+        for _ in range(3):
+            norms = []
+            for utt in utts:
+                update_gradients(manual, utt.spectrogram, utt.target)
+                norms.append(clip_global_norm(manual.grads, clip))
+                adam_step(manual.values, manual.grads, opt, OptimizerConfig())
+            expected.append((sum(norms) / 2, max(norms), sum(n > clip for n in norms) / 2))
+
+        assert [(e.grad_norm_mean, e.grad_norm_max, e.clipped_frac) for e in log] == expected
+        assert [e.clipped_frac for e in log] == [0.5] * 3
+
     def test_fixed_seed_reproduces_loss_trajectory(self):
         cfg = FusionConfig(lm_sample_max=0.5, ramp_frac=0.0)
         runs = []
