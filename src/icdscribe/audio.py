@@ -32,6 +32,12 @@ MAX_SAMPLE_RATE = 48_000
 MAX_WINDOW = 4096
 # the longest wav `read_wav` accepts: 30 s at the highest rate, 2.9 MB of samples
 MAX_WAV_FRAMES = 30 * MAX_SAMPLE_RATE
+# the most frames x (n_fft / 2 + 1) magnitudes `stft_logmel` holds, 80 MB of float64: 30 s at
+# 16 kHz fits at the widest window and default hop; the bounds above alone admit 23.5 GB
+MAX_SPECTRUM_VALUES = 10_000_000
+# frames per `rfft` call in `stft_logmel`: its windowed frames and complex spectrum hold this
+# many frames, not the utterance's
+STFT_BLOCK = 64
 
 # seconds of audio synthesized per character at rate multiplier 1.0
 CHAR_SECONDS = 0.05
@@ -220,14 +226,19 @@ def apply_far_field(w, room, seed=0):
         tail = 0.35 * rng.standard_normal(tail_len) * _decay(tail_len, w.sample_rate, room.rt60)
         ir = np.concatenate([[1.0], tail])
         size = next_fast_len(len(samples) + len(ir) - 1)
-        spectrum = np.fft.rfft(samples, size) * np.fft.rfft(ir, size)
+        spectrum = np.fft.rfft(samples, size)
+        spectrum *= np.fft.rfft(ir, size)
         samples = np.fft.irfft(spectrum, size)[: len(samples)]
     if math.isfinite(room.snr_db):
         signal_rms = float(np.sqrt(np.mean(samples**2)))
         if signal_rms > 0:
             noise = rng.standard_normal(len(samples))
             noise /= np.sqrt(np.mean(noise**2))
-            samples = samples + noise * signal_rms * 10.0 ** (-room.snr_db / 20.0)
+            # in place, the operands of samples + noise * rms * gain in the same order
+            noise *= signal_rms
+            noise *= 10.0 ** (-room.snr_db / 20.0)
+            noise += samples
+            samples = noise
     return Waveform(samples, w.sample_rate)
 
 
@@ -259,20 +270,35 @@ def stft_logmel(w, cfg):
 
     Returns a float64 [frames, n_mels] array, frames = floor((num_samples -
     window) / hop) + 1; one with no variance (silence) is all zeros.  Audio
-    not at the config's sample rate is rejected.
+    not at the config's sample rate is rejected, and so is a spectrogram of
+    more than `MAX_SPECTRUM_VALUES` magnitudes, before it is allocated.  The
+    FFT runs over `STFT_BLOCK` frames at a time into one magnitude table; the
+    mel projection is one product over the whole table, as a row of a product
+    can depend on its row count.
     """
     if w.sample_rate != cfg.sample_rate:
         raise ContractError(f"audio is sampled at {w.sample_rate} Hz, not {cfg.sample_rate} Hz")
-    window, hop = cfg.window, cfg.hop
+    window, hop, bins = cfg.window, cfg.hop, cfg.n_fft // 2 + 1
     n = len(w.samples)
     if n < window:
         raise ContractError(f"waveform of {n} samples is shorter than one {window}-sample window")
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, window)[::hop]
-    magnitude = np.abs(np.fft.rfft(frames * _hann(window), n=cfg.n_fft, axis=-1))
+    if len(frames) * bins > MAX_SPECTRUM_VALUES:
+        raise ContractError(f"{len(frames)} frames of {bins} frequency bins are "
+                            f"{len(frames) * bins:,} magnitudes, more than the "
+                            f"{MAX_SPECTRUM_VALUES:,} a spectrogram may hold")
+    magnitude = np.empty((len(frames), bins))
+    for start in range(0, len(frames), STFT_BLOCK):
+        block = frames[start : start + STFT_BLOCK] * _hann(window)
+        spectrum = np.fft.rfft(block, n=cfg.n_fft, axis=-1)
+        np.abs(spectrum, out=magnitude[start : start + STFT_BLOCK])
     bank = mel_filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate)
-    logmel = np.log(magnitude @ bank.T + 1e-6)
+    logmel = magnitude @ bank.T
+    del magnitude
+    logmel += 1e-6  # in place from here on: the result is the array the product made
+    np.log(logmel, out=logmel)
     std = logmel.std()
-    logmel -= logmel.mean()  # in place: the result is the array np.log made, not a copy
+    logmel -= logmel.mean()
     logmel /= std if std > 1e-8 else 1.0
     return logmel
 
@@ -330,4 +356,4 @@ def read_wav(path):
         detail = str(exc) or "it ends early"
         raise ContractError(f"{path} is not a readable wav file: {detail}") from None
     pcm = np.frombuffer(raw, dtype="<i2")
-    return Waveform(pcm.astype(np.float64) / 32767.0, rate)
+    return Waveform(pcm / 32767.0, rate)  # float64, converted by the division itself

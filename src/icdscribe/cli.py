@@ -56,9 +56,9 @@ from .schema import (atomic_write, decode_document, from_payload, read_lines, to
 
 log = logging.getLogger("icdscribe")
 # glibc's mallopt(3) parameters, and the values `_keep_freed_memory` gives them: an mmap
-# threshold about twice the largest array of the default dataset's longest utterance (its
-# 1.65 MB STFT), and a trim threshold above one utterance's temporaries (at 4 MiB, `stft_logmel`
-# kept two thirds of its faults)
+# threshold about five times the largest array of the default dataset's longest utterance (its
+# 0.83 MB STFT magnitude table, 402 frames), and a trim threshold above one utterance's
+# temporaries (at 4 MiB, `stft_logmel` kept two thirds of its faults)
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD, TRIM_THRESHOLD = 4 << 20, 8 << 20
 
@@ -180,6 +180,12 @@ def _peak_rss_mb():
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
+def _peak_rss_note():
+    """The tail of an INFO line that states the peak RSS, or "" where it is not known."""
+    peak = _peak_rss_mb()
+    return "" if peak is None else f"  peak rss {peak:.1f} MB"
+
+
 def _check_manifest(manifest, ckpt):
     """Reject a manifest whose vocabulary or featurization is not the checkpoint's."""
     if manifest.vocabulary != ckpt.vocabulary:
@@ -257,12 +263,10 @@ def cmd_train(args):
             if measure and (record.wer, record.loss) < best:
                 best = (record.wer, record.loss)
                 save_checkpoint(args.output, model, vocab, config, record.epoch + 1, optimizer)
-            peak = _peak_rss_mb()
             log.info("epoch %d  loss %.4f  sample_p %.3f%s  %.2f s  %.1f updates/s%s",
                      record.epoch, record.loss, record.lm_sample_p,
                      f"  wer {record.wer:.4f}" if measure else "", took,
-                     len(train_slice) / max(took, 1e-9),
-                     "" if peak is None else f"  peak rss {peak:.1f} MB")
+                     len(train_slice) / max(took, 1e-9), _peak_rss_note())
             epoch_started = time.monotonic()
 
     elapsed = time.monotonic() - started
@@ -294,8 +298,12 @@ def cmd_evaluate(args):
     _check_manifest(manifest, ckpt)
     model = build_model(ckpt)
     cfg, lm = _fusion(args, ckpt)
+    started = time.monotonic()
     report = evaluate_dataset(model, lm, iter_utterances(manifest), cfg, ckpt.vocabulary,
                               seed=args.seed, resamples=args.resamples)
+    took = time.monotonic() - started
+    log.info("evaluated %d utterances  %.2f s  %.1f utterances/s%s", report.utterances, took,
+             report.utterances / max(took, 1e-9), _peak_rss_note())
     print(format_report(report))
     if args.output:
         write_document(args.output, None, to_payload(report))

@@ -19,6 +19,11 @@ import numpy as np
 from .errors import ContractError
 from .schema import check_bounds, to_payload, within
 
+# draws per bootstrap block: `build_report` draws, counts and scores this many pair indices
+# (rounded down to whole resamples, at least one) at a time, so 60 pairs x 1,000 resamples
+# take one block and 785 x 1,000 take 13
+BOOTSTRAP_BLOCK_DRAWS = 1 << 16
+
 
 @dataclass
 class WerBreakdown:
@@ -123,7 +128,7 @@ class EvalReport:
     corpus_bleu: float
     wer_ci_95: tuple[float, float]
     bleu_ci_95: tuple[float, float]
-    resamples: int = field(metadata=within(1, 10_000))  # the bootstrap holds resamples x pairs
+    resamples: int = field(metadata=within(1, 10_000))  # the bootstrap draws resamples x pairs
     seed: int = field(metadata=within(0))
     lambda_lm: float = field(metadata=within(0))  # the fusion settings decoded with
     beam_width: int = field(metadata=within(1, 64))
@@ -171,7 +176,9 @@ def build_report(scored, seed, resamples, lambda_lm, beam_width, max_n=4):
 
     Corpus WER is total errors over total reference words, not the mean of
     per-utterance rates.  Each resample is a row of pair multiplicities, so
-    pooled counts are one integer matrix product.  The fusion settings are kept as given.
+    pooled counts are one integer matrix product per block of resamples; the
+    blocks draw in turn from one generator, so they draw what one call would.
+    The fusion settings are kept as given.
     """
     if not scored:
         raise ContractError("cannot evaluate an empty test set")
@@ -182,11 +189,18 @@ def build_report(scored, seed, resamples, lambda_lm, beam_width, max_n=4):
     stats = np.array([_pair_stats(r, h, max_n) for r, h in pairs])
 
     n = len(pairs)
-    draws = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
-    offsets = n * np.arange(resamples)[:, None]
-    weights = np.bincount((draws + offsets).ravel(), minlength=resamples * n).reshape(resamples, n)
-    wer_draws = np.sort((weights @ errors) / (weights @ lengths))
-    bleu_draws = np.sort(_pooled_bleu(weights, stats, max_n))
+    rng = np.random.default_rng(seed)
+    rows = max(1, BOOTSTRAP_BLOCK_DRAWS // n)
+    wer_draws, bleu_draws = np.empty(resamples), np.empty(resamples)
+    for start in range(0, resamples, rows):
+        block = min(rows, resamples - start)
+        draws = rng.integers(0, n, size=(block, n))
+        draws += n * np.arange(block)[:, None]  # row r counts into bins [r * n, (r + 1) * n)
+        weights = np.bincount(draws.ravel(), minlength=block * n).reshape(block, n)
+        wer_draws[start : start + block] = (weights @ errors) / (weights @ lengths)
+        bleu_draws[start : start + block] = _pooled_bleu(weights, stats, max_n)
+    wer_draws.sort()
+    bleu_draws.sort()
 
     return EvalReport(
         utterances=n,

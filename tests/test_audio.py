@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icdscribe.audio import (
+    MAX_SPECTRUM_VALUES,
     MAX_WAV_FRAMES,
     RECORD_PEAK,
+    STFT_BLOCK,
     FrontendConfig,
     RoomModel,
     SpeakerProfile,
@@ -226,6 +228,35 @@ class TestApplyFarField:
         assert out.shape == (n,)
         assert np.max(np.abs(out - expected)) <= 1e-9 * np.max(np.abs(x))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 6000),
+        rt60=st.floats(0.0, 0.5),
+        snr_db=st.one_of(st.floats(-100.0, 60.0), st.just(math.inf)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_room_equals_the_out_of_place_expression(self, n, rt60, snr_db, seed):
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+        kept = x.copy()
+        room = RoomModel(rt60=rt60, snr_db=snr_db)
+        rng = np.random.default_rng(stable_seed("room", seed))
+        samples = x
+        if rt60 > 0:
+            tail_len = int(rt60 * 16000)
+            tail = 0.35 * rng.standard_normal(tail_len) * _decay(tail_len, 16000, rt60)
+            ir = np.concatenate([[1.0], tail])
+            size = next_fast_len(n + len(ir) - 1)
+            spectrum = np.fft.rfft(samples, size) * np.fft.rfft(ir, size)
+            samples = np.fft.irfft(spectrum, size)[:n]
+        signal_rms = float(np.sqrt(np.mean(samples**2)))
+        if math.isfinite(snr_db) and signal_rms > 0:
+            noise = rng.standard_normal(n)
+            noise /= np.sqrt(np.mean(noise**2))
+            samples = samples + noise * signal_rms * 10.0 ** (-snr_db / 20.0)
+        out = apply_far_field(Waveform(x), room, seed=seed).samples
+        assert out.tobytes() == samples.tobytes()
+        assert x.tobytes() == kept.tobytes()  # the close-talk input is left as it was
+
     def test_padded_length_is_the_smallest_5_smooth_number(self):
         smooth = sorted(2**a * 3**b * 5**c for a in range(40) for b in range(26) for c in range(18)
                         if 2**a * 3**b * 5**c < 2**40)
@@ -316,6 +347,78 @@ class TestStftLogmel:
         assert spec.shape[0] == (n - 400) // 160 + 1
 
 
+def unblocked_logmel(w, cfg):
+    """`stft_logmel` as one FFT over every frame at once, with a fresh window and bank: the
+    expression its blocks and cached tables replace."""
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, cfg.window)[:: cfg.hop]
+    magnitude = np.abs(np.fft.rfft(frames * np.hanning(cfg.window), n=cfg.n_fft, axis=-1))
+    bank = mel_filterbank.__wrapped__(cfg.n_mels, cfg.n_fft, cfg.sample_rate)
+    logmel = np.log(magnitude @ bank.T + 1e-6)
+    std = logmel.std()
+    return (logmel - logmel.mean()) / (std if std > 1e-8 else 1.0)
+
+
+class TestStftBlocks:
+    @pytest.mark.parametrize("frames", [1, STFT_BLOCK - 1, STFT_BLOCK, STFT_BLOCK + 1,
+                                        2 * STFT_BLOCK + 3])
+    @pytest.mark.parametrize("cfg", [FRONTEND, FrontendConfig(window=320, hop=80, n_mels=24),
+                                     FrontendConfig(sample_rate=48000, window=4096, hop=1000)])
+    def test_blocks_equal_one_fft_over_every_frame_bit_for_bit(self, frames, cfg):
+        n = cfg.window + (frames - 1) * cfg.hop + cfg.hop // 2
+        w = Waveform(np.random.default_rng(frames).uniform(-1.0, 1.0, n), cfg.sample_rate)
+        spec = stft_logmel(w, cfg)
+        assert spec.shape == (frames, cfg.n_mels)
+        assert spec.tobytes() == unblocked_logmel(w, cfg).tobytes()
+
+    @given(n=st.integers(min_value=400, max_value=40000), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_blocks_equal_one_fft_at_any_length(self, n, seed):
+        w = Waveform(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
+        assert stft_logmel(w, FRONTEND).tobytes() == unblocked_logmel(w, FRONTEND).tobytes()
+
+    def test_a_30_second_wav_holds_its_magnitude_table_and_little_more(self):
+        w = Waveform(np.random.default_rng(0).uniform(-1.0, 1.0, 30 * 16000))
+        frames, bins = (len(w.samples) - 400) // 160 + 1, FRONTEND.n_fft // 2 + 1
+        stft_logmel(w, FRONTEND)  # the cached window and bank are made outside the count
+        tracemalloc.start()
+        try:
+            spec = stft_logmel(w, FRONTEND)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.shape == (frames, 40)
+        # one FFT over every frame held 21.9 MB: the windowed frames and the complex spectrum
+        # of every frame; the blocks leave the 6.2 MB table and the log-mel rows
+        assert peak < 1.5 * frames * bins * 8
+
+    @pytest.mark.parametrize("cfg, seconds", [
+        (FrontendConfig(sample_rate=48000, window=4096, hop=1), 30),
+        (FrontendConfig(window=4096, hop=80), 30),
+        (FrontendConfig(window=400, hop=1), 3),
+    ])
+    def test_a_spectrogram_past_the_bound_is_refused_before_it_is_allocated(self, cfg, seconds):
+        w = Waveform(np.zeros(seconds * cfg.sample_rate), cfg.sample_rate)
+        frames, bins = (len(w.samples) - cfg.window) // cfg.hop + 1, cfg.n_fft // 2 + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError) as refused:
+                stft_logmel(w, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (f"{frames} frames of {bins} frequency bins are "
+                                      f"{frames * bins:,} magnitudes, more than the "
+                                      f"{MAX_SPECTRUM_VALUES:,} a spectrogram may hold")
+        assert peak < 256 * 1024
+
+    def test_a_30_second_wav_at_the_widest_window_is_featurized(self):
+        cfg = FrontendConfig(window=4096, hop=160)
+        w = Waveform(np.random.default_rng(1).uniform(-1.0, 1.0, 30 * 16000))
+        frames = (len(w.samples) - 4096) // 160 + 1
+        assert frames * (cfg.n_fft // 2 + 1) <= MAX_SPECTRUM_VALUES
+        assert stft_logmel(w, cfg).shape == (frames, cfg.n_mels)
+
+
 class TestMelFilterbank:
     def test_no_all_zero_filter(self):
         bank = mel_filterbank(40, 512, 16000)
@@ -361,11 +464,7 @@ class TestCachedTables:
 
     def test_stft_matches_a_fresh_bank_and_window(self):
         w = apply_far_field(synthesize_word("pain", PROFILE, repeat_index=0), RoomModel(), seed=1)
-        frames = np.lib.stride_tricks.sliding_window_view(w.samples, 400)[::160]
-        magnitude = np.abs(np.fft.rfft(frames * np.hanning(400), n=512, axis=-1))
-        bank = mel_filterbank.__wrapped__(40, 512, 16000)
-        logmel = np.log(magnitude @ bank.T + 1e-6)
-        want = (logmel - logmel.mean()) / logmel.std()
+        want = unblocked_logmel(w, FRONTEND)
         for _ in range(2):  # cold, then warm cache
             assert np.array_equal(stft_logmel(w, FRONTEND), want)
 
@@ -456,6 +555,13 @@ class TestWavRoundTrip:
             tracemalloc.stop()
         assert f"declares {frames} frames" in str(refused.value)
         assert peak < 256 * 1024  # reading the samples it claims would take 2.9 MB or more
+
+    def test_one_division_converts_pcm_as_a_cast_then_a_division_does(self):
+        pcm = np.random.default_rng(5).integers(-32768, 32768, 100_000).astype("<i2")
+        pcm[:3] = (-32768, 0, 32767)
+        once = pcm / 32767.0
+        assert once.dtype == np.float64
+        assert once.tobytes() == (pcm.astype(np.float64) / 32767.0).tobytes()
 
     @pytest.mark.parametrize("cut, held", [(1000, 15500), (1001, 15499), (32000, 0)])
     def test_data_shorter_than_its_header_is_refused(self, tmp_path, cut, held):

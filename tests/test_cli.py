@@ -698,6 +698,29 @@ class TestEvaluate:
         write_document(again, None, to_payload(read))
         assert again.read_bytes() == report.read_bytes()
 
+    def test_info_log_shows_the_pass_time_and_memory_and_changes_no_report_byte(
+        self, workspace, tmp_path
+    ):
+        path = os.pathsep.join(p for p in (str(Path(cli.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH")) if p)
+        env = {k: v for k, v in os.environ.items() if k != "ICDSCRIBE_LOG"}
+        reports, errs = [], []
+        for level in (None, "INFO"):
+            report = tmp_path / f"report-{level}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "icdscribe.cli", "evaluate", "--ckpt", str(workspace.ckpt),
+                 "--lm", str(workspace.lm), "--manifest", str(workspace.data / "test.json"),
+                 "--resamples", "20", "--output", str(report)],
+                capture_output=True, text=True, check=True,
+                env={**env, "PYTHONPATH": path, **({"ICDSCRIBE_LOG": level} if level else {})})
+            reports.append(report.read_bytes())
+            errs.append(done.stderr)
+        assert reports[0] == reports[1]
+        assert errs[0] == ""
+        rss = r"  peak rss [\d.]+ MB" if platform.system() != "Windows" else ""
+        assert re.fullmatch(rf"evaluated 5 utterances  [\d.]+ s  [\d.]+ utterances/s{rss}\n",
+                            errs[1]), errs[1]
+
     def test_flags_that_repeat_the_checkpoint_change_no_byte(self, workspace, tmp_path):
         cfg = load_checkpoint(workspace.ckpt).config.fusion
         reports = [tmp_path / "plain.json", tmp_path / "flagged.json"]
@@ -1460,6 +1483,28 @@ class TestHostileArtifacts:
         code, err = run(["transcribe", workspace.wav, "--ckpt", path, "--lambda-lm", "0"])
         assert code == 2
         assert_one_line_error(err, str(path), fragment)
+
+    def test_a_frontend_whose_spectrogram_passes_the_bound_exits_2_before_allocating_it(
+        self, workspace, tmp_path
+    ):
+        head, _, blob = workspace.ckpt.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["config"]["dataset"]["frontend"].update(sample_rate=48000, window=4096, hop=1)
+        path = tmp_path / "hostile.ckpt"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        wav = tmp_path / "long.wav"
+        write_wav(wav, Waveform(0.1 * np.sin(np.arange(3 * 48000) / 9.0), 48000))
+        tracemalloc.start()
+        try:
+            code, err = run(["transcribe", wav, "--ckpt", path, "--lambda-lm", "0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        frames = 3 * 48000 - 4096 + 1
+        assert_one_line_error(err, f"{frames} frames of 2049 frequency bins", "a spectrogram")
+        # the windowed frames alone would take 4.6 GB; the wav and the model take a few MB
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("key, value", [("beta1", 1.0), ("lr", -1), ("eps", 0), ("step", -1),
                                             ("step", None)])

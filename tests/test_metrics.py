@@ -1,9 +1,11 @@
+import json
 import math
 import os
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +211,32 @@ class TestReport:
         assert report.corpus_bleu == corpus_bleu(pairs)
         for got, sample in ((report.wer_ci_95, wers), (report.bleu_ci_95, bleus)):
             assert got == (float(np.percentile(sample, 2.5)), float(np.percentile(sample, 97.5)))
+
+    @pytest.mark.parametrize("n, resamples", [(13, 101), (60, 1000)])
+    def test_any_block_of_resamples_gives_the_same_report_bytes(self, monkeypatch, n,
+                                                                resamples):
+        rng = random.Random(n)
+        pairs = [([rng.choice("abcd") for _ in range(rng.randint(1, 7))],
+                  [rng.choice("abcd") for _ in range(rng.randint(0, 7))]) for _ in range(n)]
+        assert n * resamples <= metrics.BOOTSTRAP_BLOCK_DRAWS  # one block by default
+        whole = json.dumps(to_payload(score_pairs(pairs, seed=5, resamples=resamples)))
+        for rows in (1, 7):  # blocks of 7 resamples end in a shorter one
+            monkeypatch.setattr(metrics, "BOOTSTRAP_BLOCK_DRAWS", rows * n)
+            assert json.dumps(to_payload(score_pairs(pairs, seed=5, resamples=resamples))) == whole
+
+    def test_the_bootstrap_of_785_pairs_holds_a_block_not_every_resample(self):
+        rng = random.Random(785)
+        pairs = [([rng.choice("abcd") for _ in range(rng.randint(1, 7))],
+                  [rng.choice("abcd") for _ in range(rng.randint(0, 7))]) for _ in range(785)]
+        tracemalloc.start()
+        try:
+            score_pairs(pairs, seed=0, resamples=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every resample at once held 19.2 MB: the draws, their offset copy and the counts,
+        # 785,000 int64 each
+        assert peak < 4 << 20
 
     @settings(max_examples=300, deadline=None)
     @given(
